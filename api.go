@@ -400,13 +400,15 @@ func PlanarLocalConnectedDominatingSet(g *Graph, opts ...DistributedOptions) (Di
 	if err != nil {
 		return DistributedResult{}, err
 	}
+	st := mds.Stats
+	st.Add(cds.Stats)
 	return DistributedResult{
 		R:               1,
 		Set:             cds.Set,
 		DomSet:          mds.Set,
-		Rounds:          mds.Stats.Rounds + cds.Stats.Rounds,
-		Messages:        mds.Stats.Messages + cds.Stats.Messages,
-		MaxMessageWords: max(mds.Stats.MaxMessageWords, cds.Stats.MaxMessageWords),
+		Rounds:          st.Rounds,
+		Messages:        st.Messages,
+		MaxMessageWords: st.MaxMessageWords,
 	}, nil
 }
 

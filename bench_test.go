@@ -305,7 +305,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 		{Graph: "g", Kind: engine.KindDominatingSet, R: 1},
 		{Graph: "g", Kind: engine.KindDominatingSet, R: 2},
 		{Graph: "g", Kind: engine.KindCover, R: 1},
-		{Graph: "g", Kind: engine.KindGreedy, R: 1},
+		{Graph: "g", Kind: engine.KindDominatingSet, R: 1, Solver: "greedy"},
 	}
 	for _, res := range eng.Batch(context.Background(), reqs) { // warm
 		if res.Err != nil {

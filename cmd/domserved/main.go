@@ -37,7 +37,8 @@
 //	                             degraded (read-only, with reason) or 503
 //	                             overloaded (admission queue full)
 //
-// Query kinds: domset, cds, cover, greedy, dist-domset, dist-cds.
+// Query kinds: domset, cds, cover, dist-domset, dist-cds.  The greedy
+// baseline is the domset kind with "solver":"greedy".
 //
 // Under failure the daemon degrades instead of dying: a failing data
 // directory flips the engine read-only (mutations get 503 + Retry-After,

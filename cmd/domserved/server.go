@@ -511,7 +511,7 @@ type queryRequest struct {
 	Workers      int  `json:"workers,omitempty"`
 	MaxRounds    int  `json:"max_rounds,omitempty"`
 	RefinedOrder bool `json:"refined_order,omitempty"`
-	// Solver names the strategy for domset / greedy / dist-domset kinds
+	// Solver names the strategy for the domset and dist-domset kinds
 	// ("paper", "kubsv", "dvorak", "greedy", "order-greedy"; default
 	// "paper").  Unknown names fail with 400 listing the registry.
 	Solver string `json:"solver,omitempty"`

@@ -81,7 +81,7 @@ func main() {
 		{Graph: "grid", Kind: engine.KindDominatingSet, R: 1},
 		{Graph: "grid", Kind: engine.KindCover, R: 1},
 		{Graph: "apollonian", Kind: engine.KindConnectedDominatingSet, R: 1},
-		{Graph: "geometric", Kind: engine.KindGreedy, R: 1},
+		{Graph: "geometric", Kind: engine.KindDominatingSet, R: 1, Solver: "greedy"},
 		{Graph: "grid", Kind: engine.KindDistributedDominatingSet, R: 1},
 	}
 	results := eng.Batch(ctx, batch)

@@ -39,105 +39,34 @@ func CheckConnected(g *graph.Graph, D []int, r int) bool {
 //
 // where P_{v,w} is the weak-reachability witness path.  On a connected graph
 // D' is a connected distance-r dominating set of size at most
-// wcol_{2r+1}(G,L)·(2r+1)·|D| + |D|.
+// wcol_{2r+1}(G,L)·(2r+1)·|D| + |D|.  Callers that hold the radius-(2r+1)
+// witnesses already use ClosureOf.
 func Closure(g *graph.Graph, o *order.Order, D []int, r int) []int {
-	wits := order.WReachWithPaths(g, o, 2*r+1)
-	inD := make([]bool, g.N())
+	return ClosureOf(order.WReachWitnesses(g, o, 2*r+1, 0), D)
+}
+
+// ClosureOf is Closure on precomputed witnesses: wits must hold the weak
+// (2r+1)-reachability witnesses of the order D was computed with.  The
+// result is sorted.
+func ClosureOf(wits *order.Witnesses, D []int) []int {
+	in := make([]bool, len(wits.Sets))
+	var path []int
 	for _, v := range D {
-		inD[v] = true
-	}
-	out := make(map[int]bool, len(D)*4)
-	for _, v := range D {
-		out[v] = true
-		for _, pt := range wits[v] {
-			for _, x := range pt.Path {
-				out[x] = true
+		in[v] = true
+		for j := range wits.Sets[v] {
+			path = wits.AppendPath(path[:0], v, j)
+			for _, x := range path {
+				in[x] = true
 			}
 		}
 	}
-	return sortedKeys(out)
-}
-
-// SpanningConnector is the folklore sequential baseline (Lemma 11): compute
-// the Voronoi quotient of G with respect to D (each vertex assigned to its
-// nearest dominator, ties by smaller dominator index), take a spanning
-// forest of the quotient graph and add, for every forest edge, a realizing
-// path of length at most 2r+1.  On a connected graph the result is a
-// connected distance-r dominating set of size at most |D| + (|D|−1)·2r.
-func SpanningConnector(g *graph.Graph, D []int, r int) []int {
-	if len(D) == 0 {
-		return nil
-	}
-	owner, parent := nearestDominator(g, D)
-	// Candidate quotient edges from G-edges crossing between territories.
-	type crossing struct {
-		a, b int // indices into D
-		u, v int // endpoints of the G-edge realizing the crossing
-	}
-	var crossings []crossing
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if owner[u] == -1 || owner[v] == -1 || owner[u] == owner[v] {
-			continue
-		}
-		crossings = append(crossings, crossing{owner[u], owner[v], u, v})
-	}
-	uf := graph.NewUnionFind(len(D))
-	result := make(map[int]bool)
-	for _, v := range D {
-		result[v] = true
-	}
-	for _, c := range crossings {
-		if !uf.Union(c.a, c.b) {
-			continue
-		}
-		// Realize the connection: walk from u up to its dominator and from v
-		// up to its dominator along BFS parents.
-		for x := c.u; x != -1; x = parent[x] {
-			result[x] = true
-		}
-		for x := c.v; x != -1; x = parent[x] {
-			result[x] = true
+	out := make([]int, 0, len(D))
+	for v, ok := range in {
+		if ok {
+			out = append(out, v)
 		}
 	}
-	return sortedKeys(result)
-}
-
-// nearestDominator runs a multi-source BFS from D and returns, for every
-// vertex, the index (into D) of its closest dominator (ties broken toward
-// the smaller index) and the BFS parent pointer toward that dominator
-// (-1 at the dominators themselves and at unreachable vertices).
-func nearestDominator(g *graph.Graph, D []int) (owner, parent []int) {
-	n := g.N()
-	owner = make([]int, n)
-	parent = make([]int, n)
-	dist := make([]int, n)
-	for i := 0; i < n; i++ {
-		owner[i] = -1
-		parent[i] = -1
-		dist[i] = -1
-	}
-	q := graph.NewIntQueue(len(D) + 1)
-	for i, v := range D {
-		if owner[v] == -1 {
-			owner[v] = i
-			dist[v] = 0
-			q.Push(v)
-		}
-	}
-	for !q.Empty() {
-		x := q.Pop()
-		for _, wn := range g.Neighbors(x) {
-			y := int(wn)
-			if dist[y] == -1 {
-				dist[y] = dist[x] + 1
-				owner[y] = owner[x]
-				parent[y] = x
-				q.Push(y)
-			}
-		}
-	}
-	return owner, parent
+	return out
 }
 
 // DPartition computes the D-partition of Lemma 14: every vertex w is assigned

@@ -1,6 +1,9 @@
 package connect
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -73,34 +76,54 @@ func TestClosureConnectsOnManyFamilies(t *testing.T) {
 	}
 }
 
-func TestSpanningConnector(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"grid", gen.Grid(8, 8)},
-		{"apollonian", gen.Apollonian(80, 1)},
-		{"geometric", mustConnected(gen.RandomGeometric(150, 0.15, 3))},
-	} {
-		for _, r := range []int{1, 2} {
-			D, _ := domsetFor(t, tc.g, r)
-			Dp := SpanningConnector(tc.g, D, r)
-			if !CheckConnected(tc.g, Dp, r) {
-				t.Errorf("%s r=%d: spanning connector output invalid", tc.name, r)
-			}
-			if len(Dp) > len(D)+(len(D)-1)*(2*r)+1 {
-				t.Errorf("%s r=%d: size %d exceeds |D|+2r(|D|-1)", tc.name, r, len(Dp))
-			}
-		}
-	}
-	if got := SpanningConnector(gen.Path(5), nil, 1); got != nil {
-		t.Fatal("empty dominating set should return nil")
-	}
-}
-
 func mustConnected(g *graph.Graph) *graph.Graph {
 	lc, _ := gen.LargestComponent(g)
 	return lc
+}
+
+// TestClosurePinnedDigests pins Closure's output on fixed instances, with
+// the order Theorem 10 uses (ConstructDefault at radius 2r+1).  The digests
+// were recorded with a separate per-source BFS that stored every witness
+// path; the parent-column walk must reproduce that output exactly.
+func TestClosurePinnedDigests(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"apollonian300":  gen.Apollonian(300, 1),
+		"grid20x20":      gen.Grid(20, 20),
+		"outerplanar300": gen.Outerplanar(300, 1),
+		"geometric2000":  mustConnected(gen.RandomGeometric(2000, gen.GeometricRadiusForAvgDeg(2000, 6), 1)),
+	}
+	for _, tc := range []struct {
+		graph  string
+		r      int
+		size   int
+		digest string
+	}{
+		{"apollonian300", 1, 60, "44cfa3a9d1b0c4ea"},
+		{"apollonian300", 2, 12, "2339095a99b42f2d"},
+		{"grid20x20", 1, 379, "10ca3a909acead40"},
+		{"grid20x20", 2, 396, "f7c2554128071fb8"},
+		{"outerplanar300", 1, 128, "336d9a0e996cc4ea"},
+		{"outerplanar300", 2, 63, "0f980e3b075b22f6"},
+		{"geometric2000", 1, 1561, "77c41f54f4f731d9"},
+		{"geometric2000", 2, 1436, "d07031697d3adc8b"},
+	} {
+		g := graphs[tc.graph]
+		o := order.ConstructDefault(g, 2*tc.r+1)
+		Dp := Closure(g, o, domset.AlgorithmOne(g, o, tc.r), tc.r)
+		if got := setDigest(Dp); len(Dp) != tc.size || got != tc.digest {
+			t.Errorf("%s r=%d: closure |D'|=%d digest %s, want %d %s", tc.graph, tc.r, len(Dp), got, tc.size, tc.digest)
+		}
+	}
+}
+
+// setDigest is the first 8 bytes of the SHA-256 of the set written as
+// "v1,v2,...,".
+func setDigest(set []int) string {
+	h := sha256.New()
+	for _, v := range set {
+		fmt.Fprintf(h, "%d,", v)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 func TestDPartitionLemma14(t *testing.T) {
@@ -270,7 +293,6 @@ func TestConnectorsQuick(t *testing.T) {
 		}
 		for _, Dp := range [][]int{
 			Closure(g, o, D, r),
-			SpanningConnector(g, D, r),
 			LocalConnector(g, D, r, nil),
 		} {
 			if !CheckConnected(g, Dp, r) {

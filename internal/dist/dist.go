@@ -157,6 +157,16 @@ type Stats struct {
 	MaxMessageWords int `json:"max_message_words"`
 }
 
+// Add folds the statistics of a run that followed s into s: rounds,
+// messages and words add up across a sequential composition, and
+// MaxMessageWords is the maximum.
+func (s *Stats) Add(o Stats) {
+	s.Rounds += o.Rounds
+	s.Messages += o.Messages
+	s.Words += o.Words
+	s.MaxMessageWords = max(s.MaxMessageWords, o.MaxMessageWords)
+}
+
 // Errors returned by Runner.Run.  Violations are detected at send time and
 // reported wrapped, with the offending vertex and round; use errors.Is to
 // test for them.

@@ -43,9 +43,10 @@ var (
 		obs.SizeBuckets, "model", "phase")
 )
 
-// recordRun accounts one finished simulator run.
-func recordRun(model Model, phase string, st Stats, d time.Duration, err error) {
-	m := model.String()
+// recordRun accounts one finished simulator run from its summary; err is
+// the run's error (rp.Err is its text), bucketed into the reason label.
+func recordRun(rp *RunProfile, err error) {
+	m, phase, st := rp.Model, rp.Phase, rp.Stats
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
@@ -54,7 +55,7 @@ func recordRun(model Model, phase string, st Stats, d time.Duration, err error) 
 	distRounds.With(m, phase).Add(uint64(st.Rounds))
 	distMessages.With(m, phase).Add(uint64(st.Messages))
 	distWords.With(m, phase).Add(uint64(st.Words))
-	distSeconds.With(m, phase).ObserveDuration(d)
+	distSeconds.With(m, phase).ObserveDuration(time.Duration(rp.DurationNS))
 	if st.MaxMessageWords > 0 {
 		distMaxWords.With(m, phase).Observe(float64(st.MaxMessageWords))
 	}

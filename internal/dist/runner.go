@@ -74,29 +74,30 @@ func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
 // Termination: the run ends after the first round in which no node sent a
 // message and every node implementing Halter is done.
 //
-// Every run (successful or failed) is accounted in the process-wide
-// simulator metrics under its model and Options.Phase (see metrics.go).
+// Every run (successful or failed) is summarised in one RunProfile: the
+// process-wide simulator metrics account it under its model and
+// Options.Phase (see metrics.go), and a Probe, when set, keeps it with its
+// round profiles and congestion table.
 func (r *Runner) Run(factory func(v int) Node) (Stats, error) {
 	if r.used {
 		return Stats{}, ErrRunnerReused
 	}
 	start := time.Now()
 	st, err := r.run(factory)
-	elapsed := time.Since(start)
-	recordRun(r.model, r.opts.Phase, st, elapsed, err)
+	rp := RunProfile{
+		Model:      r.model.String(),
+		Phase:      r.opts.Phase,
+		N:          r.g.N(),
+		Stats:      st,
+		DurationNS: time.Since(start).Nanoseconds(),
+	}
+	if err != nil {
+		rp.Err = err.Error()
+	}
+	recordRun(&rp, err)
 	if p := r.opts.Probe; p != nil {
-		rp := RunProfile{
-			Model:      r.model.String(),
-			Phase:      r.opts.Phase,
-			N:          r.g.N(),
-			Stats:      st,
-			DurationNS: elapsed.Nanoseconds(),
-			Rounds:     r.rounds,
-			Congestion: congestionTable(r.sentWords, r.recvWords, p.topK()),
-		}
-		if err != nil {
-			rp.Err = err.Error()
-		}
+		rp.Rounds = r.rounds
+		rp.Congestion = congestionTable(r.sentWords, r.recvWords, p.topK())
 		p.add(rp)
 	}
 	return st, err

@@ -26,27 +26,16 @@ import (
 
 // PipelineStats accumulates simulator statistics across the phases of a
 // composed algorithm (the paper's algorithms are sequential compositions of
-// sub-protocols; rounds add up).
+// sub-protocols; rounds add up).  The embedded totals are the phases folded
+// with dist.Stats.Add.
 type PipelineStats struct {
-	// Rounds is the total number of communication rounds across phases.
-	Rounds int
-	// Messages is the total number of point-to-point deliveries.
-	Messages int64
-	// Words is the total number of delivered words.
-	Words int64
-	// MaxMessageWords is the largest message observed in any phase.
-	MaxMessageWords int
+	dist.Stats
 	// Phases records the per-phase statistics in order.
 	Phases []dist.Stats
 }
 
 // Add folds one phase's statistics into the pipeline totals.
 func (p *PipelineStats) Add(s dist.Stats) {
-	p.Rounds += s.Rounds
-	p.Messages += s.Messages
-	p.Words += s.Words
-	if s.MaxMessageWords > p.MaxMessageWords {
-		p.MaxMessageWords = s.MaxMessageWords
-	}
+	p.Stats.Add(s)
 	p.Phases = append(p.Phases, s)
 }

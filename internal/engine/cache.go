@@ -17,10 +17,11 @@ import (
 type substrateKind uint8
 
 const (
-	kindOrder  substrateKind = iota // a *order.Order for radius A
-	kindWReach                      // WReach_B sets on the order for radius A
-	kindCover                       // a *coverSubstrate for radius A
-	kindDomset                      // a solver.Result for radius A, solver S
+	kindOrder   substrateKind = iota // a *order.Order for radius A
+	kindWReach                       // WReach_B sets on the order for radius A
+	kindWitness                      // *order.Witnesses: WReach_B sets with witness paths, order for radius A
+	kindCover                        // a *coverSubstrate for radius A
+	kindDomset                       // a solver.Result for radius A, solver S
 )
 
 func (k substrateKind) String() string {
@@ -29,6 +30,8 @@ func (k substrateKind) String() string {
 		return "order"
 	case kindWReach:
 		return "wreach"
+	case kindWitness:
+		return "witness"
 	case kindCover:
 		return "cover"
 	case kindDomset:

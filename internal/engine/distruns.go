@@ -157,12 +157,7 @@ func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName stri
 		rec.Err = runErr.Error()
 	}
 	for _, rp := range profiles {
-		rec.Stats.Rounds += rp.Stats.Rounds
-		rec.Stats.Messages += rp.Stats.Messages
-		rec.Stats.Words += rp.Stats.Words
-		if rp.Stats.MaxMessageWords > rec.Stats.MaxMessageWords {
-			rec.Stats.MaxMessageWords = rp.Stats.MaxMessageWords
-		}
+		rec.Stats.Add(rp.Stats)
 	}
 	e.distRuns.add(rec)
 }

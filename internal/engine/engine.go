@@ -791,21 +791,45 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 // timeout would be recorded as the build's error and handed to every
 // coalesced waiter.
 func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) ([][]int, bool, error) {
+	v, hit, err := e.traversal(ctx, g, gen, kindWReach, orderR, s, func(o *order.Order, workers int) any {
+		return order.WReachSetsWorkers(g, o, s, workers)
+	})
+	if err != nil {
+		return nil, hit, err
+	}
+	return v.([][]int), hit, nil
+}
+
+// witnessFor returns the (cached) weak s-reachability witnesses of the order
+// for radius orderR: the same traversal as wreachFor, plus the parent
+// column the connected closure reads its paths from.  It is a substrate of
+// its own because only cds queries read the column, and every other
+// consumer of the sets would pay its memory for nothing.
+func (e *Engine) witnessFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (*order.Witnesses, bool, error) {
+	v, hit, err := e.traversal(ctx, g, gen, kindWitness, orderR, s, func(o *order.Order, workers int) any {
+		return order.WReachWitnesses(g, o, s, workers)
+	})
+	if err != nil {
+		return nil, hit, err
+	}
+	return v.(*order.Witnesses), hit, nil
+}
+
+// traversal fetches or builds one weak-reachability substrate (kindWReach
+// or kindWitness).  Both share the "wreach" span, stage hook and build-time
+// label, so the per-stage timings do not depend on which one a query used.
+func (e *Engine) traversal(ctx context.Context, g *graph.Graph, gen uint64, kind substrateKind, orderR, s int, build func(o *order.Order, workers int) any) (any, bool, error) {
 	_, sp := obs.Start(ctx, "substrate:wreach")
 	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
+	return e.getSubstrate(ctx, substrateKey{gen: gen, kind: kind, a: orderR, b: s}, func() (any, error) {
 		e.stage("substrate:wreach")
 		o, _, err := e.orderFor(admittedCtx, g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}
 		workers := e.substrateWorkerCount()
-		return e.cache.timedBuild("wreach", func() any { return order.WReachSetsWorkers(g, o, s, workers) }), nil
+		return e.cache.timedBuild("wreach", func() any { return build(o, workers) }), nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.([][]int), hit, nil
 }
 
 // wcolFor returns the measured wcol_s of the order for radius orderR,

@@ -175,16 +175,25 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 			}
 		}
 
-		// Connected pipeline.
+		// Connected pipeline.  A cold query builds two substrates, the
+		// radius-(2r+1) order and one traversal that serves both wcol and
+		// the closure's witness paths; a warm query builds none.
 		oc := order.ConstructDefault(g, 2*r+1)
 		wantDc := domset.AlgorithmOne(g, oc, r)
 		wantSet := connect.Closure(g, oc, wantDc, r)
-		cresp, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindConnectedDominatingSet, R: r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(cresp.Set, wantSet) || !equalInts(cresp.DomSet, wantDc) {
-			t.Fatalf("r=%d: connected engine result diverges", r)
+		wantCWcol := order.WColMeasure(g, oc, 2*r+1)
+		for pass, label := range []string{"cold", "warm"} {
+			builds := e.Stats().SubstrateBuilds
+			cresp, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindConnectedDominatingSet, R: r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalInts(cresp.Set, wantSet) || !equalInts(cresp.DomSet, wantDc) || cresp.Wcol != wantCWcol {
+				t.Fatalf("r=%d %s: connected engine result diverges", r, label)
+			}
+			if got, want := e.Stats().SubstrateBuilds-builds, uint64(2*(1-pass)); got != want || cresp.CacheHit != (pass == 1) {
+				t.Fatalf("r=%d %s: cds built %d substrates (want %d), cache hit %v", r, label, got, want, cresp.CacheHit)
+			}
 		}
 	}
 }
@@ -370,7 +379,7 @@ func TestBatch(t *testing.T) {
 		{Graph: "g", Kind: KindDominatingSet, R: 1}, // duplicate: shares substrate
 		{Graph: "g", Kind: KindCover, R: 1},
 		{Graph: "missing", Kind: KindDominatingSet, R: 1},
-		{Graph: "g", Kind: KindGreedy, R: 1},
+		{Graph: "g", Kind: KindDominatingSet, R: 1, Solver: "greedy"},
 	}
 	results := e.Batch(context.Background(), reqs)
 	if len(results) != len(reqs) {
@@ -464,6 +473,9 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 		covDegree  int
 		covRadius  int
 		covCenters []int
+		cdsSet     []int
+		cdsDomSet  []int
+		cdsWcol    int
 	}
 	var base *outcome
 	for _, workers := range []int{1, 2, 8} {
@@ -476,10 +488,17 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cds, err := e.Do(context.Background(), Request{G: g, Kind: KindConnectedDominatingSet, R: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := &outcome{
 			set: dom.Set, lb: dom.LowerBound, wcol: dom.Wcol,
 			covSize: cov.Size, covDegree: cov.CoverDegree, covRadius: cov.CoverMaxRadius,
 			covCenters: cov.CoverData().Centers(),
+			cdsSet:     cds.Set,
+			cdsDomSet:  cds.DomSet,
+			cdsWcol:    cds.Wcol,
 		}
 		if base == nil {
 			base = got
@@ -491,6 +510,9 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 		if base.covSize != got.covSize || base.covDegree != got.covDegree ||
 			base.covRadius != got.covRadius || !equalInts(base.covCenters, got.covCenters) {
 			t.Fatalf("cover result differs at %d substrate workers", workers)
+		}
+		if !equalInts(base.cdsSet, got.cdsSet) || !equalInts(base.cdsDomSet, got.cdsDomSet) || base.cdsWcol != got.cdsWcol {
+			t.Fatalf("cds result differs at %d substrate workers", workers)
 		}
 	}
 	// The knob is also runtime-adjustable; flipping it must not change

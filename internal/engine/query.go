@@ -17,6 +17,7 @@ import (
 	"bedom/internal/domset"
 	"bedom/internal/graph"
 	"bedom/internal/obs"
+	"bedom/internal/order"
 	"bedom/internal/solver"
 )
 
@@ -33,8 +34,6 @@ const (
 	KindConnectedDominatingSet Kind = "cds"
 	// KindCover is the sparse r-neighborhood cover of Theorem 4.
 	KindCover Kind = "cover"
-	// KindGreedy is the classical ln(n)-approximation baseline.
-	KindGreedy Kind = "greedy"
 	// KindDistributedDominatingSet is the simulator-backed Theorem 9 pipeline.
 	KindDistributedDominatingSet Kind = "dist-domset"
 	// KindDistributedConnected is the simulator-backed Theorem 10 pipeline.
@@ -45,7 +44,7 @@ const (
 func Kinds() []Kind {
 	return []Kind{
 		KindDominatingSet, KindConnectedDominatingSet, KindCover,
-		KindGreedy, KindDistributedDominatingSet, KindDistributedConnected,
+		KindDistributedDominatingSet, KindDistributedConnected,
 	}
 }
 
@@ -62,8 +61,8 @@ type Request struct {
 	R int `json:"r"`
 	// Solver selects the domination strategy ("" = the default paper
 	// pipeline; see internal/solver for the registry).  Honoured by the
-	// domset, greedy and dist-domset kinds; the remaining kinds are pinned to
-	// the paper pipeline and reject other names.
+	// domset and dist-domset kinds; the remaining kinds are pinned to the
+	// paper pipeline and reject other names.
 	Solver string `json:"solver,omitempty"`
 	// Timeout bounds this query (0 = the engine's DefaultTimeout).
 	Timeout time.Duration `json:"-"`
@@ -91,14 +90,9 @@ func (r Request) simOptions() dist.Options {
 }
 
 // solverStrategy resolves the request's solver strategy for the kinds that
-// dispatch through the registry (domset, greedy, dist-domset).  KindGreedy
-// with no explicit name is an alias for the greedy strategy.
+// dispatch through the registry (domset, dist-domset).
 func (r Request) solverStrategy() (solver.Solver, error) {
-	name := r.Solver
-	if r.Kind == KindGreedy && name == "" {
-		name = "greedy"
-	}
-	return solver.Get(name)
+	return solver.Get(r.Solver)
 }
 
 func (r Request) distOptions() solver.DistOptions {
@@ -185,7 +179,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	kindLabel := string(req.Kind)
 	solverLabel := ""
 	switch req.Kind {
-	case KindDominatingSet, KindGreedy, KindDistributedDominatingSet:
+	case KindDominatingSet, KindDistributedDominatingSet:
 		// Validation resolved the strategy, so this cannot fail here.
 		if s, serr := req.solverStrategy(); serr == nil {
 			solverLabel = s.Name()
@@ -253,19 +247,16 @@ func (e *Engine) validate(req Request) error {
 		return fmt.Errorf("%w: no graph given", ErrInvalidRequest)
 	}
 	switch req.Kind {
-	case KindDominatingSet, KindConnectedDominatingSet, KindCover, KindGreedy,
+	case KindDominatingSet, KindConnectedDominatingSet, KindCover,
 		KindDistributedDominatingSet, KindDistributedConnected:
 	default:
 		return fmt.Errorf("%w: unknown kind %q", ErrInvalidRequest, req.Kind)
 	}
 	switch req.Kind {
-	case KindDominatingSet, KindGreedy, KindDistributedDominatingSet:
+	case KindDominatingSet, KindDistributedDominatingSet:
 		s, err := req.solverStrategy()
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-		}
-		if req.Kind == KindGreedy && s.Name() != "greedy" {
-			return fmt.Errorf("%w: kind %q implies solver \"greedy\", got %q", ErrInvalidRequest, req.Kind, req.Solver)
 		}
 		if req.Kind == KindDistributedDominatingSet {
 			if _, ok := s.(solver.DistSolver); !ok {
@@ -293,7 +284,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 	e.stage("query:" + string(req.Kind))
 	resp := &Response{Graph: req.Graph, Kind: req.Kind, R: req.R}
 	switch req.Kind {
-	case KindDominatingSet, KindGreedy:
+	case KindDominatingSet:
 		s, err := req.solverStrategy()
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
@@ -315,11 +306,13 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		if !g.IsConnected() {
 			return nil, ErrNotConnected
 		}
+		// One radius-(2r+1) traversal serves both wcol_{2r+1} and the
+		// closure's witness paths.
 		o, hitO, err := e.orderFor(ctx, g, gen, 2*req.R+1)
 		if err != nil {
 			return nil, err
 		}
-		wcol, hitW, err := e.wcolFor(ctx, g, gen, 2*req.R+1, 2*req.R+1)
+		wits, hitW, err := e.witnessFor(ctx, g, gen, 2*req.R+1, 2*req.R+1)
 		if err != nil {
 			return nil, err
 		}
@@ -328,10 +321,10 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		}
 		D := domset.AlgorithmOne(g, o, req.R)
 		resp.DomSet = D
-		resp.Set = connect.Closure(g, o, D, req.R)
+		resp.Set = connect.ClosureOf(wits, D)
 		resp.Size = len(resp.Set)
 		resp.LowerBound = domset.ScatteredLowerBound(g, req.R, D)
-		resp.Wcol = wcol
+		resp.Wcol = order.WColOfSets(wits.Sets)
 		resp.CacheHit = hitO && hitW
 
 	case KindCover:

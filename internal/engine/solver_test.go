@@ -126,13 +126,7 @@ func TestSolverValidation(t *testing.T) {
 	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: 1, Solver: "kubsv"}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("cover with non-paper solver: %v", err)
 	}
-	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindGreedy, R: 1, Solver: "paper"}); !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("greedy kind with conflicting solver: %v", err)
-	}
 	// Compatible spellings succeed.
-	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindGreedy, R: 1, Solver: "greedy"}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: 1, Solver: "paper"}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,30 +139,26 @@ func TestSolverValidation(t *testing.T) {
 	}
 }
 
-// TestGreedyKindAliasesGreedySolver pins the compatibility contract: the
-// legacy greedy kind routes through the registered greedy strategy (now with
-// result caching) and returns exactly domset.Greedy.
-func TestGreedyKindAliasesGreedySolver(t *testing.T) {
+// TestGreedySolverOnDomsetKind pins the one spelling of the greedy baseline:
+// the domset kind with solver "greedy" returns exactly domset.Greedy, and
+// "greedy" is not a query kind.
+func TestGreedySolverOnDomsetKind(t *testing.T) {
 	e := testEngine(t, Config{})
 	g := gen.Grid(10, 10)
-	resp, err := e.Do(context.Background(), Request{G: g, Kind: KindGreedy, R: 1})
+	resp, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 1, Solver: "greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Solver != "greedy" {
-		t.Fatalf("greedy kind served by %q", resp.Solver)
+		t.Fatalf("solver greedy served by %q", resp.Solver)
 	}
 	if !resp.CacheHit {
 		t.Fatal("greedy needs no substrates; its cold query must report CacheHit")
 	}
 	if !equalInts(resp.Set, domset.Greedy(g, 1)) {
-		t.Fatal("greedy kind diverges from domset.Greedy")
+		t.Fatal("solver greedy diverges from domset.Greedy")
 	}
-	via, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 1, Solver: "greedy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(via.Set, resp.Set) {
-		t.Fatal("solver=greedy on the domset kind diverges from the greedy kind")
+	if _, err := e.Do(context.Background(), Request{G: g, Kind: "greedy", R: 1}); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("kind greedy: want ErrInvalidRequest, got %v", err)
 	}
 }

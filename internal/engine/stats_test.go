@@ -69,7 +69,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 		{Graph: "g", Kind: KindDominatingSet, R: 1},
 		{Graph: "g", Kind: KindDominatingSet, R: 1},
 		{Graph: "g", Kind: KindCover, R: 1},
-		{Graph: "g", Kind: KindGreedy, R: 1},
+		{Graph: "g", Kind: KindDominatingSet, R: 1, Solver: "greedy"},
 	} {
 		if _, err := e.Do(ctx, req); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	for _, want := range []string{
 		`bedom_queries_total{kind="domset",solver="paper"} 2`,
 		`bedom_queries_total{kind="cover",solver=""} 1`,
-		`bedom_queries_total{kind="greedy",solver="greedy"} 1`,
+		`bedom_queries_total{kind="domset",solver="greedy"} 1`,
 		`bedom_mutations_total 1`,
 		`# TYPE bedom_query_seconds histogram`,
 		`bedom_substrate_build_seconds_count{stage="order"}`,

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"runtime"
 	"strings"
@@ -79,20 +78,13 @@ func TestWriteTraceEvents(t *testing.T) {
 		t.Fatalf("empty trace should round-trip to an empty array, got %v", doc.TraceEvents)
 	}
 
-	tr := NewTrace("q-x")
-	ctx := WithTrace(context.Background(), tr)
-	_, sp := Start(ctx, "order")
-	sp.End()
-	events := tr.Events(7, 3)
-	if len(events) != 1 || events[0].Name != "order" || events[0].Ph != "X" ||
-		events[0].PID != 7 || events[0].TID != 3 {
-		t.Fatalf("trace events = %+v", events)
-	}
+	events := []TraceEvent{{Name: "order", Cat: "stage", Ph: "X", TS: 100, Dur: 35, PID: 7, TID: 3}}
 	b.Reset()
 	if err := WriteTraceEvents(&b, events); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil || len(doc.TraceEvents) != 1 {
-		t.Fatalf("span trace round-trip: %v, %d events", err, len(doc.TraceEvents))
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil || len(doc.TraceEvents) != 1 ||
+		doc.TraceEvents[0].Name != "order" || doc.TraceEvents[0].PID != 7 || doc.TraceEvents[0].TID != 3 {
+		t.Fatalf("trace round-trip: %v, %+v", err, doc.TraceEvents)
 	}
 }

@@ -8,8 +8,9 @@ import (
 // Trace-event export: the Chrome trace-event JSON format ("JSON Array
 // Format" wrapped in an object), readable by Perfetto (ui.perfetto.dev)
 // and chrome://tracing.  The format is a de-facto standard for timeline
-// visualisation; producers here are the simulator's round profiles
-// (dist.PerfettoEvents) and, via Trace.Events, the per-request stage spans.
+// visualisation.  The library renders the simulator's round profiles in it
+// (dist.PerfettoEvents).  A request's stage spans (Trace.Spans) are not
+// exported here; they reach the slow-request log lines.
 //
 // Only the event shapes the library emits are modeled: "X" (complete,
 // ts+dur), and "M" (metadata, e.g. thread_name).  Timestamps and durations
@@ -41,24 +42,4 @@ func WriteTraceEvents(w io.Writer, events []TraceEvent) error {
 		"traceEvents":     events,
 		"displayTimeUnit": "ms",
 	})
-}
-
-// Events renders the trace's finished spans as complete ("X") trace events
-// on one thread row, so a single request's stage trace can be exported in
-// the same format as a simulator round profile.
-func (t *Trace) Events(pid, tid int) []TraceEvent {
-	spans := t.Spans()
-	events := make([]TraceEvent, 0, len(spans))
-	for _, s := range spans {
-		events = append(events, TraceEvent{
-			Name: s.Name,
-			Cat:  "stage",
-			Ph:   "X",
-			TS:   s.StartMS * 1e3,
-			Dur:  s.DurMS * 1e3,
-			PID:  pid,
-			TID:  tid,
-		})
-	}
-	return events
 }

@@ -157,15 +157,14 @@ func TestWColMeasureKnownValues(t *testing.T) {
 	}
 }
 
-func TestWColStatsAndMinWReach(t *testing.T) {
+func TestWColOfSetsAndMinWReach(t *testing.T) {
 	g := gen.Grid(8, 8)
 	o := ConstructDefault(g, 1)
-	max, avg := WColStats(g, o, 2)
-	if max < 1 || avg < 1 || avg > float64(max) {
-		t.Fatalf("stats max=%d avg=%f", max, avg)
+	sets := WReachSets(g, o, 2)
+	if max := WColOfSets(sets); max < 1 || max != WColMeasure(g, o, 2) {
+		t.Fatalf("wcol of sets %d, measured %d", max, WColMeasure(g, o, 2))
 	}
 	mins := MinWReach(g, o, 2)
-	sets := WReachSets(g, o, 2)
 	for v := range mins {
 		if mins[v] != sets[v][0] {
 			t.Fatalf("MinWReach mismatch at %d", v)

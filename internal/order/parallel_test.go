@@ -32,10 +32,17 @@ func TestWReachSetsWorkersDeterminism(t *testing.T) {
 		for _, r := range []int{1, 2, 4} {
 			o := ConstructDefault(g, 2)
 			base := WReachSetsWorkers(g, o, r, 1)
+			baseWits := WReachWitnesses(g, o, r, 1)
+			if !reflect.DeepEqual(base, baseWits.Sets) {
+				t.Fatalf("%s r=%d: witness sets differ from WReachSets", name, r)
+			}
 			for _, workers := range determinismWorkerCounts[1:] {
 				got := WReachSetsWorkers(g, o, r, workers)
 				if !reflect.DeepEqual(base, got) {
 					t.Fatalf("%s r=%d: WReachSets differ between 1 and %d workers", name, r, workers)
+				}
+				if wits := WReachWitnesses(g, o, r, workers); !reflect.DeepEqual(baseWits, wits) {
+					t.Fatalf("%s r=%d: witnesses (sets or parent column) differ between 1 and %d workers", name, r, workers)
 				}
 			}
 		}

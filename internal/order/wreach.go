@@ -21,7 +21,8 @@ import (
 // depth r discovers exactly the vertices w with u ∈ WReach_r[G, L, w].
 // Total time is O(Σ_u |X_u| · wcol) which is linear for every fixed r on a
 // bounded expansion class, and the n source searches are independent, so
-// they shard across workers (see WReachSetsWorkers).
+// they shard across workers (see WReachSetsWorkers).  WReachWitnesses runs
+// the same search and also keeps the witness paths.
 func WReachSets(g *graph.Graph, o *Order, r int) [][]int {
 	return WReachSetsWorkers(g, o, r, 0)
 }
@@ -30,10 +31,13 @@ func WReachSets(g *graph.Graph, o *Order, r int) [][]int {
 // discovered vertices ws, segmented per source (ends[j] is the end offset
 // of the block's j'th source, so the source itself is recoverable from the
 // segment index — no second per-pair array), and the per-vertex
-// contribution counts, later repurposed as write cursors.
+// contribution counts, later repurposed as write cursors.  par, aligned
+// with ws, holds each discovered vertex's BFS parent when witnesses were
+// asked for and is nil otherwise.
 type wreachShard struct {
 	lo   int // first source position of the block
 	ws   []int32
+	par  []int32
 	ends []int32
 	cnt  []int
 }
@@ -45,10 +49,23 @@ type wreachShard struct {
 // every worker count — no per-set sort is needed because sources are visited
 // in L-order (each set's elements arrive already sorted by position).
 func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
+	sets, _ := wreach(g, o, r, workers, false)
+	return sets
+}
+
+// wreach is the sharded restricted BFS behind WReachSetsWorkers and
+// WReachWitnesses.  With parents set it also returns the parent column:
+// next[w][j] is the vertex the search from sets[w][j] reached w from (w
+// itself when sets[w][j] = w); otherwise next is nil and the search keeps
+// no parents.
+func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]int, next [][]int32) {
 	n := g.N()
-	sets := make([][]int, n)
+	sets = make([][]int, n)
+	if parents {
+		next = make([][]int32, n)
+	}
 	if n == 0 {
-		return sets
+		return sets, next
 	}
 	workers = substrateWorkers(workers, n)
 	if n < minParallelVertices {
@@ -88,6 +105,10 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 			dist[i] = -1
 		}
 		ws := make([]int32, 0, 8*(hi-lo))
+		var par []int32
+		if parents {
+			par = make([]int32, 0, cap(ws))
+		}
 		ends := make([]int32, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			// BFS from position i restricted to positions ≥ i, depth ≤ r;
@@ -95,6 +116,9 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 			// enters it once).
 			head := len(ws)
 			ws = append(ws, int32(i))
+			if parents {
+				par = append(par, int32(i))
+			}
 			dist[i] = 0
 			i32 := int32(i)
 			for ; head < len(ws); head++ {
@@ -109,6 +133,9 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 					}
 					dist[y] = dx
 					ws = append(ws, y)
+					if parents {
+						par = append(par, x)
+					}
 				}
 			}
 			start := 0
@@ -121,13 +148,13 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 			}
 			ends = append(ends, int32(len(ws)))
 		}
-		shards[k] = wreachShard{lo: lo, ws: ws, ends: ends, cnt: cnt}
+		shards[k] = wreachShard{lo: lo, ws: ws, par: par, ends: ends, cnt: cnt}
 	})
 
 	// Count-and-fill merge: compute each (position, shard) write cursor,
-	// then let every shard copy its pairs into the shared flat buffer in
-	// parallel, mapping position labels back to vertices.  Shard blocks
-	// cover ascending position ranges and each shard emits sources in
+	// then let every shard copy its pairs (and parents) into the shared flat
+	// buffers in parallel, mapping position labels back to vertices.  Shard
+	// blocks cover ascending position ranges and each shard emits sources in
 	// ascending position, so cursor order reproduces the position-sorted
 	// sets exactly.
 	off := make([]int, n+1)
@@ -142,6 +169,10 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 	}
 	off[n] = sum
 	flat := make([]int, sum)
+	var pflat []int32
+	if parents {
+		pflat = make([]int32, sum)
+	}
 	parallelBlocks(workers, workers, func(_, klo, khi int) {
 		for k := klo; k < khi; k++ {
 			sh := &shards[k]
@@ -149,8 +180,11 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 			start := 0
 			for j, e := range sh.ends {
 				u := perm[sh.lo+j]
-				for _, w := range sh.ws[start:e] {
+				for q, w := range sh.ws[start:e] {
 					flat[cnt[w]] = u
+					if parents {
+						pflat[cnt[w]] = int32(perm[sh.par[start+q]])
+					}
 					cnt[w]++
 				}
 				start = int(e)
@@ -158,9 +192,13 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 		}
 	})
 	for w := 0; w < n; w++ {
-		sets[perm[w]] = flat[off[w]:off[w+1]:off[w+1]]
+		v := perm[w]
+		sets[v] = flat[off[w]:off[w+1]:off[w+1]]
+		if parents {
+			next[v] = pflat[off[w]:off[w+1]:off[w+1]]
+		}
 	}
-	return sets
+	return sets, next
 }
 
 // minParallelVertices re-exports the shared threshold below which substrate
@@ -186,23 +224,6 @@ func WColOfSets(sets [][]int) int {
 		}
 	}
 	return max
-}
-
-// WColStats returns the maximum and average size of the weak r-reachability
-// sets under o.
-func WColStats(g *graph.Graph, o *Order, r int) (max int, avg float64) {
-	sets := WReachSets(g, o, r)
-	total := 0
-	for _, s := range sets {
-		total += len(s)
-		if len(s) > max {
-			max = len(s)
-		}
-	}
-	if len(sets) > 0 {
-		avg = float64(total) / float64(len(sets))
-	}
-	return max, avg
 }
 
 // MinWReach returns, for every vertex w, the L-minimum element of

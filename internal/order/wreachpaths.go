@@ -2,6 +2,7 @@ package order
 
 import (
 	"fmt"
+	"sort"
 
 	"bedom/internal/graph"
 )
@@ -15,87 +16,52 @@ type PathTo struct {
 	Path   []int
 }
 
-// WReachWithPaths computes, for every vertex w, the weak r-reachability set
-// together with one witnessing path per reachable vertex.  The witnessing
-// path to u is a shortest path from w to u inside the subgraph induced by
-// the vertices ≥_L u (the cluster X_u), exactly the paths learned by the
-// distributed Algorithm 4 (Lemma 7 of the paper).
+// Witnesses holds the weak r-reachability sets together with one witness
+// path per pair.  The witnessing path from w to u ∈ WReach_r[G, L, w] is a
+// shortest path from w to u inside the subgraph induced by the vertices ≥_L
+// u (the cluster X_u), exactly the paths learned by the distributed
+// Algorithm 4 (Lemma 7 of the paper).
 //
-// The result is indexed by vertex; witnesses[w] is sorted by the L-position
-// of the target, so witnesses[w][0] is the witness to min WReach_r[G,L,w].
-func WReachWithPaths(g *graph.Graph, o *Order, r int) [][]PathTo {
-	n := g.N()
-	witnesses := make([][]PathTo, n)
-	for w := 0; w < n; w++ {
-		witnesses[w] = []PathTo{{Target: w, Path: []int{w}}}
-	}
-	dist := make([]int, n)
-	parent := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	touched := make([]int, 0, 64)
-	q := graph.NewIntQueue(64)
+// Paths are not stored: the restricted BFS from u records, for every vertex
+// w it discovers, the vertex it reached w from — one int32 per pair beside
+// the sets.  That parent is itself in X_u and one step closer to u, so u is
+// in its set too, and AppendPath follows parents until it arrives at u.
+type Witnesses struct {
+	// Sets[w] is WReach_r[G, L, w] sorted by L-position, exactly as
+	// WReachSetsWorkers returns it (and just as read-only).
+	Sets [][]int
+	// next[w][j] is the vertex after w on the witness path from w to
+	// Sets[w][j] (w itself when Sets[w][j] = w).
+	next [][]int32
+	pos  []int // the order's vertex → position map
+}
 
-	for i := 0; i < n; i++ {
-		u := o.At(i)
-		q.Reset()
-		q.Push(u)
-		dist[u] = 0
-		touched = append(touched[:0], u)
-		for !q.Empty() {
-			x := q.Pop()
-			if dist[x] >= r {
-				continue
-			}
-			for _, wn := range g.Neighbors(x) {
-				y := int(wn)
-				if dist[y] != -1 || o.Less(y, u) {
-					continue
-				}
-				dist[y] = dist[x] + 1
-				parent[y] = x
-				touched = append(touched, y)
-				q.Push(y)
-			}
-		}
-		// First reconstruct every path (the parent pointers of intermediate
-		// vertices are still live), then reset the scratch arrays.
-		for _, w := range touched {
-			if w == u {
-				continue
-			}
-			// Reconstruct the path w → … → u by walking parents, which lead
-			// from w back toward the BFS root u.
-			path := make([]int, 0, dist[w]+1)
-			for x := w; x != -1; x = parent[x] {
-				path = append(path, x)
-				if x == u {
-					break
-				}
-			}
-			witnesses[w] = append(witnesses[w], PathTo{Target: u, Path: path})
-		}
-		for _, w := range touched {
-			dist[w] = -1
-			parent[w] = -1
-		}
+// WReachWitnesses computes the weak r-reachability sets of g under o with
+// their witness paths, fanned out over the given number of workers (0 =
+// GOMAXPROCS).  It runs the same sharded restricted BFS as
+// WReachSetsWorkers, keeping the BFS parent of every discovered pair; the
+// sets, and the paths, are identical for every worker count.
+func WReachWitnesses(g *graph.Graph, o *Order, r, workers int) *Witnesses {
+	sets, next := wreach(g, o, r, workers, true)
+	return &Witnesses{Sets: sets, next: next, pos: o.pos}
+}
+
+// AppendPath appends the witness path from w to its j'th weakly reachable
+// vertex Sets[w][j] to dst and returns the extended slice: w first, the
+// target last, every vertex ≥_L the target, at most r edges.  Each step
+// finds the target in the next vertex's position-sorted set by binary
+// search.
+func (x *Witnesses) AppendPath(dst []int, w, j int) []int {
+	u := x.Sets[w][j]
+	pu := x.pos[u]
+	dst = append(dst, w)
+	for w != u {
+		w = int(x.next[w][j])
+		dst = append(dst, w)
+		set := x.Sets[w]
+		j = sort.Search(len(set), func(i int) bool { return x.pos[set[i]] >= pu })
 	}
-	// Sort the witness lists by L-position of the target (insertion happened
-	// in increasing L order already, except the self-witness which belongs at
-	// the position of w itself).  Re-sort to be safe and deterministic.
-	for w := 0; w < n; w++ {
-		ws := witnesses[w]
-		for a := 1; a < len(ws); a++ {
-			b := a
-			for b > 0 && o.Less(ws[b].Target, ws[b-1].Target) {
-				ws[b], ws[b-1] = ws[b-1], ws[b]
-				b--
-			}
-		}
-	}
-	return witnesses
+	return dst
 }
 
 // VerifyWitnesses checks that a witness structure is internally consistent

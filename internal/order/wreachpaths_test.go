@@ -1,28 +1,36 @@
 package order
 
 import (
+	"reflect"
 	"testing"
 
 	"bedom/internal/gen"
+	"bedom/internal/graph"
 )
 
-func TestWReachWithPathsMatchesSets(t *testing.T) {
-	for _, r := range []int{1, 2, 3} {
-		g := gen.Apollonian(40, 13)
-		o := ConstructDefault(g, r)
-		sets := WReachSets(g, o, r)
-		wits := WReachWithPaths(g, o, r)
-		if err := VerifyWitnesses(g, o, r, wits); err != nil {
-			t.Fatal(err)
+// witnessPaths expands every witness path of x, indexed like x.Sets.
+func witnessPaths(x *Witnesses) [][]PathTo {
+	out := make([][]PathTo, len(x.Sets))
+	for w, set := range x.Sets {
+		for j, u := range set {
+			out[w] = append(out[w], PathTo{Target: u, Path: x.AppendPath(nil, w, j)})
 		}
-		for v := 0; v < g.N(); v++ {
-			if len(wits[v]) != len(sets[v]) {
-				t.Fatalf("r=%d v=%d: %d witnesses vs %d set members", r, v, len(wits[v]), len(sets[v]))
+	}
+	return out
+}
+
+func TestWReachWithPathsMatchesSets(t *testing.T) {
+	geo := mustLargest(gen.RandomGeometric(300, gen.GeometricRadiusForAvgDeg(300, 6), 2))
+	for name, g := range map[string]*graph.Graph{"apollonian": gen.Apollonian(40, 13), "geometric": geo} {
+		for _, r := range []int{1, 2, 3} {
+			o := ConstructDefault(g, r)
+			sets := WReachSets(g, o, r)
+			wits := WReachWitnesses(g, o, r, 0)
+			if !reflect.DeepEqual(wits.Sets, sets) {
+				t.Fatalf("%s r=%d: witness targets differ from WReachSets", name, r)
 			}
-			for i := range wits[v] {
-				if wits[v][i].Target != sets[v][i] {
-					t.Fatalf("r=%d v=%d: witness order mismatch", r, v)
-				}
+			if err := VerifyWitnesses(g, o, r, witnessPaths(wits)); err != nil {
+				t.Fatalf("%s r=%d: %v", name, r, err)
 			}
 		}
 	}
@@ -31,14 +39,14 @@ func TestWReachWithPathsMatchesSets(t *testing.T) {
 func TestWReachWithPathsSelfWitness(t *testing.T) {
 	g := gen.Grid(4, 4)
 	o, _ := FromDegeneracy(g)
-	wits := WReachWithPaths(g, o, 2)
-	for v := 0; v < g.N(); v++ {
+	wits := WReachWitnesses(g, o, 2, 1)
+	for v, set := range wits.Sets {
 		found := false
-		for _, pt := range wits[v] {
-			if pt.Target == v {
+		for j, u := range set {
+			if u == v {
 				found = true
-				if len(pt.Path) != 1 || pt.Path[0] != v {
-					t.Fatalf("self witness of %d is %v", v, pt.Path)
+				if p := wits.AppendPath(nil, v, j); len(p) != 1 || p[0] != v {
+					t.Fatalf("self witness of %d is %v", v, p)
 				}
 			}
 		}
@@ -53,11 +61,11 @@ func TestWReachWithPathsShortestWithinCluster(t *testing.T) {
 	// the unique subpath, of length w-u (when ≤ r).
 	g := gen.Path(8)
 	o := Identity(8)
-	wits := WReachWithPaths(g, o, 3)
+	wits := WReachWitnesses(g, o, 3, 1)
 	for w := 0; w < 8; w++ {
-		for _, pt := range wits[w] {
-			if got, want := len(pt.Path)-1, w-pt.Target; got != want {
-				t.Fatalf("witness %d→%d has length %d want %d", w, pt.Target, got, want)
+		for j, u := range wits.Sets[w] {
+			if got, want := len(wits.AppendPath(nil, w, j))-1, w-u; got != want {
+				t.Fatalf("witness %d→%d has length %d want %d", w, u, got, want)
 			}
 		}
 	}
