@@ -211,6 +211,19 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("huge workers: %d", resp.StatusCode)
 	}
+	// The connected kinds need a connected graph: two disjoint paths are a
+	// 400 for cds and dist-cds alike.
+	resp = doJSON(t, "POST", ts.URL+"/graphs",
+		map[string]any{"name": "twopaths", "n": 8, "edges": [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}}}, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register two paths: %d", resp.StatusCode)
+	}
+	for _, kind := range []string{"cds", "dist-cds"} {
+		resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "twopaths", "kind": kind, "r": 1}, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "connected graph") {
+			t.Fatalf("%s on a disconnected graph: want 400 naming connectivity, got %d %+v", kind, resp.StatusCode, e)
+		}
+	}
 	// Client-induced simulator failures are 422s, not 500s.
 	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 1}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {

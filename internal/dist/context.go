@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -80,11 +81,11 @@ type Context struct {
 func (c *Context) Round() int { return c.r.round }
 
 // Degree returns the number of neighbors of this vertex.
-func (c *Context) Degree() int { return len(c.r.neighbors[c.v]) }
+func (c *Context) Degree() int { return int(c.r.off[c.v+1] - c.r.off[c.v]) }
 
 // Neighbors returns the ids of this vertex's neighbors in increasing order.
-// The slice is shared with the simulator and must not be modified.
-func (c *Context) Neighbors() []int { return c.r.neighbors[c.v] }
+// The slice is the vertex's row of the graph's CSR and must not be modified.
+func (c *Context) Neighbors() []int32 { return c.r.row(c.v) }
 
 // Broadcast stages msg for delivery to every neighbor at the next round.  In
 // the Congest models a node may broadcast at most once per round and the
@@ -158,9 +159,11 @@ func (c *Context) admit(msg Message) (words int, ok bool) {
 }
 
 func (c *Context) isNeighbor(u int) bool {
-	adj := c.r.neighbors[c.v]
-	i := sort.SearchInts(adj, u)
-	return i < len(adj) && adj[i] == u
+	if u < 0 || u >= c.r.g.N() {
+		return false
+	}
+	_, ok := slices.BinarySearch(c.r.row(c.v), int32(u))
+	return ok
 }
 
 // finishStep is called by the runner when the owner's Init or Round call

@@ -355,7 +355,7 @@ func TestContextTopologyQueries(t *testing.T) {
 				}
 			}
 			for _, u := range neigh {
-				if !g.HasEdge(v, u) {
+				if !g.HasEdge(v, int(u)) {
 					t.Errorf("vertex %d: %d reported as neighbor but not adjacent", v, u)
 				}
 			}

@@ -1,7 +1,8 @@
 package dist
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"bedom/internal/obs"
@@ -141,29 +142,60 @@ func (p *Probe) topK() int {
 
 // congestionTable selects the top-k vertices by sent+received words.  Only
 // vertices with traffic qualify; ties break toward the smaller vertex id so
-// the table is identical for every worker count.
+// the table is identical for every worker count.  The scan keeps the best k
+// rows seen so far in a heap whose root is the lowest-ranked of them, so a
+// run costs O(n log k) and holds k rows instead of sorting every vertex with
+// traffic.
 func congestionTable(sent, recv []int64, k int) []VertexWords {
 	if k <= 0 {
 		return nil
 	}
-	rows := make([]VertexWords, 0, 64)
+	top := make([]VertexWords, 0, min(k, len(sent)))
 	for v := range sent {
-		if sent[v] != 0 || recv[v] != 0 {
-			rows = append(rows, VertexWords{Vertex: v, SentWords: sent[v], RecvWords: recv[v]})
+		if sent[v] == 0 && recv[v] == 0 {
+			continue
+		}
+		row := VertexWords{Vertex: v, SentWords: sent[v], RecvWords: recv[v]}
+		switch {
+		case len(top) < k:
+			top = append(top, row)
+			for i := len(top) - 1; i > 0; {
+				p := (i - 1) / 2
+				if compareRows(top[p], top[i]) >= 0 {
+					break
+				}
+				top[p], top[i] = top[i], top[p]
+				i = p
+			}
+		case compareRows(row, top[0]) < 0:
+			top[0] = row
+			for i := 0; ; {
+				low, l := i, 2*i+1
+				if l < len(top) && compareRows(top[low], top[l]) < 0 {
+					low = l
+				}
+				if l+1 < len(top) && compareRows(top[low], top[l+1]) < 0 {
+					low = l + 1
+				}
+				if low == i {
+					break
+				}
+				top[i], top[low] = top[low], top[i]
+				i = low
+			}
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		ti := rows[i].SentWords + rows[i].RecvWords
-		tj := rows[j].SentWords + rows[j].RecvWords
-		if ti != tj {
-			return ti > tj
-		}
-		return rows[i].Vertex < rows[j].Vertex
-	})
-	if len(rows) > k {
-		rows = rows[:k]
+	slices.SortFunc(top, compareRows)
+	return top[:len(top):len(top)]
+}
+
+// compareRows orders congestion rows: more total words first, the smaller
+// vertex id among equals.
+func compareRows(a, b VertexWords) int {
+	if c := cmp.Compare(b.SentWords+b.RecvWords, a.SentWords+a.RecvWords); c != 0 {
+		return c
 	}
-	return rows[:len(rows):len(rows)]
+	return cmp.Compare(a.Vertex, b.Vertex)
 }
 
 // PerfettoEvents renders run profiles as Chrome trace-event ("X") entries

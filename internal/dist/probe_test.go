@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"bedom/internal/graph"
@@ -142,6 +144,65 @@ func TestProbeCongestionTable(t *testing.T) {
 	}
 	if got := pOff.Profiles()[0].Congestion; got != nil {
 		t.Fatalf("TopK=-1 still produced a table of %d rows", len(got))
+	}
+}
+
+// fullSortTable is the congestion table by its definition: every vertex with
+// traffic, sorted by total words descending and vertex id ascending, then
+// truncated to k rows.
+func fullSortTable(sent, recv []int64, k int) []VertexWords {
+	if k <= 0 {
+		return nil
+	}
+	rows := []VertexWords{}
+	for v := range sent {
+		if sent[v] != 0 || recv[v] != 0 {
+			rows = append(rows, VertexWords{Vertex: v, SentWords: sent[v], RecvWords: recv[v]})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		ti := rows[i].SentWords + rows[i].RecvWords
+		tj := rows[j].SentWords + rows[j].RecvWords
+		if ti != tj {
+			return ti > tj
+		}
+		return rows[i].Vertex < rows[j].Vertex
+	})
+	if len(rows) > k {
+		rows = rows[:k]
+	}
+	return rows
+}
+
+// TestCongestionTableMatchesFullSort: the bounded top-k selection equals
+// sorting every vertex with traffic and truncating, on random rows full of
+// ties (equal totals from different sent/received splits), on all-zero rows
+// and for k ≤ 0.
+func TestCongestionTableMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(64)
+		sent, recv := make([]int64, n), make([]int64, n)
+		for v := range sent {
+			if rng.Intn(3) > 0 { // a third of the vertices stay silent
+				sent[v], recv[v] = int64(rng.Intn(4)), int64(rng.Intn(4))
+			}
+		}
+		for _, k := range []int{-3, 0, 1, 2, 3, 7, DefaultTopK, n - 1, n, n + 5} {
+			got, want := congestionTable(sent, recv, k), fullSortTable(sent, recv, k)
+			if (got == nil) != (want == nil) || len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: got %v, want %v", trial, k, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d k=%d: row %d is %+v, want %+v", trial, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	zero := make([]int64, 12)
+	if got := congestionTable(zero, zero, 4); got == nil || len(got) != 0 {
+		t.Fatalf("all-zero rows: got %v, want an empty table", got)
 	}
 }
 

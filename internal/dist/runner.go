@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"bedom/internal/graph"
@@ -17,14 +16,18 @@ type Runner struct {
 	bandwidth int
 	maxRounds int
 
-	// neighbors[v] is the sorted adjacency list of v as []int (the graph
-	// stores int32; converting once up front keeps the hot path free of
-	// per-access conversions and gives Context.Neighbors a stable slice).
-	neighbors [][]int
+	// off and tgt are the graph's CSR arrays, read in place: the neighbors
+	// of v are tgt[off[v]:off[v+1]], sorted increasingly (see graph.CSR).
+	off, tgt []int32
 
 	nodes   []Node
 	halters []Halter // halters[v] is nil when nodes[v] has no Done method
 	ctxs    []Context
+	// inboxes[v] is v's window of one flat []Inbound, with capacity deg(v):
+	// CONGEST and CONGEST_BC deliver at most one message per neighbor per
+	// round, so the window never overflows there.  A LOCAL inbox may grow
+	// past it; append then moves that vertex's inbox to an array of its own
+	// and leaves its neighbors' windows untouched.
 	inboxes [][]Inbound
 
 	// Telemetry state, only allocated when opts.Probe is set (the disabled
@@ -38,8 +41,14 @@ type Runner struct {
 }
 
 // NewRunner prepares a simulator run of the given model on g.  The graph is
-// only read; it may be shared between concurrent runners.
+// only read; it may be shared between concurrent runners.  A finalized graph
+// costs nothing to prepare; an unfinalized one is cloned and finalized once,
+// as graph.NewDynamic does.
 func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
+	if !g.Finalized() {
+		g = g.Clone()
+		g.Finalize()
+	}
 	n := g.N()
 	r := &Runner{
 		g:         g,
@@ -54,16 +63,12 @@ func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
 		// refined-order protocol stays linear in n with small constants.
 		r.maxRounds = 100*n + 1000
 	}
-	r.neighbors = make([][]int, n)
-	for v := 0; v < n; v++ {
-		adj := g.NeighborsInts(v)
-		if !sort.IntsAreSorted(adj) {
-			sort.Ints(adj)
-		}
-		r.neighbors[v] = adj
-	}
+	r.off, r.tgt = g.CSR()
 	return r
 }
+
+// row returns the sorted neighbors of v, a window of the graph's CSR.
+func (r *Runner) row(v int) []int32 { return r.tgt[r.off[v]:r.off[v+1]] }
 
 // Run instantiates a node per vertex via factory (called sequentially in
 // vertex order, so factories may write to shared result slices), runs Init
@@ -127,10 +132,18 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 	}
 	r.ctxs = make([]Context, n)
 	r.inboxes = make([][]Inbound, n)
+	inbound := make([]Inbound, len(r.tgt))
+	// An outbox holds at most one broadcast in the Congest models, so each
+	// starts with a one-slot window of a flat array (LOCAL appends past it).
+	bcasts := make([]sentMsg, 2*n)
 	for v := 0; v < n; v++ {
+		lo, hi := r.off[v], r.off[v+1]
+		r.inboxes[v] = inbound[lo:lo:hi]
 		c := &r.ctxs[v]
 		c.r = r
 		c.v = v
+		c.boxes[0].bcasts = bcasts[2*v : 2*v : 2*v+1]
+		c.boxes[1].bcasts = bcasts[2*v+1 : 2*v+1 : 2*v+2]
 		c.out = &c.boxes[0]
 	}
 	probe := r.opts.Probe
@@ -208,7 +221,8 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 func (r *Runner) step(acc *roundAccum, v int, prevSlot, curSlot int) {
 	wordsBefore := acc.words
 	inbox := r.inboxes[v][:0]
-	for _, u := range r.neighbors[v] {
+	for _, w := range r.row(v) {
+		u := int(w)
 		ob := &r.ctxs[u].boxes[prevSlot]
 		for _, bm := range ob.bcasts {
 			inbox = append(inbox, Inbound{From: u, Msg: bm.msg})
@@ -260,7 +274,7 @@ func (r *Runner) accountSends(v int) {
 	}
 	ob := r.ctxs[v].out
 	var w int64
-	if d := int64(len(r.neighbors[v])); d > 0 {
+	if d := int64(r.off[v+1] - r.off[v]); d > 0 {
 		for _, bm := range ob.bcasts {
 			w += int64(bm.words) * d
 		}

@@ -110,13 +110,14 @@ func RunConnectedDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model di
 	for _, v := range D {
 		inD[v] = true
 	}
-	nodes := make([]*markNode, g.N())
+	nodes := make([]markNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "connect"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	mstats, err := runner.Run(func(v int) dist.Node {
-		n := &markNode{id: v, inD: inD[v], maxForward: 2*r + 1}
+		n := &nodes[v]
+		n.id, n.inD, n.maxForward = v, inD[v], 2*r+1
 		if inD[v] {
 			for _, pt := range wres.Witnesses[v] {
 				if len(pt.Path) >= 2 {
@@ -124,7 +125,6 @@ func RunConnectedDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model di
 				}
 			}
 		}
-		nodes[v] = n
 		return n
 	})
 	if err != nil {
@@ -133,8 +133,8 @@ func RunConnectedDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model di
 	res.Stats.Add(mstats)
 
 	var set []int
-	for v, nd := range nodes {
-		if nd.inDPrime {
+	for v := range nodes {
+		if nodes[v].inDPrime {
 			set = append(set, v)
 		}
 	}

@@ -192,26 +192,23 @@ func RunDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*Dom
 
 // runElection runs the routing/election phase shared by Theorems 9 and 10.
 func runElection(g *graph.Graph, witnesses [][]order.PathTo, r int, model dist.Model, opts dist.Options) ([]int, dist.Stats, error) {
-	nodes := make([]*electNode, g.N())
+	nodes := make([]electNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "election"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		n := &electNode{id: v, r: r}
-		if wit, ok := MinTarget(witnesses[v], r); ok {
-			n.witness = wit
-			n.hasWit = true
-		}
-		nodes[v] = n
+		n := &nodes[v]
+		n.id, n.r = v, r
+		n.witness, n.hasWit = MinTarget(witnesses[v], r)
 		return n
 	})
 	if err != nil {
 		return nil, stats, fmt.Errorf("distalgo: election failed: %w", err)
 	}
 	var set []int
-	for v, nd := range nodes {
-		if nd.inSet {
+	for v := range nodes {
+		if nodes[v].inSet {
 			set = append(set, v)
 		}
 	}

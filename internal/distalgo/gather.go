@@ -3,6 +3,7 @@ package distalgo
 import (
 	"sort"
 
+	"bedom/internal/dist"
 	"bedom/internal/graph"
 )
 
@@ -13,6 +14,16 @@ type VertexInfo struct {
 	ID   int
 	Flag bool
 	Adj  []int
+}
+
+// neighborIDs returns a fresh []int copy of the node's neighbor row.
+func neighborIDs(ctx *dist.Context) []int {
+	row := ctx.Neighbors()
+	ids := make([]int, len(row))
+	for i, u := range row {
+		ids[i] = int(u)
+	}
+	return ids
 }
 
 // KnowledgeMessage carries a batch of knowledge records; it is only used in

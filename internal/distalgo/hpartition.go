@@ -30,13 +30,12 @@ type HPartitionResult struct {
 // current class and announces it.  Nodes only ever broadcast a single word
 // (their activity status), so the protocol runs in CONGEST_BC.
 type hpartitionNode struct {
-	id        int
 	threshold int
 	active    bool
 	class     int
-	// activeNeighbors tracks which neighbors are still active according to
-	// the most recent announcements.
-	activeNeighbors map[int]bool
+	// activeNeighbors counts the neighbors that have not announced joining a
+	// class; each neighbor announces it exactly once.
+	activeNeighbors int
 	finished        bool
 }
 
@@ -48,24 +47,21 @@ const (
 
 func (h *hpartitionNode) Init(ctx *dist.Context) {
 	h.active = true
-	h.activeNeighbors = make(map[int]bool, ctx.Degree())
-	for _, u := range ctx.Neighbors() {
-		h.activeNeighbors[u] = true
-	}
+	h.activeNeighbors = ctx.Degree()
 	ctx.Broadcast(dist.IntMessage(msgActive))
 }
 
 func (h *hpartitionNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	for _, in := range inbox {
 		if int(in.Msg.(dist.IntMessage)) == msgInactive {
-			delete(h.activeNeighbors, in.From)
+			h.activeNeighbors--
 		}
 	}
 	if !h.active {
 		h.finished = true
 		return
 	}
-	if len(h.activeNeighbors) <= h.threshold {
+	if h.activeNeighbors <= h.threshold {
 		// Join the class of the current phase.
 		h.active = false
 		h.class = ctx.Round()
@@ -90,14 +86,14 @@ func RunHPartition(g *graph.Graph, model dist.Model, a int, eps float64, opts di
 		eps = 1
 	}
 	threshold := int(float64(a) * (2 + eps))
-	nodes := make([]*hpartitionNode, g.N())
+	nodes := make([]hpartitionNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "hpartition"
 	}
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &hpartitionNode{id: v, threshold: threshold}
-		return nodes[v]
+		nodes[v] = hpartitionNode{threshold: threshold}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distalgo: H-partition failed: %w", err)

@@ -181,7 +181,7 @@ type ksvNode struct {
 }
 
 func (k *ksvNode) Init(ctx *dist.Context) {
-	self := VertexInfo{ID: k.id, Adj: append([]int(nil), ctx.Neighbors()...)}
+	self := VertexInfo{ID: k.id, Adj: neighborIDs(ctx)}
 	k.gather = newBallGatherer(self)
 	for _, f := range []*ksvFlood{&k.cFlood, &k.elFlood, &k.unFlood, &k.ddFlood, &k.noFlood} {
 		f.known = make(map[int]int)

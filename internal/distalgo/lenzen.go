@@ -157,7 +157,7 @@ type lenzenNode struct {
 }
 
 func (l *lenzenNode) Init(ctx *dist.Context) {
-	self := VertexInfo{ID: l.id, Adj: append([]int(nil), ctx.Neighbors()...)}
+	self := VertexInfo{ID: l.id, Adj: neighborIDs(ctx)}
 	l.gather = newBallGatherer(self)
 	l.neighborDomA = make(map[int]bool)
 	l.white = make(map[int]int)
@@ -207,7 +207,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			c++
 		}
 		for _, u := range ctx.Neighbors() {
-			if !l.neighborDomA[u] {
+			if !l.neighborDomA[int(u)] {
 				c++
 			}
 		}
@@ -222,9 +222,8 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		if !l.dominatedByA {
 			best := l.id
 			bestWhite := l.selfWhite
-			neigh := append([]int(nil), ctx.Neighbors()...)
-			sort.Ints(neigh)
-			for _, u := range neigh {
+			for _, w := range ctx.Neighbors() {
+				u := int(w)
 				if l.white[u] > bestWhite || (l.white[u] == bestWhite && u < best) {
 					best = u
 					bestWhite = l.white[u]

@@ -35,7 +35,7 @@ func (l *localConnectNode) Init(ctx *dist.Context) {
 	if l.inD {
 		l.inDPrime = true
 	}
-	self := VertexInfo{ID: l.id, Flag: l.inD, Adj: append([]int(nil), ctx.Neighbors()...)}
+	self := VertexInfo{ID: l.id, Flag: l.inD, Adj: neighborIDs(ctx)}
 	l.gather = newBallGatherer(self)
 	ctx.Broadcast(l.gather.flush())
 }

@@ -1,0 +1,154 @@
+package distalgo
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"testing"
+
+	"bedom/internal/dist"
+	"bedom/internal/gen"
+	"bedom/internal/graph"
+	"bedom/internal/order"
+)
+
+// The digests below pin the exact outputs of the CONGEST_BC pipelines on
+// fixed instances.  TestWReachDistMatchesSequentialSets checks only target
+// sets and path validity, so a changed tie-break among equally short
+// witness paths would pass it; these digests would not.  They were recorded
+// with a node that kept its best paths in a map keyed by target and copied
+// every received path before comparing it.
+
+func pinnedGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"apollonian400": gen.Apollonian(400, 1),
+		"geometric600":  largestComp(gen.RandomGeometric(600, gen.GeometricRadiusForAvgDeg(600, 6), 1)),
+		"grid16x16":     gen.Grid(16, 16),
+	}
+}
+
+var pinnedWorkers = []int{1, 2, 8}
+
+// digest is the first 8 bytes of the SHA-256 of everything write put in.
+func digest(write func(h hash.Hash)) string {
+	h := sha256.New()
+	write(h)
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+func writeStats(h hash.Hash, st dist.Stats) {
+	fmt.Fprintf(h, "|%d,%d,%d,%d", st.Rounds, st.Messages, st.Words, st.MaxMessageWords)
+}
+
+func writeInts(h hash.Hash, xs []int) {
+	h.Write([]byte{'['})
+	for _, x := range xs {
+		fmt.Fprintf(h, "%d,", x)
+	}
+	h.Write([]byte{']'})
+}
+
+func writePhases(h hash.Hash, ps PipelineStats) {
+	for _, ph := range ps.Phases {
+		writeStats(h, ph)
+	}
+	writeStats(h, ps.Stats)
+}
+
+// TestWReachDistPinnedDigests pins every witness of Algorithm 4 (target and
+// full path, per vertex, in list order) and the run's Stats for horizons
+// 1–5 under the degeneracy order.
+func TestWReachDistPinnedDigests(t *testing.T) {
+	graphs := pinnedGraphs()
+	for _, tc := range []struct {
+		graph   string
+		horizon int
+		digest  string
+	}{
+		{"apollonian400", 1, "455e631cef7ac99a"},
+		{"apollonian400", 2, "6d1c141f0cea46bb"},
+		{"apollonian400", 3, "f9787217c4d7036f"},
+		{"apollonian400", 4, "db369fb0a33893cc"},
+		{"apollonian400", 5, "7158e169b21c7086"},
+		{"geometric600", 1, "46b01fd5c3240f8f"},
+		{"geometric600", 2, "680b7ddc55fabf4f"},
+		{"geometric600", 3, "45f67986df44bd16"},
+		{"geometric600", 4, "5ec77425c7cf335b"},
+		{"geometric600", 5, "b9531b2ab9dde023"},
+		{"grid16x16", 1, "1be6534032ab18d2"},
+		{"grid16x16", 2, "f98a8166563517e4"},
+		{"grid16x16", 3, "f44dd16698e4bcd4"},
+		{"grid16x16", 4, "9d0a5002fa4dc671"},
+		{"grid16x16", 5, "54aca6ad71569f69"},
+	} {
+		g := graphs[tc.graph]
+		o, _ := order.FromDegeneracy(g)
+		for _, workers := range pinnedWorkers {
+			res, err := RunWReachDist(g, o, tc.horizon, dist.CongestBC, dist.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s h=%d workers=%d: %v", tc.graph, tc.horizon, workers, err)
+			}
+			got := digest(func(h hash.Hash) {
+				for v, wits := range res.Witnesses {
+					fmt.Fprintf(h, "%d:", v)
+					for _, pt := range wits {
+						fmt.Fprintf(h, "%d", pt.Target)
+						writeInts(h, pt.Path)
+					}
+					h.Write([]byte{';'})
+				}
+				writeStats(h, res.Stats)
+			})
+			if got != tc.digest {
+				t.Errorf("%s h=%d workers=%d: witness digest %s, want %s", tc.graph, tc.horizon, workers, got, tc.digest)
+			}
+		}
+	}
+}
+
+// TestPipelinePinnedDigests pins the sets and the per-phase Stats of the
+// full Theorem 9 (RunDomSet) and Theorem 10 (RunConnectedDomSet) pipelines.
+func TestPipelinePinnedDigests(t *testing.T) {
+	graphs := pinnedGraphs()
+	for _, tc := range []struct {
+		graph        string
+		r            int
+		domset, conn string
+	}{
+		{"apollonian400", 1, "3e43b8516092d2a4", "48e0dc07eb6f3b41"},
+		{"apollonian400", 2, "5eed2328a2993976", "362abe5e89d9b265"},
+		{"geometric600", 1, "37124e91b2f59e42", "4709b3b612cd4f2d"},
+		{"geometric600", 2, "a7e47e6645a03c1f", "8291be68aa104b68"},
+		{"grid16x16", 1, "babfddd760410ae8", "73aaedbf1e6992f1"},
+		{"grid16x16", 2, "5295a9ca55903a40", "664b32824115dcdf"},
+	} {
+		g := graphs[tc.graph]
+		for _, workers := range pinnedWorkers {
+			opts := dist.Options{Workers: workers}
+			ds, err := RunDomSet(g, tc.r, dist.CongestBC, opts)
+			if err != nil {
+				t.Fatalf("%s r=%d workers=%d: %v", tc.graph, tc.r, workers, err)
+			}
+			got := digest(func(h hash.Hash) {
+				writeInts(h, ds.Set)
+				writePhases(h, ds.Stats)
+			})
+			if got != tc.domset {
+				t.Errorf("%s r=%d workers=%d: RunDomSet digest %s, want %s", tc.graph, tc.r, workers, got, tc.domset)
+			}
+			cds, err := RunConnectedDomSet(g, tc.r, dist.CongestBC, opts)
+			if err != nil {
+				t.Fatalf("%s r=%d workers=%d connected: %v", tc.graph, tc.r, workers, err)
+			}
+			got = digest(func(h hash.Hash) {
+				writeInts(h, cds.DomSet)
+				writeInts(h, cds.Set)
+				writePhases(h, cds.Stats)
+			})
+			if got != tc.conn {
+				t.Errorf("%s r=%d workers=%d: RunConnectedDomSet digest %s, want %s", tc.graph, tc.r, workers, got, tc.conn)
+			}
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package distalgo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -34,59 +35,75 @@ type wreachNode struct {
 	pos     []int // pos[v] = super-id (position in L) of vertex v
 	horizon int
 
-	// best[target] = best path from target to this vertex (target first,
-	// this vertex last).
-	best map[int][]int
-	// toSend accumulates paths adopted this round, to broadcast next round.
-	toSend    [][]int
+	// best holds the best known path to every discovered target, sorted by
+	// the target's super-id (entry 0 is the node itself until a smaller
+	// target turns up).
+	best []wreachEntry
+	// arena backs every adopted path, and sent the path lists of this
+	// node's broadcasts.  Both only grow: an adopted path or a sent list is
+	// never written again, so the broadcasts that alias them stay valid for
+	// their receivers while later rounds append behind them.
+	arena     []int
+	sent      [][]int
 	roundsRun int
 }
 
+// wreachEntry is the best known path from one target to the node:
+// arena[start:end], target first and this vertex last.  It holds offsets
+// rather than a slice, so inserting into the sorted table moves no pointers.
+type wreachEntry struct {
+	tpos       int // super-id of the target
+	start, end int
+	// adopted is the round in which the path was last improved; a round
+	// broadcasts the entries it adopted.
+	adopted int
+}
+
 func (w *wreachNode) Init(ctx *dist.Context) {
-	w.best = map[int][]int{w.id: {w.id}}
 	// Round 0: broadcast the trivial path consisting of the own super-id.
-	ctx.Broadcast(PathsMessage{{w.id}})
+	start, end := w.adopt(nil)
+	w.best = append(w.best, wreachEntry{tpos: w.pos[w.id], start: start, end: end})
+	w.broadcast(ctx)
 }
 
 func (w *wreachNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	w.roundsRun++
-	adopted := make(map[int][]int)
 	for _, in := range inbox {
 		paths, ok := in.Msg.(PathsMessage)
 		if !ok {
 			continue
 		}
 		for _, p := range paths {
-			w.consider(p, adopted)
+			w.consider(p)
 		}
 	}
-	// Broadcast the adopted paths that can still grow (length < horizon).
-	var out PathsMessage
-	keys := make([]int, 0, len(adopted))
-	for t := range adopted {
-		keys = append(keys, t)
-	}
-	sort.Ints(keys)
-	for _, t := range keys {
-		p := adopted[t]
-		if len(p)-1 < w.horizon {
-			out = append(out, p)
+	w.broadcast(ctx)
+}
+
+// broadcast sends the paths adopted in the current round that can still
+// grow (length < horizon).
+func (w *wreachNode) broadcast(ctx *dist.Context) {
+	start := len(w.sent)
+	for _, e := range w.best {
+		if e.adopted == w.roundsRun && e.end-e.start-1 < w.horizon {
+			w.sent = append(w.sent, w.arena[e.start:e.end:e.end])
 		}
 	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
+	if len(w.sent) > start {
+		ctx.Broadcast(PathsMessage(w.sent[start:len(w.sent):len(w.sent)]))
 	}
 }
 
 // consider examines a received path (target … sender) and adopts its
-// extension by this vertex if it is an improvement.
-func (w *wreachNode) consider(p []int, adopted map[int][]int) {
+// extension by this vertex if it is an improvement.  The candidate is
+// compared where it lies and copied only when adopted.
+func (w *wreachNode) consider(p []int) {
 	if len(p) == 0 {
 		return
 	}
-	target := p[0]
+	tpos := w.pos[p[0]]
 	// Keep only paths from strictly smaller vertices (line 8 of Algorithm 4).
-	if w.pos[target] >= w.pos[w.id] {
+	if tpos >= w.pos[w.id] {
 		return
 	}
 	if len(p) >= w.horizon+1 {
@@ -94,30 +111,41 @@ func (w *wreachNode) consider(p []int, adopted map[int][]int) {
 		return
 	}
 	// Avoid walks that revisit this vertex.
-	for _, x := range p {
-		if x == w.id {
-			return
-		}
+	if slices.Contains(p, w.id) {
+		return
 	}
-	cand := make([]int, len(p)+1)
-	copy(cand, p)
-	cand[len(p)] = w.id
-	cur, have := w.best[target]
-	if !have || w.pathBetter(cand, cur) {
-		w.best[target] = cand
-		adopted[target] = cand
+	i, have := slices.BinarySearchFunc(w.best, tpos, func(e wreachEntry, t int) int { return cmp.Compare(e.tpos, t) })
+	if have && !w.extensionBetter(p, w.arena[w.best[i].start:w.best[i].end]) {
+		return
 	}
+	e := wreachEntry{tpos: tpos, adopted: w.roundsRun}
+	e.start, e.end = w.adopt(p)
+	if have {
+		w.best[i] = e
+		return
+	}
+	w.best = slices.Insert(w.best, i, e)
 }
 
-// pathBetter reports whether a is strictly better than b: shorter, or of
-// equal length and lexicographically smaller with respect to super-ids.
-func (w *wreachNode) pathBetter(a, b []int) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
+// adopt appends p extended by this vertex to the arena and returns its
+// offsets there.
+func (w *wreachNode) adopt(p []int) (start, end int) {
+	start = len(w.arena)
+	w.arena = append(append(w.arena, p...), w.id)
+	return start, len(w.arena)
+}
+
+// extensionBetter reports whether p extended by this vertex is strictly
+// better than the stored path cur: shorter, or of equal length and
+// lexicographically smaller with respect to super-ids.  cur ends at this
+// vertex too, so only the first len(p) entries can differ.
+func (w *wreachNode) extensionBetter(p, cur []int) bool {
+	if len(p)+1 != len(cur) {
+		return len(p)+1 < len(cur)
 	}
-	for i := range a {
-		if w.pos[a[i]] != w.pos[b[i]] {
-			return w.pos[a[i]] < w.pos[b[i]]
+	for i, x := range p {
+		if w.pos[x] != w.pos[cur[i]] {
+			return w.pos[x] < w.pos[cur[i]]
 		}
 	}
 	return false
@@ -150,36 +178,55 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 		return nil, fmt.Errorf("distalgo: horizon must be ≥ 1, got %d", horizon)
 	}
 	pos := o.Positions()
-	nodes := make([]*wreachNode, g.N())
+	nodes := make([]wreachNode, g.N())
 	if opts.Phase == "" {
 		opts.Phase = "wreach"
 	}
+	// Every node starts with windows of three flat arrays, sized for Init
+	// and the first round: itself plus at most one new target per neighbor,
+	// each a path of at most two vertices.  Later rounds append past the
+	// windows into arrays of the node's own.
+	slots := 0
+	for v := range nodes {
+		slots += g.Degree(v) + 1
+	}
+	entries, lists, ints := make([]wreachEntry, slots), make([][]int, slots), make([]int, 2*slots)
 	runner := dist.NewRunner(g, model, opts)
 	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &wreachNode{id: v, pos: pos, horizon: horizon}
-		return nodes[v]
+		d := g.Degree(v) + 1
+		d2 := 2 * d
+		nodes[v] = wreachNode{id: v, pos: pos, horizon: horizon,
+			best: entries[:0:d], sent: lists[:0:d], arena: ints[:0:d2]}
+		entries, lists, ints = entries[d:], lists[d:], ints[d2:]
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distalgo: WReachDist failed: %w", err)
 	}
+	// Every witness list and path is a window of one flat array each.
+	pairs, words := 0, 0
+	for i := range nodes {
+		pairs += len(nodes[i].best)
+		for _, e := range nodes[i].best {
+			words += e.end - e.start
+		}
+	}
+	wits := make([]order.PathTo, 0, pairs)
+	flat := make([]int, words)
 	res := &WReachDistResult{Witnesses: make([][]order.PathTo, g.N()), Stats: stats}
-	for v, nd := range nodes {
-		targets := make([]int, 0, len(nd.best))
-		for t := range nd.best {
-			targets = append(targets, t)
-		}
-		sort.Slice(targets, func(i, j int) bool { return pos[targets[i]] < pos[targets[j]] })
-		wits := make([]order.PathTo, 0, len(targets))
-		for _, t := range targets {
-			stored := nd.best[t]
+	for v := range nodes {
+		first := len(wits)
+		for _, e := range nodes[v].best {
 			// Stored paths run target → … → v; PathTo wants v → … → target.
-			rev := make([]int, len(stored))
-			for i, x := range stored {
-				rev[len(stored)-1-i] = x
+			path := nodes[v].arena[e.start:e.end]
+			rev := flat[:len(path):len(path)]
+			flat = flat[len(path):]
+			for i, x := range path {
+				rev[len(rev)-1-i] = x
 			}
-			wits = append(wits, order.PathTo{Target: t, Path: rev})
+			wits = append(wits, order.PathTo{Target: path[0], Path: rev})
 		}
-		res.Witnesses[v] = wits
+		res.Witnesses[v] = wits[first:len(wits):len(wits)]
 	}
 	return res, nil
 }

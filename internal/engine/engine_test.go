@@ -256,6 +256,23 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestConnectedKindsRejectDisconnectedGraphs: both connected kinds refuse a
+// disconnected graph with ErrNotConnected.  On two disjoint paths the
+// distributed pipeline would otherwise answer a set that no connected
+// dominating set check accepts.
+func TestConnectedKindsRejectDisconnectedGraphs(t *testing.T) {
+	e := testEngine(t, Config{})
+	disc := graph.MustFromEdges(8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}})
+	for _, kind := range []Kind{KindConnectedDominatingSet, KindDistributedConnected} {
+		if _, err := e.Do(context.Background(), Request{G: disc, Kind: kind, R: 1}); !errors.Is(err, ErrNotConnected) {
+			t.Fatalf("%s on a disconnected graph: want ErrNotConnected, got %v", kind, err)
+		}
+	}
+	if runs := e.DistRuns(); len(runs) != 0 {
+		t.Fatalf("a rejected dist-cds query ran the simulator: %d retained runs", len(runs))
+	}
+}
+
 func TestAnonymousGraphMutationInvalidates(t *testing.T) {
 	e := testEngine(t, Config{})
 	g := gen.Grid(6, 6)

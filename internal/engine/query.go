@@ -367,6 +367,9 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		resp.MaxMessageWords = res.MaxMessageWords
 
 	case KindDistributedConnected:
+		if !g.IsConnected() {
+			return nil, ErrNotConnected
+		}
 		model := CongestBC
 		if req.ModelSet {
 			model = req.Model

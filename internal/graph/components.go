@@ -69,51 +69,3 @@ func (g *Graph) IsConnectedSubset(verts []int) bool {
 	}
 	return len(seen) == len(in)
 }
-
-// UnionFind is a disjoint-set forest with union by rank and path compression.
-type UnionFind struct {
-	parent []int
-	rank   []int
-	sets   int
-}
-
-// NewUnionFind returns a union-find structure over n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), sets: n}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-// Find returns the representative of x's set.
-func (uf *UnionFind) Find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of x and y and reports whether they were distinct.
-func (uf *UnionFind) Union(x, y int) bool {
-	rx, ry := uf.Find(x), uf.Find(y)
-	if rx == ry {
-		return false
-	}
-	if uf.rank[rx] < uf.rank[ry] {
-		rx, ry = ry, rx
-	}
-	uf.parent[ry] = rx
-	if uf.rank[rx] == uf.rank[ry] {
-		uf.rank[rx]++
-	}
-	uf.sets--
-	return true
-}
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

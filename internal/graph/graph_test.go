@@ -357,25 +357,6 @@ func TestIsConnectedSubset(t *testing.T) {
 	}
 }
 
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(6)
-	if uf.Sets() != 6 {
-		t.Fatalf("sets=%d", uf.Sets())
-	}
-	if !uf.Union(0, 1) || !uf.Union(1, 2) {
-		t.Fatal("union of distinct sets returned false")
-	}
-	if uf.Union(0, 2) {
-		t.Fatal("union of same set returned true")
-	}
-	if !uf.Same(0, 2) || uf.Same(0, 3) {
-		t.Fatal("Same wrong")
-	}
-	if uf.Sets() != 4 {
-		t.Fatalf("sets=%d", uf.Sets())
-	}
-}
-
 func TestDegeneracyOrderBasics(t *testing.T) {
 	if _, k := pathGraph(10).DegeneracyOrder(); k != 1 {
 		t.Fatalf("path degeneracy %d", k)
