@@ -26,7 +26,7 @@ func Exact(g *graph.Graph, r, budget int) (int, bool) {
 	// Precompute balls as bitsets and candidate dominators per vertex.
 	balls := make([]*graph.Bitset, n)
 	for v := 0; v < n; v++ {
-		balls[v] = g.BallBitset(v, r, nil)
+		balls[v] = g.BallBitset(v, r)
 	}
 	dominatorsOf := make([][]int, n) // dominatorsOf[u] = {v : u ∈ ball(v)}
 	for v := 0; v < n; v++ {
@@ -122,7 +122,7 @@ func ExactSet(g *graph.Graph, r, budget int) []int {
 	// Re-run a constrained search that records a witness of size optSize.
 	balls := make([]*graph.Bitset, n)
 	for v := 0; v < n; v++ {
-		balls[v] = g.BallBitset(v, r, nil)
+		balls[v] = g.BallBitset(v, r)
 	}
 	dominatorsOf := make([][]int, n)
 	for v := 0; v < n; v++ {

@@ -131,13 +131,6 @@ type Config struct {
 	// FS routes a persistent engine's store through an alternate filesystem
 	// (nil = the real one).  Tests pass a fault.Injector.  Ignored by New.
 	FS fault.FS
-	// NoMmap forces a persistent engine to recover every snapshot through
-	// the allocating decode path even when the file and platform support
-	// zero-copy serving.  Open picks mmap automatically otherwise (raw-flag
-	// snapshots, real filesystem, 64-bit little-endian build); the knob
-	// exists for equivalence tests and for debugging page-cache behavior.
-	// Ignored by New.
-	NoMmap bool
 	// RawSnapshotMinEntries is the CSR entry count (n+1+2m) at which the
 	// store writes mmap-able raw-aligned snapshots instead of varint-packed
 	// ones (0 = store default, ~1M entries; negative = always varint).
@@ -262,7 +255,7 @@ type Engine struct {
 	// rebuild chains (capacity Config.MaxConcurrentRebuilds).  Only
 	// top-level cache misses acquire a slot; builds nested inside an
 	// admitted build (the order underneath a wcol or cover) run on their
-	// parent's slot, marked by admittedCtx.
+	// parent's slot, marked by the context admitted returns.
 	rebuildSem chan struct{}
 
 	// distRuns retains recent distributed-run round profiles (nil when
@@ -300,10 +293,14 @@ type Engine struct {
 // already holds a rebuild-admission slot.
 type admittedKey struct{}
 
-// admittedCtx is the detached context nested substrate fetches run under: no
-// deadline (a shared build must not inherit one requester's timeout) and
-// exempt from rebuild admission (the parent build holds the slot).
-var admittedCtx = context.WithValue(context.Background(), admittedKey{}, true)
+// admitted returns the detached context a build's nested substrate fetches
+// run under.  It keeps ctx's values, so the nested builds land in the
+// query's trace, but not its deadline: a shared build must not inherit one
+// requester's timeout.  It is exempt from rebuild admission (the parent
+// build holds the slot).
+func admitted(ctx context.Context) context.Context {
+	return context.WithValue(context.WithoutCancel(ctx), admittedKey{}, true)
+}
 
 // acquireRebuild takes a rebuild-admission slot, blocking until one frees or
 // ctx expires.  The returned release function must be called exactly once.
@@ -786,7 +783,7 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 // wreachFor returns the (cached) weak s-reachability sets of the order for
 // radius orderR — the substrate behind both wcol measurements and covers.
 // Building it reuses (or builds) the cached order.  The nested fetch runs
-// under admittedCtx, detached from the requester's context: a build is
+// under admitted(ctx), detached from the requester's deadline: a build is
 // shared work — if it adopted one requester's deadline, that requester's
 // timeout would be recorded as the build's error and handed to every
 // coalesced waiter.
@@ -823,7 +820,7 @@ func (e *Engine) traversal(ctx context.Context, g *graph.Graph, gen uint64, kind
 	defer sp.End()
 	return e.getSubstrate(ctx, substrateKey{gen: gen, kind: kind, a: orderR, b: s}, func() (any, error) {
 		e.stage("substrate:wreach")
-		o, _, err := e.orderFor(admittedCtx, g, gen, orderR)
+		o, _, err := e.orderFor(admitted(ctx), g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}

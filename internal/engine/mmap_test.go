@@ -9,81 +9,63 @@ import (
 )
 
 // TestMmapDecodeEquivalence is the zero-copy acceptance contract: for
-// substrate worker counts 1, 2 and 8, an engine recovering a raw-aligned
-// snapshot through the mmap path answers byte-identically to one forced
-// through the allocating decode path — dominating sets, covers and order
-// positions, across radii.
+// substrate worker counts 1, 2 and 8, an engine recovering raw-aligned
+// snapshots through the mmap path answers byte-identically to an engine that
+// never died holding the same graphs — dominating sets, covers and order
+// positions, across radii.  (TestStoreRecoversViaMmap pins mmap and decode
+// recovery to bit-identical graphs at the store level.)
 func TestMmapDecodeEquivalence(t *testing.T) {
 	if !store.MmapSupported() {
 		t.Skip("mmap unsupported on this platform")
+	}
+	graphs := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if _, err := e.Register("g", gen.Grid(24, 24)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Register("t", gen.RandomAttachmentTree(500, 11)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()
 		cfg := Config{SubstrateWorkers: workers, RawSnapshotMinEntries: 1}
 
 		writer := openPersistent(t, dir, cfg)
-		if _, err := writer.Register("g", gen.Grid(24, 24)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := writer.Register("t", gen.RandomAttachmentTree(500, 11)); err != nil {
-			t.Fatal(err)
-		}
+		graphs(t, writer)
 		writer.Close()
 
-		// The data directory is single-owner (dir lock), so the two recovery
-		// modes run sequentially: capture every answer from the mmap engine,
-		// then reopen with NoMmap and compare.
-		type key struct {
-			graph string
-			kind  Kind
-			r     int
-		}
-		answers := map[key]*Response{}
-		orders := map[key][]int{}
-
 		mm := openPersistent(t, dir, cfg)
-		st := mm.Stats()
-		if st.Persist == nil || st.Persist.Recovered.MmapGraphs != 2 {
+		if st := mm.Stats(); st.Persist == nil || st.Persist.Recovered.MmapGraphs != 2 {
 			t.Fatalf("workers=%d: expected 2 mmap-served graphs, stats %+v", workers, st.Persist)
 		}
+		live := New(cfg)
+		t.Cleanup(live.Close)
+		graphs(t, live)
+
 		for _, name := range []string{"g", "t"} {
 			for _, kind := range []Kind{KindDominatingSet, KindCover} {
 				for _, r := range []int{1, 2} {
-					resp, err := mm.Do(context.Background(), Request{Graph: name, Kind: kind, R: r})
+					req := Request{Graph: name, Kind: kind, R: r}
+					got, err := mm.Do(context.Background(), req)
 					if err != nil {
 						t.Fatalf("workers=%d mmap %s/%s/r=%d: %v", workers, name, kind, r, err)
 					}
-					answers[key{name, kind, r}] = resp
-				}
-			}
-			orders[key{graph: name, r: 2}] = namedOrder(t, mm, name, 2).Positions()
-		}
-		mm.Close()
-
-		cfg.NoMmap = true
-		dec := openPersistent(t, dir, cfg)
-		if st := dec.Stats(); st.Persist == nil || st.Persist.Recovered.MmapGraphs != 0 {
-			t.Fatalf("workers=%d: NoMmap engine reported mmap graphs: %+v", workers, st.Persist)
-		}
-		for _, name := range []string{"g", "t"} {
-			for _, kind := range []Kind{KindDominatingSet, KindCover} {
-				for _, r := range []int{1, 2} {
-					want := answers[key{name, kind, r}]
-					got, err := dec.Do(context.Background(), Request{Graph: name, Kind: kind, R: r})
+					want, err := live.Do(context.Background(), req)
 					if err != nil {
-						t.Fatalf("workers=%d decode %s/%s/r=%d: %v", workers, name, kind, r, err)
+						t.Fatalf("workers=%d live %s/%s/r=%d: %v", workers, name, kind, r, err)
 					}
 					if !equalInts(got.Set, want.Set) || got.Size != want.Size ||
 						got.LowerBound != want.LowerBound || got.Wcol != want.Wcol {
-						t.Fatalf("workers=%d %s/%s/r=%d: mmap and decode recovery diverge", workers, name, kind, r)
+						t.Fatalf("workers=%d %s/%s/r=%d: mmap-recovered and never-died engines diverge", workers, name, kind, r)
 					}
 				}
 			}
-			if !equalInts(namedOrder(t, dec, name, 2).Positions(), orders[key{graph: name, r: 2}]) {
-				t.Fatalf("workers=%d %s: order positions diverge between mmap and decode recovery", workers, name)
+			if !equalInts(namedOrder(t, mm, name, 2).Positions(), namedOrder(t, live, name, 2).Positions()) {
+				t.Fatalf("workers=%d %s: order positions diverge between mmap-recovered and never-died engines", workers, name)
 			}
 		}
-		dec.Close()
+		mm.Close()
 	}
 }
 

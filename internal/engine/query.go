@@ -40,14 +40,6 @@ const (
 	KindDistributedConnected Kind = "dist-cds"
 )
 
-// Kinds lists the supported query kinds.
-func Kinds() []Kind {
-	return []Kind{
-		KindDominatingSet, KindConnectedDominatingSet, KindCover,
-		KindDistributedDominatingSet, KindDistributedConnected,
-	}
-}
-
 // Request describes one domination query.
 type Request struct {
 	// Graph names a registered graph.  Ignored when G is set.
@@ -405,16 +397,17 @@ func (e *Engine) coverFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 	defer sp.End()
 	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindCover, a: r}, func() (any, error) {
 		e.stage("substrate:cover")
-		// admittedCtx: see wreachFor — a shared build must not inherit one
+		// admitted: see wreachFor — a shared build must not inherit one
 		// requester's deadline, and nested fetches run on the parent build's
 		// admission slot.  The cover inverts the cached weak-reachability
 		// sets (shared with wcol measurements) instead of sweeping the graph
 		// again.
-		sets2r, _, err := e.wreachFor(admittedCtx, g, gen, r, 2*r)
+		actx := admitted(ctx)
+		sets2r, _, err := e.wreachFor(actx, g, gen, r, 2*r)
 		if err != nil {
 			return nil, err
 		}
-		setsR, _, err := e.wreachFor(admittedCtx, g, gen, r, r)
+		setsR, _, err := e.wreachFor(actx, g, gen, r, r)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 
 	"bedom/internal/domset"
 	"bedom/internal/gen"
+	"bedom/internal/obs"
 	"bedom/internal/solver"
 )
 
@@ -160,5 +161,37 @@ func TestGreedySolverOnDomsetKind(t *testing.T) {
 	}
 	if _, err := e.Do(context.Background(), Request{G: g, Kind: "greedy", R: 1}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("kind greedy: want ErrInvalidRequest, got %v", err)
+	}
+}
+
+// TestNestedBuildsInQueryTrace: the order and wreach builds nested inside a
+// cold domset or cover build are detached from the query's deadline but not
+// from its trace, so they show up in the query's span trail; a warm repeat
+// is served from the cached result and fetches no nested substrate.
+func TestNestedBuildsInQueryTrace(t *testing.T) {
+	for _, kind := range []Kind{KindDominatingSet, KindCover} {
+		e := testEngine(t, Config{})
+		if _, err := e.Register("g", gen.Grid(30, 30)); err != nil {
+			t.Fatal(err)
+		}
+		stages := func() map[string]bool {
+			tr := obs.NewTrace(obs.NewQueryID())
+			if _, err := e.Do(obs.WithTrace(context.Background(), tr), Request{Graph: "g", Kind: kind, R: 2}); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, s := range tr.Spans() {
+				seen[s.Name] = true
+			}
+			return seen
+		}
+		cold := stages()
+		if !cold["substrate:order"] || !cold["substrate:wreach"] {
+			t.Fatalf("%s: cold query trace lacks its nested builds: %v", kind, cold)
+		}
+		warm := stages()
+		if warm["substrate:order"] || warm["substrate:wreach"] {
+			t.Fatalf("%s: warm query trace records nested fetches: %v", kind, warm)
+		}
 	}
 }

@@ -11,13 +11,14 @@ import (
 )
 
 // engineSubstrate adapts the engine's cached substrate accessors to the
-// solver.Substrate interface.  Fetches run under admittedCtx — a solver runs
-// inside an admitted result build, so nested substrate builds ride the
-// parent's rebuild slot and must not inherit one requester's deadline (see
-// wreachFor).  The adapter tracks whether every fetch was a cache hit (the
-// query's CacheHit report) and the time spent inside fetches, so domsetFor
-// can account the solver's own compute without double-counting nested
-// builds.
+// solver.Substrate interface.  Fetches run under the context the solver
+// passes, which is the admitted one domsetFor gave it: a solver runs inside
+// an admitted result build, so nested substrate builds ride the parent's
+// rebuild slot, must not inherit one requester's deadline (see wreachFor),
+// and record their spans in the query's trace.  The adapter tracks whether
+// every fetch was a cache hit (the query's CacheHit report) and the time
+// spent inside fetches, so domsetFor can account the solver's own compute
+// without double-counting nested builds.
 type engineSubstrate struct {
 	e      *Engine
 	g      *graph.Graph
@@ -26,9 +27,9 @@ type engineSubstrate struct {
 	nested time.Duration
 }
 
-func (s *engineSubstrate) Order(_ context.Context, r int) (*order.Order, error) {
+func (s *engineSubstrate) Order(ctx context.Context, r int) (*order.Order, error) {
 	start := time.Now()
-	o, hit, err := s.e.orderFor(admittedCtx, s.g, s.gen, r)
+	o, hit, err := s.e.orderFor(ctx, s.g, s.gen, r)
 	s.nested += time.Since(start)
 	if !hit {
 		s.allHit = false
@@ -36,9 +37,9 @@ func (s *engineSubstrate) Order(_ context.Context, r int) (*order.Order, error) 
 	return o, err
 }
 
-func (s *engineSubstrate) WReach(_ context.Context, orderR, r int) ([][]int, error) {
+func (s *engineSubstrate) WReach(ctx context.Context, orderR, r int) ([][]int, error) {
 	start := time.Now()
-	sets, hit, err := s.e.wreachFor(admittedCtx, s.g, s.gen, orderR, r)
+	sets, hit, err := s.e.wreachFor(ctx, s.g, s.gen, orderR, r)
 	s.nested += time.Since(start)
 	if !hit {
 		s.allHit = false
@@ -46,9 +47,9 @@ func (s *engineSubstrate) WReach(_ context.Context, orderR, r int) ([][]int, err
 	return sets, err
 }
 
-func (s *engineSubstrate) Wcol(_ context.Context, orderR, r int) (int, error) {
+func (s *engineSubstrate) Wcol(ctx context.Context, orderR, r int) (int, error) {
 	start := time.Now()
-	wcol, hit, err := s.e.wcolFor(admittedCtx, s.g, s.gen, orderR, r)
+	wcol, hit, err := s.e.wcolFor(ctx, s.g, s.gen, orderR, r)
 	s.nested += time.Since(start)
 	if !hit {
 		s.allHit = false
@@ -73,7 +74,7 @@ func (e *Engine) domsetFor(ctx context.Context, g *graph.Graph, gen uint64, r in
 		e.stage("solve:" + s.Name())
 		sub := &engineSubstrate{e: e, g: g, gen: gen, allHit: true}
 		start := time.Now()
-		res, err := s.Solve(admittedCtx, g, r, sub)
+		res, err := s.Solve(admitted(ctx), g, r, sub)
 		if err != nil {
 			return nil, err
 		}

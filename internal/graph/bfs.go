@@ -64,14 +64,12 @@ func (g *Graph) Ball(v, r int) []int {
 	return order
 }
 
-// BallBitset returns the closed r-neighborhood of v as a bitset, reusing the
-// provided scratch distance slice (len n, will be overwritten) if non-nil.
-func (g *Graph) BallBitset(v, r int, scratch []int) *Bitset {
+// BallBitset returns the closed r-neighborhood of v as a bitset.
+func (g *Graph) BallBitset(v, r int) *Bitset {
 	bs := NewBitset(g.n)
 	for _, u := range g.Ball(v, r) {
 		bs.Set(u)
 	}
-	_ = scratch
 	return bs
 }
 

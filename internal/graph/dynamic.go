@@ -209,19 +209,6 @@ func (d *Dynamic) Degree(v int) int {
 	return deg
 }
 
-// AppendNeighbors appends the sorted current neighbors of v to buf and
-// returns the extended slice (a merge of the base CSR row with the overlay;
-// allocation-free when buf has capacity).
-func (d *Dynamic) AppendNeighbors(buf []int32, v int) []int32 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var baseRow []int32
-	if v < d.base.N() {
-		baseRow = d.base.Neighbors(v)
-	}
-	return mergeRow(buf, baseRow, d.del[int32(v)], d.add[int32(v)])
-}
-
 // Apply validates and applies one mutation batch.  Validation is atomic: on
 // error nothing is applied.  Removals run before additions (see Delta).
 // When the overlay reaches the compaction threshold it is folded into a

@@ -265,7 +265,7 @@ func TestBall(t *testing.T) {
 	if got := g.Ball(3, -1); got != nil {
 		t.Fatalf("negative radius ball %v", got)
 	}
-	bs := g.BallBitset(3, 2, nil)
+	bs := g.BallBitset(3, 2)
 	if bs.Count() != 5 || !bs.Get(1) || bs.Get(0) {
 		t.Fatalf("ball bitset %v", bs.Members())
 	}

@@ -61,8 +61,9 @@ type Solver interface {
 	Name() string
 	// Describe is a one-line human-readable summary.
 	Describe() string
-	// Solve computes a distance-r dominating set of g.  The returned Result
-	// may be cached by the caller and must not be mutated afterwards.
+	// Solve computes a distance-r dominating set of g.  Fetches from sub
+	// take the ctx Solve was given.  The returned Result may be cached by
+	// the caller and must not be mutated afterwards.
 	Solve(ctx context.Context, g *graph.Graph, r int, sub Substrate) (Result, error)
 }
 

@@ -15,7 +15,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,6 +94,13 @@ var (
 	// ErrVersion is returned for snapshots written by an incompatible format
 	// version.  It wraps ErrBadSnapshot.
 	ErrVersion = fmt.Errorf("%w: unsupported version", ErrBadSnapshot)
+	// ErrNotMmapable is returned by the zero-copy open path when a snapshot
+	// must be served through the decoding path instead: the file is the
+	// varint variant, a raw payload missed its alignment, the platform has
+	// no mmap support, or the mapping syscall failed.  It does NOT indicate
+	// corruption: a corrupt file fails with ErrBadSnapshot from whichever
+	// path parses it.
+	ErrNotMmapable = errors.New("store: snapshot cannot be memory-mapped")
 )
 
 // SnapshotMeta is the bookkeeping persisted alongside a graph topology.
@@ -288,91 +294,64 @@ func writeSection(w io.Writer, tag byte, payload []byte) error {
 	return err
 }
 
-// DecodeSnapshot reads one snapshot document and reconstructs its graph.
-// Every section is checksum-verified before its payload is interpreted, and
-// the rebuilt CSR arrays pass graph.FromCSR's structural validation, so a
-// corrupted snapshot fails loudly instead of producing a broken graph.
+// DecodeSnapshot reads one snapshot document of either variant and rebuilds
+// its graph in freshly allocated arrays: raw payloads are copied, varint
+// payloads decoded.  parseSnapshot verifies every section checksum before a
+// payload is interpreted, and the rebuilt CSR arrays pass graph.FromCSR's
+// structural validation, so a corrupted snapshot fails loudly instead of
+// producing a broken graph.
 func DecodeSnapshot(r io.Reader) (SnapshotMeta, *graph.Graph, error) {
-	var meta SnapshotMeta
-	br := asByteReader(r)
-
-	var header [8]byte
-	if _, err := io.ReadFull(br, header[:]); err != nil {
-		return meta, nil, fmt.Errorf("%w: short header: %v", ErrBadSnapshot, err)
-	}
-	if string(header[:4]) != snapshotMagic {
-		return meta, nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, header[:4])
-	}
-	if v := binary.LittleEndian.Uint16(header[4:6]); v != snapshotVersion {
-		return meta, nil, fmt.Errorf("%w %d (want %d)", ErrVersion, v, snapshotVersion)
-	}
-	flags := binary.LittleEndian.Uint16(header[6:8])
-	if flags != 0 && flags != flagRawSections {
-		// All other flag bits are reserved: a nonzero value means a future
-		// writer relying on semantics this decoder does not implement.
-		return meta, nil, fmt.Errorf("%w: unsupported flags 0x%04x", ErrVersion, flags)
-	}
-	raw := flags == flagRawSections
-
-	metaPayload, err := readSection(br, tagMeta)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return meta, nil, err
+		return SnapshotMeta{}, nil, err
 	}
-	cur := payloadCursor{buf: metaPayload}
-	nameLen := cur.uvarint()
-	if nameLen > uint64(len(metaPayload)) {
-		return meta, nil, fmt.Errorf("%w: meta name length %d exceeds section", ErrBadSnapshot, nameLen)
-	}
-	meta.Name = string(cur.bytes(int(nameLen)))
-	meta.Epoch = cur.uvarint()
-	meta.CoveredLSN = cur.uvarint()
-	meta.Gen = cur.uvarint()
-	n := cur.uvarint()
-	m := cur.uvarint()
-	if cur.err != nil {
-		return meta, nil, fmt.Errorf("%w: truncated meta section", ErrBadSnapshot)
-	}
-	if n > math.MaxInt32 || m > math.MaxInt32 {
-		return meta, nil, fmt.Errorf("%w: unreasonable counts n=%d m=%d", ErrBadSnapshot, n, m)
-	}
-
-	if raw {
-		g, err := decodeRawSections(br, n, m)
-		if err != nil {
-			return meta, nil, err
-		}
-		return meta, g, nil
-	}
-
-	offPayload, err := readSection(br, tagOffsets)
+	s, err := parseSnapshot(data)
 	if err != nil {
-		return meta, nil, err
+		return s.meta, nil, err
 	}
-	cur = payloadCursor{buf: offPayload}
-	off := make([]int32, n+1)
+	var off, tgt []int32
+	if s.raw {
+		off, tgt = decodeInt32LE(s.off), decodeInt32LE(s.tgt)
+	} else if off, tgt, err = decodeVarintCSR(s); err != nil {
+		return s.meta, nil, err
+	}
+	g, err := graph.FromCSR(off, tgt)
+	if err != nil {
+		return s.meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return s.meta, g, nil
+}
+
+// decodeVarintCSR rebuilds the CSR arrays from the varint OFFSETS (degrees)
+// and TARGETS (first neighbor, then gaps) payloads.
+func decodeVarintCSR(s parsedSnapshot) (off, tgt []int32, err error) {
+	// Every degree and every target costs at least one payload byte, so
+	// counts the payloads cannot hold are rejected before they size an
+	// allocation.
+	if uint64(len(s.off)) < s.n || uint64(len(s.tgt)) < 2*s.m {
+		return nil, nil, fmt.Errorf("%w: counts n=%d m=%d exceed their sections", ErrBadSnapshot, s.n, s.m)
+	}
+	cur := payloadCursor{buf: s.off}
+	off = make([]int32, s.n+1)
 	total := uint64(0)
-	for v := uint64(0); v < n; v++ {
+	for v := uint64(0); v < s.n; v++ {
 		off[v] = int32(total)
 		total += cur.uvarint()
 		if total > math.MaxInt32 {
-			return meta, nil, fmt.Errorf("%w: degrees overflow int32 offsets", ErrBadSnapshot)
+			return nil, nil, fmt.Errorf("%w: degrees overflow int32 offsets", ErrBadSnapshot)
 		}
 	}
-	off[n] = int32(total)
-	if cur.err != nil || cur.pos != len(offPayload) {
-		return meta, nil, fmt.Errorf("%w: malformed offsets section", ErrBadSnapshot)
+	off[s.n] = int32(total)
+	if cur.err != nil || cur.pos != len(s.off) {
+		return nil, nil, fmt.Errorf("%w: malformed offsets section", ErrBadSnapshot)
 	}
-	if total != 2*m {
-		return meta, nil, fmt.Errorf("%w: degrees sum to %d, want 2m=%d", ErrBadSnapshot, total, 2*m)
+	if total != 2*s.m {
+		return nil, nil, fmt.Errorf("%w: degrees sum to %d, want 2m=%d", ErrBadSnapshot, total, 2*s.m)
 	}
 
-	tgtPayload, err := readSection(br, tagTargets)
-	if err != nil {
-		return meta, nil, err
-	}
-	cur = payloadCursor{buf: tgtPayload}
-	tgt := make([]int32, total)
-	for v := uint64(0); v < n; v++ {
+	cur = payloadCursor{buf: s.tgt}
+	tgt = make([]int32, total)
+	for v := uint64(0); v < s.n; v++ {
 		prev := uint64(0)
 		for i := off[v]; i < off[v+1]; i++ {
 			d := cur.uvarint()
@@ -380,55 +359,16 @@ func DecodeSnapshot(r io.Reader) (SnapshotMeta, *graph.Graph, error) {
 				d += prev
 			}
 			if d > math.MaxInt32 {
-				return meta, nil, fmt.Errorf("%w: target overflows int32", ErrBadSnapshot)
+				return nil, nil, fmt.Errorf("%w: target overflows int32", ErrBadSnapshot)
 			}
 			tgt[i] = int32(d)
 			prev = d
 		}
 	}
-	if cur.err != nil || cur.pos != len(tgtPayload) {
-		return meta, nil, fmt.Errorf("%w: malformed targets section", ErrBadSnapshot)
+	if cur.err != nil || cur.pos != len(s.tgt) {
+		return nil, nil, fmt.Errorf("%w: malformed targets section", ErrBadSnapshot)
 	}
-
-	if _, err := readSection(br, tagEnd); err != nil {
-		return meta, nil, err
-	}
-
-	g, err := graph.FromCSR(off, tgt)
-	if err != nil {
-		return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return meta, g, nil
-}
-
-// decodeRawSections is the allocating fallback for the raw-aligned variant:
-// it copies the little-endian payloads into fresh int32 slices and runs the
-// full FromCSR validation.  The zero-copy route is OpenMmapSnapshot.
-func decodeRawSections(br byteReaderReader, n, m uint64) (*graph.Graph, error) {
-	offPayload, err := readSection(br, tagOffsets)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(offPayload)) != 4*(n+1) {
-		return nil, fmt.Errorf("%w: raw offsets section is %d bytes, want %d", ErrBadSnapshot, len(offPayload), 4*(n+1))
-	}
-	tgtPayload, err := readSection(br, tagTargets)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(tgtPayload)) != 4*2*m {
-		return nil, fmt.Errorf("%w: raw targets section is %d bytes, want %d", ErrBadSnapshot, len(tgtPayload), 4*2*m)
-	}
-	if _, err := readSection(br, tagEnd); err != nil {
-		return nil, err
-	}
-	off := decodeInt32LE(offPayload)
-	tgt := decodeInt32LE(tgtPayload)
-	g, err := graph.FromCSR(off, tgt)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return g, nil
+	return off, tgt, nil
 }
 
 func decodeInt32LE(payload []byte) []int32 {
@@ -439,135 +379,44 @@ func decodeInt32LE(payload []byte) []int32 {
 	return out
 }
 
-// readSection reads one section, demands the expected tag, and verifies the
-// payload checksum.  PAD sections (the raw variant's alignment filler) are
-// checksum-verified and skipped wherever they appear.  The payload is
-// accumulated with a bounded-growth copy so a corrupted length claims no more
-// memory than the input actually holds.
-func readSection(br io.ByteReader, wantTag byte) ([]byte, error) {
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: missing section: %v", ErrBadSnapshot, err)
-		}
-		if tag == tagPad && wantTag != tagPad {
-			if _, err := readSectionBody(br, tag); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if tag != wantTag {
-			return nil, fmt.Errorf("%w: section tag 0x%02x, want 0x%02x", ErrBadSnapshot, tag, wantTag)
-		}
-		return readSectionBody(br, tag)
-	}
+// parsedSnapshot is one parsed snapshot document.  off and tgt are the
+// OFFSETS and TARGETS payloads as subslices of the parsed bytes (zero-copy);
+// offAt and tgtAt are where those payloads start in the parsed bytes.
+type parsedSnapshot struct {
+	meta         SnapshotMeta
+	n, m         uint64
+	raw          bool
+	off, tgt     []byte
+	offAt, tgtAt int
 }
 
-// readSectionBody reads the length, payload and checksum of a section whose
-// tag byte has already been consumed.
-func readSectionBody(br io.ByteReader, wantTag byte) ([]byte, error) {
-	length, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad section length: %v", ErrBadSnapshot, err)
-	}
-	if length > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: section length %d", ErrBadSnapshot, length)
-	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br.(io.Reader), int64(length)); err != nil {
-		return nil, fmt.Errorf("%w: truncated section payload: %v", ErrBadSnapshot, err)
-	}
-	payload := buf.Bytes()
-	var crcBytes [4]byte
-	if _, err := io.ReadFull(br.(io.Reader), crcBytes[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing section checksum: %v", ErrBadSnapshot, err)
-	}
-	want := binary.LittleEndian.Uint32(crcBytes[:])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("%w: section 0x%02x checksum mismatch (got %08x, want %08x)", ErrBadSnapshot, wantTag, got, want)
-	}
-	return payload, nil
-}
-
-// byteReaderReader joins io.ByteReader and io.Reader (what readSection needs).
-type byteReaderReader interface {
-	io.ByteReader
-	io.Reader
-}
-
-// asByteReader adapts r for varint decoding without double-buffering readers
-// that already support it (bytes.Reader, bufio.Reader).
-func asByteReader(r io.Reader) byteReaderReader {
-	if br, ok := r.(byteReaderReader); ok {
-		return br
-	}
-	return &simpleByteReader{r: r}
-}
-
-type simpleByteReader struct {
-	r io.Reader
-}
-
-func (s *simpleByteReader) Read(p []byte) (int, error) { return s.r.Read(p) }
-
-func (s *simpleByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(s.r, b[:])
-	return b[0], err
-}
-
-// payloadCursor decodes uvarints from an in-memory, checksum-verified
-// payload; the first malformed read latches err and poisons later reads.
-type payloadCursor struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (c *payloadCursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(c.buf[c.pos:])
-	if k <= 0 {
-		c.err = errors.New("truncated uvarint")
-		return 0
-	}
-	c.pos += k
-	return v
-}
-
-// ErrNotMmapable is returned by the zero-copy open path when a snapshot must
-// be served through the decoding fallback instead: the file lacks the
-// raw-sections flag (varint format), a payload missed its alignment, the
-// platform has no mmap support, or the mapping syscall failed.  It does NOT
-// indicate corruption — a corrupt file fails with ErrBadSnapshot from
-// whichever path reads it.
-var ErrNotMmapable = errors.New("store: snapshot cannot be memory-mapped")
-
-// parseRawSnapshot walks a complete raw-variant snapshot held in memory
-// (typically an mmap'd file), verifies every section checksum, and returns
-// the meta plus the OFFSETS and TARGETS payloads as subslices of data —
-// zero-copy, aligned to rawAlign relative to the start of data.  Varint-format
-// files and misaligned payloads return ErrNotMmapable (fall back to
-// DecodeSnapshot); structural damage returns ErrBadSnapshot.
-func parseRawSnapshot(data []byte) (meta SnapshotMeta, rawOff, rawTgt []byte, err error) {
+// parseSnapshot is the one reader of the snapshot container, for both
+// variants and both callers (DecodeSnapshot over a read buffer,
+// OpenMmapSnapshot over a mapping).  It checks the header, then walks the
+// sections in their fixed order — META, OFFSETS, TARGETS, END — verifying
+// each checksum before the payload is used and skipping PAD sections
+// wherever they appear.  Raw payload sizes are checked against META's
+// counts; interpreting varint payloads is left to decodeVarintCSR.  Bytes
+// after END are corruption, like any other damage: every failure wraps
+// ErrBadSnapshot.
+func parseSnapshot(data []byte) (parsedSnapshot, error) {
+	var s parsedSnapshot
 	if len(data) < 8 {
-		return meta, nil, nil, fmt.Errorf("%w: short header", ErrBadSnapshot)
+		return s, fmt.Errorf("%w: short header", ErrBadSnapshot)
 	}
 	if string(data[:4]) != snapshotMagic {
-		return meta, nil, nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, data[:4])
+		return s, fmt.Errorf("%w: magic %q", ErrBadSnapshot, data[:4])
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != snapshotVersion {
-		return meta, nil, nil, fmt.Errorf("%w %d (want %d)", ErrVersion, v, snapshotVersion)
+		return s, fmt.Errorf("%w %d (want %d)", ErrVersion, v, snapshotVersion)
 	}
 	flags := binary.LittleEndian.Uint16(data[6:8])
-	if flags != flagRawSections {
-		if flags == 0 {
-			return meta, nil, nil, fmt.Errorf("%w: varint format (no raw-sections flag)", ErrNotMmapable)
-		}
-		return meta, nil, nil, fmt.Errorf("%w: unsupported flags 0x%04x", ErrVersion, flags)
+	if flags != 0 && flags != flagRawSections {
+		// All other flag bits are reserved: a nonzero value means a future
+		// writer relying on semantics this reader does not implement.
+		return s, fmt.Errorf("%w: unsupported flags 0x%04x", ErrVersion, flags)
 	}
+	s.raw = flags == flagRawSections
 
 	pos := 8
 	// next returns the payload of the next non-PAD section, which must carry
@@ -607,52 +456,66 @@ func parseRawSnapshot(data []byte) (meta SnapshotMeta, rawOff, rawTgt []byte, er
 
 	mp, _, err := next(tagMeta)
 	if err != nil {
-		return meta, nil, nil, err
+		return s, err
 	}
 	cur := payloadCursor{buf: mp}
 	nameLen := cur.uvarint()
 	if nameLen > uint64(len(mp)) {
-		return meta, nil, nil, fmt.Errorf("%w: meta name length %d exceeds section", ErrBadSnapshot, nameLen)
+		return s, fmt.Errorf("%w: meta name length %d exceeds section", ErrBadSnapshot, nameLen)
 	}
-	meta.Name = string(cur.bytes(int(nameLen)))
-	meta.Epoch = cur.uvarint()
-	meta.CoveredLSN = cur.uvarint()
-	meta.Gen = cur.uvarint()
-	n := cur.uvarint()
-	m := cur.uvarint()
+	s.meta.Name = string(cur.bytes(int(nameLen)))
+	s.meta.Epoch = cur.uvarint()
+	s.meta.CoveredLSN = cur.uvarint()
+	s.meta.Gen = cur.uvarint()
+	s.n = cur.uvarint()
+	s.m = cur.uvarint()
 	if cur.err != nil {
-		return meta, nil, nil, fmt.Errorf("%w: truncated meta section", ErrBadSnapshot)
+		return s, fmt.Errorf("%w: truncated meta section", ErrBadSnapshot)
 	}
-	if n > math.MaxInt32 || m > math.MaxInt32 {
-		return meta, nil, nil, fmt.Errorf("%w: unreasonable counts n=%d m=%d", ErrBadSnapshot, n, m)
+	if s.n > math.MaxInt32 || s.m > math.MaxInt32 {
+		return s, fmt.Errorf("%w: unreasonable counts n=%d m=%d", ErrBadSnapshot, s.n, s.m)
 	}
 
-	rawOff, offAt, err := next(tagOffsets)
-	if err != nil {
-		return meta, nil, nil, err
+	if s.off, s.offAt, err = next(tagOffsets); err != nil {
+		return s, err
 	}
-	if uint64(len(rawOff)) != 4*(n+1) {
-		return meta, nil, nil, fmt.Errorf("%w: raw offsets section is %d bytes, want %d", ErrBadSnapshot, len(rawOff), 4*(n+1))
+	if s.raw && uint64(len(s.off)) != 4*(s.n+1) {
+		return s, fmt.Errorf("%w: raw offsets section is %d bytes, want %d", ErrBadSnapshot, len(s.off), 4*(s.n+1))
 	}
-	rawTgt, tgtAt, err := next(tagTargets)
-	if err != nil {
-		return meta, nil, nil, err
+	if s.tgt, s.tgtAt, err = next(tagTargets); err != nil {
+		return s, err
 	}
-	if uint64(len(rawTgt)) != 4*2*m {
-		return meta, nil, nil, fmt.Errorf("%w: raw targets section is %d bytes, want %d", ErrBadSnapshot, len(rawTgt), 4*2*m)
+	if s.raw && uint64(len(s.tgt)) != 4*2*s.m {
+		return s, fmt.Errorf("%w: raw targets section is %d bytes, want %d", ErrBadSnapshot, len(s.tgt), 4*2*s.m)
 	}
 	if _, _, err := next(tagEnd); err != nil {
-		return meta, nil, nil, err
+		return s, err
 	}
 	if pos != len(data) {
-		return meta, nil, nil, fmt.Errorf("%w: %d trailing bytes after END section", ErrBadSnapshot, len(data)-pos)
+		return s, fmt.Errorf("%w: %d trailing bytes after END section", ErrBadSnapshot, len(data)-pos)
 	}
-	if offAt%rawAlign != 0 || tgtAt%rawAlign != 0 {
-		// Written by a non-padding encoder; the arrays cannot be cast in
-		// place, so serve the file through the decoding path instead.
-		return meta, nil, nil, fmt.Errorf("%w: raw payload misaligned (offsets at %d, targets at %d)", ErrNotMmapable, offAt, tgtAt)
+	return s, nil
+}
+
+// payloadCursor decodes uvarints from an in-memory, checksum-verified
+// payload; the first malformed read latches err and poisons later reads.
+type payloadCursor struct {
+	buf []byte
+	pos int
+	err error
+}
+
+func (c *payloadCursor) uvarint() uint64 {
+	if c.err != nil {
+		return 0
 	}
-	return meta, rawOff, rawTgt, nil
+	v, k := binary.Uvarint(c.buf[c.pos:])
+	if k <= 0 {
+		c.err = errors.New("truncated uvarint")
+		return 0
+	}
+	c.pos += k
+	return v
 }
 
 func (c *payloadCursor) bytes(n int) []byte {

@@ -159,6 +159,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	var raw bytes.Buffer
+	if err := EncodeSnapshotRaw(&raw, SnapshotMeta{Name: "seed", Epoch: 2, CoveredLSN: 9, Gen: 4}, gen.Grid(4, 4)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw.Bytes())
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

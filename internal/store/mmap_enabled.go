@@ -51,11 +51,12 @@ func (m *Mapping) Close() error {
 }
 
 // OpenMmapSnapshot maps the raw-variant snapshot at path and serves its graph
-// zero-copy: the returned graph's CSR arrays are borrowed from the mapping
-// (page cache), validated structurally via graph.FromCSRBorrowed after every
-// section checksum has been verified.  Varint-format files, misaligned
-// payloads and mapping failures return ErrNotMmapable so the caller can fall
-// back to DecodeSnapshot; corrupt files return ErrBadSnapshot.
+// zero-copy: parseSnapshot verifies every section checksum in place, and the
+// returned graph's CSR arrays are borrowed from the mapping (page cache),
+// validated structurally via graph.FromCSRBorrowed.  Varint-format files,
+// misaligned payloads and mapping failures return ErrNotMmapable so the
+// caller can fall back to DecodeSnapshot; corrupt files return
+// ErrBadSnapshot, exactly as DecodeSnapshot would.
 func OpenMmapSnapshot(path string) (SnapshotMeta, *graph.Graph, *Mapping, error) {
 	var meta SnapshotMeta
 	f, err := os.Open(path)
@@ -68,7 +69,10 @@ func OpenMmapSnapshot(path string) (SnapshotMeta, *graph.Graph, *Mapping, error)
 		return meta, nil, nil, err
 	}
 	size := st.Size()
-	if size == 0 || size > int64(^uint(0)>>1) {
+	if size == 0 {
+		return meta, nil, nil, fmt.Errorf("%w: empty file", ErrBadSnapshot)
+	}
+	if size > int64(^uint(0)>>1) {
 		return meta, nil, nil, fmt.Errorf("%w: file size %d", ErrNotMmapable, size)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
@@ -80,23 +84,38 @@ func OpenMmapSnapshot(path string) (SnapshotMeta, *graph.Graph, *Mapping, error)
 	// fault per page.  Advice is best-effort — errors are ignored.
 	_ = syscall.Madvise(data, syscall.MADV_WILLNEED)
 
-	meta, rawOff, rawTgt, err := parseRawSnapshot(data)
+	meta, g, err := borrowSnapshot(data)
 	if err != nil {
 		_ = syscall.Munmap(data)
 		return meta, nil, nil, err
 	}
-	off := castInt32LE(rawOff)
-	tgt := castInt32LE(rawTgt)
-	g, err := graph.FromCSRBorrowed(off, tgt)
-	if err != nil {
-		_ = syscall.Munmap(data)
-		return meta, nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
 	return meta, g, &Mapping{path: path, data: data}, nil
 }
 
+// borrowSnapshot parses a mapped snapshot and builds its graph on the
+// mapping's own bytes.
+func borrowSnapshot(data []byte) (SnapshotMeta, *graph.Graph, error) {
+	s, err := parseSnapshot(data)
+	if err != nil {
+		return s.meta, nil, err
+	}
+	if !s.raw {
+		return s.meta, nil, fmt.Errorf("%w: varint format (no raw-sections flag)", ErrNotMmapable)
+	}
+	if s.offAt%rawAlign != 0 || s.tgtAt%rawAlign != 0 {
+		// Written by a non-padding encoder; the arrays cannot be cast in
+		// place, so serve the file through the decoding path instead.
+		return s.meta, nil, fmt.Errorf("%w: raw payload misaligned (offsets at %d, targets at %d)", ErrNotMmapable, s.offAt, s.tgtAt)
+	}
+	g, err := graph.FromCSRBorrowed(castInt32LE(s.off), castInt32LE(s.tgt))
+	if err != nil {
+		return s.meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return s.meta, g, nil
+}
+
 // castInt32LE reinterprets a little-endian byte payload as []int32 in place.
-// The build tag guarantees a little-endian host; parseRawSnapshot guarantees
+// The build tag guarantees a little-endian host; borrowSnapshot checks
 // rawAlign (8-byte) alignment relative to the page-aligned mapping base.
 func castInt32LE(payload []byte) []int32 {
 	if len(payload) == 0 {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -93,11 +94,11 @@ func TestRawSectionAlignment(t *testing.T) {
 			if err := EncodeSnapshotRaw(&buf, SnapshotMeta{Name: name}, g); err != nil {
 				t.Fatal(err)
 			}
-			_, rawOff, rawTgt, err := parseRawSnapshot(buf.Bytes())
+			s, err := parseSnapshot(buf.Bytes())
 			if err != nil {
 				t.Fatalf("name %q n %d: %v", name, g.N(), err)
 			}
-			data := buf.Bytes()
+			data, rawOff, rawTgt := buf.Bytes(), s.off, s.tgt
 			offAt, tgtAt := -1, -1
 			for i := range data {
 				if len(rawOff) > 0 && &data[i] == &rawOff[0] {
@@ -120,6 +121,7 @@ func TestRawSectionAlignment(t *testing.T) {
 // TestDecodeSnapshotRawCorruption mirrors the varint suite: flipping any
 // single byte of a raw document must fail the decode — every section,
 // padding included, is CRC-covered and the header is matched literally.
+// TestSnapshotReadersAgree holds the mmap path to the same verdicts.
 func TestDecodeSnapshotRawCorruption(t *testing.T) {
 	g := gen.Grid(6, 6)
 	var buf bytes.Buffer
@@ -132,10 +134,6 @@ func TestDecodeSnapshotRawCorruption(t *testing.T) {
 		corrupt[i] ^= 0xFF
 		if meta, back, err := DecodeSnapshot(bytes.NewReader(corrupt)); err == nil {
 			t.Fatalf("byte %d: corrupted raw snapshot decoded without error (meta %+v, n=%d)", i, meta, back.N())
-		}
-		// The zero-copy parser must reject the same corruption.
-		if _, _, _, err := parseRawSnapshot(corrupt); err == nil {
-			t.Fatalf("byte %d: corrupted raw snapshot parsed for mmap without error", i)
 		}
 	}
 }
@@ -151,22 +149,6 @@ func TestDecodeSnapshotRawTruncation(t *testing.T) {
 		if _, _, err := DecodeSnapshot(bytes.NewReader(blob[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(blob))
 		}
-		if _, _, _, err := parseRawSnapshot(blob[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d parsed for mmap without error", cut, len(blob))
-		}
-	}
-}
-
-// TestParseRawSnapshotRejectsVarint pins the fallback signal: a varint-format
-// document is not corrupt, it is just not mappable.
-func TestParseRawSnapshotRejectsVarint(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, SnapshotMeta{Name: "v"}, gen.Grid(4, 4)); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err := parseRawSnapshot(buf.Bytes())
-	if !errors.Is(err, ErrNotMmapable) {
-		t.Fatalf("varint document: got %v, want ErrNotMmapable", err)
 	}
 }
 
@@ -219,6 +201,105 @@ func TestOpenMmapSnapshotFallsBackOnVarint(t *testing.T) {
 	}
 	if _, _, _, err := OpenMmapSnapshot(path); !errors.Is(err, ErrNotMmapable) {
 		t.Fatalf("got %v, want ErrNotMmapable", err)
+	}
+}
+
+// TestSnapshotTrailingBytesRejected appends bytes after the END section of
+// each variant: the document is corrupt, and every reader says so with
+// ErrBadSnapshot — the decoder, the mmap path, and a store recovery that
+// must not fall back from one to the other.
+func TestSnapshotTrailingBytesRejected(t *testing.T) {
+	for _, raw := range []bool{true, false} {
+		dir := t.TempDir()
+		minEntries := -1
+		if raw {
+			minEntries = 1
+		}
+		s, _, err := Open(dir, Options{RawSnapshotMinEntries: minEntries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveSnapshot(SnapshotMeta{Name: "g", Epoch: 1, Gen: 1}, gen.Grid(8, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "graphs", snapFileName("g"))
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{0x00, 0xFF, 0x01}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if _, _, err := DecodeSnapshot(bytes.NewReader(blob)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("raw=%v: DecodeSnapshot: got %v, want ErrBadSnapshot", raw, err)
+		}
+		if MmapSupported() {
+			if _, _, m, err := OpenMmapSnapshot(path); !errors.Is(err, ErrBadSnapshot) {
+				if m != nil {
+					m.Close()
+				}
+				t.Errorf("raw=%v: OpenMmapSnapshot: got %v, want ErrBadSnapshot", raw, err)
+			}
+		}
+		if s, _, err := Open(dir, Options{Mmap: true}); !errors.Is(err, ErrBadSnapshot) {
+			if err == nil {
+				s.Close()
+				s.ReleaseMappings()
+			}
+			t.Errorf("raw=%v: Open with Mmap: got %v, want ErrBadSnapshot", raw, err)
+		}
+	}
+}
+
+// TestSnapshotReadersAgree runs every single-byte flip and every truncation
+// of a raw snapshot through both readers: DecodeSnapshot and OpenMmapSnapshot
+// share one parser, so they must reach the same verdict, and a rejection
+// from the mmap path must be ErrBadSnapshot — the one error a store does not
+// retry through the decoder.
+func TestSnapshotReadersAgree(t *testing.T) {
+	if !MmapSupported() {
+		t.Skip("mmap unsupported on this platform")
+	}
+	var buf bytes.Buffer
+	if err := EncodeSnapshotRaw(&buf, SnapshotMeta{Name: "g", Epoch: 1, Gen: 1}, gen.Grid(6, 6)); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "snap.raw")
+	check := func(what string, doc []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, decErr := DecodeSnapshot(bytes.NewReader(doc))
+		_, _, m, mmapErr := OpenMmapSnapshot(path)
+		if m != nil {
+			m.Close()
+		}
+		if (decErr == nil) != (mmapErr == nil) {
+			t.Fatalf("%s: DecodeSnapshot says %v, OpenMmapSnapshot says %v", what, decErr, mmapErr)
+		}
+		if mmapErr != nil && !errors.Is(mmapErr, ErrBadSnapshot) {
+			t.Fatalf("%s: OpenMmapSnapshot rejected with %v, want ErrBadSnapshot", what, mmapErr)
+		}
+	}
+	check("intact", blob)
+	for i := range blob {
+		corrupt := append([]byte(nil), blob...)
+		corrupt[i] ^= 0xFF
+		check(fmt.Sprintf("flip of byte %d", i), corrupt)
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		check(fmt.Sprintf("truncation at %d/%d", cut, len(blob)), blob[:cut])
 	}
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -294,10 +293,10 @@ func (s *Store) scan() (*Recovery, uint64, uint64, error) {
 }
 
 // loadSnapshot opens one snapshot file, zero-copy when the store is
-// configured for it and the file cooperates, decoding otherwise.  The
-// fallback is deliberately broad: ANY mmap-path failure short of success
-// routes through the decoder, which authoritatively distinguishes "fine,
-// just not mappable" from real corruption (and fails loudly on the latter).
+// configured for it and the file cooperates, decoding otherwise.  Only
+// ErrNotMmapable (a varint file, a misaligned payload, a failed mapping)
+// falls back to the decoder; ErrBadSnapshot from the mmap path fails
+// recovery, exactly as the decoder would have.
 func (s *Store) loadSnapshot(path string) (SnapshotMeta, *graph.Graph, error) {
 	if s.opts.Mmap && s.opts.FS == nil && MmapSupported() {
 		meta, g, m, err := OpenMmapSnapshot(path)
@@ -308,6 +307,9 @@ func (s *Store) loadSnapshot(path string) (SnapshotMeta, *graph.Graph, error) {
 			s.recovered.MmapGraphs++
 			s.recovered.MmapBytes += m.Size()
 			return meta, g, nil
+		}
+		if !errors.Is(err, ErrNotMmapable) {
+			return meta, nil, err
 		}
 	}
 	return decodeSnapshotFile(s.fs, path)
@@ -617,7 +619,7 @@ func decodeSnapshotFile(fs fault.FS, path string) (SnapshotMeta, *graph.Graph, e
 		return SnapshotMeta{}, nil, err
 	}
 	defer f.Close()
-	return DecodeSnapshot(bufio.NewReader(f))
+	return DecodeSnapshot(f)
 }
 
 type countingWriter struct {
