@@ -199,6 +199,15 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad radius: %d", resp.StatusCode)
 	}
+	// A radius beyond engine.MaxRadius is refused before any substrate is
+	// built (for cds, 2r+1 would overflow).
+	for _, kind := range []string{"domset", "cover", "cds", "dist-domset", "dist-cds"} {
+		e.Error = ""
+		resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": kind, "r": 1 << 62}, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "radius") {
+			t.Fatalf("%s with r=2^62: want 400 naming the radius, got %d %+v", kind, resp.StatusCode, e)
+		}
+	}
 	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "model": "telepathy"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad model: %d", resp.StatusCode)

@@ -242,6 +242,9 @@ func TestValidation(t *testing.T) {
 	g := gen.Grid(4, 4)
 	cases := []Request{
 		{G: g, Kind: KindDominatingSet, R: 0},
+		{G: g, Kind: KindDominatingSet, R: MaxRadius + 1},
+		{G: g, Kind: KindCover, R: 1 << 62},
+		{G: g, Kind: KindConnectedDominatingSet, R: 1 << 62},
 		{G: g, Kind: "nonsense", R: 1},
 		{Kind: KindDominatingSet, R: 1}, // no graph
 	}
@@ -253,6 +256,25 @@ func TestValidation(t *testing.T) {
 	disc, _ := graph.FromEdges(4, [][2]int{{0, 1}, {2, 3}})
 	if _, err := e.Do(context.Background(), Request{G: disc, Kind: KindConnectedDominatingSet, R: 1}); err == nil {
 		t.Fatal("disconnected graph must be rejected for cds")
+	}
+}
+
+// TestLargeRadiusStopsAtFixpoint: a radius far beyond the graph's diameter
+// costs no more than one just past it, because the order construction stops
+// once an augmentation round adds nothing (on a 10×10 grid, after round 8).
+func TestLargeRadiusStopsAtFixpoint(t *testing.T) {
+	e := testEngine(t, Config{})
+	g := gen.Grid(10, 10)
+	start := time.Now()
+	resp, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("domset r=10000 on a 10x10 grid took %v", el)
+	}
+	if !domset.Check(g, resp.Set, 10_000) {
+		t.Fatalf("invalid r=10000 dominating set %v", resp.Set)
 	}
 }
 

@@ -40,6 +40,12 @@ const (
 	KindDistributedConnected Kind = "dist-cds"
 )
 
+// MaxRadius is the largest radius a query may ask for: 2²⁵, the vertex
+// bound of the graphs domserved registers, so no accepted graph has a path
+// that long, and radii derived from it (2R+1 for cds, 7R rounds for kubsv)
+// stay far from overflowing.
+const MaxRadius = 1 << 25
+
 // Request describes one domination query.
 type Request struct {
 	// Graph names a registered graph.  Ignored when G is set.
@@ -49,7 +55,7 @@ type Request struct {
 	G *graph.Graph `json:"-"`
 	// Kind selects the pipeline.
 	Kind Kind `json:"kind"`
-	// R is the domination / covering radius (≥ 1).
+	// R is the domination / covering radius, in [1, MaxRadius].
 	R int `json:"r"`
 	// Solver selects the domination strategy ("" = the default paper
 	// pipeline; see internal/solver for the registry).  Honoured by the
@@ -232,8 +238,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 }
 
 func (e *Engine) validate(req Request) error {
-	if req.R < 1 {
-		return fmt.Errorf("%w: radius must be ≥ 1, got %d", ErrInvalidRequest, req.R)
+	if req.R < 1 || req.R > MaxRadius {
+		return fmt.Errorf("%w: radius must be in [1, %d], got %d", ErrInvalidRequest, MaxRadius, req.R)
 	}
 	if req.G == nil && req.Graph == "" {
 		return fmt.Errorf("%w: no graph given", ErrInvalidRequest)

@@ -30,7 +30,8 @@ func FromCSR(off, tgt []int32) (*Graph, error) {
 // FromCSRBorrowed is FromCSR minus the O(m·log deg) symmetry pass, for
 // borrowed (e.g. mmap'd) arrays whose integrity is already established out of
 // band — a checksum-verified snapshot written by a process that only encodes
-// finalized graphs cannot be asymmetric without also failing its CRC.  The
+// finalized graphs cannot be asymmetric without also failing its CRC — and
+// for arrays a caller has just built symmetric by construction.  The
 // cheap structural checks (monotone offsets, strictly sorted in-range rows,
 // no self-loops, even entry count) still run: they are O(n+m) reads with no
 // allocation, and they are what keeps a trusted-but-wrong array from causing

@@ -452,17 +452,3 @@ func (g *Graph) hasEdgeIn(u, v int) bool {
 	}
 	return false
 }
-
-// NewWithDegreeCap returns an empty graph on n vertices whose adjacency
-// lists are preallocated with the given per-vertex capacities, avoiding
-// append-growth copying during bulk construction when the caller knows the
-// (approximate) degree sequence up front.
-func NewWithDegreeCap(n int, degCap []int32) *Graph {
-	g := New(n)
-	for v := 0; v < n && v < len(degCap); v++ {
-		if degCap[v] > 0 {
-			g.adj[v] = make([]int32, 0, degCap[v])
-		}
-	}
-	return g
-}

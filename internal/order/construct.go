@@ -1,6 +1,7 @@
 package order
 
 import (
+	"math"
 	"sort"
 
 	"bedom/internal/graph"
@@ -11,8 +12,9 @@ type Options struct {
 	// Radius is the target r; the order is intended to keep wcol_{2r}
 	// (and wcol_{2r+1} for the connected variant) small.
 	Radius int
-	// AugmentationDepth is the number of transitive–fraternal augmentation
-	// rounds.  Depth 0 degrades to a plain degeneracy order.  A negative
+	// AugmentationDepth is the largest number of transitive–fraternal
+	// augmentation rounds; the construction stops earlier once a round adds
+	// nothing.  Depth 0 degrades to a plain degeneracy order.  A negative
 	// value selects the default depth, which equals Radius (so that paths of
 	// length up to 2·Radius can be shortcut).
 	AugmentationDepth int
@@ -20,8 +22,8 @@ type Options struct {
 	// selects the default 2·Radius+1.
 	MaxArcLength int
 	// Workers bounds the number of goroutines used by the parallel phases of
-	// the construction (the augmentation scans).  0 selects GOMAXPROCS.  The
-	// constructed order is identical for every worker count.
+	// the construction (the augmentation walks and row merges).  0 selects
+	// GOMAXPROCS.  The constructed order is identical for every worker count.
 	Workers int
 }
 
@@ -39,7 +41,8 @@ func (opt Options) normalised() Options {
 		opt.AugmentationDepth = opt.Radius
 	}
 	if opt.MaxArcLength <= 0 {
-		opt.MaxArcLength = 2*opt.Radius + 1
+		// Saturates instead of overflowing; rounds clamp the cap to 2³¹−1.
+		opt.MaxArcLength = 2*min(opt.Radius, math.MaxInt32/2) + 1
 	}
 	return opt
 }
@@ -53,7 +56,10 @@ type Result struct {
 	// MaxOutDegree of the augmented digraph used to derive the order (equals
 	// the degeneracy when no augmentation is performed).
 	MaxOutDegree int
-	// Rounds holds per-augmentation-round statistics.
+	// Rounds holds per-augmentation-round statistics.  It ends at the first
+	// round that added nothing, so it can be shorter than the augmentation
+	// depth: that round left the digraph unchanged, and so would every
+	// later one.
 	Rounds []AugmentationResult
 }
 
@@ -67,14 +73,13 @@ type Result struct {
 // c(r) of the paper.
 func Construct(g *graph.Graph, opt Options) Result {
 	opt = opt.normalised()
-	_, degeneracy := g.DegeneracyOrder()
+	base, degeneracy := FromDegeneracy(g)
 	if opt.AugmentationDepth == 0 {
-		o, k := FromDegeneracy(g)
-		return Result{Order: o, Degeneracy: k, MaxOutDegree: k}
+		return Result{Order: base, Degeneracy: degeneracy, MaxOutDegree: degeneracy}
 	}
-	d, rounds := TFAugmentationWorkers(g, opt.AugmentationDepth, opt.MaxArcLength, opt.Workers)
-	aug := d.UnderlyingWorkers(opt.Workers)
-	o, _ := FromDegeneracy(aug)
+	d := OrientByOrder(g, base)
+	rounds := d.augment(opt.AugmentationDepth, opt.MaxArcLength, opt.Workers)
+	o, _ := FromDegeneracy(d.UnderlyingWorkers(opt.Workers))
 	return Result{
 		Order:        o,
 		Degeneracy:   degeneracy,

@@ -13,6 +13,7 @@ package order
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bedom/internal/graph"
 )
@@ -104,19 +105,16 @@ func (o *Order) Permutation() []int { return append([]int(nil), o.perm...) }
 // ordering of g, arranged so that every vertex has at most degeneracy(g)
 // neighbors smaller than itself.  It also returns the degeneracy.
 func FromDegeneracy(g *graph.Graph) (*Order, int) {
-	dorder, k := g.DegeneracyOrder()
-	n := g.N()
 	// DegeneracyOrder guarantees each vertex has ≤ k neighbors *later* in
-	// dorder; reversing makes those neighbors *smaller* in L.
-	perm := make([]int, n)
-	for i, v := range dorder {
-		perm[n-1-i] = v
+	// its ordering; reversed in place it becomes L, where those neighbors
+	// are *smaller*.
+	perm, k := g.DegeneracyOrder()
+	slices.Reverse(perm)
+	pos := make([]int, len(perm))
+	for i, v := range perm {
+		pos[v] = i
 	}
-	o, err := FromPermutation(perm)
-	if err != nil {
-		panic("order: internal error building degeneracy order: " + err.Error())
-	}
-	return o, k
+	return &Order{perm: perm, pos: pos}, k
 }
 
 // SmallerNeighborsBound returns max over vertices v of the number of

@@ -209,7 +209,7 @@ func TestOrientByOrder(t *testing.T) {
 	d := OrientByOrder(g, o)
 	for v := 0; v < 6; v++ {
 		for _, a := range d.Out(v) {
-			if !o.Less(a.To, v) {
+			if !o.Less(int(a.To), v) {
 				t.Fatalf("arc %d→%d points to a larger vertex", v, a.To)
 			}
 		}

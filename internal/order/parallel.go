@@ -11,16 +11,3 @@ func substrateWorkers(workers, n int) int { return graph.ResolveWorkers(workers,
 func parallelBlocks(n, workers int, fn func(k, lo, hi int)) {
 	graph.ParallelBlocks(n, workers, fn)
 }
-
-// concat flattens per-worker result buffers in block order.
-func concat[T any](parts [][]T) []T {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
