@@ -23,13 +23,7 @@ func CheckConnected(g *graph.Graph, D []int, r int) bool {
 	if len(D) == 0 {
 		return false
 	}
-	dist := g.MultiSourceDistances(D)
-	for _, d := range dist {
-		if d == graph.Unreached || d > r {
-			return false
-		}
-	}
-	return g.IsConnectedSubset(D)
+	return len(graph.NewWalker(g).WalkFrom(D, r)) == g.N() && g.IsConnectedSubset(D)
 }
 
 // Closure implements Corollary 13: given an order L (intended to witness a
@@ -80,36 +74,48 @@ func ClosureOf(wits *order.Witnesses, D []int) []int {
 // farther than r from every dominator (only possible when D is not a
 // distance-r dominating set) get part -1.
 func DPartition(g *graph.Graph, D []int, r int, ids []int) []int {
-	n := g.N()
-	if ids == nil {
-		ids = make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	part := make([]int, n)
-	for w := 0; w < n; w++ {
-		part[w] = bestDominatorFor(g, D, r, ids, w)
+	return partition(graph.NewWalker(g), D, r, identityIfNil(ids, g.N()))
+}
+
+// partition is DPartition on the graph wk walks, with one bounded walk per
+// vertex.
+func partition(wk *graph.Walker, D []int, r int, ids []int) []int {
+	part := make([]int, wk.Graph().N())
+	for w := range part {
+		part[w] = bestDominatorFor(wk, D, r, ids, w)
 	}
 	return part
+}
+
+// identityIfNil returns ids, or the identity ids of n vertices when ids is
+// nil.
+func identityIfNil(ids []int, n int) []int {
+	if ids != nil {
+		return ids
+	}
+	ids = make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // bestDominatorFor returns the index into D of the dominator owning w under
 // the lexicographic rule of Lemma 14, or -1 if no dominator is within
 // distance r.
-func bestDominatorFor(g *graph.Graph, D []int, r int, ids []int, w int) int {
-	distW := g.BFSDistancesBounded(w, r)
+func bestDominatorFor(wk *graph.Walker, D []int, r int, ids []int, w int) int {
+	wk.Walk(w, r)
 	bestIdx := -1
 	var bestPath []int
 	for i, v := range D {
-		dv := distW[v]
+		dv := wk.Depth(v)
 		if dv == graph.Unreached {
 			continue
 		}
 		if bestIdx != -1 && dv > len(bestPath)-1 {
 			continue
 		}
-		p := lexMinPathUsingDist(g, v, w, distW, ids)
+		p := lexMinPath(wk, v, ids)
 		if bestIdx == -1 || pathLess(p, bestPath, ids) ||
 			(!pathLess(bestPath, p, ids) && ids[v] < ids[D[bestIdx]]) {
 			bestIdx = i
@@ -119,27 +125,23 @@ func bestDominatorFor(g *graph.Graph, D []int, r int, ids []int, w int) int {
 	return bestIdx
 }
 
-// lexMinPathUsingDist returns the lexicographically smallest shortest path
-// from v to w, where distW[x] = dist(x, w) has been precomputed (bounded BFS
-// from w).  The path is built from the v side: at every step the neighbor
-// with distance one less and the smallest id is chosen.
-func lexMinPathUsingDist(g *graph.Graph, v, w int, distW []int, ids []int) []int {
+// lexMinPath returns the lexicographically smallest shortest path from v to
+// the source of the walker's last walk, which must have reached v: the
+// path is built from the v side, at every step taking the neighbor one step
+// closer to the source with the smallest id.
+func lexMinPath(wk *graph.Walker, v int, ids []int) []int {
+	g := wk.Graph()
 	path := []int{v}
-	cur := v
-	for cur != w {
+	for cur := v; wk.Depth(cur) > 0; {
 		next := -1
 		for _, nb := range g.Neighbors(cur) {
 			u := int(nb)
-			if distW[u] == graph.Unreached || distW[u] != distW[cur]-1 {
+			if wk.Depth(u) != wk.Depth(cur)-1 {
 				continue
 			}
 			if next == -1 || ids[u] < ids[next] {
 				next = u
 			}
-		}
-		if next == -1 {
-			// Cannot happen when distW[v] is finite; guard anyway.
-			return path
 		}
 		path = append(path, next)
 		cur = next
@@ -163,40 +165,29 @@ func pathLess(a, b []int, ids []int) bool {
 }
 
 // VerifyPartition checks the structural claims of Lemma 14: the parts form a
-// partition of V(G) (when D distance-r dominates G) and every part induces a
-// subgraph in which its dominator reaches all members within r steps.
+// partition of V(G) (when D distance-r dominates G), every dominator lies in
+// its own part, and every part induces a subgraph in which its dominator
+// reaches all members within r steps.
 func VerifyPartition(g *graph.Graph, D []int, r int, part []int) error {
-	counts := make([]int, len(D))
+	members := make([][]int, len(D))
 	for w, p := range part {
 		if p < 0 || p >= len(D) {
 			return fmt.Errorf("connect: vertex %d not assigned to any ball", w)
 		}
-		counts[p]++
-		_ = w
+		members[p] = append(members[p], w)
 	}
+	wk := graph.NewWalker(g)
 	for i, v := range D {
-		var members []int
-		for w, p := range part {
-			if p == i {
-				members = append(members, w)
-			}
-		}
-		if len(members) == 0 {
+		if len(members[i]) == 0 {
 			continue
 		}
-		sub, origIdx := g.InducedSubgraph(members)
-		local := -1
-		for j, x := range origIdx {
-			if x == v {
-				local = j
-				break
-			}
-		}
-		if local == -1 {
+		if part[v] != i {
 			return fmt.Errorf("connect: dominator %d not inside its own ball", v)
 		}
-		if ecc := sub.Eccentricity(local); ecc > r {
-			return fmt.Errorf("connect: ball of dominator %d has radius %d > r=%d", v, ecc, r)
+		wk.SetMembers(members[i])
+		if reached := len(wk.WalkMembers(v, r)); reached < len(members[i]) {
+			return fmt.Errorf("connect: ball of dominator %d: only %d of its %d members are within r=%d inside the ball",
+				v, reached, len(members[i]), r)
 		}
 	}
 	return nil
@@ -223,13 +214,9 @@ func LocalConnector(g *graph.Graph, D []int, r int, ids []int) []int {
 	if len(D) == 0 {
 		return nil
 	}
-	if ids == nil {
-		ids = make([]int, g.N())
-		for i := range ids {
-			ids[i] = i
-		}
-	}
-	part := DPartition(g, D, r, ids)
+	ids = identityIfNil(ids, g.N())
+	wk := graph.NewWalker(g)
+	part := partition(wk, D, r, ids)
 	h := MinorFromPartition(g, len(D), part)
 	result := make(map[int]bool)
 	for _, v := range D {
@@ -237,7 +224,7 @@ func LocalConnector(g *graph.Graph, D []int, r int, ids []int) []int {
 	}
 	for _, e := range h.Edges() {
 		u, v := D[e[0]], D[e[1]]
-		for _, x := range CanonicalPath(g, u, v, 2*r+1, ids) {
+		for _, x := range CanonicalPath(wk, u, v, 2*r+1, ids) {
 			result[x] = true
 		}
 	}
@@ -245,27 +232,23 @@ func LocalConnector(g *graph.Graph, D []int, r int, ids []int) []int {
 }
 
 // CanonicalPath returns the canonical connecting path between two vertices a
-// and b used by Lemma 16: the lexicographically smallest shortest path, read
-// from the endpoint with the smaller id.  Both endpoints compute exactly the
-// same path from their local views, which is what makes the distributed
-// LOCAL connector consistent.  It returns nil when the two vertices are
-// farther apart than maxLen.
-func CanonicalPath(g *graph.Graph, a, b, maxLen int, ids []int) []int {
-	if ids == nil {
-		ids = make([]int, g.N())
-		for i := range ids {
-			ids[i] = i
-		}
-	}
+// and b of the graph wk walks, used by Lemma 16: the lexicographically
+// smallest shortest path, read from the endpoint with the smaller id.  Both
+// endpoints compute exactly the same path from their local views, which is
+// what makes the distributed LOCAL connector consistent.  It returns nil
+// when the two vertices are farther apart than maxLen.  ids nil means the
+// vertex indices.
+func CanonicalPath(wk *graph.Walker, a, b, maxLen int, ids []int) []int {
+	ids = identityIfNil(ids, wk.Graph().N())
 	from, to := a, b
 	if ids[b] < ids[a] {
 		from, to = b, a
 	}
-	distTo := g.BFSDistancesBounded(to, maxLen)
-	if distTo[from] == graph.Unreached {
+	wk.Walk(to, maxLen)
+	if !wk.Reached(from) {
 		return nil
 	}
-	return lexMinPathUsingDist(g, from, to, distTo, ids)
+	return lexMinPath(wk, from, ids)
 }
 
 // MinorEdgeDensity returns |E(H)| / |V(H)| of a graph H, the quantity d that

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,50 @@ func TestClosurePinnedDigests(t *testing.T) {
 	}
 }
 
+// TestPartitionPinnedDigests pins DPartition and LocalConnector for
+// Algorithm 1's set on three fixed instances at r = 1 and 2, once with the
+// vertex indices as ids and once with reversed ids.  The digests were
+// recorded with a fresh n-sized distance array per bounded search.
+func TestPartitionPinnedDigests(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"apollonian400": gen.Apollonian(400, 1),
+		"geometric600":  mustConnected(gen.RandomGeometric(600, gen.GeometricRadiusForAvgDeg(600, 6), 1)),
+		"grid20x20":     gen.Grid(20, 20),
+	}
+	for _, tc := range []struct {
+		graph string
+		r     int
+		// Digests of DPartition and LocalConnector with identity ids, then
+		// with reversed ids.
+		want [4]string
+	}{
+		{"apollonian400", 1, [4]string{"b7426c87b77c313d", "089ecd6e7321d91c", "687324a66f95ade7", "e7b40091eb640f53"}},
+		{"apollonian400", 2, [4]string{"45cccfe3daba66db", "a44badfbd4cf7c28", "e0162ba633d4dce9", "07a00ed6da8835ed"}},
+		{"geometric600", 1, [4]string{"f39144ea0f0dd646", "47aa0380d19f8bde", "534cd10b4d9c063b", "243cf67f378e07d0"}},
+		{"geometric600", 2, [4]string{"1f0b8714d7593fd1", "d6b6aeea7aa0b831", "6c5eb335d93d1895", "8e5cb5d0c1d1c26b"}},
+		{"grid20x20", 1, [4]string{"3a151bf2eef6d6d0", "08de1dd72359076b", "bed31a9a360a012f", "76e2f6555e901a7d"}},
+		{"grid20x20", 2, [4]string{"917d9dae346493fa", "f0ec7c394d8a75f6", "e00048b7e65c28c6", "4e4d4ff07f3a9dff"}},
+	} {
+		g := graphs[tc.graph]
+		D := domset.AlgorithmOne(g, order.ConstructDefault(g, tc.r), tc.r)
+		rev := make([]int, g.N())
+		for v := range rev {
+			rev[v] = g.N() - 1 - v
+		}
+		for i, ids := range [][]int{nil, rev} {
+			for j, got := range []string{
+				setDigest(DPartition(g, D, tc.r, ids)),
+				setDigest(LocalConnector(g, D, tc.r, ids)),
+			} {
+				if want := tc.want[2*i+j]; got != want {
+					t.Errorf("%s r=%d: %s (ids %d) digest %s, want %s",
+						tc.graph, tc.r, [...]string{"DPartition", "LocalConnector"}[j], i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // setDigest is the first 8 bytes of the SHA-256 of the set written as
 // "v1,v2,...,".
 func setDigest(set []int) string {
@@ -162,6 +207,20 @@ func TestDPartitionUnreachableVertices(t *testing.T) {
 	}
 	if err := VerifyPartition(g, []int{0}, 1, part); err == nil {
 		t.Fatal("verification should fail when vertices are unassigned")
+	}
+}
+
+// TestVerifyPartitionRejectsDisconnectedPart: on the path 0-1-2-3 with
+// D = {0, 3}, the parts {0, 2} and {1, 3} are disconnected, so neither
+// dominator reaches its whole part inside it.
+func TestVerifyPartitionRejectsDisconnectedPart(t *testing.T) {
+	g := gen.Path(4)
+	err := VerifyPartition(g, []int{0, 3}, 3, []int{0, 1, 0, 1})
+	if err == nil || !strings.Contains(err.Error(), "only 1 of its 2 members") {
+		t.Fatalf("VerifyPartition = %v, want the unreached member named", err)
+	}
+	if err := VerifyPartition(g, []int{0, 3}, 1, []int{0, 0, 1, 1}); err != nil {
+		t.Fatalf("valid partition rejected: %v", err)
 	}
 }
 
@@ -242,16 +301,22 @@ func TestPathHelpers(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	distTo3 := g.BFSDistancesBounded(3, 8)
-	p := lexMinPathUsingDist(g, 7, 3, distTo3, ids)
+	wk := graph.NewWalker(g)
+	wk.Walk(3, 8)
+	p := lexMinPath(wk, 7, ids)
 	if len(p) != 5 || p[0] != 7 || p[len(p)-1] != 3 {
 		t.Fatalf("lex path %v", p)
 	}
 	// Both directions around the cycle have length 4; the lexicographically
 	// smaller one goes through smaller ids.
-	q := lexMinPathUsingDist(g, 7, 3, distTo3, ids)
-	if !pathEqual(p, q) {
-		t.Fatal("lex path not deterministic")
+	if want := []int{7, 0, 1, 2, 3}; !pathEqual(p, want) {
+		t.Fatalf("lex path %v, want %v", p, want)
+	}
+	if q := CanonicalPath(wk, 3, 7, 8, ids); !pathEqual(q, []int{3, 2, 1, 0, 7}) {
+		t.Fatalf("canonical path %v, want it read from the smaller id", q)
+	}
+	if q := CanonicalPath(wk, 3, 7, 3, ids); q != nil {
+		t.Fatalf("canonical path %v beyond maxLen", q)
 	}
 	if !pathLess([]int{1, 2}, []int{1, 2, 3}, ids) {
 		t.Fatal("shorter path must be smaller")

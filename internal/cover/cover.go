@@ -181,13 +181,13 @@ type Stats struct {
 	AvgClusterSize float64
 }
 
-// ComputeStats measures the cover against g.  The per-cluster radius sweeps
+// ComputeStats measures the cover against g.  The per-cluster radius walks
 // are independent, so they fan out across GOMAXPROCS workers (max/sum
 // merging is order-independent, keeping the result deterministic).
 func (c *Cover) ComputeStats(g *graph.Graph) Stats { return c.ComputeStatsWorkers(g, 0) }
 
 // ComputeStatsWorkers is ComputeStats with an explicit bound on the
-// goroutines of the radius sweeps (0 = GOMAXPROCS).
+// goroutines of the radius walks (0 = GOMAXPROCS).
 func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 	st := Stats{
 		R:           c.R,
@@ -202,6 +202,7 @@ func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 	accs := make([]acc, workers)
 	graph.ParallelBlocks(len(c.centers), workers, func(k, lo, hi int) {
 		var a acc
+		wk := graph.NewWalker(g)
 		for i := lo; i < hi; i++ {
 			center := c.centers[i]
 			cluster := c.clusters[center]
@@ -209,7 +210,7 @@ func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 			if len(cluster) > a.maxSize {
 				a.maxSize = len(cluster)
 			}
-			if rad := clusterRadius(g, center, cluster); rad > a.maxRadius {
+			if rad, _ := clusterRadius(wk, center, cluster); rad > a.maxRadius {
 				a.maxRadius = rad
 			}
 		}
@@ -231,33 +232,27 @@ func (c *Cover) ComputeStatsWorkers(g *graph.Graph, workers int) Stats {
 	return st
 }
 
-// clusterRadius returns the eccentricity of center within the subgraph of g
-// induced by cluster, which upper-bounds the radius of that subgraph.
-func clusterRadius(g *graph.Graph, center int, cluster []int) int {
-	sub, orig := g.InducedSubgraph(cluster)
-	local := -1
-	for i, v := range orig {
-		if v == center {
-			local = i
-			break
-		}
-	}
-	if local == -1 {
-		// Should not happen: the center always belongs to its own cluster.
-		return -1
-	}
-	return sub.Eccentricity(local)
+// clusterRadius walks g from center, confined to cluster, and returns the
+// depth of the last vertex reached (the eccentricity of center within the
+// subgraph induced by cluster, which upper-bounds that subgraph's radius)
+// and the number of vertices reached.
+func clusterRadius(wk *graph.Walker, center int, cluster []int) (radius, reached int) {
+	wk.SetMembers(cluster)
+	ball := wk.WalkMembers(center, -1)
+	return wk.Depth(int(ball[len(ball)-1])), len(ball)
 }
 
 // Verify checks the defining property of an r-neighborhood cover: for every
 // vertex w there is a cluster containing the full closed r-neighborhood
 // N_r[w].  Following Lemma 6, it checks the cluster of Home[w] and falls back
 // to scanning all clusters containing w.  It also re-checks that every
-// cluster induces a subgraph in which the center reaches all cluster members
-// within 2r steps.  Returns nil if the cover is valid.
+// cluster contains its center and induces a subgraph in which the center
+// reaches every cluster member within 2r steps.  Returns nil if the cover is
+// valid.
 func (c *Cover) Verify(g *graph.Graph) error {
+	wk := graph.NewWalker(g)
 	for w := 0; w < g.N(); w++ {
-		ball := g.Ball(w, c.R)
+		ball := wk.Walk(w, c.R)
 		if !c.clusterContains(c.Home[w], ball) {
 			ok := false
 			for _, center := range c.memberships[w] {
@@ -272,20 +267,33 @@ func (c *Cover) Verify(g *graph.Graph) error {
 		}
 	}
 	for _, center := range c.centers {
-		if rad := clusterRadius(g, center, c.clusters[center]); rad < 0 || rad > 2*c.R {
+		cluster := c.clusters[center]
+		if !c.inCluster(center, center) {
+			return fmt.Errorf("cover: cluster of %d does not contain its center", center)
+		}
+		rad, reached := clusterRadius(wk, center, cluster)
+		if reached < len(cluster) {
+			return fmt.Errorf("cover: cluster of %d: the center reaches only %d of its %d members inside the cluster", center, reached, len(cluster))
+		}
+		if rad > 2*c.R {
 			return fmt.Errorf("cover: cluster of %d has radius %d > 2r=%d", center, rad, 2*c.R)
 		}
 	}
 	return nil
 }
 
-func (c *Cover) clusterContains(center int, verts []int) bool {
-	cluster := c.clusters[center]
-	for _, v := range verts {
-		i := sort.SearchInts(cluster, v)
-		if i >= len(cluster) || cluster[i] != v {
+func (c *Cover) clusterContains(center int, ball []int32) bool {
+	for _, v := range ball {
+		if !c.inCluster(center, int(v)) {
 			return false
 		}
 	}
 	return true
+}
+
+// inCluster reports whether v belongs to the cluster centered at center.
+func (c *Cover) inCluster(center, v int) bool {
+	cluster := c.clusters[center]
+	i := sort.SearchInts(cluster, v)
+	return i < len(cluster) && cluster[i] == v
 }

@@ -2,6 +2,7 @@ package cover
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bedom/internal/gen"
@@ -74,8 +75,8 @@ func TestCoverHomeClusterContainsBall(t *testing.T) {
 		for _, x := range c.Cluster(home) {
 			members[x] = true
 		}
-		for _, x := range g.Ball(w, r) {
-			if !members[x] {
+		for _, x := range graph.NewWalker(g).Walk(w, r) {
+			if !members[int(x)] {
 				t.Fatalf("ball of %d not inside home cluster %d", w, home)
 			}
 		}
@@ -123,6 +124,30 @@ func TestCoverVerifyDetectsCorruption(t *testing.T) {
 	}
 	if err := c.Verify(g); err == nil {
 		t.Fatal("corrupted cover passed verification")
+	}
+}
+
+// TestVerifyRejectsUnreachedMember: on the path 0-1-2-3-4 with R = 2, the
+// cluster of 2 holds every vertex, so every N_2[w] lies in a cluster; but
+// the cluster {0, 2, 3, 4} of 0 leaves its center isolated inside it.
+func TestVerifyRejectsUnreachedMember(t *testing.T) {
+	g := gen.Path(5)
+	all := []int{0, 1, 2, 3, 4}
+	c := &Cover{
+		R:           2,
+		Home:        []int{2, 2, 2, 2, 2},
+		clusters:    [][]int{{0, 2, 3, 4}, nil, all, nil, nil},
+		centers:     []int{0, 2},
+		memberships: [][]int{{0, 2}, {2}, {0, 2}, {0, 2}, {0, 2}},
+	}
+	err := c.Verify(g)
+	if err == nil || !strings.Contains(err.Error(), "reaches only 1 of its 4 members") {
+		t.Fatalf("Verify = %v, want the unreached members named", err)
+	}
+	c.clusters[0] = []int{0, 1, 2}
+	c.memberships = [][]int{{0, 2}, {0, 2}, {0, 2}, {2}, {2}}
+	if err := c.Verify(g); err != nil {
+		t.Fatalf("valid cover rejected: %v", err)
 	}
 }
 

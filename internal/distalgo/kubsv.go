@@ -41,9 +41,10 @@ func KSVSequential(g *graph.Graph, r int) []int {
 		return nil
 	}
 	// c(v) = |B_r(v)|: the coverage every vertex could offer initially.
+	wk := graph.NewWalker(g)
 	c := make([]int, n)
 	for v := 0; v < n; v++ {
-		c[v] = len(g.Ball(v, r))
+		c[v] = len(wk.Walk(v, r))
 	}
 	// Phase 1: elect vertices whose (c, -id) is maximal within their 2r-ball.
 	elected := make([]bool, n)
@@ -51,8 +52,8 @@ func KSVSequential(g *graph.Graph, r int) []int {
 	var D []int
 	for v := 0; v < n; v++ {
 		win := true
-		for _, w := range g.Ball(v, 2*r) {
-			if c[w] > c[v] || (c[w] == c[v] && w < v) {
+		for _, w := range wk.Walk(v, 2*r) {
+			if c[w] > c[v] || (c[w] == c[v] && int(w) < v) {
 				win = false
 				break
 			}
@@ -62,7 +63,7 @@ func KSVSequential(g *graph.Graph, r int) []int {
 	for v := 0; v < n; v++ {
 		if elected[v] {
 			D = append(D, v)
-			for _, u := range g.Ball(v, r) {
+			for _, u := range wk.Walk(v, r) {
 				covered[u] = true
 			}
 		}
@@ -71,7 +72,7 @@ func KSVSequential(g *graph.Graph, r int) []int {
 	demand := make([]int, n)
 	for w := 0; w < n; w++ {
 		cnt := 0
-		for _, u := range g.Ball(w, r) {
+		for _, u := range wk.Walk(w, r) {
 			if !covered[u] {
 				cnt++
 			}
@@ -83,8 +84,8 @@ func KSVSequential(g *graph.Graph, r int) []int {
 		if covered[u] {
 			continue
 		}
-		best := u
-		for _, w := range g.Ball(u, r) {
+		best := int32(u)
+		for _, w := range wk.Walk(u, r) {
 			if demand[w] > demand[best] || (demand[w] == demand[best] && w < best) {
 				best = w
 			}

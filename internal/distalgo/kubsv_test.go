@@ -80,13 +80,14 @@ func TestKSVElectedScattered(t *testing.T) {
 		seen := graph.NewBitset(g.N())
 		n := g.N()
 		c := make([]int, n)
+		wk := graph.NewWalker(g)
 		for v := 0; v < n; v++ {
-			c[v] = len(g.Ball(v, r))
+			c[v] = len(wk.Walk(v, r))
 		}
 		for v := 0; v < n; v++ {
 			win := true
-			for _, w := range g.Ball(v, 2*r) {
-				if c[w] > c[v] || (c[w] == c[v] && w < v) {
+			for _, w := range wk.Walk(v, 2*r) {
+				if c[w] > c[v] || (c[w] == c[v] && int(w) < v) {
 					win = false
 					break
 				}
@@ -99,11 +100,11 @@ func TestKSVElectedScattered(t *testing.T) {
 			t.Fatalf("r=%d: NumElected=%d, sequential election has %d", r, res.NumElected, len(elected))
 		}
 		for _, v := range elected {
-			for _, u := range g.Ball(v, r) {
-				if seen.Get(u) {
+			for _, u := range wk.Walk(v, r) {
+				if seen.Get(int(u)) {
 					t.Fatalf("r=%d: elected balls overlap at %d", r, u)
 				}
-				seen.Set(u)
+				seen.Set(int(u))
 			}
 		}
 	}

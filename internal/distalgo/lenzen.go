@@ -28,16 +28,18 @@ import (
 func LenzenSetA(g *graph.Graph) []bool {
 	n := g.N()
 	inA := make([]bool, n)
+	wk := graph.NewWalker(g)
 	for v := 0; v < n; v++ {
-		inA[v] = !coverableByTwo(g, v)
+		inA[v] = !coverableByTwo(wk, v)
 	}
 	return inA
 }
 
 // coverableByTwo reports whether there exist two vertices u, w (both ≠ v)
-// with N(v) \ {u, w} ⊆ N(u) ∪ N(w).
-func coverableByTwo(g *graph.Graph, v int) bool {
-	nv := g.NeighborsInts(v)
+// with N(v) \ {u, w} ⊆ N(u) ∪ N(w), in the graph wk walks.
+func coverableByTwo(wk *graph.Walker, v int) bool {
+	g := wk.Graph()
+	nv := g.Neighbors(v)
 	if len(nv) <= 2 {
 		// Two vertices can always absorb a neighborhood of size ≤ 2.
 		return true
@@ -46,16 +48,16 @@ func coverableByTwo(g *graph.Graph, v int) bool {
 	// excluded from the requirement) or is adjacent to a vertex of N(v).
 	// Fix x0 = the first neighbor: one of the two candidates must cover or
 	// equal x0, so it comes from N[x0]; the second candidate ranges over the
-	// same candidate pool around v.
+	// same candidate pool around v, N²[v] (all vertices within distance 2).
 	x0 := nv[0]
-	firstCands := append([]int{x0}, g.NeighborsInts(x0)...)
-	pool := candidatePool(g, v)
+	firstCands := append([]int32{x0}, g.Neighbors(int(x0))...)
+	pool := wk.Walk(v, 2)
 	for _, u := range firstCands {
-		if u == v {
+		if int(u) == v {
 			continue
 		}
 		for _, w := range pool {
-			if w == v {
+			if int(w) == v {
 				continue
 			}
 			if coversAllBut(g, nv, u, w) {
@@ -66,18 +68,13 @@ func coverableByTwo(g *graph.Graph, v int) bool {
 	return false
 }
 
-// candidatePool returns N²[v]: all vertices within distance 2 of v.
-func candidatePool(g *graph.Graph, v int) []int {
-	return g.Ball(v, 2)
-}
-
 // coversAllBut reports whether N(v)\{u,w} ⊆ N(u) ∪ N(w), given nv = N(v).
-func coversAllBut(g *graph.Graph, nv []int, u, w int) bool {
+func coversAllBut(g *graph.Graph, nv []int32, u, w int32) bool {
 	for _, x := range nv {
 		if x == u || x == w {
 			continue
 		}
-		if !g.HasEdge(x, u) && !g.HasEdge(x, w) {
+		if !g.HasEdge(int(x), int(u)) && !g.HasEdge(int(x), int(w)) {
 			return false
 		}
 	}
@@ -184,7 +181,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		}
 		// Knowledge of the 2-ball is complete: decide membership in A.
 		lg, _, toLocal, _ := l.gather.localView()
-		l.inA = !coverableByTwo(lg, toLocal[l.id])
+		l.inA = !coverableByTwo(graph.NewWalker(lg), toLocal[l.id])
 		ctx.Broadcast(dist.IntMessage(boolToInt(l.inA)))
 	case 3:
 		domA := l.inA

@@ -127,8 +127,9 @@ func (l *localConnectNode) planTokens() [][]int {
 		neighList = append(neighList, u)
 	}
 	sort.Ints(neighList)
+	wk := graph.NewWalker(lg)
 	for _, uLocal := range neighList {
-		path := connect.CanonicalPath(lg, selfLocal, uLocal, 2*l.r+1, ids)
+		path := connect.CanonicalPath(wk, selfLocal, uLocal, 2*l.r+1, ids)
 		if len(path) == 0 {
 			continue
 		}

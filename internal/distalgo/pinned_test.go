@@ -152,3 +152,31 @@ func TestPipelinePinnedDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestSequentialPinnedDigests pins the sequential references KSVSequential
+// (r = 1, 2) and LenzenSequential on three fixed instances.  The digests
+// were recorded with map-based balls.
+func TestSequentialPinnedDigests(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"apollonian400": gen.Apollonian(400, 1),
+		"geometric600":  largestComp(gen.RandomGeometric(600, gen.GeometricRadiusForAvgDeg(600, 6), 1)),
+		"grid20x20":     gen.Grid(20, 20),
+	}
+	for _, tc := range []struct {
+		graph string
+		// Digests of KSVSequential at r = 1 and 2, then LenzenSequential.
+		want [3]string
+	}{
+		{"apollonian400", [3]string{"81c5eef98ce73846", "14b04481159a66ec", "8541cda819fd406a"}},
+		{"geometric600", [3]string{"484fd5eec52147b5", "a96fb3eee368a282", "b507832f23ea9589"}},
+		{"grid20x20", [3]string{"cd8e8f1e35599f5e", "9f3b548a7e8ee06e", "c25d6c8d3d2a0c5c"}},
+	} {
+		g := graphs[tc.graph]
+		for i, set := range [][]int{KSVSequential(g, 1), KSVSequential(g, 2), LenzenSequential(g)} {
+			if got := digest(func(h hash.Hash) { writeInts(h, set) }); got != tc.want[i] {
+				t.Errorf("%s: %s digest %s, want %s (size %d)",
+					tc.graph, [...]string{"KSVSequential r=1", "KSVSequential r=2", "LenzenSequential"}[i], got, tc.want[i], len(set))
+			}
+		}
+	}
+}

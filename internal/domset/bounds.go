@@ -1,10 +1,6 @@
 package domset
 
-import (
-	"sort"
-
-	"bedom/internal/graph"
-)
+import "bedom/internal/graph"
 
 // ScatteredLowerBound returns the size of a maximal 2r-scattered subset of
 // the given candidate set (falling back to all vertices when candidates is
@@ -26,15 +22,16 @@ func ScatteredLowerBound(g *graph.Graph, r int, candidates []int) int {
 		}
 	}
 	// Greedily add candidates whose 2r-ball avoids previously chosen ones.
-	blocked := graph.NewBitset(g.N())
+	blocked := make([]bool, g.N())
+	wk := graph.NewWalker(g)
 	count := 0
 	for _, v := range cand {
-		if blocked.Get(v) {
+		if blocked[v] {
 			continue
 		}
 		count++
-		for _, u := range g.Ball(v, 2*r) {
-			blocked.Set(u)
+		for _, u := range wk.Walk(v, 2*r) {
+			blocked[u] = true
 		}
 	}
 	return count
@@ -62,42 +59,4 @@ func BestLowerBound(g *graph.Graph, r int, approx []int, exactLimit, exactBudget
 		}
 	}
 	return lb, false
-}
-
-// CoverageHistogram returns, for a dominating set D, how many vertices are
-// covered by exactly k elements of D (index k of the returned slice), which
-// the experiments use to illustrate the overlap structure.
-func CoverageHistogram(g *graph.Graph, D []int, r int) []int {
-	counts := make([]int, g.N())
-	for _, v := range D {
-		for _, u := range g.Ball(v, r) {
-			counts[u]++
-		}
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	hist := make([]int, maxC+1)
-	for _, c := range counts {
-		hist[c]++
-	}
-	return hist
-}
-
-// Dominators returns for every vertex the sorted list of elements of D within
-// distance r (its potential dominators).
-func Dominators(g *graph.Graph, D []int, r int) [][]int {
-	out := make([][]int, g.N())
-	for _, v := range D {
-		for _, u := range g.Ball(v, r) {
-			out[u] = append(out[u], v)
-		}
-	}
-	for v := range out {
-		sort.Ints(out[v])
-	}
-	return out
 }

@@ -24,21 +24,16 @@ func Check(g *graph.Graph, D []int, r int) bool {
 	if len(D) == 0 {
 		return false
 	}
-	dist := g.MultiSourceDistances(D)
-	for _, d := range dist {
-		if d == graph.Unreached || d > r {
-			return false
-		}
-	}
-	return true
+	return len(graph.NewWalker(g).WalkFrom(D, r)) == g.N()
 }
 
 // Uncovered returns the vertices not within distance r of any element of D.
 func Uncovered(g *graph.Graph, D []int, r int) []int {
-	dist := g.MultiSourceDistances(D)
+	wk := graph.NewWalker(g)
+	wk.WalkFrom(D, r)
 	var out []int
-	for v, d := range dist {
-		if d == graph.Unreached || d > r {
+	for v := 0; v < g.N(); v++ {
+		if !wk.Reached(v) {
 			out = append(out, v)
 		}
 	}
@@ -74,68 +69,52 @@ func FromOrder(g *graph.Graph, o *order.Order, r int) []int {
 // set if its restricted ball contains a vertex that is not yet dominated.
 func AlgorithmOne(g *graph.Graph, o *order.Order, r int) []int {
 	n := g.N()
-	// Algorithm 2 (SortLists): adjacency lists sorted increasingly w.r.t. L.
-	sorted := make([][]int, n)
-	for i := 0; i < n; i++ {
-		v := o.At(i)
-		for _, wn := range g.Neighbors(v) {
-			w := int(wn)
-			sorted[w] = append(sorted[w], v)
-		}
-	}
-	dominated := make([]bool, n)
+	// On g relabelled by L-position, "larger than v" is "id above v's
+	// position", so Algorithm 3 is a walk with its floor at the source.
+	wk := graph.NewWalker(sortLists(g, o))
+	dominated := make([]bool, n) // by position
 	var D []int
-	// Scratch space for the restricted BFS (Algorithm 3).
-	visited := make([]bool, n)
-	touched := make([]int, 0, 64)
-	type qitem struct{ v, dist int }
-	queue := make([]qitem, 0, 64)
-
 	for i := 0; i < n; i++ {
-		v := o.At(i)
-		// Algorithm 3: BFS from v restricted to vertices > v and ≤ r steps.
-		queue = queue[:0]
-		touched = touched[:0]
-		queue = append(queue, qitem{v, 0})
-		visited[v] = true
-		touched = append(touched, v)
-		newlyDominated := false
-		for head := 0; head < len(queue); head++ {
-			it := queue[head]
-			if !dominated[it.v] {
-				newlyDominated = true
-			}
-			if it.dist >= r {
-				continue
-			}
-			// Iterate the L-sorted adjacency list from the largest end and
-			// stop at the first vertex smaller than v, as in the running
-			// time analysis of Theorem 5.
-			adj := sorted[it.v]
-			for j := len(adj) - 1; j >= 0; j-- {
-				u := adj[j]
-				if o.Less(u, v) {
-					break
+		ball := wk.WalkAbove(i, r)
+		for _, p := range ball {
+			if !dominated[p] {
+				D = append(D, o.At(i))
+				for _, q := range ball {
+					dominated[q] = true
 				}
-				if !visited[u] {
-					visited[u] = true
-					touched = append(touched, u)
-					queue = append(queue, qitem{u, it.dist + 1})
-				}
+				break
 			}
-		}
-		if newlyDominated {
-			D = append(D, v)
-			for _, it := range queue {
-				dominated[it.v] = true
-			}
-		}
-		for _, u := range touched {
-			visited[u] = false
 		}
 	}
 	sort.Ints(D)
 	return D
+}
+
+// sortLists is Algorithm 2 (SortLists): g relabelled by L-position, with
+// every row sorted increasingly w.r.t. L.  Scattering the positions in
+// increasing order into their neighbours' rows writes each row already
+// sorted, so no row needs a sort afterwards.
+func sortLists(g *graph.Graph, o *order.Order) *graph.Graph {
+	n := g.N()
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i] + int32(g.Degree(o.At(i)))
+	}
+	tgt := make([]int32, off[n])
+	next := make([]int32, n)
+	copy(next, off)
+	for i := 0; i < n; i++ {
+		for _, w := range g.Neighbors(o.At(i)) {
+			p := o.Pos(int(w))
+			tgt[next[p]] = int32(i)
+			next[p]++
+		}
+	}
+	lg, err := graph.FromCSRBorrowed(off, tgt)
+	if err != nil {
+		panic("domset: SortLists needs a finalized graph: " + err.Error())
+	}
+	return lg
 }
 
 // Result bundles a dominating set with quality diagnostics for the

@@ -257,23 +257,6 @@ func TestBestLowerBound(t *testing.T) {
 	}
 }
 
-func TestCoverageHistogramAndDominators(t *testing.T) {
-	g := gen.Path(9)
-	D := []int{1, 4, 7}
-	hist := CoverageHistogram(g, D, 1)
-	// Every vertex is covered exactly once by this D.
-	if len(hist) != 2 || hist[1] != 9 || hist[0] != 0 {
-		t.Fatalf("hist %v", hist)
-	}
-	doms := Dominators(g, D, 1)
-	if len(doms[0]) != 1 || doms[0][0] != 1 {
-		t.Fatalf("dominators of 0: %v", doms[0])
-	}
-	if len(doms[4]) != 1 || doms[4][0] != 4 {
-		t.Fatalf("dominators of 4: %v", doms[4])
-	}
-}
-
 func TestResultHelpers(t *testing.T) {
 	res := Result{R: 2, Set: []int{1, 2, 3}, LowerBound: 2, Exact: false}
 	if res.Ratio() != 1.5 {

@@ -20,11 +20,12 @@ func Greedy(g *graph.Graph, r int) []int {
 	if n == 0 {
 		return nil
 	}
-	covered := graph.NewBitset(n)
+	covered := make([]bool, n)
+	wk := graph.NewWalker(g)
 	gain := func(v int) int {
 		cnt := 0
-		for _, u := range g.Ball(v, r) {
-			if !covered.Get(u) {
+		for _, u := range wk.Walk(v, r) {
+			if !covered[u] {
 				cnt++
 			}
 		}
@@ -55,9 +56,9 @@ func Greedy(g *graph.Graph, r int) []int {
 		}
 		heap.Pop(&pq)
 		D = append(D, top.v)
-		for _, u := range g.Ball(top.v, r) {
-			if !covered.Get(u) {
-				covered.Set(u)
+		for _, u := range wk.Walk(top.v, r) {
+			if !covered[u] {
+				covered[u] = true
 				numCovered++
 			}
 		}
@@ -105,13 +106,14 @@ func OrderGreedy(g *graph.Graph, positions []int, r int) []int {
 	}
 	sort.Slice(vs, func(i, j int) bool { return vs[i].pos < vs[j].pos })
 	covered := make([]bool, n)
+	wk := graph.NewWalker(g)
 	var D []int
 	for _, x := range vs {
 		if covered[x.v] {
 			continue
 		}
 		D = append(D, x.v)
-		for _, u := range g.Ball(x.v, r) {
+		for _, u := range wk.Walk(x.v, r) {
 			covered[u] = true
 		}
 	}

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -341,6 +344,45 @@ func TestLargestComponent(t *testing.T) {
 	lc2, _ := LargestComponent(conn)
 	if lc2.N() != conn.N() {
 		t.Fatal("largest component of connected graph should be the graph")
+	}
+}
+
+// TestComponentsPinnedDigests pins the part lists of Components (each part
+// in BFS order from its smallest vertex, neighbours scanned in increasing
+// id) and the vertex numbering LargestComponent derives from them.  The
+// geometric graph and the experiment tables are numbered this way, so a
+// change of visit order would move every answer on them.  The digests were
+// recorded with a FIFO queue of ints.
+func TestComponentsPinnedDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		g                   *graph.Graph
+		parts               int
+		components, largest string
+	}{
+		{"apollonian400", Apollonian(400, 1), 1, "79d47b3664786362", "05a513e931297c03"},
+		{"geometric600", RandomGeometric(600, GeometricRadiusForAvgDeg(600, 6), 1), 7, "7c454782175ab8d3", "1ea46fac05a4f444"},
+		{"grid20x20", Grid(20, 20), 1, "340dbf54d09fdf8c", "f86075110c2611bc"},
+	} {
+		parts, _ := tc.g.Components()
+		h := sha256.New()
+		for _, p := range parts {
+			for _, v := range p {
+				fmt.Fprintf(h, "%d,", v)
+			}
+			h.Write([]byte{'|'})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); len(parts) != tc.parts || got != tc.components {
+			t.Errorf("%s: %d components, digest %s, want %d, %s", tc.name, len(parts), got, tc.parts, tc.components)
+		}
+		_, orig := LargestComponent(tc.g)
+		h.Reset()
+		for _, v := range orig {
+			fmt.Fprintf(h, "%d,", v)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != tc.largest {
+			t.Errorf("%s: LargestComponent numbering digest %s, want %s", tc.name, got, tc.largest)
+		}
 	}
 }
 

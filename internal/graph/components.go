@@ -1,32 +1,25 @@
 package graph
 
 // Components returns the connected components of g as slices of vertices and
-// a lookup comp[v] = component index.
+// a lookup comp[v] = component index.  Components are numbered by their
+// smallest vertex, and each part lists its vertices in BFS order from that
+// vertex, scanning neighbours in increasing id; LargestComponent numbers its
+// subgraph in this order, so the order is part of the contract.
 func (g *Graph) Components() (parts [][]int, comp []int) {
 	comp = make([]int, g.n)
 	for i := range comp {
 		comp[i] = -1
 	}
-	q := NewIntQueue(16)
+	w := NewWalker(g)
 	for s := 0; s < g.n; s++ {
 		if comp[s] != -1 {
 			continue
 		}
-		idx := len(parts)
-		comp[s] = idx
-		part := []int{s}
-		q.Reset()
-		q.Push(s)
-		for !q.Empty() {
-			v := q.Pop()
-			for _, w := range g.Neighbors(v) {
-				u := int(w)
-				if comp[u] == -1 {
-					comp[u] = idx
-					part = append(part, u)
-					q.Push(u)
-				}
-			}
+		reached := w.Walk(s, -1)
+		part := make([]int, len(reached))
+		for i, v := range reached {
+			part[i] = int(v)
+			comp[v] = len(parts)
 		}
 		parts = append(parts, part)
 	}
@@ -39,8 +32,7 @@ func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	parts, _ := g.Components()
-	return len(parts) == 1
+	return len(NewWalker(g).Walk(0, -1)) == g.n
 }
 
 // IsConnectedSubset reports whether the subgraph of g induced by verts is
@@ -49,23 +41,7 @@ func (g *Graph) IsConnectedSubset(verts []int) bool {
 	if len(verts) <= 1 {
 		return true
 	}
-	in := make(map[int]bool, len(verts))
-	for _, v := range verts {
-		in[v] = true
-	}
-	// BFS within the set.
-	seen := map[int]bool{verts[0]: true}
-	q := NewIntQueue(len(verts))
-	q.Push(verts[0])
-	for !q.Empty() {
-		v := q.Pop()
-		for _, w := range g.Neighbors(v) {
-			u := int(w)
-			if in[u] && !seen[u] {
-				seen[u] = true
-				q.Push(u)
-			}
-		}
-	}
-	return len(seen) == len(in)
+	w := NewWalker(g)
+	k := w.SetMembers(verts)
+	return len(w.WalkMembers(verts[0], -1)) == k
 }

@@ -1,7 +1,7 @@
 // Package graph provides the undirected simple-graph substrate used by the
-// whole library: adjacency-list graphs, breadth-first searches, distance and
-// radius computations, connectivity, degeneracy orderings, bitsets and a
-// small edge-list I/O layer.
+// whole library: adjacency-list graphs, the one bounded breadth-first
+// search (Walker) behind every ball, distance and connectivity query,
+// degeneracy orderings, bitsets and a small edge-list I/O layer.
 //
 // Vertices are dense integer indices 0..n-1.  All graphs are finite,
 // undirected and simple, matching the preliminaries of the paper

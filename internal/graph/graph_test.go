@@ -221,33 +221,37 @@ func TestContractPartition(t *testing.T) {
 
 func TestBFSDistancesPath(t *testing.T) {
 	g := pathGraph(6)
-	d := g.BFSDistances(0)
+	w := NewWalker(g)
+	if got := w.Walk(0, -1); len(got) != 6 {
+		t.Fatalf("unbounded walk reached %v", got)
+	}
 	for i := 0; i < 6; i++ {
-		if d[i] != i {
-			t.Fatalf("dist[%d]=%d", i, d[i])
+		if w.Depth(i) != i {
+			t.Fatalf("depth[%d]=%d", i, w.Depth(i))
 		}
 	}
-	db := g.BFSDistancesBounded(0, 2)
-	if db[2] != 2 || db[3] != Unreached {
-		t.Fatalf("bounded distances %v", db)
+	if got := w.Walk(0, 2); len(got) != 3 || w.Depth(2) != 2 || w.Depth(3) != Unreached || w.Reached(3) {
+		t.Fatalf("bounded walk reached %v", got)
 	}
 }
 
 func TestBFSDisconnected(t *testing.T) {
 	g := MustFromEdges(4, [][2]int{{0, 1}, {2, 3}})
-	d := g.BFSDistances(0)
-	if d[2] != Unreached || d[3] != Unreached {
-		t.Fatalf("distances %v", d)
+	w := NewWalker(g)
+	w.Walk(0, -1)
+	if w.Depth(2) != Unreached || w.Depth(3) != Unreached {
+		t.Fatalf("depths %d %d across components", w.Depth(2), w.Depth(3))
 	}
-	if g.Dist(0, 3) != Unreached {
+	if g.Dist(0, 3) != Unreached || g.Dist(0, 1) != 1 || g.Dist(2, 2) != 0 {
 		t.Fatal("Dist should be Unreached across components")
 	}
 }
 
 func TestBall(t *testing.T) {
 	g := pathGraph(7)
-	ball := g.Ball(3, 2)
-	want := map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true}
+	w := NewWalker(g)
+	ball := w.Walk(3, 2)
+	want := map[int32]bool{1: true, 2: true, 3: true, 4: true, 5: true}
 	if len(ball) != len(want) {
 		t.Fatalf("ball %v", ball)
 	}
@@ -259,54 +263,27 @@ func TestBall(t *testing.T) {
 	if ball[0] != 3 {
 		t.Fatalf("ball should start at the center, got %v", ball)
 	}
-	if got := g.Ball(3, 0); len(got) != 1 || got[0] != 3 {
+	if got := w.Walk(3, 0); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("radius-0 ball %v", got)
 	}
-	if got := g.Ball(3, -1); got != nil {
-		t.Fatalf("negative radius ball %v", got)
-	}
-	bs := g.BallBitset(3, 2)
-	if bs.Count() != 5 || !bs.Get(1) || bs.Get(0) {
-		t.Fatalf("ball bitset %v", bs.Members())
-	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := cycleGraph(8)
-	p := g.ShortestPath(0, 3)
-	if len(p) != 4 || p[0] != 0 || p[len(p)-1] != 3 {
-		t.Fatalf("path %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Fatalf("path %v uses a non-edge", p)
-		}
-	}
-	if got := g.ShortestPath(2, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("trivial path %v", got)
-	}
-	h := MustFromEdges(4, [][2]int{{0, 1}, {2, 3}})
-	if h.ShortestPath(0, 3) != nil {
-		t.Fatal("path across components should be nil")
-	}
-}
-
+// TestEccentricityRadiusDiameter reads eccentricities off the walker: the
+// depth of the last vertex of an unbounded walk is the source's
+// eccentricity (the cover statistics take cluster radii this way).
 func TestEccentricityRadiusDiameter(t *testing.T) {
 	g := pathGraph(5)
-	if g.Eccentricity(0) != 4 {
-		t.Fatalf("ecc(0)=%d", g.Eccentricity(0))
+	w := NewWalker(g)
+	ecc := func(v int) int {
+		reached := w.Walk(v, -1)
+		return w.Depth(int(reached[len(reached)-1]))
 	}
-	if g.Eccentricity(2) != 2 {
-		t.Fatalf("ecc(2)=%d", g.Eccentricity(2))
+	radius, diameter := g.N(), 0
+	for v := 0; v < g.N(); v++ {
+		radius, diameter = min(radius, ecc(v)), max(diameter, ecc(v))
 	}
-	if g.Radius() != 2 {
-		t.Fatalf("radius=%d", g.Radius())
-	}
-	if g.Diameter() != 4 {
-		t.Fatalf("diameter=%d", g.Diameter())
-	}
-	if New(0).Radius() != 0 || New(0).Diameter() != 0 {
-		t.Fatal("empty graph radius/diameter")
+	if ecc(0) != 4 || ecc(2) != 2 || radius != 2 || diameter != 4 {
+		t.Fatalf("ecc(0)=%d ecc(2)=%d radius=%d diameter=%d", ecc(0), ecc(2), radius, diameter)
 	}
 }
 
@@ -552,35 +529,6 @@ func TestBitsetSetOps(t *testing.T) {
 	}
 }
 
-func TestIntQueue(t *testing.T) {
-	q := NewIntQueue(2)
-	if !q.Empty() {
-		t.Fatal("new queue not empty")
-	}
-	for i := 0; i < 100; i++ {
-		q.Push(i)
-	}
-	if q.Len() != 100 {
-		t.Fatalf("len %d", q.Len())
-	}
-	for i := 0; i < 100; i++ {
-		if got := q.Pop(); got != i {
-			t.Fatalf("pop %d got %d", i, got)
-		}
-	}
-	q.Push(7)
-	q.Reset()
-	if !q.Empty() {
-		t.Fatal("reset queue not empty")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pop on empty queue should panic")
-		}
-	}()
-	q.Pop()
-}
-
 // TestGraphQuickRandomInvariants is a property-based test: random graphs
 // always validate, their edge list round-trips through Edges/FromEdges, and
 // BFS distances satisfy the triangle inequality along edges.
@@ -594,7 +542,7 @@ func TestGraphQuickRandomInvariants(t *testing.T) {
 		if err != nil || g2.M() != g.M() {
 			return false
 		}
-		d := g.BFSDistances(0)
+		d := g.MultiSourceDistances([]int{0})
 		for _, e := range g.Edges() {
 			du, dv := d[e[0]], d[e[1]]
 			if du == Unreached || dv == Unreached {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,4 +127,37 @@ func TestWriteEdgeListHeaderOnly(t *testing.T) {
 	if g.N() != 3 || g.M() != 0 {
 		t.Fatalf("got %v", g)
 	}
+}
+
+// FuzzReadEdgeList feeds arbitrary text to the edge-list reader, with a
+// vertex limit so a large declared n is rejected rather than allocated.
+// Whatever it accepts must be a valid graph that writes out and reads back
+// to the identical CSR.
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add("4 3\n0 1\n1 2\n2 3\n")
+	f.Add("# a comment\n% another\n\n3\n0 1\n  1 2  \n")
+	f.Add("3 2\n0 1\n1 0\n0 1\n")
+	f.Add("2 1\n1 1\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		g, err := ReadEdgeListLimit(strings.NewReader(text), 1<<12)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph violates invariants: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("re-read of %q: %v", buf.String(), err)
+		}
+		off, tgt := g.CSR()
+		off2, tgt2 := back.CSR()
+		if !slices.Equal(off, off2) || !slices.Equal(tgt, tgt2) {
+			t.Fatalf("CSR drift through WriteEdgeList: %v %v vs %v %v", off, tgt, off2, tgt2)
+		}
+	})
 }

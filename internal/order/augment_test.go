@@ -301,3 +301,22 @@ func TestConstructAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWReachSetsAllocs gates the sweep's order.wreach_allocs row: a
+// single-worker WReachSetsWorkers at s = 2 on the order for r = 1, on the
+// graph and with the headroom of TestConstructAllocs.
+func TestWReachSetsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := mustLargest(gen.RandomGeometric(5000, gen.GeometricRadiusForAvgDeg(5000, 6), 1))
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	o := Construct(g, opts).Order
+	const budget = 15 // measured 13
+	got := testing.AllocsPerRun(3, func() { WReachSetsWorkers(g, o, 2, 1) })
+	t.Logf("WReachSetsWorkers s=2: %.0f allocations per call (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("WReachSetsWorkers s=2 allocated %.0f times per call, budget %d", got, budget)
+	}
+}

@@ -2,7 +2,6 @@ package order
 
 import (
 	"math"
-	"sort"
 
 	"bedom/internal/graph"
 )
@@ -91,44 +90,4 @@ func Construct(g *graph.Graph, opt Options) Result {
 // ConstructDefault computes an order with the default options for radius r.
 func ConstructDefault(g *graph.Graph, r int) *Order {
 	return Construct(g, DefaultOptions(r)).Order
-}
-
-// BFSLayered returns an order that sorts vertices primarily by their BFS
-// layer from a root (smaller layer = smaller position) and secondarily by a
-// degeneracy order within layers.  On planar graphs such orders achieve good
-// weak colouring numbers (van den Heuvel et al.) and the construction is
-// included as an ablation point for experiment E8.
-func BFSLayered(g *graph.Graph, root int) *Order {
-	n := g.N()
-	layer := g.BFSDistances(root)
-	// Unreachable vertices go to the last layer.
-	maxLayer := 0
-	for _, l := range layer {
-		if l > maxLayer {
-			maxLayer = l
-		}
-	}
-	for v, l := range layer {
-		if l == graph.Unreached {
-			layer[v] = maxLayer + 1
-		}
-	}
-	deg, _ := FromDegeneracy(g)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	// Sort by (layer, degeneracy position).
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := perm[i], perm[j]
-		if layer[a] != layer[b] {
-			return layer[a] < layer[b]
-		}
-		return deg.Pos(a) < deg.Pos(b)
-	})
-	o, err := FromPermutation(perm)
-	if err != nil {
-		panic("order: internal error in BFSLayered: " + err.Error())
-	}
-	return o
 }

@@ -335,27 +335,6 @@ func TestConstructNormalisesOptions(t *testing.T) {
 	}
 }
 
-func TestBFSLayeredOrder(t *testing.T) {
-	g := gen.Grid(6, 6)
-	o := BFSLayered(g, 0)
-	layers := g.BFSDistances(0)
-	for _, e := range g.Edges() {
-		u, v := e[0], e[1]
-		if layers[u] < layers[v] && !o.Less(u, v) {
-			t.Fatalf("layered order violates layers at edge %v", e)
-		}
-	}
-	// Disconnected graph: unreachable vertices must still be ordered.
-	h := graph.MustFromEdges(5, [][2]int{{0, 1}, {2, 3}})
-	oh := BFSLayered(h, 0)
-	if oh.N() != 5 {
-		t.Fatal("layered order lost vertices")
-	}
-	if !oh.Less(1, 2) {
-		t.Fatal("unreachable vertices should be last")
-	}
-}
-
 // Property test: for random k-trees the measured wcol_2 under the constructed
 // order stays within a generous constant bound (the theory guarantees a
 // constant for each class; we pin a loose envelope to catch regressions).

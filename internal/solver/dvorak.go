@@ -16,7 +16,7 @@ func init() { Register(dvorakSolver{}) }
 // delegate to its L-least weak r-reachable vertex w = min WReach_r[G, L, v]
 // (which is within distance r of v, so adding w dominates v).  Charging each
 // added dominator to the sweep vertex that selected it bounds the set by a
-// function of wcol_r alone, and the sweep costs one Ball scan per added
+// function of wcol_r alone, and the sweep costs one r-ball walk per added
 // dominator on top of the shared substrates — linear for fixed r on bounded
 // expansion classes.
 //
@@ -46,6 +46,7 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	}
 	n := g.N()
 	dominated := make([]bool, n)
+	wk := graph.NewWalker(g)
 	var D []int
 	for i := 0; i < n; i++ {
 		v := o.At(i)
@@ -57,7 +58,7 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 		// were w already in D, its ball would have marked v dominated.
 		w := sets[v][0]
 		D = append(D, w)
-		for _, u := range g.Ball(w, r) {
+		for _, u := range wk.Walk(w, r) {
 			dominated[u] = true
 		}
 	}
