@@ -6,7 +6,7 @@
 // It provides constant-factor approximation algorithms for the (connected)
 // DISTANCE-r DOMINATING SET problem on graph classes of bounded expansion —
 // both as fast sequential algorithms and as distributed algorithms for the
-// LOCAL / CONGEST / CONGEST_BC models running on a built-in round-based
+// LOCAL / CONGEST_BC models running on a built-in round-based
 // simulator — together with the substrates they rely on: generalized
 // colouring numbers (weak reachability orders), sparse r-neighborhood
 // covers, graph generators for bounded-expansion families, baselines
@@ -74,12 +74,11 @@ type Order = order.Order
 // Model selects the distributed communication model.
 type Model = dist.Model
 
-// Communication models of the simulator (see the paper's §2).
+// Communication models of the simulator (see the paper's §2).  In both a
+// vertex broadcasts at most one message per round.
 const (
-	// LOCAL allows unbounded messages.
+	// LOCAL allows messages of any size.
 	LOCAL = dist.Local
-	// CONGEST allows per-edge messages of O(log n) bits.
-	CONGEST = dist.Congest
 	// CONGESTBC allows one O(log n)-bit broadcast per vertex per round; this
 	// is the model all of the paper's CONGEST-style results use.
 	CONGESTBC = dist.CongestBC
@@ -208,7 +207,7 @@ func ConnectedDominatingSet(g *Graph, r int) (SequentialResult, error) {
 	if err != nil {
 		// Keep the facade's error namespace for the documented failure mode.
 		if errors.Is(err, engine.ErrNotConnected) {
-			return SequentialResult{}, fmt.Errorf("bedom: connected dominating sets require a connected graph")
+			return SequentialResult{}, errNotConnected
 		}
 		return SequentialResult{}, err
 	}
@@ -368,9 +367,17 @@ func DistributedConnectedDominatingSet(g *Graph, r int, opts ...DistributedOptio
 	}, nil
 }
 
+// errNotConnected is the facade's error for a connected pipeline run on a
+// disconnected graph.
+var errNotConnected = errors.New("bedom: connected dominating sets require a connected graph")
+
 // LocalConnect turns a distance-r dominating set into a connected one using
-// the 3r+1-round LOCAL-model algorithm of Lemma 16 / Theorem 17.
+// the 3r+1-round LOCAL-model algorithm of Lemma 16 / Theorem 17.  The graph
+// must be connected and D must be a distance-r dominating set of it.
 func LocalConnect(g *Graph, D []int, r int, opts ...DistributedOptions) (DistributedResult, error) {
+	if !g.IsConnected() {
+		return DistributedResult{}, errNotConnected
+	}
 	opt := pickOpts(opts)
 	res, err := distalgo.RunLocalConnector(g, D, r, opt.simOptions())
 	if err != nil {
@@ -389,8 +396,11 @@ func LocalConnect(g *Graph, D []int, r int, opts ...DistributedOptions) (Distrib
 // PlanarLocalConnectedDominatingSet runs the constant-round LOCAL pipeline
 // the paper highlights for planar graphs: the Lenzen–Pignolet–Wattenhofer
 // dominating set approximation followed by the LOCAL connector (Theorem 17,
-// connection factor ≤ 6 on planar graphs).
+// connection factor ≤ 6 on planar graphs).  The graph must be connected.
 func PlanarLocalConnectedDominatingSet(g *Graph, opts ...DistributedOptions) (DistributedResult, error) {
+	if !g.IsConnected() {
+		return DistributedResult{}, errNotConnected
+	}
 	opt := pickOpts(opts)
 	mds, err := distalgo.RunLenzen(g, opt.simOptions())
 	if err != nil {

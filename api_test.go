@@ -172,6 +172,64 @@ func TestLocalConnectAndPlanarPipelineAPI(t *testing.T) {
 	}
 }
 
+// twoGrids is the disjoint union of two 4×4 grids.
+func twoGrids(t *testing.T) *Graph {
+	t.Helper()
+	var edges [][2]int
+	for _, e := range Grid(4, 4).Edges() {
+		edges = append(edges, e, [2]int{e[0] + 16, e[1] + 16})
+	}
+	g, err := FromEdges(32, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// disconnectedError is the error ConnectedDominatingSet returns on g, which
+// must be disconnected.
+func disconnectedError(t *testing.T, g *Graph) error {
+	t.Helper()
+	_, err := ConnectedDominatingSet(g, 1)
+	if err == nil {
+		t.Fatal("ConnectedDominatingSet accepted a disconnected graph")
+	}
+	return err
+}
+
+// The LOCAL connector cannot connect a disconnected graph, so both LOCAL
+// pipelines refuse one with ConnectedDominatingSet's error instead of
+// returning a set that is not connected.
+func TestLocalConnectRejectsDisconnectedGraph(t *testing.T) {
+	g := twoGrids(t)
+	want := disconnectedError(t, g)
+	seq, err := DominatingSet(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := LocalConnect(g, seq.Set, 1); err == nil || err.Error() != want.Error() {
+		t.Fatalf("LocalConnect: %d vertices, error %v, want %q", len(res.Set), err, want)
+	}
+}
+
+func TestPlanarLocalRejectsDisconnectedGraph(t *testing.T) {
+	g := twoGrids(t)
+	want := disconnectedError(t, g)
+	if res, err := PlanarLocalConnectedDominatingSet(g); err == nil || err.Error() != want.Error() {
+		t.Fatalf("PlanarLocalConnectedDominatingSet: %d vertices, error %v, want %q", len(res.Set), err, want)
+	}
+}
+
+// TestLocalConnectRejectsNonDominatingSet: the connector's input must be a
+// distance-r dominating set.
+func TestLocalConnectRejectsNonDominatingSet(t *testing.T) {
+	if res, err := LocalConnect(Grid(6, 6), []int{0}, 1); err == nil {
+		t.Fatalf("LocalConnect accepted a set that does not dominate: %d vertices", len(res.Set))
+	} else if !strings.Contains(err.Error(), "dominating set") {
+		t.Fatalf("LocalConnect error %q does not name the violated precondition", err)
+	}
+}
+
 // TestFacadeCachingIsTransparent asserts that routing the facade through the
 // default engine does not change results: repeated calls (served from the
 // substrate cache) are identical to the first (cold) call.
@@ -219,7 +277,7 @@ func TestFacadeCachingIsTransparent(t *testing.T) {
 }
 
 func TestModelNamesExposed(t *testing.T) {
-	if LOCAL.String() != "LOCAL" || CONGEST.String() != "CONGEST" || CONGESTBC.String() != "CONGEST_BC" {
+	if LOCAL.String() != "LOCAL" || CONGESTBC.String() != "CONGEST_BC" {
 		t.Fatal("model constants not wired correctly")
 	}
 	if DefaultDistributedOptions().Model != CONGESTBC {

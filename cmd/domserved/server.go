@@ -505,7 +505,7 @@ type queryRequest struct {
 	// TimeoutMS bounds this query in milliseconds (0 = server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Model names the communication model for distributed kinds
-	// ("local", "congest", "congest_bc"; default "congest_bc").
+	// ("local" or "congest_bc"; default "congest_bc").
 	Model string `json:"model,omitempty"`
 	// Workers / MaxRounds / RefinedOrder tune the simulator.
 	Workers      int  `json:"workers,omitempty"`

@@ -67,7 +67,7 @@ func BuildFromSets(g *graph.Graph, r int, setsR, sets2r [][]int, workers int) *C
 	// are ascending and each shard emits w ascending, so cursor order yields
 	// sorted clusters without any per-cluster sort.
 	workers = graph.ResolveWorkers(workers, n)
-	if n < minParallelVertices {
+	if n < graph.MinParallelVertices {
 		workers = 1
 	}
 	cnts := make([][]int, workers)
@@ -111,10 +111,6 @@ func BuildFromSets(g *graph.Graph, r int, setsR, sets2r [][]int, workers int) *C
 	c.centers = centers
 	return c
 }
-
-// minParallelVertices re-exports the shared threshold below which the
-// parallel passes stay sequential (see graph.MinParallelVertices).
-const minParallelVertices = graph.MinParallelVertices
 
 // Degree returns the degree of the cover: the maximum number of clusters any
 // single vertex belongs to.  Theorem 4 bounds it by wcol_2r(G, L).

@@ -29,7 +29,7 @@ func TestRunnerAllocs(t *testing.T) {
 	}
 	g := testGrid(24, 24)
 	nodes := make([]flipNode, g.N())
-	const budget = 47 // measured 41
+	const budget = 18 // measured 15
 	got := testing.AllocsPerRun(5, func() {
 		_, err := NewRunner(g, CongestBC, Options{Workers: 1}).Run(func(v int) Node {
 			nodes[v] = flipNode{total: 12}

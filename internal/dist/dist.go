@@ -1,39 +1,39 @@
 // Package dist is the round-synchronous message-passing simulator the
 // library's distributed algorithms (internal/distalgo) run on.  It implements
-// the standard synchronous models of distributed computing used by the paper
-// (§2): LOCAL, CONGEST and CONGEST_BC.
+// the two synchronous models of distributed computing the paper uses (§2):
+// LOCAL and CONGEST_BC.
 //
 // # Execution model
 //
 // A protocol is a factory assigning a Node to every vertex of a graph.  The
-// runner first calls Init on every node (round 0); a node may already send
-// messages there.  Then rounds 1, 2, ... are executed: every node receives
-// the messages its neighbors sent in the previous round (as an []Inbound,
-// ordered by sender id) and takes one step via Round.  All node steps of a
-// round are logically simultaneous; the runner fans them out across a worker
-// pool (Options.Workers) but the observable behavior is identical for every
-// worker count.
+// runner first calls Init on every node (round 0); a node may already
+// broadcast there.  Then rounds 1, 2, ... are executed: every node receives
+// the broadcasts its neighbors staged in the previous round (as an
+// []Inbound, at most one per neighbor, in ascending sender id) and takes one
+// step via Round.  All node steps of a round are logically simultaneous;
+// the runner fans them out across worker goroutines (Options.Workers) but
+// the observable behavior is identical for every worker count.
 //
-// The run terminates at the end of the first round in which no node sent a
-// message and every node that implements Halter reports Done.  Nodes that do
-// not implement Halter are treated as always done, so a protocol of such
+// The run terminates at the end of the first round in which no node
+// broadcast and every node that implements Halter reports Done.  Nodes that
+// do not implement Halter are treated as always done, so a protocol of such
 // nodes simply runs until global quiescence.  A protocol that neither
 // quiesces nor halts is cut off with ErrMaxRounds after Options.MaxRounds
 // rounds.
 //
 // # Models and bandwidth
 //
-// Local places no restriction on communication.  Congest restricts every
-// vertex to one message per incident edge per round; CongestBC further
-// restricts it to a single broadcast per round (the same message on every
-// incident edge), which is the model all of the paper's CONGEST-style
-// results use.  In both Congest models the per-message size limit of
-// Options.Bandwidth (in O(log n)-bit words, as reported by Message.Words) is
-// enforced at send time; exceeding it aborts the run with
-// ErrMessageTooLarge.  The paper's protocols keep message sizes bounded by a
-// constant that depends on the graph class and radius but is not known to
-// the simulator, so Bandwidth = 0 means "track but do not limit": sizes are
-// still accounted in Stats (Words, MaxMessageWords) for congestion reports.
+// Broadcast is the only primitive: in both models a vertex broadcasts at
+// most one message per round, the same message on every incident edge.
+// CongestBC enforces the per-message size limit of Options.Bandwidth (in
+// O(log n)-bit words, as reported by Message.Words) at send time; exceeding
+// it aborts the run with ErrMessageTooLarge.  Local places no limit on the
+// size, so a LOCAL vertex that wants to tell its neighbors different things
+// broadcasts their union.  The paper's protocols keep message sizes bounded
+// by a constant that depends on the graph class and radius but is not known
+// to the simulator, so Bandwidth = 0 means "track but do not limit": sizes
+// are still accounted in Stats (Words, MaxMessageWords) for congestion
+// reports.
 //
 // See DESIGN.md §2 for the full semantics and the model table.
 package dist
@@ -44,14 +44,11 @@ import "errors"
 type Model int
 
 const (
-	// Local is the LOCAL model: unbounded messages, any number per edge.
+	// Local is the LOCAL model: one broadcast per vertex per round, of any
+	// size.
 	Local Model = iota
-	// Congest is the CONGEST model: one bandwidth-limited message per
-	// incident edge per round (point-to-point sends or one broadcast).
-	Congest
-	// CongestBC is the CONGEST_BC (broadcast congest) model: a single
-	// bandwidth-limited broadcast per vertex per round, no point-to-point
-	// sends.
+	// CongestBC is the CONGEST_BC (broadcast congest) model: one
+	// bandwidth-limited broadcast per vertex per round.
 	CongestBC
 )
 
@@ -60,8 +57,6 @@ func (m Model) String() string {
 	switch m {
 	case Local:
 		return "LOCAL"
-	case Congest:
-		return "CONGEST"
 	case CongestBC:
 		return "CONGEST_BC"
 	default:
@@ -69,7 +64,7 @@ func (m Model) String() string {
 	}
 }
 
-func (m Model) valid() bool { return m == Local || m == Congest || m == CongestBC }
+func (m Model) valid() bool { return m == Local || m == CongestBC }
 
 // Options tunes a simulator run.  The zero value selects sensible defaults.
 type Options struct {
@@ -79,9 +74,9 @@ type Options struct {
 	// MaxRounds aborts runaway protocols with ErrMaxRounds (0 = a generous
 	// default derived from the graph size).
 	MaxRounds int
-	// Bandwidth is the maximum message size in words for the Congest and
-	// CongestBC models (0 = unlimited; sizes are still tracked in Stats).
-	// It is ignored in the Local model.
+	// Bandwidth is the maximum message size in words in the CongestBC
+	// model (0 = unlimited; sizes are still tracked in Stats).  It is
+	// ignored in the Local model.
 	Bandwidth int
 	// Phase labels the run in the simulator metrics (bedom_dist_*): the
 	// pipeline stage this run implements, e.g. "wreach" or "election".
@@ -96,11 +91,11 @@ type Options struct {
 	Probe *Probe
 }
 
-// Message is the interface of everything sent between nodes.  Words reports
-// the message size in O(log n)-bit machine words (one word per vertex id or
-// small integer), the unit of the CONGEST bandwidth accounting.  Messages
-// must be treated as immutable once sent: the same value is delivered to
-// every receiver of a broadcast.
+// Message is the interface of everything broadcast between nodes.  Words
+// reports the message size in O(log n)-bit machine words (one word per
+// vertex id or small integer), the unit of the CONGEST_BC bandwidth
+// accounting.  Messages must be treated as immutable once sent: the same
+// value is delivered to every receiver of a broadcast.
 type Message interface {
 	Words() int
 }
@@ -120,21 +115,20 @@ type Inbound struct {
 }
 
 // Node is the per-vertex protocol state machine.  Init is called once before
-// the first round (it may already send); Round is called once per round with
-// the messages received from the previous round, ordered by sender id
-// (broadcasts before point-to-point messages per sender, sends in order).
-// The inbox slice is only valid for the duration of the call — the runner
-// reuses its backing array the following round — so a node that needs
-// messages later must copy the Inbound values (the Message contents may be
-// retained; messages are immutable once sent).
+// the first round (it may already broadcast); Round is called once per round
+// with the broadcasts received from the previous round, at most one per
+// neighbor, in ascending sender id.  The inbox slice is only valid for the
+// duration of the call — the runner reuses its backing array the following
+// round — so a node that needs messages later must copy the Inbound values
+// (the Message contents may be retained; messages are immutable once sent).
 type Node interface {
 	Init(*Context)
 	Round(*Context, []Inbound)
 }
 
 // Halter is the optional halting interface of a Node: the runner terminates
-// only when every halter is done and no messages were sent in the round (so
-// none are in flight).  It is consulted after every Round call.
+// only when every halter is done and no node broadcast in the round (so no
+// message is in flight).  It is consulted after every Round call.
 type Halter interface {
 	Done() bool
 }
@@ -145,8 +139,8 @@ type Stats struct {
 	// Rounds is the number of executed rounds (Init is round 0 and not
 	// counted).
 	Rounds int `json:"rounds"`
-	// Messages is the total number of point-to-point deliveries: a broadcast
-	// to d neighbors counts d messages.
+	// Messages is the total number of deliveries, one per receiving
+	// neighbor: a broadcast to d neighbors counts d messages.
 	Messages int64 `json:"messages"`
 	// Words is the total number of delivered words (message sizes summed
 	// over deliveries).
@@ -174,15 +168,12 @@ var (
 	// ErrMaxRounds reports that the protocol neither quiesced nor halted
 	// within the round budget.
 	ErrMaxRounds = errors.New("dist: maximum round count exceeded")
-	// ErrMessageTooLarge reports a message exceeding Options.Bandwidth in a
-	// Congest model.
+	// ErrMessageTooLarge reports a message exceeding Options.Bandwidth in
+	// the CongestBC model.
 	ErrMessageTooLarge = errors.New("dist: message exceeds the model bandwidth")
-	// ErrModelViolation reports an operation the model forbids (a
-	// point-to-point Send or a second broadcast in CongestBC, a second
-	// message on an edge in Congest).
+	// ErrModelViolation reports an operation the model forbids: a second
+	// broadcast by one vertex in one round.
 	ErrModelViolation = errors.New("dist: operation not allowed in this model")
-	// ErrBadSendTarget reports a Send to a vertex that is not a neighbor.
-	ErrBadSendTarget = errors.New("dist: send target is not a neighbor")
 	// ErrBadModel reports an unknown Model value.
 	ErrBadModel = errors.New("dist: unknown communication model")
 	// ErrRunnerReused reports a second Run on the same Runner.

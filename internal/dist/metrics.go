@@ -10,9 +10,9 @@ import (
 // Simulator metrics, recorded into the process-wide default registry
 // (obs.Default) so one domserved /metrics scrape covers every run,
 // regardless of which engine or pipeline triggered it.  Labels: the
-// communication model (LOCAL / CONGEST / CONGEST_BC) and the pipeline phase
+// communication model (LOCAL / CONGEST_BC) and the pipeline phase
 // (Options.Phase; internal/distalgo tags each of its stages).  The counters
-// mirror Stats — rounds, point-to-point deliveries, delivered words — which
+// mirror Stats — rounds, per-neighbor deliveries, delivered words — which
 // are exactly the quantities the paper's CONGEST accounting (and the E10
 // successor comparison) measures.
 var (
@@ -75,8 +75,6 @@ func errorReason(err error) string {
 		return "message_too_large"
 	case errors.Is(err, ErrModelViolation):
 		return "model_violation"
-	case errors.Is(err, ErrBadSendTarget):
-		return "bad_send_target"
 	case errors.Is(err, ErrBadModel):
 		return "bad_model"
 	case errors.Is(err, ErrRunnerReused):

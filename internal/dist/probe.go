@@ -39,8 +39,8 @@ type RoundProfile struct {
 	Words    int64 `json:"words"`
 	// MaxMessageWords is the largest message delivered this round, in words.
 	MaxMessageWords int `json:"max_message_words"`
-	// ActiveNodes counts the nodes that staged at least one message during
-	// this round's step (to be delivered next round).
+	// ActiveNodes counts the nodes that broadcast during this round's step
+	// (to be delivered next round).
 	ActiveNodes int `json:"active_nodes"`
 	// HaltedNodes counts the nodes reporting Done after this round's step
 	// (nodes without a Halter always count as done).
@@ -84,14 +84,6 @@ type RunProfile struct {
 	Congestion []VertexWords `json:"congestion,omitempty"`
 }
 
-// RoundObserver receives every RoundProfile as it is produced, from the
-// coordinator goroutine (never concurrently).  It is for streaming
-// consumers — live dashboards, round-budget watchdogs; most callers only
-// need the profiles a Probe accumulates.
-type RoundObserver interface {
-	ObserveRound(RoundProfile)
-}
-
 // DefaultTopK is the congestion-table bound used when Probe.TopK is zero.
 const DefaultTopK = 16
 
@@ -103,9 +95,6 @@ type Probe struct {
 	// TopK bounds the per-run congestion table (0 = DefaultTopK, negative =
 	// no table).
 	TopK int
-	// Observer, when non-nil, additionally receives every round profile as
-	// it is produced.
-	Observer RoundObserver
 
 	mu       sync.Mutex
 	profiles []RunProfile

@@ -220,32 +220,6 @@ func TestProbeDisabledAllocatesNothing(t *testing.T) {
 	}
 }
 
-// observerFunc adapts a closure to RoundObserver.
-type observerFunc func(RoundProfile)
-
-func (f observerFunc) ObserveRound(rp RoundProfile) { f(rp) }
-
-func TestProbeObserverStreamsRounds(t *testing.T) {
-	g := testGrid(3, 3)
-	var seen []RoundProfile
-	p := &Probe{Observer: observerFunc(func(rp RoundProfile) { seen = append(seen, rp) })}
-	stats, err := NewRunner(g, CongestBC, Options{Workers: 4, Probe: p}).Run(func(v int) Node {
-		return &gossipNode{id: v, total: 5}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != stats.Rounds {
-		t.Fatalf("observer saw %d rounds, stats say %d", len(seen), stats.Rounds)
-	}
-	rp := p.Profiles()[0]
-	for i := range seen {
-		if seen[i] != rp.Rounds[i] {
-			t.Fatalf("observer round %d diverges from profile: %+v vs %+v", i, seen[i], rp.Rounds[i])
-		}
-	}
-}
-
 // TestProbeRecordsAbortedRun: an ErrMaxRounds abort still yields a profile,
 // carrying the error text and exactly the executed rounds.
 func TestProbeRecordsAbortedRun(t *testing.T) {

@@ -10,9 +10,11 @@ import (
 // Runner executes one protocol on one graph.  Create it with NewRunner and
 // execute with Run; a Runner is single-use.
 type Runner struct {
-	g         *graph.Graph
-	model     Model
-	opts      Options
+	g     *graph.Graph
+	model Model
+	opts  Options
+	// bandwidth is the CongestBC word limit (0 = unlimited; always 0 in
+	// LOCAL).
 	bandwidth int
 	maxRounds int
 
@@ -23,12 +25,14 @@ type Runner struct {
 	nodes   []Node
 	halters []Halter // halters[v] is nil when nodes[v] has no Done method
 	ctxs    []Context
-	// inboxes[v] is v's window of one flat []Inbound, with capacity deg(v):
-	// CONGEST and CONGEST_BC deliver at most one message per neighbor per
-	// round, so the window never overflows there.  A LOCAL inbox may grow
-	// past it; append then moves that vertex's inbox to an array of its own
-	// and leaves its neighbors' windows untouched.
-	inboxes [][]Inbound
+	// inbound backs every inbox: v's is the window inbound[off[v]:off[v+1]],
+	// since v hears at most one message per neighbor per round.
+	inbound []Inbound
+	// accs holds one round accumulator per worker, and stepBlocks is
+	// stepBlock bound once per run (a method value handed to another
+	// goroutine escapes, so binding it every round would allocate).
+	accs       []roundAccum
+	stepBlocks func(k, lo, hi int)
 
 	// Telemetry state, only allocated when opts.Probe is set (the disabled
 	// path must cost nothing — see probe.go for the contract).
@@ -54,8 +58,10 @@ func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
 		g:         g,
 		model:     model,
 		opts:      opts,
-		bandwidth: opts.Bandwidth,
 		maxRounds: opts.MaxRounds,
+	}
+	if model == CongestBC {
+		r.bandwidth = opts.Bandwidth
 	}
 	if r.maxRounds <= 0 {
 		// A runaway guard, not a complexity bound: the library's protocols
@@ -131,39 +137,21 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 		}
 	}
 	r.ctxs = make([]Context, n)
-	r.inboxes = make([][]Inbound, n)
-	inbound := make([]Inbound, len(r.tgt))
-	// An outbox holds at most one broadcast in the Congest models, so each
-	// starts with a one-slot window of a flat array (LOCAL appends past it).
-	bcasts := make([]sentMsg, 2*n)
-	for v := 0; v < n; v++ {
-		lo, hi := r.off[v], r.off[v+1]
-		r.inboxes[v] = inbound[lo:lo:hi]
-		c := &r.ctxs[v]
-		c.r = r
-		c.v = v
-		c.boxes[0].bcasts = bcasts[2*v : 2*v : 2*v+1]
-		c.boxes[1].bcasts = bcasts[2*v+1 : 2*v+1 : 2*v+2]
-		c.out = &c.boxes[0]
+	for v := range r.ctxs {
+		r.ctxs[v] = Context{r: r, v: v}
 	}
+	r.inbound = make([]Inbound, len(r.tgt))
+	r.accs = make([]roundAccum, graph.ResolveWorkers(r.opts.Workers, n))
+	r.stepBlocks = r.stepBlock
 	probe := r.opts.Probe
 	if probe != nil {
 		r.sentWords = make([]int64, n)
 		r.recvWords = make([]int64, n)
 	}
 
-	// Round 0: Init every node (messages land in outbox slot 0).
+	// Round 0: Init every node.
 	r.round = 0
-	init := r.forEachNode(func(acc *roundAccum, v int) {
-		c := &r.ctxs[v]
-		r.nodes[v].Init(c)
-		c.finishStep()
-		r.accountSends(v)
-		if c.err != nil {
-			acc.errSeen = true
-		}
-	})
-	if init.errSeen {
+	if init := r.forEachNode(); init.errSeen {
 		return Stats{}, r.firstError()
 	}
 
@@ -178,10 +166,7 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 		if probe != nil {
 			roundStart = time.Now()
 		}
-		prevSlot, curSlot := (t-1)%2, t%2
-		total := r.forEachNode(func(acc *roundAccum, v int) {
-			r.step(acc, v, prevSlot, curSlot)
-		})
+		total := r.forEachNode()
 		stats.Rounds = t
 		stats.Messages += total.messages
 		stats.Words += total.words
@@ -191,7 +176,7 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 		if probe != nil {
 			// Recorded before the error check: an aborting round's
 			// deliveries are in stats, so they belong in the profile too.
-			rp := RoundProfile{
+			r.rounds = append(r.rounds, RoundProfile{
 				Round:           t,
 				Messages:        total.messages,
 				Words:           total.words,
@@ -199,11 +184,7 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 				ActiveNodes:     total.active,
 				HaltedNodes:     total.halted,
 				DurationNS:      time.Since(roundStart).Nanoseconds(),
-			}
-			r.rounds = append(r.rounds, rp)
-			if probe.Observer != nil {
-				probe.Observer.ObserveRound(rp)
-			}
+			})
 		}
 		if total.errSeen {
 			return stats, r.firstError()
@@ -214,75 +195,56 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 	}
 }
 
-// step executes one round for vertex v: gather the inbox from the neighbors'
-// previous-round outboxes, reset the own current outbox, and call Round.
-// Each vertex only reads prev-slot outboxes and writes its own cur-slot
-// outbox, so steps of distinct vertices never conflict.
-func (r *Runner) step(acc *roundAccum, v int, prevSlot, curSlot int) {
-	wordsBefore := acc.words
-	inbox := r.inboxes[v][:0]
-	for _, w := range r.row(v) {
-		u := int(w)
-		ob := &r.ctxs[u].boxes[prevSlot]
-		for _, bm := range ob.bcasts {
-			inbox = append(inbox, Inbound{From: u, Msg: bm.msg})
-			acc.deliver(bm.words)
-		}
-		for _, e := range ob.directsTo(v) {
-			inbox = append(inbox, Inbound{From: u, Msg: e.msg})
-			acc.deliver(e.words)
-		}
-	}
-	r.inboxes[v] = inbox
-	if r.recvWords != nil {
-		// Each vertex is stepped by exactly one worker per round, so its
-		// slot is race-free; diffing the accumulator keeps the disabled
-		// path free of per-delivery probe work.
-		r.recvWords[v] += acc.words - wordsBefore
-	}
-
+// step executes vertex v's part of the current round t.  Round 0 calls
+// Init.  Later rounds gather the inbox from the neighbors' round t-1 slots,
+// clear v's round t slot and call Round.  A step only reads other vertices'
+// t-1 slots and writes its own vertex's state, so steps of distinct
+// vertices never conflict.
+func (r *Runner) step(acc *roundAccum, v int) {
 	c := &r.ctxs[v]
-	c.out = &c.boxes[curSlot]
-	c.out.reset()
-	r.nodes[v].Round(c, inbox)
-	c.finishStep()
-	r.accountSends(v)
-
-	if !c.out.empty() {
+	t := r.round
+	sent := &c.sent[t%2]
+	if t == 0 {
+		r.nodes[v].Init(c)
+	} else {
+		wordsBefore := acc.words
+		lo := r.off[v]
+		inbox := r.inbound[lo:lo:r.off[v+1]]
+		for _, u := range r.row(v) {
+			if m := &r.ctxs[u].sent[(t-1)%2]; m.msg != nil {
+				inbox = append(inbox, Inbound{From: int(u), Msg: m.msg})
+				acc.deliver(m.words)
+			}
+		}
+		if r.recvWords != nil {
+			// Each vertex is stepped by exactly one worker per round, so
+			// its slot is race-free; diffing the accumulator keeps the
+			// disabled path free of per-delivery probe work.
+			r.recvWords[v] += acc.words - wordsBefore
+		}
+		*sent = sentMsg{}
+		r.nodes[v].Round(c, inbox)
+		if h := r.halters[v]; h == nil || h.Done() {
+			acc.halted++
+		} else {
+			acc.allDone = false
+		}
+	}
+	if sent.msg != nil {
 		acc.anySent = true
 		acc.active++
-	}
-	if h := r.halters[v]; h == nil || h.Done() {
-		acc.halted++
-	} else {
-		acc.allDone = false
+		if r.sentWords != nil {
+			// Attributed as delivered words at send time: a broadcast of w
+			// words by a vertex of degree d will cross d edges.  A run that
+			// aborts before the next round never delivers these; a
+			// successful run's last round stages nothing, so there send and
+			// receive totals agree.
+			r.sentWords[v] += int64(sent.words) * int64(r.off[v+1]-r.off[v])
+		}
 	}
 	if c.err != nil {
 		acc.errSeen = true
 	}
-}
-
-// accountSends attributes the words a vertex staged this step to its
-// congestion-table slot, as delivered words: a broadcast of w words by a
-// vertex of degree d will cross d edges.  No-op when the probe is disabled.
-// On a run that aborts before the next round these sends are attributed but
-// never delivered; a successful run's last round stages nothing, so there
-// send and receive totals agree.
-func (r *Runner) accountSends(v int) {
-	if r.sentWords == nil {
-		return
-	}
-	ob := r.ctxs[v].out
-	var w int64
-	if d := int64(r.off[v+1] - r.off[v]); d > 0 {
-		for _, bm := range ob.bcasts {
-			w += int64(bm.words) * d
-		}
-	}
-	for _, e := range ob.directs {
-		w += int64(e.words)
-	}
-	r.sentWords[v] += w
 }
 
 // firstError returns the violation of the smallest vertex id, keeping error

@@ -285,6 +285,9 @@ func TestLocalConnectorValidation(t *testing.T) {
 	if _, err := RunLocalConnector(g, []int{17}, 1, dist.Options{}); err == nil {
 		t.Fatal("out-of-range dominator must be rejected")
 	}
+	if _, err := RunLocalConnector(g, []int{0}, 1, dist.Options{}); err == nil {
+		t.Fatal("a set that does not dominate must be rejected")
+	}
 }
 
 func TestLenzenDistributedMatchesSequential(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"bedom/internal/connect"
 	"bedom/internal/dist"
+	"bedom/internal/domset"
 	"bedom/internal/graph"
 )
 
@@ -196,6 +197,9 @@ func RunLocalConnector(g *graph.Graph, D []int, r int, opts dist.Options) (*Loca
 			return nil, fmt.Errorf("distalgo: dominating set vertex %d out of range", v)
 		}
 		inD[v] = true
+	}
+	if !domset.Check(g, D, r) {
+		return nil, fmt.Errorf("distalgo: D is not a distance-%d dominating set", r)
 	}
 	nodes := make([]*localConnectNode, g.N())
 	if opts.Phase == "" {

@@ -3,11 +3,14 @@ package distalgo
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash"
+	"slices"
 	"testing"
 
 	"bedom/internal/dist"
+	"bedom/internal/domset"
 	"bedom/internal/gen"
 	"bedom/internal/graph"
 	"bedom/internal/order"
@@ -176,6 +179,117 @@ func TestSequentialPinnedDigests(t *testing.T) {
 			if got := digest(func(h hash.Hash) { writeInts(h, set) }); got != tc.want[i] {
 				t.Errorf("%s: %s digest %s, want %s (size %d)",
 					tc.graph, [...]string{"KSVSequential r=1", "KSVSequential r=2", "LenzenSequential"}[i], got, tc.want[i], len(set))
+			}
+		}
+	}
+}
+
+// writeProfiles writes every RunProfile a probe collected, with the
+// wall-clock durations zeroed: the per-round counts and the congestion
+// table are inside the simulator's determinism contract, the durations are
+// not.
+func writeProfiles(h hash.Hash, p *dist.Probe) {
+	for _, rp := range p.Profiles() {
+		rp.DurationNS = 0
+		rp.Rounds = slices.Clone(rp.Rounds)
+		for i := range rp.Rounds {
+			rp.Rounds[i].DurationNS = 0
+		}
+		b, err := json.Marshal(rp)
+		if err != nil {
+			panic(err)
+		}
+		h.Write(b)
+	}
+}
+
+// TestSimulatorPipelinesPinnedDigests pins the simulator's other pipelines
+// — the LOCAL ones and the refined order — with the set, the Stats and
+// every probe profile (per-round active and halted counts, congestion
+// table).  The digests were recorded with a runner that kept sorted
+// per-sender envelope lists beside the broadcasts.
+func TestSimulatorPipelinesPinnedDigests(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"apollonian400": gen.Apollonian(400, 1),
+		"geometric600":  largestComp(gen.RandomGeometric(600, gen.GeometricRadiusForAvgDeg(600, 6), 1)),
+		"grid20x20":     gen.Grid(20, 20),
+	}
+	// Each pipeline runs on g with opts and returns its set and statistics.
+	type pipeline func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error)
+	single := func(st dist.Stats) PipelineStats { return PipelineStats{Stats: st} }
+	localConnect := func(r int) pipeline {
+		return func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+			D := domset.AlgorithmOne(g, order.ConstructDefault(g, r), r)
+			res, err := RunLocalConnector(g, D, r, opts)
+			if err != nil {
+				return nil, PipelineStats{}, err
+			}
+			return res.Set, single(res.Stats), nil
+		}
+	}
+	ksv := func(r int) pipeline {
+		return func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+			res, err := RunKSV(g, r, dist.Local, opts)
+			if err != nil {
+				return nil, PipelineStats{}, err
+			}
+			return res.Set, single(res.Stats), nil
+		}
+	}
+	pipelines := map[string]pipeline{
+		"lenzen": func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+			res, err := RunLenzen(g, opts)
+			if err != nil {
+				return nil, PipelineStats{}, err
+			}
+			return res.Set, single(res.Stats), nil
+		},
+		"local-connect r=1": localConnect(1),
+		"local-connect r=2": localConnect(2),
+		"ksv-local r=1":     ksv(1),
+		"ksv-local r=2":     ksv(2),
+		"refined r=1": func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+			res, err := RunDomSetRefined(g, 1, dist.CongestBC, opts)
+			if err != nil {
+				return nil, PipelineStats{}, err
+			}
+			return res.Set, res.Stats, nil
+		},
+	}
+	for _, tc := range []struct{ graph, pipeline, digest string }{
+		{"apollonian400", "lenzen", "6a77385c78f1adee"},
+		{"apollonian400", "local-connect r=1", "b2a65be9b299d8c4"},
+		{"apollonian400", "local-connect r=2", "9c4f92a96d5787ef"},
+		{"apollonian400", "ksv-local r=1", "5fda2e2ce119f1d6"},
+		{"apollonian400", "ksv-local r=2", "ffb8d29ec6cdf4bc"},
+		{"apollonian400", "refined r=1", "df29700a5115e344"},
+		{"geometric600", "lenzen", "a8ea7c7b58256c7c"},
+		{"geometric600", "local-connect r=1", "cb10ef19897ccdcf"},
+		{"geometric600", "local-connect r=2", "44a28544bb2adf94"},
+		{"geometric600", "ksv-local r=1", "904fed58eded81ab"},
+		{"geometric600", "ksv-local r=2", "fde8b12cf2c16d0b"},
+		{"geometric600", "refined r=1", "4dde4e48b0aa4cf0"},
+		{"grid20x20", "lenzen", "ee8a1e9bb07beb6e"},
+		{"grid20x20", "local-connect r=1", "e74d4a8f477ef42a"},
+		{"grid20x20", "local-connect r=2", "16151946a599c85f"},
+		{"grid20x20", "ksv-local r=1", "58e14ac7628a1527"},
+		{"grid20x20", "ksv-local r=2", "97ff6cf20f7049ea"},
+		{"grid20x20", "refined r=1", "6041940af0d957e7"},
+	} {
+		g := graphs[tc.graph]
+		for _, workers := range pinnedWorkers {
+			probe := &dist.Probe{}
+			set, st, err := pipelines[tc.pipeline](g, dist.Options{Workers: workers, Probe: probe})
+			if err != nil {
+				t.Fatalf("%s %s workers=%d: %v", tc.graph, tc.pipeline, workers, err)
+			}
+			got := digest(func(h hash.Hash) {
+				writeInts(h, set)
+				writePhases(h, st)
+				writeProfiles(h, probe)
+			})
+			if got != tc.digest {
+				t.Errorf("%s %s workers=%d: digest %s, want %s", tc.graph, tc.pipeline, workers, got, tc.digest)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package distalgo
 
 import (
+	"reflect"
 	"testing"
 
 	"bedom/internal/dist"
@@ -61,6 +62,45 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 		if conn.Stats.Rounds != refConn.Stats.Rounds {
 			t.Fatalf("workers=%d: connected rounds diverge: %d vs %d",
 				workers, conn.Stats.Rounds, refConn.Stats.Rounds)
+		}
+	}
+}
+
+// TestLocalEqualsCongestBC pins the fact that lets the simulator keep only
+// two models: every pipeline here broadcasts at most once per round, so at
+// Bandwidth 0 a LOCAL run and a CONGEST_BC run give the same sets and the
+// same Stats, phase by phase.
+func TestLocalEqualsCongestBC(t *testing.T) {
+	for name, g := range pinnedGraphs() {
+		for _, r := range []int{1, 2} {
+			var sets [2][3][]int
+			var stats [2][3]PipelineStats
+			for i, model := range []dist.Model{dist.Local, dist.CongestBC} {
+				ds, err := RunDomSet(g, r, model, dist.Options{})
+				if err != nil {
+					t.Fatalf("%s r=%d %v: %v", name, r, model, err)
+				}
+				cds, err := RunConnectedDomSet(g, r, model, dist.Options{})
+				if err != nil {
+					t.Fatalf("%s r=%d %v connected: %v", name, r, model, err)
+				}
+				ksv, err := RunKSV(g, r, model, dist.Options{})
+				if err != nil {
+					t.Fatalf("%s r=%d %v kubsv: %v", name, r, model, err)
+				}
+				sets[i] = [3][]int{ds.Set, cds.Set, ksv.Set}
+				stats[i] = [3]PipelineStats{ds.Stats, cds.Stats, {Stats: ksv.Stats}}
+			}
+			for k, pipeline := range []string{"RunDomSet", "RunConnectedDomSet", "RunKSV"} {
+				if !sameInts(sets[0][k], sets[1][k]) {
+					t.Errorf("%s r=%d %s: LOCAL set (%d) differs from CONGEST_BC set (%d)",
+						name, r, pipeline, len(sets[0][k]), len(sets[1][k]))
+				}
+				if !reflect.DeepEqual(stats[0][k], stats[1][k]) {
+					t.Errorf("%s r=%d %s: LOCAL stats %+v differ from CONGEST_BC stats %+v",
+						name, r, pipeline, stats[0][k], stats[1][k])
+				}
+			}
 		}
 	}
 }

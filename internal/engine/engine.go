@@ -847,22 +847,19 @@ type Model = dist.Model
 // Communication models (mirrors the facade constants).
 const (
 	Local     = dist.Local
-	Congest   = dist.Congest
 	CongestBC = dist.CongestBC
 )
 
-// ParseModel maps a case-insensitive model name ("local", "congest",
+// ParseModel maps a case-insensitive model name ("local",
 // "congest_bc"/"congestbc") to a Model.
 func ParseModel(s string) (Model, error) {
 	switch {
 	case strings.EqualFold(s, "local"):
 		return Local, nil
-	case strings.EqualFold(s, "congest"):
-		return Congest, nil
 	case strings.EqualFold(s, "congest_bc"), strings.EqualFold(s, "congestbc"):
 		return CongestBC, nil
 	default:
-		return Local, fmt.Errorf("%w: unknown model %q", ErrInvalidRequest, s)
+		return Local, fmt.Errorf("%w: unknown model %q (want local or congest_bc)", ErrInvalidRequest, s)
 	}
 }
 

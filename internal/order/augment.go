@@ -149,7 +149,7 @@ func (d *Digraph) UnderlyingWorkers(workers int) *graph.Graph {
 	}
 	tgt := make([]int32, off[n])
 	size := make([]int32, n)
-	parallelBlocks(n, substrateWorkers(workers, n), func(_, lo, hi int) {
+	graph.ParallelBlocks(n, graph.ResolveWorkers(workers, n), func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := unionRow(tgt[off[v]:off[v]:off[v+1]], d.out[v], in[inOff[v]:inOff[v+1]])
 			size[v] = int32(len(row))
@@ -274,7 +274,7 @@ func (d *Digraph) augment(depth, maxLen, workers int) []AugmentationResult {
 	// orientation, an arc that long takes more than 30 rounds that each add
 	// arcs).
 	maxLen = min(maxLen, math.MaxInt32)
-	ws := make([]roundWorker, substrateWorkers(workers, d.n))
+	ws := make([]roundWorker, graph.ResolveWorkers(workers, d.n))
 	var results []AugmentationResult
 	for len(results) < depth {
 		res := d.round(maxLen, ws)
@@ -373,7 +373,7 @@ func (d *Digraph) round(maxLen int, ws []roundWorker) AugmentationResult {
 	}
 	inOff, inArcs := d.inArcs()
 
-	parallelBlocks(n, len(ws), func(k, lo, hi int) {
+	graph.ParallelBlocks(n, len(ws), func(k, lo, hi int) {
 		w := &ws[k]
 		if w.transEnds == nil {
 			// First round: room for a few new arcs per vertex.
@@ -492,7 +492,7 @@ func (d *Digraph) round(maxLen int, ws []roundWorker) AugmentationResult {
 	// becomes the arc u→v when v precedes u in the fraternal degeneracy
 	// order.  Rows touch only their own tail, so blocks run in parallel,
 	// each writing its new rows into one arena sized by an upper bound.
-	parallelBlocks(n, len(ws), func(k, lo, hi int) {
+	graph.ParallelBlocks(n, len(ws), func(k, lo, hi int) {
 		w := &ws[k]
 		bound := 0
 		for u := lo; u < hi; u++ {

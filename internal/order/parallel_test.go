@@ -15,7 +15,7 @@ var determinismWorkerCounts = []int{1, 2, 8}
 
 func determinismGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
-		// All above minParallelVertices so the parallel paths actually run.
+		// All above graph.MinParallelVertices so the parallel paths actually run.
 		"grid":       gen.Grid(20, 20),
 		"apollonian": gen.Apollonian(400, 3),
 		"geometric":  mustLargest(gen.RandomGeometric(400, gen.GeometricRadiusForAvgDeg(400, 6), 5)),

@@ -67,8 +67,8 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	if n == 0 {
 		return sets, next
 	}
-	workers = substrateWorkers(workers, n)
-	if n < minParallelVertices {
+	workers = graph.ResolveWorkers(workers, n)
+	if n < graph.MinParallelVertices {
 		workers = 1
 	}
 	pos := o.pos
@@ -85,7 +85,7 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 		poff[i+1] = poff[i] + int32(g.Degree(perm[i]))
 	}
 	ptgt := make([]int32, poff[n])
-	parallelBlocks(n, workers, func(_, lo, hi int) {
+	graph.ParallelBlocks(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := poff[i]
 			for _, wn := range g.Neighbors(perm[i]) {
@@ -98,7 +98,7 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	// All vertices below are position labels until the final fill maps them
 	// back through perm.
 	shards := make([]wreachShard, workers)
-	parallelBlocks(n, workers, func(k, lo, hi int) {
+	graph.ParallelBlocks(n, workers, func(k, lo, hi int) {
 		cnt := make([]int, n)
 		dist := make([]int32, n)
 		for i := range dist {
@@ -173,7 +173,7 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	if parents {
 		pflat = make([]int32, sum)
 	}
-	parallelBlocks(workers, workers, func(_, klo, khi int) {
+	graph.ParallelBlocks(workers, workers, func(_, klo, khi int) {
 		for k := klo; k < khi; k++ {
 			sh := &shards[k]
 			cnt := sh.cnt
@@ -200,10 +200,6 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	}
 	return sets, next
 }
-
-// minParallelVertices re-exports the shared threshold below which substrate
-// helpers stay sequential (see graph.MinParallelVertices).
-const minParallelVertices = graph.MinParallelVertices
 
 // WColMeasure returns the measured weak r-colouring number of g under the
 // order o, i.e. max_v |WReach_r[G, L, v]|.  By Theorem 1 (Zhu) this is
