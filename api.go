@@ -17,6 +17,18 @@
 // packages (graph, gen, order, cover, domset, connect, dist, distalgo,
 // solver), and this API wires them together along the paper's pipelines.
 //
+// # Graphs
+//
+// A Graph has one lifecycle: NewGraph and AddEdge build it, Finalize packs
+// it into its canonical sorted layout, and from then on it is read-only.
+// FromEdges, ReadGraph and the generators return finalized graphs.  Every
+// query reads only finalized graphs: the error-returning functions reject
+// a graph queried before Finalize, the others panic, and AddEdge on a
+// finalized graph returns an error.  Answers therefore depend only on the
+// edge set, never on the order the edges were added in.  To change a
+// topology, build a new graph; domserved applies deltas to its registered
+// graphs through the engine's graph.Dynamic.
+//
 // # Quick start
 //
 //	g := bedom.Grid(32, 32)
@@ -58,8 +70,8 @@ import (
 // same graph reuse the cached weak-reachability orders, wcol measurements
 // and covers instead of rebuilding them, and concurrent identical queries
 // coalesce onto a single substrate construction.  The cache is keyed by
-// graph identity and invalidated when the graph grows, so callers that never
-// repeat a (graph, radius) pair see unchanged behavior.
+// graph identity alone, since a finalized graph cannot change, so callers
+// that never repeat a (graph, radius) pair see unchanged behavior.
 var defaultEngine = sync.OnceValue(func() *engine.Engine {
 	return engine.New(engine.Config{})
 })
@@ -94,7 +106,8 @@ func SetSubstrateWorkers(workers int) {
 	defaultEngine().SetSubstrateWorkers(workers)
 }
 
-// NewGraph returns an empty graph on n vertices.
+// NewGraph returns an empty graph on n vertices.  Add its edges with
+// AddEdge, then call Finalize before querying it.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
 // FromEdges builds a graph from an edge list.
@@ -103,7 +116,7 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) { return graph.FromEdges(n
 // ReadGraph parses a graph in the library's edge-list format.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
-// WriteGraph writes a graph in the library's edge-list format.
+// WriteGraph writes a finalized graph in the library's edge-list format.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // Grid returns the rows×cols planar grid graph (a convenient bounded
@@ -116,10 +129,14 @@ func Grid(rows, cols int) *Graph { return gen.Grid(rows, cols) }
 // 2r-colouring number (the sequential substitute for Theorem 2), using
 // degeneracy ordering plus distance-truncated transitive–fraternal
 // augmentations.  Orders are cached per (graph, radius) by the default
-// engine; do not mutate the graph between calls that share an order.
+// engine.  Like every reader, it panics on a graph that is not finalized.
 func BuildOrder(g *Graph, r int) *Order {
-	// Order construction cannot fail (and OrderFor runs without a deadline).
-	o, _, _ := defaultEngine().OrderFor(g, r)
+	o, _, err := defaultEngine().OrderFor(g, r)
+	if err != nil {
+		// Order construction cannot fail (and OrderFor runs without a
+		// deadline): the engine refused an unfinalized graph.
+		panic(err)
+	}
 	return o
 }
 
@@ -367,16 +384,33 @@ func DistributedConnectedDominatingSet(g *Graph, r int, opts ...DistributedOptio
 	}, nil
 }
 
-// errNotConnected is the facade's error for a connected pipeline run on a
-// disconnected graph.
-var errNotConnected = errors.New("bedom: connected dominating sets require a connected graph")
+var (
+	// errNotConnected is the facade's error for a connected pipeline run
+	// on a disconnected graph.
+	errNotConnected = errors.New("bedom: connected dominating sets require a connected graph")
+	// errNotFinalized is the LOCAL pipelines' error for a graph queried
+	// before Finalize (the engine refuses one with ErrInvalidRequest).
+	errNotFinalized = errors.New("bedom: graph is not finalized; call Finalize first")
+)
+
+// checkLocalInput rejects what the LOCAL pipelines cannot run on: a graph
+// still under construction, or a disconnected one.
+func checkLocalInput(g *Graph) error {
+	if !g.Finalized() {
+		return errNotFinalized
+	}
+	if !g.IsConnected() {
+		return errNotConnected
+	}
+	return nil
+}
 
 // LocalConnect turns a distance-r dominating set into a connected one using
 // the 3r+1-round LOCAL-model algorithm of Lemma 16 / Theorem 17.  The graph
 // must be connected and D must be a distance-r dominating set of it.
 func LocalConnect(g *Graph, D []int, r int, opts ...DistributedOptions) (DistributedResult, error) {
-	if !g.IsConnected() {
-		return DistributedResult{}, errNotConnected
+	if err := checkLocalInput(g); err != nil {
+		return DistributedResult{}, err
 	}
 	opt := pickOpts(opts)
 	res, err := distalgo.RunLocalConnector(g, D, r, opt.simOptions())
@@ -398,8 +432,8 @@ func LocalConnect(g *Graph, D []int, r int, opts ...DistributedOptions) (Distrib
 // dominating set approximation followed by the LOCAL connector (Theorem 17,
 // connection factor ≤ 6 on planar graphs).  The graph must be connected.
 func PlanarLocalConnectedDominatingSet(g *Graph, opts ...DistributedOptions) (DistributedResult, error) {
-	if !g.IsConnected() {
-		return DistributedResult{}, errNotConnected
+	if err := checkLocalInput(g); err != nil {
+		return DistributedResult{}, err
 	}
 	opt := pickOpts(opts)
 	mds, err := distalgo.RunLenzen(g, opt.simOptions())

@@ -2,6 +2,10 @@ package bedom
 
 import (
 	"bytes"
+	"io"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -351,4 +355,98 @@ func TestDistributedSolverSelectionAPI(t *testing.T) {
 	if _, err := DistributedDominatingSet(g, 2, DistributedOptions{Model: CONGESTBC, Solver: "greedy"}); err == nil {
 		t.Fatal("non-distributed solver must be rejected on the distributed path")
 	}
+}
+
+// TestConstructionOrderDoesNotMatter builds each instance twice: with
+// FromEdges, and with NewGraph and AddEdge in a shuffled order and random
+// orientation.  Queried before Finalize, the second graph is refused by
+// every error-returning function.  Once finalized it packs the same CSR as
+// the first, and every kind and solver answers the same on both.
+func TestConstructionOrderDoesNotMatter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("30 instances through every kind in -short mode")
+	}
+	families := map[string]func(seed int64) *Graph{
+		"apollonian300": func(seed int64) *Graph { return gen.Apollonian(300, seed) },
+		"geometric400": func(seed int64) *Graph {
+			lc, _ := gen.LargestComponent(gen.RandomGeometric(400, gen.GeometricRadiusForAvgDeg(400, 6), seed))
+			return lc
+		},
+		"grid15x15": func(int64) *Graph { return Grid(15, 15) },
+	}
+	for name, family := range families {
+		for seed := int64(1); seed <= 5; seed++ {
+			base := family(seed)
+			edges := base.Edges()
+			ref, err := FromEdges(base.N(), edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			g := NewGraph(ref.N())
+			for _, e := range edges {
+				if rng.Intn(2) == 0 {
+					e[0], e[1] = e[1], e[0]
+				}
+				if err := g.AddEdge(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for query, err := range queryErrors(g) {
+				if err == nil {
+					t.Errorf("%s seed %d: %s before Finalize returned no error", name, seed, query)
+				}
+			}
+			g.Finalize()
+			refOff, refTgt := ref.CSR()
+			off, tgt := g.CSR()
+			if !slices.Equal(off, refOff) || !slices.Equal(tgt, refTgt) {
+				t.Fatalf("%s seed %d: shuffled build packs a different CSR than FromEdges", name, seed)
+			}
+			for _, r := range []int{1, 2} {
+				want, got := answers(ref, r), answers(g, r)
+				for query, a := range want {
+					if !reflect.DeepEqual(a, got[query]) {
+						t.Errorf("%s seed %d r=%d: %s differs between FromEdges and the shuffled build", name, seed, r, query)
+					}
+				}
+			}
+		}
+	}
+}
+
+// queryErrors calls every error-returning facade function that reads g.
+func queryErrors(g *Graph) map[string]error {
+	errs := map[string]error{}
+	for _, s := range Solvers() {
+		_, errs["DominatingSetWith "+s] = DominatingSetWith(g, 1, s)
+	}
+	_, errs["DominatingSet"] = DominatingSet(g, 1)
+	_, errs["ConnectedDominatingSet"] = ConnectedDominatingSet(g, 1)
+	_, errs["NeighborhoodCover"] = NeighborhoodCover(g, 1)
+	_, errs["DistributedDominatingSet"] = DistributedDominatingSet(g, 1)
+	_, errs["DistributedConnectedDominatingSet"] = DistributedConnectedDominatingSet(g, 1)
+	_, errs["LocalConnect"] = LocalConnect(g, []int{0}, 1)
+	_, errs["PlanarLocalConnectedDominatingSet"] = PlanarLocalConnectedDominatingSet(g)
+	errs["WriteGraph"] = WriteGraph(io.Discard, g)
+	return errs
+}
+
+// answers runs every facade kind and solver on g at radius r.
+func answers(g *Graph, r int) map[string]any {
+	out := map[string]any{}
+	pair := func(v any, err error) any { return [2]any{v, err} }
+	for _, s := range Solvers() {
+		out["DominatingSetWith "+s] = pair(DominatingSetWith(g, r, s))
+	}
+	ds, err := DominatingSet(g, r)
+	out["DominatingSet"] = [2]any{ds, err}
+	out["ConnectedDominatingSet"] = pair(ConnectedDominatingSet(g, r))
+	out["NeighborhoodCover"] = pair(NeighborhoodCover(g, r))
+	out["DistributedDominatingSet"] = pair(DistributedDominatingSet(g, r))
+	out["DistributedConnectedDominatingSet"] = pair(DistributedConnectedDominatingSet(g, r))
+	out["LocalConnect"] = pair(LocalConnect(g, ds.Set, r))
+	out["PlanarLocalConnectedDominatingSet"] = pair(PlanarLocalConnectedDominatingSet(g))
+	return out
 }

@@ -10,20 +10,16 @@ import (
 	"fmt"
 	"sort"
 
+	"bedom/internal/domset"
 	"bedom/internal/graph"
 	"bedom/internal/order"
 )
 
 // CheckConnected reports whether D is a connected distance-r dominating set
-// of g: it must distance-r dominate g and induce a connected subgraph.
+// of g: it must distance-r dominate g (domset.Check) and induce a connected
+// subgraph.
 func CheckConnected(g *graph.Graph, D []int, r int) bool {
-	if g.N() == 0 {
-		return true
-	}
-	if len(D) == 0 {
-		return false
-	}
-	return len(graph.NewWalker(g).WalkFrom(D, r)) == g.N() && g.IsConnectedSubset(D)
+	return domset.Check(g, D, r) && g.IsConnectedSubset(D)
 }
 
 // Closure implements Corollary 13: given an order L (intended to witness a

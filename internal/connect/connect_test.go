@@ -43,6 +43,20 @@ func TestCheckConnected(t *testing.T) {
 	}
 }
 
+// TestCheckConnectedRejectsBadInput: an id outside [0, n) and a negative
+// radius are answered false, not with a panic or an unbounded walk.
+func TestCheckConnectedRejectsBadInput(t *testing.T) {
+	g := gen.Grid(4, 4)
+	for _, D := range [][]int{{100}, {-1}, {0, 16}} {
+		if CheckConnected(g, D, 1) {
+			t.Errorf("D = %v accepted on n = 16", D)
+		}
+	}
+	if CheckConnected(gen.Grid(1, 4), []int{0, 1}, -1) {
+		t.Error("r = -1 accepted")
+	}
+}
+
 func TestClosureConnectsOnManyFamilies(t *testing.T) {
 	cases := []struct {
 		name string

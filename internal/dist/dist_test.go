@@ -293,7 +293,7 @@ func TestRunnerMisuse(t *testing.T) {
 		t.Fatalf("unknown model not rejected: %v", err)
 	}
 	// The empty graph terminates immediately.
-	stats, err := NewRunner(graph.New(0), CongestBC, Options{}).Run(func(int) Node { return &funcNode{} })
+	stats, err := NewRunner(graph.MustFromEdges(0, nil), CongestBC, Options{}).Run(func(int) Node { return &funcNode{} })
 	if err != nil || stats.Rounds != 0 {
 		t.Fatalf("empty graph: %+v, %v", stats, err)
 	}

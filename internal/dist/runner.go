@@ -44,15 +44,10 @@ type Runner struct {
 	used  bool
 }
 
-// NewRunner prepares a simulator run of the given model on g.  The graph is
-// only read; it may be shared between concurrent runners.  A finalized graph
-// costs nothing to prepare; an unfinalized one is cloned and finalized once,
-// as graph.NewDynamic does.
+// NewRunner prepares a simulator run of the given model on the finalized
+// graph g.  The graph is only read, in place; it may be shared between
+// concurrent runners.
 func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
-	if !g.Finalized() {
-		g = g.Clone()
-		g.Finalize()
-	}
 	n := g.N()
 	r := &Runner{
 		g:         g,

@@ -79,8 +79,8 @@ type ConnectedResult struct {
 	Set []int
 	// Order is the linear order used.
 	Order *order.Order
-	// Stats accumulates rounds and congestion across all phases.
-	Stats PipelineStats
+	// Stats totals rounds and congestion across all phases.
+	Stats dist.Stats
 }
 
 // RunConnectedDomSetWithOrder executes Theorem 10 with a given order
@@ -154,11 +154,6 @@ func RunConnectedDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Optio
 	if err != nil {
 		return nil, err
 	}
-	var all PipelineStats
-	all.Add(hp.Stats)
-	for _, ph := range res.Stats.Phases {
-		all.Add(ph)
-	}
-	res.Stats = all
+	res.Stats.Add(hp.Stats)
 	return res, nil
 }

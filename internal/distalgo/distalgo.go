@@ -15,27 +15,9 @@
 //     approximation for planar graphs [36], used as the baseline that
 //     Theorem 17 is combined with.
 //
-// Every public driver returns both the computed objects and the accumulated
-// round/message statistics of the underlying simulator runs, so experiments
-// can report round complexity and congestion.
+// Every public driver returns both the computed objects and the
+// round/message statistics of the underlying simulator runs, folded with
+// dist.Stats.Add, so experiments can report round complexity and
+// congestion.  A dist.Probe passed in the options records each run (phase)
+// separately.
 package distalgo
-
-import (
-	"bedom/internal/dist"
-)
-
-// PipelineStats accumulates simulator statistics across the phases of a
-// composed algorithm (the paper's algorithms are sequential compositions of
-// sub-protocols; rounds add up).  The embedded totals are the phases folded
-// with dist.Stats.Add.
-type PipelineStats struct {
-	dist.Stats
-	// Phases records the per-phase statistics in order.
-	Phases []dist.Stats
-}
-
-// Add folds one phase's statistics into the pipeline totals.
-func (p *PipelineStats) Add(s dist.Stats) {
-	p.Stats.Add(s)
-	p.Phases = append(p.Phases, s)
-}

@@ -154,15 +154,16 @@ func TestDistributedDomSetMatchesSequential(t *testing.T) {
 func TestDistributedDomSetFullPipeline(t *testing.T) {
 	g := gen.Grid(10, 10)
 	for _, r := range []int{1, 2} {
-		res, err := RunDomSet(g, r, dist.CongestBC, dist.Options{})
+		p := &dist.Probe{}
+		res, err := RunDomSet(g, r, dist.CongestBC, dist.Options{Probe: p})
 		if err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 		if !domset.Check(g, res.Set, r) {
 			t.Fatalf("r=%d: pipeline output does not dominate", r)
 		}
-		if len(res.Stats.Phases) != 3 {
-			t.Fatalf("r=%d: expected 3 phases, got %d", r, len(res.Stats.Phases))
+		if got := len(p.Profiles()); got != 3 {
+			t.Fatalf("r=%d: expected 3 phases, got %d", r, got)
 		}
 		if res.Stats.Rounds <= 0 || res.Stats.Messages <= 0 {
 			t.Fatalf("r=%d: missing statistics: %+v", r, res.Stats)
@@ -230,15 +231,16 @@ func TestDistributedConnectedDomSet(t *testing.T) {
 
 func TestDistributedConnectedFullPipeline(t *testing.T) {
 	g := gen.Apollonian(70, 13)
-	res, err := RunConnectedDomSet(g, 1, dist.CongestBC, dist.Options{})
+	p := &dist.Probe{}
+	res, err := RunConnectedDomSet(g, 1, dist.CongestBC, dist.Options{Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !connect.CheckConnected(g, res.Set, 1) {
 		t.Fatal("full pipeline output invalid")
 	}
-	if len(res.Stats.Phases) != 4 {
-		t.Fatalf("expected 4 phases, got %d", len(res.Stats.Phases))
+	if got := len(p.Profiles()); got != 4 {
+		t.Fatalf("expected 4 phases, got %d", got)
 	}
 }
 
@@ -430,6 +432,16 @@ func TestCongestBCMessageSizesConstant(t *testing.T) {
 func largestComp(g *graph.Graph) *graph.Graph {
 	lc, _ := gen.LargestComponent(g)
 	return lc
+}
+
+// phaseStats returns the Stats of every run p recorded, in order: one per
+// pipeline phase.
+func phaseStats(p *dist.Probe) []dist.Stats {
+	var out []dist.Stats
+	for _, rp := range p.Profiles() {
+		out = append(out, rp.Stats)
+	}
+	return out
 }
 
 func sameInts(a, b []int) bool {

@@ -139,8 +139,8 @@ type DomSetResult struct {
 	Order *order.Order
 	// Witnesses are the weak-reachability witnesses computed by Algorithm 4.
 	Witnesses [][]order.PathTo
-	// Stats accumulates rounds and congestion across all phases.
-	Stats PipelineStats
+	// Stats totals rounds and congestion across all phases.
+	Stats dist.Stats
 }
 
 // RunDomSetWithOrder executes the paper's Theorem 9 pipeline given an
@@ -180,13 +180,7 @@ func RunDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*Dom
 	if err != nil {
 		return nil, err
 	}
-	// Prepend the order-computation phase to the accounting.
-	var all PipelineStats
-	all.Add(hp.Stats)
-	for _, ph := range res.Stats.Phases {
-		all.Add(ph)
-	}
-	res.Stats = all
+	res.Stats.Add(hp.Stats)
 	return res, nil
 }
 

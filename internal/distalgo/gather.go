@@ -100,8 +100,10 @@ func (b *ballGatherer) localView() (lg *graph.Graph, toGlobal []int, toLocal map
 		rec := b.know[id]
 		flags[i] = rec.Flag
 		for _, nb := range rec.Adj {
-			if j, ok := toLocal[nb]; ok && i != j && !lg.HasEdge(i, j) {
-				// Error impossible: indices are in range and distinct.
+			if j, ok := toLocal[nb]; ok && i != j {
+				// Error impossible: indices are in range and distinct.  An
+				// edge that both records list is added once: AddEdge drops
+				// the repeat.
 				_ = lg.AddEdge(i, j)
 			}
 		}

@@ -52,11 +52,16 @@ func writeInts(h hash.Hash, xs []int) {
 	h.Write([]byte{']'})
 }
 
-func writePhases(h hash.Hash, ps PipelineStats) {
-	for _, ph := range ps.Phases {
-		writeStats(h, ph)
+// writePhases writes the Stats of every run p recorded, then the total.  A
+// single run is written as its total alone: the digests were recorded when
+// only multi-phase pipelines listed their phases.
+func writePhases(h hash.Hash, p *dist.Probe, total dist.Stats) {
+	if phases := phaseStats(p); len(phases) > 1 {
+		for _, ph := range phases {
+			writeStats(h, ph)
+		}
 	}
-	writeStats(h, ps.Stats)
+	writeStats(h, total)
 }
 
 // TestWReachDistPinnedDigests pins every witness of Algorithm 4 (target and
@@ -128,26 +133,27 @@ func TestPipelinePinnedDigests(t *testing.T) {
 	} {
 		g := graphs[tc.graph]
 		for _, workers := range pinnedWorkers {
-			opts := dist.Options{Workers: workers}
-			ds, err := RunDomSet(g, tc.r, dist.CongestBC, opts)
+			probe := &dist.Probe{}
+			ds, err := RunDomSet(g, tc.r, dist.CongestBC, dist.Options{Workers: workers, Probe: probe})
 			if err != nil {
 				t.Fatalf("%s r=%d workers=%d: %v", tc.graph, tc.r, workers, err)
 			}
 			got := digest(func(h hash.Hash) {
 				writeInts(h, ds.Set)
-				writePhases(h, ds.Stats)
+				writePhases(h, probe, ds.Stats)
 			})
 			if got != tc.domset {
 				t.Errorf("%s r=%d workers=%d: RunDomSet digest %s, want %s", tc.graph, tc.r, workers, got, tc.domset)
 			}
-			cds, err := RunConnectedDomSet(g, tc.r, dist.CongestBC, opts)
+			probe = &dist.Probe{}
+			cds, err := RunConnectedDomSet(g, tc.r, dist.CongestBC, dist.Options{Workers: workers, Probe: probe})
 			if err != nil {
 				t.Fatalf("%s r=%d workers=%d connected: %v", tc.graph, tc.r, workers, err)
 			}
 			got = digest(func(h hash.Hash) {
 				writeInts(h, cds.DomSet)
 				writeInts(h, cds.Set)
-				writePhases(h, cds.Stats)
+				writePhases(h, probe, cds.Stats)
 			})
 			if got != tc.conn {
 				t.Errorf("%s r=%d workers=%d: RunConnectedDomSet digest %s, want %s", tc.graph, tc.r, workers, got, tc.conn)
@@ -215,43 +221,42 @@ func TestSimulatorPipelinesPinnedDigests(t *testing.T) {
 		"grid20x20":     gen.Grid(20, 20),
 	}
 	// Each pipeline runs on g with opts and returns its set and statistics.
-	type pipeline func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error)
-	single := func(st dist.Stats) PipelineStats { return PipelineStats{Stats: st} }
+	type pipeline func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error)
 	localConnect := func(r int) pipeline {
-		return func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+		return func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error) {
 			D := domset.AlgorithmOne(g, order.ConstructDefault(g, r), r)
 			res, err := RunLocalConnector(g, D, r, opts)
 			if err != nil {
-				return nil, PipelineStats{}, err
+				return nil, dist.Stats{}, err
 			}
-			return res.Set, single(res.Stats), nil
+			return res.Set, res.Stats, nil
 		}
 	}
 	ksv := func(r int) pipeline {
-		return func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+		return func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error) {
 			res, err := RunKSV(g, r, dist.Local, opts)
 			if err != nil {
-				return nil, PipelineStats{}, err
+				return nil, dist.Stats{}, err
 			}
-			return res.Set, single(res.Stats), nil
+			return res.Set, res.Stats, nil
 		}
 	}
 	pipelines := map[string]pipeline{
-		"lenzen": func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+		"lenzen": func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error) {
 			res, err := RunLenzen(g, opts)
 			if err != nil {
-				return nil, PipelineStats{}, err
+				return nil, dist.Stats{}, err
 			}
-			return res.Set, single(res.Stats), nil
+			return res.Set, res.Stats, nil
 		},
 		"local-connect r=1": localConnect(1),
 		"local-connect r=2": localConnect(2),
 		"ksv-local r=1":     ksv(1),
 		"ksv-local r=2":     ksv(2),
-		"refined r=1": func(g *graph.Graph, opts dist.Options) ([]int, PipelineStats, error) {
+		"refined r=1": func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error) {
 			res, err := RunDomSetRefined(g, 1, dist.CongestBC, opts)
 			if err != nil {
-				return nil, PipelineStats{}, err
+				return nil, dist.Stats{}, err
 			}
 			return res.Set, res.Stats, nil
 		},
@@ -285,7 +290,7 @@ func TestSimulatorPipelinesPinnedDigests(t *testing.T) {
 			}
 			got := digest(func(h hash.Hash) {
 				writeInts(h, set)
-				writePhases(h, st)
+				writePhases(h, probe, st)
 				writeProfiles(h, probe)
 			})
 			if got != tc.digest {

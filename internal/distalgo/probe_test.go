@@ -8,9 +8,10 @@ import (
 )
 
 // TestProbeSegmentsPipelineByPhase: a probe shared through dist.Options
-// yields one RunProfile per pipeline phase, tagged with the phase name and
-// carrying exactly that phase's statistics — the segmentation the trace
-// export renders as one Perfetto thread row per phase.
+// yields one RunProfile per pipeline phase, tagged with the phase name, and
+// the phases' statistics fold to exactly the pipeline's Stats — the
+// segmentation the trace export renders as one Perfetto thread row per
+// phase.
 func TestProbeSegmentsPipelineByPhase(t *testing.T) {
 	g := gen.Grid(10, 10)
 	p := &dist.Probe{}
@@ -19,18 +20,16 @@ func TestProbeSegmentsPipelineByPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiles := p.Profiles()
-	if len(profiles) != len(res.Stats.Phases) {
-		t.Fatalf("got %d profiles for %d phases", len(profiles), len(res.Stats.Phases))
-	}
 	wantPhases := []string{"hpartition", "wreach", "election"}
+	if len(profiles) != len(wantPhases) {
+		t.Fatalf("got %d profiles for %d phases", len(profiles), len(wantPhases))
+	}
+	var total dist.Stats
 	for i, rp := range profiles {
 		if rp.Phase != wantPhases[i] {
 			t.Fatalf("profile %d tagged %q, want %q", i, rp.Phase, wantPhases[i])
 		}
-		if rp.Stats != res.Stats.Phases[i] {
-			t.Fatalf("phase %q: profile stats %+v diverge from pipeline stats %+v",
-				rp.Phase, rp.Stats, res.Stats.Phases[i])
-		}
+		total.Add(rp.Stats)
 		var messages, words int64
 		for _, r := range rp.Rounds {
 			messages += r.Messages
@@ -40,5 +39,8 @@ func TestProbeSegmentsPipelineByPhase(t *testing.T) {
 			t.Fatalf("phase %q: per-round sums (m=%d w=%d) diverge from %+v",
 				rp.Phase, messages, words, rp.Stats)
 		}
+	}
+	if total != res.Stats {
+		t.Fatalf("phase stats fold to %+v, pipeline stats are %+v", total, res.Stats)
 	}
 }

@@ -210,9 +210,9 @@ type RefinedOrderResult struct {
 	Order *order.Order
 	// BaseOrder is the H-partition order the refinement started from.
 	BaseOrder *order.Order
-	// Stats accumulates all phases (base H-partition, Algorithm 4 on the base
+	// Stats totals all phases (base H-partition, Algorithm 4 on the base
 	// order, relayed H-partition).
-	Stats PipelineStats
+	Stats dist.Stats
 }
 
 // RunRefinedOrder computes the refined order distributively:
@@ -307,13 +307,6 @@ func RunDomSetRefined(g *graph.Graph, r int, model dist.Model, opts dist.Options
 	if err != nil {
 		return nil, err
 	}
-	var all PipelineStats
-	for _, ph := range ro.Stats.Phases {
-		all.Add(ph)
-	}
-	for _, ph := range res.Stats.Phases {
-		all.Add(ph)
-	}
-	res.Stats = all
+	res.Stats.Add(ro.Stats)
 	return res, nil
 }

@@ -21,7 +21,8 @@ func TestRunRefinedOrderProducesValidOrder(t *testing.T) {
 		{"geometric", largestComp(gen.RandomGeometric(160, 0.12, 7))},
 	}
 	for _, tc := range cases {
-		res, err := RunRefinedOrder(tc.g, 2, 0, dist.CongestBC, dist.Options{})
+		probe := &dist.Probe{}
+		res, err := RunRefinedOrder(tc.g, 2, 0, dist.CongestBC, dist.Options{Probe: probe})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -38,8 +39,8 @@ func TestRunRefinedOrderProducesValidOrder(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		if len(res.Stats.Phases) != 3 {
-			t.Fatalf("%s: expected 3 phases, got %d", tc.name, len(res.Stats.Phases))
+		if got := len(probe.Profiles()); got != 3 {
+			t.Fatalf("%s: expected 3 phases, got %d", tc.name, got)
 		}
 		if res.Stats.Rounds <= 0 {
 			t.Fatalf("%s: no rounds recorded", tc.name)
@@ -79,15 +80,16 @@ func TestRunDomSetRefinedPipeline(t *testing.T) {
 		{"grid", gen.Grid(14, 14)},
 		{"apollonian", gen.Apollonian(140, 9)},
 	} {
-		res, err := RunDomSetRefined(tc.g, 1, dist.CongestBC, dist.Options{})
+		probe := &dist.Probe{}
+		res, err := RunDomSetRefined(tc.g, 1, dist.CongestBC, dist.Options{Probe: probe})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !domset.Check(tc.g, res.Set, 1) {
 			t.Fatalf("%s: refined pipeline output does not dominate", tc.name)
 		}
-		if len(res.Stats.Phases) != 5 {
-			t.Fatalf("%s: expected 5 phases, got %d", tc.name, len(res.Stats.Phases))
+		if got := len(probe.Profiles()); got != 5 {
+			t.Fatalf("%s: expected 5 phases, got %d", tc.name, got)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package distalgo
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"bedom/internal/dist"
@@ -17,7 +18,8 @@ import (
 func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.Grid(10, 10)
 
-	ref, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: 1})
+	refProbe := &dist.Probe{}
+	ref, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: 1, Probe: refProbe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +27,10 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refPhases := phaseStats(refProbe)
 	for _, workers := range []int{4, 8} {
-		res, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: workers})
+		probe := &dist.Probe{}
+		res, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: workers, Probe: probe})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -41,15 +45,8 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: stats diverge: %+v vs %+v",
 				workers, res.Stats, ref.Stats)
 		}
-		if len(res.Stats.Phases) != len(ref.Stats.Phases) {
-			t.Fatalf("workers=%d: phase count diverges: %d vs %d",
-				workers, len(res.Stats.Phases), len(ref.Stats.Phases))
-		}
-		for i, ph := range res.Stats.Phases {
-			if ph != ref.Stats.Phases[i] {
-				t.Fatalf("workers=%d: phase %d diverges: %+v vs %+v",
-					workers, i, ph, ref.Stats.Phases[i])
-			}
+		if phases := phaseStats(probe); !slices.Equal(phases, refPhases) {
+			t.Fatalf("workers=%d: phase stats diverge: %+v vs %+v", workers, phases, refPhases)
 		}
 
 		conn, err := RunConnectedDomSet(g, 1, dist.CongestBC, dist.Options{Workers: workers})
@@ -74,22 +71,26 @@ func TestLocalEqualsCongestBC(t *testing.T) {
 	for name, g := range pinnedGraphs() {
 		for _, r := range []int{1, 2} {
 			var sets [2][3][]int
-			var stats [2][3]PipelineStats
+			// stats[i][k] holds pipeline k's phase Stats, then its total.
+			var stats [2][3][]dist.Stats
 			for i, model := range []dist.Model{dist.Local, dist.CongestBC} {
-				ds, err := RunDomSet(g, r, model, dist.Options{})
+				var probes [3]dist.Probe
+				ds, err := RunDomSet(g, r, model, dist.Options{Probe: &probes[0]})
 				if err != nil {
 					t.Fatalf("%s r=%d %v: %v", name, r, model, err)
 				}
-				cds, err := RunConnectedDomSet(g, r, model, dist.Options{})
+				cds, err := RunConnectedDomSet(g, r, model, dist.Options{Probe: &probes[1]})
 				if err != nil {
 					t.Fatalf("%s r=%d %v connected: %v", name, r, model, err)
 				}
-				ksv, err := RunKSV(g, r, model, dist.Options{})
+				ksv, err := RunKSV(g, r, model, dist.Options{Probe: &probes[2]})
 				if err != nil {
 					t.Fatalf("%s r=%d %v kubsv: %v", name, r, model, err)
 				}
 				sets[i] = [3][]int{ds.Set, cds.Set, ksv.Set}
-				stats[i] = [3]PipelineStats{ds.Stats, cds.Stats, {Stats: ksv.Stats}}
+				for k, total := range []dist.Stats{ds.Stats, cds.Stats, ksv.Stats} {
+					stats[i][k] = append(phaseStats(&probes[k]), total)
+				}
 			}
 			for k, pipeline := range []string{"RunDomSet", "RunConnectedDomSet", "RunKSV"} {
 				if !sameInts(sets[0][k], sets[1][k]) {

@@ -7,7 +7,6 @@
 package domset
 
 import (
-	"fmt"
 	"sort"
 
 	"bedom/internal/graph"
@@ -15,29 +14,22 @@ import (
 )
 
 // Check reports whether D is a distance-r dominating set of g: every vertex
-// must be within distance r of some element of D.  The empty set dominates
-// only the empty graph.
+// must be within distance r of some element of D.  A D holding an id
+// outside [0, n) is not one, and neither is any D for r < 0; the empty set
+// dominates only the empty graph.
 func Check(g *graph.Graph, D []int, r int) bool {
+	for _, v := range D {
+		if v < 0 || v >= g.N() {
+			return false
+		}
+	}
 	if g.N() == 0 {
 		return true
 	}
-	if len(D) == 0 {
+	if len(D) == 0 || r < 0 {
 		return false
 	}
 	return len(graph.NewWalker(g).WalkFrom(D, r)) == g.N()
-}
-
-// Uncovered returns the vertices not within distance r of any element of D.
-func Uncovered(g *graph.Graph, D []int, r int) []int {
-	wk := graph.NewWalker(g)
-	wk.WalkFrom(D, r)
-	var out []int
-	for v := 0; v < g.N(); v++ {
-		if !wk.Reached(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // FromOrder computes the paper's distance-r dominating set
@@ -115,42 +107,4 @@ func sortLists(g *graph.Graph, o *order.Order) *graph.Graph {
 		panic("domset: SortLists needs a finalized graph: " + err.Error())
 	}
 	return lg
-}
-
-// Result bundles a dominating set with quality diagnostics for the
-// experiment tables.
-type Result struct {
-	// R is the domination radius.
-	R int
-	// Set is the computed distance-r dominating set (sorted).
-	Set []int
-	// LowerBound is a valid lower bound on the optimum (from a 2r-scattered
-	// set, or the exact optimum when available).
-	LowerBound int
-	// Exact reports whether LowerBound is known to be the exact optimum.
-	Exact bool
-}
-
-// Ratio returns |Set| / LowerBound (or 0 when the lower bound is 0).
-func (res Result) Ratio() float64 {
-	if res.LowerBound == 0 {
-		return 0
-	}
-	return float64(len(res.Set)) / float64(res.LowerBound)
-}
-
-// String summarises the result.
-func (res Result) String() string {
-	return fmt.Sprintf("r=%d |D|=%d LB=%d ratio=%.2f exact=%v",
-		res.R, len(res.Set), res.LowerBound, res.Ratio(), res.Exact)
-}
-
-// Approximate runs the paper's sequential pipeline end to end: construct an
-// order for radius r (Theorem 2 substitute), run Algorithm 1 and attach a
-// lower bound.
-func Approximate(g *graph.Graph, r int) Result {
-	o := order.ConstructDefault(g, r)
-	D := AlgorithmOne(g, o, r)
-	lb := ScatteredLowerBound(g, r, D)
-	return Result{R: r, Set: D, LowerBound: lb}
 }

@@ -23,15 +23,29 @@ func TestCheckBasics(t *testing.T) {
 	if !Check(graph.New(0), nil, 1) {
 		t.Fatal("empty set dominates the empty graph")
 	}
-	if len(Uncovered(g, []int{0}, 1)) != 5 {
-		t.Fatalf("uncovered: %v", Uncovered(g, []int{0}, 1))
-	}
 	disc := graph.MustFromEdges(4, [][2]int{{0, 1}, {2, 3}})
 	if Check(disc, []int{0}, 5) {
 		t.Fatal("one component cannot dominate the other")
 	}
 	if !Check(disc, []int{0, 2}, 1) {
 		t.Fatal("one vertex per component dominates")
+	}
+}
+
+// TestCheckRejectsBadInput: an id outside [0, n) and a negative radius are
+// answered false, not with a panic or a walk without a depth bound.
+func TestCheckRejectsBadInput(t *testing.T) {
+	g := gen.Grid(4, 4)
+	for _, D := range [][]int{{100}, {-1}, {0, 16}} {
+		if Check(g, D, 1) {
+			t.Errorf("D = %v accepted on n = 16", D)
+		}
+	}
+	if Check(graph.MustFromEdges(0, nil), []int{0}, 1) {
+		t.Error("D = [0] accepted on the empty graph")
+	}
+	if Check(gen.Grid(1, 4), []int{0}, -1) {
+		t.Error("r = -1 accepted")
 	}
 }
 
@@ -90,23 +104,23 @@ func TestApproximateQualityOnSmallGraphs(t *testing.T) {
 	}
 	for gi, g := range cases {
 		for _, r := range []int{1, 2} {
-			res := Approximate(g, r)
-			if !Check(g, res.Set, r) {
+			D := AlgorithmOne(g, order.ConstructDefault(g, r), r)
+			if !Check(g, D, r) {
 				t.Fatalf("case %d r=%d: invalid dominating set", gi, r)
 			}
 			opt, ok := Exact(g, r, 0)
 			if !ok {
 				t.Fatalf("case %d r=%d: exact solver did not finish", gi, r)
 			}
-			if len(res.Set) < opt {
+			if len(D) < opt {
 				t.Fatalf("case %d r=%d: |D|=%d smaller than optimum %d (impossible)",
-					gi, r, len(res.Set), opt)
+					gi, r, len(D), opt)
 			}
-			if len(res.Set) > 8*opt {
-				t.Errorf("case %d r=%d: ratio %d/%d unexpectedly large", gi, r, len(res.Set), opt)
+			if len(D) > 8*opt {
+				t.Errorf("case %d r=%d: ratio %d/%d unexpectedly large", gi, r, len(D), opt)
 			}
-			if res.LowerBound > opt {
-				t.Errorf("case %d r=%d: lower bound %d exceeds optimum %d", gi, r, res.LowerBound, opt)
+			if lb := ScatteredLowerBound(g, r, D); lb > opt {
+				t.Errorf("case %d r=%d: lower bound %d exceeds optimum %d", gi, r, lb, opt)
 			}
 		}
 	}
@@ -257,19 +271,6 @@ func TestBestLowerBound(t *testing.T) {
 	}
 }
 
-func TestResultHelpers(t *testing.T) {
-	res := Result{R: 2, Set: []int{1, 2, 3}, LowerBound: 2, Exact: false}
-	if res.Ratio() != 1.5 {
-		t.Fatalf("ratio %f", res.Ratio())
-	}
-	if (Result{}).Ratio() != 0 {
-		t.Fatal("zero lower bound ratio should be 0")
-	}
-	if res.String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
 // Property-based test: for random partial 3-trees, the paper's algorithm
 // always produces a valid dominating set that is never smaller than the
 // scattered lower bound, and the ratio stays within a loose constant
@@ -278,14 +279,15 @@ func TestApproximationQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.RandomKTree(70, 3, seed)
 		r := 1 + int(uint(seed)%2)
-		res := Approximate(g, r)
-		if !Check(g, res.Set, r) {
+		D := AlgorithmOne(g, order.ConstructDefault(g, r), r)
+		if !Check(g, D, r) {
 			return false
 		}
-		if res.LowerBound > len(res.Set) {
+		lb := ScatteredLowerBound(g, r, D)
+		if lb > len(D) {
 			return false
 		}
-		return res.LowerBound == 0 || res.Ratio() < 30
+		return lb == 0 || len(D) < 30*lb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -264,7 +263,7 @@ type Engine struct {
 
 	mu      sync.Mutex
 	graphs  map[string]*graphEntry
-	anon    map[weak.Pointer[graph.Graph]]anonHandle
+	anon    map[weak.Pointer[graph.Graph]]uint64
 	nextGen uint64
 
 	// Degraded mode (read-only): entered when the store persistently fails
@@ -320,19 +319,6 @@ func (e *Engine) acquireRebuild(ctx context.Context) (func(), error) {
 	}
 }
 
-// anonHandle tracks the cache generation of a graph queried directly through
-// the facade path (no registry name).  The map key is a weak pointer, so the
-// engine never keeps a caller's graph alive (its cached substrates age out
-// of the LRU normally); weak pointers to distinct objects never compare
-// equal, so a recycled allocation cannot be matched to a stale generation.
-// The (n, m) snapshot detects mutation: edges can only be added, so m
-// strictly increases on any mutation and a stale handle is replaced by a
-// fresh generation.
-type anonHandle struct {
-	gen  uint64
-	n, m int
-}
-
 // New returns a ready engine.
 func New(cfg Config) *Engine {
 	cfg = cfg.normalised()
@@ -348,7 +334,7 @@ func New(cfg Config) *Engine {
 		stats:      stats,
 		rebuildSem: make(chan struct{}, cfg.MaxConcurrentRebuilds),
 		graphs:     make(map[string]*graphEntry),
-		anon:       make(map[weak.Pointer[graph.Graph]]anonHandle),
+		anon:       make(map[weak.Pointer[graph.Graph]]uint64),
 		distRuns:   newDistRunLog(cfg.DistRunLog),
 	}
 	e.substrateWorkers.Store(int32(cfg.SubstrateWorkers))
@@ -470,7 +456,7 @@ func (e *Engine) Close() {
 	e.cache.clear()
 	e.mu.Lock()
 	e.graphs = make(map[string]*graphEntry)
-	e.anon = make(map[weak.Pointer[graph.Graph]]anonHandle)
+	e.anon = make(map[weak.Pointer[graph.Graph]]uint64)
 	e.mu.Unlock()
 	// Unmap zero-copy snapshots LAST: the worker pool is drained and the
 	// registry is cleared, so no reader can still touch borrowed CSR arrays.
@@ -482,23 +468,19 @@ func (e *Engine) Close() {
 // --- Graph registry -------------------------------------------------------
 
 // Register adds (or replaces) a named graph.  Replacing a name invalidates
-// every substrate cached for the previous graph.  The graph must not be
-// mutated by the caller after registration — use Mutate, which applies
-// deltas through the graph's private overlay (see graph.Dynamic) — and
-// should be finalized (every constructor in graph/gen finalizes; Register
-// does not finalize itself because that would mutate the caller's graph,
-// racing with concurrent readers).
+// every substrate cached for the previous graph.  The graph must be
+// finalized (every constructor in graph and gen finalizes); an unfinalized
+// one is rejected with ErrInvalidRequest.  Mutate changes the registered
+// topology through the graph's private overlay (see graph.Dynamic); g
+// itself is never changed.
 func (e *Engine) Register(name string, g *graph.Graph) (GraphInfo, error) {
 	if name == "" {
 		return GraphInfo{}, fmt.Errorf("%w: empty graph name", ErrInvalidRequest)
 	}
-	if g == nil {
-		return GraphInfo{}, fmt.Errorf("%w: nil graph", ErrInvalidRequest)
+	if err := checkGraph(g); err != nil {
+		return GraphInfo{}, err
 	}
 	dyn := graph.NewDynamic(g, e.cfg.CompactionThreshold)
-	// Counts below come from the Dynamic, not the caller's graph: an
-	// unfinalized graph's M() may still include duplicate lazy insertions
-	// that the finalized clone behind dyn has already deduplicated.
 	if e.store == nil {
 		// Generation assignment and publication share one critical section,
 		// so racing same-name registrations always publish in generation
@@ -546,14 +528,16 @@ func (e *Engine) Register(name string, g *graph.Graph) (GraphInfo, error) {
 	return ent.info(gen), nil
 }
 
-// RegisterEdgeList reads a graph in the library's edge-list format (see
-// internal/graph.ReadEdgeList) and registers it under name.
-func (e *Engine) RegisterEdgeList(name string, r io.Reader) (GraphInfo, error) {
-	g, err := graph.ReadEdgeList(r)
-	if err != nil {
-		return GraphInfo{}, err
+// checkGraph rejects a graph the engine cannot read: nil, or still under
+// construction.
+func checkGraph(g *graph.Graph) error {
+	if g == nil {
+		return fmt.Errorf("%w: nil graph", ErrInvalidRequest)
 	}
-	return e.Register(name, g)
+	if !g.Finalized() {
+		return fmt.Errorf("%w: graph is not finalized; call Finalize first", ErrInvalidRequest)
+	}
+	return nil
 }
 
 // Lookup returns the current topology of the graph registered under name:
@@ -644,6 +628,9 @@ func (e *Engine) Graphs() []GraphInfo {
 // resolve maps a request to its graph and cache generation.
 func (e *Engine) resolve(req Request) (*graph.Graph, uint64, error) {
 	if req.G != nil {
+		if err := checkGraph(req.G); err != nil {
+			return nil, 0, err
+		}
 		return req.G, e.handleFor(req.G), nil
 	}
 	e.mu.Lock()
@@ -668,64 +655,58 @@ func (e *Engine) resolve(req Request) (*graph.Graph, uint64, error) {
 	return g, gen, nil
 }
 
-// handleFor assigns a cache generation to an unregistered graph queried by
-// pointer (the facade path); the (n, m) snapshot retires the generation if
-// the graph was mutated (see anonHandle).
+// handleFor assigns a cache generation to an unregistered finalized graph
+// queried by pointer (the facade path).  A finalized graph cannot change,
+// so its identity alone keys the generation.  The map key is a weak
+// pointer, so the engine never keeps a caller's graph alive; weak pointers
+// to distinct objects never compare equal, so a recycled allocation cannot
+// be matched to a stale generation.
 func (e *Engine) handleFor(g *graph.Graph) uint64 {
 	wp := weak.Make(g)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	h, existed := e.anon[wp]
-	if existed && h.n == g.N() && h.m == g.M() {
-		return h.gen
-	}
-	if existed {
-		// The graph was mutated: its old substrates can never be served again
-		// (this generation is never handed out anymore), so drop them now.
-		defer e.cache.purge(h.gen)
+	if gen, ok := e.anon[wp]; ok {
+		return gen
 	}
 	if len(e.anon) >= anonLimit {
 		// Drop entries whose graphs have been collected; reset wholesale if
 		// the table is full of live ones.  Every dropped handle's generation
 		// is purged here — its graph's GC cleanup finds no handle anymore and
 		// would otherwise leave the substrates orphaned in the LRU.
-		for k, h := range e.anon {
+		for k, gen := range e.anon {
 			if k.Value() == nil {
 				delete(e.anon, k)
-				e.cache.purge(h.gen)
+				e.cache.purge(gen)
 			}
 		}
 		if len(e.anon) >= anonLimit {
-			for _, h := range e.anon {
-				e.cache.purge(h.gen)
+			for _, gen := range e.anon {
+				e.cache.purge(gen)
 			}
-			e.anon = make(map[weak.Pointer[graph.Graph]]anonHandle)
-			existed = false
+			e.anon = make(map[weak.Pointer[graph.Graph]]uint64)
 		}
 	}
 	e.nextGen++
 	gen := e.nextGen
-	e.anon[wp] = anonHandle{gen: gen, n: g.N(), m: g.M()}
-	if !existed {
-		// When the graph is collected, release its cached substrates instead
-		// of letting dead entries occupy LRU slots until capacity churn
-		// evicts them.  One cleanup per graph object: it reads the handle's
-		// generation at collection time, so mutation-triggered re-generations
-		// (purged eagerly above) do not stack additional cleanups.  The
-		// closure must not (and does not) keep g reachable: it captures only
-		// the weak pointer and the engine.
-		runtime.AddCleanup(g, func(wp weak.Pointer[graph.Graph]) {
-			e.mu.Lock()
-			h, ok := e.anon[wp]
-			if ok {
-				delete(e.anon, wp)
-			}
-			e.mu.Unlock()
-			if ok {
-				e.cache.purge(h.gen)
-			}
-		}, wp)
-	}
+	e.anon[wp] = gen
+	// When the graph is collected, release its cached substrates instead of
+	// letting dead entries occupy LRU slots until capacity churn evicts
+	// them.  If a wholesale reset dropped the graph's handle, a later query
+	// adds a second cleanup; whichever runs first purges the current
+	// generation and the other finds nothing.  The closure must not (and
+	// does not) keep g reachable: it captures only the weak pointer and the
+	// engine.
+	runtime.AddCleanup(g, func(wp weak.Pointer[graph.Graph]) {
+		e.mu.Lock()
+		gen, ok := e.anon[wp]
+		if ok {
+			delete(e.anon, wp)
+		}
+		e.mu.Unlock()
+		if ok {
+			e.cache.purge(gen)
+		}
+	}, wp)
 	return gen
 }
 
@@ -759,6 +740,9 @@ func (e *Engine) getSubstrate(ctx context.Context, key substrateKey, build func(
 // constructed exactly as the facade's BuildOrder: order.ConstructDefault.
 // hit reports whether the order was served from cache.
 func (e *Engine) OrderFor(g *graph.Graph, r int) (*order.Order, bool, error) {
+	if err := checkGraph(g); err != nil {
+		return nil, false, err
+	}
 	return e.orderFor(context.Background(), g, e.handleFor(g), r)
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -58,18 +57,26 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestRegisterEdgeList(t *testing.T) {
+// TestRegisterRejectsUnfinalized: the engine reads only finalized graphs.
+// Register, Do with Request.G and OrderFor reject a graph still under
+// construction with ErrInvalidRequest, and leave it unfinalized.
+func TestRegisterRejectsUnfinalized(t *testing.T) {
 	e := testEngine(t, Config{})
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, gen.Grid(5, 5)); err != nil {
+	g := graph.New(3)
+	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	info, err := e.RegisterEdgeList("g", &buf)
-	if err != nil || info.N != 25 {
-		t.Fatalf("RegisterEdgeList: %+v %v", info, err)
+	if _, err := e.Register("g", g); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("Register: %v, want ErrInvalidRequest", err)
 	}
-	if _, err := e.RegisterEdgeList("bad", strings.NewReader("not a graph")); err == nil {
-		t.Fatal("malformed edge list must be rejected")
+	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 1}); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("Do: %v, want ErrInvalidRequest", err)
+	}
+	if _, _, err := e.OrderFor(g, 1); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("OrderFor: %v, want ErrInvalidRequest", err)
+	}
+	if g.Finalized() || e.GraphCount() != 0 {
+		t.Fatal("a rejected graph was finalized or registered")
 	}
 }
 
@@ -309,16 +316,16 @@ func TestAnonymousGraphMutationInvalidates(t *testing.T) {
 	if got := e.Stats().SubstrateBuilds; got != builds {
 		t.Fatalf("warm query rebuilt substrates (%d -> %d)", builds, got)
 	}
-	// Mutation bumps m, which retires the cached generation.
-	if err := g.AddEdge(0, 35); err != nil {
-		t.Fatal(err)
+	// A finalized graph cannot change, so its cached generation stays
+	// valid: the insertion fails and the next query is still a hit.
+	if err := g.AddEdge(0, 35); !errors.Is(err, graph.ErrFinalized) {
+		t.Fatalf("AddEdge on a facade graph: %v, want ErrFinalized", err)
 	}
-	g.Finalize()
 	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Stats().SubstrateBuilds; got <= builds {
-		t.Fatal("mutated graph must not be served stale substrates")
+	if got := e.Stats().SubstrateBuilds; got != builds {
+		t.Fatalf("query after a rejected insertion rebuilt substrates (%d -> %d)", builds, got)
 	}
 }
 

@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -182,26 +181,4 @@ func Scale() []Experiment {
 	return []Experiment{
 		{"L1", "Million-vertex cold start: raw snapshots, mmap recovery, query latency", L1ScaleColdStart},
 	}
-}
-
-// RunAll executes every experiment and writes the formatted tables to w.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, e := range All() {
-		tbl := e.Run(cfg)
-		if _, err := io.WriteString(w, tbl.Format()+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunAllMarkdown executes every experiment and writes markdown tables to w.
-func RunAllMarkdown(cfg Config, w io.Writer) error {
-	for _, e := range All() {
-		tbl := e.Run(cfg)
-		if _, err := io.WriteString(w, tbl.Markdown()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

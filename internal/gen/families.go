@@ -152,16 +152,6 @@ func PlanarFamilies() []Family {
 	return out
 }
 
-// FamilyNames returns the names of all registered families.
-func FamilyNames() []string {
-	fams := Families()
-	names := make([]string, len(fams))
-	for i, f := range fams {
-		names[i] = f.Name
-	}
-	return names
-}
-
 // LargestComponent returns the subgraph induced by the largest connected
 // component of g together with the original vertex indices.  Several
 // experiments (and the connected dominating set algorithms, which require a

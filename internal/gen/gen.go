@@ -215,12 +215,9 @@ func Outerplanar(n int, seed int64) *graph.Graph {
 				return
 			}
 			apex := lo + 1 + rng.Intn(hi-lo-1)
-			if !g.HasEdge(lo, apex) {
-				mustAdd(g, lo, apex)
-			}
-			if !g.HasEdge(apex, hi) {
-				mustAdd(g, apex, hi)
-			}
+			// Boundary edges already present are dropped by AddEdge.
+			mustAdd(g, lo, apex)
+			mustAdd(g, apex, hi)
 			split(lo, apex)
 			split(apex, hi)
 		}

@@ -8,11 +8,11 @@ import "fmt"
 // the export hook for the persistence codec (internal/store): a snapshot that
 // round-trips off/tgt exactly reproduces the graph bit-identically, because
 // Finalize's CSR layout is canonical — the same edge set always packs to the
-// same arrays.  It panics on a non-finalized graph (the construction-side
-// adjacency lists have no canonical layout worth persisting).
+// same arrays.  Like every reader, it panics on a graph that has not been
+// finalized.
 func (g *Graph) CSR() (off, tgt []int32) {
 	if !g.finalized {
-		panic("graph.CSR: graph is not finalized")
+		notFinalized("CSR")
 	}
 	return g.off, g.tgt
 }

@@ -116,17 +116,13 @@ type DynamicStats struct {
 	Compactions uint64 `json:"compactions"`
 }
 
-// NewDynamic wraps g (finalized in place if it is not already, on a private
-// clone so the caller's graph is never mutated) as the base of a mutable
-// graph.  compactAt is the overlay half-edge count that triggers compaction;
-// 0 selects DefaultCompactionThreshold.
+// NewDynamic wraps the finalized graph g as the base of a mutable graph; g
+// itself is never changed.  It panics if g is not finalized.  compactAt is
+// the overlay half-edge count that triggers compaction; 0 selects
+// DefaultCompactionThreshold.
 func NewDynamic(g *Graph, compactAt int) *Dynamic {
-	if g == nil {
-		g = New(0)
-	}
-	if !g.Finalized() {
-		g = g.Clone()
-		g.Finalize()
+	if !g.finalized {
+		notFinalized("NewDynamic")
 	}
 	if compactAt <= 0 {
 		compactAt = DefaultCompactionThreshold
@@ -356,16 +352,6 @@ func (d *Dynamic) Snapshot() *Graph {
 		d.snap = d.materializeLocked()
 	}
 	return d.snap
-}
-
-// Compact folds the overlay into a fresh CSR base immediately, regardless of
-// the threshold.  It is a no-op when the overlay is empty.
-func (d *Dynamic) Compact() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.overlay > 0 || d.n != d.base.N() {
-		d.compactLocked()
-	}
 }
 
 func (d *Dynamic) compactLocked() {

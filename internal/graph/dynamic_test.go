@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -175,7 +176,7 @@ func TestDynamicValidation(t *testing.T) {
 	// Edge headroom: a delta whose additions could push the adjacency
 	// entries past the int32 CSR limit is rejected up front instead of
 	// panicking at materialization.
-	full := NewDynamic(New(10), 0)
+	full := NewDynamic(MustFromEdges(10, nil), 0)
 	full.m = math.MaxInt32/2 - 1
 	if _, err := full.Apply(Delta{Add: [][2]int{{0, 1}, {0, 2}}}); err == nil {
 		t.Fatal("edge growth past the int32 CSR limit must be rejected")
@@ -191,7 +192,7 @@ func TestDynamicValidation(t *testing.T) {
 // identical topology.
 func TestDynamicCompactionThreshold(t *testing.T) {
 	// Threshold 8 = 4 overlay edges (2 half-edges each).
-	d := NewDynamic(New(64), 8)
+	d := NewDynamic(MustFromEdges(64, nil), 8)
 	for i := 0; i < 3; i++ {
 		res, err := d.Apply(Delta{Add: [][2]int{{i, i + 1}}})
 		if err != nil || res.Compacted {
@@ -256,7 +257,7 @@ func TestDynamicFuzzVsReference(t *testing.T) {
 		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
 			n := 20
 			ref := make(map[[2]int]bool)
-			d := NewDynamic(New(n), threshold)
+			d := NewDynamic(MustFromEdges(n, nil), threshold)
 			for batch := 0; batch < 60; batch++ {
 				var delta Delta
 				if rng.Intn(8) == 0 {
@@ -312,7 +313,7 @@ func TestDynamicFuzzVsReference(t *testing.T) {
 // Stats) against a mutator; run under -race this asserts the locking
 // discipline, and every observed snapshot must be internally consistent.
 func TestDynamicConcurrentReads(t *testing.T) {
-	d := NewDynamic(New(100), 64)
+	d := NewDynamic(MustFromEdges(100, nil), 64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -363,19 +364,19 @@ func TestDynamicConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestNewDynamicUnfinalized asserts that wrapping an unfinalized graph
-// clones it instead of finalizing the caller's object.
+// TestNewDynamicUnfinalized: a Dynamic wraps only a finalized graph.  An
+// unfinalized one is refused with a panic naming Finalize, and is left as
+// it was.
 func TestNewDynamicUnfinalized(t *testing.T) {
 	g := New(3)
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDynamic(g, 0)
-	if g.Finalized() {
-		t.Fatal("NewDynamic must not finalize the caller's graph")
+	if msg := panicMessage(func() { NewDynamic(g, 0) }); !strings.Contains(msg, "Finalize") {
+		t.Fatalf("NewDynamic of an unfinalized graph: panic %q, want one naming Finalize", msg)
 	}
-	if !d.Snapshot().Finalized() || d.M() != 1 {
-		t.Fatal("base must be a finalized clone")
+	if g.Finalized() {
+		t.Fatal("NewDynamic finalized the caller's graph")
 	}
 }
 

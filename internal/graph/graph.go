@@ -1,5 +1,6 @@
 // Package graph provides the undirected simple-graph substrate used by the
-// whole library: adjacency-list graphs, the one bounded breadth-first
+// whole library: graphs built once and then read as a sorted CSR layout,
+// Dynamic (the one way to change a topology), the one bounded breadth-first
 // search (Walker) behind every ball, distance and connectivity query,
 // degeneracy orderings, bitsets and a small edge-list I/O layer.
 //
@@ -13,21 +14,23 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
-// Graph is an undirected simple graph.  During construction edges accumulate
-// in per-vertex adjacency slices; Finalize converts the graph to a
+// Graph is an undirected simple graph with one lifecycle.  New, AddEdge and
+// AddEdgeLazy build it; Finalize packs it into its canonical
 // compressed-sparse-row (CSR) layout — one flat offsets array and one flat
-// targets array — which is the representation every algorithm in the library
-// reads.  CSR rows are sorted increasingly, so HasEdge is a binary search
-// and Neighbors returns a contiguous, cache-friendly slice of the shared
-// targets array.
+// targets array, every row sorted increasingly — and from then on it is
+// read-only.  The same edge set always packs to the same arrays, whatever
+// order the edges were added in, so no answer can depend on how a graph was
+// built.  Every reader (Degree, Neighbors, HasEdge, Edges, the walker and
+// everything built on them) reads the CSR and panics on a graph that has not
+// been finalized; AddEdge and AddEdgeLazy on a finalized graph return
+// ErrFinalized.  A finalized graph may be shared by any number of
+// goroutines.  Dynamic is the only way to change a topology: it applies
+// deltas to an overlay and hands out fresh finalized snapshots.
 //
-// The zero value is an empty graph with no vertices.  Use New or FromEdges to
-// construct graphs.  After construction, call Finalize (or use FromEdges,
-// which finalizes automatically); several methods (HasEdge, Neighbors
-// ordering guarantees) require a finalized graph.
+// FromEdges, FromCSR, ReadEdgeList and every generator in internal/gen
+// return finalized graphs.
 type Graph struct {
 	n int
 	m int
@@ -46,9 +49,13 @@ var (
 	ErrVertexRange = errors.New("graph: vertex index out of range")
 	// ErrSelfLoop is returned when an edge {v, v} is added.
 	ErrSelfLoop = errors.New("graph: self-loops are not allowed")
+	// ErrFinalized is returned when an edge is added to a finalized graph;
+	// use Dynamic to change a topology.
+	ErrFinalized = errors.New("graph: graph is finalized and read-only")
 )
 
-// New returns an empty graph on n vertices (and no edges).
+// New returns an empty graph on n vertices (and no edges), ready for
+// AddEdge and AddEdgeLazy.  Call Finalize before reading it.
 func New(n int) *Graph {
 	if n < 0 {
 		panic("graph.New: negative vertex count")
@@ -92,10 +99,10 @@ func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int {
-	if g.finalized {
-		return int(g.off[v+1] - g.off[v])
+	if !g.finalized {
+		notFinalized("Degree")
 	}
-	return len(g.adj[v])
+	return int(g.off[v+1] - g.off[v])
 }
 
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
@@ -117,8 +124,12 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.m) / float64(g.n)
 }
 
-// checkEdge validates the endpoints of {u, v}.
+// checkEdge validates the endpoints of {u, v} and that g is still being
+// built.
 func (g *Graph) checkEdge(u, v int) error {
+	if g.finalized {
+		return ErrFinalized
+	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("%w: {%d,%d} with n=%d", ErrVertexRange, u, v, g.n)
 	}
@@ -128,18 +139,19 @@ func (g *Graph) checkEdge(u, v int) error {
 	return nil
 }
 
-// AddEdge inserts the undirected edge {u, v}.  Adding an existing edge is a
-// no-op.  Adding an edge invalidates a previous Finalize.
+// AddEdge inserts the undirected edge {u, v} into a graph under
+// construction.  Adding an existing edge is a no-op, found by a linear scan
+// of the shorter of the two lists.  On a finalized graph it returns
+// ErrFinalized.
 func (g *Graph) AddEdge(u, v int) error {
 	if err := g.checkEdge(u, v); err != nil {
 		return err
 	}
-	if g.finalized {
-		if g.HasEdge(u, v) {
-			return nil
-		}
-		g.definalize()
-	} else if g.hasEdgeSlow(u, v) {
+	a, w := g.adj[u], int32(v)
+	if len(g.adj[v]) < len(a) {
+		a, w = g.adj[v], int32(u)
+	}
+	if slices.Contains(a, w) {
 		return nil
 	}
 	g.adj[u] = append(g.adj[u], int32(v))
@@ -154,12 +166,10 @@ func (g *Graph) AddEdge(u, v int) error {
 // construction — ingesting m edges costs O(m) instead of the O(m·Δ)
 // membership probes of AddEdge — and the intended way to build graphs whose
 // edge streams may repeat edges (minors, underlying graphs of digraphs).
+// On a finalized graph it returns ErrFinalized.
 func (g *Graph) AddEdgeLazy(u, v int) error {
 	if err := g.checkEdge(u, v); err != nil {
 		return err
-	}
-	if g.finalized {
-		g.definalize()
 	}
 	g.adj[u] = append(g.adj[u], int32(v))
 	g.adj[v] = append(g.adj[v], int32(u))
@@ -167,51 +177,19 @@ func (g *Graph) AddEdgeLazy(u, v int) error {
 	return nil
 }
 
-// hasEdgeSlow performs a linear scan over the smaller construction-side
-// adjacency list; only valid on non-finalized graphs.
-func (g *Graph) hasEdgeSlow(u, v int) bool {
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a = g.adj[v]
-		u, v = v, u
-	}
-	for _, w := range a {
-		if int(w) == v {
-			return true
-		}
-	}
-	return false
-}
-
-// definalize converts a finalized graph back to construction-side adjacency
-// lists so that further edges can be inserted.
-func (g *Graph) definalize() {
-	adj := make([][]int32, g.n)
-	for v := 0; v < g.n; v++ {
-		row := g.tgt[g.off[v]:g.off[v+1]]
-		adj[v] = append(make([]int32, 0, len(row)+1), row...)
-	}
-	g.adj, g.off, g.tgt, g.finalized = adj, nil, nil, false
-}
-
-// Finalize converts the graph to its CSR representation: every adjacency
-// list is sorted increasingly, duplicate entries (from AddEdgeLazy) are
-// removed, the exact edge count is recomputed, and the lists are packed into
-// one flat targets array indexed by a flat offsets array.  It is idempotent.
-// Finalized graphs support O(log deg) HasEdge queries and guarantee that
-// Neighbors returns vertices in increasing order.
-func (g *Graph) Finalize() { g.FinalizeWorkers(0) }
-
-// FinalizeWorkers is Finalize with an explicit bound on the goroutines of
-// the packing passes (0 = GOMAXPROCS); the result is identical for every
-// worker count.
-func (g *Graph) FinalizeWorkers(workers int) {
+// Finalize ends construction and packs the graph into its CSR layout: every
+// adjacency list is sorted increasingly, duplicate entries (from
+// AddEdgeLazy) are removed, the exact edge count is recomputed, and the
+// lists are packed into one flat targets array indexed by a flat offsets
+// array.  The layout depends only on the edge set.  From then on the graph
+// is read-only.  Finalize is idempotent.
+func (g *Graph) Finalize() {
 	if g.finalized {
 		return
 	}
 	// Sort and dedup every row; rows are independent, so large graphs fan
 	// the pass across cores (per-vertex work only — deterministic).
-	workers = ResolveWorkers(workers, g.n)
+	workers := ResolveWorkers(0, g.n)
 	if g.n < 1024 {
 		workers = 1
 	}
@@ -262,17 +240,24 @@ func (g *Graph) FinalizeWorkers(workers int) {
 	g.finalized = true
 }
 
-// Finalized reports whether Finalize has been called since the last mutation.
+// Finalized reports whether Finalize has been called, that is, whether the
+// graph can be read.
 func (g *Graph) Finalized() bool { return g.finalized }
 
-// HasEdge reports whether the edge {u, v} is present.  On a finalized graph
-// this is a binary search over the shorter CSR row.
+// notFinalized is the panic of every reader called on a graph under
+// construction.
+func notFinalized(op string) {
+	panic("graph." + op + ": graph is not finalized; call Finalize first")
+}
+
+// HasEdge reports whether the edge {u, v} is present: a binary search over
+// the shorter CSR row.
 func (g *Graph) HasEdge(u, v int) bool {
+	if !g.finalized {
+		notFinalized("HasEdge")
+	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
-	}
-	if !g.finalized {
-		return g.hasEdgeSlow(u, v)
 	}
 	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
@@ -291,14 +276,13 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return lo < len(row) && row[lo] == w
 }
 
-// Neighbors returns the adjacency list of v.  The returned slice is owned by
-// the graph and must not be modified.  On a finalized graph it is a slice of
-// the shared CSR targets array, sorted increasingly.
+// Neighbors returns the neighbors of v in increasing order: a window of the
+// graph's CSR targets array, which must not be modified.
 func (g *Graph) Neighbors(v int) []int32 {
-	if g.finalized {
-		return g.tgt[g.off[v]:g.off[v+1]]
+	if !g.finalized {
+		notFinalized("Neighbors")
 	}
-	return g.adj[v]
+	return g.tgt[g.off[v]:g.off[v+1]]
 }
 
 // NeighborsInts returns a fresh []int copy of the adjacency list of v.
@@ -312,7 +296,7 @@ func (g *Graph) NeighborsInts(v int) []int {
 }
 
 // Edges returns all edges as pairs {u, v} with u < v, sorted
-// lexicographically.
+// lexicographically (the CSR rows are sorted, so one sweep suffices).
 func (g *Graph) Edges() [][2]int {
 	edges := make([][2]int, 0, g.m)
 	for u := 0; u < g.n; u++ {
@@ -323,32 +307,7 @@ func (g *Graph) Edges() [][2]int {
 			}
 		}
 	}
-	if !g.finalized {
-		// Finalized CSR rows are sorted, so the sweep above is already
-		// lexicographic; unsorted construction-side lists are not.
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i][0] != edges[j][0] {
-				return edges[i][0] < edges[j][0]
-			}
-			return edges[i][1] < edges[j][1]
-		})
-	}
 	return edges
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, m: g.m, finalized: g.finalized}
-	if g.finalized {
-		c.off = append([]int32(nil), g.off...)
-		c.tgt = append([]int32(nil), g.tgt...)
-		return c
-	}
-	c.adj = make([][]int32, g.n)
-	for v := 0; v < g.n; v++ {
-		c.adj[v] = append([]int32(nil), g.adj[v]...)
-	}
-	return c
 }
 
 // InducedSubgraph returns the subgraph induced by the vertex set verts,
@@ -407,48 +366,16 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(n=%d, m=%d)", g.n, g.m)
 }
 
-// Validate checks internal invariants (symmetry, no self-loops, no duplicate
-// entries, CSR row ordering, edge count consistency).  It is used by tests
-// and the fuzzing / property-based suites.
+// Validate checks the invariants of the CSR layout (strictly sorted in-range
+// rows, no self-loops, symmetric adjacency) and that the edge count matches
+// it.  It is used by tests and the fuzzing / property-based suites.
 func (g *Graph) Validate() error {
-	count := 0
-	for v := 0; v < g.n; v++ {
-		nb := g.Neighbors(v)
-		seen := make(map[int32]bool, len(nb))
-		for i, w := range nb {
-			if int(w) == v {
-				return fmt.Errorf("graph: self-loop at %d", v)
-			}
-			if w < 0 || int(w) >= g.n {
-				return fmt.Errorf("graph: neighbor %d of %d out of range", w, v)
-			}
-			if seen[w] {
-				return fmt.Errorf("graph: duplicate edge {%d,%d}", v, w)
-			}
-			seen[w] = true
-			if g.finalized && i > 0 && nb[i-1] >= w {
-				return fmt.Errorf("graph: CSR row of %d not sorted at %d", v, i)
-			}
-			if !g.hasEdgeIn(int(w), v) {
-				return fmt.Errorf("graph: asymmetric edge {%d,%d}", v, w)
-			}
-			count++
-		}
+	off, tgt := g.CSR()
+	if _, err := FromCSR(off, tgt); err != nil {
+		return err
 	}
-	if count != 2*g.m {
-		return fmt.Errorf("graph: edge count mismatch: m=%d but %d adjacency entries", g.m, count)
+	if 2*g.m != len(tgt) {
+		return fmt.Errorf("graph: edge count mismatch: m=%d but %d adjacency entries", g.m, len(tgt))
 	}
 	return nil
-}
-
-// hasEdgeIn reports whether v appears in the adjacency list of u by linear
-// scan; Validate uses it on non-finalized graphs where duplicate entries may
-// make HasEdge's assumptions unreliable.
-func (g *Graph) hasEdgeIn(u, v int) bool {
-	for _, x := range g.Neighbors(u) {
-		if int(x) == v {
-			return true
-		}
-	}
-	return false
 }

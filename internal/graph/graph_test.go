@@ -1,29 +1,38 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func pathGraph(n int) *Graph {
 	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(i, i+1); err != nil {
-			panic(err)
-		}
-	}
+	addPath(g, n)
 	g.Finalize()
 	return g
 }
 
 func cycleGraph(n int) *Graph {
-	g := pathGraph(n)
+	g := New(n)
+	addPath(g, n)
 	if n > 2 {
 		_ = g.AddEdge(n-1, 0)
-		g.Finalize()
 	}
+	g.Finalize()
 	return g
+}
+
+func addPath(g *Graph, n int) {
+	for i := 0; i+1 < n; i++ {
+		if err := g.AddEdge(i, i+1); err != nil {
+			panic(err)
+		}
+	}
 }
 
 func completeGraph(n int) *Graph {
@@ -59,6 +68,7 @@ func TestNewEmptyGraph(t *testing.T) {
 	if g.N() != 5 || g.M() != 0 {
 		t.Fatalf("got n=%d m=%d, want 5, 0", g.N(), g.M())
 	}
+	g.Finalize()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +94,7 @@ func TestAddEdgeBasics(t *testing.T) {
 	if err := g.AddEdge(-1, 2); err == nil {
 		t.Fatal("negative vertex accepted")
 	}
+	g.Finalize()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,42 +108,70 @@ func TestHasEdgeFinalizedAndNot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check := func() {
-		for _, e := range edges {
-			if !g.HasEdge(e[0], e[1]) || !g.HasEdge(e[1], e[0]) {
-				t.Fatalf("missing edge %v (finalized=%v)", e, g.Finalized())
-			}
-		}
-		if g.HasEdge(0, 1) || g.HasEdge(5, 5) || g.HasEdge(0, 100) {
-			t.Fatal("phantom edge reported")
+	// Every reader of a graph under construction panics naming Finalize.
+	for name, read := range map[string]func(){
+		"HasEdge":   func() { g.HasEdge(0, 3) },
+		"Neighbors": func() { g.Neighbors(0) },
+		"Degree":    func() { g.Degree(0) },
+		"Edges":     func() { g.Edges() },
+		"Validate":  func() { _ = g.Validate() },
+		"Walk":      func() { NewWalker(g).Walk(0, 1) },
+	} {
+		if msg := panicMessage(read); !strings.Contains(msg, "Finalize") {
+			t.Errorf("%s before Finalize: panic %q, want one naming Finalize", name, msg)
 		}
 	}
-	check()
 	g.Finalize()
-	check()
+	for _, e := range edges {
+		if !g.HasEdge(e[0], e[1]) || !g.HasEdge(e[1], e[0]) {
+			t.Fatalf("missing edge %v", e)
+		}
+	}
+	if g.HasEdge(0, 1) || g.HasEdge(5, 5) || g.HasEdge(0, 100) {
+		t.Fatal("phantom edge reported")
+	}
 }
 
-func TestFromEdgesAndClone(t *testing.T) {
-	g, err := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Clone()
-	if c.N() != g.N() || c.M() != g.M() {
-		t.Fatalf("clone mismatch: %v vs %v", c, g)
-	}
-	// Mutating the clone must not affect the original.
-	if err := c.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(0, 2) {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
+// panicMessage runs f and returns what it panicked with ("" if nothing).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestFromEdgesMatchesShuffledBuild: the CSR depends only on the edge set.
+// Adding the edges in shuffled order and either orientation, with AddEdge
+// or AddEdgeLazy and with repeats, packs to the same arrays as FromEdges.
+func TestFromEdgesMatchesShuffledBuild(t *testing.T) {
+	ref := randomGraph(t, 60, 0.1, 7)
+	wantOff, wantTgt := ref.CSR()
+	rng := rand.New(rand.NewSource(7))
+	for _, lazy := range []bool{false, true} {
+		edges := append(ref.Edges(), ref.Edges()[:10]...)
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		g := New(ref.N())
+		for _, e := range edges {
+			u, v := e[0], e[1]
+			if rng.Intn(2) == 0 {
+				u, v = v, u
+			}
+			add := g.AddEdge
+			if lazy {
+				add = g.AddEdgeLazy
+			}
+			if err := add(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g.Finalize()
+		off, tgt := g.CSR()
+		if !slices.Equal(off, wantOff) || !slices.Equal(tgt, wantTgt) || g.M() != ref.M() {
+			t.Fatalf("lazy=%v: shuffled build packs a different CSR than FromEdges", lazy)
+		}
 	}
 }
 
@@ -181,7 +220,7 @@ func TestDegreeStats(t *testing.T) {
 	if g.AvgDegree() != 4 {
 		t.Fatalf("avg degree %f", g.AvgDegree())
 	}
-	empty := New(0)
+	empty := MustFromEdges(0, nil)
 	if empty.AvgDegree() != 0 || empty.MaxDegree() != 0 {
 		t.Fatal("empty graph degree stats")
 	}
@@ -316,7 +355,7 @@ func TestComponents(t *testing.T) {
 	if !cycleGraph(5).IsConnected() {
 		t.Fatal("cycle reported disconnected")
 	}
-	if !New(1).IsConnected() || !New(0).IsConnected() {
+	if !MustFromEdges(1, nil).IsConnected() || !MustFromEdges(0, nil).IsConnected() {
 		t.Fatal("trivial graphs should be connected")
 	}
 }
@@ -344,10 +383,10 @@ func TestDegeneracyOrderBasics(t *testing.T) {
 	if _, k := completeGraph(6).DegeneracyOrder(); k != 5 {
 		t.Fatalf("K6 degeneracy %d", k)
 	}
-	if k := New(3).Degeneracy(); k != 0 {
+	if k := MustFromEdges(3, nil).Degeneracy(); k != 0 {
 		t.Fatalf("edgeless degeneracy %d", k)
 	}
-	order, _ := New(0).DegeneracyOrder()
+	order, _ := MustFromEdges(0, nil).DegeneracyOrder()
 	if order != nil {
 		t.Fatal("empty graph order should be nil")
 	}
@@ -422,34 +461,24 @@ func TestAddEdgeAfterFinalizeDefinalizes(t *testing.T) {
 	if !g.Finalized() {
 		t.Fatal("pathGraph should be finalized")
 	}
-	if err := g.AddEdge(0, 1); err != nil { // duplicate: must stay finalized
-		t.Fatal(err)
+	// A finalized graph is read-only: both insertions fail, a duplicate
+	// and a new edge alike, and the graph stays as it was.
+	for _, add := range []func(u, v int) error{g.AddEdge, g.AddEdgeLazy} {
+		for _, e := range [][2]int{{0, 1}, {0, 3}} {
+			if err := add(e[0], e[1]); !errors.Is(err, ErrFinalized) {
+				t.Fatalf("AddEdge%v on a finalized graph: %v, want ErrFinalized", e, err)
+			}
+		}
 	}
-	if !g.Finalized() || g.M() != 3 {
-		t.Fatal("duplicate AddEdge should be a finalized no-op")
+	if !g.Finalized() || g.M() != 3 || g.HasEdge(0, 3) {
+		t.Fatal("a rejected insertion changed the graph")
 	}
-	if err := g.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if g.Finalized() {
-		t.Fatal("new edge should invalidate Finalize")
-	}
-	if g.M() != 4 || !g.HasEdge(0, 3) || !g.HasEdge(1, 2) {
-		t.Fatal("edges lost across definalize")
-	}
-	g.Finalize()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	want := [][2]int{{0, 1}, {0, 3}, {1, 2}, {2, 3}}
-	got := g.Edges()
-	if len(got) != len(want) {
-		t.Fatalf("edges = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edges = %v, want %v", got, want)
-		}
+	want := [][2]int{{0, 1}, {1, 2}, {2, 3}}
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Fatalf("edges = %v, want %v", got, want)
 	}
 }
 
@@ -494,38 +523,6 @@ func TestBitsetQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBitsetSetOps(t *testing.T) {
-	a := NewBitset(100)
-	b := NewBitset(100)
-	a.Set(3)
-	a.Set(64)
-	b.Set(64)
-	b.Set(99)
-	if !a.Intersects(b) {
-		t.Fatal("should intersect at 64")
-	}
-	c := a.Clone()
-	c.Union(b)
-	if c.Count() != 3 || !c.Get(99) {
-		t.Fatalf("union members %v", c.Members())
-	}
-	if a.Count() != 2 {
-		t.Fatal("union mutated the source clone's original")
-	}
-	a.Reset()
-	if a.Count() != 0 {
-		t.Fatal("reset failed")
-	}
-	b.Clear(64)
-	b.Clear(99)
-	if a.Intersects(b) {
-		t.Fatal("empty bitsets should not intersect")
-	}
-	if a.Len() != 100 {
-		t.Fatalf("len %d", a.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -14,8 +15,11 @@ import (
 //	n m
 //	u v        (one edge per line, 0-based indices)
 //
-// The format is read back by ReadEdgeList.
+// The format is read back by ReadEdgeList.  g must be finalized.
 func WriteEdgeList(w io.Writer, g *Graph) error {
+	if !g.finalized {
+		return errors.New("graph: WriteEdgeList: graph is not finalized; call Finalize first")
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
 		return err

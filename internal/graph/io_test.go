@@ -117,7 +117,12 @@ func TestReadEdgeListLimit(t *testing.T) {
 
 func TestWriteEdgeListHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, New(3)); err != nil {
+	g := New(3)
+	if err := WriteEdgeList(&buf, g); err == nil {
+		t.Fatal("an unfinalized graph was written")
+	}
+	g.Finalize()
+	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	g, err := ReadEdgeList(&buf)

@@ -1,7 +1,6 @@
 package order
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -215,12 +214,8 @@ func OrientByOrder(g *graph.Graph, o *Order) *Digraph {
 		if start == len(arena) {
 			continue
 		}
-		row := arena[start:len(arena):len(arena)]
-		if !g.Finalized() {
-			// Finalized adjacency rows are sorted by vertex id already.
-			slices.SortFunc(row, func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
-		}
-		d.out[v] = row
+		// Adjacency rows are sorted, so the row is sorted by head.
+		d.out[v] = arena[start:len(arena):len(arena)]
 	}
 	return d
 }

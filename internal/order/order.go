@@ -84,17 +84,6 @@ func (o *Order) At(i int) int { return o.perm[i] }
 // Less reports whether u <_L v.
 func (o *Order) Less(u, v int) bool { return o.pos[u] < o.pos[v] }
 
-// Min returns the L-minimum of a non-empty set of vertices.
-func (o *Order) Min(verts []int) int {
-	best := verts[0]
-	for _, v := range verts[1:] {
-		if o.pos[v] < o.pos[best] {
-			best = v
-		}
-	}
-	return best
-}
-
 // Positions returns a copy of the vertex → position array.
 func (o *Order) Positions() []int { return append([]int(nil), o.pos...) }
 

@@ -19,9 +19,6 @@ func TestFromPermutationAndPositions(t *testing.T) {
 	if !o.Less(2, 0) || o.Less(1, 0) {
 		t.Fatal("Less wrong")
 	}
-	if o.Min([]int{0, 1, 2}) != 2 {
-		t.Fatal("Min wrong")
-	}
 	o2, err := FromPositions(o.Positions())
 	if err != nil {
 		t.Fatal(err)
