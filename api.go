@@ -44,7 +44,8 @@
 //
 //	alt, err := bedom.DominatingSetWith(g, 2, "kubsv")
 //
-// See the examples/ directory for complete programs.
+// The package examples run each pipeline on a 20×20 grid, and cmd/domset
+// runs them from the command line.
 package bedom
 
 import (
@@ -95,16 +96,6 @@ const (
 	// is the model all of the paper's CONGEST-style results use.
 	CONGESTBC = dist.CongestBC
 )
-
-// SetSubstrateWorkers bounds the number of goroutines the default engine
-// uses inside one substrate build (order augmentation scans, parallel
-// weak-reachability sweeps, cover inversion).  0 restores the default
-// (GOMAXPROCS).  Substrate outputs are bit-identical for every worker
-// count — the knob only trades build latency against CPU share, so it is
-// safe to change at any time.
-func SetSubstrateWorkers(workers int) {
-	defaultEngine().SetSubstrateWorkers(workers)
-}
 
 // NewGraph returns an empty graph on n vertices.  Add its edges with
 // AddEdge, then call Finalize before querying it.
@@ -244,9 +235,6 @@ func IsDominatingSet(g *Graph, D []int, r int) bool { return domset.Check(g, D, 
 func IsConnectedDominatingSet(g *Graph, D []int, r int) bool {
 	return connect.CheckConnected(g, D, r)
 }
-
-// GreedyDominatingSet is the classical ln(n)-approximation baseline.
-func GreedyDominatingSet(g *Graph, r int) []int { return domset.Greedy(g, r) }
 
 // CoverResult describes a sparse r-neighborhood cover (Theorem 4 / 8).
 type CoverResult struct {

@@ -78,8 +78,11 @@ func TestConnectedDominatingSetAPI(t *testing.T) {
 
 func TestGreedyAndCoverAPI(t *testing.T) {
 	g := Grid(10, 10)
-	D := GreedyDominatingSet(g, 1)
-	if !IsDominatingSet(g, D, 1) {
+	greedy, err := DominatingSetWith(g, 1, "greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsDominatingSet(g, greedy.Set, 1) {
 		t.Fatal("greedy invalid")
 	}
 	cov, err := NeighborhoodCover(g, 2)

@@ -6,7 +6,6 @@
 //	benchrun                    # full suite, plain-text tables
 //	benchrun -tier quick        # reduced workload (seconds instead of minutes)
 //	benchrun -tier large        # scale tier: million-vertex instances (L1)
-//	benchrun -quick             # alias for -tier quick
 //	benchrun -markdown          # markdown tables (used to update EXPERIMENTS.md)
 //	benchrun -json              # one JSON document (perf-trajectory snapshots)
 //	benchrun -exp E3,E7         # selected experiments only
@@ -29,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -68,8 +68,7 @@ const (
 
 func main() {
 	var (
-		tier      = flag.String("tier", "", "workload tier: quick, full or large (default full)")
-		quick     = flag.Bool("quick", false, "alias for -tier quick")
+		tier      = flag.String("tier", tierFull, "workload tier: quick, full or large")
 		markdown  = flag.Bool("markdown", false, "emit markdown tables")
 		jsonOut   = flag.Bool("json", false, "emit one JSON document with all tables")
 		only      = flag.String("exp", "", "comma-separated experiment ids to run (default: all)")
@@ -97,18 +96,7 @@ func main() {
 		return
 	}
 
-	switch *tier {
-	case "":
-		*tier = tierFull
-		if *quick {
-			*tier = tierQuick
-		}
-	case tierQuick, tierFull, tierLarge:
-		if *quick && *tier != tierQuick {
-			fmt.Fprintf(os.Stderr, "benchrun: -quick contradicts -tier %s\n", *tier)
-			os.Exit(2)
-		}
-	default:
+	if !slices.Contains([]string{tierQuick, tierFull, tierLarge}, *tier) {
 		fmt.Fprintf(os.Stderr, "benchrun: unknown tier %q (want quick, full or large)\n", *tier)
 		os.Exit(2)
 	}
@@ -135,20 +123,14 @@ func main() {
 	if *tier == tierLarge {
 		suite = exp.Scale()
 	}
-
-	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	suite, err := selectExperiments(suite, *only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchrun: tier %s: %v\n", *tier, err)
+		os.Exit(1)
 	}
 
 	var tables []*exp.Table
-	ran := 0
 	for _, e := range suite {
-		if len(selected) > 0 && !selected[e.ID] {
-			continue
-		}
 		fmt.Fprintf(os.Stderr, "running %s — %s ...\n", e.ID, e.Title)
 		tbl := e.Run(cfg)
 		switch {
@@ -159,11 +141,6 @@ func main() {
 		default:
 			fmt.Println(tbl.Format())
 		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "benchrun: no experiments matched", *only)
-		os.Exit(1)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -182,4 +159,33 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// selectExperiments returns the experiments of suite named in the
+// comma-separated list only (case-insensitive), in suite order; an empty
+// list selects all of them.  An id that names no experiment of the suite is
+// an error listing the suite's ids.
+func selectExperiments(suite []exp.Experiment, only string) ([]exp.Experiment, error) {
+	if only == "" {
+		return suite, nil
+	}
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		ids[i] = e.ID
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment %s (experiments: %s)", id, strings.Join(ids, ", "))
+		}
+		selected[id] = true
+	}
+	var out []exp.Experiment
+	for _, e := range suite {
+		if selected[e.ID] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }

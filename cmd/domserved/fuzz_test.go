@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 
 	"bedom/internal/engine"
@@ -115,12 +113,11 @@ func FuzzRequestBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		// Decoded the way the handlers decode it: the first JSON value.
 		var sizes struct {
-			N           int    `json:"n"`
-			AddVertices int    `json:"add_vertices"`
-			EdgeList    string `json:"edge_list"`
+			N           int `json:"n"`
+			AddVertices int `json:"add_vertices"`
 		}
 		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&sizes)
-		if max(sizes.N, sizes.AddVertices, edgeListVertices(sizes.EdgeList)) > fuzzMaxVertices {
+		if max(sizes.N, sizes.AddVertices) > fuzzMaxVertices {
 			t.Skip("declares more vertices than a fuzz input may allocate")
 		}
 		eng, h := fuzzServer(t)
@@ -129,18 +126,4 @@ func FuzzRequestBodies(f *testing.F) {
 		}
 		fuzzPost(t, h, routes[int(route)%len(routes)], "application/json", body)
 	})
-}
-
-// edgeListVertices returns the vertex count an edge-list document's header
-// declares (0 when it has none).
-func edgeListVertices(doc string) int {
-	for _, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
-		}
-		n, _ := strconv.Atoi(strings.Fields(line)[0])
-		return n
-	}
-	return 0
 }

@@ -21,7 +21,8 @@
 // Endpoints (all JSON):
 //
 //	POST   /graphs               {"name":"g","family":"grid","n":4096}
-//	                             {"name":"g","n":3,"edges":[[0,1],[1,2]]}
+//	                             (an unknown family's 400 lists the families),
+//	                             {"name":"g","n":3,"edges":[[0,1],[1,2]]},
 //	                             a text/plain edge-list body with ?name=g,
 //	                             or an application/x-ndjson stream:
 //	                             {"name":"g","n":1000} then one [u,v] per line

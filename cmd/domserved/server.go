@@ -199,17 +199,16 @@ func (s *server) instrument(next http.Handler) http.Handler {
 }
 
 // registerRequest is the JSON body of POST /graphs.  Exactly one graph
-// source must be given: an inline edge array, an inline edge-list document,
-// or a generator family.
+// source must be given: an inline edge array or a generator family.  An
+// edge-list document is uploaded as a text/plain body instead.
 type registerRequest struct {
 	Name string `json:"name"`
 	// N + Edges define the graph explicitly.
 	N     int      `json:"n,omitempty"`
 	Edges [][2]int `json:"edges,omitempty"`
-	// EdgeList is an inline document in the library's edge-list format.
-	EdgeList string `json:"edge_list,omitempty"`
-	// Family + Seed generate a member of a built-in family (see
-	// `graphgen -list`); N is the approximate vertex count.
+	// Family + Seed generate a member of a built-in family (an unknown name's
+	// error from gen.FamilyByName lists them); N is the approximate vertex
+	// count.
 	Family string `json:"family,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
 	// LargestComponent restricts a generated graph to its largest component.
@@ -236,7 +235,10 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "query parameter 'name' is required for edge-list uploads")
 			return
 		}
-		g, err := parseEdgeListBounded(body)
+		// The vertex bound is enforced before the O(n) adjacency table is
+		// allocated: a tiny body can otherwise declare an arbitrarily large
+		// n, defeating the request-size limit.
+		g, err := graph.ReadEdgeListLimit(body, maxGraphVertices)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
@@ -280,45 +282,27 @@ func registerStatusFor(err error) int {
 }
 
 func buildGraph(req registerRequest) (*graph.Graph, error) {
-	sources := 0
-	for _, has := range []bool{req.Edges != nil, req.EdgeList != "", req.Family != ""} {
-		if has {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, errors.New("exactly one of 'edges', 'edge_list' or 'family' must be given")
+	if (req.Edges != nil) == (req.Family != "") {
+		return nil, errors.New("exactly one of 'edges' or 'family' must be given; upload an edge-list document as a text/plain body with ?name=")
 	}
 	if req.N < 0 || req.N > maxGraphVertices {
 		return nil, fmt.Errorf("'n' must be in [0, %d], got %d", maxGraphVertices, req.N)
 	}
-	switch {
-	case req.Edges != nil:
+	if req.Edges != nil {
 		return graph.FromEdges(req.N, req.Edges)
-	case req.EdgeList != "":
-		return parseEdgeListBounded(strings.NewReader(req.EdgeList))
-	default:
-		f, err := gen.FamilyByName(req.Family)
-		if err != nil {
-			return nil, err
-		}
-		if req.N <= 0 {
-			return nil, fmt.Errorf("family %q needs a positive 'n'", req.Family)
-		}
-		g := f.Generate(req.N, req.Seed)
-		if req.LargestComponent {
-			g, _ = gen.LargestComponent(g)
-		}
-		return g, nil
 	}
-}
-
-// parseEdgeListBounded parses an edge-list document with the daemon's vertex
-// bound enforced before the O(n) adjacency table is allocated — a tiny body
-// can otherwise declare an arbitrarily large n, defeating the request-size
-// limit.
-func parseEdgeListBounded(r io.Reader) (*graph.Graph, error) {
-	return graph.ReadEdgeListLimit(r, maxGraphVertices)
+	f, err := gen.FamilyByName(req.Family)
+	if err != nil {
+		return nil, err
+	}
+	if req.N <= 0 {
+		return nil, fmt.Errorf("family %q needs a positive 'n'", req.Family)
+	}
+	g := f.Generate(req.N, req.Seed)
+	if req.LargestComponent {
+		g, _ = gen.LargestComponent(g)
+	}
+	return g, nil
 }
 
 // streamHeader is the first NDJSON value of a streaming ingest: the graph

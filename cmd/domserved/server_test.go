@@ -112,19 +112,23 @@ func TestRegisterExplicitEdgesAndEdgeListUpload(t *testing.T) {
 		t.Fatalf("upload: status %d", hr.StatusCode)
 	}
 
-	// Inline edge_list document.
+	// An inline edge-list document is not a graph source: the 400 points
+	// at the text/plain upload.
+	var e struct {
+		Error string `json:"error"`
+	}
 	resp = doJSON(t, "POST", ts.URL+"/graphs",
-		map[string]any{"name": "inline", "edge_list": "3 2\n0 1\n1 2\n"}, &info)
-	if resp.StatusCode != http.StatusCreated || info.M != 2 {
-		t.Fatalf("inline register: %d %+v", resp.StatusCode, info)
+		map[string]any{"name": "inline", "edge_list": "3 2\n0 1\n1 2\n"}, &e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "text/plain") {
+		t.Fatalf("inline edge_list: %d %+v", resp.StatusCode, e)
 	}
 
 	var list struct {
 		Graphs []engine.GraphInfo `json:"graphs"`
 	}
 	doJSON(t, "GET", ts.URL+"/graphs", nil, &list)
-	if len(list.Graphs) != 3 {
-		t.Fatalf("expected 3 graphs, got %+v", list.Graphs)
+	if len(list.Graphs) != 2 {
+		t.Fatalf("expected 2 graphs, got %+v", list.Graphs)
 	}
 
 	req, _ := http.NewRequest("DELETE", ts.URL+"/graphs/path", nil)
@@ -165,7 +169,8 @@ func TestRegisterValidation(t *testing.T) {
 		t.Fatalf("malformed upload: want 400, got %d", hr.StatusCode)
 	}
 	// A tiny document declaring an absurd vertex count must be rejected
-	// before anything is allocated — via upload and via inline edge_list.
+	// before anything is allocated.  An inline 'edge_list' is not a graph
+	// source, so that body is rejected before any parsing.
 	hr, err = http.Post(ts.URL+"/graphs?name=huge", "text/plain", strings.NewReader("999999999999 1\n0 1\n"))
 	if err != nil {
 		t.Fatal(err)

@@ -246,10 +246,6 @@ type Engine struct {
 	exec  *executor
 	stats *statsCollector
 
-	// substrateWorkers is the live value of Config.SubstrateWorkers
-	// (adjustable at runtime via SetSubstrateWorkers).
-	substrateWorkers atomic.Int32
-
 	// rebuildSem is the admission guard bounding concurrent substrate
 	// rebuild chains (capacity Config.MaxConcurrentRebuilds).  Only
 	// top-level cache misses acquire a slot; builds nested inside an
@@ -337,7 +333,6 @@ func New(cfg Config) *Engine {
 		anon:       make(map[weak.Pointer[graph.Graph]]uint64),
 		distRuns:   newDistRunLog(cfg.DistRunLog),
 	}
-	e.substrateWorkers.Store(int32(cfg.SubstrateWorkers))
 	// Scrape-time gauges.  The closures keep the engine reachable for the
 	// registry's lifetime, which is why sharing a registry across engines is
 	// documented out (the last registrant would win anyway).
@@ -425,19 +420,6 @@ func (e *Engine) Health() (state, reason string) {
 		return HealthOverloaded, "admission queue full"
 	}
 	return HealthOK, ""
-}
-
-// SetSubstrateWorkers adjusts the per-build worker bound at runtime (0 =
-// GOMAXPROCS).  Safe for concurrent use; it affects builds that start after
-// the call.  Substrate outputs are identical for every worker count, so the
-// cache stays valid across changes.
-func (e *Engine) SetSubstrateWorkers(workers int) {
-	e.substrateWorkers.Store(int32(workers))
-}
-
-// substrateWorkerCount resolves the current per-build worker bound.
-func (e *Engine) substrateWorkerCount() int {
-	return int(e.substrateWorkers.Load())
 }
 
 // Close shuts the query executor down and releases the substrate cache,
@@ -751,10 +733,9 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 	defer sp.End()
 	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, func() (any, error) {
 		e.stage("substrate:order")
-		workers := e.substrateWorkerCount()
 		return e.cache.timedBuild("order", func() any {
 			opts := order.DefaultOptions(r)
-			opts.Workers = workers
+			opts.Workers = e.cfg.SubstrateWorkers
 			return order.Construct(g, opts).Order
 		}), nil
 	})
@@ -808,8 +789,7 @@ func (e *Engine) traversal(ctx context.Context, g *graph.Graph, gen uint64, kind
 		if err != nil {
 			return nil, err
 		}
-		workers := e.substrateWorkerCount()
-		return e.cache.timedBuild("wreach", func() any { return build(o, workers) }), nil
+		return e.cache.timedBuild("wreach", func() any { return build(o, e.cfg.SubstrateWorkers) }), nil
 	})
 }
 

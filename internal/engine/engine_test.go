@@ -568,15 +568,4 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 			t.Fatalf("cds result differs at %d substrate workers", workers)
 		}
 	}
-	// The knob is also runtime-adjustable; flipping it must not change
-	// results on a fresh engine.
-	e := testEngine(t, Config{})
-	e.SetSubstrateWorkers(3)
-	dom, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(dom.Set, base.set) {
-		t.Fatal("SetSubstrateWorkers changed query results")
-	}
 }

@@ -417,10 +417,9 @@ func (e *Engine) coverFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 		if err != nil {
 			return nil, err
 		}
-		workers := e.substrateWorkerCount()
 		return e.cache.timedBuild("cover", func() any {
-			c := cover.BuildFromSets(g, r, setsR, sets2r, workers)
-			return &coverSubstrate{cover: c, stats: c.ComputeStatsWorkers(g, workers)}
+			c := cover.BuildFromSets(g, r, setsR, sets2r, e.cfg.SubstrateWorkers)
+			return &coverSubstrate{cover: c, stats: c.ComputeStatsWorkers(g, e.cfg.SubstrateWorkers)}
 		}), nil
 	})
 	if err != nil {

@@ -179,6 +179,6 @@ func All() []Experiment {
 // All() so the default and quick tiers stay laptop-sized.
 func Scale() []Experiment {
 	return []Experiment{
-		{"L1", "Million-vertex cold start: raw snapshots, mmap recovery, query latency", L1ScaleColdStart},
+		{"L1", "Million-vertex cold start: raw snapshots, mmap recovery, answer identity", L1ScaleColdStart},
 	}
 }

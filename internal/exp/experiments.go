@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"bedom/internal/connect"
 	"bedom/internal/cover"
@@ -50,7 +49,9 @@ func instance(f gen.Family, n int, seed int64) *graph.Graph {
 // E1SequentialApproximation validates Theorem 5: the paper's sequential
 // algorithm achieves small constant approximation ratios, far below the
 // greedy ln(n) envelope, across bounded expansion families.  On small
-// instances the ratio is measured against the exact optimum.
+// instances the ratio is measured against the exact optimum.  The time of
+// each substrate stage is a bench/ row: order.construct_ms.*,
+// order.wreach_ms.* and cover.build_ms.
 func E1SequentialApproximation(cfg Config) *Table {
 	t := &Table{
 		ID:    "E1",
@@ -94,33 +95,6 @@ func E1SequentialApproximation(cfg Config) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"Theorem 5 guarantees |D| ≤ wcol_2r · OPT; LB is a 2r-scattered-set bound unless exact=true.")
-	// Stage breakdown for the substrate pipeline (order → wreach → cover) at
-	// the largest radius, one instance per family.  Notes are exempt from the
-	// -compare perf gate (only Rows are compared), so these absolute timings
-	// inform without flaking CI; the gated trend lives in bedom_substrate_
-	// build_seconds of a serving engine.
-	if len(cfg.Radii) > 0 {
-		r := cfg.Radii[len(cfg.Radii)-1]
-		for _, f := range qualityFamilies(cfg) {
-			g := instance(f, cfg.N, cfg.Seed)
-			start := time.Now()
-			o := order.ConstructDefault(g, r)
-			dOrder := time.Since(start)
-			start = time.Now()
-			sets2r := order.WReachSetsWorkers(g, o, 2*r, 0)
-			setsR := order.WReachSetsWorkers(g, o, r, 0)
-			dWreach := time.Since(start)
-			start = time.Now()
-			cover.BuildFromSets(g, r, setsR, sets2r, 0)
-			dCover := time.Since(start)
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"stages %s r=%d n=%d: order %.1fms, wreach %.1fms, cover %.1fms",
-				f.Name, r, g.N(),
-				float64(dOrder)/float64(time.Millisecond),
-				float64(dWreach)/float64(time.Millisecond),
-				float64(dCover)/float64(time.Millisecond)))
-		}
-	}
 	return t
 }
 

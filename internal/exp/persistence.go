@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"time"
 
 	"bedom/internal/graph"
 	"bedom/internal/store"
@@ -14,9 +13,9 @@ import (
 // snapshot codec's size efficiency (varint-packed CSR vs. raw CSR bytes vs.
 // the text edge-list format) and the WAL's record framing, with a full
 // encode → decode → bit-identity check and a disk round trip through a real
-// store (save, append deltas, recover).  The gated cells are deterministic
-// (sizes, counts, identity booleans); throughputs are reported as notes, so
-// machine-speed noise never trips the perf-regression gate.
+// store (save, append deltas, recover).  Every cell is deterministic (sizes,
+// counts, identity booleans).  The codec's times are bench/ rows:
+// store.snapshot_encode_ms.*, store.snapshot_decode_ms and store.open_ms.
 func E9PersistenceCodec(cfg Config) *Table {
 	t := &Table{
 		ID:    "E9",
@@ -29,19 +28,15 @@ func E9PersistenceCodec(cfg Config) *Table {
 		meta := store.SnapshotMeta{Name: f.Name, Epoch: 1, Gen: 1}
 
 		var snap bytes.Buffer
-		encStart := time.Now()
 		if err := store.EncodeSnapshot(&snap, meta, g); err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: encode failed: %v", f.Name, err))
 			continue
 		}
-		encMS := msSince(encStart)
-		decStart := time.Now()
 		_, back, err := store.DecodeSnapshot(bytes.NewReader(snap.Bytes()))
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: decode failed: %v", f.Name, err))
 			continue
 		}
-		decMS := msSince(decStart)
 		identical := bitIdentical(g, back)
 
 		// Size baselines: the raw in-memory CSR footprint and the text
@@ -51,7 +46,7 @@ func E9PersistenceCodec(cfg Config) *Table {
 		var edgeList bytes.Buffer
 		_ = graph.WriteEdgeList(&edgeList, g)
 
-		walRecords, walBytes, recovered, replayMS := walRoundTrip(f.Name, g)
+		walRecords, walBytes, recovered := walRoundTrip(f.Name, g)
 
 		bytesPerEdge := 0.0
 		if g.M() > 0 {
@@ -60,34 +55,30 @@ func E9PersistenceCodec(cfg Config) *Table {
 		t.AddRow(f.Name, g.N(), g.M(), snap.Len(), bytesPerEdge,
 			ratio(snap.Len(), rawBytes), ratio(snap.Len(), edgeList.Len()),
 			walRecords, walBytes, recovered, identical)
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"%s: encode %.2f ms, decode %.2f ms, store recovery (snapshot+%d-record WAL replay) %.2f ms",
-			f.Name, encMS, decMS, walRecords, replayMS))
 	}
 	t.Notes = append(t.Notes,
-		"snapshot = varint-packed CSR with per-section CRC-32C (DESIGN.md §9); 'vs raw CSR' and 'vs edge list' are size ratios",
-		"timings live in notes (not cells) so the perf gate compares only deterministic values")
+		"snapshot = varint-packed CSR with per-section CRC-32C (DESIGN.md §9); 'vs raw CSR' and 'vs edge list' are size ratios")
 	return t
 }
 
 // walRoundTrip persists g plus a handful of deltas through a real on-disk
 // store, reopens it, and reports the WAL footprint and whether recovery got
 // everything back.
-func walRoundTrip(name string, g *graph.Graph) (records int, walBytes uint64, recovered bool, replayMS float64) {
+func walRoundTrip(name string, g *graph.Graph) (records int, walBytes uint64, recovered bool) {
 	dir, err := os.MkdirTemp("", "bedom-e9-")
 	if err != nil {
-		return 0, 0, false, 0
+		return 0, 0, false
 	}
 	defer os.RemoveAll(dir)
 
 	s, _, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
-		return 0, 0, false, 0
+		return 0, 0, false
 	}
 	epoch := s.NextEpoch()
 	if err := s.SaveSnapshot(store.SnapshotMeta{Name: name, Epoch: epoch, Gen: 1}, g); err != nil {
 		s.Close()
-		return 0, 0, false, 0
+		return 0, 0, false
 	}
 	// A deterministic delta stream: add a sprinkling of chords, remove a few
 	// existing edges.
@@ -109,24 +100,21 @@ func walRoundTrip(name string, g *graph.Graph) (records int, walBytes uint64, re
 	walBytes = s.Stats().WALBytes
 	s.Close()
 
-	replayStart := time.Now()
 	s2, rec, err := store.Open(dir, store.Options{NoSync: true})
 	if err != nil {
-		return records, walBytes, false, 0
+		return records, walBytes, false
 	}
 	defer s2.Close()
 	if len(rec.Graphs) != 1 || len(rec.Records) != records {
-		return records, walBytes, false, msSince(replayStart)
+		return records, walBytes, false
 	}
 	restored := graph.NewDynamic(rec.Graphs[0].Graph, 0)
 	for _, r := range rec.Records {
 		if _, err := restored.Apply(r.Delta); err != nil {
-			return records, walBytes, false, msSince(replayStart)
+			return records, walBytes, false
 		}
 	}
-	replayMS = msSince(replayStart)
-	recovered = bitIdentical(dyn.Snapshot(), restored.Snapshot())
-	return records, walBytes, recovered, replayMS
+	return records, walBytes, bitIdentical(dyn.Snapshot(), restored.Snapshot())
 }
 
 func bitIdentical(a, b *graph.Graph) bool {
@@ -146,8 +134,4 @@ func bitIdentical(a, b *graph.Graph) bool {
 		}
 	}
 	return true
-}
-
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start)) / float64(time.Millisecond)
 }

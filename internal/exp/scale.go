@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
+	"slices"
 
 	"bedom/internal/engine"
 	"bedom/internal/gen"
@@ -20,15 +17,15 @@ import (
 // path on supported platforms), and answers a radius-1 dominating-set query
 // before and after the restart.
 //
-// Gated cells are deterministic: sizes, the raw/mmap booleans and the
+// Every cell is deterministic: sizes, the raw/mmap booleans and the
 // dominating-set size, plus the "identical" bit asserting the post-restart
-// answer matches the pre-restart one vertex for vertex.  Cold-start wall
-// time, resident-set size and query latencies are machine-dependent and
-// live in notes, following the E9 convention.
+// answer matches the pre-restart one vertex for vertex.  The cold start's
+// times are bench/ rows (store.mmap_open_ms, store.open_ms) and end-to-end
+// metrics of its durable workload.
 func L1ScaleColdStart(cfg Config) *Table {
 	t := &Table{
 		ID:     "L1",
-		Title:  fmt.Sprintf("Scale: cold start and query latency at n≈%d (zero-copy snapshots)", cfg.LargeN),
+		Title:  fmt.Sprintf("Scale: cold start and answer identity at n≈%d (zero-copy snapshots)", cfg.LargeN),
 		Header: []string{"family", "n", "m", "snap bytes", "raw", "mmap", "domset size", "identical"},
 	}
 	restrict := map[string]bool{}
@@ -42,15 +39,12 @@ func L1ScaleColdStart(cfg Config) *Table {
 		runScaleFamily(t, f, cfg)
 	}
 	t.Notes = append(t.Notes,
-		"raw = snapshot written with the raw-aligned section variant; mmap = recovery served it zero-copy (DESIGN.md §13)",
-		"timings and RSS live in notes (not cells) so only deterministic values are perf-gated")
+		"raw = snapshot written with the raw-aligned section variant; mmap = recovery served it zero-copy (DESIGN.md §13)")
 	return t
 }
 
 func runScaleFamily(t *Table, f gen.Family, cfg Config) {
-	genStart := time.Now()
 	g := f.Generate(cfg.LargeN, cfg.Seed)
-	genMS := msSince(genStart)
 
 	dir, err := os.MkdirTemp("", "bedom-l1-")
 	if err != nil {
@@ -68,13 +62,11 @@ func runScaleFamily(t *Table, f gen.Family, cfg Config) {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: open: %v", f.Name, err))
 		return
 	}
-	saveStart := time.Now()
 	if _, err := e1.Register(f.Name, g); err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: register: %v", f.Name, err))
 		e1.Close()
 		return
 	}
-	saveMS := msSince(saveStart)
 	req := engine.Request{Graph: f.Name, Kind: engine.KindDominatingSet, R: 1}
 	before, err := e1.Do(context.Background(), req)
 	if err != nil {
@@ -87,72 +79,20 @@ func runScaleFamily(t *Table, f gen.Family, cfg Config) {
 	writeStats := e1.Stats()
 	e1.Close()
 
-	rssBefore := vmRSSBytes()
-	openStart := time.Now()
 	e2, err := engine.Open(dir, ecfg)
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: reopen: %v", f.Name, err))
 		return
 	}
-	openMS := msSince(openStart)
 	defer e2.Close()
 	cold, err := e2.Do(context.Background(), req)
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: cold query: %v", f.Name, err))
 		return
 	}
-	warm, err := e2.Do(context.Background(), req)
-	if err != nil {
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: warm query: %v", f.Name, err))
-		return
-	}
-	rssAfter := vmRSSBytes()
 
 	openStats := e2.Stats()
-	identical := len(before.Set) == len(cold.Set)
-	if identical {
-		for i := range cold.Set {
-			if cold.Set[i] != before.Set[i] {
-				identical = false
-				break
-			}
-		}
-	}
 	t.AddRow(f.Name, g.N(), g.M(), writeStats.Persist.SnapshotBytes,
 		writeStats.Persist.SnapshotsRaw > 0, openStats.Persist.Recovered.MmapGraphs > 0,
-		cold.Size, identical)
-	note := fmt.Sprintf(
-		"%s: generate %.0f ms, snapshot write %.0f ms, cold open %.2f ms, cold query %.0f ms, warm query %.2f ms",
-		f.Name, genMS, saveMS, openMS, cold.ElapsedMS, warm.ElapsedMS)
-	if rssBefore > 0 && rssAfter > 0 {
-		note += fmt.Sprintf(", RSS %.0f → %.0f MiB", float64(rssBefore)/(1<<20), float64(rssAfter)/(1<<20))
-	}
-	t.Notes = append(t.Notes, note)
-}
-
-// vmRSSBytes reports the process's resident set size by parsing
-// /proc/self/status (0 where the file is absent, e.g. non-Linux).
-func vmRSSBytes() int64 {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmRSS:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb << 10
-	}
-	return 0
+		cold.Size, slices.Equal(before.Set, cold.Set))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"bedom/internal/dist"
 	"bedom/internal/domset"
@@ -16,9 +15,9 @@ import (
 // E10SolverHeadToHead compares the registered solver strategies head to head
 // on the same instances: set size and certified quality for every strategy,
 // plus simulator cost (rounds, messages, message width) for the strategies
-// that implement the distributed interface.  Wall-clock timings are
-// reported in the notes — the table cells stay deterministic so the perf
-// gate can diff them across commits.
+// that implement the distributed interface.  The cells are deterministic, so
+// the perf gate can diff them across commits.  Each strategy's solve time
+// is a bench/ row: solver.*.solve_ms.
 func E10SolverHeadToHead(cfg Config) *Table {
 	t := &Table{
 		ID:    "E10",
@@ -27,7 +26,7 @@ func E10SolverHeadToHead(cfg Config) *Table {
 			"model", "rounds", "messages", "max msg words"},
 	}
 	ctx := context.Background()
-	var timings, phases []string
+	var phases []string
 	for _, f := range qualityFamilies(cfg) {
 		for _, r := range cfg.Radii {
 			g := instance(f, cfg.N/2, cfg.Seed+9)
@@ -51,12 +50,10 @@ func E10SolverHeadToHead(cfg Config) *Table {
 				if err != nil {
 					continue
 				}
-				start := time.Now()
 				res, err := s.Solve(ctx, g, r, sub)
 				if err != nil {
 					continue
 				}
-				elapsed := time.Since(start)
 				valid := domset.Check(g, res.Set, r)
 				model, rounds, messages, maxWords := "-", "-", "-", "-"
 				if ds, ok := s.(solver.DistSolver); ok {
@@ -82,16 +79,13 @@ func E10SolverHeadToHead(cfg Config) *Table {
 				}
 				t.AddRow(f.Name, r, g.N(), name, len(res.Set), lb, ratio(len(res.Set), lb), valid,
 					model, rounds, messages, maxWords)
-				timings = append(timings,
-					fmt.Sprintf("%s r=%d %s %.1fms", f.Name, r, name, float64(elapsed)/float64(time.Millisecond)))
 			}
 		}
 	}
 	t.Notes = append(t.Notes,
 		"LB is one scattered-set lower bound per (family, r) instance, seeded from the paper strategy's set, so ratios are comparable across strategies.",
 		"rounds/messages come from the simulator runs of the distributed strategies (paper: CONGEST_BC pipeline, kubsv: exactly 7r broadcast-only LOCAL rounds).",
-		"per-phase rounds/messages/words (excluded from the perf-gate diff): "+joinLimited(phases, 12),
-		"sequential wall-clock (excluded from the perf-gate diff): "+joinLimited(timings, 18))
+		"per-phase rounds/messages/words (excluded from the perf-gate diff): "+joinLimited(phases, 12))
 	return t
 }
 

@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"bedom/internal/graph"
 )
@@ -130,14 +131,17 @@ func Families() []Family {
 	}
 }
 
-// FamilyByName returns the registered family with the given name.
+// FamilyByName returns the registered family with the given name.  The
+// error for an unknown name lists the registered families.
 func FamilyByName(name string) (Family, error) {
+	var names []string
 	for _, f := range Families() {
 		if f.Name == name {
 			return f, nil
 		}
+		names = append(names, f.Name)
 	}
-	return Family{}, fmt.Errorf("gen: unknown family %q", name)
+	return Family{}, fmt.Errorf("gen: unknown family %q (registered: %s)", name, strings.Join(names, ", "))
 }
 
 // PlanarFamilies returns only the planar families (used by the planar LOCAL

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -320,8 +321,16 @@ func TestFamiliesRegistry(t *testing.T) {
 	if _, err := FamilyByName("grid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FamilyByName("no-such-family"); err == nil {
+	// An unknown name is answered with the registry, as solver.Get does for
+	// strategies.
+	_, err := FamilyByName("no-such-family")
+	if err == nil {
 		t.Fatal("unknown family name accepted")
+	}
+	for _, f := range Families() {
+		if !strings.Contains(err.Error(), f.Name) {
+			t.Fatalf("error %q does not name family %q", err, f.Name)
+		}
 	}
 	if len(PlanarFamilies()) < 4 {
 		t.Fatal("expected several planar families")
