@@ -193,7 +193,7 @@ func DominatingSetWith(g *Graph, r int, solverName string) (SequentialResult, er
 	}
 	return SequentialResult{
 		R:          r,
-		Set:        resp.Set,
+		Set:        append([]int(nil), resp.Set...), // resp.Set is the cache's
 		LowerBound: resp.LowerBound,
 		Wcol2R:     resp.Wcol,
 		Solver:     resp.Solver,
@@ -343,7 +343,7 @@ func DistributedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (Dist
 	return DistributedResult{
 		R:               r,
 		Set:             resp.Set,
-		DomSet:          resp.DomSet,
+		DomSet:          resp.Set,
 		Rounds:          resp.Rounds,
 		Messages:        resp.Messages,
 		MaxMessageWords: resp.MaxMessageWords,

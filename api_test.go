@@ -246,18 +246,19 @@ func TestFacadeCachingIsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The returned set is a private copy: overwriting it must not reach the
+	// cached result that later calls return.
+	want := slices.Clone(cold.Set)
+	for j := range cold.Set {
+		cold.Set[j] = -1
+	}
 	for i := 0; i < 3; i++ {
 		warm, err := DominatingSet(g, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(warm.Set) != len(cold.Set) || warm.LowerBound != cold.LowerBound || warm.Wcol2R != cold.Wcol2R {
-			t.Fatalf("warm call diverged: %+v vs %+v", warm, cold)
-		}
-		for j := range warm.Set {
-			if warm.Set[j] != cold.Set[j] {
-				t.Fatal("warm set differs element-wise")
-			}
+		if !slices.Equal(warm.Set, want) || warm.LowerBound != cold.LowerBound || warm.Wcol2R != cold.Wcol2R {
+			t.Fatalf("warm call diverged: %+v vs %v (cold %+v)", warm, want, cold)
 		}
 	}
 	ccold, err := NeighborhoodCover(g, 1)

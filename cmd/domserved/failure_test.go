@@ -75,7 +75,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	eng := engine.New(engine.Config{Metrics: reg})
 	t.Cleanup(eng.Close)
 	s := &server{
-		eng: eng, start: time.Now(), reg: reg, mux: http.NewServeMux(),
+		eng: eng, start: time.Now(), reg: reg,
 		httpRequests: reg.CounterVec("bedom_http_requests_total", "t", "route", "code"),
 		httpSeconds:  reg.HistogramVec("bedom_http_request_seconds", "t", nil, "route"),
 		httpPanics:   reg.Counter("bedom_http_panics_total", "t"),

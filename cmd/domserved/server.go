@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -43,7 +45,6 @@ type serverOptions struct {
 type server struct {
 	eng       *engine.Engine
 	start     time.Time
-	mux       *http.ServeMux
 	reg       *obs.Registry
 	slowQuery time.Duration
 
@@ -108,7 +109,6 @@ func newServer(eng *engine.Engine, opts serverOptions) http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/dist/runs", s.handleDistRuns)
 	mux.HandleFunc("GET /debug/dist/runs/{id}", s.handleDistRun)
-	s.mux = mux
 	return s.instrument(mux)
 }
 
@@ -170,10 +170,10 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			next.ServeHTTP(sw, r)
 		}()
 		elapsed := time.Since(start)
-		// Label by the mux's route pattern, not the raw URL: /graphs/{name}
-		// is one series however many graphs exist (metric cardinality must
-		// not be client-controlled).
-		_, route := s.mux.Handler(r)
+		// Label by the route pattern the mux matched (it sets r.Pattern),
+		// not the raw URL: /graphs/{name} is one series however many graphs
+		// exist (metric cardinality must not be client-controlled).
+		route := r.Pattern
 		if route == "" {
 			route = "unmatched"
 		}
@@ -486,8 +486,9 @@ type queryRequest struct {
 	Graph string `json:"graph"`
 	Kind  string `json:"kind"`
 	R     int    `json:"r"`
-	// TimeoutMS bounds this query in milliseconds (0 = server default).
-	TimeoutMS int `json:"timeout_ms,omitempty"`
+	// TimeoutMS bounds this query in milliseconds, in [0, maxTimeoutMS]
+	// (0 = server default).
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Model names the communication model for distributed kinds
 	// ("local" or "congest_bc"; default "congest_bc").
 	Model string `json:"model,omitempty"`
@@ -507,6 +508,9 @@ type queryRequest struct {
 }
 
 func (q queryRequest) toEngine() (engine.Request, error) {
+	if q.TimeoutMS < 0 || q.TimeoutMS > maxTimeoutMS {
+		return engine.Request{}, fmt.Errorf("timeout_ms must be in [0, %d], got %d", maxTimeoutMS, q.TimeoutMS)
+	}
 	if q.MaxRounds < 0 || q.MaxRounds > maxClientRounds {
 		return engine.Request{}, fmt.Errorf("max_rounds must be in [0, %d], got %d", maxClientRounds, q.MaxRounds)
 	}
@@ -535,26 +539,6 @@ func (q queryRequest) toEngine() (engine.Request, error) {
 	return req, nil
 }
 
-// queryResponse wraps an engine response with an error string for batch
-// entries (and trims sets when omit_sets was requested).
-type queryResponse struct {
-	*engine.Response
-	Error string `json:"error,omitempty"`
-}
-
-func toResponse(resp *engine.Response, err error, omitSets bool) queryResponse {
-	if err != nil {
-		return queryResponse{Error: err.Error()}
-	}
-	if omitSets {
-		trimmed := *resp
-		trimmed.Set = nil
-		trimmed.DomSet = nil
-		resp = &trimmed
-	}
-	return queryResponse{Response: resp}
-}
-
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&q); err != nil {
@@ -571,7 +555,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		engineError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResponse(resp, nil, q.OmitSets))
+	writeBody(w, http.StatusOK, resp.AppendJSON(nil, q.OmitSets))
 }
 
 // batchRequest is the JSON body of POST /batch.
@@ -581,6 +565,10 @@ type batchRequest struct {
 
 // maxBatchSize bounds one batch request.
 const maxBatchSize = 4096
+
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // maxClientRounds caps the client-supplied max_rounds override.  The
 // simulator's own default (~100·n) already bounds runaway protocols; an
@@ -619,19 +607,30 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	results := s.eng.Batch(r.Context(), reqs)
-	out := make([]queryResponse, len(results))
+	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 	errs := 0
-	for i, res := range results {
-		out[i] = toResponse(res.Response, res.Err, b.Queries[i].OmitSets)
+	for _, res := range results {
 		if res.Err != nil {
 			errs++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":    out,
-		"errors":     errs,
-		"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	// The envelope's keys are sorted, as encoding/json writes a map's.
+	body := appendJSON([]byte(`{"elapsed_ms":`), elapsed)
+	body = append(body, `,"errors":`...)
+	body = strconv.AppendInt(body, int64(errs), 10)
+	body = append(body, `,"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if res.Err != nil {
+			body = appendJSON(append(body, `{"error":`...), res.Err.Error())
+			body = append(body, '}')
+			continue
+		}
+		body = res.Response.AppendJSON(body, b.Queries[i].OmitSets)
+	}
+	writeBody(w, http.StatusOK, append(body, "]}"...))
 }
 
 // handleCheckpoint folds the WAL into fresh snapshots on demand (the
@@ -806,14 +805,30 @@ func newHTTPServer(addr string, h http.Handler, readHeaderTimeout time.Duration)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, appendJSON(nil, v))
+}
+
+// writeBody writes one JSON value and a newline, as json.Encoder would.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	// A failed write means the client went away; there is no one to tell.
+	_, _ = w.Write(append(body, '\n'))
+}
+
+// appendJSON appends v as encoding/json writes it with HTML escaping off.
+// Every value the daemon encodes (engine records, strings, finite floats
+// and maps of them) encodes without error; were one to fail, nothing is
+// appended, as json.Encoder writes nothing then.
+func appendJSON(dst []byte, v any) []byte {
+	b := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(b)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing sensible left to do but drop the conn.
-		_ = err
+	if enc.Encode(v) != nil {
+		return dst
 	}
+	out := b.Bytes()
+	return out[:len(out)-1] // Encode's newline
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -55,6 +55,13 @@ func doJSON(t *testing.T, method, url string, body any, out any) *http.Response 
 	return resp
 }
 
+// queryReply decodes a /query body or one /batch entry: the engine's
+// response, or the error of a failed entry.
+type queryReply struct {
+	engine.Response
+	Error string `json:"error"`
+}
+
 func registerGrid(t *testing.T, ts *httptest.Server, name string, n int) {
 	t.Helper()
 	var info engine.GraphInfo
@@ -68,7 +75,7 @@ func TestRegisterQueryRoundTrip(t *testing.T) {
 	ts := testServer(t)
 	registerGrid(t, ts, "grid", 144)
 
-	var q queryResponse
+	var q queryReply
 	resp := doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 2}, &q)
 	if resp.StatusCode != http.StatusOK || q.Error != "" {
 		t.Fatalf("query: status %d error %q", resp.StatusCode, q.Error)
@@ -77,7 +84,7 @@ func TestRegisterQueryRoundTrip(t *testing.T) {
 		t.Fatalf("query response %+v", q)
 	}
 	// A second identical query is a cache hit.
-	var q2 queryResponse
+	var q2 queryReply
 	doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 2}, &q2)
 	if !q2.CacheHit {
 		t.Fatalf("warm query should report cache_hit, got %+v", q2)
@@ -225,6 +232,24 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("huge workers: %d", resp.StatusCode)
 	}
+	// A negative timeout and one whose time.Duration overflows are
+	// rejected, not read as the server default.
+	for _, ms := range []int64{-5, 10_000_000_000_000} {
+		e.Error = ""
+		resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 1, "timeout_ms": ms}, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "timeout_ms") {
+			t.Fatalf("timeout_ms %d: want 400 naming timeout_ms, got %d %+v", ms, resp.StatusCode, e)
+		}
+	}
+	// A deadline that expires during a cold build is a 504.
+	resp = doJSON(t, "POST", ts.URL+"/graphs", map[string]any{"name": "geo", "family": "geometric", "n": 30000}, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register geo: %d", resp.StatusCode)
+	}
+	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "geo", "kind": "domset", "r": 2, "timeout_ms": 1}, nil)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("timeout_ms 1 on a cold build: want 504, got %d", resp.StatusCode)
+	}
 	// The connected kinds need a connected graph: two disjoint paths are a
 	// 400 for cds and dist-cds alike.
 	resp = doJSON(t, "POST", ts.URL+"/graphs",
@@ -250,9 +275,9 @@ func TestBatchEndpoint(t *testing.T) {
 	registerGrid(t, ts, "grid", 100)
 
 	var out struct {
-		Results   []queryResponse `json:"results"`
-		Errors    int             `json:"errors"`
-		ElapsedMS float64         `json:"elapsed_ms"`
+		Results   []queryReply `json:"results"`
+		Errors    int          `json:"errors"`
+		ElapsedMS float64      `json:"elapsed_ms"`
 	}
 	batch := map[string]any{"queries": []map[string]any{
 		{"graph": "grid", "kind": "domset", "r": 1},
@@ -274,8 +299,8 @@ func TestBatchEndpoint(t *testing.T) {
 	if out.Results[1].Set != nil || out.Results[1].Size != out.Results[0].Size {
 		t.Fatalf("omit_sets entry: %+v", out.Results[1])
 	}
-	if out.Results[3].Rounds == 0 {
-		t.Fatalf("distributed entry: %+v", out.Results[3])
+	if out.Results[3].Rounds == 0 || out.Results[3].Set == nil || out.Results[3].DomSet != nil {
+		t.Fatalf("distributed entry (a dist-domset set ships once, without dom_set): %+v", out.Results[3])
 	}
 	if out.Results[2].Clusters != nil {
 		t.Fatal("clusters must be omitted unless requested")
@@ -290,7 +315,7 @@ func TestBatchEndpoint(t *testing.T) {
 func TestCoverClustersOptIn(t *testing.T) {
 	ts := testServer(t)
 	registerGrid(t, ts, "grid", 36)
-	var q queryResponse
+	var q queryReply
 	resp := doJSON(t, "POST", ts.URL+"/query",
 		map[string]any{"graph": "grid", "kind": "cover", "r": 1, "include_clusters": true}, &q)
 	if resp.StatusCode != http.StatusOK || q.Error != "" {
@@ -351,7 +376,7 @@ func TestMutationEndpoint(t *testing.T) {
 	if st.Mutations != 1 || len(st.GraphStats) != 1 || st.GraphStats[0].Gen != info.Graph.Gen {
 		t.Fatalf("stats after mutation: %+v", st)
 	}
-	var q queryResponse
+	var q queryReply
 	doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 1}, &q)
 	if q.Error != "" || q.CacheHit {
 		t.Fatalf("post-mutation query must rebuild: %+v", q)
@@ -427,7 +452,7 @@ func TestStreamingIngest(t *testing.T) {
 		t.Fatalf("streaming ingest: status %d %+v", resp.StatusCode, sr)
 	}
 	// The streamed graph serves queries like any other.
-	var q queryResponse
+	var q queryReply
 	doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "stream", "kind": "domset", "r": 1}, &q)
 	if q.Error != "" || q.Size == 0 {
 		t.Fatalf("query on streamed graph: %+v", q)
@@ -511,23 +536,40 @@ func TestConcurrentQueriesSingleBuild(t *testing.T) {
 	registerGrid(t, ts, "grid", 400)
 
 	const parallel = 16
-	errc := make(chan error, parallel)
+	type answer struct {
+		set string
+		err error
+	}
+	answers := make(chan answer, parallel)
 	for i := 0; i < parallel; i++ {
 		go func() {
 			body := strings.NewReader(`{"graph":"grid","kind":"domset","r":2}`)
 			resp, err := http.Post(ts.URL+"/query", "application/json", body)
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					err = fmt.Errorf("status %d", resp.StatusCode)
-				}
+			if err != nil {
+				answers <- answer{err: err}
+				return
 			}
-			errc <- err
+			defer resp.Body.Close()
+			out, err := io.ReadAll(resp.Body)
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+			// The bodies differ in cache_hit and elapsed_ms only.
+			set, _, _ := strings.Cut(string(out), `,"cache_hit"`)
+			answers <- answer{set: set, err: err}
 		}()
 	}
+	// Every response writes the one cached set, encoded once for all.
+	var first string
 	for i := 0; i < parallel; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
+		a := <-answers
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if i == 0 {
+			first = a.set
+		} else if a.set != first {
+			t.Fatalf("concurrent answers differ:\n%s\n%s", a.set, first)
 		}
 	}
 	var st engine.Stats
@@ -688,7 +730,7 @@ func TestPersistenceRestartRoundTrip(t *testing.T) {
 	// One more delta AFTER the checkpoint so recovery exercises replay too.
 	doJSON(t, "POST", ts.URL+"/graphs/grid/edges", map[string]any{"add": [][]int{{7, 30}}}, &mut)
 
-	var before queryResponse
+	var before queryReply
 	doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 2}, &before)
 	var stBefore engine.Stats
 	doJSON(t, "GET", ts.URL+"/stats", nil, &stBefore)
@@ -699,7 +741,7 @@ func TestPersistenceRestartRoundTrip(t *testing.T) {
 	eng.Close() // seals the WAL; recovery still replays the last record
 
 	ts2, _ := persistentServer(t, dir)
-	var after queryResponse
+	var after queryReply
 	doJSON(t, "POST", ts2.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 2}, &after)
 	if after.Error != "" || after.Size != before.Size || fmt.Sprint(after.Set) != fmt.Sprint(before.Set) ||
 		after.Wcol != before.Wcol || after.LowerBound != before.LowerBound {
@@ -725,7 +767,7 @@ func TestQuerySolverSelection(t *testing.T) {
 
 	sizes := make(map[string]int)
 	for _, name := range []string{"paper", "kubsv", "dvorak", "greedy", "order-greedy"} {
-		var q queryResponse
+		var q queryReply
 		resp := doJSON(t, "POST", ts.URL+"/query",
 			map[string]any{"graph": "grid", "kind": "domset", "r": 2, "solver": name}, &q)
 		if resp.StatusCode != http.StatusOK || q.Error != "" {
@@ -743,13 +785,13 @@ func TestQuerySolverSelection(t *testing.T) {
 		t.Fatalf("solver field appears to be ignored: all sizes %v", sizes)
 	}
 	// Default spelling resolves to paper and shares its cache entry.
-	var def queryResponse
+	var def queryReply
 	doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 2}, &def)
 	if def.Solver != "paper" || !def.CacheHit || def.Size != sizes["paper"] {
 		t.Fatalf("default query %+v does not alias the paper entry", def)
 	}
 	// Distributed kinds accept distributed strategies only.
-	var dq queryResponse
+	var dq queryReply
 	resp := doJSON(t, "POST", ts.URL+"/query",
 		map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "solver": "kubsv"}, &dq)
 	if resp.StatusCode != http.StatusOK || dq.Rounds != 7 {
@@ -875,11 +917,14 @@ func TestDistRunDebugEndpoints(t *testing.T) {
 	ts := testServer(t)
 	registerGrid(t, ts, "grid", 64)
 
-	var q queryResponse
+	var q queryReply
 	resp := doJSON(t, "POST", ts.URL+"/query",
 		map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1}, &q)
 	if resp.StatusCode != http.StatusOK || q.Rounds == 0 {
 		t.Fatalf("dist query: status %d rounds %d", resp.StatusCode, q.Rounds)
+	}
+	if q.DomSet != nil {
+		t.Fatal("dist-domset body repeats its set as dom_set")
 	}
 	qid := resp.Header.Get("X-Query-ID")
 	if qid == "" {

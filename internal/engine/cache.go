@@ -21,7 +21,7 @@ const (
 	kindWReach                       // WReach_B sets on the order for radius A
 	kindWitness                      // *order.Witnesses: WReach_B sets with witness paths, order for radius A
 	kindCover                        // a *coverSubstrate for radius A
-	kindDomset                       // a solver.Result for radius A, solver S
+	kindDomset                       // a *cachedDomset for radius A, solver S
 )
 
 func (k substrateKind) String() string {

@@ -114,6 +114,8 @@ type Response struct {
 	Solver string `json:"solver,omitempty"`
 
 	// Set is the computed (connected) dominating set (nil for cover queries).
+	// It may be shared with the result cache: read it, never write to it
+	// (the facade copies it).
 	Set []int `json:"set,omitempty"`
 	// Size is len(Set), or the number of clusters for cover queries.
 	Size int `json:"size"`
@@ -124,7 +126,8 @@ type Response struct {
 	// guarantee (sequential domination kinds).
 	Wcol int `json:"wcol,omitempty"`
 
-	// DomSet is, for connected kinds, the underlying plain dominating set.
+	// DomSet is, for connected kinds, the underlying plain dominating set
+	// (nil for the other kinds).  Like Set, it is read-only.
 	DomSet []int `json:"dom_set,omitempty"`
 
 	// Cover statistics (cover queries only).
@@ -149,6 +152,9 @@ type Response struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 
 	coverRef *cover.Cover
+	// cached is the domset cache entry Set came from; AppendJSON copies in
+	// its encoded array while Set is still that entry's slice.
+	cached *cachedDomset
 }
 
 // CoverData returns the underlying cover structure of a cover query.  The
@@ -287,17 +293,16 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 		}
-		res, hit, err := e.domsetFor(ctx, g, gen, req.R, s)
+		d, hit, err := e.domsetFor(ctx, g, gen, req.R, s)
 		if err != nil {
 			return nil, err
 		}
 		resp.Solver = s.Name()
-		// The cached result is shared across queries; hand out a copy so a
-		// caller mutating its response cannot poison the cache.
-		resp.Set = append([]int(nil), res.Set...)
-		resp.Size = len(res.Set)
-		resp.LowerBound = res.LowerBound
-		resp.Wcol = res.Wcol
+		resp.Set = d.res.Set
+		resp.cached = d
+		resp.Size = len(d.res.Set)
+		resp.LowerBound = d.res.LowerBound
+		resp.Wcol = d.res.Wcol
 		resp.CacheHit = hit
 
 	case KindConnectedDominatingSet:
@@ -358,7 +363,6 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		}
 		resp.Solver = s.Name()
 		resp.Set = res.Set
-		resp.DomSet = res.Set
 		resp.Size = len(res.Set)
 		resp.Rounds = res.Rounds
 		resp.Messages = res.Messages

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"bedom/internal/graph"
@@ -57,6 +58,22 @@ func (s *engineSubstrate) Wcol(ctx context.Context, orderR, r int) (int, error) 
 	return wcol, err
 }
 
+// cachedDomset is the kindDomset substrate: a solver's result and its set
+// as a JSON array, encoded at most once, by the first response that needs
+// it (facade and engine-only callers never pay for it).  The bytes live and
+// die with the cache entry.
+type cachedDomset struct {
+	res     solver.Result
+	once    sync.Once
+	setJSON []byte
+}
+
+// setArray returns the set's JSON array, encoding it on first use.
+func (c *cachedDomset) setArray() []byte {
+	c.once.Do(func() { c.setJSON = appendInts(nil, c.res.Set) })
+	return c.setJSON
+}
+
 // domsetFor returns the (cached) domination result of the given solver
 // strategy for radius r.  Results are substrates like orders and covers:
 // keyed by (generation, radius, solver name), they invalidate on mutation
@@ -65,7 +82,7 @@ func (s *engineSubstrate) Wcol(ctx context.Context, orderR, r int) (int, error) 
 // generation.  hit reports the legacy CacheHit contract: true when the
 // result (or, on a result miss, every substrate the solver fetched) was
 // served from the cache.
-func (e *Engine) domsetFor(ctx context.Context, g *graph.Graph, gen uint64, r int, s solver.Solver) (solver.Result, bool, error) {
+func (e *Engine) domsetFor(ctx context.Context, g *graph.Graph, gen uint64, r int, s solver.Solver) (*cachedDomset, bool, error) {
 	_, sp := obs.Start(ctx, "substrate:domset")
 	defer sp.End()
 	key := substrateKey{gen: gen, kind: kindDomset, a: r, solver: s.Name()}
@@ -82,10 +99,10 @@ func (e *Engine) domsetFor(ctx context.Context, g *graph.Graph, gen uint64, r in
 		// via timedBuild, so only the solver's own compute is added here.
 		e.cache.addBuildTime("solve", time.Since(start)-sub.nested)
 		warm = sub.allHit
-		return res, nil
+		return &cachedDomset{res: res}, nil
 	})
 	if err != nil {
-		return solver.Result{}, hit, err
+		return nil, hit, err
 	}
-	return v.(solver.Result), hit || warm, nil
+	return v.(*cachedDomset), hit || warm, nil
 }
