@@ -203,7 +203,8 @@ func DominatingSetWith(g *Graph, r int, solverName string) (SequentialResult, er
 // ConnectedDominatingSet computes a connected distance-r dominating set with
 // the sequential version of the paper's Theorem 10 pipeline (order for
 // 2r+1, Algorithm 1, weak-reachability closure of Corollary 13).  The input
-// graph must be connected.
+// graph must be connected.  Answers are cached per (graph, radius) by the
+// default engine; the returned set is a private copy the caller may modify.
 func ConnectedDominatingSet(g *Graph, r int) (SequentialResult, error) {
 	if r < 1 {
 		return SequentialResult{}, fmt.Errorf("bedom: radius must be ≥ 1, got %d", r)
@@ -221,7 +222,7 @@ func ConnectedDominatingSet(g *Graph, r int) (SequentialResult, error) {
 	}
 	return SequentialResult{
 		R:          r,
-		Set:        resp.Set,
+		Set:        append([]int(nil), resp.Set...), // resp.Set is the cache's
 		LowerBound: resp.LowerBound,
 		Wcol2R:     resp.Wcol,
 	}, nil

@@ -261,6 +261,21 @@ func TestFacadeCachingIsTransparent(t *testing.T) {
 			t.Fatalf("warm call diverged: %+v vs %v (cold %+v)", warm, want, cold)
 		}
 	}
+	cdsCold, err := ConnectedDominatingSet(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCDS := slices.Clone(cdsCold.Set)
+	for j := range cdsCold.Set {
+		cdsCold.Set[j] = -1
+	}
+	cdsWarm, err := ConnectedDominatingSet(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cdsWarm.Set, wantCDS) || cdsWarm.LowerBound != cdsCold.LowerBound || cdsWarm.Wcol2R != cdsCold.Wcol2R {
+		t.Fatalf("warm connected call diverged: %+v vs %v", cdsWarm, wantCDS)
+	}
 	ccold, err := NeighborhoodCover(g, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -259,8 +259,8 @@ func BenchmarkLenzenPlanarMDS(b *testing.B) {
 }
 
 // BenchmarkEngineVsUncached compares repeated same-graph distance-r
-// dominating set queries through the query engine (order and wcol substrates
-// served from the cache after the first query) against the uncached pipeline
+// dominating set queries through the query engine (the answer served from
+// the cache after the first query) against the uncached pipeline
 // the facade ran before the engine existed (order + wcol rebuilt per call).
 // The ISSUE 2 acceptance bar is engine ≥ 5× faster on the warm path.
 func BenchmarkEngineVsUncached(b *testing.B) {

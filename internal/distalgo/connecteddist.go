@@ -2,6 +2,7 @@ package distalgo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -58,7 +59,8 @@ func (m *markNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			}
 		}
 	}
-	forward = dedupPaths(forward)
+	slices.SortFunc(forward, slices.Compare)
+	forward = slices.CompactFunc(forward, slices.Equal)
 	if len(forward) > 0 {
 		var out TokenMessage
 		out = append(out, forward...)

@@ -2,6 +2,7 @@ package distalgo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -85,48 +86,14 @@ func (e *electNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			forward = append(forward, rest)
 		}
 	}
-	forward = dedupPaths(forward)
+	slices.SortFunc(forward, slices.Compare)
+	forward = slices.CompactFunc(forward, slices.Equal)
 	if len(forward) > 0 {
 		e.send(ctx, forward...)
 	}
 }
 
 func (e *electNode) Done() bool { return e.rounds >= e.r }
-
-func dedupPaths(paths [][]int) [][]int {
-	if len(paths) <= 1 {
-		return paths
-	}
-	sort.Slice(paths, func(i, j int) bool {
-		a, b := paths[i], paths[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	out := paths[:1]
-	for _, p := range paths[1:] {
-		last := out[len(out)-1]
-		if !equalPath(last, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func equalPath(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // DomSetResult is the outcome of the distributed distance-r dominating set
 // computation (Theorem 9).

@@ -2,6 +2,7 @@ package distalgo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bedom/internal/connect"
@@ -76,7 +77,8 @@ func (l *localConnectNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		}
 	default:
 		// Forwarding phase.
-		tokens = dedupPaths(tokens)
+		slices.SortFunc(tokens, slices.Compare)
+		tokens = slices.CompactFunc(tokens, slices.Equal)
 		if len(tokens) > 0 {
 			ctx.Broadcast(TokenMessage(tokens))
 		}
@@ -147,7 +149,8 @@ func (l *localConnectNode) planTokens() [][]int {
 			out = append(out, half)
 		}
 	}
-	return dedupPaths(out)
+	slices.SortFunc(out, slices.Compare)
+	return slices.CompactFunc(out, slices.Equal)
 }
 
 // myHalf returns the sub-path this dominator is responsible for, starting at

@@ -2,6 +2,7 @@ package distalgo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -194,7 +195,8 @@ func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			forward = append(forward, append([]int{tokJoin, 0}, path...))
 		}
 	}
-	forward = dedupPaths(forward)
+	slices.SortFunc(forward, slices.Compare)
+	forward = slices.CompactFunc(forward, slices.Equal)
 	if len(forward) > 0 {
 		ctx.Broadcast(TokenMessage(forward))
 	}

@@ -17,11 +17,9 @@ import (
 type substrateKind uint8
 
 const (
-	kindOrder   substrateKind = iota // a *order.Order for radius A
-	kindWReach                       // WReach_B sets on the order for radius A
-	kindWitness                      // *order.Witnesses: WReach_B sets with witness paths, order for radius A
-	kindCover                        // a *coverSubstrate for radius A
-	kindDomset                       // a *cachedDomset for radius A, solver S
+	kindOrder  substrateKind = iota // a *order.Order for radius A
+	kindWReach                      // WReach_B sets on the order for radius A
+	kindAnswer                      // an *answer to a sequential query of radius A
 )
 
 func (k substrateKind) String() string {
@@ -30,12 +28,8 @@ func (k substrateKind) String() string {
 		return "order"
 	case kindWReach:
 		return "wreach"
-	case kindWitness:
-		return "witness"
-	case kindCover:
-		return "cover"
-	case kindDomset:
-		return "domset"
+	case kindAnswer:
+		return "answer"
 	default:
 		return "substrate(?)"
 	}
@@ -44,13 +38,14 @@ func (k substrateKind) String() string {
 // substrateKey identifies one cached substrate: a graph generation (graphs
 // get a fresh generation on every (re-)registration and on mutation), the
 // substrate kind, up to two integer parameters (see the kind constants), and
-// for domination results the solver strategy name — per-solver results cache
-// and invalidate independently, so mixed-solver workloads on one graph never
-// cross-contaminate.
+// for answers the query kind and solver strategy name — per-solver answers
+// cache and invalidate independently, so mixed-solver workloads on one graph
+// never cross-contaminate.
 type substrateKey struct {
 	gen    uint64
 	kind   substrateKind
 	a, b   int
+	query  Kind
 	solver string
 }
 
@@ -75,7 +70,7 @@ type substrateCache struct {
 	stats *statsCollector
 	// buildNanos totals exclusive build time.  Builders report their own
 	// leaf work via timedBuild so that a build nested inside another (the
-	// order build underneath a wcol or cover build) is counted once.
+	// order build underneath a wreach build or an answer) is counted once.
 	buildNanos atomic.Int64
 }
 
@@ -89,7 +84,7 @@ func (c *substrateCache) timedBuild(stage string, f func() any) any {
 }
 
 // addBuildTime accounts d as exclusive build time of the given stage (used
-// directly by builds that must subtract nested fetch time; see domsetFor).
+// directly by builds that must subtract nested fetch time; see answerFor).
 func (c *substrateCache) addBuildTime(stage string, d time.Duration) {
 	c.buildNanos.Add(int64(d))
 	c.stats.buildSeconds.With(stage).ObserveDuration(d)

@@ -8,10 +8,10 @@
 // with a compatible radius, the same observation that lets Kublenz–Siebertz–
 // Vigny (2021) treat the order as a precomputed object that many domination
 // queries then consume cheaply.  The engine amortizes substrate construction
-// (orders, wcol measurements, neighborhood covers) across queries: the first
-// query for a (graph, radius) pair pays for construction, concurrent
-// duplicates coalesce onto that build, and later queries reuse the cached
-// substrate until it ages out of the LRU.
+// (orders, weak-reachability sets, and the answer of each sequential query)
+// across queries: the first query for a (graph, radius) pair pays for
+// construction, concurrent duplicates coalesce onto that build, and later
+// queries reuse the cached substrate until it ages out of the LRU.
 //
 // The public facade (api.go) routes its one-shot functions through a shared
 // default engine, and cmd/domserved exposes an engine over HTTP.
@@ -94,10 +94,6 @@ type Config struct {
 	// beyond the bound wait for a slot; warm queries are never throttled.
 	// Default GOMAXPROCS.
 	MaxConcurrentRebuilds int
-	// CompactionThreshold is the per-graph delta-overlay size (in
-	// half-edges) at which pending mutations are folded into a fresh CSR
-	// base (see graph.Dynamic).  0 = graph.DefaultCompactionThreshold.
-	CompactionThreshold int
 	// CheckpointInterval is the cadence of the background checkpointer of a
 	// persistent engine (see Open): the WAL is folded into fresh snapshots
 	// whenever it advanced since the previous cycle.  0 disables the
@@ -122,10 +118,11 @@ type Config struct {
 	// PersistRetryBackoff is the base fsync retry delay (0 = store default).
 	PersistRetryBackoff time.Duration
 	// StageHook, when non-nil, is invoked at engine pipeline stage boundaries
-	// ("query:<kind>", "substrate:order", "substrate:wreach",
-	// "substrate:cover", "solve:<strategy>").  It exists for fault injection
-	// (latency, panics — see internal/fault.Stages); production configs leave
-	// it nil and pay a single nil check per stage.
+	// ("query:<kind>", "substrate:order", "substrate:wreach", and
+	// "substrate:<kind>" and "solve:<strategy>" for the answer of a
+	// sequential kind).  It exists for fault injection (latency, panics —
+	// see internal/fault.Stages); production configs leave it nil and pay a
+	// single nil check per stage.
 	StageHook func(stage string)
 	// FS routes a persistent engine's store through an alternate filesystem
 	// (nil = the real one).  Tests pass a fault.Injector.  Ignored by New.
@@ -249,8 +246,8 @@ type Engine struct {
 	// rebuildSem is the admission guard bounding concurrent substrate
 	// rebuild chains (capacity Config.MaxConcurrentRebuilds).  Only
 	// top-level cache misses acquire a slot; builds nested inside an
-	// admitted build (the order underneath a wcol or cover) run on their
-	// parent's slot, marked by the context admitted returns.
+	// admitted build (the order underneath a wreach build or an answer) run
+	// on their parent's slot, marked by the context admitted returns.
 	rebuildSem chan struct{}
 
 	// distRuns retains recent distributed-run round profiles (nil when
@@ -462,7 +459,7 @@ func (e *Engine) Register(name string, g *graph.Graph) (GraphInfo, error) {
 	if err := checkGraph(g); err != nil {
 		return GraphInfo{}, err
 	}
-	dyn := graph.NewDynamic(g, e.cfg.CompactionThreshold)
+	dyn := graph.NewDynamic(g, 0)
 	if e.store == nil {
 		// Generation assignment and publication share one critical section,
 		// so racing same-name registrations always publish in generation
@@ -752,56 +749,23 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 // shared work — if it adopted one requester's deadline, that requester's
 // timeout would be recorded as the build's error and handed to every
 // coalesced waiter.
-func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) ([][]int, bool, error) {
-	v, hit, err := e.traversal(ctx, g, gen, kindWReach, orderR, s, func(o *order.Order, workers int) any {
-		return order.WReachSetsWorkers(g, o, s, workers)
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.([][]int), hit, nil
-}
-
-// witnessFor returns the (cached) weak s-reachability witnesses of the order
-// for radius orderR: the same traversal as wreachFor, plus the parent
-// column the connected closure reads its paths from.  It is a substrate of
-// its own because only cds queries read the column, and every other
-// consumer of the sets would pay its memory for nothing.
-func (e *Engine) witnessFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (*order.Witnesses, bool, error) {
-	v, hit, err := e.traversal(ctx, g, gen, kindWitness, orderR, s, func(o *order.Order, workers int) any {
-		return order.WReachWitnesses(g, o, s, workers)
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*order.Witnesses), hit, nil
-}
-
-// traversal fetches or builds one weak-reachability substrate (kindWReach
-// or kindWitness).  Both share the "wreach" span, stage hook and build-time
-// label, so the per-stage timings do not depend on which one a query used.
-func (e *Engine) traversal(ctx context.Context, g *graph.Graph, gen uint64, kind substrateKind, orderR, s int, build func(o *order.Order, workers int) any) (any, bool, error) {
+func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) ([][]int, error) {
 	_, sp := obs.Start(ctx, "substrate:wreach")
 	defer sp.End()
-	return e.getSubstrate(ctx, substrateKey{gen: gen, kind: kind, a: orderR, b: s}, func() (any, error) {
+	v, _, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
 		e.stage("substrate:wreach")
 		o, _, err := e.orderFor(admitted(ctx), g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}
-		return e.cache.timedBuild("wreach", func() any { return build(o, e.cfg.SubstrateWorkers) }), nil
+		return e.cache.timedBuild("wreach", func() any {
+			return order.WReachSetsWorkers(g, o, s, e.cfg.SubstrateWorkers)
+		}), nil
 	})
-}
-
-// wcolFor returns the measured wcol_s of the order for radius orderR,
-// folding it from the cached weak-reachability sets (an O(n) length scan —
-// not worth a cache slot of its own).
-func (e *Engine) wcolFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (int, bool, error) {
-	sets, hit, err := e.wreachFor(ctx, g, gen, orderR, s)
 	if err != nil {
-		return 0, hit, err
+		return nil, err
 	}
-	return order.WColOfSets(sets), hit, nil
+	return v.([][]int), nil
 }
 
 // Model re-exports dist.Model so that callers of the engine's Request do not

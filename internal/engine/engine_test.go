@@ -15,6 +15,7 @@ import (
 	"bedom/internal/graph"
 	"bedom/internal/obs"
 	"bedom/internal/order"
+	"bedom/internal/solver"
 )
 
 func testEngine(t *testing.T, cfg Config) *Engine {
@@ -183,8 +184,9 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 		}
 
 		// Connected pipeline.  A cold query builds two substrates, the
-		// radius-(2r+1) order and one traversal that serves both wcol and
-		// the closure's witness paths; a warm query builds none.
+		// radius-(2r+1) order and the answer, whose build runs the one
+		// traversal that serves both wcol and the closure's witness paths;
+		// a warm query builds none.
 		oc := order.ConstructDefault(g, 2*r+1)
 		wantDc := domset.AlgorithmOne(g, oc, r)
 		wantSet := connect.Closure(g, oc, wantDc, r)
@@ -299,6 +301,69 @@ func TestConnectedKindsRejectDisconnectedGraphs(t *testing.T) {
 	}
 	if runs := e.DistRuns(); len(runs) != 0 {
 		t.Fatalf("a rejected dist-cds query ran the simulator: %d retained runs", len(runs))
+	}
+	// The cds rejection is one failed answer build, and failures are not
+	// cached.
+	if st := e.Stats(); st.SubstrateBuilds != 1 || st.CacheEntries != 0 {
+		t.Fatalf("rejected cds: %d builds, %d cache entries; want 1 and 0", st.SubstrateBuilds, st.CacheEntries)
+	}
+}
+
+// TestWarmConnectedIsCachedAnswer: a second identical cds query is served
+// from the cached answer: the same Set and DomSet slices as the first, no
+// substrate built, and cache_hit true.
+func TestWarmConnectedIsCachedAnswer(t *testing.T) {
+	e := testEngine(t, Config{})
+	if _, err := e.Register("g", gen.Apollonian(150, 3)); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Graph: "g", Kind: KindConnectedDominatingSet, R: 1}
+	cold, err := e.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := e.Stats().SubstrateBuilds
+	warm, err := e.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &warm.Set[0] != &cold.Set[0] || &warm.DomSet[0] != &cold.DomSet[0] {
+		t.Fatal("a warm cds query recomputed its sets")
+	}
+	if got := e.Stats().SubstrateBuilds; got != builds || cold.CacheHit || !warm.CacheHit {
+		t.Fatalf("warm cds built %d substrates; cache_hit cold %v, warm %v", got-builds, cold.CacheHit, warm.CacheHit)
+	}
+}
+
+// TestCacheHitRule: cache_hit has one meaning for every kind.  A cold query
+// computes its answer (false) and an identical warm one is served it from
+// the cache (true), for every sequential kind and solver; the distributed
+// kinds are never cached (false both times).
+func TestCacheHitRule(t *testing.T) {
+	g := gen.Grid(8, 8)
+	var reqs []Request
+	for _, name := range solver.Names() {
+		reqs = append(reqs, Request{G: g, Kind: KindDominatingSet, R: 1, Solver: name})
+	}
+	reqs = append(reqs,
+		Request{G: g, Kind: KindConnectedDominatingSet, R: 1},
+		Request{G: g, Kind: KindCover, R: 1},
+		Request{G: g, Kind: KindDistributedDominatingSet, R: 1, Solver: "paper"},
+		Request{G: g, Kind: KindDistributedDominatingSet, R: 1, Solver: "kubsv"},
+		Request{G: g, Kind: KindDistributedConnected, R: 1},
+	)
+	for _, req := range reqs {
+		sequential := req.Kind == KindDominatingSet || req.Kind == KindConnectedDominatingSet || req.Kind == KindCover
+		e := testEngine(t, Config{})
+		for pass, want := range []bool{false, sequential} {
+			resp, err := e.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.CacheHit != want {
+				t.Fatalf("%s %s pass %d: cache_hit %v, want %v", req.Kind, req.Solver, pass, resp.CacheHit, want)
+			}
+		}
 	}
 }
 

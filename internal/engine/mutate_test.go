@@ -426,18 +426,27 @@ func TestAdmissionNestedBuildsNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestEngineCompactionThreshold wires Config.CompactionThreshold through to
-// the per-graph overlays and surfaces compactions in Stats.
+// TestEngineCompactionThreshold: a graph's overlay folds into a fresh CSR
+// base once one delta takes it to graph.DefaultCompactionThreshold
+// half-edges, and Stats surfaces the compaction.
 func TestEngineCompactionThreshold(t *testing.T) {
-	e := testEngine(t, Config{CompactionThreshold: 4}) // 2 overlay edges
-	if _, err := e.Register("g", gen.Grid(4, 4)); err != nil {
+	e := testEngine(t, Config{})
+	const side = 100
+	if _, err := e.Register("g", gen.Grid(side, side)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := e.Mutate("g", Delta{Add: [][2]int{{0, 5}}})
+	info, err := e.Mutate("g", Delta{Add: [][2]int{{0, 2}}})
 	if err != nil || info.Compacted {
 		t.Fatalf("first delta: %+v %v", info, err)
 	}
-	info, err = e.Mutate("g", Delta{Add: [][2]int{{0, 10}}})
+	// Edges v–v+2 along the grid's rows, 98 per row, are all new.
+	var add [][2]int
+	for v := 1; len(add) < graph.DefaultCompactionThreshold/2; v++ {
+		if v%side+2 < side {
+			add = append(add, [2]int{v, v + 2})
+		}
+	}
+	info, err = e.Mutate("g", Delta{Add: add})
 	if err != nil || !info.Compacted {
 		t.Fatalf("threshold delta must compact: %+v %v", info, err)
 	}

@@ -65,7 +65,7 @@ func (e *Engine) adoptStore(st *store.Store, rec *store.Recovery) error {
 		ent := &graphEntry{
 			name:    rg.Meta.Name,
 			gen:     rg.Meta.Gen,
-			dyn:     graph.NewDynamic(rg.Graph, e.cfg.CompactionThreshold),
+			dyn:     graph.NewDynamic(rg.Graph, 0),
 			epoch:   rg.Meta.Epoch,
 			lastLSN: rg.Meta.CoveredLSN,
 		}

@@ -114,8 +114,8 @@ type Response struct {
 	Solver string `json:"solver,omitempty"`
 
 	// Set is the computed (connected) dominating set (nil for cover queries).
-	// It may be shared with the result cache: read it, never write to it
-	// (the facade copies it).
+	// A sequential kind's Set is the cached answer's slice: read it, never
+	// write to it (the facade copies it).
 	Set []int `json:"set,omitempty"`
 	// Size is len(Set), or the number of clusters for cover queries.
 	Size int `json:"size"`
@@ -127,7 +127,8 @@ type Response struct {
 	Wcol int `json:"wcol,omitempty"`
 
 	// DomSet is, for connected kinds, the underlying plain dominating set
-	// (nil for the other kinds).  Like Set, it is read-only.
+	// (nil for the other kinds).  Like Set, a cds DomSet is the cached
+	// answer's slice and read-only.
 	DomSet []int `json:"dom_set,omitempty"`
 
 	// Cover statistics (cover queries only).
@@ -144,17 +145,21 @@ type Response struct {
 	Messages        int64 `json:"messages,omitempty"`
 	MaxMessageWords int   `json:"max_message_words,omitempty"`
 
-	// CacheHit reports whether every substrate this query needed was served
-	// from the cache (including coalescing onto a concurrent build).
+	// CacheHit reports whether the answer came from the cache, by a hit or
+	// by waiting on a concurrent query's build of it.  It is false for a
+	// query that computed its answer, even when every substrate it read was
+	// cached, and always false for the distributed kinds, which are never
+	// cached.
 	CacheHit bool `json:"cache_hit"`
 	// ElapsedMS is the query's wall-clock execution time in milliseconds
 	// (excluding time spent queued for a worker).
 	ElapsedMS float64 `json:"elapsed_ms"`
 
 	coverRef *cover.Cover
-	// cached is the domset cache entry Set came from; AppendJSON copies in
-	// its encoded array while Set is still that entry's slice.
-	cached *cachedDomset
+	// answer is the cache entry a sequential response came from; AppendJSON
+	// copies in its encoded arrays while Set and DomSet are still its
+	// slices.
+	answer *answer
 }
 
 // CoverData returns the underlying cover structure of a cover query.  The
@@ -288,60 +293,17 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 	e.stage("query:" + string(req.Kind))
 	resp := &Response{Graph: req.Graph, Kind: req.Kind, R: req.R}
 	switch req.Kind {
-	case KindDominatingSet:
-		s, err := req.solverStrategy()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-		}
-		d, hit, err := e.domsetFor(ctx, g, gen, req.R, s)
+	case KindDominatingSet, KindConnectedDominatingSet, KindCover:
+		a, hit, err := e.answerFor(ctx, g, gen, req)
 		if err != nil {
 			return nil, err
 		}
-		resp.Solver = s.Name()
-		resp.Set = d.res.Set
-		resp.cached = d
-		resp.Size = len(d.res.Set)
-		resp.LowerBound = d.res.LowerBound
-		resp.Wcol = d.res.Wcol
+		*resp = a.resp
+		resp.Graph = req.Graph
 		resp.CacheHit = hit
-
-	case KindConnectedDominatingSet:
-		if !g.IsConnected() {
-			return nil, ErrNotConnected
-		}
-		// One radius-(2r+1) traversal serves both wcol_{2r+1} and the
-		// closure's witness paths.
-		o, hitO, err := e.orderFor(ctx, g, gen, 2*req.R+1)
-		if err != nil {
-			return nil, err
-		}
-		wits, hitW, err := e.witnessFor(ctx, g, gen, 2*req.R+1, 2*req.R+1)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		D := domset.AlgorithmOne(g, o, req.R)
-		resp.DomSet = D
-		resp.Set = connect.ClosureOf(wits, D)
-		resp.Size = len(resp.Set)
-		resp.LowerBound = domset.ScatteredLowerBound(g, req.R, D)
-		resp.Wcol = order.WColOfSets(wits.Sets)
-		resp.CacheHit = hitO && hitW
-
-	case KindCover:
-		cs, hit, err := e.coverFor(ctx, g, gen, req.R)
-		if err != nil {
-			return nil, err
-		}
-		resp.Size = cs.stats.NumClusters
-		resp.CoverDegree = cs.stats.Degree
-		resp.CoverMaxRadius = cs.stats.MaxRadius
-		resp.CacheHit = hit
-		resp.coverRef = cs.cover
-		if req.IncludeClusters {
-			resp.Clusters = cs.cover.ClusterMap()
+		resp.answer = a
+		if req.IncludeClusters && a.resp.coverRef != nil {
+			resp.Clusters = a.resp.coverRef.ClusterMap()
 		}
 
 	case KindDistributedDominatingSet:
@@ -394,42 +356,134 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 	return resp, nil
 }
 
-// coverSubstrate is the cached cover together with its measured statistics
-// (statistics are computed once at build time; they are part of the
-// substrate so that repeated cover queries skip the eccentricity sweeps).
-type coverSubstrate struct {
-	cover *cover.Cover
-	stats cover.Stats
+// answer is the kindAnswer substrate: the response of a sequential query
+// for one (graph generation, kind, radius, solver), with its set and
+// dom_set as JSON arrays, each encoded at most once, by the first response
+// that needs it (facade and engine-only callers never pay for it).  The
+// bytes live and die with the cache entry.
+type answer struct {
+	resp        Response
+	set, domSet jsonArray
 }
 
-func (e *Engine) coverFor(ctx context.Context, g *graph.Graph, gen uint64, r int) (*coverSubstrate, bool, error) {
-	_, sp := obs.Start(ctx, "substrate:cover")
+// jsonArray is the JSON array of an int slice, encoded on first use.
+type jsonArray struct {
+	once sync.Once
+	b    []byte
+}
+
+func (a *jsonArray) bytes(s []int) []byte {
+	a.once.Do(func() { a.b = appendInts(nil, s) })
+	return a.b
+}
+
+// answerSpans names the span and stage hook of each sequential kind's
+// answer build, without building the string on every query.
+var answerSpans = map[Kind]string{
+	KindDominatingSet:          "substrate:domset",
+	KindConnectedDominatingSet: "substrate:cds",
+	KindCover:                  "substrate:cover",
+}
+
+// answerFor returns the (cached) answer to a sequential query.  Answers are
+// substrates like orders: keyed by (generation, kind, radius, solver), they
+// invalidate on mutation and re-registration exactly like the substrates
+// they were computed from, including across WAL replay, where recovered
+// graphs start a fresh generation.  hit reports whether the answer came
+// from the cache, by a hit or a coalesced wait.
+func (e *Engine) answerFor(ctx context.Context, g *graph.Graph, gen uint64, req Request) (*answer, bool, error) {
+	key := substrateKey{gen: gen, kind: kindAnswer, a: req.R, query: req.Kind}
+	var s solver.Solver
+	if req.Kind == KindDominatingSet {
+		var err error
+		if s, err = req.solverStrategy(); err != nil {
+			return nil, false, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
+		key.solver = s.Name()
+	}
+	span := answerSpans[req.Kind]
+	_, sp := obs.Start(ctx, span)
 	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindCover, a: r}, func() (any, error) {
-		e.stage("substrate:cover")
+	v, hit, err := e.getSubstrate(ctx, key, func() (any, error) {
+		e.stage(span)
 		// admitted: see wreachFor — a shared build must not inherit one
-		// requester's deadline, and nested fetches run on the parent build's
-		// admission slot.  The cover inverts the cached weak-reachability
-		// sets (shared with wcol measurements) instead of sweeping the graph
-		// again.
+		// requester's deadline, and nested fetches run on the answer's
+		// admission slot.
 		actx := admitted(ctx)
-		sets2r, _, err := e.wreachFor(actx, g, gen, r, 2*r)
+		a := &answer{resp: Response{Kind: req.Kind, R: req.R}}
+		var err error
+		switch req.Kind {
+		case KindDominatingSet:
+			err = e.solve(actx, g, gen, req.R, s, &a.resp)
+		case KindConnectedDominatingSet:
+			err = e.connectedAnswer(actx, g, gen, req.R, &a.resp)
+		case KindCover:
+			err = e.coverAnswer(actx, g, gen, req.R, &a.resp)
+		}
 		if err != nil {
 			return nil, err
 		}
-		setsR, _, err := e.wreachFor(actx, g, gen, r, r)
-		if err != nil {
-			return nil, err
-		}
-		return e.cache.timedBuild("cover", func() any {
-			c := cover.BuildFromSets(g, r, setsR, sets2r, e.cfg.SubstrateWorkers)
-			return &coverSubstrate{cover: c, stats: c.ComputeStatsWorkers(g, e.cfg.SubstrateWorkers)}
-		}), nil
+		return a, nil
 	})
 	if err != nil {
 		return nil, hit, err
 	}
-	return v.(*coverSubstrate), hit, nil
+	return v.(*answer), hit, nil
+}
+
+// connectedAnswer computes the Corollary 13 answer for radius r into resp.
+// One radius-(2r+1) witness traversal of the cached order for 2r+1 serves
+// both wcol_{2r+1} and the closure's witness paths.  Only this build reads
+// the traversal's parent column, so the traversal is not a substrate of its
+// own; it keeps the wreach span, stage hook and build-time label, and the
+// rest of the build counts as solve time.
+func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, resp *Response) error {
+	start := time.Now()
+	if !g.IsConnected() {
+		return ErrNotConnected
+	}
+	solveTime := time.Since(start)
+	o, _, err := e.orderFor(ctx, g, gen, 2*r+1)
+	if err != nil {
+		return err
+	}
+	_, sp := obs.Start(ctx, "substrate:wreach")
+	e.stage("substrate:wreach")
+	wits := e.cache.timedBuild("wreach", func() any {
+		return order.WReachWitnesses(g, o, 2*r+1, e.cfg.SubstrateWorkers)
+	}).(*order.Witnesses)
+	sp.End()
+	start = time.Now()
+	D := domset.AlgorithmOne(g, o, r)
+	resp.DomSet = D
+	resp.Set = connect.ClosureOf(wits, D)
+	resp.Size = len(resp.Set)
+	resp.LowerBound = domset.ScatteredLowerBound(g, r, D)
+	resp.Wcol = order.WColOfSets(wits.Sets)
+	e.cache.addBuildTime("solve", solveTime+time.Since(start))
+	return nil
+}
+
+// coverAnswer builds the Theorem 4 cover for radius r into resp, with its
+// statistics measured once, so that repeated cover queries skip the
+// eccentricity sweeps.  The cover inverts the cached weak-reachability sets
+// (shared with wcol measurements) instead of sweeping the graph again.
+func (e *Engine) coverAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, resp *Response) error {
+	sets2r, err := e.wreachFor(ctx, g, gen, r, 2*r)
+	if err != nil {
+		return err
+	}
+	setsR, err := e.wreachFor(ctx, g, gen, r, r)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	c := cover.BuildFromSets(g, r, setsR, sets2r, e.cfg.SubstrateWorkers)
+	st := c.ComputeStatsWorkers(g, e.cfg.SubstrateWorkers)
+	e.cache.addBuildTime("cover", time.Since(start))
+	resp.Size, resp.CoverDegree, resp.CoverMaxRadius = st.NumClusters, st.Degree, st.MaxRadius
+	resp.coverRef = c
+	return nil
 }
 
 // BatchResult pairs one batch entry's response with its error.

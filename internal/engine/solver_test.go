@@ -71,11 +71,9 @@ func TestMixedSolverNoCrossContamination(t *testing.T) {
 	if _, err := e.Mutate("g", mutateTestDelta()); err != nil {
 		t.Fatal(err)
 	}
-	// The first substrate-backed query after the mutation must rebuild (a
-	// CacheHit here would mean a stale generation was served); subsequent
-	// strategies legitimately reuse the freshly rebuilt order, and the
-	// substrate-free ones (greedy, kubsv) report CacheHit by the legacy
-	// "every substrate needed was warm" contract even on a result rebuild.
+	// The first query after the mutation must rebuild (a CacheHit here
+	// would mean a stale generation was served); the strategies after it
+	// reuse the freshly rebuilt order, and paper's second query is a hit.
 	first, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 2, Solver: "paper"})
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +85,9 @@ func TestMixedSolverNoCrossContamination(t *testing.T) {
 		resp, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 2, Solver: name})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if resp.CacheHit != (name == "paper") {
+			t.Fatalf("%s: post-mutation query reports cache_hit %v", name, resp.CacheHit)
 		}
 		if !domset.Check(e.mustLookup(t, "g"), resp.Set, 2) {
 			t.Fatalf("%s: post-mutation set invalid on the new topology", name)
@@ -153,8 +154,8 @@ func TestGreedySolverOnDomsetKind(t *testing.T) {
 	if resp.Solver != "greedy" {
 		t.Fatalf("solver greedy served by %q", resp.Solver)
 	}
-	if !resp.CacheHit {
-		t.Fatal("greedy needs no substrates; its cold query must report CacheHit")
+	if resp.CacheHit {
+		t.Fatal("greedy needs no substrates, but its cold query computed the answer: it must not report CacheHit")
 	}
 	if !equalInts(resp.Set, domset.Greedy(g, 1)) {
 		t.Fatal("solver greedy diverges from domset.Greedy")
@@ -165,11 +166,12 @@ func TestGreedySolverOnDomsetKind(t *testing.T) {
 }
 
 // TestNestedBuildsInQueryTrace: the order and wreach builds nested inside a
-// cold domset or cover build are detached from the query's deadline but not
-// from its trace, so they show up in the query's span trail; a warm repeat
-// is served from the cached result and fetches no nested substrate.
+// cold domset, cds or cover answer build are detached from the query's
+// deadline but not from its trace, so they show up in the query's span
+// trail next to the answer's substrate:<kind> span; a warm repeat is
+// served from the cached answer and fetches no nested substrate.
 func TestNestedBuildsInQueryTrace(t *testing.T) {
-	for _, kind := range []Kind{KindDominatingSet, KindCover} {
+	for _, kind := range []Kind{KindDominatingSet, KindConnectedDominatingSet, KindCover} {
 		e := testEngine(t, Config{})
 		if _, err := e.Register("g", gen.Grid(30, 30)); err != nil {
 			t.Fatal(err)
@@ -185,13 +187,14 @@ func TestNestedBuildsInQueryTrace(t *testing.T) {
 			}
 			return seen
 		}
+		answerSpan := "substrate:" + string(kind)
 		cold := stages()
-		if !cold["substrate:order"] || !cold["substrate:wreach"] {
+		if !cold["substrate:order"] || !cold["substrate:wreach"] || !cold[answerSpan] {
 			t.Fatalf("%s: cold query trace lacks its nested builds: %v", kind, cold)
 		}
 		warm := stages()
-		if warm["substrate:order"] || warm["substrate:wreach"] {
-			t.Fatalf("%s: warm query trace records nested fetches: %v", kind, warm)
+		if warm["substrate:order"] || warm["substrate:wreach"] || !warm[answerSpan] {
+			t.Fatalf("%s: warm query trace records nested fetches or lacks %s: %v", kind, answerSpan, warm)
 		}
 	}
 }

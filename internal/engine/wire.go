@@ -33,11 +33,8 @@ func (r *Response) AppendJSON(dst []byte, omitSets bool) []byte {
 	}
 	if !omitSets && len(r.Set) > 0 {
 		dst = append(dst, `,"set":`...)
-		if c := r.cached; c != nil && len(c.res.Set) == len(r.Set) && &c.res.Set[0] == &r.Set[0] {
-			arr := c.setArray()
-			// Room for the fields after the set, so that they do not copy
-			// the array once more.
-			dst = append(slices.Grow(dst, len(arr)+256), arr...)
+		if a := r.answer; a != nil && sameSlice(a.resp.Set, r.Set) {
+			dst = appendArray(dst, a.set.bytes(r.Set))
 		} else {
 			dst = appendInts(dst, r.Set)
 		}
@@ -48,7 +45,11 @@ func (r *Response) AppendJSON(dst []byte, omitSets bool) []byte {
 	dst = appendNonZero(dst, `,"wcol":`, int64(r.Wcol))
 	if !omitSets && len(r.DomSet) > 0 {
 		dst = append(dst, `,"dom_set":`...)
-		dst = appendInts(dst, r.DomSet)
+		if a := r.answer; a != nil && sameSlice(a.resp.DomSet, r.DomSet) {
+			dst = appendArray(dst, a.domSet.bytes(r.DomSet))
+		} else {
+			dst = appendInts(dst, r.DomSet)
+		}
 	}
 	dst = appendNonZero(dst, `,"cover_degree":`, int64(r.CoverDegree))
 	dst = appendNonZero(dst, `,"cover_max_radius":`, int64(r.CoverMaxRadius))
@@ -65,6 +66,17 @@ func (r *Response) AppendJSON(dst []byte, omitSets bool) []byte {
 	dst = append(dst, `,"elapsed_ms":`...)
 	dst = appendFloat(dst, r.ElapsedMS)
 	return append(dst, '}')
+}
+
+// sameSlice reports whether the non-empty slice s is the slice cached.
+func sameSlice(cached, s []int) bool {
+	return len(cached) == len(s) && &cached[0] == &s[0]
+}
+
+// appendArray appends an encoded array, with room for the fields after it
+// so that they do not copy the array once more.
+func appendArray(dst, arr []byte) []byte {
+	return append(slices.Grow(dst, len(arr)+256), arr...)
 }
 
 // appendNonZero appends key and v unless v is 0 (an omitempty int field).

@@ -9,7 +9,7 @@ import (
 // StageFault schedules one engine-stage fault: the Nth firing of a stage
 // whose name contains Stage sleeps for Delay and/or panics with Panic.
 // Stage names follow the engine's span vocabulary: "order", "wreach",
-// "cover", "solve:<strategy>", "query:<kind>".
+// "domset", "cds", "cover", "solve:<strategy>", "query:<kind>".
 type StageFault struct {
 	Stage string // substring the stage name must contain ("" = every stage)
 	// AfterN fires on the Nth matching stage execution, 1-based (0 = 1).

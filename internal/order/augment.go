@@ -551,13 +551,3 @@ func appendMerged(dst, old, tr, fr []Arc) []Arc {
 	}
 	return append(dst, old...)
 }
-
-// TFAugmentation orients g by its degeneracy order and runs up to depth
-// augmentation rounds with the given length cap, stopping after the first
-// round that adds nothing.  It returns the augmented digraph together with
-// the results of the rounds it ran.
-func TFAugmentation(g *graph.Graph, depth, maxLen int) (*Digraph, []AugmentationResult) {
-	base, _ := FromDegeneracy(g)
-	d := OrientByOrder(g, base)
-	return d, d.augment(depth, maxLen, 0)
-}

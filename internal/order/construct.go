@@ -17,9 +17,6 @@ type Options struct {
 	// value selects the default depth, which equals Radius (so that paths of
 	// length up to 2·Radius can be shortcut).
 	AugmentationDepth int
-	// MaxArcLength caps the length of augmentation arcs.  Zero or negative
-	// selects the default 2·Radius+1.
-	MaxArcLength int
 	// Workers bounds the number of goroutines used by the parallel phases of
 	// the construction (the augmentation walks and row merges).  0 selects
 	// GOMAXPROCS.  The constructed order is identical for every worker count.
@@ -29,7 +26,7 @@ type Options struct {
 // DefaultOptions returns the options used by the high-level API for a given
 // radius.
 func DefaultOptions(r int) Options {
-	return Options{Radius: r, AugmentationDepth: -1, MaxArcLength: 0}
+	return Options{Radius: r, AugmentationDepth: -1}
 }
 
 func (opt Options) normalised() Options {
@@ -38,10 +35,6 @@ func (opt Options) normalised() Options {
 	}
 	if opt.AugmentationDepth < 0 {
 		opt.AugmentationDepth = opt.Radius
-	}
-	if opt.MaxArcLength <= 0 {
-		// Saturates instead of overflowing; rounds clamp the cap to 2³¹−1.
-		opt.MaxArcLength = 2*min(opt.Radius, math.MaxInt32/2) + 1
 	}
 	return opt
 }
@@ -77,7 +70,10 @@ func Construct(g *graph.Graph, opt Options) Result {
 		return Result{Order: base, Degeneracy: degeneracy, MaxOutDegree: degeneracy}
 	}
 	d := OrientByOrder(g, base)
-	rounds := d.augment(opt.AugmentationDepth, opt.MaxArcLength, opt.Workers)
+	// Arcs are capped at length 2r+1, saturating instead of overflowing;
+	// rounds clamp the cap to 2³¹−1.
+	maxLen := 2*min(opt.Radius, math.MaxInt32/2) + 1
+	rounds := d.augment(opt.AugmentationDepth, maxLen, opt.Workers)
 	o, _ := FromDegeneracy(d.UnderlyingWorkers(opt.Workers))
 	return Result{
 		Order:        o,

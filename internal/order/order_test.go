@@ -281,13 +281,14 @@ func TestTFAugmentationKeepsOutDegreeModest(t *testing.T) {
 		{"outerplanar", gen.Outerplanar(150, 4), 30},
 		{"tree", gen.RandomTree(150, 5), 20},
 	} {
-		d, rounds := TFAugmentation(tc.g, 2, 5)
-		if len(rounds) != 2 {
+		// Radius 2: depth 2, arcs capped at length 5.
+		res := Construct(tc.g, DefaultOptions(2))
+		if len(res.Rounds) != 2 {
 			t.Fatalf("%s: expected 2 rounds", tc.name)
 		}
-		if d.MaxOutDegree() > tc.bound {
+		if res.MaxOutDegree > tc.bound {
 			t.Errorf("%s: augmented out-degree %d exceeds sanity bound %d",
-				tc.name, d.MaxOutDegree(), tc.bound)
+				tc.name, res.MaxOutDegree, tc.bound)
 		}
 	}
 }
@@ -326,7 +327,7 @@ func TestConstructDepthZeroIsDegeneracy(t *testing.T) {
 
 func TestConstructNormalisesOptions(t *testing.T) {
 	g := gen.Path(10)
-	res := Construct(g, Options{Radius: 0, AugmentationDepth: -1, MaxArcLength: -5})
+	res := Construct(g, Options{Radius: 0, AugmentationDepth: -1})
 	if res.Order == nil || res.Order.N() != 10 {
 		t.Fatal("construct with degenerate options failed")
 	}
