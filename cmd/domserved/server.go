@@ -490,7 +490,8 @@ type queryRequest struct {
 	// (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Model names the communication model for distributed kinds
-	// ("local" or "congest_bc"; default "congest_bc").
+	// ("local" or "congest_bc").  The default is "congest_bc", except for
+	// dist-domset with solver "kubsv", which runs "local".
 	Model string `json:"model,omitempty"`
 	// Workers / MaxRounds / RefinedOrder tune the simulator.
 	Workers      int  `json:"workers,omitempty"`
@@ -699,11 +700,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // word totals); the full round profile lives at /debug/dist/runs/{id}.
 func (s *server) handleDistRuns(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
-	runs := s.eng.DistRuns()
-	if runs == nil {
-		runs = []engine.DistRunSummary{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"runs": runs})
+	writeJSON(w, http.StatusOK, map[string]any{"runs": s.eng.DistRuns()})
 }
 
 // handleDistRun serves one retained run's full per-phase round profile.  The

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bedom/internal/obs"
@@ -68,14 +67,12 @@ type substrateCache struct {
 	// in the engine's metrics registry so Stats and /metrics read the same
 	// atomics).
 	stats *statsCollector
-	// buildNanos totals exclusive build time.  Builders report their own
-	// leaf work via timedBuild so that a build nested inside another (the
-	// order build underneath a wreach build or an answer) is counted once.
-	buildNanos atomic.Int64
 }
 
-// timedBuild runs f, adds its duration to the exclusive build-time total and
-// records it in the per-stage build histogram.
+// timedBuild runs f and records its duration in the per-stage build
+// histogram.  Builders report their own leaf work this way, so that a build
+// nested inside another (the order build underneath a wreach build or an
+// answer) is counted once.
 func (c *substrateCache) timedBuild(stage string, f func() any) any {
 	start := time.Now()
 	v := f()
@@ -86,7 +83,6 @@ func (c *substrateCache) timedBuild(stage string, f func() any) any {
 // addBuildTime accounts d as exclusive build time of the given stage (used
 // directly by builds that must subtract nested fetch time; see answerFor).
 func (c *substrateCache) addBuildTime(stage string, d time.Duration) {
-	c.buildNanos.Add(int64(d))
 	c.stats.buildSeconds.With(stage).ObserveDuration(d)
 }
 
@@ -175,35 +171,6 @@ func (c *substrateCache) getOrBuild(ctx context.Context, key substrateKey, build
 	c.mu.Unlock()
 	close(call.done)
 	return call.val, false, call.err
-}
-
-// join serves key without ever starting (or being admitted for) a build: a
-// cache hit returns immediately, an in-flight build is waited on, and a
-// cold key reports handled=false so the caller can take an admission slot
-// and build.  The engine calls it before the rebuild admission guard, so
-// warm queries and coalescing waiters never occupy a rebuild slot — only
-// the goroutine that actually builds holds one.
-func (c *substrateCache) join(ctx context.Context, key substrateKey) (val any, handled, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		c.stats.cacheHits.Inc()
-		return v, true, true, nil
-	}
-	call, ok := c.inflight[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false, false, nil
-	}
-	select {
-	case <-call.done:
-	case <-ctx.Done():
-		return nil, true, false, ctx.Err()
-	}
-	c.stats.cacheCoalesced.Inc()
-	return call.val, true, true, call.err
 }
 
 // purge drops every entry belonging to the given graph generation and

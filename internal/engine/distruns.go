@@ -51,32 +51,30 @@ type DistRunSummary struct {
 	Err      string    `json:"err,omitempty"`
 }
 
+// distRunCap is the number of distributed runs the ring retains.
+const distRunCap = 64
+
 // distRunLog is a fixed-capacity ring of recent records with an ID index.
 // Records are immutable once inserted, so lookups can hand them out without
 // copying.
 type distRunLog struct {
 	mu   sync.Mutex
-	cap  int
 	ring []*DistRunRecord
 	next int
 	byID map[string]*DistRunRecord
 }
 
-func newDistRunLog(capacity int) *distRunLog {
-	if capacity <= 0 {
-		return nil
-	}
+func newDistRunLog() *distRunLog {
 	return &distRunLog{
-		cap:  capacity,
-		ring: make([]*DistRunRecord, 0, capacity),
-		byID: make(map[string]*DistRunRecord, capacity),
+		ring: make([]*DistRunRecord, 0, distRunCap),
+		byID: make(map[string]*DistRunRecord, distRunCap),
 	}
 }
 
 func (l *distRunLog) add(rec *DistRunRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.ring) < l.cap {
+	if len(l.ring) < distRunCap {
 		l.ring = append(l.ring, rec)
 	} else {
 		evicted := l.ring[l.next]
@@ -85,7 +83,7 @@ func (l *distRunLog) add(rec *DistRunRecord) {
 		}
 		l.ring[l.next] = rec
 	}
-	l.next = (l.next + 1) % l.cap
+	l.next = (l.next + 1) % distRunCap
 	l.byID[rec.ID] = rec
 }
 
@@ -96,7 +94,7 @@ func (l *distRunLog) list() []DistRunSummary {
 	out := make([]DistRunSummary, 0, len(l.ring))
 	for i := 0; i < len(l.ring); i++ {
 		// Walk backwards from the most recently written slot.
-		idx := (l.next - 1 - i + 2*l.cap) % l.cap
+		idx := (l.next - 1 - i + 2*distRunCap) % distRunCap
 		if idx >= len(l.ring) {
 			continue
 		}
@@ -118,22 +116,9 @@ func (l *distRunLog) get(id string) (*DistRunRecord, bool) {
 	return r, ok
 }
 
-// newDistProbe returns the probe a distributed-kind query runs with, or nil
-// when profile retention is disabled (Config.DistRunLog < 0).
-func (e *Engine) newDistProbe() *dist.Probe {
-	if e.distRuns == nil {
-		return nil
-	}
-	return &dist.Probe{}
-}
-
 // recordDistRun folds a finished distributed query's probe into the ring.
-// No-op when retention is disabled or the query never reached the simulator
-// (zero profiles).
+// No-op when the query never reached the simulator (zero profiles).
 func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName string, p *dist.Probe, runErr error) {
-	if e.distRuns == nil || p == nil {
-		return
-	}
 	profiles := p.Profiles()
 	if len(profiles) == 0 {
 		return
@@ -162,20 +147,13 @@ func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName stri
 	e.distRuns.add(rec)
 }
 
-// DistRuns lists the retained distributed runs, newest first (empty when
-// retention is disabled).
+// DistRuns lists the retained distributed runs, newest first.
 func (e *Engine) DistRuns() []DistRunSummary {
-	if e.distRuns == nil {
-		return nil
-	}
 	return e.distRuns.list()
 }
 
 // DistRun returns the retained record for a query ID.  The record is shared
 // and must not be mutated.
 func (e *Engine) DistRun(id string) (*DistRunRecord, bool) {
-	if e.distRuns == nil {
-		return nil, false
-	}
 	return e.distRuns.get(id)
 }

@@ -68,11 +68,13 @@ func TestDistRunRing(t *testing.T) {
 	}
 }
 
+// TestDistRunRingEvictsOldest: the ring keeps the newest distRunCap runs,
+// and an evicted run no longer resolves by ID.
 func TestDistRunRingEvictsOldest(t *testing.T) {
-	e := testEngine(t, Config{DistRunLog: 2})
+	e := testEngine(t, Config{})
 	g := gen.Grid(5, 5)
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < distRunCap+1; i++ {
 		tr := obs.NewTrace(obs.NewQueryID())
 		ids = append(ids, tr.ID())
 		if _, err := e.Do(obs.WithTrace(context.Background(), tr),
@@ -81,24 +83,15 @@ func TestDistRunRingEvictsOldest(t *testing.T) {
 		}
 	}
 	runs := e.DistRuns()
-	if len(runs) != 2 || runs[0].ID != ids[2] || runs[1].ID != ids[1] {
-		t.Fatalf("ring after 3 runs: %+v (want newest-first %v)", runs, ids[1:])
+	if len(runs) != distRunCap {
+		t.Fatalf("ring after %d runs holds %d, want %d", len(ids), len(runs), distRunCap)
+	}
+	for i, run := range runs {
+		if want := ids[len(ids)-1-i]; run.ID != want {
+			t.Fatalf("runs[%d] = %q, want %q (newest first)", i, run.ID, want)
+		}
 	}
 	if _, ok := e.DistRun(ids[0]); ok {
 		t.Fatal("evicted run still resolvable by ID")
-	}
-}
-
-func TestDistRunRingDisabled(t *testing.T) {
-	e := testEngine(t, Config{DistRunLog: -1})
-	g := gen.Grid(5, 5)
-	if _, err := e.Do(context.Background(), Request{G: g, Kind: KindDistributedDominatingSet, R: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if runs := e.DistRuns(); len(runs) != 0 {
-		t.Fatalf("disabled ring retained %d runs", len(runs))
-	}
-	if _, ok := e.DistRun("whatever"); ok {
-		t.Fatal("disabled ring resolved an ID")
 	}
 }

@@ -75,7 +75,10 @@ type Config struct {
 	// CacheEntries bounds the number of cached substrates (LRU eviction).
 	// Default 128.
 	CacheEntries int
-	// Workers is the query-executor pool size.  Default GOMAXPROCS.
+	// Workers is the query-executor pool size.  Default GOMAXPROCS.  It also
+	// bounds the substrate builds queries run at once: a build runs on the
+	// worker of the query that missed, and nested builds run inside it
+	// (OrderFor builds on its caller's goroutine).
 	Workers int
 	// QueueDepth bounds queued-but-unstarted queries.  Default 4·Workers.
 	QueueDepth int
@@ -87,13 +90,6 @@ type Config struct {
 	// 0 = GOMAXPROCS.  Substrate outputs are bit-identical for every value;
 	// the knob only trades build latency against CPU share.
 	SubstrateWorkers int
-	// MaxConcurrentRebuilds bounds the number of substrate rebuild chains
-	// that may run at once (an admission guard: a mutation storm invalidates
-	// many substrates, and without the bound every queued query would start
-	// its own expensive rebuild concurrently).  Queries needing a rebuild
-	// beyond the bound wait for a slot; warm queries are never throttled.
-	// Default GOMAXPROCS.
-	MaxConcurrentRebuilds int
 	// CheckpointInterval is the cadence of the background checkpointer of a
 	// persistent engine (see Open): the WAL is folded into fresh snapshots
 	// whenever it advanced since the previous cycle.  0 disables the
@@ -132,10 +128,6 @@ type Config struct {
 	// ones (0 = store default, ~1M entries; negative = always varint).
 	// Ignored by New.  See store.Options.RawSnapshotMinEntries.
 	RawSnapshotMinEntries int
-	// DistRunLog is the ring capacity of retained distributed-run round
-	// profiles (served by domserved at /debug/dist/runs).  0 = 64; negative
-	// disables retention, which also disables per-query probing entirely.
-	DistRunLog int
 }
 
 func (c Config) normalised() Config {
@@ -148,9 +140,6 @@ func (c Config) normalised() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.MaxConcurrentRebuilds <= 0 {
-		c.MaxConcurrentRebuilds = runtime.GOMAXPROCS(0)
-	}
 	if c.QueueWaitBudget == 0 {
 		c.QueueWaitBudget = 500 * time.Millisecond
 	}
@@ -158,11 +147,6 @@ func (c Config) normalised() Config {
 		c.PersistRetries = 3
 	} else if c.PersistRetries < 0 {
 		c.PersistRetries = 0
-	}
-	if c.DistRunLog == 0 {
-		c.DistRunLog = 64
-	} else if c.DistRunLog < 0 {
-		c.DistRunLog = 0
 	}
 	return c
 }
@@ -243,15 +227,7 @@ type Engine struct {
 	exec  *executor
 	stats *statsCollector
 
-	// rebuildSem is the admission guard bounding concurrent substrate
-	// rebuild chains (capacity Config.MaxConcurrentRebuilds).  Only
-	// top-level cache misses acquire a slot; builds nested inside an
-	// admitted build (the order underneath a wreach build or an answer) run
-	// on their parent's slot, marked by the context admitted returns.
-	rebuildSem chan struct{}
-
-	// distRuns retains recent distributed-run round profiles (nil when
-	// Config.DistRunLog is negative).
+	// distRuns retains recent distributed-run round profiles.
 	distRuns *distRunLog
 
 	mu      sync.Mutex
@@ -281,35 +257,12 @@ type Engine struct {
 	replaySkipped int
 }
 
-// admittedKey marks a context as belonging to a substrate build that
-// already holds a rebuild-admission slot.
-type admittedKey struct{}
-
-// admitted returns the detached context a build's nested substrate fetches
-// run under.  It keeps ctx's values, so the nested builds land in the
-// query's trace, but not its deadline: a shared build must not inherit one
-// requester's timeout.  It is exempt from rebuild admission (the parent
-// build holds the slot).
-func admitted(ctx context.Context) context.Context {
-	return context.WithValue(context.WithoutCancel(ctx), admittedKey{}, true)
-}
-
-// acquireRebuild takes a rebuild-admission slot, blocking until one frees or
-// ctx expires.  The returned release function must be called exactly once.
-func (e *Engine) acquireRebuild(ctx context.Context) (func(), error) {
-	release := func() { <-e.rebuildSem }
-	select {
-	case e.rebuildSem <- struct{}{}:
-		return release, nil
-	default:
-	}
-	e.stats.rebuildWaits.Add(1)
-	select {
-	case e.rebuildSem <- struct{}{}:
-		return release, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+// detached returns the context a build's nested substrate fetches run
+// under.  It keeps ctx's values, so the nested builds land in the query's
+// trace, but not its deadline: a shared build must not inherit one
+// requester's timeout.
+func detached(ctx context.Context) context.Context {
+	return context.WithoutCancel(ctx)
 }
 
 // New returns a ready engine.
@@ -321,14 +274,13 @@ func New(cfg Config) *Engine {
 	}
 	stats := newStatsCollector(reg)
 	e := &Engine{
-		cfg:        cfg,
-		cache:      newSubstrateCache(cfg.CacheEntries, stats),
-		exec:       newExecutor(cfg.Workers, cfg.QueueDepth, cfg.QueueWaitBudget),
-		stats:      stats,
-		rebuildSem: make(chan struct{}, cfg.MaxConcurrentRebuilds),
-		graphs:     make(map[string]*graphEntry),
-		anon:       make(map[weak.Pointer[graph.Graph]]uint64),
-		distRuns:   newDistRunLog(cfg.DistRunLog),
+		cfg:      cfg,
+		cache:    newSubstrateCache(cfg.CacheEntries, stats),
+		exec:     newExecutor(cfg.Workers, cfg.QueueDepth, cfg.QueueWaitBudget),
+		stats:    stats,
+		graphs:   make(map[string]*graphEntry),
+		anon:     make(map[weak.Pointer[graph.Graph]]uint64),
+		distRuns: newDistRunLog(),
 	}
 	// Scrape-time gauges.  The closures keep the engine reachable for the
 	// registry's lifetime, which is why sharing a registry across engines is
@@ -336,7 +288,6 @@ func New(cfg Config) *Engine {
 	reg.GaugeFunc("bedom_graphs", "Registered graphs.", func() float64 { return float64(e.GraphCount()) })
 	reg.GaugeFunc("bedom_cache_entries", "Live substrate cache entries.", func() float64 { return float64(e.cache.len()) })
 	reg.Gauge("bedom_cache_capacity", "Substrate cache capacity (LRU bound).").Set(float64(cfg.CacheEntries))
-	reg.Gauge("bedom_max_concurrent_rebuilds", "Rebuild admission guard capacity.").Set(float64(cfg.MaxConcurrentRebuilds))
 	reg.GaugeFunc("bedom_degraded", "1 while the engine is in read-only degraded mode.", func() float64 {
 		if e.degraded.Load() {
 			return 1
@@ -691,30 +642,6 @@ func (e *Engine) handleFor(g *graph.Graph) uint64 {
 
 // --- Substrate accessors --------------------------------------------------
 
-// getSubstrate wraps the cache with the rebuild admission guard.  Warm keys
-// and waiters coalescing onto an in-flight build are served via join and
-// never occupy a slot; only a caller about to build takes one — unless ctx
-// already belongs to an admitted build chain (nested fetches run on their
-// parent's slot).  Every in-flight build's goroutine therefore holds a slot
-// or rides a holder's, and never waits to acquire a second one, which keeps
-// the guard deadlock-free at any capacity.  (Two callers racing past join
-// for the same cold key may briefly hold a slot each while one of them
-// coalesces inside getOrBuild — bounded by the race width, not by the
-// number of queued queries.)
-func (e *Engine) getSubstrate(ctx context.Context, key substrateKey, build func() (any, error)) (any, bool, error) {
-	if ctx.Value(admittedKey{}) == nil {
-		if v, handled, hit, err := e.cache.join(ctx, key); handled {
-			return v, hit, err
-		}
-		release, err := e.acquireRebuild(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		defer release()
-	}
-	return e.cache.getOrBuild(ctx, key, build)
-}
-
 // OrderFor returns the (cached) weak-reachability order for radius r,
 // constructed exactly as the facade's BuildOrder: order.ConstructDefault.
 // hit reports whether the order was served from cache.
@@ -728,7 +655,7 @@ func (e *Engine) OrderFor(g *graph.Graph, r int) (*order.Order, bool, error) {
 func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int) (*order.Order, bool, error) {
 	_, sp := obs.Start(ctx, "substrate:order")
 	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, func() (any, error) {
+	v, hit, err := e.cache.getOrBuild(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, func() (any, error) {
 		e.stage("substrate:order")
 		return e.cache.timedBuild("order", func() any {
 			opts := order.DefaultOptions(r)
@@ -745,16 +672,16 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 // wreachFor returns the (cached) weak s-reachability sets of the order for
 // radius orderR — the substrate behind both wcol measurements and covers.
 // Building it reuses (or builds) the cached order.  The nested fetch runs
-// under admitted(ctx), detached from the requester's deadline: a build is
-// shared work — if it adopted one requester's deadline, that requester's
-// timeout would be recorded as the build's error and handed to every
-// coalesced waiter.
+// under detached(ctx), without the requester's deadline: a build is shared
+// work — if it adopted one requester's deadline, that requester's timeout
+// would be recorded as the build's error and handed to every coalesced
+// waiter.
 func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) ([][]int, error) {
 	_, sp := obs.Start(ctx, "substrate:wreach")
 	defer sp.End()
-	v, _, err := e.getSubstrate(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
+	v, _, err := e.cache.getOrBuild(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
 		e.stage("substrate:wreach")
-		o, _, err := e.orderFor(admitted(ctx), g, gen, orderR)
+		o, _, err := e.orderFor(detached(ctx), g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}

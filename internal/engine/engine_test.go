@@ -509,6 +509,83 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestBatchDoesNotShedItself: a batch submits at most Workers entries at
+// once, so on an idle engine whose one-slot queue sheds at once, every
+// entry of a batch of distinct cold queries is answered.
+func TestBatchDoesNotShedItself(t *testing.T) {
+	e := testEngine(t, Config{Workers: 1, QueueDepth: 1, QueueWaitBudget: -1})
+	if _, err := e.Register("g", gen.Grid(30, 30)); err != nil {
+		t.Fatal(err)
+	}
+	var reqs []Request
+	for r := 1; r <= 4; r++ {
+		reqs = append(reqs, Request{Graph: "g", Kind: KindDominatingSet, R: r})
+	}
+	for i, res := range e.Batch(context.Background(), reqs) {
+		if res.Err != nil {
+			t.Fatalf("entry %d (r=%d) failed: %v", i, reqs[i].R, res.Err)
+		}
+		if res.Response.R != reqs[i].R {
+			t.Fatalf("entry %d answers r=%d, want %d", i, res.Response.R, reqs[i].R)
+		}
+	}
+	if st := e.Stats(); st.QueriesShed != 0 {
+		t.Fatalf("QueriesShed = %d, want 0", st.QueriesShed)
+	}
+}
+
+// TestWorkersBoundConcurrentBuilds pins the one bound on concurrent
+// substrate builds: each build runs on the worker of the query that missed,
+// and nested builds run inside it, so cold queries on distinct graphs never
+// have more order builds in flight than Workers.
+func TestWorkersBoundConcurrentBuilds(t *testing.T) {
+	var mu sync.Mutex
+	inFlight, peak, builds := 0, 0, 0
+	hook := func(stage string) {
+		if stage != "substrate:order" {
+			return
+		}
+		mu.Lock()
+		inFlight++
+		builds++
+		peak = max(peak, inFlight)
+		mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+	}
+	e := testEngine(t, Config{Workers: 2, StageHook: hook})
+	kinds := []Kind{KindDominatingSet, KindCover, KindConnectedDominatingSet}
+	const queries = 6
+	errs := make(chan error, queries)
+	var wg sync.WaitGroup
+	for i := range queries {
+		// Distinct graphs: no two queries share a substrate, so each one
+		// builds exactly one order (cover's nested wreach builds share it).
+		req := Request{G: gen.Grid(6, 6+i), Kind: kinds[i%len(kinds)], R: 1}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := e.Do(context.Background(), req)
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != queries {
+		t.Fatalf("%d order builds, want %d", builds, queries)
+	}
+	if peak > 2 {
+		t.Fatalf("%d order builds in flight at once with Workers 2", peak)
+	}
+}
+
 func TestCloseStopsQueries(t *testing.T) {
 	e := New(Config{Workers: 1})
 	e.Close()

@@ -27,9 +27,10 @@ type MutationInfo struct {
 // Mutate applies one mutation batch to the named graph.  On an effective
 // change the graph's cache generation is bumped and only that graph's cached
 // substrates are invalidated — every other graph's entries survive, and the
-// next queries rebuild the mutated graph's substrates single-flight under
-// the rebuild admission guard.  A delta that changes nothing (all entries
-// duplicates or missing) keeps the generation and the cached substrates.
+// next queries rebuild the mutated graph's substrates single-flight, each on
+// the worker of the query that missed.  A delta that changes nothing (all
+// entries duplicates or missing) keeps the generation and the cached
+// substrates.
 //
 // Mutate itself costs O(|delta|·log deg): the merged CSR snapshot is
 // materialized lazily by the first query after the delta (and cached inside

@@ -337,95 +337,6 @@ func TestMutateDuringInFlightQueries(t *testing.T) {
 	}
 }
 
-// TestRebuildAdmissionGuard pins the admission guard's contract with a
-// deterministic schedule: with one slot held, a cold query waits (and is
-// counted); warm queries sail through untouched; releasing the slot lets
-// the cold query finish.
-func TestRebuildAdmissionGuard(t *testing.T) {
-	// Workers: 4 so the intentionally-blocked cold query cannot starve the
-	// executor pool on a 1-CPU machine (the warm query below needs a worker).
-	e := testEngine(t, Config{MaxConcurrentRebuilds: 1, Workers: 4})
-	if st := e.Stats(); st.MaxConcurrentRebuilds != 1 {
-		t.Fatalf("stats must echo the guard capacity: %+v", st)
-	}
-	if _, err := e.Register("warm", gen.Grid(8, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Do(context.Background(), Request{Graph: "warm", Kind: KindDominatingSet, R: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Register("cold", gen.Grid(8, 8)); err != nil {
-		t.Fatal(err)
-	}
-
-	release, err := e.acquireRebuild(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A cold query now needs the (occupied) slot.
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Do(context.Background(), Request{Graph: "cold", Kind: KindDominatingSet, R: 1})
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats().RebuildWaits == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("cold query never waited for the admission slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case err := <-done:
-		t.Fatalf("cold query finished while the guard was saturated: %v", err)
-	default:
-	}
-	// Warm queries are never throttled.
-	resp, err := e.Do(context.Background(), Request{Graph: "warm", Kind: KindDominatingSet, R: 1})
-	if err != nil || !resp.CacheHit {
-		t.Fatalf("warm query blocked by the admission guard: %+v %v", resp, err)
-	}
-	release()
-	if err := <-done; err != nil {
-		t.Fatalf("cold query after release: %v", err)
-	}
-
-	// A cold query whose context expires while waiting fails cleanly.
-	release2, err := e.acquireRebuild(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release2()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := e.Do(ctx, Request{Graph: "cold", Kind: KindDominatingSet, R: 3}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued cold query must time out cleanly, got %v", err)
-	}
-}
-
-// TestAdmissionNestedBuildsNoDeadlock runs the deepest substrate chain
-// (cover → wreach ×2 → order) cold with a single admission slot: nested
-// builds must ride their parent's slot instead of deadlocking.
-func TestAdmissionNestedBuildsNoDeadlock(t *testing.T) {
-	e := testEngine(t, Config{MaxConcurrentRebuilds: 1, Workers: 4})
-	if _, err := e.Register("g", gen.Grid(12, 12)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindCover, R: 2})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cold cover query deadlocked under a 1-slot admission guard")
-	}
-}
-
 // TestEngineCompactionThreshold: a graph's overlay folds into a fresh CSR
 // base once one delta takes it to graph.DefaultCompactionThreshold
 // half-edges, and Stats surfaces the compaction.

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bedom/internal/connect"
@@ -67,8 +68,9 @@ type Request struct {
 
 	// Distributed-kind tuning (ignored by sequential kinds).
 
-	// Model is the communication model (default for the zero value: the
-	// paper's CONGEST_BC).
+	// Model is the communication model.  Unless ModelSet, each pipeline
+	// runs its own default: CONGEST_BC for dist-cds and for dist-domset with
+	// the paper solver, LOCAL for dist-domset with kubsv.
 	Model Model `json:"-"`
 	// ModelSet marks Model as explicit, allowing LOCAL to be requested.
 	ModelSet bool `json:"-"`
@@ -316,7 +318,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 			return nil, fmt.Errorf("%w: solver %q has no distributed engine", ErrInvalidRequest, s.Name())
 		}
 		dopts := req.distOptions()
-		probe := e.newDistProbe()
+		probe := &dist.Probe{}
 		dopts.Sim.Probe = probe
 		res, err := ds.SolveDist(g, req.R, dopts)
 		e.recordDistRun(ctx, req, s.Name(), probe, err)
@@ -339,7 +341,7 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 			model = req.Model
 		}
 		sopts := req.simOptions()
-		probe := e.newDistProbe()
+		probe := &dist.Probe{}
 		sopts.Probe = probe
 		res, err := distalgo.RunConnectedDomSet(g, req.R, model, sopts)
 		e.recordDistRun(ctx, req, "", probe, err)
@@ -404,12 +406,11 @@ func (e *Engine) answerFor(ctx context.Context, g *graph.Graph, gen uint64, req 
 	span := answerSpans[req.Kind]
 	_, sp := obs.Start(ctx, span)
 	defer sp.End()
-	v, hit, err := e.getSubstrate(ctx, key, func() (any, error) {
+	v, hit, err := e.cache.getOrBuild(ctx, key, func() (any, error) {
 		e.stage(span)
-		// admitted: see wreachFor — a shared build must not inherit one
-		// requester's deadline, and nested fetches run on the answer's
-		// admission slot.
-		actx := admitted(ctx)
+		// detached: see wreachFor — a shared build must not inherit one
+		// requester's deadline.
+		actx := detached(ctx)
 		a := &answer{resp: Response{Kind: req.Kind, R: req.R}}
 		var err error
 		switch req.Kind {
@@ -495,16 +496,25 @@ type BatchResult struct {
 // Batch fans the requests across the worker pool and waits for all of them.
 // Results keep the request order; each entry fails or succeeds on its own.
 // Identical concurrent entries share substrate builds via single-flight.
+// At most Workers entries are submitted at once, so a batch never fills the
+// admission queue by itself and sheds only under load from other callers.
 func (e *Engine) Batch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, req := range reqs {
+	for range min(e.cfg.Workers, len(reqs)) {
 		wg.Add(1)
-		go func(i int, req Request) {
+		go func() {
 			defer wg.Done()
-			resp, err := e.Do(ctx, req)
-			out[i] = BatchResult{Response: resp, Err: err}
-		}(i, req)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				resp, err := e.Do(ctx, reqs[i])
+				out[i] = BatchResult{Response: resp, Err: err}
+			}
+		}()
 	}
 	wg.Wait()
 	return out

@@ -11,12 +11,11 @@ import (
 
 // engineSubstrate adapts the engine's cached substrate accessors to the
 // solver.Substrate interface.  Fetches run under the context the solver
-// passes, which is the admitted one of the domset answer build: a solver
-// runs inside an admitted build, so nested substrate builds ride the
-// parent's rebuild slot, must not inherit one requester's deadline (see
-// wreachFor), and record their spans in the query's trace.  The adapter
-// tracks the time spent inside fetches, so solve can account the solver's
-// own compute without double-counting nested builds.
+// passes, which is the detached one of the domset answer build, so nested
+// substrate builds do not inherit one requester's deadline (see wreachFor)
+// and record their spans in the query's trace.  The adapter tracks the time
+// spent inside fetches, so solve can account the solver's own compute
+// without double-counting nested builds.
 type engineSubstrate struct {
 	e      *Engine
 	g      *graph.Graph
@@ -49,7 +48,7 @@ func (s *engineSubstrate) Wcol(ctx context.Context, orderR, r int) (int, error) 
 }
 
 // solve runs the solver strategy for radius r into the answer's response.
-// ctx is the admitted context of the answer build.
+// ctx is the detached context of the answer build.
 func (e *Engine) solve(ctx context.Context, g *graph.Graph, gen uint64, r int, s solver.Solver, resp *Response) error {
 	e.stage("solve:" + s.Name())
 	sub := &engineSubstrate{e: e, g: g, gen: gen}

@@ -19,10 +19,6 @@ type greedySolver struct{}
 
 func (greedySolver) Name() string { return "greedy" }
 
-func (greedySolver) Describe() string {
-	return "classical lazy-heap greedy (ln n approximation, no order needed)"
-}
-
 func (greedySolver) Solve(_ context.Context, g *graph.Graph, r int, _ Substrate) (Result, error) {
 	D := domset.Greedy(g, r)
 	return Result{Set: D, LowerBound: domset.ScatteredLowerBound(g, r, D)}, nil
@@ -35,10 +31,6 @@ func (greedySolver) Solve(_ context.Context, g *graph.Graph, r int, _ Substrate)
 type orderGreedySolver struct{}
 
 func (orderGreedySolver) Name() string { return "order-greedy" }
-
-func (orderGreedySolver) Describe() string {
-	return "first-uncovered-in-order baseline on the weak-reachability order"
-}
 
 func (orderGreedySolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substrate) (Result, error) {
 	o, err := sub.Order(ctx, r)

@@ -27,10 +27,6 @@ type dvorakSolver struct{}
 
 func (dvorakSolver) Name() string { return "dvorak" }
 
-func (dvorakSolver) Describe() string {
-	return "Dvořák-style sweep: undominated vertices delegate to min WReach_r"
-}
-
 func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substrate) (Result, error) {
 	o, err := sub.Order(ctx, r)
 	if err != nil {

@@ -21,10 +21,6 @@ type ksvSolver struct{}
 
 func (ksvSolver) Name() string { return "kubsv" }
 
-func (ksvSolver) Describe() string {
-	return "constant-round election + cleanup (Kublenz–Siebertz–Vigny style, 7r rounds)"
-}
-
 func (ksvSolver) Solve(_ context.Context, g *graph.Graph, r int, _ Substrate) (Result, error) {
 	D := distalgo.KSVSequential(g, r)
 	return Result{Set: D, LowerBound: domset.ScatteredLowerBound(g, r, D)}, nil

@@ -19,10 +19,6 @@ type paperSolver struct{}
 
 func (paperSolver) Name() string { return "paper" }
 
-func (paperSolver) Describe() string {
-	return "SPAA 2018 wcol-order pipeline (Theorem 5 sequential, Theorem 9 distributed)"
-}
-
 func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substrate) (Result, error) {
 	o, err := sub.Order(ctx, r)
 	if err != nil {

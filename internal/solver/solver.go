@@ -59,8 +59,6 @@ type Result struct {
 type Solver interface {
 	// Name is the stable registry key ("paper", "kubsv", ...).
 	Name() string
-	// Describe is a one-line human-readable summary.
-	Describe() string
 	// Solve computes a distance-r dominating set of g.  Fetches from sub
 	// take the ctx Solve was given.  The returned Result may be cached by
 	// the caller and must not be mutated afterwards.

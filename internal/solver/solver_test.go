@@ -44,12 +44,6 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("%q listed by DistNames but does not implement DistSolver", name)
 		}
 	}
-	for _, name := range Names() {
-		s, _ := Get(name)
-		if s.Describe() == "" {
-			t.Errorf("%q has no description", name)
-		}
-	}
 }
 
 // TestBaselineSolversMatchDomset pins the promoted baselines to the
