@@ -4,28 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"reflect"
-	"strconv"
 
 	"bedom/internal/exp"
 )
 
-// minComparable bounds the gate's noise floor: tiny integer metrics (a
-// dominating set of size 2, a 3-round protocol) swing past any relative
-// threshold from a ±1 change that means nothing.  A cell is exempt only
-// when BOTH its baseline and candidate magnitudes are below this floor — a
-// small value jumping large (3 → 12) is a real change and stays gated.
-const minComparable = 8
-
 // compareSnapshots loads two -json snapshots and fails (returns an error)
-// when any numeric cell of any table drifts by more than threshold in
-// either direction.  The experiment workloads are seeded and deterministic
-// for every worker count, so two runs of the same code produce identical
-// tables; drift beyond the threshold means the algorithms' outputs or costs
-// actually changed — the regression the CI gate exists to catch.
-func compareSnapshots(basePath, candPath string, threshold float64, w io.Writer) error {
+// when any cell of any table differs.  The experiment workloads are seeded
+// and deterministic for every worker count, so two runs of the same code
+// produce identical tables; any changed cell means the algorithms' outputs
+// or costs actually changed — the regression the CI gate exists to catch.
+func compareSnapshots(basePath, candPath string, w io.Writer) error {
 	base, err := loadSnapshot(basePath)
 	if err != nil {
 		return err
@@ -77,31 +67,10 @@ func compareSnapshots(basePath, candPath string, threshold float64, w io.Writer)
 				continue
 			}
 			for j := range crow {
-				bv, berr := strconv.ParseFloat(brow[j], 64)
-				cv, cerr := strconv.ParseFloat(crow[j], 64)
-				// A NaN cell parses "successfully" but poisons every drift
-				// comparison into false; demand exact string equality
-				// instead of letting a corrupted metric sail through.
-				if berr != nil || cerr != nil || math.IsNaN(bv) || math.IsNaN(cv) {
-					// Non-numeric cells (family names, booleans) must still
-					// match exactly: a flipped "exact?" or renamed row is a
-					// behavior change.
-					if brow[j] != crow[j] {
-						fmt.Fprintf(w, "REGRESSION %s row %d %q: %q -> %q\n",
-							bt.ID, i, header(bt, j), brow[j], crow[j])
-						regressions++
-					}
-					continue
-				}
-				if math.Abs(bv) < minComparable && math.Abs(cv) < minComparable {
-					continue
-				}
 				compared++
-				denom := math.Max(math.Abs(bv), 1e-9)
-				drift := math.Abs(cv-bv) / denom
-				if drift > threshold {
-					fmt.Fprintf(w, "REGRESSION %s row %d %q: %s -> %s (%+.0f%%, threshold %.0f%%)\n",
-						bt.ID, i, header(bt, j), brow[j], crow[j], 100*(cv-bv)/denom, 100*threshold)
+				if brow[j] != crow[j] {
+					fmt.Fprintf(w, "REGRESSION %s row %d %q: %q -> %q\n",
+						bt.ID, i, header(bt, j), brow[j], crow[j])
 					regressions++
 				}
 			}
@@ -112,9 +81,9 @@ func compareSnapshots(basePath, candPath string, threshold float64, w io.Writer)
 		regressions++
 	}
 	if regressions > 0 {
-		return fmt.Errorf("%d regression(s) vs %s (threshold %.0f%%)", regressions, basePath, 100*threshold)
+		return fmt.Errorf("%d regression(s) vs %s", regressions, basePath)
 	}
-	fmt.Fprintf(w, "OK: %d numeric cells within %.0f%% of %s\n", compared, 100*threshold, basePath)
+	fmt.Fprintf(w, "OK: %d cells identical to %s\n", compared, basePath)
 	return nil
 }
 

@@ -45,15 +45,15 @@ func baseSnapshot() snapshot {
 
 // compare runs compareSnapshots between two in-memory snapshots and returns
 // (output, error).
-func compare(t *testing.T, base, cand snapshot, threshold float64) (string, error) {
+func compare(t *testing.T, base, cand snapshot) (string, error) {
 	t.Helper()
 	var out strings.Builder
-	err := compareSnapshots(writeSnapshot(t, base), writeSnapshot(t, cand), threshold, &out)
+	err := compareSnapshots(writeSnapshot(t, base), writeSnapshot(t, cand), &out)
 	return out.String(), err
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	out, err := compare(t, baseSnapshot(), baseSnapshot(), 0.30)
+	out, err := compare(t, baseSnapshot(), baseSnapshot())
 	if err != nil {
 		t.Fatalf("identical snapshots: %v\n%s", err, out)
 	}
@@ -62,49 +62,36 @@ func TestCompareIdenticalPasses(t *testing.T) {
 	}
 }
 
-// TestCompareDriftMessage asserts the failure message carries the offending
-// cell's before/after values and the header name — the satellite contract.
+// TestCompareDriftMessage asserts that any changed cell fails, however
+// small, and that the failure names the cell's header and both values.
 func TestCompareDriftMessage(t *testing.T) {
-	cand := baseSnapshot()
-	cand.Tables[0].Rows[0][1] = "210" // size 100 -> 210: +110% drift
-	out, err := compare(t, baseSnapshot(), cand, 0.30)
-	if err == nil {
-		t.Fatalf("drift not caught:\n%s", out)
-	}
-	for _, want := range []string{"100", "210", "size", "REGRESSION", "threshold 30%"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("failure message missing %q:\n%s", want, out)
+	for _, tc := range []struct {
+		row, col int
+		to       string
+	}{
+		{0, 1, "210"},   // size 100 -> 210
+		{0, 2, "12.51"}, // 12.50 -> 12.51
+		{1, 2, "4.00"},  // 3 -> 4: both below 8
+	} {
+		cand := baseSnapshot()
+		from := cand.Tables[0].Rows[tc.row][tc.col]
+		cand.Tables[0].Rows[tc.row][tc.col] = tc.to
+		out, err := compare(t, baseSnapshot(), cand)
+		if err == nil {
+			t.Fatalf("%s -> %s not caught:\n%s", from, tc.to, out)
 		}
-	}
-}
-
-func TestCompareThresholdFlag(t *testing.T) {
-	cand := baseSnapshot()
-	cand.Tables[0].Rows[0][2] = "17.50" // 12.50 -> 17.50: +40% drift
-	if out, err := compare(t, baseSnapshot(), cand, 0.30); err == nil {
-		t.Fatalf("40%% drift passed a 30%% threshold:\n%s", out)
-	}
-	if out, err := compare(t, baseSnapshot(), cand, 0.50); err != nil {
-		t.Fatalf("40%% drift failed a 50%% threshold: %v\n%s", err, out)
-	}
-}
-
-func TestCompareNoiseFloor(t *testing.T) {
-	cand := baseSnapshot()
-	cand.Tables[0].Rows[1][2] = "4.00" // 3 -> 4: below the magnitude-8 floor
-	if out, err := compare(t, baseSnapshot(), cand, 0.30); err != nil {
-		t.Fatalf("sub-floor jitter gated: %v\n%s", err, out)
-	}
-	cand.Tables[0].Rows[1][2] = "40.00" // 3 -> 40: small jumping large IS real
-	if out, err := compare(t, baseSnapshot(), cand, 0.30); err == nil {
-		t.Fatalf("small-to-large jump passed:\n%s", out)
+		for _, want := range []string{from, tc.to, baseSnapshot().Tables[0].Header[tc.col], "REGRESSION"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("failure message missing %q:\n%s", want, out)
+			}
+		}
 	}
 }
 
 func TestCompareNonNumericCellsMustMatch(t *testing.T) {
 	cand := baseSnapshot()
 	cand.Tables[0].Rows[0][0] = "torus"
-	out, err := compare(t, baseSnapshot(), cand, 0.30)
+	out, err := compare(t, baseSnapshot(), cand)
 	if err == nil {
 		t.Fatalf("renamed row passed:\n%s", out)
 	}
@@ -117,13 +104,13 @@ func TestCompareStructuralChanges(t *testing.T) {
 	// A vanished table fails.
 	cand := baseSnapshot()
 	cand.Tables = nil
-	if _, err := compare(t, baseSnapshot(), cand, 0.30); err == nil {
+	if _, err := compare(t, baseSnapshot(), cand); err == nil {
 		t.Fatal("vanished table passed")
 	}
 	// A new table is reported but not gated.
 	cand = baseSnapshot()
 	cand.Tables = append(cand.Tables, &exp.Table{ID: "E99", Header: []string{"x"}, Rows: [][]string{{"1"}}})
-	out, err := compare(t, baseSnapshot(), cand, 0.30)
+	out, err := compare(t, baseSnapshot(), cand)
 	if err != nil {
 		t.Fatalf("new table gated: %v\n%s", err, out)
 	}
@@ -133,13 +120,13 @@ func TestCompareStructuralChanges(t *testing.T) {
 	// A schema mismatch fails before any cell comparison.
 	cand = baseSnapshot()
 	cand.Schema = snapshotSchema + 1
-	if _, err := compare(t, baseSnapshot(), cand, 0.30); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := compare(t, baseSnapshot(), cand); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("schema mismatch not fatal: %v", err)
 	}
 	// A workload mismatch cannot be row-aligned.
 	cand = baseSnapshot()
 	cand.Quick = false
-	if _, err := compare(t, baseSnapshot(), cand, 0.30); err == nil || !strings.Contains(err.Error(), "workload") {
+	if _, err := compare(t, baseSnapshot(), cand); err == nil || !strings.Contains(err.Error(), "workload") {
 		t.Fatalf("workload mismatch not fatal: %v", err)
 	}
 }
@@ -151,7 +138,7 @@ func TestCompareTierMismatchNamesTiers(t *testing.T) {
 	cand := baseSnapshot()
 	cand.Tier = tierLarge
 	cand.Quick = false
-	_, err := compare(t, baseSnapshot(), cand, 0.30)
+	_, err := compare(t, baseSnapshot(), cand)
 	if err == nil {
 		t.Fatal("tier mismatch passed")
 	}
@@ -165,7 +152,7 @@ func TestCompareTierMismatchNamesTiers(t *testing.T) {
 	legacyFull := baseSnapshot()
 	legacyFull.Tier = ""
 	legacyFull.Quick = false
-	_, err = compare(t, baseSnapshot(), legacyFull, 0.30)
+	_, err = compare(t, baseSnapshot(), legacyFull)
 	if err == nil {
 		t.Fatal("legacy tier mismatch passed")
 	}
@@ -179,7 +166,7 @@ func TestCompareTierMismatchNamesTiers(t *testing.T) {
 	// shared tier rather than a bogus mismatch.
 	cand = baseSnapshot()
 	cand.Config.N *= 2
-	_, err = compare(t, baseSnapshot(), cand, 0.30)
+	_, err = compare(t, baseSnapshot(), cand)
 	if err == nil || !strings.Contains(err.Error(), "configs differ") {
 		t.Fatalf("config mismatch not fatal or unlabelled: %v", err)
 	}
@@ -191,12 +178,12 @@ func TestCompareNaNPoisoning(t *testing.T) {
 	cand := baseSnapshot()
 	cand.Tables[0].Rows[0][2] = "NaN"
 	// Equal NaN strings are tolerated (string equality)...
-	if out, err := compare(t, base, cand, 0.30); err != nil {
+	if out, err := compare(t, base, cand); err != nil {
 		t.Fatalf("equal NaN cells gated: %v\n%s", err, out)
 	}
 	// ...but a numeric cell decaying to NaN is a regression.
 	cand.Tables[0].Rows[0][2] = "12.50"
-	if _, err := compare(t, base, cand, 0.30); err == nil {
+	if _, err := compare(t, base, cand); err == nil {
 		t.Fatal("NaN -> numeric mismatch passed")
 	}
 }

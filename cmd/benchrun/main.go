@@ -15,7 +15,7 @@
 
 //	benchrun -compare BENCH_baseline.json BENCH_new.json
 //	                            # regression gate: compare two snapshots,
-//	                            # exit 1 if any table drifts > -threshold
+//	                            # exit 1 if any cell differs
 //
 // The quick and full tiers run E1–E10; the large tier runs the scale
 // experiments (L1) at 10⁶–10⁷ vertices (-n overrides the size), exercising
@@ -43,7 +43,7 @@ const snapshotSchema = 3
 
 // snapshot is the JSON document emitted by -json: enough provenance to
 // compare perf trajectories across PRs (CI writes one per run and gates on
-// the drift vs the committed baseline).
+// its identity with the committed baseline).
 type snapshot struct {
 	Schema      int    `json:"schema"`
 	GeneratedAt string `json:"generated_at"`
@@ -68,15 +68,14 @@ const (
 
 func main() {
 	var (
-		tier      = flag.String("tier", tierFull, "workload tier: quick, full or large")
-		markdown  = flag.Bool("markdown", false, "emit markdown tables")
-		jsonOut   = flag.Bool("json", false, "emit one JSON document with all tables")
-		only      = flag.String("exp", "", "comma-separated experiment ids to run (default: all)")
-		n         = flag.Int("n", 0, "override the default graph size")
-		seed      = flag.Int64("seed", 0, "override the random seed")
-		compare   = flag.String("compare", "", "baseline snapshot: compare the candidate snapshot (positional arg) against it and exit")
-		threshold = flag.Float64("threshold", 0.30, "relative drift that fails -compare")
-		traceDir  = flag.String("round-profile", "", "directory for Perfetto round-profile trace artifacts of the distributed experiment runs")
+		tier     = flag.String("tier", tierFull, "workload tier: quick, full or large")
+		markdown = flag.Bool("markdown", false, "emit markdown tables")
+		jsonOut  = flag.Bool("json", false, "emit one JSON document with all tables")
+		only     = flag.String("exp", "", "comma-separated experiment ids to run (default: all)")
+		n        = flag.Int("n", 0, "override the default graph size")
+		seed     = flag.Int64("seed", 0, "override the random seed")
+		compare  = flag.String("compare", "", "baseline snapshot: compare the candidate snapshot (positional arg) against it and exit")
+		traceDir = flag.String("round-profile", "", "directory for Perfetto round-profile trace artifacts of the distributed experiment runs")
 	)
 	flag.Parse()
 
@@ -85,11 +84,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchrun: -compare needs exactly one candidate snapshot argument")
 			os.Exit(2)
 		}
-		if *threshold <= 0 {
-			fmt.Fprintf(os.Stderr, "benchrun: -threshold must be positive, got %v\n", *threshold)
-			os.Exit(2)
-		}
-		if err := compareSnapshots(*compare, flag.Arg(0), *threshold, os.Stdout); err != nil {
+		if err := compareSnapshots(*compare, flag.Arg(0), os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrun:", err)
 			os.Exit(1)
 		}

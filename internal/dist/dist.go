@@ -80,8 +80,8 @@ type Options struct {
 	Bandwidth int
 	// Phase labels the run in the simulator metrics (bedom_dist_*): the
 	// pipeline stage this run implements, e.g. "wreach" or "election".
-	// internal/distalgo tags each of its stages; an empty phase is recorded
-	// under the empty label value.
+	// internal/distalgo names every phase it runs, replacing any label set
+	// here; an empty phase is recorded under the empty label value.
 	Phase string
 	// Probe, when non-nil, records a per-round profile and a per-vertex
 	// congestion table for every run (see probe.go).  A nil Probe costs

@@ -15,9 +15,63 @@
 //     approximation for planar graphs [36], used as the baseline that
 //     Theorem 17 is combined with.
 //
-// Every public driver returns both the computed objects and the
-// round/message statistics of the underlying simulator runs, folded with
-// dist.Stats.Add, so experiments can report round complexity and
-// congestion.  A dist.Probe passed in the options records each run (phase)
-// separately.
+// Every public driver is a chain of simulator phases run by one pipeline,
+// whose run method starts each phase, names it (dist.Options.Phase) and adds
+// its cost to the pipeline's total.  So every driver returns the computed
+// objects with the round/message statistics of all its phases, and a
+// dist.Probe passed in the options records each phase separately.
 package distalgo
+
+import (
+	"fmt"
+
+	"bedom/internal/dist"
+	"bedom/internal/graph"
+)
+
+// pipeline is one distributed computation: a chain of simulator phases on
+// one graph in one model.
+type pipeline struct {
+	g     *graph.Graph
+	model dist.Model
+	opts  dist.Options
+	// Stats totals the cost of the phases run so far.
+	Stats dist.Stats
+}
+
+// run executes one phase: a simulator run labelled phase whose nodes come
+// from node.  Its cost is added to the pipeline's total, and a failure is
+// returned wrapped with the phase's name.
+func (p *pipeline) run(phase string, node func(v int) dist.Node) error {
+	opts := p.opts
+	opts.Phase = phase
+	st, err := dist.NewRunner(p.g, p.model, opts).Run(node)
+	p.Stats.Add(st)
+	if err != nil {
+		return fmt.Errorf("distalgo: %s failed: %w", phase, err)
+	}
+	return nil
+}
+
+// atLeastOne rejects a radius or horizon below 1, before any phase runs.
+func atLeastOne(name string, x int) error {
+	if x < 1 {
+		return fmt.Errorf("distalgo: %s must be ≥ 1, got %d", name, x)
+	}
+	return nil
+}
+
+// pathsMessage is the wire format of every path-carrying phase: a set of
+// vertex paths.  Algorithm 4 sends the paths it improved, the routing
+// phases send tokens (see router), and the refined order its hop-indexed
+// tokens.  Its size is the total number of ids carried.
+type pathsMessage [][]int
+
+// Words implements dist.Message.
+func (m pathsMessage) Words() int {
+	w := 0
+	for _, p := range m {
+		w += len(p)
+	}
+	return w
+}

@@ -1,99 +1,114 @@
 package distalgo
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
 	"bedom/internal/order"
 )
 
-// TokenMessage carries routing tokens: each token is the remaining path of a
-// message travelling toward its target (current holder first, target last).
-// In CONGEST_BC the holder broadcasts all tokens; only the vertex named as
-// the next hop picks each one up.
-type TokenMessage [][]int
-
-// Words implements dist.Message.
-func (m TokenMessage) Words() int {
-	w := 0
-	for _, p := range m {
-		w += len(p)
-	}
-	return w
+// router is the routing step shared by the election (Theorem 9), the path
+// marking (Theorem 10) and the LOCAL connector (Lemma 16).  A token is the
+// remaining path of a message travelling toward its target (current holder
+// first, target last).  The holder broadcasts all its tokens; only the
+// vertex named as the next hop picks each one up.
+type router struct {
+	id int
+	// onPath reports that this vertex lies on a routed path: it originated
+	// a token or picked one up.  reached reports that a token ended here.
+	onPath, reached bool
 }
 
-// electNode implements the election phase of Theorem 9: every vertex sends a
-// message to min WReach_r[G, L, w] along its stored routing path, asking it
-// to join the dominating set.  Every vertex that receives (or originates to
-// itself) such a request joins.
-type electNode struct {
-	id      int
-	r       int
-	witness order.PathTo // witness to min WReach_r (path from this vertex to the target)
-	hasWit  bool
-
-	inSet   bool
-	pending [][]int // tokens to forward next round (remaining paths, self first)
-	rounds  int
-}
-
-func (e *electNode) Init(ctx *dist.Context) {
-	if !e.hasWit {
-		return
-	}
-	if e.witness.Target == e.id {
-		e.inSet = true
-		return
-	}
-	// The token travels along the witness path toward the target.
-	e.send(ctx, e.witness.Path)
-}
-
-func (e *electNode) send(ctx *dist.Context, paths ...[]int) {
-	var out TokenMessage
-	for _, p := range paths {
-		if len(p) >= 2 {
-			out = append(out, p)
-		}
-	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
-	}
-}
-
-func (e *electNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
-	e.rounds++
-	var forward [][]int
-	for _, in := range inbox {
-		toks, ok := in.Msg.(TokenMessage)
-		if !ok {
+// route picks up the tokens of msg whose next hop is this vertex and appends
+// the rest of every one that goes further to fwd.
+func (rt *router) route(msg pathsMessage, fwd pathsMessage) pathsMessage {
+	for _, p := range msg {
+		if len(p) < 2 || p[1] != rt.id {
 			continue
 		}
-		for _, p := range toks {
-			// p = [holder, next, ..., target]; we act only if we are next.
-			if len(p) < 2 || p[1] != e.id {
-				continue
-			}
-			rest := p[1:]
-			if rest[len(rest)-1] == e.id {
-				// The token reached its target: join the dominating set.
-				e.inSet = true
-				continue
-			}
-			forward = append(forward, rest)
+		rt.onPath = true
+		if rest := p[1:]; len(rest) >= 2 {
+			fwd = append(fwd, rest)
+		} else {
+			rt.reached = true
 		}
 	}
-	slices.SortFunc(forward, slices.Compare)
-	forward = slices.CompactFunc(forward, slices.Equal)
-	if len(forward) > 0 {
-		e.send(ctx, forward...)
+	return fwd
+}
+
+// sendTokens broadcasts the distinct tokens of toks in increasing order.
+func sendTokens(ctx *dist.Context, toks pathsMessage) {
+	slices.SortFunc(toks, slices.Compare)
+	toks = slices.CompactFunc(toks, slices.Equal)
+	if len(toks) > 0 {
+		ctx.Broadcast(toks)
 	}
 }
 
-func (e *electNode) Done() bool { return e.rounds >= e.r }
+// routerNode runs one routing phase: it originates its tokens in Init,
+// forwards what it picks up for hops rounds, and then halts.
+type routerNode struct {
+	router
+	tokens pathsMessage
+	hops   int
+	rounds int
+}
+
+func (n *routerNode) Init(ctx *dist.Context) {
+	if len(n.tokens) > 0 {
+		ctx.Broadcast(n.tokens)
+	}
+}
+
+func (n *routerNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
+	n.rounds++
+	var fwd pathsMessage
+	for _, in := range inbox {
+		fwd = n.route(in.Msg.(pathsMessage), fwd)
+	}
+	sendTokens(ctx, fwd)
+}
+
+func (n *routerNode) Done() bool { return n.rounds >= n.hops }
+
+// routeTokens runs a routing phase of the given number of hops; setup gives
+// each node its originated tokens and initial membership.
+func (p *pipeline) routeTokens(phase string, hops int, setup func(n *routerNode)) ([]routerNode, error) {
+	nodes := make([]routerNode, p.g.N())
+	err := p.run(phase, func(v int) dist.Node {
+		n := &nodes[v]
+		n.id, n.hops = v, hops
+		setup(n)
+		return n
+	})
+	return nodes, err
+}
+
+// elect runs the election phase of Theorem 9: every vertex sends a token to
+// min WReach_r[G, L, v] along its stored routing path, asking it to join the
+// dominating set.  Every vertex a token reaches (or that is its own
+// minimum) joins.
+func (p *pipeline) elect(witnesses [][]order.PathTo, r int) ([]int, error) {
+	nodes, err := p.routeTokens("election", r, func(n *routerNode) {
+		if w, ok := MinTarget(witnesses[n.id], r); ok {
+			n.reached = w.Target == n.id
+			if !n.reached {
+				n.tokens = pathsMessage{w.Path}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	var set []int
+	for v := range nodes {
+		if nodes[v].reached {
+			set = append(set, v)
+		}
+	}
+	return set, nil
+}
 
 // DomSetResult is the outcome of the distributed distance-r dominating set
 // computation (Theorem 9).
@@ -113,66 +128,39 @@ type DomSetResult struct {
 // RunDomSetWithOrder executes the paper's Theorem 9 pipeline given an
 // already-known order (as if distributed by Theorem 3): Algorithm 4 with
 // horizon 2r followed by the election/routing phase.  The model should be
-// CongestBC (the default for the paper) but Local and Congest also work.
+// CongestBC (the default for the paper); Local gives the same set and Stats.
 func RunDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model dist.Model, opts dist.Options) (*DomSetResult, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("distalgo: radius must be ≥ 1, got %d", r)
-	}
-	res := &DomSetResult{R: r, Order: o}
-	wres, err := RunWReachDist(g, o, 2*r, model, opts)
-	if err != nil {
+	if err := atLeastOne("radius", r); err != nil {
 		return nil, err
 	}
-	res.Witnesses = wres.Witnesses
-	res.Stats.Add(wres.Stats)
-
-	set, stats, err := runElection(g, wres.Witnesses, r, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Set = set
-	res.Stats.Add(stats)
-	return res, nil
+	return (&pipeline{g: g, model: model, opts: opts}).domSet(o, r)
 }
 
 // RunDomSet executes the full pipeline of Theorem 9 including the
 // distributed order computation (H-partition substitute for Theorem 3, see
 // DESIGN.md): order, Algorithm 4, election.
 func RunDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*DomSetResult, error) {
-	hp, err := RunHPartition(g, model, g.Degeneracy(), 1, opts)
+	if err := atLeastOne("radius", r); err != nil {
+		return nil, err
+	}
+	p := &pipeline{g: g, model: model, opts: opts}
+	hp, err := p.hpartition(g.Degeneracy(), 1)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunDomSetWithOrder(g, hp.Order, r, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Add(hp.Stats)
-	return res, nil
+	return p.domSet(hp.Order, r)
 }
 
-// runElection runs the routing/election phase shared by Theorems 9 and 10.
-func runElection(g *graph.Graph, witnesses [][]order.PathTo, r int, model dist.Model, opts dist.Options) ([]int, dist.Stats, error) {
-	nodes := make([]electNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "election"
-	}
-	runner := dist.NewRunner(g, model, opts)
-	stats, err := runner.Run(func(v int) dist.Node {
-		n := &nodes[v]
-		n.id, n.r = v, r
-		n.witness, n.hasWit = MinTarget(witnesses[v], r)
-		return n
-	})
+// domSet runs the phases of Theorem 9 on the order o: Algorithm 4 with
+// horizon 2r, then the election.
+func (p *pipeline) domSet(o *order.Order, r int) (*DomSetResult, error) {
+	wits, err := p.wreach(o, 2*r)
 	if err != nil {
-		return nil, stats, fmt.Errorf("distalgo: election failed: %w", err)
+		return nil, err
 	}
-	var set []int
-	for v := range nodes {
-		if nodes[v].inSet {
-			set = append(set, v)
-		}
+	set, err := p.elect(wits, r)
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(set)
-	return set, stats, nil
+	return &DomSetResult{R: r, Set: set, Order: o, Witnesses: wits, Stats: p.Stats}, nil
 }

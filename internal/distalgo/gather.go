@@ -1,6 +1,8 @@
 package distalgo
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -15,6 +17,8 @@ type VertexInfo struct {
 	Flag bool
 	Adj  []int
 }
+
+func (vi VertexInfo) vertex() int { return vi.ID }
 
 // neighborIDs returns a fresh []int copy of the node's neighbor row.
 func neighborIDs(ctx *dist.Context) []int {
@@ -40,53 +44,51 @@ func (m KnowledgeMessage) Words() int {
 	return w
 }
 
-// ballGatherer accumulates knowledge records: after t exchange rounds a node
-// knows the records of every vertex within distance t.
-type ballGatherer struct {
-	know  map[int]VertexInfo
-	fresh []VertexInfo
+// flood is a forward-once accumulator of records keyed by vertex id: the
+// first record of each vertex is kept and broadcast exactly once, by the
+// next flush.  Flooding for t rounds brings every record to the vertices
+// within distance t of where it started; gathering VertexInfo records this
+// way teaches a node its t-ball.
+type flood[T interface{ vertex() int }] struct {
+	known map[int]T
+	fresh []T
 }
 
-func newBallGatherer(self VertexInfo) *ballGatherer {
-	return &ballGatherer{
-		know:  map[int]VertexInfo{self.ID: self},
-		fresh: []VertexInfo{self},
+func (f *flood[T]) add(rec T) {
+	if _, ok := f.known[rec.vertex()]; ok {
+		return
+	}
+	if f.known == nil {
+		f.known = make(map[int]T)
+	}
+	f.known[rec.vertex()] = rec
+	f.fresh = append(f.fresh, rec)
+}
+
+func (f *flood[T]) absorb(recs []T) {
+	for _, rec := range recs {
+		f.add(rec)
 	}
 }
 
-// absorb merges incoming records, remembering which ones are new so they can
-// be forwarded exactly once.
-func (b *ballGatherer) absorb(msg KnowledgeMessage) {
-	for _, vi := range msg {
-		if _, ok := b.know[vi.ID]; !ok {
-			b.know[vi.ID] = vi
-			b.fresh = append(b.fresh, vi)
-		}
-	}
-}
-
-// flush returns the records learned since the last flush (to broadcast) and
-// clears the fresh list.
-func (b *ballGatherer) flush() KnowledgeMessage {
-	if len(b.fresh) == 0 {
-		return nil
-	}
-	out := make(KnowledgeMessage, len(b.fresh))
-	copy(out, b.fresh)
-	b.fresh = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// flush returns the records added since the last flush, in increasing
+// vertex order (nil if there are none), and forgets them.
+func (f *flood[T]) flush() []T {
+	out := f.fresh
+	f.fresh = nil
+	slices.SortFunc(out, func(a, b T) int { return cmp.Compare(a.vertex(), b.vertex()) })
 	return out
 }
 
-// localView materialises the gathered knowledge as a graph on the known
+// localView materialises the gathered records know as a graph on the known
 // vertices.  It returns the local graph, the mapping from local index to
 // global id, the inverse mapping, and the flags of the known vertices by
 // local index.  Edges are included when at least one endpoint's record lists
 // the other (records are symmetric in a correct run, but partial knowledge
 // at the ball boundary may be one-sided).
-func (b *ballGatherer) localView() (lg *graph.Graph, toGlobal []int, toLocal map[int]int, flags []bool) {
-	toGlobal = make([]int, 0, len(b.know))
-	for id := range b.know {
+func localView(know map[int]VertexInfo) (lg *graph.Graph, toGlobal []int, toLocal map[int]int, flags []bool) {
+	toGlobal = make([]int, 0, len(know))
+	for id := range know {
 		toGlobal = append(toGlobal, id)
 	}
 	sort.Ints(toGlobal)
@@ -97,7 +99,7 @@ func (b *ballGatherer) localView() (lg *graph.Graph, toGlobal []int, toLocal map
 	lg = graph.New(len(toGlobal))
 	flags = make([]bool, len(toGlobal))
 	for i, id := range toGlobal {
-		rec := b.know[id]
+		rec := know[id]
 		flags[i] = rec.Flag
 		for _, nb := range rec.Adj {
 			if j, ok := toLocal[nb]; ok && i != j {

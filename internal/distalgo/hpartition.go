@@ -1,7 +1,6 @@
 package distalgo
 
 import (
-	"fmt"
 	"sort"
 
 	"bedom/internal/dist"
@@ -79,6 +78,18 @@ func (h *hpartitionNode) Done() bool { return h.finished }
 // the class, and hence such bounds, are known a priori); eps > 0 controls
 // the phase threshold (2+eps)·a.
 func RunHPartition(g *graph.Graph, model dist.Model, a int, eps float64, opts dist.Options) (*HPartitionResult, error) {
+	p := &pipeline{g: g, model: model, opts: opts}
+	res, err := p.hpartition(a, eps)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = p.Stats
+	return res, nil
+}
+
+// hpartition runs the H-partition phase; it leaves the result's Stats to
+// the caller.
+func (p *pipeline) hpartition(a int, eps float64) (*HPartitionResult, error) {
 	if a < 1 {
 		a = 1
 	}
@@ -86,19 +97,15 @@ func RunHPartition(g *graph.Graph, model dist.Model, a int, eps float64, opts di
 		eps = 1
 	}
 	threshold := int(float64(a) * (2 + eps))
-	nodes := make([]hpartitionNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "hpartition"
-	}
-	runner := dist.NewRunner(g, model, opts)
-	stats, err := runner.Run(func(v int) dist.Node {
+	nodes := make([]hpartitionNode, p.g.N())
+	err := p.run("hpartition", func(v int) dist.Node {
 		nodes[v] = hpartitionNode{threshold: threshold}
 		return &nodes[v]
 	})
 	if err != nil {
-		return nil, fmt.Errorf("distalgo: H-partition failed: %w", err)
+		return nil, err
 	}
-	res := &HPartitionResult{Class: make([]int, g.N()), Stats: stats}
+	res := &HPartitionResult{Class: make([]int, len(nodes))}
 	for v, nd := range nodes {
 		res.Class[v] = nd.class
 		if nd.class > res.NumClasses {

@@ -1,7 +1,6 @@
 package distalgo
 
 import (
-	"fmt"
 	"sort"
 
 	"bedom/internal/dist"
@@ -115,6 +114,8 @@ const (
 // ksvRecord is one (vertex, value) pair flooded during a KSV phase.
 type ksvRecord struct{ ID, Val int }
 
+func (rec ksvRecord) vertex() int { return rec.ID }
+
 // ksvMessage carries the fresh records of one flooding phase.
 type ksvMessage struct {
 	Phase uint8
@@ -123,38 +124,6 @@ type ksvMessage struct {
 
 // Words implements dist.Message: one word for the phase tag, two per record.
 func (m ksvMessage) Words() int { return 1 + 2*len(m.Recs) }
-
-// ksvFlood is a hop-limited flooding accumulator: records are absorbed at
-// most once and forwarded exactly once (the round windows in ksvNode bound
-// the flooding radius).
-type ksvFlood struct {
-	known map[int]int
-	fresh []ksvRecord
-}
-
-func (f *ksvFlood) add(id, val int) {
-	if _, ok := f.known[id]; ok {
-		return
-	}
-	f.known[id] = val
-	f.fresh = append(f.fresh, ksvRecord{ID: id, Val: val})
-}
-
-func (f *ksvFlood) absorb(recs []ksvRecord) {
-	for _, rec := range recs {
-		f.add(rec.ID, rec.Val)
-	}
-}
-
-func (f *ksvFlood) flush(phase uint8) (ksvMessage, bool) {
-	if len(f.fresh) == 0 {
-		return ksvMessage{}, false
-	}
-	out := f.fresh
-	f.fresh = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return ksvMessage{Phase: phase, Recs: out}, true
-}
 
 // ksvNode is the distributed implementation.  Round structure (7r rounds):
 //
@@ -169,25 +138,21 @@ type ksvNode struct {
 	r      int
 	rounds int
 
-	gather  *ballGatherer
+	gather  flood[VertexInfo]
 	c       int
-	cFlood  ksvFlood // (id, c) within distance 2r
+	cFlood  flood[ksvRecord] // (id, c) within distance 2r
 	elected bool
-	elFlood ksvFlood // elected ids within distance r
+	elFlood flood[ksvRecord] // elected ids within distance r
 	covered bool
-	unFlood ksvFlood // uncovered ids within distance r
-	ddFlood ksvFlood // (id, c') within distance r
-	noFlood ksvFlood // nominated ids within distance r
+	unFlood flood[ksvRecord] // uncovered ids within distance r
+	ddFlood flood[ksvRecord] // (id, c') within distance r
+	noFlood flood[ksvRecord] // nominated ids within distance r
 	inSet   bool
 }
 
 func (k *ksvNode) Init(ctx *dist.Context) {
-	self := VertexInfo{ID: k.id, Adj: neighborIDs(ctx)}
-	k.gather = newBallGatherer(self)
-	for _, f := range []*ksvFlood{&k.cFlood, &k.elFlood, &k.unFlood, &k.ddFlood, &k.noFlood} {
-		f.known = make(map[int]int)
-	}
-	ctx.Broadcast(k.gather.flush())
+	k.gather.add(VertexInfo{ID: k.id, Adj: neighborIDs(ctx)})
+	ctx.Broadcast(KnowledgeMessage(k.gather.flush()))
 }
 
 func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
@@ -230,40 +195,40 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	switch t {
 	case r:
 		// The gatherer holds exactly the records of B_r(self).
-		k.c = len(k.gather.know)
-		k.cFlood.add(k.id, k.c)
+		k.c = len(k.gather.known)
+		k.cFlood.add(ksvRecord{ID: k.id, Val: k.c})
 	case 3 * r:
 		k.elected = true
-		for id, c := range k.cFlood.known {
-			if c > k.c || (c == k.c && id < k.id) {
+		for id, rec := range k.cFlood.known {
+			if c := rec.Val; c > k.c || (c == k.c && id < k.id) {
 				k.elected = false
 				break
 			}
 		}
 		if k.elected {
 			k.inSet = true
-			k.elFlood.add(k.id, 0)
+			k.elFlood.add(ksvRecord{ID: k.id})
 		}
 	case 4 * r:
 		k.covered = len(k.elFlood.known) > 0
 		if !k.covered {
-			k.unFlood.add(k.id, 0)
+			k.unFlood.add(ksvRecord{ID: k.id})
 		}
 	case 5 * r:
 		// Demand = |B_r(self) ∩ U| (self included when uncovered).
-		k.ddFlood.add(k.id, len(k.unFlood.known))
+		k.ddFlood.add(ksvRecord{ID: k.id, Val: len(k.unFlood.known)})
 	case 6 * r:
 		if !k.covered {
-			best, bestD := k.id, k.ddFlood.known[k.id]
-			for id, d := range k.ddFlood.known {
-				if d > bestD || (d == bestD && id < best) {
+			best, bestD := k.id, k.ddFlood.known[k.id].Val
+			for id, rec := range k.ddFlood.known {
+				if d := rec.Val; d > bestD || (d == bestD && id < best) {
 					best, bestD = id, d
 				}
 			}
 			if best == k.id {
 				k.inSet = true
 			} else {
-				k.noFlood.add(best, 0)
+				k.noFlood.add(ksvRecord{ID: best})
 			}
 		}
 	}
@@ -271,8 +236,8 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	// round, so the protocol is also legal in CONGEST_BC).
 	switch {
 	case t < r:
-		if msg := k.gather.flush(); msg != nil {
-			ctx.Broadcast(msg)
+		if msg := k.gather.flush(); len(msg) > 0 {
+			ctx.Broadcast(KnowledgeMessage(msg))
 		}
 	case t < 3*r:
 		k.broadcast(ctx, &k.cFlood, ksvPhaseCount)
@@ -287,9 +252,9 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	}
 }
 
-func (k *ksvNode) broadcast(ctx *dist.Context, f *ksvFlood, phase uint8) {
-	if msg, ok := f.flush(phase); ok {
-		ctx.Broadcast(msg)
+func (k *ksvNode) broadcast(ctx *dist.Context, f *flood[ksvRecord], phase uint8) {
+	if recs := f.flush(); len(recs) > 0 {
+		ctx.Broadcast(ksvMessage{Phase: phase, Recs: recs})
 	}
 }
 
@@ -311,26 +276,24 @@ type KSVResult struct {
 // neighborhood records make it a LOCAL-style algorithm (message sizes grow
 // with the r-ball, tracked in Stats).
 func RunKSV(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*KSVResult, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("distalgo: radius must be ≥ 1, got %d", r)
+	if err := atLeastOne("radius", r); err != nil {
+		return nil, err
 	}
 	if g.N() == 0 {
 		return &KSVResult{}, nil
 	}
-	nodes := make([]*ksvNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "kubsv"
-	}
-	runner := dist.NewRunner(g, model, opts)
-	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &ksvNode{id: v, r: r}
-		return nodes[v]
+	p := &pipeline{g: g, model: model, opts: opts}
+	nodes := make([]ksvNode, g.N())
+	err := p.run("kubsv", func(v int) dist.Node {
+		nodes[v] = ksvNode{id: v, r: r}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &KSVResult{Stats: stats}
-	for v, nd := range nodes {
+	res := &KSVResult{Stats: p.Stats}
+	for v := range nodes {
+		nd := &nodes[v]
 		if _, nominated := nd.noFlood.known[v]; nd.inSet || nominated {
 			res.Set = append(res.Set, v)
 		}
@@ -338,6 +301,5 @@ func RunKSV(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*KSVRes
 			res.NumElected++
 		}
 	}
-	sort.Ints(res.Set)
 	return res, nil
 }

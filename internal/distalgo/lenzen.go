@@ -1,8 +1,6 @@
 package distalgo
 
 import (
-	"sort"
-
 	"bedom/internal/dist"
 	"bedom/internal/graph"
 )
@@ -128,7 +126,6 @@ func LenzenSequential(g *graph.Graph) []int {
 			D = append(D, v)
 		}
 	}
-	sort.Ints(D)
 	return D
 }
 
@@ -142,7 +139,7 @@ func LenzenSequential(g *graph.Graph) []int {
 //	round  7      chosen vertices notice they were selected
 type lenzenNode struct {
 	id     int
-	gather *ballGatherer
+	gather flood[VertexInfo]
 	rounds int
 
 	inA          bool
@@ -154,11 +151,10 @@ type lenzenNode struct {
 }
 
 func (l *lenzenNode) Init(ctx *dist.Context) {
-	self := VertexInfo{ID: l.id, Adj: neighborIDs(ctx)}
-	l.gather = newBallGatherer(self)
+	l.gather.add(VertexInfo{ID: l.id, Adj: neighborIDs(ctx)})
 	l.neighborDomA = make(map[int]bool)
 	l.white = make(map[int]int)
-	ctx.Broadcast(l.gather.flush())
+	ctx.Broadcast(KnowledgeMessage(l.gather.flush()))
 }
 
 func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
@@ -170,8 +166,8 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 				l.gather.absorb(msg)
 			}
 		}
-		if msg := l.gather.flush(); msg != nil {
-			ctx.Broadcast(msg)
+		if msg := l.gather.flush(); len(msg) > 0 {
+			ctx.Broadcast(KnowledgeMessage(msg))
 		}
 	case 2:
 		for _, in := range inbox {
@@ -180,7 +176,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			}
 		}
 		// Knowledge of the 2-ball is complete: decide membership in A.
-		lg, _, toLocal, _ := l.gather.localView()
+		lg, _, toLocal, _ := localView(l.gather.known)
 		l.inA = !coverableByTwo(graph.NewWalker(lg), toLocal[l.id])
 		ctx.Broadcast(dist.IntMessage(boolToInt(l.inA)))
 	case 3:
@@ -264,19 +260,16 @@ type LenzenResult struct {
 // model.  It is intended for planar graphs (where it guarantees a constant
 // approximation factor) but produces a valid dominating set on every graph.
 func RunLenzen(g *graph.Graph, opts dist.Options) (*LenzenResult, error) {
-	nodes := make([]*lenzenNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "lenzen"
-	}
-	runner := dist.NewRunner(g, dist.Local, opts)
-	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &lenzenNode{id: v}
-		return nodes[v]
+	p := &pipeline{g: g, model: dist.Local, opts: opts}
+	nodes := make([]lenzenNode, g.N())
+	err := p.run("lenzen", func(v int) dist.Node {
+		nodes[v] = lenzenNode{id: v}
+		return &nodes[v]
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &LenzenResult{Stats: stats}
+	res := &LenzenResult{Stats: p.Stats}
 	for v, nd := range nodes {
 		if nd.inA || nd.chosen {
 			res.Set = append(res.Set, v)
@@ -285,6 +278,5 @@ func RunLenzen(g *graph.Graph, opts dist.Options) (*LenzenResult, error) {
 			res.SizeA++
 		}
 	}
-	sort.Ints(res.Set)
 	return res, nil
 }

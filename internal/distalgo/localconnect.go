@@ -2,7 +2,6 @@ package distalgo
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"bedom/internal/connect"
@@ -20,76 +19,53 @@ import (
 // its half of every path (r forwarding rounds) that they belong to the
 // connected dominating set D'.  Total: 3r+1 rounds.
 type localConnectNode struct {
-	id  int
-	r   int
-	inD bool
-
-	gather   *ballGatherer
-	inDPrime bool
-	rounds   int
-	gatherT  int // number of gathering rounds (2r+1)
-	totalT   int // total rounds before Done (3r+1)
+	router // onPath: this vertex belongs to D'
+	r      int
+	inD    bool
+	gather flood[VertexInfo]
+	rounds int
 }
 
 func (l *localConnectNode) Init(ctx *dist.Context) {
-	l.gatherT = 2*l.r + 1
-	l.totalT = 3*l.r + 1
-	if l.inD {
-		l.inDPrime = true
-	}
-	self := VertexInfo{ID: l.id, Flag: l.inD, Adj: neighborIDs(ctx)}
-	l.gather = newBallGatherer(self)
-	ctx.Broadcast(l.gather.flush())
+	l.onPath = l.inD
+	l.gather.add(VertexInfo{ID: l.id, Flag: l.inD, Adj: neighborIDs(ctx)})
+	ctx.Broadcast(KnowledgeMessage(l.gather.flush()))
 }
 
 func (l *localConnectNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	l.rounds++
-	var tokens [][]int
+	var fwd pathsMessage
 	for _, in := range inbox {
 		switch msg := in.Msg.(type) {
 		case KnowledgeMessage:
 			l.gather.absorb(msg)
-		case TokenMessage:
-			for _, p := range msg {
-				if len(p) >= 2 && p[1] == l.id {
-					l.inDPrime = true
-					rest := p[1:]
-					if len(rest) >= 2 {
-						tokens = append(tokens, rest)
-					}
-				}
-			}
+		case pathsMessage:
+			fwd = l.route(msg, fwd)
 		}
 	}
-	switch {
-	case l.rounds < l.gatherT:
+	switch gatherT := 2*l.r + 1; {
+	case l.rounds < gatherT:
 		// Keep flooding newly learned records.
-		if msg := l.gather.flush(); msg != nil {
-			ctx.Broadcast(msg)
+		if msg := l.gather.flush(); len(msg) > 0 {
+			ctx.Broadcast(KnowledgeMessage(msg))
 		}
-	case l.rounds == l.gatherT:
+	case l.rounds == gatherT:
 		// Knowledge of the (2r+1)-ball is complete; dominators compute their
 		// connection paths and emit the first notification tokens.
 		if l.inD {
-			if out := l.planTokens(); len(out) > 0 {
-				ctx.Broadcast(TokenMessage(out))
-			}
+			sendTokens(ctx, l.planTokens())
 		}
 	default:
 		// Forwarding phase.
-		slices.SortFunc(tokens, slices.Compare)
-		tokens = slices.CompactFunc(tokens, slices.Equal)
-		if len(tokens) > 0 {
-			ctx.Broadcast(TokenMessage(tokens))
-		}
+		sendTokens(ctx, fwd)
 	}
 }
 
 // planTokens performs the per-dominator local computation of Lemma 16 and
 // returns the notification tokens for this dominator's halves of the
 // canonical paths to its H(D)-neighbors.
-func (l *localConnectNode) planTokens() [][]int {
-	lg, toGlobal, toLocal, flags := l.gather.localView()
+func (l *localConnectNode) planTokens() pathsMessage {
+	lg, toGlobal, toLocal, flags := localView(l.gather.known)
 	selfLocal := toLocal[l.id]
 	// Dominators visible in the local view.
 	var localD []int
@@ -98,7 +74,6 @@ func (l *localConnectNode) planTokens() [][]int {
 			localD = append(localD, i)
 		}
 	}
-	sort.Ints(localD)
 	idxOf := make(map[int]int, len(localD))
 	for i, v := range localD {
 		idxOf[v] = i
@@ -124,7 +99,7 @@ func (l *localConnectNode) planTokens() [][]int {
 			hNeighbors[localD[pa]] = true
 		}
 	}
-	var out [][]int
+	var out pathsMessage
 	neighList := make([]int, 0, len(hNeighbors))
 	for u := range hNeighbors {
 		neighList = append(neighList, u)
@@ -149,8 +124,7 @@ func (l *localConnectNode) planTokens() [][]int {
 			out = append(out, half)
 		}
 	}
-	slices.SortFunc(out, slices.Compare)
-	return slices.CompactFunc(out, slices.Equal)
+	return out
 }
 
 // myHalf returns the sub-path this dominator is responsible for, starting at
@@ -173,7 +147,7 @@ func (l *localConnectNode) myHalf(gp []int) []int {
 	return nil
 }
 
-func (l *localConnectNode) Done() bool { return l.rounds >= l.totalT }
+func (l *localConnectNode) Done() bool { return l.rounds >= 3*l.r+1 }
 
 // LocalConnectorResult is the outcome of the LOCAL-model connector.
 type LocalConnectorResult struct {
@@ -191,8 +165,8 @@ type LocalConnectorResult struct {
 // 2r·d·|D| where d bounds the edge density of depth-r minors of the class
 // (d < 3 for planar graphs, giving the factor 6 of the paper for r = 1).
 func RunLocalConnector(g *graph.Graph, D []int, r int, opts dist.Options) (*LocalConnectorResult, error) {
-	if r < 1 {
-		return nil, fmt.Errorf("distalgo: radius must be ≥ 1, got %d", r)
+	if err := atLeastOne("radius", r); err != nil {
+		return nil, err
 	}
 	inD := make([]bool, g.N())
 	for _, v := range D {
@@ -204,24 +178,20 @@ func RunLocalConnector(g *graph.Graph, D []int, r int, opts dist.Options) (*Loca
 	if !domset.Check(g, D, r) {
 		return nil, fmt.Errorf("distalgo: D is not a distance-%d dominating set", r)
 	}
-	nodes := make([]*localConnectNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "local-connect"
-	}
-	runner := dist.NewRunner(g, dist.Local, opts)
-	stats, err := runner.Run(func(v int) dist.Node {
-		nodes[v] = &localConnectNode{id: v, r: r, inD: inD[v]}
-		return nodes[v]
+	p := &pipeline{g: g, model: dist.Local, opts: opts}
+	nodes := make([]localConnectNode, g.N())
+	err := p.run("local-connect", func(v int) dist.Node {
+		nodes[v] = localConnectNode{router: router{id: v}, r: r, inD: inD[v]}
+		return &nodes[v]
 	})
 	if err != nil {
-		return nil, fmt.Errorf("distalgo: LOCAL connector failed: %w", err)
+		return nil, err
 	}
 	var set []int
-	for v, nd := range nodes {
-		if nd.inDPrime {
+	for v := range nodes {
+		if nodes[v].onPath {
 			set = append(set, v)
 		}
 	}
-	sort.Ints(set)
-	return &LocalConnectorResult{R: r, Set: set, Stats: stats}, nil
+	return &LocalConnectorResult{R: r, Set: set, Stats: p.Stats}, nil
 }

@@ -1,8 +1,6 @@
 package distalgo
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -36,7 +34,7 @@ import (
 // H-partition (i.e. became inactive); it travels to all of its shortcut
 // neighbors.
 //
-// Both are encoded as TokenMessage entries of the form
+// Both are encoded as pathsMessage entries of the form
 //
 //	[kind, hopIndex, path[0], path[1], ..., path[L]]
 //
@@ -86,7 +84,7 @@ func (rn *refinedNode) Init(ctx *dist.Context) {
 	rn.pendingJoins = make(map[int]bool)
 	// Originate hello tokens along every witness path (skip the self
 	// witness).
-	var out TokenMessage
+	var out pathsMessage
 	for _, pt := range rn.witnesses {
 		if pt.Target == rn.id || len(pt.Path) < 2 {
 			continue
@@ -151,13 +149,9 @@ func (rn *refinedNode) handleToken(tok []int) []int {
 func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	rn.rounds++
 	sawToken := false
-	var forward [][]int
+	var forward pathsMessage
 	for _, in := range inbox {
-		toks, ok := in.Msg.(TokenMessage)
-		if !ok {
-			continue
-		}
-		for _, tok := range toks {
+		for _, tok := range in.Msg.(pathsMessage) {
 			sawToken = true
 			if cont := rn.handleToken(tok); cont != nil {
 				forward = append(forward, cont)
@@ -195,11 +189,7 @@ func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			forward = append(forward, append([]int{tokJoin, 0}, path...))
 		}
 	}
-	slices.SortFunc(forward, slices.Compare)
-	forward = slices.CompactFunc(forward, slices.Equal)
-	if len(forward) > 0 {
-		ctx.Broadcast(TokenMessage(forward))
-	}
+	sendTokens(ctx, forward)
 }
 
 func (rn *refinedNode) Done() bool {
@@ -230,23 +220,29 @@ type RefinedOrderResult struct {
 // the shortcut graph; passing 0 selects a default derived from the average
 // shortcut degree.
 func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Model, opts dist.Options) (*RefinedOrderResult, error) {
-	if horizon < 1 {
-		return nil, fmt.Errorf("distalgo: horizon must be ≥ 1, got %d", horizon)
+	if err := atLeastOne("horizon", horizon); err != nil {
+		return nil, err
 	}
-	res := &RefinedOrderResult{}
-	hp, err := RunHPartition(g, model, g.Degeneracy(), 1, opts)
+	p := &pipeline{g: g, model: model, opts: opts}
+	refined, base, err := p.refinedOrder(horizon, threshold)
 	if err != nil {
 		return nil, err
 	}
-	res.BaseOrder = hp.Order
-	res.Stats.Add(hp.Stats)
+	return &RefinedOrderResult{Order: refined, BaseOrder: base, Stats: p.Stats}, nil
+}
 
-	wres, err := RunWReachDist(g, hp.Order, horizon, model, opts)
+// refinedOrder runs the three phases of RunRefinedOrder and returns the
+// refined order and the base order it started from.
+func (p *pipeline) refinedOrder(horizon int, threshold int) (refined, base *order.Order, err error) {
+	g := p.g
+	hp, err := p.hpartition(g.Degeneracy(), 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.Stats.Add(wres.Stats)
-
+	wits, err := p.wreach(hp.Order, horizon)
+	if err != nil {
+		return nil, nil, err
+	}
 	if threshold <= 0 {
 		// Default: the average shortcut degree (counting both directions).
 		// A tight threshold is what differentiates periphery from core —
@@ -255,7 +251,7 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 		// Sub-shortcut-graphs may locally exceed the average; the
 		// stall-breaker inside the nodes guarantees termination regardless.
 		total := 0
-		for _, w := range wres.Witnesses {
+		for _, w := range wits {
 			total += len(w) - 1
 		}
 		avg := 1
@@ -265,50 +261,42 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 		threshold = avg
 	}
 
-	nodes := make([]*refinedNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "refined-order"
-	}
-	runner := dist.NewRunner(g, model, opts)
-	maxRounds := opts.MaxRounds
+	maxRounds := p.opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 20 * (g.N() + 10)
 	}
-	stats, err := runner.Run(func(v int) dist.Node {
+	nodes := make([]*refinedNode, g.N())
+	err = p.run("refined-order", func(v int) dist.Node {
 		nodes[v] = &refinedNode{
 			id:        v,
 			horizon:   horizon,
 			threshold: threshold,
-			witnesses: wres.Witnesses[v],
+			witnesses: wits[v],
 			maxRounds: maxRounds,
 		}
 		return nodes[v]
 	})
 	if err != nil {
-		return nil, fmt.Errorf("distalgo: relayed H-partition failed: %w", err)
+		return nil, nil, err
 	}
-	res.Stats.Add(stats)
-
 	classes := make([]int, g.N())
 	for v, nd := range nodes {
 		classes[v] = nd.class
 	}
-	res.Order = OrderFromClasses(classes)
-	return res, nil
+	return OrderFromClasses(classes), hp.Order, nil
 }
 
 // RunDomSetRefined runs the Theorem 9 pipeline with the refined order: the
 // refined order is computed distributively, then Algorithm 4 and the
 // election are run on it.
 func RunDomSetRefined(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*DomSetResult, error) {
-	ro, err := RunRefinedOrder(g, 2*r, 0, model, opts)
+	if err := atLeastOne("radius", r); err != nil {
+		return nil, err
+	}
+	p := &pipeline{g: g, model: model, opts: opts}
+	refined, _, err := p.refinedOrder(2*r, 0)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunDomSetWithOrder(g, ro.Order, r, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Add(ro.Stats)
-	return res, nil
+	return p.domSet(refined, r)
 }

@@ -2,7 +2,6 @@ package distalgo
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"bedom/internal/dist"
@@ -10,22 +9,9 @@ import (
 	"bedom/internal/order"
 )
 
-// PathsMessage is the wire format of Algorithm 4: a set of paths, each path
-// a vertex sequence starting at the weakly reachable target and ending at
-// the broadcasting vertex.  Its size is the total number of vertex ids
-// carried.
-type PathsMessage [][]int
-
-// Words implements dist.Message.
-func (m PathsMessage) Words() int {
-	w := 0
-	for _, p := range m {
-		w += len(p)
-	}
-	return w
-}
-
-// wreachNode implements Algorithm 4 (WReachDist) of the paper.  Every vertex
+// wreachNode implements Algorithm 4 (WReachDist) of the paper.  Its messages
+// are pathsMessages, each path a vertex sequence starting at the weakly
+// reachable target and ending at the broadcasting vertex.  Every vertex
 // w maintains, for each vertex u with sid(u) < sid(w) discovered so far, the
 // best known path from u to w (shortest, ties broken lexicographically by
 // super-ids).  In each round it broadcasts the paths it improved, extended by
@@ -69,11 +55,7 @@ func (w *wreachNode) Init(ctx *dist.Context) {
 func (w *wreachNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	w.roundsRun++
 	for _, in := range inbox {
-		paths, ok := in.Msg.(PathsMessage)
-		if !ok {
-			continue
-		}
-		for _, p := range paths {
+		for _, p := range in.Msg.(pathsMessage) {
 			w.consider(p)
 		}
 	}
@@ -90,7 +72,7 @@ func (w *wreachNode) broadcast(ctx *dist.Context) {
 		}
 	}
 	if len(w.sent) > start {
-		ctx.Broadcast(PathsMessage(w.sent[start:len(w.sent):len(w.sent)]))
+		ctx.Broadcast(pathsMessage(w.sent[start:len(w.sent):len(w.sent)]))
 	}
 }
 
@@ -174,14 +156,22 @@ type WReachDistResult struct {
 // horizon (2r for covers/dominating sets, 2r+1 for the connected variant) in
 // the given model.  CONGEST_BC suffices: every vertex only broadcasts.
 func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model, opts dist.Options) (*WReachDistResult, error) {
-	if horizon < 1 {
-		return nil, fmt.Errorf("distalgo: horizon must be ≥ 1, got %d", horizon)
+	if err := atLeastOne("horizon", horizon); err != nil {
+		return nil, err
 	}
+	p := &pipeline{g: g, model: model, opts: opts}
+	wits, err := p.wreach(o, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return &WReachDistResult{Witnesses: wits, Stats: p.Stats}, nil
+}
+
+// wreach runs the Algorithm 4 phase and returns every vertex's witnesses.
+func (p *pipeline) wreach(o *order.Order, horizon int) ([][]order.PathTo, error) {
+	g := p.g
 	pos := o.Positions()
 	nodes := make([]wreachNode, g.N())
-	if opts.Phase == "" {
-		opts.Phase = "wreach"
-	}
 	// Every node starts with windows of three flat arrays, sized for Init
 	// and the first round: itself plus at most one new target per neighbor,
 	// each a path of at most two vertices.  Later rounds append past the
@@ -191,8 +181,7 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 		slots += g.Degree(v) + 1
 	}
 	entries, lists, ints := make([]wreachEntry, slots), make([][]int, slots), make([]int, 2*slots)
-	runner := dist.NewRunner(g, model, opts)
-	stats, err := runner.Run(func(v int) dist.Node {
+	err := p.run("wreach", func(v int) dist.Node {
 		d := g.Degree(v) + 1
 		d2 := 2 * d
 		nodes[v] = wreachNode{id: v, pos: pos, horizon: horizon,
@@ -201,7 +190,7 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 		return &nodes[v]
 	})
 	if err != nil {
-		return nil, fmt.Errorf("distalgo: WReachDist failed: %w", err)
+		return nil, err
 	}
 	// Every witness list and path is a window of one flat array each.
 	pairs, words := 0, 0
@@ -213,7 +202,7 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 	}
 	wits := make([]order.PathTo, 0, pairs)
 	flat := make([]int, words)
-	res := &WReachDistResult{Witnesses: make([][]order.PathTo, g.N()), Stats: stats}
+	witnesses := make([][]order.PathTo, g.N())
 	for v := range nodes {
 		first := len(wits)
 		for _, e := range nodes[v].best {
@@ -226,9 +215,9 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 			}
 			wits = append(wits, order.PathTo{Target: path[0], Path: rev})
 		}
-		res.Witnesses[v] = wits[first:len(wits):len(wits)]
+		witnesses[v] = wits[first:len(wits):len(wits)]
 	}
-	return res, nil
+	return witnesses, nil
 }
 
 // MinTarget returns, for a witness list and radius r, the witness with the

@@ -328,9 +328,9 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		resp.Solver = s.Name()
 		resp.Set = res.Set
 		resp.Size = len(res.Set)
-		resp.Rounds = res.Rounds
-		resp.Messages = res.Messages
-		resp.MaxMessageWords = res.MaxMessageWords
+		resp.Rounds = res.Stats.Rounds
+		resp.Messages = res.Stats.Messages
+		resp.MaxMessageWords = res.Stats.MaxMessageWords
 
 	case KindDistributedConnected:
 		if !g.IsConnected() {

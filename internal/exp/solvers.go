@@ -65,9 +65,9 @@ func E10SolverHeadToHead(cfg Config) *Table {
 					dres, derr := ds.SolveDist(g, r, solver.DistOptions{Sim: dist.Options{Probe: probe}})
 					if derr == nil {
 						model = distModelName(name)
-						rounds = fmt.Sprintf("%d", dres.Rounds)
-						messages = fmt.Sprintf("%d", dres.Messages)
-						maxWords = fmt.Sprintf("%d", dres.MaxMessageWords)
+						rounds = fmt.Sprintf("%d", dres.Stats.Rounds)
+						messages = fmt.Sprintf("%d", dres.Stats.Messages)
+						maxWords = fmt.Sprintf("%d", dres.Stats.MaxMessageWords)
 						phases = append(phases, phaseBreakdown(f.Name, r, name, probe.Profiles()))
 						if cfg.TraceDir != "" {
 							file := fmt.Sprintf("E10_%s_r%d_%s.trace.json", f.Name, r, name)

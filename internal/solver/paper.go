@@ -49,10 +49,5 @@ func (paperSolver) SolveDist(g *graph.Graph, r int, opts DistOptions) (DistResul
 	if err != nil {
 		return DistResult{}, err
 	}
-	return DistResult{
-		Set:             res.Set,
-		Rounds:          res.Stats.Rounds,
-		Messages:        res.Stats.Messages,
-		MaxMessageWords: res.Stats.MaxMessageWords,
-	}, nil
+	return DistResult{Set: res.Set, Stats: res.Stats}, nil
 }

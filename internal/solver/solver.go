@@ -83,10 +83,8 @@ type DistOptions struct {
 type DistResult struct {
 	// Set is the computed distance-r dominating set, sorted.
 	Set []int
-	// Rounds, Messages and MaxMessageWords are the simulator cost.
-	Rounds          int
-	Messages        int64
-	MaxMessageWords int
+	// Stats is the simulator cost, summed over the protocol's phases.
+	Stats dist.Stats
 }
 
 // DistSolver is a Solver that also has a simulator-backed distributed

@@ -156,7 +156,7 @@ func TestDistSolversValid(t *testing.T) {
 			if !domset.Check(g, res.Set, r) {
 				t.Fatalf("%s r=%d: invalid distributed dominating set", name, r)
 			}
-			if res.Rounds == 0 || res.Messages == 0 {
+			if res.Stats.Rounds == 0 || res.Stats.Messages == 0 {
 				t.Fatalf("%s r=%d: missing simulator cost %+v", name, r, res)
 			}
 			if name == "kubsv" {
@@ -185,7 +185,7 @@ func TestPaperDistModelDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalInts(def.Set, explicit.Set) || def.Rounds != explicit.Rounds {
+	if !equalInts(def.Set, explicit.Set) || def.Stats != explicit.Stats {
 		t.Fatal("default model is not CONGEST_BC")
 	}
 }
