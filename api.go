@@ -5,13 +5,14 @@
 //
 // It provides constant-factor approximation algorithms for the (connected)
 // DISTANCE-r DOMINATING SET problem on graph classes of bounded expansion —
-// both as fast sequential algorithms and as distributed algorithms for the
-// LOCAL / CONGEST_BC models running on a built-in round-based
-// simulator — together with the substrates they rely on: generalized
-// colouring numbers (weak reachability orders), sparse r-neighborhood
-// covers, graph generators for bounded-expansion families, baselines
-// (classical greedy, order-greedy, the Lenzen et al. planar LOCAL algorithm)
-// and exact solvers / lower bounds for measuring approximation ratios.
+// both as fast sequential algorithms and as distributed algorithms running
+// on a built-in round-based simulator, each in the model the paper states
+// it for (CONGEST_BC or LOCAL) — together with the substrates they rely on:
+// generalized colouring numbers (weak reachability orders), sparse
+// r-neighborhood covers, graph generators for bounded-expansion families,
+// baselines (classical greedy, order-greedy, the Lenzen et al. planar LOCAL
+// algorithm) and exact solvers / lower bounds for measuring approximation
+// ratios.
 //
 // The package is a facade: the implementation lives in the internal/
 // packages (graph, gen, order, cover, domset, connect, dist, distalgo,
@@ -83,19 +84,6 @@ type Graph = graph.Graph
 // Order is a linear order on the vertex set witnessing small weak colouring
 // numbers; it drives every algorithm of the paper.
 type Order = order.Order
-
-// Model selects the distributed communication model.
-type Model = dist.Model
-
-// Communication models of the simulator (see the paper's §2).  In both a
-// vertex broadcasts at most one message per round.
-const (
-	// LOCAL allows messages of any size.
-	LOCAL = dist.Local
-	// CONGESTBC allows one O(log n)-bit broadcast per vertex per round; this
-	// is the model all of the paper's CONGEST-style results use.
-	CONGESTBC = dist.CongestBC
-)
 
 // NewGraph returns an empty graph on n vertices.  Add its edges with
 // AddEdge, then call Finalize before querying it.
@@ -271,14 +259,12 @@ func NeighborhoodCover(g *Graph, r int) (CoverResult, error) {
 	return CoverResult{R: r, Clusters: clusters, Degree: resp.CoverDegree, MaxRadius: resp.CoverMaxRadius}, nil
 }
 
-// DistributedOptions tunes the simulator runs of the distributed API.
+// DistributedOptions tunes the simulator runs of the distributed API.  The
+// zero value is the paper's defaults.  Each pipeline runs in the model its
+// result is stated for, whatever the options: the Theorem 9 and 10
+// pipelines in CONGEST_BC; kubsv, Lenzen et al. and the Lemma 16 connector
+// in LOCAL.
 type DistributedOptions struct {
-	// Model selects the communication model.  Note that the zero value of
-	// Model is LOCAL, not the CONGEST_BC model the paper's algorithms assume;
-	// a zero DistributedOptions therefore runs in LOCAL.  Use
-	// DefaultDistributedOptions (the recommended path) to get CONGEST_BC, or
-	// set Model explicitly.
-	Model Model
 	// Workers bounds the number of goroutines the simulator uses per round
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -295,14 +281,8 @@ type DistributedOptions struct {
 	// ("" selects the paper pipeline).  Strategies implementing the
 	// distributed interface: "paper" (Theorem 9, CONGEST_BC in
 	// O(log n) rounds) and "kubsv" (Kublenz–Siebertz–Vigny, exactly 7r
-	// LOCAL/CONGEST_BC rounds).
+	// LOCAL rounds).
 	Solver string
-}
-
-// DefaultDistributedOptions returns the options used by the paper's
-// algorithms: the CONGEST_BC model.
-func DefaultDistributedOptions() DistributedOptions {
-	return DistributedOptions{Model: CONGESTBC}
 }
 
 func (o DistributedOptions) simOptions() dist.Options {
@@ -325,16 +305,19 @@ type DistributedResult struct {
 	Messages int64
 	// MaxMessageWords is the largest message in O(log n)-bit words.
 	MaxMessageWords int
+	// Solver names the strategy DistributedDominatingSet ran (see
+	// Solvers); it is empty for the other pipelines.
+	Solver string
 }
 
 // DistributedDominatingSet runs the paper's Theorem 9 pipeline (distributed
-// order computation, Algorithm 4, dominator election) on the simulator, via
-// the default engine's worker pool.
+// order computation, Algorithm 4, dominator election) in CONGEST_BC on the
+// simulator, via the default engine's worker pool.  With opts.Solver
+// "kubsv" it runs the Kublenz–Siebertz–Vigny protocol in LOCAL instead.
 func DistributedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (DistributedResult, error) {
 	opt := pickOpts(opts)
 	resp, err := defaultEngine().Do(context.Background(), engine.Request{
 		G: g, Kind: engine.KindDistributedDominatingSet, R: r,
-		Model: opt.Model, ModelSet: true,
 		SimWorkers: opt.Workers, MaxRounds: opt.MaxRounds,
 		RefinedOrder: opt.RefinedOrder, Solver: opt.Solver,
 	})
@@ -348,16 +331,16 @@ func DistributedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (Dist
 		Rounds:          resp.Rounds,
 		Messages:        resp.Messages,
 		MaxMessageWords: resp.MaxMessageWords,
+		Solver:          resp.Solver,
 	}, nil
 }
 
 // DistributedConnectedDominatingSet runs the paper's Theorem 10 pipeline in
-// the CONGEST_BC model (or the model given in opts).
+// the CONGEST_BC model.
 func DistributedConnectedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (DistributedResult, error) {
 	opt := pickOpts(opts)
 	resp, err := defaultEngine().Do(context.Background(), engine.Request{
 		G: g, Kind: engine.KindDistributedConnected, R: r,
-		Model: opt.Model, ModelSet: true,
 		SimWorkers: opt.Workers, MaxRounds: opt.MaxRounds,
 	})
 	if err != nil {
@@ -449,5 +432,5 @@ func pickOpts(opts []DistributedOptions) DistributedOptions {
 	if len(opts) > 0 {
 		return opts[0]
 	}
-	return DefaultDistributedOptions()
+	return DistributedOptions{}
 }

@@ -2,6 +2,7 @@ package bedom
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"bedom/internal/engine"
 	"bedom/internal/gen"
 )
 
@@ -128,7 +130,7 @@ func TestDistributedAPI(t *testing.T) {
 		t.Fatal("connected set smaller than its dominating set")
 	}
 	// Explicit options path.
-	res2, err := DistributedDominatingSet(g, 1, DistributedOptions{Model: CONGESTBC, Workers: 1})
+	res2, err := DistributedDominatingSet(g, 1, DistributedOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestDistributedAPI(t *testing.T) {
 		t.Fatal("options changed the deterministic result")
 	}
 	// Refined-order pipeline: still valid, usually not larger.
-	res3, err := DistributedDominatingSet(g, 1, DistributedOptions{Model: CONGESTBC, RefinedOrder: true})
+	res3, err := DistributedDominatingSet(g, 1, DistributedOptions{RefinedOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +301,62 @@ func TestFacadeCachingIsTransparent(t *testing.T) {
 	}
 }
 
-func TestModelNamesExposed(t *testing.T) {
-	if LOCAL.String() != "LOCAL" || CONGESTBC.String() != "CONGEST_BC" {
-		t.Fatal("model constants not wired correctly")
+// TestDistModelPerPipeline checks that a distributed pipeline runs in the
+// same model whichever entry point starts it: every phase of the run the
+// default engine retains names CONGEST_BC for the Theorem 9 and 10
+// pipelines and LOCAL for kubsv.
+func TestDistModelPerPipeline(t *testing.T) {
+	g := Grid(8, 8)
+	facade := func(opts ...DistributedOptions) func() error {
+		return func() error {
+			_, err := DistributedDominatingSet(g, 1, opts...)
+			return err
+		}
 	}
-	if DefaultDistributedOptions().Model != CONGESTBC {
-		t.Fatal("default model should be CONGEST_BC")
+	do := func(kind engine.Kind, solverName string) func() error {
+		return func() error {
+			_, err := defaultEngine().Do(context.Background(), engine.Request{G: g, Kind: kind, R: 1, Solver: solverName})
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name, solver, want string
+		kind               engine.Kind
+		run                func() error
+	}{
+		{"facade default", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade()},
+		{"facade zero options", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{})},
+		{"facade Workers 1", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{Workers: 1})},
+		{"facade refined order", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{RefinedOrder: true})},
+		{"facade kubsv", "kubsv", "LOCAL", engine.KindDistributedDominatingSet, facade(DistributedOptions{Solver: "kubsv"})},
+		{"facade connected", "", "CONGEST_BC", engine.KindDistributedConnected, func() error {
+			_, err := DistributedConnectedDominatingSet(g, 1, DistributedOptions{Workers: 1})
+			return err
+		}},
+		{"engine paper", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, do(engine.KindDistributedDominatingSet, "")},
+		{"engine kubsv", "kubsv", "LOCAL", engine.KindDistributedDominatingSet, do(engine.KindDistributedDominatingSet, "kubsv")},
+		{"engine connected", "", "CONGEST_BC", engine.KindDistributedConnected, do(engine.KindDistributedConnected, "")},
+	} {
+		var prev string
+		if runs := defaultEngine().DistRuns(); len(runs) > 0 {
+			prev = runs[0].ID
+		}
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		last := defaultEngine().DistRuns()[0]
+		if last.ID == prev || last.Kind != tc.kind || last.Solver != tc.solver {
+			t.Fatalf("%s: newest retained run is %+v, want a new %s run of solver %q", tc.name, last, tc.kind, tc.solver)
+		}
+		rec, ok := defaultEngine().DistRun(last.ID)
+		if !ok || len(rec.Profiles) == 0 {
+			t.Fatalf("%s: run %s has no profiles", tc.name, last.ID)
+		}
+		for _, p := range rec.Profiles {
+			if p.Model != tc.want {
+				t.Errorf("%s: phase %s ran in %s, want %s", tc.name, p.Phase, p.Model, tc.want)
+			}
+		}
 	}
 }
 
@@ -352,7 +404,7 @@ func TestSolverSelectionAPI(t *testing.T) {
 
 func TestDistributedSolverSelectionAPI(t *testing.T) {
 	g := Grid(9, 9)
-	res, err := DistributedDominatingSet(g, 2, DistributedOptions{Model: CONGESTBC, Solver: "kubsv"})
+	res, err := DistributedDominatingSet(g, 2, DistributedOptions{Solver: "kubsv"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +423,7 @@ func TestDistributedSolverSelectionAPI(t *testing.T) {
 	if len(seq.Set) != len(res.Set) {
 		t.Fatalf("kubsv sequential/distributed mismatch: %d vs %d", len(seq.Set), len(res.Set))
 	}
-	if _, err := DistributedDominatingSet(g, 2, DistributedOptions{Model: CONGESTBC, Solver: "greedy"}); err == nil {
+	if _, err := DistributedDominatingSet(g, 2, DistributedOptions{Solver: "greedy"}); err == nil {
 		t.Fatal("non-distributed solver must be rejected on the distributed path")
 	}
 }

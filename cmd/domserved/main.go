@@ -39,7 +39,11 @@
 //	                             overloaded (admission queue full)
 //
 // Query kinds: domset, cds, cover, dist-domset, dist-cds.  The greedy
-// baseline is the domset kind with "solver":"greedy".
+// baseline is the domset kind with "solver":"greedy".  The distributed
+// kinds run in the model the paper states them for: dist-cds and the paper
+// dist-domset in CONGEST_BC, dist-domset with "solver":"kubsv" in LOCAL.
+// A query, batch or mutation body with an undeclared field is a 400 naming
+// the field.
 //
 // Under failure the daemon degrades instead of dying: a failing data
 // directory flips the engine read-only (mutations get 503 + Retry-After,

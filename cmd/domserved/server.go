@@ -75,6 +75,9 @@ type server struct {
 //	                             (?format=perfetto for a Chrome trace-event
 //	                             document that opens in ui.perfetto.dev)
 //
+// A /query, /batch or mutation body with a field the route does not declare
+// is a 400 naming the field.
+//
 // Every request passes through the observability middleware: it mints a
 // query ID (echoed as X-Query-ID and propagated via the request context, so
 // engine stage spans attach to it), counts the request per route and status,
@@ -426,7 +429,7 @@ func (m mutateRequest) toDelta() (engine.Delta, error) {
 func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req mutateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -489,10 +492,6 @@ type queryRequest struct {
 	// TimeoutMS bounds this query in milliseconds, in [0, maxTimeoutMS]
 	// (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Model names the communication model for distributed kinds
-	// ("local" or "congest_bc").  The default is "congest_bc", except for
-	// dist-domset with solver "kubsv", which runs "local".
-	Model string `json:"model,omitempty"`
 	// Workers / MaxRounds / RefinedOrder tune the simulator.
 	Workers      int  `json:"workers,omitempty"`
 	MaxRounds    int  `json:"max_rounds,omitempty"`
@@ -518,7 +517,7 @@ func (q queryRequest) toEngine() (engine.Request, error) {
 	if q.Workers < 0 || q.Workers > maxClientWorkers {
 		return engine.Request{}, fmt.Errorf("workers must be in [0, %d], got %d", maxClientWorkers, q.Workers)
 	}
-	req := engine.Request{
+	return engine.Request{
 		Graph:           q.Graph,
 		Kind:            engine.Kind(q.Kind),
 		R:               q.R,
@@ -528,21 +527,12 @@ func (q queryRequest) toEngine() (engine.Request, error) {
 		RefinedOrder:    q.RefinedOrder,
 		Solver:          q.Solver,
 		IncludeClusters: q.IncludeClusters,
-	}
-	if q.Model != "" {
-		m, err := engine.ParseModel(q.Model)
-		if err != nil {
-			return engine.Request{}, err
-		}
-		req.Model = m
-		req.ModelSet = true
-	}
-	return req, nil
+	}, nil
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&q); err != nil {
+	if err := decodeStrict(w, r, &q); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -585,7 +575,7 @@ const maxClientWorkers = 256
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var b batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&b); err != nil {
+	if err := decodeStrict(w, r, &b); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -762,10 +752,9 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
-	case errors.Is(err, dist.ErrMaxRounds), errors.Is(err, dist.ErrMessageTooLarge),
-		errors.Is(err, dist.ErrBadModel):
-		// Simulator failures driven by client-supplied knobs (max_rounds,
-		// model) are the request's fault, not the daemon's.
+	case errors.Is(err, dist.ErrMaxRounds), errors.Is(err, dist.ErrMessageTooLarge):
+		// Simulator failures driven by client-supplied knobs (max_rounds)
+		// are the request's fault, not the daemon's.
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
@@ -799,6 +788,15 @@ func newHTTPServer(addr string, h http.Handler, readHeaderTimeout time.Duration)
 		WriteTimeout:      15 * time.Minute,
 		MaxHeaderBytes:    1 << 20,
 	}
+}
+
+// decodeStrict decodes the JSON body of a query, batch or mutation into v.
+// A field v does not declare is an error naming it, so a misspelled or
+// retired field fails the request instead of being silently dropped.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -220,9 +220,11 @@ func TestQueryErrors(t *testing.T) {
 			t.Fatalf("%s with r=2^62: want 400 naming the radius, got %d %+v", kind, resp.StatusCode, e)
 		}
 	}
-	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "model": "telepathy"}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad model: %d", resp.StatusCode)
+	// The model is not a request field: each pipeline runs in its own.
+	e.Error = ""
+	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "model": "local"}, &e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"model"`) {
+		t.Fatalf("model field: want 400 naming it, got %d %+v", resp.StatusCode, e)
 	}
 	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 1 << 40}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -997,5 +999,80 @@ func TestDistRunDebugEndpoints(t *testing.T) {
 	}
 	if resp := doJSON(t, "GET", ts.URL+"/debug/dist/runs/"+qid+"?format=pprof", nil, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown format: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestUnknownBodyFieldsRejected: a query, batch or mutation body with a
+// field its route does not declare is a 400 naming the field, and a
+// rejected mutation leaves the graph's n, m and generation unchanged.
+func TestUnknownBodyFieldsRejected(t *testing.T) {
+	ts := testServer(t)
+	registerGrid(t, ts, "grid", 16)
+	var before engine.Stats
+	doJSON(t, "GET", ts.URL+"/stats", nil, &before)
+
+	for _, tc := range []struct {
+		path  string
+		body  map[string]any
+		field string
+	}{
+		{"/query", map[string]any{"graph": "grid", "kind": "domset", "r": 1, "solvr": "greedy"}, "solvr"},
+		{"/batch", map[string]any{"queries": []map[string]any{
+			{"graph": "grid", "kind": "domset", "r": 1},
+			{"graph": "grid", "kind": "dist-domset", "r": 1, "model": "congest_bc"},
+		}}, "model"},
+		{"/batch", map[string]any{"queries": []map[string]any{{"graph": "grid", "kind": "domset", "r": 1}}, "omit_sets": true}, "omit_sets"},
+		{"/graphs/grid/edges", map[string]any{"add": [][2]int{{0, 3}}, "remov": [][2]int{{0, 1}}}, "remov"},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		resp := doJSON(t, "POST", ts.URL+tc.path, tc.body, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+tc.field+`"`) {
+			t.Errorf("%s %v: want 400 naming %q, got %d %+v", tc.path, tc.body, tc.field, resp.StatusCode, e)
+		}
+	}
+
+	var after engine.Stats
+	doJSON(t, "GET", ts.URL+"/stats", nil, &after)
+	if after.Mutations != 0 || after.Queries != before.Queries {
+		t.Fatalf("rejected bodies reached the engine: %+v", after)
+	}
+	b, a := before.GraphStats[0], after.GraphStats[0]
+	if a.N != b.N || a.M != b.M || a.Gen != b.Gen {
+		t.Fatalf("rejected mutation changed the graph: n=%d m=%d gen=%d, was n=%d m=%d gen=%d",
+			a.N, a.M, a.Gen, b.N, b.M, b.Gen)
+	}
+}
+
+// TestDistRunModel: the retained round profile of a distributed query names
+// the model of its pipeline on every phase — CONGEST_BC for the paper
+// dist-domset and for dist-cds, LOCAL for kubsv.
+func TestDistRunModel(t *testing.T) {
+	ts := testServer(t)
+	registerGrid(t, ts, "grid", 64)
+	for _, tc := range []struct {
+		kind, solver, want string
+	}{
+		{"dist-domset", "", "CONGEST_BC"},
+		{"dist-domset", "paper", "CONGEST_BC"},
+		{"dist-domset", "kubsv", "LOCAL"},
+		{"dist-cds", "", "CONGEST_BC"},
+	} {
+		resp := doJSON(t, "POST", ts.URL+"/query",
+			map[string]any{"graph": "grid", "kind": tc.kind, "r": 1, "solver": tc.solver, "omit_sets": true}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %q: status %d", tc.kind, tc.solver, resp.StatusCode)
+		}
+		var rec engine.DistRunRecord
+		doJSON(t, "GET", ts.URL+"/debug/dist/runs/"+resp.Header.Get("X-Query-ID"), nil, &rec)
+		if len(rec.Profiles) == 0 {
+			t.Fatalf("%s %q: no retained profiles", tc.kind, tc.solver)
+		}
+		for _, rp := range rec.Profiles {
+			if rp.Model != tc.want {
+				t.Errorf("%s %q: phase %s ran in %s, want %s", tc.kind, tc.solver, rp.Phase, rp.Model, tc.want)
+			}
+		}
 	}
 }

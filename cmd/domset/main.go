@@ -10,12 +10,14 @@
 //	domset -family apollonian -n 2000 -r 1 -connected            # sequential Corollary 13
 //	domset -in network.graph -r 2 -mode congestbc                # distributed Theorem 9
 //	domset -family grid -n 1024 -r 1 -connected -mode congestbc  # Theorem 10
-//	domset -family geometric -n 1500 -r 2 -mode congestbc -solver kubsv
+//	domset -family geometric -n 1500 -r 2 -mode congestbc -solver kubsv  # kubsv, in LOCAL
 //	domset -family geometric -n 1500 -r 2 -mode local-connect    # Lemma 16
 //	domset -family apollonian -n 1000 -mode planar-local         # Theorem 17 (r = 1)
 //	domset -family apollonian -n 2000 -r 2 -mode cover           # Theorem 4 cover
 //	domset -family apollonian -n 1000 -mode graph > g.graph      # the instance as an edge list
 //
+// Mode congestbc runs the simulator, each pipeline in the model the paper
+// states it for: Theorems 9 and 10 in CONGEST_BC, -solver kubsv in LOCAL.
 // A generated instance is restricted to its largest connected component.
 // The exit status is 1 on bad input or a failed pipeline and 2 when the
 // output fails verification.
@@ -55,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r          = fs.Int("r", 1, "domination or cover radius")
 		connected  = fs.Bool("connected", false, "compute a connected distance-r dominating set")
 		mode       = fs.String("mode", "seq", strings.Join(modes, " | "))
-		solverName = fs.String("solver", "", "strategy: any of bedom.Solvers() in seq mode, paper or kubsv in congestbc mode (default paper)")
+		solverName = fs.String("solver", "", "strategy: any of bedom.Solvers() in seq mode, paper (CONGEST_BC) or kubsv (LOCAL) in congestbc mode (default paper)")
 		printSet   = fs.Bool("print-set", false, "print the vertices of the computed set")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -150,12 +152,12 @@ func solve(g *bedom.Graph, mode string, r int, connected bool, solverName string
 			r, len(res.DomSet), len(res.Set), res.Rounds, res.Messages, res.MaxMessageWords)
 		return res.Set, nil
 	case mode == "congestbc":
-		res, err := bedom.DistributedDominatingSet(g, r, bedom.DistributedOptions{Model: bedom.CONGESTBC, Solver: solverName})
+		res, err := bedom.DistributedDominatingSet(g, r, bedom.DistributedOptions{Solver: solverName})
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "CONGEST_BC distance-%d dominating set: |D|=%d rounds=%d messages=%d max-msg-words=%d\n",
-			r, len(res.Set), res.Rounds, res.Messages, res.MaxMessageWords)
+		fmt.Fprintf(w, "distributed distance-%d dominating set: |D|=%d rounds=%d messages=%d max-msg-words=%d solver=%s\n",
+			r, len(res.Set), res.Rounds, res.Messages, res.MaxMessageWords, res.Solver)
 		return res.Set, nil
 	case mode == "local-connect":
 		base, err := bedom.DominatingSet(g, r)

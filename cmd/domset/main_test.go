@@ -33,9 +33,9 @@ func TestModes(t *testing.T) {
 	cases = append(cases,
 		tc{"seq/default", []string{"-family", "grid", "-n", "100"}, "solver=paper"},
 		tc{"seq/connected", []string{"-family", "apollonian", "-n", "100", "-connected"}, "sequential connected distance-1"},
-		tc{"congestbc", []string{"-family", "grid", "-n", "100", "-mode", "congestbc"}, "CONGEST_BC distance-1"},
+		tc{"congestbc", []string{"-family", "grid", "-n", "100", "-mode", "congestbc"}, "distributed distance-1 dominating set"},
 		tc{"congestbc/connected", []string{"-family", "grid", "-n", "100", "-mode", "congestbc", "-connected"}, "CONGEST_BC connected distance-1"},
-		tc{"congestbc/kubsv", []string{"-family", "grid", "-n", "100", "-r", "2", "-mode", "congestbc", "-solver", "kubsv"}, "CONGEST_BC distance-2"},
+		tc{"congestbc/kubsv", []string{"-family", "grid", "-n", "100", "-r", "2", "-mode", "congestbc", "-solver", "kubsv"}, "distributed distance-2 dominating set"},
 		tc{"local-connect", []string{"-family", "grid", "-n", "100", "-r", "2", "-mode", "local-connect"}, "LOCAL connector (Lemma 16)"},
 		tc{"planar-local", []string{"-family", "apollonian", "-n", "100", "-mode", "planar-local"}, "planar LOCAL pipeline"},
 		tc{"cover", []string{"-family", "apollonian", "-n", "100", "-r", "2", "-mode", "cover"}, "cover: clusters=100"},
@@ -54,12 +54,12 @@ func TestModes(t *testing.T) {
 }
 
 // TestSolverSelectsStrategy checks that -solver reaches the named strategy:
-// the kubsv simulator run takes exactly 7r rounds, and -print-set prints the
-// facade's set for the strategy.
+// the kubsv simulator run takes exactly 7r rounds and its summary names the
+// strategy, and -print-set prints the facade's set for the strategy.
 func TestSolverSelectsStrategy(t *testing.T) {
 	_, out, _ := invoke("-family", "grid", "-n", "100", "-r", "2", "-mode", "congestbc", "-solver", "kubsv")
-	if !strings.Contains(out, " rounds=14 ") {
-		t.Fatalf("kubsv at r=2 must run 14 rounds:\n%s", out)
+	if !strings.Contains(out, " rounds=14 ") || !strings.Contains(out, " solver=kubsv\n") {
+		t.Fatalf("kubsv at r=2 must run 14 rounds and be named:\n%s", out)
 	}
 	g, err := loadGraph("", "grid", 100, 1)
 	if err != nil {

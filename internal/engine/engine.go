@@ -24,13 +24,11 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 	"weak"
 
-	"bedom/internal/dist"
 	"bedom/internal/fault"
 	"bedom/internal/graph"
 	"bedom/internal/obs"
@@ -693,29 +691,6 @@ func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orde
 		return nil, err
 	}
 	return v.([][]int), nil
-}
-
-// Model re-exports dist.Model so that callers of the engine's Request do not
-// need to import internal/dist alongside.
-type Model = dist.Model
-
-// Communication models (mirrors the facade constants).
-const (
-	Local     = dist.Local
-	CongestBC = dist.CongestBC
-)
-
-// ParseModel maps a case-insensitive model name ("local",
-// "congest_bc"/"congestbc") to a Model.
-func ParseModel(s string) (Model, error) {
-	switch {
-	case strings.EqualFold(s, "local"):
-		return Local, nil
-	case strings.EqualFold(s, "congest_bc"), strings.EqualFold(s, "congestbc"):
-		return CongestBC, nil
-	default:
-		return Local, fmt.Errorf("%w: unknown model %q (want local or congest_bc)", ErrInvalidRequest, s)
-	}
 }
 
 // withTimeout applies the request (or engine default) timeout to ctx.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -613,32 +612,6 @@ func TestOrderForSharesFacadeSubstrate(t *testing.T) {
 	}
 	if got := e.Stats().SubstrateBuilds; got != before+2 { // wcol + result; the order is reused
 		t.Fatalf("domset after OrderFor built %d substrates, want 2", got-before)
-	}
-}
-
-func TestParseModel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Model
-	}{
-		{"local", Local}, {"LOCAL", Local},
-		{"congest_bc", CongestBC}, {"CongestBC", CongestBC},
-	} {
-		m, err := ParseModel(tc.in)
-		if err != nil || m != tc.want {
-			t.Fatalf("ParseModel(%q) = %v, %v", tc.in, m, err)
-		}
-	}
-	// The point-to-point CONGEST model is not simulated; the error names
-	// the models that are.
-	for _, in := range []string{"telepathy", "congest"} {
-		_, err := ParseModel(in)
-		if err == nil {
-			t.Fatalf("ParseModel(%q) accepted an unknown model", in)
-		}
-		if !strings.Contains(err.Error(), "local") || !strings.Contains(err.Error(), "congest_bc") {
-			t.Fatalf("ParseModel(%q) error %q does not name the accepted models", in, err)
-		}
 	}
 }
 

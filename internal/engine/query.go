@@ -66,14 +66,10 @@ type Request struct {
 	// Timeout bounds this query (0 = the engine's DefaultTimeout).
 	Timeout time.Duration `json:"-"`
 
-	// Distributed-kind tuning (ignored by sequential kinds).
+	// Distributed-kind tuning (ignored by sequential kinds).  Each
+	// distributed kind runs in its pipeline's model: CONGEST_BC for dist-cds
+	// and the paper dist-domset, LOCAL for dist-domset with kubsv.
 
-	// Model is the communication model.  Unless ModelSet, each pipeline
-	// runs its own default: CONGEST_BC for dist-cds and for dist-domset with
-	// the paper solver, LOCAL for dist-domset with kubsv.
-	Model Model `json:"-"`
-	// ModelSet marks Model as explicit, allowing LOCAL to be requested.
-	ModelSet bool `json:"-"`
 	// SimWorkers bounds simulator goroutines per round (0 = GOMAXPROCS).
 	SimWorkers int `json:"-"`
 	// MaxRounds aborts runaway protocols (0 = generous default).
@@ -97,8 +93,6 @@ func (r Request) solverStrategy() (solver.Solver, error) {
 
 func (r Request) distOptions() solver.DistOptions {
 	return solver.DistOptions{
-		Model:        r.Model,
-		ModelSet:     r.ModelSet,
 		Sim:          r.simOptions(),
 		RefinedOrder: r.RefinedOrder,
 	}
@@ -336,14 +330,10 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		if !g.IsConnected() {
 			return nil, ErrNotConnected
 		}
-		model := CongestBC
-		if req.ModelSet {
-			model = req.Model
-		}
 		sopts := req.simOptions()
 		probe := &dist.Probe{}
 		sopts.Probe = probe
-		res, err := distalgo.RunConnectedDomSet(g, req.R, model, sopts)
+		res, err := distalgo.RunConnectedDomSet(g, req.R, dist.CongestBC, sopts)
 		e.recordDistRun(ctx, req, "", probe, err)
 		if err != nil {
 			return nil, err

@@ -37,16 +37,6 @@ func (s *engineSubstrate) WReach(ctx context.Context, orderR, r int) ([][]int, e
 	return sets, err
 }
 
-// Wcol folds wcol_r from the cached weak-reachability sets (an O(n) length
-// scan, not worth a cache slot of its own).
-func (s *engineSubstrate) Wcol(ctx context.Context, orderR, r int) (int, error) {
-	sets, err := s.WReach(ctx, orderR, r)
-	if err != nil {
-		return 0, err
-	}
-	return order.WColOfSets(sets), nil
-}
-
 // solve runs the solver strategy for radius r into the answer's response.
 // ctx is the detached context of the answer build.
 func (e *Engine) solve(ctx context.Context, g *graph.Graph, gen uint64, r int, s solver.Solver, resp *Response) error {

@@ -64,14 +64,15 @@ func E10SolverHeadToHead(cfg Config) *Table {
 					probe := &dist.Probe{}
 					dres, derr := ds.SolveDist(g, r, solver.DistOptions{Sim: dist.Options{Probe: probe}})
 					if derr == nil {
-						model = distModelName(name)
+						profiles := probe.Profiles()
+						model = profiles[0].Model
 						rounds = fmt.Sprintf("%d", dres.Stats.Rounds)
 						messages = fmt.Sprintf("%d", dres.Stats.Messages)
 						maxWords = fmt.Sprintf("%d", dres.Stats.MaxMessageWords)
-						phases = append(phases, phaseBreakdown(f.Name, r, name, probe.Profiles()))
+						phases = append(phases, phaseBreakdown(f.Name, r, name, profiles))
 						if cfg.TraceDir != "" {
 							file := fmt.Sprintf("E10_%s_r%d_%s.trace.json", f.Name, r, name)
-							if err := writeTraceArtifact(cfg.TraceDir, file, probe.Profiles()); err != nil {
+							if err := writeTraceArtifact(cfg.TraceDir, file, profiles); err != nil {
 								t.Notes = append(t.Notes, "trace artifact error: "+err.Error())
 							}
 						}
@@ -117,14 +118,6 @@ func writeTraceArtifact(dir, name string, profiles []dist.RunProfile) error {
 		return err
 	}
 	return f.Close()
-}
-
-// distModelName names the default simulator model of a distributed strategy.
-func distModelName(name string) string {
-	if name == "kubsv" {
-		return "LOCAL"
-	}
-	return "CONGEST_BC"
 }
 
 // joinLimited joins up to max entries with "; ", eliding the rest.

@@ -7,11 +7,6 @@ import (
 	"bedom/internal/graph"
 )
 
-func init() {
-	Register(greedySolver{})
-	Register(orderGreedySolver{})
-}
-
 // greedySolver is the classical ln(n)-approximation: repeatedly add the
 // vertex whose closed r-ball covers the most uncovered vertices.  It needs
 // no substrate, so it is the cheapest strategy on a cold cache.

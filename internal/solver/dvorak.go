@@ -6,9 +6,8 @@ import (
 
 	"bedom/internal/domset"
 	"bedom/internal/graph"
+	"bedom/internal/order"
 )
-
-func init() { Register(dvorakSolver{}) }
 
 // dvorakSolver is an order-driven linear-time approximation in the spirit of
 // Dvořák (arXiv 1110.5190): sweep the vertices in increasing
@@ -36,10 +35,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	if err != nil {
 		return Result{}, err
 	}
-	wcol, err := sub.Wcol(ctx, r, r)
-	if err != nil {
-		return Result{}, err
-	}
 	n := g.N()
 	dominated := make([]bool, n)
 	wk := graph.NewWalker(g)
@@ -62,6 +57,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       wcol,
+		Wcol:       order.WColOfSets(sets),
 	}, nil
 }

@@ -9,8 +9,6 @@ import (
 	"bedom/internal/graph"
 )
 
-func init() { Register(ksvSolver{}) }
-
 // ksvSolver is the constant-round election + cleanup strategy in the spirit
 // of Kublenz–Siebertz–Vigny (arXiv 2012.02701); see internal/distalgo/kubsv.go
 // for the algorithm.  It needs no order substrate at all — that is its
@@ -27,11 +25,7 @@ func (ksvSolver) Solve(_ context.Context, g *graph.Graph, r int, _ Substrate) (R
 }
 
 func (ksvSolver) SolveDist(g *graph.Graph, r int, opts DistOptions) (DistResult, error) {
-	model := dist.Local
-	if opts.ModelSet {
-		model = opts.Model
-	}
-	res, err := distalgo.RunKSV(g, r, model, opts.Sim)
+	res, err := distalgo.RunKSV(g, r, dist.Local, opts.Sim)
 	if err != nil {
 		return DistResult{}, err
 	}

@@ -7,13 +7,12 @@ import (
 	"bedom/internal/distalgo"
 	"bedom/internal/domset"
 	"bedom/internal/graph"
+	"bedom/internal/order"
 )
-
-func init() { Register(paperSolver{}) }
 
 // paperSolver is the SPAA 2018 pipeline: Algorithm 1 on the
 // weak-reachability order (Theorem 5) sequentially, the Theorem 9 election
-// pipeline distributed.  It is the default strategy, and its outputs are the
+// pipeline in CONGEST_BC distributed.  It is the default strategy, and its outputs are the
 // reference every determinism test pins down.
 type paperSolver struct{}
 
@@ -24,7 +23,7 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	if err != nil {
 		return Result{}, err
 	}
-	wcol, err := sub.Wcol(ctx, r, 2*r)
+	sets, err := sub.WReach(ctx, r, 2*r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -32,20 +31,16 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       wcol,
+		Wcol:       order.WColOfSets(sets),
 	}, nil
 }
 
 func (paperSolver) SolveDist(g *graph.Graph, r int, opts DistOptions) (DistResult, error) {
-	model := dist.CongestBC
-	if opts.ModelSet {
-		model = opts.Model
-	}
 	run := distalgo.RunDomSet
 	if opts.RefinedOrder {
 		run = distalgo.RunDomSetRefined
 	}
-	res, err := run(g, r, model, opts.Sim)
+	res, err := run(g, r, dist.CongestBC, opts.Sim)
 	if err != nil {
 		return DistResult{}, err
 	}

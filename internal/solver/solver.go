@@ -3,9 +3,10 @@
 // sequentially, drawing the expensive shared substrates (weak-reachability
 // orders and sets) from a Substrate so that strategies on the same graph
 // reuse one cached order; a DistSolver additionally runs a simulator-backed
-// distributed protocol.  Strategies self-register under a stable name — the
-// engine keys its per-graph result cache by that name, so different
-// strategies never cross-contaminate.
+// distributed protocol, in the model its result is stated for.  The registry
+// is a fixed table keyed by a stable name — the engine keys its per-graph
+// result cache by that name, so different strategies never
+// cross-contaminate.
 //
 // Registered strategies:
 //
@@ -19,9 +20,7 @@ package solver
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -38,10 +37,9 @@ const DefaultName = "paper"
 type Substrate interface {
 	// Order returns the weak-reachability order for radius r.
 	Order(ctx context.Context, r int) (*order.Order, error)
-	// WReach returns the weak s-reachability sets of the radius-orderR order.
+	// WReach returns the weak s-reachability sets of the radius-orderR order;
+	// order.WColOfSets of them is the order's measured wcol_s.
 	WReach(ctx context.Context, orderR, s int) ([][]int, error)
-	// Wcol returns the measured wcol_s of the radius-orderR order.
-	Wcol(ctx context.Context, orderR, s int) (int, error)
 }
 
 // Result is the outcome of a sequential solve.
@@ -65,13 +63,9 @@ type Solver interface {
 	Solve(ctx context.Context, g *graph.Graph, r int, sub Substrate) (Result, error)
 }
 
-// DistOptions tunes a DistSolver run.
+// DistOptions tunes a DistSolver run.  Each strategy runs in its own model
+// (CONGEST_BC for the paper pipeline, LOCAL for kubsv), so none is set here.
 type DistOptions struct {
-	// Model is the communication model, honoured only when ModelSet is true;
-	// otherwise the solver's preferred model is used (CONGEST_BC for the
-	// paper pipeline, LOCAL for kubsv).
-	Model    dist.Model
-	ModelSet bool
 	// Sim tunes the simulator (workers, round budget).
 	Sim dist.Options
 	// RefinedOrder selects the refined distributed order pipeline on solvers
@@ -96,25 +90,8 @@ type DistSolver interface {
 
 // --- Registry -------------------------------------------------------------
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Solver)
-)
-
-// Register adds a strategy under its Name.  It panics on an empty or
-// duplicate name (registration is an init-time, programmer-error path).
-func Register(s Solver) {
-	name := s.Name()
-	if name == "" {
-		panic("solver: Register with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("solver: duplicate registration of %q", name))
-	}
-	registry[name] = s
-}
+// registry holds every strategy, sorted by name.
+var registry = []Solver{dvorakSolver{}, greedySolver{}, ksvSolver{}, orderGreedySolver{}, paperSolver{}}
 
 // Get resolves a solver name ("" selects DefaultName).  An unknown name
 // fails with an error listing the registered strategies (surfaced verbatim
@@ -123,39 +100,32 @@ func Get(name string) (Solver, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	regMu.RLock()
-	s, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown solver %q (registered: %s)", name, strings.Join(Names(), ", "))
+	for _, s := range registry {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return nil, fmt.Errorf("unknown solver %q (registered: %s)", name, strings.Join(Names(), ", "))
 }
 
 // Names lists the registered strategy names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(registry))
+	for i, s := range registry {
+		out[i] = s.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
 // DistNames lists the registered strategies that implement DistSolver,
 // sorted.
 func DistNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	var out []string
-	for name, s := range registry {
+	for _, s := range registry {
 		if _, ok := s.(DistSolver); ok {
-			out = append(out, name)
+			out = append(out, s.Name())
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -208,13 +178,4 @@ func (l *Local) WReach(ctx context.Context, orderR, s int) ([][]int, error) {
 	sets := order.WReachSetsWorkers(l.g, o, s, l.workers)
 	l.wreach[key] = sets
 	return sets, nil
-}
-
-// Wcol implements Substrate.
-func (l *Local) Wcol(ctx context.Context, orderR, s int) (int, error) {
-	sets, err := l.WReach(ctx, orderR, s)
-	if err != nil {
-		return 0, err
-	}
-	return order.WColOfSets(sets), nil
 }

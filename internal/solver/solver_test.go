@@ -172,21 +172,31 @@ func TestDistSolversValid(t *testing.T) {
 	}
 }
 
-// TestPaperDistModelDefault asserts the paper strategy honours an explicit
-// model and defaults to CONGEST_BC.
-func TestPaperDistModelDefault(t *testing.T) {
+// TestDistModelPerStrategy checks that each distributed strategy runs in
+// its paper model: every phase profile of a paper run (plain or refined
+// order) is CONGEST_BC and every one of a kubsv run is LOCAL.  Sets and
+// Stats cannot tell the models apart (TestLocalEqualsCongestBC), so the
+// check reads the model the simulator recorded.
+func TestDistModelPerStrategy(t *testing.T) {
 	g := gen.Grid(7, 7)
-	ds := mustGet(t, "paper").(DistSolver)
-	def, err := ds.SolveDist(g, 1, DistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := ds.SolveDist(g, 1, DistOptions{Model: dist.CongestBC, ModelSet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInts(def.Set, explicit.Set) || def.Stats != explicit.Stats {
-		t.Fatal("default model is not CONGEST_BC")
+	want := map[string]string{"paper": "CONGEST_BC", "kubsv": "LOCAL"}
+	for _, name := range DistNames() {
+		ds := mustGet(t, name).(DistSolver)
+		for _, refined := range []bool{false, true} {
+			probe := &dist.Probe{}
+			if _, err := ds.SolveDist(g, 1, DistOptions{Sim: dist.Options{Probe: probe}, RefinedOrder: refined}); err != nil {
+				t.Fatal(err)
+			}
+			profiles := probe.Profiles()
+			if len(profiles) == 0 {
+				t.Fatalf("%s: no profiles", name)
+			}
+			for _, p := range profiles {
+				if p.Model != want[name] {
+					t.Errorf("%s (refined %v): phase %s ran in %s, want %s", name, refined, p.Phase, p.Model, want[name])
+				}
+			}
+		}
 	}
 }
 
