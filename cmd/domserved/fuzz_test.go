@@ -94,7 +94,7 @@ func FuzzNDJSONIngest(f *testing.F) {
 func FuzzRequestBodies(f *testing.F) {
 	routes := []string{"/graphs", "/graphs/grid/edges", "/query", "/batch"}
 	for route, bodies := range [][]string{
-		{`{"name":"grid","family":"grid","n":1024}`},
+		{`{"name":"grid","family":"grid","n":1024}`, `{"name":"geo","family":"geometric","n":200,"sed":7}`},
 		{`{"add":[[0,5],[2,9]],"remove":[[0,1]],"add_vertices":2}`, `{"add":[[7,30]]}`, `{"add":[[0,3]],"remov":[[0,1]]}`},
 		{
 			`{"graph":"grid","kind":"domset","r":2}`,

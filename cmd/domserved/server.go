@@ -203,7 +203,9 @@ func (s *server) instrument(next http.Handler) http.Handler {
 
 // registerRequest is the JSON body of POST /graphs.  Exactly one graph
 // source must be given: an inline edge array or a generator family.  An
-// edge-list document is uploaded as a text/plain body instead.
+// edge-list document is uploaded as a text/plain body instead.  A field the
+// body does not declare is a 400 naming it, so a misspelled field cannot
+// register a different graph.
 type registerRequest struct {
 	Name string `json:"name"`
 	// N + Edges define the graph explicitly.
@@ -216,6 +218,9 @@ type registerRequest struct {
 	Seed   int64  `json:"seed,omitempty"`
 	// LargestComponent restricts a generated graph to its largest component.
 	LargestComponent bool `json:"largest_component,omitempty"`
+	// EdgeList is declared only to be refused with a pointer to the
+	// text/plain upload, where an edge-list document belongs.
+	EdgeList json.RawMessage `json:"edge_list,omitempty"`
 }
 
 func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -258,7 +263,9 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req registerRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -285,6 +292,9 @@ func registerStatusFor(err error) int {
 }
 
 func buildGraph(req registerRequest) (*graph.Graph, error) {
+	if req.EdgeList != nil {
+		return nil, errors.New("'edge_list' is not a registration field; upload an edge-list document as a text/plain body with ?name=")
+	}
 	if (req.Edges != nil) == (req.Family != "") {
 		return nil, errors.New("exactly one of 'edges' or 'family' must be given; upload an edge-list document as a text/plain body with ?name=")
 	}
@@ -309,9 +319,9 @@ func buildGraph(req registerRequest) (*graph.Graph, error) {
 }
 
 // streamHeader is the first NDJSON value of a streaming ingest: the graph
-// name and its declared vertex count.  Every following value is one edge
-// [u, v]; duplicates collapse at finalization, exactly like the edge-list
-// upload path.
+// name and its declared vertex count; any other field is a 400 naming it.
+// Every following value is one edge [u, v]; duplicates collapse at
+// finalization, exactly like the edge-list upload path.
 type streamHeader struct {
 	Name string `json:"name"`
 	N    int    `json:"n"`
@@ -337,6 +347,7 @@ type streamResponse struct {
 // registration path (≈ 30M edge lines).
 func (s *server) handleRegisterStream(w http.ResponseWriter, body io.Reader) {
 	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	var hdr streamHeader
 	if err := dec.Decode(&hdr); err != nil {
 		httpError(w, http.StatusBadRequest, "bad NDJSON header (want {\"name\":...,\"n\":...}): "+err.Error())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -1042,6 +1043,59 @@ func TestUnknownBodyFieldsRejected(t *testing.T) {
 	if a.N != b.N || a.M != b.M || a.Gen != b.Gen {
 		t.Fatalf("rejected mutation changed the graph: n=%d m=%d gen=%d, was n=%d m=%d gen=%d",
 			a.N, a.M, a.Gen, b.N, b.M, b.Gen)
+	}
+}
+
+// TestUnknownRegistrationFieldsRejected: a registration body or an NDJSON
+// header carrying a field it does not declare is a 400 naming the field,
+// and the registry is unchanged after each.
+func TestUnknownRegistrationFieldsRejected(t *testing.T) {
+	ts := testServer(t)
+	registerGrid(t, ts, "grid", 16)
+	listing := func() []engine.GraphInfo {
+		var list struct {
+			Graphs []engine.GraphInfo `json:"graphs"`
+		}
+		doJSON(t, "GET", ts.URL+"/graphs", nil, &list)
+		return list.Graphs
+	}
+	before := listing()
+	for _, tc := range []struct {
+		body  map[string]any
+		field string
+	}{
+		{map[string]any{"name": "b", "family": "geometric", "n": 200, "sed": 7}, "sed"},
+		{map[string]any{"name": "b", "n": 3, "edges": [][2]int{{0, 1}}, "largest_componet": true}, "largest_componet"},
+		{map[string]any{"name": "grid", "family": "grid", "n": 64, "seed": 1, "replace": true}, "replace"},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		resp := doJSON(t, "POST", ts.URL+"/graphs", tc.body, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+tc.field+`"`) {
+			t.Errorf("%v: want 400 naming %q, got %d %+v", tc.body, tc.field, resp.StatusCode, e)
+		}
+		if after := listing(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%v changed the registry: %+v, was %+v", tc.body, after, before)
+		}
+	}
+	for _, tc := range []struct{ header, field string }{
+		{`{"name":"c","n":3,"nn":9}`, "nn"},
+		{`{"name":"grid","n":3,"replace":true}`, "replace"},
+	} {
+		resp := postNDJSON(t, ts, tc.header+"\n[0,1]\n[1,2]\n")
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+tc.field+`"`) {
+			t.Errorf("NDJSON header %s: want 400 naming %q, got %d %+v", tc.header, tc.field, resp.StatusCode, e)
+		}
+		if after := listing(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("NDJSON header %s changed the registry: %+v, was %+v", tc.header, after, before)
+		}
 	}
 }
 

@@ -2,25 +2,20 @@ package dist
 
 import "fmt"
 
-// sentMsg is a staged broadcast with its size precomputed (the size is
-// needed for the bandwidth check and the statistics; computing it once at
-// send time avoids re-walking variable-size messages per receiver).  A nil
-// msg is an empty slot.
-type sentMsg struct {
-	msg   Message
-	words int
-}
-
 // Context is a node's handle to the simulator: topology queries and message
 // emission.  A Context is owned by exactly one node and must only be used
 // from within that node's Init and Round calls.
 type Context struct {
 	r *Runner
 	v int
-	// sent holds this vertex's broadcast of the last two rounds: round t
-	// writes sent[t%2] while the neighbors' steps of round t read
-	// sent[(t-1)%2], so the two never touch the same slot.
-	sent [2]sentMsg
+	// w is the worker stepping this vertex in the current round; a
+	// broadcast lands in its slab.
+	w *worker
+	// sent holds this vertex's broadcast of the last two rounds, each a
+	// window of a worker's slab: round t writes sent[t%2] while the
+	// neighbors' steps of round t read sent[(t-1)%2], so the two never
+	// touch the same slot.  An empty span is an empty slot.
+	sent [2][]int32
 	// err records the first model violation of this node; the runner aborts
 	// the run with the violation of the smallest vertex id, so reporting
 	// stays deterministic under any worker count.
@@ -37,27 +32,27 @@ func (c *Context) Degree() int { return int(c.r.off[c.v+1] - c.r.off[c.v]) }
 // The slice is the vertex's row of the graph's CSR and must not be modified.
 func (c *Context) Neighbors() []int32 { return c.r.row(c.v) }
 
-// Broadcast stages msg for delivery to every neighbor at the next round.  A
-// node broadcasts at most once per round in every model, and in CongestBC
-// the message must fit in the configured bandwidth; violations abort the
-// run.  A nil message is ignored.
-func (c *Context) Broadcast(msg Message) {
-	if msg == nil || c.err != nil {
+// Broadcast stages words for delivery to every neighbor at the next round.
+// It copies them, so the caller may reuse its buffer at once.  A node
+// broadcasts at most once per round in every model, and in CongestBC the
+// message must fit in the configured bandwidth; violations abort the run.
+// An empty span is ignored.
+func (c *Context) Broadcast(words []int32) {
+	if len(words) == 0 || c.err != nil {
 		return
 	}
 	slot := &c.sent[c.r.round%2]
-	if slot.msg != nil {
+	if len(*slot) != 0 {
 		c.fail(fmt.Errorf("%w: vertex %d broadcast twice in round %d of %v",
 			ErrModelViolation, c.v, c.r.round, c.r.model))
 		return
 	}
-	words := max(msg.Words(), 0)
-	if c.r.bandwidth > 0 && words > c.r.bandwidth {
+	if c.r.bandwidth > 0 && len(words) > c.r.bandwidth {
 		c.fail(fmt.Errorf("%w: vertex %d sent %d words (limit %d) in round %d of %v",
-			ErrMessageTooLarge, c.v, words, c.r.bandwidth, c.r.round, c.r.model))
+			ErrMessageTooLarge, c.v, len(words), c.r.bandwidth, c.r.round, c.r.model))
 		return
 	}
-	*slot = sentMsg{msg: msg, words: words}
+	*slot = c.w.stage(c.r.round%2, words)
 }
 
 // fail records the first violation of this node; the runner surfaces it

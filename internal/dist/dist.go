@@ -25,15 +25,16 @@
 //
 // Broadcast is the only primitive: in both models a vertex broadcasts at
 // most one message per round, the same message on every incident edge.
-// CongestBC enforces the per-message size limit of Options.Bandwidth (in
-// O(log n)-bit words, as reported by Message.Words) at send time; exceeding
-// it aborts the run with ErrMessageTooLarge.  Local places no limit on the
-// size, so a LOCAL vertex that wants to tell its neighbors different things
-// broadcasts their union.  The paper's protocols keep message sizes bounded
-// by a constant that depends on the graph class and radius but is not known
-// to the simulator, so Bandwidth = 0 means "track but do not limit": sizes
-// are still accounted in Stats (Words, MaxMessageWords) for congestion
-// reports.
+// A message is a span of int32 words, one O(log n)-bit word per vertex id
+// or small integer, so its size is its length.  CongestBC enforces the
+// per-message size limit of Options.Bandwidth (in words) at send time;
+// exceeding it aborts the run with ErrMessageTooLarge.  Local places no
+// limit on the size, so a LOCAL vertex that wants to tell its neighbors
+// different things broadcasts their union.  The paper's protocols keep
+// message sizes bounded by a constant that depends on the graph class and
+// radius but is not known to the simulator, so Bandwidth = 0 means "track
+// but do not limit": sizes are still accounted in Stats (Words,
+// MaxMessageWords) for congestion reports.
 //
 // See DESIGN.md §2 for the full semantics and the model table.
 package dist
@@ -78,11 +79,6 @@ type Options struct {
 	// model (0 = unlimited; sizes are still tracked in Stats).  It is
 	// ignored in the Local model.
 	Bandwidth int
-	// Phase labels the run in the simulator metrics (bedom_dist_*): the
-	// pipeline stage this run implements, e.g. "wreach" or "election".
-	// internal/distalgo names every phase it runs, replacing any label set
-	// here; an empty phase is recorded under the empty label value.
-	Phase string
 	// Probe, when non-nil, records a per-round profile and a per-vertex
 	// congestion table for every run (see probe.go).  A nil Probe costs
 	// nothing; an enabled one never changes the run's observable behavior
@@ -91,36 +87,21 @@ type Options struct {
 	Probe *Probe
 }
 
-// Message is the interface of everything broadcast between nodes.  Words
-// reports the message size in O(log n)-bit machine words (one word per
-// vertex id or small integer), the unit of the CONGEST_BC bandwidth
-// accounting.  Messages must be treated as immutable once sent: the same
-// value is delivered to every receiver of a broadcast.
-type Message interface {
-	Words() int
-}
-
-// IntMessage is the single-word message: one integer of O(log n) bits.
-type IntMessage int
-
-// Words implements Message: an IntMessage is exactly one word.
-func (IntMessage) Words() int { return 1 }
-
 // Inbound is one received message together with its sender.
 type Inbound struct {
 	// From is the id of the sending neighbor.
 	From int
-	// Msg is the delivered message.
-	Msg Message
+	// Words is the delivered message, one O(log n)-bit word per entry.
+	Words []int32
 }
 
 // Node is the per-vertex protocol state machine.  Init is called once before
 // the first round (it may already broadcast); Round is called once per round
 // with the broadcasts received from the previous round, at most one per
-// neighbor, in ascending sender id.  The inbox slice is only valid for the
-// duration of the call — the runner reuses its backing array the following
-// round — so a node that needs messages later must copy the Inbound values
-// (the Message contents may be retained; messages are immutable once sent).
+// neighbor, in ascending sender id.  The inbox and the words of every
+// message in it are only valid for the duration of the call: the runner
+// reuses the inbox array the following round and overwrites the words the
+// round after, so a node copies whatever it keeps.
 type Node interface {
 	Init(*Context)
 	Round(*Context, []Inbound)
@@ -176,6 +157,4 @@ var (
 	ErrModelViolation = errors.New("dist: operation not allowed in this model")
 	// ErrBadModel reports an unknown Model value.
 	ErrBadModel = errors.New("dist: unknown communication model")
-	// ErrRunnerReused reports a second Run on the same Runner.
-	ErrRunnerReused = errors.New("dist: Runner.Run may only be called once")
 )

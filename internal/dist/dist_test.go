@@ -1,7 +1,11 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"bedom/internal/graph"
@@ -42,16 +46,16 @@ type gossipNode struct {
 
 func (n *gossipNode) Init(ctx *Context) {
 	n.state = n.id + 1
-	ctx.Broadcast(IntMessage(n.state))
+	ctx.Broadcast([]int32{int32(n.state)})
 }
 
 func (n *gossipNode) Round(ctx *Context, inbox []Inbound) {
 	n.rounds++
 	for _, in := range inbox {
-		n.state = (n.state*1000003 + in.From*31 + int(in.Msg.(IntMessage))) % 1000000007
+		n.state = (n.state*1000003 + in.From*31 + int(in.Words[0])) % 1000000007
 	}
 	if n.rounds < n.total {
-		ctx.Broadcast(IntMessage(n.state % 4093))
+		ctx.Broadcast([]int32{int32(n.state % 4093)})
 	}
 }
 
@@ -60,7 +64,7 @@ func (n *gossipNode) Done() bool { return n.rounds >= n.total }
 func runGossip(t *testing.T, g *graph.Graph, workers int) ([]int, Stats) {
 	t.Helper()
 	nodes := make([]*gossipNode, g.N())
-	stats, err := NewRunner(g, CongestBC, Options{Workers: workers}).Run(func(v int) Node {
+	stats, err := NewRunner(g, CongestBC, Options{Workers: workers}).Run("gossip", func(v int) Node {
 		nodes[v] = &gossipNode{id: v, total: 12}
 		return nodes[v]
 	})
@@ -123,32 +127,30 @@ func (f *funcNode) Done() bool {
 	return true
 }
 
-// wideMessage is a message of a configurable word count.
-type wideMessage int
-
-func (m wideMessage) Words() int { return int(m) }
+// wideMessage is a message of k words.
+func wideMessage(k int) []int32 { return make([]int32, k) }
 
 func path3() *graph.Graph {
 	return graph.MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
 }
 
-func broadcastOnInit(msg Message) func(int) Node {
+func broadcastOnInit(msg []int32) func(int) Node {
 	return func(v int) Node {
 		return &funcNode{init: func(ctx *Context) { ctx.Broadcast(msg) }}
 	}
 }
 
 func TestCongestRejectsOversizedMessage(t *testing.T) {
-	_, err := NewRunner(path3(), CongestBC, Options{Bandwidth: 2}).Run(broadcastOnInit(wideMessage(3)))
+	_, err := NewRunner(path3(), CongestBC, Options{Bandwidth: 2}).Run("wide", broadcastOnInit(wideMessage(3)))
 	if !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("3-word message with bandwidth 2 not rejected: %v", err)
 	}
 	// At the limit it must pass.
-	if _, err := NewRunner(path3(), CongestBC, Options{Bandwidth: 2}).Run(broadcastOnInit(wideMessage(2))); err != nil {
+	if _, err := NewRunner(path3(), CongestBC, Options{Bandwidth: 2}).Run("wide", broadcastOnInit(wideMessage(2))); err != nil {
 		t.Fatalf("2-word message with bandwidth 2 rejected: %v", err)
 	}
 	// LOCAL never limits message sizes.
-	if _, err := NewRunner(path3(), Local, Options{Bandwidth: 2}).Run(broadcastOnInit(wideMessage(1000))); err != nil {
+	if _, err := NewRunner(path3(), Local, Options{Bandwidth: 2}).Run("wide", broadcastOnInit(wideMessage(1000))); err != nil {
 		t.Fatalf("LOCAL applied a bandwidth limit: %v", err)
 	}
 }
@@ -156,11 +158,11 @@ func TestCongestRejectsOversizedMessage(t *testing.T) {
 func TestMaxRoundsOverrun(t *testing.T) {
 	chatter := func(v int) Node {
 		return &funcNode{
-			init:  func(ctx *Context) { ctx.Broadcast(IntMessage(0)) },
-			round: func(ctx *Context, _ []Inbound) { ctx.Broadcast(IntMessage(ctx.Round())) },
+			init:  func(ctx *Context) { ctx.Broadcast([]int32{0}) },
+			round: func(ctx *Context, _ []Inbound) { ctx.Broadcast([]int32{int32(ctx.Round())}) },
 		}
 	}
-	stats, err := NewRunner(path3(), CongestBC, Options{MaxRounds: 7}).Run(chatter)
+	stats, err := NewRunner(path3(), CongestBC, Options{MaxRounds: 7}).Run("chatter", chatter)
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("endless chatter not cut off: %v", err)
 	}
@@ -174,7 +176,7 @@ func TestMaxRoundsOverrun(t *testing.T) {
 // silent: 4 deliveries (the middle vertex receives two and sends to two),
 // 4 words, max message 1 word, and a single round to detect quiescence.
 func TestStatsAccounting(t *testing.T) {
-	stats, err := NewRunner(path3(), CongestBC, Options{}).Run(broadcastOnInit(IntMessage(5)))
+	stats, err := NewRunner(path3(), CongestBC, Options{}).Run("single", broadcastOnInit([]int32{5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", stats, want)
 	}
 	// Multi-word messages are accounted per delivery.
-	stats, err = NewRunner(path3(), Local, Options{}).Run(broadcastOnInit(wideMessage(3)))
+	stats, err = NewRunner(path3(), Local, Options{}).Run("wide", broadcastOnInit(wideMessage(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestHalterKeepsRunAlive(t *testing.T) {
 	const target = 9
 	rounds := 0
-	stats, err := NewRunner(path3(), CongestBC, Options{}).Run(func(v int) Node {
+	stats, err := NewRunner(path3(), CongestBC, Options{}).Run("halter", func(v int) Node {
 		if v != 0 {
 			return &funcNode{} // silent, always done
 		}
@@ -221,17 +223,23 @@ func TestHalterKeepsRunAlive(t *testing.T) {
 func TestInboxOrdering(t *testing.T) {
 	// A star: vertex 0 adjacent to 1..4; vertex 3 stays silent.
 	g := graph.MustFromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	var got []Inbound
-	_, err := NewRunner(g, Local, Options{}).Run(func(v int) Node {
+	type received struct{ from, word int }
+	var got []received
+	_, err := NewRunner(g, Local, Options{}).Run("star", func(v int) Node {
 		return &funcNode{
 			init: func(ctx *Context) {
 				if v != 0 && v != 3 {
-					ctx.Broadcast(IntMessage(10 * v))
+					ctx.Broadcast([]int32{int32(10 * v)})
 				}
 			},
 			round: func(ctx *Context, inbox []Inbound) {
 				if v == 0 && ctx.Round() == 1 {
-					got = append(got, inbox...)
+					for _, in := range inbox {
+						if len(in.Words) != 1 {
+							t.Errorf("message from %d has %d words, want 1", in.From, len(in.Words))
+						}
+						got = append(got, received{in.From, int(in.Words[0])})
+					}
 				}
 			},
 		}
@@ -239,7 +247,7 @@ func TestInboxOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Inbound{{From: 1, Msg: IntMessage(10)}, {From: 2, Msg: IntMessage(20)}, {From: 4, Msg: IntMessage(40)}}
+	want := []received{{1, 10}, {2, 20}, {4, 40}}
 	if len(got) != len(want) {
 		t.Fatalf("vertex 0 received %d messages, want %d", len(got), len(want))
 	}
@@ -252,7 +260,7 @@ func TestInboxOrdering(t *testing.T) {
 
 func TestContextTopologyQueries(t *testing.T) {
 	g := testGrid(3, 3)
-	_, err := NewRunner(g, Local, Options{}).Run(func(v int) Node {
+	_, err := NewRunner(g, Local, Options{}).Run("topology", func(v int) Node {
 		return &funcNode{init: func(ctx *Context) {
 			if ctx.Round() != 0 {
 				t.Errorf("vertex %d: Init ran in round %d", v, ctx.Round())
@@ -282,18 +290,11 @@ func TestContextTopologyQueries(t *testing.T) {
 }
 
 func TestRunnerMisuse(t *testing.T) {
-	r := NewRunner(path3(), CongestBC, Options{})
-	if _, err := r.Run(broadcastOnInit(IntMessage(1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(broadcastOnInit(IntMessage(1))); !errors.Is(err, ErrRunnerReused) {
-		t.Fatalf("runner reuse not rejected: %v", err)
-	}
-	if _, err := NewRunner(path3(), Model(42), Options{}).Run(broadcastOnInit(IntMessage(1))); !errors.Is(err, ErrBadModel) {
+	if _, err := NewRunner(path3(), Model(42), Options{}).Run("bad", broadcastOnInit([]int32{1})); !errors.Is(err, ErrBadModel) {
 		t.Fatalf("unknown model not rejected: %v", err)
 	}
 	// The empty graph terminates immediately.
-	stats, err := NewRunner(graph.MustFromEdges(0, nil), CongestBC, Options{}).Run(func(int) Node { return &funcNode{} })
+	stats, err := NewRunner(graph.MustFromEdges(0, nil), CongestBC, Options{}).Run("empty", func(int) Node { return &funcNode{} })
 	if err != nil || stats.Rounds != 0 {
 		t.Fatalf("empty graph: %+v, %v", stats, err)
 	}
@@ -311,13 +312,13 @@ func TestModelString(t *testing.T) {
 // round in every model; LOCAL lifts the size limit, not the count.
 func TestDoubleBroadcastRejected(t *testing.T) {
 	for _, model := range []Model{Local, CongestBC} {
-		_, err := NewRunner(path3(), model, Options{}).Run(func(v int) Node {
+		_, err := NewRunner(path3(), model, Options{}).Run("twice", func(v int) Node {
 			return &funcNode{
-				init: func(ctx *Context) { ctx.Broadcast(IntMessage(0)) },
+				init: func(ctx *Context) { ctx.Broadcast([]int32{0}) },
 				round: func(ctx *Context, _ []Inbound) {
 					if v == 1 && ctx.Round() == 1 {
-						ctx.Broadcast(IntMessage(1))
-						ctx.Broadcast(IntMessage(2))
+						ctx.Broadcast([]int32{1})
+						ctx.Broadcast([]int32{2})
 					}
 				},
 			}
@@ -326,8 +327,151 @@ func TestDoubleBroadcastRejected(t *testing.T) {
 			t.Fatalf("%v: a second broadcast in one round was not rejected: %v", model, err)
 		}
 		// One broadcast per round is the intended use and must pass.
-		if _, err := NewRunner(path3(), model, Options{}).Run(broadcastOnInit(IntMessage(1))); err != nil {
+		if _, err := NewRunner(path3(), model, Options{}).Run("once", broadcastOnInit([]int32{1})); err != nil {
 			t.Fatalf("%v: single broadcast rejected: %v", model, err)
+		}
+	}
+}
+
+// TestBroadcastCopies: Broadcast copies the caller's words, so a node that
+// overwrites its buffer right after the call, and reuses it the next round,
+// still delivers what it broadcast.
+func TestBroadcastCopies(t *testing.T) {
+	g := testGrid(4, 5)
+	const total = 5
+	for _, workers := range []int{1, 2, 8} {
+		_, err := NewRunner(g, CongestBC, Options{Workers: workers}).Run("copy", func(v int) Node {
+			buf := make([]int32, 2)
+			send := func(ctx *Context) {
+				buf[0], buf[1] = int32(v), int32(ctx.Round())
+				ctx.Broadcast(buf)
+				buf[0], buf[1] = -1, -1
+			}
+			rounds := 0
+			return &funcNode{
+				init: send,
+				round: func(ctx *Context, inbox []Inbound) {
+					rounds++
+					if len(inbox) != ctx.Degree() {
+						t.Errorf("workers=%d: vertex %d heard %d neighbors in round %d, want %d",
+							workers, v, len(inbox), ctx.Round(), ctx.Degree())
+					}
+					for _, in := range inbox {
+						if len(in.Words) != 2 || in.Words[0] != int32(in.From) || in.Words[1] != int32(ctx.Round()-1) {
+							t.Errorf("workers=%d: vertex %d got %v from %d in round %d, want [%d %d]",
+								workers, v, in.Words, in.From, ctx.Round(), in.From, ctx.Round()-1)
+						}
+					}
+					if rounds < total {
+						send(ctx)
+					}
+				},
+				done: func() bool { return rounds >= total },
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+}
+
+// abortNode broadcasts a word every round and never halts, mixing what it
+// hears into its state like gossipNode.  With twiceAt > 0 it broadcasts a
+// second time in that round, which aborts the run with ErrModelViolation
+// at the round's end; otherwise MaxRounds cuts it off.  Either way the run
+// ends with broadcasts staged in both slots.
+type abortNode struct {
+	id, twiceAt   int
+	rounds, state int
+}
+
+func (n *abortNode) Init(ctx *Context) {
+	n.state = n.id + 1
+	ctx.Broadcast([]int32{int32(n.id), 0})
+}
+
+func (n *abortNode) Round(ctx *Context, inbox []Inbound) {
+	n.rounds++
+	for _, in := range inbox {
+		for _, w := range in.Words {
+			n.state = (n.state*1000003 + in.From*31 + int(w)) % 1000000007
+		}
+	}
+	ctx.Broadcast([]int32{int32(n.id), int32(n.state % 4093)})
+	if n.rounds == n.twiceAt && n.id%3 == 1 {
+		ctx.Broadcast([]int32{int32(n.id)})
+	}
+}
+
+func (n *abortNode) Done() bool { return false }
+
+// TestRunsOnOneRunnerAreIndependent runs gossip, an aborting run and gossip
+// again on one Runner, and requires each run's Stats, error, node states
+// and probe profile (durations zeroed) to equal a fresh runner's, at
+// Workers 1, 2 and 8.  The aborting run leaves staged broadcasts, recorded
+// violations and probe word counts behind; every Run must reset them.
+func TestRunsOnOneRunnerAreIndependent(t *testing.T) {
+	g := testGrid(7, 9)
+	type protocol struct {
+		phase string
+		make  func(v int) (Node, func() int)
+		want  error
+	}
+	gossip := protocol{"gossip", func(v int) (Node, func() int) {
+		n := &gossipNode{id: v, total: 12}
+		return n, func() int { return n.state }
+	}, nil}
+	aborting := func(twiceAt int, want error) protocol {
+		return protocol{"abort", func(v int) (Node, func() int) {
+			n := &abortNode{id: v, twiceAt: twiceAt}
+			return n, func() int { return n.state }
+		}, want}
+	}
+	type outcome struct {
+		stats   Stats
+		err     error
+		states  []int
+		profile []byte
+	}
+	run := func(r *Runner, p *Probe, pr protocol) outcome {
+		states := make([]func() int, g.N())
+		stats, err := r.Run(pr.phase, func(v int) Node {
+			n, state := pr.make(v)
+			states[v] = state
+			return n
+		})
+		out := outcome{stats: stats, err: err, states: make([]int, g.N())}
+		for v, state := range states {
+			out.states[v] = state()
+		}
+		profiles := p.Profiles()
+		out.profile, _ = json.Marshal(stripDurations(profiles[len(profiles)-1]))
+		return out
+	}
+	for _, abort := range []protocol{aborting(4, ErrModelViolation), aborting(0, ErrMaxRounds)} {
+		for _, workers := range []int{1, 2, 8} {
+			opts := func(p *Probe) Options { return Options{Workers: workers, MaxRounds: 20, Probe: p} }
+			shared := &Probe{TopK: g.N() + 1}
+			r := NewRunner(g, CongestBC, opts(shared))
+			for i, pr := range []protocol{gossip, abort, gossip} {
+				fresh := &Probe{TopK: g.N() + 1}
+				want := run(NewRunner(g, CongestBC, opts(fresh)), fresh, pr)
+				got := run(r, shared, pr)
+				if !errors.Is(want.err, pr.want) || (pr.want == nil) != (want.err == nil) {
+					t.Fatalf("%v workers=%d run %d: a fresh runner ended with %v, want %v", abort.want, workers, i, want.err, pr.want)
+				}
+				if got.stats != want.stats || fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+					t.Fatalf("%v workers=%d run %d: %+v, %v on the shared runner; %+v, %v on a fresh one",
+						abort.want, workers, i, got.stats, got.err, want.stats, want.err)
+				}
+				if !slices.Equal(got.states, want.states) {
+					t.Fatalf("%v workers=%d run %d: node states differ from a fresh runner's", abort.want, workers, i)
+				}
+				if !bytes.Equal(got.profile, want.profile) {
+					t.Fatalf("%v workers=%d run %d: profile differs from a fresh runner's:\n%s\nvs\n%s",
+						abort.want, workers, i, got.profile, want.profile)
+				}
+			}
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // Simulator metrics, recorded into the process-wide default registry
 // (obs.Default) so one domserved /metrics scrape covers every run,
 // regardless of which engine or pipeline triggered it.  Labels: the
-// communication model (LOCAL / CONGEST_BC) and the pipeline phase
-// (Options.Phase; internal/distalgo tags each of its stages).  The counters
+// communication model (LOCAL / CONGEST_BC) and the pipeline phase (the
+// label Runner.Run is given; internal/distalgo names each of its stages).  The counters
 // mirror Stats — rounds, per-neighbor deliveries, delivered words — which
 // are exactly the quantities the paper's CONGEST accounting (and the E10
 // successor comparison) measures.
@@ -77,8 +77,6 @@ func errorReason(err error) string {
 		return "model_violation"
 	case errors.Is(err, ErrBadModel):
 		return "bad_model"
-	case errors.Is(err, ErrRunnerReused):
-		return "runner_reused"
 	default:
 		return "other"
 	}

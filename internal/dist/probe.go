@@ -67,7 +67,8 @@ type VertexWords struct {
 // RunProfile is the full telemetry of one Runner.Run.
 type RunProfile struct {
 	Model string `json:"model"`
-	// Phase is Options.Phase — the pipeline stage this run implements.
+	// Phase is the label passed to Runner.Run — the pipeline stage this run
+	// implements.
 	Phase string `json:"phase"`
 	N     int    `json:"n"`
 	// Stats duplicates the run's aggregate statistics so a profile is
@@ -88,8 +89,8 @@ type RunProfile struct {
 const DefaultTopK = 16
 
 // Probe collects RunProfiles from every Runner that runs with it in
-// Options.Probe.  One Probe may be shared across the sequential phases of a
-// pipeline (internal/distalgo does exactly that), yielding one RunProfile
+// Options.Probe, one per Run.  The sequential phases of a pipeline share
+// one (internal/distalgo runs them on one Runner), yielding one RunProfile
 // per phase; it is safe for concurrent use.
 type Probe struct {
 	// TopK bounds the per-run congestion table (0 = DefaultTopK, negative =

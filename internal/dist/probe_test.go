@@ -15,7 +15,7 @@ import (
 func runGossipProbed(t *testing.T, g *graph.Graph, workers int) (*Probe, Stats) {
 	t.Helper()
 	p := &Probe{TopK: g.N() + 1} // unbounded: the tests sum whole tables
-	stats, err := NewRunner(g, CongestBC, Options{Workers: workers, Probe: p}).Run(func(v int) Node {
+	stats, err := NewRunner(g, CongestBC, Options{Workers: workers, Probe: p}).Run("gossip", func(v int) Node {
 		return &gossipNode{id: v, total: 12}
 	})
 	if err != nil {
@@ -127,7 +127,7 @@ func TestProbeCongestionTable(t *testing.T) {
 
 	// The default bound caps the table.
 	pDef := &Probe{}
-	if _, err := NewRunner(g, CongestBC, Options{Probe: pDef}).Run(func(v int) Node {
+	if _, err := NewRunner(g, CongestBC, Options{Probe: pDef}).Run("gossip", func(v int) Node {
 		return &gossipNode{id: v, total: 3}
 	}); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestProbeCongestionTable(t *testing.T) {
 	}
 	// A negative bound disables the table.
 	pOff := &Probe{TopK: -1}
-	if _, err := NewRunner(g, CongestBC, Options{Probe: pOff}).Run(func(v int) Node {
+	if _, err := NewRunner(g, CongestBC, Options{Probe: pOff}).Run("gossip", func(v int) Node {
 		return &gossipNode{id: v, total: 3}
 	}); err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestCongestionTableMatchesFullSort(t *testing.T) {
 func TestProbeDisabledAllocatesNothing(t *testing.T) {
 	g := testGrid(4, 4)
 	r := NewRunner(g, CongestBC, Options{Workers: 1})
-	if _, err := r.Run(func(v int) Node { return &gossipNode{id: v, total: 4} }); err != nil {
+	if _, err := r.Run("gossip", func(v int) Node { return &gossipNode{id: v, total: 4} }); err != nil {
 		t.Fatal(err)
 	}
 	if r.rounds != nil || r.sentWords != nil || r.recvWords != nil {
@@ -225,9 +225,9 @@ func TestProbeDisabledAllocatesNothing(t *testing.T) {
 func TestProbeRecordsAbortedRun(t *testing.T) {
 	g := testGrid(2, 3)
 	p := &Probe{}
-	_, err := NewRunner(g, CongestBC, Options{MaxRounds: 3, Probe: p}).Run(func(v int) Node {
+	_, err := NewRunner(g, CongestBC, Options{MaxRounds: 3, Probe: p}).Run("chatter", func(v int) Node {
 		return &funcNode{
-			round: func(ctx *Context, _ []Inbound) { ctx.Broadcast(IntMessage(1)) },
+			round: func(ctx *Context, _ []Inbound) { ctx.Broadcast([]int32{1}) },
 			done:  func() bool { return false },
 		}
 	})
@@ -251,7 +251,7 @@ func TestProbeSharedAcrossRuns(t *testing.T) {
 	g := testGrid(3, 4)
 	p := &Probe{}
 	for _, phase := range []string{"alpha", "beta"} {
-		if _, err := NewRunner(g, CongestBC, Options{Phase: phase, Probe: p}).Run(func(v int) Node {
+		if _, err := NewRunner(g, CongestBC, Options{Probe: p}).Run(phase, func(v int) Node {
 			return &gossipNode{id: v, total: 2}
 		}); err != nil {
 			t.Fatal(err)
@@ -271,7 +271,7 @@ func TestPerfettoEvents(t *testing.T) {
 	g := testGrid(3, 3)
 	p := &Probe{}
 	for _, phase := range []string{"hpartition", "wreach"} {
-		if _, err := NewRunner(g, CongestBC, Options{Phase: phase, Probe: p}).Run(func(v int) Node {
+		if _, err := NewRunner(g, CongestBC, Options{Probe: p}).Run(phase, func(v int) Node {
 			return &gossipNode{id: v, total: 3}
 		}); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,25 @@ package dist
 
 import "bedom/internal/graph"
 
+// worker is the state of one goroutine stepping a block of vertices: its
+// round accumulator and its two slabs.  slab[p] holds the words of the
+// broadcasts its vertices staged in the last round of parity p.  Those
+// words are read by the neighbors' steps of the next round only, so the
+// worker empties slab[t%2] when it starts round t and reuses its array.
+// Message memory thus lives in a few pointer-free arrays per run.
+type worker struct {
+	acc  roundAccum
+	slab [2][]int32
+}
+
+// stage appends words to the slab of parity p and returns their window
+// there, capped so that a receiver's append cannot reach the next message.
+func (w *worker) stage(p int, words []int32) []int32 {
+	start := len(w.slab[p])
+	w.slab[p] = append(w.slab[p], words...)
+	return w.slab[p][start:len(w.slab[p]):len(w.slab[p])]
+}
+
 // roundAccum collects the per-round bookkeeping of one worker: delivery
 // statistics, the quiescence and halting flags, and whether a model
 // violation was recorded.  Workers fill private accumulators that are merged
@@ -48,19 +67,21 @@ func (a *roundAccum) merge(b *roundAccum) {
 // Runner.step); ParallelBlocks returns after every block is done, which
 // orders one round before the next.
 func (r *Runner) forEachNode() roundAccum {
-	graph.ParallelBlocks(r.g.N(), len(r.accs), r.stepBlocks)
+	graph.ParallelBlocks(r.g.N(), len(r.workers), r.stepBlocks)
 	total := roundAccum{allDone: true}
-	for k := range r.accs {
-		total.merge(&r.accs[k])
+	for k := range r.workers {
+		total.merge(&r.workers[k].acc)
 	}
 	return total
 }
 
-// stepBlock steps the vertices lo..hi-1 into worker k's accumulator.
+// stepBlock steps the vertices lo..hi-1 as worker k: it resets the
+// worker's accumulator and its slab of this round's parity.
 func (r *Runner) stepBlock(k, lo, hi int) {
-	acc := &r.accs[k]
-	*acc = roundAccum{allDone: true}
+	w := &r.workers[k]
+	w.acc = roundAccum{allDone: true}
+	w.slab[r.round%2] = w.slab[r.round%2][:0]
 	for v := lo; v < hi; v++ {
-		r.step(acc, v)
+		r.step(w, v)
 	}
 }

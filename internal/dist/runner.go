@@ -7,8 +7,10 @@ import (
 	"bedom/internal/graph"
 )
 
-// Runner executes one protocol on one graph.  Create it with NewRunner and
-// execute with Run; a Runner is single-use.
+// Runner executes protocols on one graph in one model.  Create it with
+// NewRunner and execute with Run, any number of times: a pipeline runs its
+// phases in sequence on one Runner.  Each Run is a fresh run with its own
+// Stats and RunProfile; it reuses the arrays of the runs before it.
 type Runner struct {
 	g     *graph.Graph
 	model Model
@@ -22,29 +24,33 @@ type Runner struct {
 	// of v are tgt[off[v]:off[v+1]], sorted increasingly (see graph.CSR).
 	off, tgt []int32
 
+	// The arrays below are allocated by the first Run and reused by every
+	// later one, which resets what it reads of them.
 	nodes   []Node
 	halters []Halter // halters[v] is nil when nodes[v] has no Done method
 	ctxs    []Context
 	// inbound backs every inbox: v's is the window inbound[off[v]:off[v+1]],
 	// since v hears at most one message per neighbor per round.
 	inbound []Inbound
-	// accs holds one round accumulator per worker, and stepBlocks is
-	// stepBlock bound once per run (a method value handed to another
-	// goroutine escapes, so binding it every round would allocate).
-	accs       []roundAccum
+	// workers holds one accumulator and two slabs per stepping goroutine,
+	// and stepBlocks is stepBlock bound once (a method value handed to
+	// another goroutine escapes, so binding it every round would
+	// allocate).
+	workers    []worker
 	stepBlocks func(k, lo, hi int)
 
 	// Telemetry state, only allocated when opts.Probe is set (the disabled
-	// path must cost nothing — see probe.go for the contract).
+	// path must cost nothing — see probe.go for the contract).  rounds is
+	// the current run's and handed to its profile; the word arrays are
+	// cleared for every run.
 	rounds    []RoundProfile
 	sentWords []int64
 	recvWords []int64
 
 	round int
-	used  bool
 }
 
-// NewRunner prepares a simulator run of the given model on the finalized
+// NewRunner prepares simulator runs of the given model on the finalized
 // graph g.  The graph is only read, in place; it may be shared between
 // concurrent runners.
 func NewRunner(g *graph.Graph, model Model, opts Options) *Runner {
@@ -75,24 +81,22 @@ func (r *Runner) row(v int) []int32 { return r.tgt[r.off[v]:r.off[v+1]] }
 // vertex order, so factories may write to shared result slices), runs Init
 // and then synchronous rounds until termination, and returns the accumulated
 // statistics.  On a model violation or round overrun it returns the
-// statistics gathered so far together with the error.
+// statistics gathered so far together with the error.  A later Run on the
+// same Runner is unaffected by how this one ended.
 //
 // Termination: the run ends after the first round in which no node sent a
 // message and every node implementing Halter is done.
 //
 // Every run (successful or failed) is summarised in one RunProfile: the
-// process-wide simulator metrics account it under its model and
-// Options.Phase (see metrics.go), and a Probe, when set, keeps it with its
-// round profiles and congestion table.
-func (r *Runner) Run(factory func(v int) Node) (Stats, error) {
-	if r.used {
-		return Stats{}, ErrRunnerReused
-	}
+// process-wide simulator metrics account it under its model and phase, the
+// pipeline stage it implements (see metrics.go), and a Probe, when set,
+// keeps it with its round profiles and congestion table.
+func (r *Runner) Run(phase string, factory func(v int) Node) (Stats, error) {
 	start := time.Now()
 	st, err := r.run(factory)
 	rp := RunProfile{
 		Model:      r.model.String(),
-		Phase:      r.opts.Phase,
+		Phase:      phase,
 		N:          r.g.N(),
 		Stats:      st,
 		DurationNS: time.Since(start).Nanoseconds(),
@@ -109,8 +113,30 @@ func (r *Runner) Run(factory func(v int) Node) (Stats, error) {
 	return st, err
 }
 
+// alloc makes the arrays every run of the runner reuses.
+func (r *Runner) alloc() {
+	n := r.g.N()
+	r.nodes = make([]Node, n)
+	r.halters = make([]Halter, n)
+	r.ctxs = make([]Context, n)
+	r.inbound = make([]Inbound, len(r.tgt))
+	r.workers = make([]worker, graph.ResolveWorkers(r.opts.Workers, n))
+	// Each slab starts with room for one word per vertex of its block, a
+	// round of single-word broadcasts; wider rounds grow it, and later runs
+	// keep the room.
+	size := n/len(r.workers) + 1
+	for k := range r.workers {
+		r.workers[k].slab = [2][]int32{make([]int32, 0, size), make([]int32, 0, size)}
+	}
+	r.stepBlocks = r.stepBlock
+	if r.opts.Probe != nil {
+		r.sentWords = make([]int64, n)
+		r.recvWords = make([]int64, n)
+	}
+}
+
 func (r *Runner) run(factory func(v int) Node) (Stats, error) {
-	r.used = true
+	r.rounds = nil // the previous run's profile owns its rounds
 	if !r.model.valid() {
 		return Stats{}, fmt.Errorf("%w: %d", ErrBadModel, int(r.model))
 	}
@@ -118,31 +144,22 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 	if n == 0 {
 		return Stats{}, nil
 	}
-
-	r.nodes = make([]Node, n)
-	r.halters = make([]Halter, n)
+	if r.nodes == nil {
+		r.alloc()
+	}
+	clear(r.sentWords)
+	clear(r.recvWords)
 	for v := 0; v < n; v++ {
 		node := factory(v)
 		if node == nil {
 			return Stats{}, fmt.Errorf("dist: factory returned nil node for vertex %d", v)
 		}
 		r.nodes[v] = node
-		if h, ok := node.(Halter); ok {
-			r.halters[v] = h
-		}
-	}
-	r.ctxs = make([]Context, n)
-	for v := range r.ctxs {
+		r.halters[v], _ = node.(Halter)
+		// A fresh context: no staged broadcast, no recorded violation.
 		r.ctxs[v] = Context{r: r, v: v}
 	}
-	r.inbound = make([]Inbound, len(r.tgt))
-	r.accs = make([]roundAccum, graph.ResolveWorkers(r.opts.Workers, n))
-	r.stepBlocks = r.stepBlock
 	probe := r.opts.Probe
-	if probe != nil {
-		r.sentWords = make([]int64, n)
-		r.recvWords = make([]int64, n)
-	}
 
 	// Round 0: Init every node.
 	r.round = 0
@@ -190,13 +207,19 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 	}
 }
 
-// step executes vertex v's part of the current round t.  Round 0 calls
-// Init.  Later rounds gather the inbox from the neighbors' round t-1 slots,
-// clear v's round t slot and call Round.  A step only reads other vertices'
-// t-1 slots and writes its own vertex's state, so steps of distinct
-// vertices never conflict.
-func (r *Runner) step(acc *roundAccum, v int) {
+// step executes vertex v's part of the current round t as worker w.  Round
+// 0 calls Init.  Later rounds gather the inbox from the neighbors' round t-1
+// slots, clear v's round t slot and call Round.  A step only reads other
+// vertices' t-1 slots and writes its own vertex's state and w's, so steps
+// of distinct vertices never conflict.
+func (r *Runner) step(w *worker, v int) {
 	c := &r.ctxs[v]
+	if c.w != w {
+		// A vertex keeps its worker from round to round, so this pointer
+		// store, which costs a write barrier while the GC marks, is rare.
+		c.w = w
+	}
+	acc := &w.acc
 	t := r.round
 	sent := &c.sent[t%2]
 	if t == 0 {
@@ -206,9 +229,9 @@ func (r *Runner) step(acc *roundAccum, v int) {
 		lo := r.off[v]
 		inbox := r.inbound[lo:lo:r.off[v+1]]
 		for _, u := range r.row(v) {
-			if m := &r.ctxs[u].sent[(t-1)%2]; m.msg != nil {
-				inbox = append(inbox, Inbound{From: int(u), Msg: m.msg})
-				acc.deliver(m.words)
+			if m := r.ctxs[u].sent[(t-1)%2]; len(m) != 0 {
+				inbox = append(inbox, Inbound{From: int(u), Words: m})
+				acc.deliver(len(m))
 			}
 		}
 		if r.recvWords != nil {
@@ -217,7 +240,7 @@ func (r *Runner) step(acc *roundAccum, v int) {
 			// disabled path free of per-delivery probe work.
 			r.recvWords[v] += acc.words - wordsBefore
 		}
-		*sent = sentMsg{}
+		*sent = (*sent)[:0] // a length store: no write barrier
 		r.nodes[v].Round(c, inbox)
 		if h := r.halters[v]; h == nil || h.Done() {
 			acc.halted++
@@ -225,7 +248,7 @@ func (r *Runner) step(acc *roundAccum, v int) {
 			acc.allDone = false
 		}
 	}
-	if sent.msg != nil {
+	if len(*sent) != 0 {
 		acc.anySent = true
 		acc.active++
 		if r.sentWords != nil {
@@ -234,7 +257,7 @@ func (r *Runner) step(acc *roundAccum, v int) {
 			// aborts before the next round never delivers these; a
 			// successful run's last round stages nothing, so there send and
 			// receive totals agree.
-			r.sentWords[v] += int64(sent.words) * int64(r.off[v+1]-r.off[v])
+			r.sentWords[v] += int64(len(*sent)) * int64(r.off[v+1]-r.off[v])
 		}
 	}
 	if c.err != nil {

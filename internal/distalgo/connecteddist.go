@@ -7,24 +7,27 @@ import (
 )
 
 // mark runs the path-marking phase of Theorem 10: every dominator of D
-// sends, along each of its stored weak-reachability paths (horizon 2r+1), a
-// token instructing all path vertices to join the connected dominating set
-// D'.  Every vertex that holds or forwards a token joins.
-func (p *pipeline) mark(witnesses [][]order.PathTo, D []int, r int) ([]int, error) {
+// sends, along each of its stored weak-reachability paths (horizon 2r+1,
+// read from its Algorithm 4 table), a token instructing all path vertices
+// to join the connected dominating set D'.  Every vertex that holds or
+// forwards a token joins.
+func (p *pipeline) mark(wr []wreachNode, D []int, r int) ([]int, error) {
 	inD := make([]bool, p.g.N())
 	for _, v := range D {
 		inD[v] = true
 	}
-	nodes, err := p.routeTokens("connect", 2*r+1, func(n *routerNode) {
+	nodes, err := p.routeTokens("connect", 2*r+1, func(n *routerNode, toks []int32) []int32 {
 		if !inD[n.id] {
-			return
+			return toks
 		}
 		n.onPath = true
-		for _, pt := range witnesses[n.id] {
-			if len(pt.Path) >= 2 {
-				n.tokens = append(n.tokens, pt.Path)
+		w := &wr[n.id]
+		for _, e := range w.best {
+			if e.end-e.start >= 2 {
+				toks = w.appendToken(toks, e)
 			}
 		}
+		return toks
 	})
 	if err != nil {
 		return nil, err
@@ -80,15 +83,15 @@ func RunConnectedDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Optio
 
 // connectedDomSet runs the phases of Theorem 10 on the order o.
 func (p *pipeline) connectedDomSet(o *order.Order, r int) (*ConnectedResult, error) {
-	wits, err := p.wreach(o, 2*r+1)
+	wr, err := p.wreach(o, 2*r+1)
 	if err != nil {
 		return nil, err
 	}
-	D, err := p.elect(wits, r)
+	D, err := p.elect(wr, r)
 	if err != nil {
 		return nil, err
 	}
-	set, err := p.mark(wits, D, r)
+	set, err := p.mark(wr, D, r)
 	if err != nil {
 		return nil, err
 	}

@@ -15,15 +15,22 @@
 //     approximation for planar graphs [36], used as the baseline that
 //     Theorem 17 is combined with.
 //
-// Every public driver is a chain of simulator phases run by one pipeline,
-// whose run method starts each phase, names it (dist.Options.Phase) and adds
+// Every public driver is a chain of simulator phases run by one pipeline on
+// one dist.Runner, whose run method starts each phase, names it and adds
 // its cost to the pipeline's total.  So every driver returns the computed
 // objects with the round/message statistics of all its phases, and a
 // dist.Probe passed in the options records each phase separately.
+//
+// Every message is a span of int32 words, one word per vertex id or small
+// integer.  Each protocol documents its encoding beside its node (DESIGN.md
+// §2 tabulates them), and one that sends two kinds of message in a run
+// (Lenzen, the connector, kubsv) tells them apart by the round they arrive
+// in.
 package distalgo
 
 import (
 	"fmt"
+	"slices"
 
 	"bedom/internal/dist"
 	"bedom/internal/graph"
@@ -35,6 +42,8 @@ type pipeline struct {
 	g     *graph.Graph
 	model dist.Model
 	opts  dist.Options
+	// runner runs every phase; the first phase makes it.
+	runner *dist.Runner
 	// Stats totals the cost of the phases run so far.
 	Stats dist.Stats
 }
@@ -43,9 +52,10 @@ type pipeline struct {
 // from node.  Its cost is added to the pipeline's total, and a failure is
 // returned wrapped with the phase's name.
 func (p *pipeline) run(phase string, node func(v int) dist.Node) error {
-	opts := p.opts
-	opts.Phase = phase
-	st, err := dist.NewRunner(p.g, p.model, opts).Run(node)
+	if p.runner == nil {
+		p.runner = dist.NewRunner(p.g, p.model, p.opts)
+	}
+	st, err := p.runner.Run(phase, node)
 	p.Stats.Add(st)
 	if err != nil {
 		return fmt.Errorf("distalgo: %s failed: %w", phase, err)
@@ -61,17 +71,8 @@ func atLeastOne(name string, x int) error {
 	return nil
 }
 
-// pathsMessage is the wire format of every path-carrying phase: a set of
-// vertex paths.  Algorithm 4 sends the paths it improved, the routing
-// phases send tokens (see router), and the refined order its hop-indexed
-// tokens.  Its size is the total number of ids carried.
-type pathsMessage [][]int
-
-// Words implements dist.Message.
-func (m pathsMessage) Words() int {
-	w := 0
-	for _, p := range m {
-		w += len(p)
-	}
-	return w
+// sortedDistinct sorts the tokens toks and drops repeats.
+func sortedDistinct(toks [][]int32) [][]int32 {
+	slices.SortFunc(toks, slices.Compare)
+	return slices.CompactFunc(toks, slices.Equal)
 }

@@ -1,8 +1,6 @@
 package distalgo
 
 import (
-	"slices"
-
 	"bedom/internal/dist"
 	"bedom/internal/graph"
 	"bedom/internal/order"
@@ -11,92 +9,112 @@ import (
 // router is the routing step shared by the election (Theorem 9), the path
 // marking (Theorem 10) and the LOCAL connector (Lemma 16).  A token is the
 // remaining path of a message travelling toward its target (current holder
-// first, target last).  The holder broadcasts all its tokens; only the
-// vertex named as the next hop picks each one up.
+// first, target last).  The holder broadcasts all its tokens, one after
+// another; only the vertex named as the next hop picks each one up.
 type router struct {
-	id int
+	id int32
 	// onPath reports that this vertex lies on a routed path: it originated
 	// a token or picked one up.  reached reports that a token ended here.
 	onPath, reached bool
+	// fwd and buf are the tokens to forward and the message they make,
+	// reused from round to round.
+	fwd [][]int32
+	buf []int32
 }
 
-// route picks up the tokens of msg whose next hop is this vertex and appends
-// the rest of every one that goes further to fwd.
-func (rt *router) route(msg pathsMessage, fwd pathsMessage) pathsMessage {
-	for _, p := range msg {
-		if len(p) < 2 || p[1] != rt.id {
-			continue
-		}
-		rt.onPath = true
-		if rest := p[1:]; len(rest) >= 2 {
-			fwd = append(fwd, rest)
-		} else {
-			rt.reached = true
+// forward picks up the tokens of inbox whose next hop is this vertex and
+// sends on the rest of every one that goes further.  Tokens never revisit
+// a vertex, so each occurrence of a message's sender starts one.
+func (rt *router) forward(ctx *dist.Context, inbox []dist.Inbound) {
+	rt.fwd = rt.fwd[:0]
+	for _, in := range inbox {
+		words, sender := in.Words, int32(in.From)
+		for len(words) > 0 {
+			end := 1
+			for end < len(words) && words[end] != sender {
+				end++
+			}
+			tok := words[:end]
+			words = words[end:]
+			if len(tok) < 2 || tok[1] != rt.id {
+				continue
+			}
+			rt.onPath = true
+			if rest := tok[1:]; len(rest) >= 2 {
+				rt.fwd = append(rt.fwd, rest)
+			} else {
+				rt.reached = true
+			}
 		}
 	}
-	return fwd
+	rt.send(ctx, rt.fwd)
 }
 
-// sendTokens broadcasts the distinct tokens of toks in increasing order.
-func sendTokens(ctx *dist.Context, toks pathsMessage) {
-	slices.SortFunc(toks, slices.Compare)
-	toks = slices.CompactFunc(toks, slices.Equal)
-	if len(toks) > 0 {
-		ctx.Broadcast(toks)
+// send broadcasts the distinct tokens of toks in increasing order.  The
+// tokens may be windows of this round's inbox: Broadcast copies them out.
+func (rt *router) send(ctx *dist.Context, toks [][]int32) {
+	rt.buf = rt.buf[:0]
+	for _, tok := range sortedDistinct(toks) {
+		rt.buf = append(rt.buf, tok...)
 	}
+	ctx.Broadcast(rt.buf)
 }
 
 // routerNode runs one routing phase: it originates its tokens in Init,
 // forwards what it picks up for hops rounds, and then halts.
 type routerNode struct {
 	router
-	tokens pathsMessage
+	// tokens are the originated tokens, one after another.
+	tokens []int32
 	hops   int
 	rounds int
 }
 
-func (n *routerNode) Init(ctx *dist.Context) {
-	if len(n.tokens) > 0 {
-		ctx.Broadcast(n.tokens)
-	}
-}
+func (n *routerNode) Init(ctx *dist.Context) { ctx.Broadcast(n.tokens) }
 
 func (n *routerNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	n.rounds++
-	var fwd pathsMessage
-	for _, in := range inbox {
-		fwd = n.route(in.Msg.(pathsMessage), fwd)
-	}
-	sendTokens(ctx, fwd)
+	n.forward(ctx, inbox)
 }
 
 func (n *routerNode) Done() bool { return n.rounds >= n.hops }
 
-// routeTokens runs a routing phase of the given number of hops; setup gives
-// each node its originated tokens and initial membership.
-func (p *pipeline) routeTokens(phase string, hops int, setup func(n *routerNode)) ([]routerNode, error) {
+// routeTokens runs a routing phase of the given number of hops; setup sets
+// each node's initial membership and appends its originated tokens to
+// toks, one flat array for every node.
+func (p *pipeline) routeTokens(phase string, hops int, setup func(n *routerNode, toks []int32) []int32) ([]routerNode, error) {
 	nodes := make([]routerNode, p.g.N())
+	var toks []int32
 	err := p.run(phase, func(v int) dist.Node {
 		n := &nodes[v]
-		n.id, n.hops = v, hops
-		setup(n)
+		n.id, n.hops = int32(v), hops
+		start := len(toks)
+		toks = setup(n, toks)
+		n.tokens = toks[start:len(toks):len(toks)]
 		return n
 	})
 	return nodes, err
 }
 
 // elect runs the election phase of Theorem 9: every vertex sends a token to
-// min WReach_r[G, L, v] along its stored routing path, asking it to join the
-// dominating set.  Every vertex a token reaches (or that is its own
-// minimum) joins.
-func (p *pipeline) elect(witnesses [][]order.PathTo, r int) ([]int, error) {
-	nodes, err := p.routeTokens("election", r, func(n *routerNode) {
-		if w, ok := MinTarget(witnesses[n.id], r); ok {
-			n.reached = w.Target == n.id
-			if !n.reached {
-				n.tokens = pathsMessage{w.Path}
+// min WReach_r[G, L, v] along the routing path in its Algorithm 4 table,
+// asking it to join the dominating set.  Every vertex a token reaches (or
+// that is its own minimum) joins.
+func (p *pipeline) elect(wr []wreachNode, r int) ([]int, error) {
+	nodes, err := p.routeTokens("election", r, func(n *routerNode, toks []int32) []int32 {
+		w := &wr[n.id]
+		// The table is sorted by target super-id, so the first entry
+		// within r is the least target; the node's own entry is within r.
+		for _, e := range w.best {
+			if int(e.end-e.start)-1 > r {
+				continue
 			}
+			if n.reached = w.arena[e.start] == n.id; !n.reached {
+				toks = w.appendToken(toks, e)
+			}
+			break
 		}
+		return toks
 	})
 	if err != nil {
 		return nil, err
@@ -119,8 +137,6 @@ type DomSetResult struct {
 	Set []int
 	// Order is the linear order used (super-ids).
 	Order *order.Order
-	// Witnesses are the weak-reachability witnesses computed by Algorithm 4.
-	Witnesses [][]order.PathTo
 	// Stats totals rounds and congestion across all phases.
 	Stats dist.Stats
 }
@@ -154,13 +170,13 @@ func RunDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*Dom
 // domSet runs the phases of Theorem 9 on the order o: Algorithm 4 with
 // horizon 2r, then the election.
 func (p *pipeline) domSet(o *order.Order, r int) (*DomSetResult, error) {
-	wits, err := p.wreach(o, 2*r)
+	wr, err := p.wreach(o, 2*r)
 	if err != nil {
 		return nil, err
 	}
-	set, err := p.elect(wits, r)
+	set, err := p.elect(wr, r)
 	if err != nil {
 		return nil, err
 	}
-	return &DomSetResult{R: r, Set: set, Order: o, Witnesses: wits, Stats: p.Stats}, nil
+	return &DomSetResult{R: r, Set: set, Order: o, Stats: p.Stats}, nil
 }

@@ -12,36 +12,56 @@ import (
 // VertexInfo is the knowledge record a node shares about itself during
 // LOCAL-model neighborhood gathering: its id, a boolean payload (dominator /
 // set-membership flag, depending on the algorithm) and its adjacency list.
+// On the wire it is the 2 + deg words [id, flag | deg<<1, adj…].
 type VertexInfo struct {
 	ID   int
 	Flag bool
-	Adj  []int
+	Adj  []int32
 }
 
 func (vi VertexInfo) vertex() int { return vi.ID }
 
-// neighborIDs returns a fresh []int copy of the node's neighbor row.
-func neighborIDs(ctx *dist.Context) []int {
-	row := ctx.Neighbors()
-	ids := make([]int, len(row))
-	for i, u := range row {
-		ids[i] = int(u)
-	}
-	return ids
+// knowledge gathers VertexInfo records by flooding them (see flood) and
+// holds their wire format.  The words of a message are only valid during
+// the Round call that received them, so the adjacency of a record learned
+// from one is copied into adj, an arena of the node's own; buf is the send
+// buffer.
+type knowledge struct {
+	flood[VertexInfo]
+	adj, buf []int32
 }
 
-// KnowledgeMessage carries a batch of knowledge records; it is only used in
-// the LOCAL model, where message size is unbounded, but its Words method
-// still reports the true size for the statistics.
-type KnowledgeMessage []VertexInfo
+// addSelf adds the record of the node ctx belongs to.  Its adjacency is the
+// node's CSR row, which outlives the run.
+func (k *knowledge) addSelf(id int, flag bool, ctx *dist.Context) {
+	k.add(VertexInfo{ID: id, Flag: flag, Adj: ctx.Neighbors()})
+}
 
-// Words implements dist.Message.
-func (m KnowledgeMessage) Words() int {
-	w := 0
-	for _, vi := range m {
-		w += 2 + len(vi.Adj)
+// send broadcasts the records learned since the last send, in increasing
+// vertex order (nothing when there are none).
+func (k *knowledge) send(ctx *dist.Context) {
+	k.buf = k.buf[:0]
+	for _, vi := range k.flush() {
+		fd := int32(len(vi.Adj)) << 1
+		if vi.Flag {
+			fd |= 1
+		}
+		k.buf = append(append(k.buf, int32(vi.ID), fd), vi.Adj...)
 	}
-	return w
+	ctx.Broadcast(k.buf)
+}
+
+// absorb adds the records of a message that are new to k.
+func (k *knowledge) absorb(words []int32) {
+	for len(words) >= 2 {
+		id, deg := int(words[0]), int(words[1]>>1)
+		if _, ok := k.known[id]; !ok {
+			start := len(k.adj)
+			k.adj = append(k.adj, words[2:2+deg]...)
+			k.add(VertexInfo{ID: id, Flag: words[1]&1 == 1, Adj: k.adj[start:len(k.adj):len(k.adj)]})
+		}
+		words = words[2+deg:]
+	}
 }
 
 // flood is a forward-once accumulator of records keyed by vertex id: the
@@ -63,12 +83,6 @@ func (f *flood[T]) add(rec T) {
 	}
 	f.known[rec.vertex()] = rec
 	f.fresh = append(f.fresh, rec)
-}
-
-func (f *flood[T]) absorb(recs []T) {
-	for _, rec := range recs {
-		f.add(rec)
-	}
 }
 
 // flush returns the records added since the last flush, in increasing
@@ -102,7 +116,7 @@ func localView(know map[int]VertexInfo) (lg *graph.Graph, toGlobal []int, toLoca
 		rec := know[id]
 		flags[i] = rec.Flag
 		for _, nb := range rec.Adj {
-			if j, ok := toLocal[nb]; ok && i != j {
+			if j, ok := toLocal[int(nb)]; ok && i != j {
 				// Error impossible: indices are in range and distinct.  An
 				// edge that both records list is added once: AddEdge drops
 				// the repeat.

@@ -47,12 +47,12 @@ const (
 func (h *hpartitionNode) Init(ctx *dist.Context) {
 	h.active = true
 	h.activeNeighbors = ctx.Degree()
-	ctx.Broadcast(dist.IntMessage(msgActive))
+	ctx.Broadcast([]int32{msgActive})
 }
 
 func (h *hpartitionNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	for _, in := range inbox {
-		if int(in.Msg.(dist.IntMessage)) == msgInactive {
+		if in.Words[0] == msgInactive {
 			h.activeNeighbors--
 		}
 	}
@@ -64,10 +64,10 @@ func (h *hpartitionNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 		// Join the class of the current phase.
 		h.active = false
 		h.class = ctx.Round()
-		ctx.Broadcast(dist.IntMessage(msgInactive))
+		ctx.Broadcast([]int32{msgInactive})
 		return
 	}
-	ctx.Broadcast(dist.IntMessage(msgActive))
+	ctx.Broadcast([]int32{msgActive})
 }
 
 func (h *hpartitionNode) Done() bool { return h.finished }

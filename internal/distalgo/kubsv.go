@@ -102,9 +102,10 @@ func KSVSequential(g *graph.Graph, r int) []int {
 
 // KSV flooding phases (the tag routes records to the right accumulator; the
 // windows are synchronized by round number, but a tag keeps boundary-round
-// stragglers from being misfiled).
+// stragglers from being misfiled).  A flood message is the 1 + 2·records
+// words [phase, id, val, id, val, …].
 const (
-	ksvPhaseCount    uint8 = iota + 1 // (id, c) records, radius 2r
+	ksvPhaseCount    int32 = iota + 1 // (id, c) records, radius 2r
 	ksvPhaseElect                     // elected ids, radius r
 	ksvPhaseUncov                     // uncovered ids, radius r
 	ksvPhaseDemand                    // (id, c') records, radius r
@@ -115,15 +116,6 @@ const (
 type ksvRecord struct{ ID, Val int }
 
 func (rec ksvRecord) vertex() int { return rec.ID }
-
-// ksvMessage carries the fresh records of one flooding phase.
-type ksvMessage struct {
-	Phase uint8
-	Recs  []ksvRecord
-}
-
-// Words implements dist.Message: one word for the phase tag, two per record.
-func (m ksvMessage) Words() int { return 1 + 2*len(m.Recs) }
 
 // ksvNode is the distributed implementation.  Round structure (7r rounds):
 //
@@ -137,8 +129,9 @@ type ksvNode struct {
 	id     int
 	r      int
 	rounds int
+	buf    []int32
 
-	gather  flood[VertexInfo]
+	gather  knowledge
 	c       int
 	cFlood  flood[ksvRecord] // (id, c) within distance 2r
 	elected bool
@@ -151,43 +144,48 @@ type ksvNode struct {
 }
 
 func (k *ksvNode) Init(ctx *dist.Context) {
-	k.gather.add(VertexInfo{ID: k.id, Adj: neighborIDs(ctx)})
-	ctx.Broadcast(KnowledgeMessage(k.gather.flush()))
+	k.gather.addSelf(k.id, false, ctx)
+	k.gather.send(ctx)
 }
 
 func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	k.rounds++
 	t, r := k.rounds, k.r
-	// Absorb within each phase's window (a record of phase p sent at the
-	// window's last forwarding round arrives one round later, so the absorb
-	// windows extend one round past the forwarding windows below).
+	// Knowledge records arrive in rounds 1..r and flood messages after
+	// that.  Absorb within each phase's window (a record of phase p sent at
+	// the window's last forwarding round arrives one round later, so the
+	// absorb windows extend one round past the forwarding windows below).
 	for _, in := range inbox {
-		switch msg := in.Msg.(type) {
-		case KnowledgeMessage:
-			if t <= r {
-				k.gather.absorb(msg)
+		if t <= r {
+			k.gather.absorb(in.Words)
+			continue
+		}
+		var f *flood[ksvRecord]
+		switch in.Words[0] {
+		case ksvPhaseCount:
+			if t <= 3*r {
+				f = &k.cFlood
 			}
-		case ksvMessage:
-			switch msg.Phase {
-			case ksvPhaseCount:
-				if t <= 3*r {
-					k.cFlood.absorb(msg.Recs)
-				}
-			case ksvPhaseElect:
-				if t <= 4*r {
-					k.elFlood.absorb(msg.Recs)
-				}
-			case ksvPhaseUncov:
-				if t <= 5*r {
-					k.unFlood.absorb(msg.Recs)
-				}
-			case ksvPhaseDemand:
-				if t <= 6*r {
-					k.ddFlood.absorb(msg.Recs)
-				}
-			case ksvPhaseNominate:
-				k.noFlood.absorb(msg.Recs)
+		case ksvPhaseElect:
+			if t <= 4*r {
+				f = &k.elFlood
 			}
+		case ksvPhaseUncov:
+			if t <= 5*r {
+				f = &k.unFlood
+			}
+		case ksvPhaseDemand:
+			if t <= 6*r {
+				f = &k.ddFlood
+			}
+		case ksvPhaseNominate:
+			f = &k.noFlood
+		}
+		if f == nil {
+			continue
+		}
+		for recs := in.Words[1:]; len(recs) >= 2; recs = recs[2:] {
+			f.add(ksvRecord{ID: int(recs[0]), Val: int(recs[1])})
 		}
 	}
 	// Phase boundaries: fold the completed window into the node state and
@@ -236,9 +234,7 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	// round, so the protocol is also legal in CONGEST_BC).
 	switch {
 	case t < r:
-		if msg := k.gather.flush(); len(msg) > 0 {
-			ctx.Broadcast(KnowledgeMessage(msg))
-		}
+		k.gather.send(ctx)
 	case t < 3*r:
 		k.broadcast(ctx, &k.cFlood, ksvPhaseCount)
 	case t < 4*r:
@@ -252,10 +248,16 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	}
 }
 
-func (k *ksvNode) broadcast(ctx *dist.Context, f *flood[ksvRecord], phase uint8) {
-	if recs := f.flush(); len(recs) > 0 {
-		ctx.Broadcast(ksvMessage{Phase: phase, Recs: recs})
+func (k *ksvNode) broadcast(ctx *dist.Context, f *flood[ksvRecord], phase int32) {
+	recs := f.flush()
+	if len(recs) == 0 {
+		return
 	}
+	k.buf = append(k.buf[:0], phase)
+	for _, rec := range recs {
+		k.buf = append(k.buf, int32(rec.ID), int32(rec.Val))
+	}
+	ctx.Broadcast(k.buf)
 }
 
 func (k *ksvNode) Done() bool { return k.rounds >= 7*k.r }

@@ -139,7 +139,7 @@ func LenzenSequential(g *graph.Graph) []int {
 //	round  7      chosen vertices notice they were selected
 type lenzenNode struct {
 	id     int
-	gather flood[VertexInfo]
+	gather knowledge
 	rounds int
 
 	inA          bool
@@ -151,48 +151,42 @@ type lenzenNode struct {
 }
 
 func (l *lenzenNode) Init(ctx *dist.Context) {
-	l.gather.add(VertexInfo{ID: l.id, Adj: neighborIDs(ctx)})
+	l.gather.addSelf(l.id, false, ctx)
 	l.neighborDomA = make(map[int]bool)
 	l.white = make(map[int]int)
-	ctx.Broadcast(KnowledgeMessage(l.gather.flush()))
+	l.gather.send(ctx)
 }
 
+// Round reads knowledge records in rounds 1 and 2 and one word per message
+// after that.
 func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	l.rounds++
 	switch l.rounds {
 	case 1:
 		for _, in := range inbox {
-			if msg, ok := in.Msg.(KnowledgeMessage); ok {
-				l.gather.absorb(msg)
-			}
+			l.gather.absorb(in.Words)
 		}
-		if msg := l.gather.flush(); len(msg) > 0 {
-			ctx.Broadcast(KnowledgeMessage(msg))
-		}
+		l.gather.send(ctx)
 	case 2:
 		for _, in := range inbox {
-			if msg, ok := in.Msg.(KnowledgeMessage); ok {
-				l.gather.absorb(msg)
-			}
+			l.gather.absorb(in.Words)
 		}
 		// Knowledge of the 2-ball is complete: decide membership in A.
 		lg, _, toLocal, _ := localView(l.gather.known)
 		l.inA = !coverableByTwo(graph.NewWalker(lg), toLocal[l.id])
-		ctx.Broadcast(dist.IntMessage(boolToInt(l.inA)))
+		ctx.Broadcast([]int32{boolToWord(l.inA)})
 	case 3:
 		domA := l.inA
 		for _, in := range inbox {
-			if v, ok := in.Msg.(dist.IntMessage); ok && int(v) == 1 {
+			if in.Words[0] == 1 {
 				domA = true
 			}
 		}
 		l.dominatedByA = domA
-		ctx.Broadcast(dist.IntMessage(boolToInt(l.dominatedByA)))
+		ctx.Broadcast([]int32{boolToWord(l.dominatedByA)})
 	case 4:
 		for _, in := range inbox {
-			if v, ok := in.Msg.(dist.IntMessage); ok {
-				l.neighborDomA[in.From] = int(v) == 1
-			}
+			l.neighborDomA[in.From] = in.Words[0] == 1
 		}
 		// White count over the closed neighborhood.
 		c := 0
@@ -205,12 +199,10 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			}
 		}
 		l.selfWhite = c
-		ctx.Broadcast(dist.IntMessage(c))
+		ctx.Broadcast([]int32{int32(c)})
 	case 5:
 		for _, in := range inbox {
-			if v, ok := in.Msg.(dist.IntMessage); ok {
-				l.white[in.From] = int(v)
-			}
+			l.white[in.From] = int(in.Words[0])
 		}
 		if !l.dominatedByA {
 			best := l.id
@@ -225,12 +217,12 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			if best == l.id {
 				l.chosen = true
 			} else {
-				ctx.Broadcast(dist.IntMessage(best))
+				ctx.Broadcast([]int32{int32(best)})
 			}
 		}
 	case 6:
 		for _, in := range inbox {
-			if v, ok := in.Msg.(dist.IntMessage); ok && int(v) == l.id {
+			if int(in.Words[0]) == l.id {
 				l.chosen = true
 			}
 		}
@@ -239,7 +231,7 @@ func (l *lenzenNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 
 func (l *lenzenNode) Done() bool { return l.rounds >= 6 }
 
-func boolToInt(b bool) int {
+func boolToWord(b bool) int32 {
 	if b {
 		return 1
 	}

@@ -22,51 +22,48 @@ type localConnectNode struct {
 	router // onPath: this vertex belongs to D'
 	r      int
 	inD    bool
-	gather flood[VertexInfo]
+	gather knowledge
 	rounds int
 }
 
 func (l *localConnectNode) Init(ctx *dist.Context) {
 	l.onPath = l.inD
-	l.gather.add(VertexInfo{ID: l.id, Flag: l.inD, Adj: neighborIDs(ctx)})
-	ctx.Broadcast(KnowledgeMessage(l.gather.flush()))
+	l.gather.addSelf(int(l.id), l.inD, ctx)
+	l.gather.send(ctx)
 }
 
+// Round reads knowledge records until the gathering ends (round 2r+1) and
+// tokens after that.
 func (l *localConnectNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	l.rounds++
-	var fwd pathsMessage
-	for _, in := range inbox {
-		switch msg := in.Msg.(type) {
-		case KnowledgeMessage:
-			l.gather.absorb(msg)
-		case pathsMessage:
-			fwd = l.route(msg, fwd)
-		}
-	}
 	switch gatherT := 2*l.r + 1; {
 	case l.rounds < gatherT:
 		// Keep flooding newly learned records.
-		if msg := l.gather.flush(); len(msg) > 0 {
-			ctx.Broadcast(KnowledgeMessage(msg))
+		for _, in := range inbox {
+			l.gather.absorb(in.Words)
 		}
+		l.gather.send(ctx)
 	case l.rounds == gatherT:
 		// Knowledge of the (2r+1)-ball is complete; dominators compute their
 		// connection paths and emit the first notification tokens.
+		for _, in := range inbox {
+			l.gather.absorb(in.Words)
+		}
 		if l.inD {
-			sendTokens(ctx, l.planTokens())
+			l.send(ctx, l.planTokens())
 		}
 	default:
 		// Forwarding phase.
-		sendTokens(ctx, fwd)
+		l.forward(ctx, inbox)
 	}
 }
 
 // planTokens performs the per-dominator local computation of Lemma 16 and
 // returns the notification tokens for this dominator's halves of the
 // canonical paths to its H(D)-neighbors.
-func (l *localConnectNode) planTokens() pathsMessage {
+func (l *localConnectNode) planTokens() [][]int32 {
 	lg, toGlobal, toLocal, flags := localView(l.gather.known)
-	selfLocal := toLocal[l.id]
+	selfLocal := toLocal[int(l.id)]
 	// Dominators visible in the local view.
 	var localD []int
 	for i, f := range flags {
@@ -99,7 +96,7 @@ func (l *localConnectNode) planTokens() pathsMessage {
 			hNeighbors[localD[pa]] = true
 		}
 	}
-	var out pathsMessage
+	var out [][]int32
 	neighList := make([]int, 0, len(hNeighbors))
 	for u := range hNeighbors {
 		neighList = append(neighList, u)
@@ -112,9 +109,9 @@ func (l *localConnectNode) planTokens() pathsMessage {
 			continue
 		}
 		// Translate to global ids.
-		gp := make([]int, len(path))
+		gp := make([]int32, len(path))
 		for i, x := range path {
-			gp[i] = toGlobal[x]
+			gp[i] = int32(toGlobal[x])
 		}
 		// The endpoint with the smaller global id covers the first half of
 		// the canonical path; the other endpoint covers the rest (both ends
@@ -129,7 +126,7 @@ func (l *localConnectNode) planTokens() pathsMessage {
 
 // myHalf returns the sub-path this dominator is responsible for, starting at
 // the dominator itself (so it can be routed as a token).
-func (l *localConnectNode) myHalf(gp []int) []int {
+func (l *localConnectNode) myHalf(gp []int32) []int32 {
 	lo, hi := gp[0], gp[len(gp)-1]
 	mid := (len(gp) - 1) / 2
 	if l.id == lo {
@@ -138,7 +135,7 @@ func (l *localConnectNode) myHalf(gp []int) []int {
 	if l.id == hi {
 		// Reverse the tail so it starts at this dominator.
 		tail := gp[mid+1:]
-		rev := make([]int, len(tail))
+		rev := make([]int32, len(tail))
 		for i, x := range tail {
 			rev[len(tail)-1-i] = x
 		}
@@ -181,7 +178,7 @@ func RunLocalConnector(g *graph.Graph, D []int, r int, opts dist.Options) (*Loca
 	p := &pipeline{g: g, model: dist.Local, opts: opts}
 	nodes := make([]localConnectNode, g.N())
 	err := p.run("local-connect", func(v int) dist.Node {
-		nodes[v] = localConnectNode{router: router{id: v}, r: r, inD: inD[v]}
+		nodes[v] = localConnectNode{router: router{id: int32(v)}, r: r, inD: inD[v]}
 		return &nodes[v]
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package distalgo
 
 import (
+	"slices"
 	"sort"
 
 	"bedom/internal/dist"
@@ -34,14 +35,16 @@ import (
 // H-partition (i.e. became inactive); it travels to all of its shortcut
 // neighbors.
 //
-// Both are encoded as pathsMessage entries of the form
+// A node handles both as decoded tokens
 //
 //	[kind, hopIndex, path[0], path[1], ..., path[L]]
 //
 // where path[0] is the origin, path[L] the destination and hopIndex the
 // position of the current holder within the path; kind 0 = hello, 1 = join.
 // Keeping the full path in the token lets the destination of a hello token
-// learn the reverse routing path back to the origin.
+// learn the reverse routing path back to the origin.  On the wire a token
+// is the 2 + L + 1 words [kind | hopIndex<<1, L + 1, path…], and a message
+// is its tokens one after another.
 
 const (
 	tokHello = 0
@@ -54,11 +57,12 @@ type refinedNode struct {
 	id        int
 	horizon   int
 	threshold int
-	// witnesses are this vertex's weak-reachability paths (self → target).
-	witnesses []order.PathTo
+	// wreach is this vertex's Algorithm 4 node, whose table holds its
+	// weak-reachability paths.
+	wreach *wreachNode
 
 	// shortcut neighbors: neighbor id → routing path (self first).
-	shortcut map[int][]int
+	shortcut map[int][]int32
 	// activeNeighbors tracks shortcut neighbors not yet known to have joined.
 	activeNeighbors map[int]bool
 	// pendingJoins buffers join announcements received before the hello
@@ -75,57 +79,68 @@ type refinedNode struct {
 	// announced reports whether the join announcement has been sent.
 	announced bool
 	maxRounds int
+	// tok is the scratch a received token is decoded into.
+	tok []int32
 }
 
 func (rn *refinedNode) Init(ctx *dist.Context) {
 	rn.active = true
-	rn.shortcut = make(map[int][]int)
+	rn.shortcut = make(map[int][]int32)
 	rn.activeNeighbors = make(map[int]bool)
 	rn.pendingJoins = make(map[int]bool)
 	// Originate hello tokens along every witness path (skip the self
 	// witness).
-	var out pathsMessage
-	for _, pt := range rn.witnesses {
-		if pt.Target == rn.id || len(pt.Path) < 2 {
+	var out [][]int32
+	for _, e := range rn.wreach.best {
+		if e.end-e.start < 2 {
 			continue
 		}
-		// Record the shortcut edge locally.
-		rn.shortcut[pt.Target] = append([]int(nil), pt.Path...)
-		rn.activeNeighbors[pt.Target] = true
-		tok := append([]int{tokHello, 0}, pt.Path...)
-		out = append(out, tok)
+		// Record the shortcut edge locally, its path self → target.
+		path := rn.wreach.appendToken(nil, e)
+		target := int(path[len(path)-1])
+		rn.shortcut[target] = path
+		rn.activeNeighbors[target] = true
+		out = append(out, append([]int32{tokHello, 0}, path...))
 	}
-	if len(out) > 0 {
-		ctx.Broadcast(out)
+	ctx.Broadcast(encodeTokens(out))
+}
+
+// encodeTokens writes decoded tokens as one message.
+func encodeTokens(toks [][]int32) []int32 {
+	var words []int32
+	for _, tok := range toks {
+		words = append(words, tok[0]|tok[1]<<1, int32(len(tok)-2))
+		words = append(words, tok[2:]...)
 	}
+	return words
 }
 
 // handleToken processes a token whose next hop is this vertex and returns the
 // forwarded continuation (nil if the token terminated here or is not
 // addressed to this vertex).
-func (rn *refinedNode) handleToken(tok []int) []int {
+func (rn *refinedNode) handleToken(tok []int32) []int32 {
 	if len(tok) < 4 {
 		return nil
 	}
-	kind, hop := tok[0], tok[1]
+	kind, hop := tok[0], int(tok[1])
 	path := tok[2:]
-	if hop+1 >= len(path) || path[hop+1] != rn.id {
+	if hop+1 >= len(path) || int(path[hop+1]) != rn.id {
 		return nil
 	}
 	hop++
 	if hop < len(path)-1 {
 		// Not yet at the destination: forward with the advanced hop index.
-		fwd := append([]int(nil), tok...)
-		fwd[1] = hop
+		fwd := slices.Clone(tok)
+		fwd[1] = int32(hop)
 		return fwd
 	}
 	// Token arrived at its destination (this vertex).
-	origin := path[0]
+	origin := int(path[0])
 	switch kind {
 	case tokHello:
 		if _, ok := rn.shortcut[origin]; !ok {
 			// Store the reverse path back to the origin.
-			rev := make([]int, len(path))
+			rev := make([]int32, len(path))
 			for i, x := range path {
 				rev[len(path)-1-i] = x
 			}
@@ -149,11 +164,15 @@ func (rn *refinedNode) handleToken(tok []int) []int {
 func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	rn.rounds++
 	sawToken := false
-	var forward pathsMessage
+	var forward [][]int32
 	for _, in := range inbox {
-		for _, tok := range in.Msg.(pathsMessage) {
+		// Each token carries its path length in its second word.
+		for words := in.Words; len(words) >= 2; {
+			n := 2 + int(words[1])
+			rn.tok = append(append(rn.tok[:0], words[0]&1, words[0]>>1), words[2:n]...)
+			words = words[n:]
 			sawToken = true
-			if cont := rn.handleToken(tok); cont != nil {
+			if cont := rn.handleToken(rn.tok); cont != nil {
 				forward = append(forward, cont)
 			}
 		}
@@ -186,10 +205,10 @@ func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			if len(path) < 2 {
 				continue
 			}
-			forward = append(forward, append([]int{tokJoin, 0}, path...))
+			forward = append(forward, append([]int32{tokJoin, 0}, path...))
 		}
 	}
-	sendTokens(ctx, forward)
+	ctx.Broadcast(encodeTokens(sortedDistinct(forward)))
 }
 
 func (rn *refinedNode) Done() bool {
@@ -239,7 +258,7 @@ func (p *pipeline) refinedOrder(horizon int, threshold int) (refined, base *orde
 	if err != nil {
 		return nil, nil, err
 	}
-	wits, err := p.wreach(hp.Order, horizon)
+	wr, err := p.wreach(hp.Order, horizon)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,8 +270,8 @@ func (p *pipeline) refinedOrder(horizon int, threshold int) (refined, base *orde
 		// Sub-shortcut-graphs may locally exceed the average; the
 		// stall-breaker inside the nodes guarantees termination regardless.
 		total := 0
-		for _, w := range wits {
-			total += len(w) - 1
+		for i := range wr {
+			total += len(wr[i].best) - 1
 		}
 		avg := 1
 		if g.N() > 0 {
@@ -271,7 +290,7 @@ func (p *pipeline) refinedOrder(horizon int, threshold int) (refined, base *orde
 			id:        v,
 			horizon:   horizon,
 			threshold: threshold,
-			witnesses: wits[v],
+			wreach:    &wr[v],
 			maxRounds: maxRounds,
 		}
 		return nodes[v]

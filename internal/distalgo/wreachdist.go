@@ -9,83 +9,85 @@ import (
 	"bedom/internal/order"
 )
 
-// wreachNode implements Algorithm 4 (WReachDist) of the paper.  Its messages
-// are pathsMessages, each path a vertex sequence starting at the weakly
-// reachable target and ending at the broadcasting vertex.  Every vertex
-// w maintains, for each vertex u with sid(u) < sid(w) discovered so far, the
-// best known path from u to w (shortest, ties broken lexicographically by
-// super-ids).  In each round it broadcasts the paths it improved, extended by
-// itself, provided they are still short enough to be extended further.
+// wreachNode implements Algorithm 4 (WReachDist) of the paper.  Its
+// messages are paths, each a vertex sequence starting at the weakly
+// reachable target and ending at the broadcasting vertex, sent one after
+// another.  Every vertex w maintains, for each vertex u with sid(u) <
+// sid(w) discovered so far, the best known path from u to w (shortest, ties
+// broken lexicographically by super-ids).  In each round it broadcasts the
+// paths it improved, extended by itself, provided they are still short
+// enough to be extended further.
 type wreachNode struct {
-	id      int
+	id      int32
 	pos     []int // pos[v] = super-id (position in L) of vertex v
 	horizon int
 
 	// best holds the best known path to every discovered target, sorted by
 	// the target's super-id (entry 0 is the node itself until a smaller
-	// target turns up).
+	// target turns up).  It is Algorithm 4's table, which the later phases
+	// read in place.
 	best []wreachEntry
-	// arena backs every adopted path, and sent the path lists of this
-	// node's broadcasts.  Both only grow: an adopted path or a sent list is
-	// never written again, so the broadcasts that alias them stay valid for
-	// their receivers while later rounds append behind them.
-	arena     []int
-	sent      [][]int
-	roundsRun int
+	// arena backs every adopted path; its spare room past the end is the
+	// send buffer, which Broadcast copies out.
+	arena     []int32
+	roundsRun int32
 }
 
 // wreachEntry is the best known path from one target to the node:
 // arena[start:end], target first and this vertex last.  It holds offsets
 // rather than a slice, so inserting into the sorted table moves no pointers.
 type wreachEntry struct {
-	tpos       int // super-id of the target
-	start, end int
+	tpos       int32 // super-id of the target
+	start, end int32
 	// adopted is the round in which the path was last improved; a round
 	// broadcasts the entries it adopted.
-	adopted int
+	adopted int32
 }
 
 func (w *wreachNode) Init(ctx *dist.Context) {
 	// Round 0: broadcast the trivial path consisting of the own super-id.
 	start, end := w.adopt(nil)
-	w.best = append(w.best, wreachEntry{tpos: w.pos[w.id], start: start, end: end})
+	w.best = append(w.best, wreachEntry{tpos: int32(w.pos[w.id]), start: start, end: end})
 	w.broadcast(ctx)
 }
 
 func (w *wreachNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 	w.roundsRun++
 	for _, in := range inbox {
-		for _, p := range in.Msg.(pathsMessage) {
-			w.consider(p)
+		// A path never revisits a vertex, so each occurrence of the sender
+		// ends one.
+		from, start := int32(in.From), 0
+		for i, x := range in.Words {
+			if x == from {
+				w.consider(in.Words[start : i+1])
+				start = i + 1
+			}
 		}
 	}
 	w.broadcast(ctx)
 }
 
 // broadcast sends the paths adopted in the current round that can still
-// grow (length < horizon).
+// grow (length < horizon), in target super-id order.
 func (w *wreachNode) broadcast(ctx *dist.Context) {
-	start := len(w.sent)
+	msg := len(w.arena)
 	for _, e := range w.best {
-		if e.adopted == w.roundsRun && e.end-e.start-1 < w.horizon {
-			w.sent = append(w.sent, w.arena[e.start:e.end:e.end])
+		if e.adopted == w.roundsRun && int(e.end-e.start)-1 < w.horizon {
+			w.arena = append(w.arena, w.arena[e.start:e.end]...)
 		}
 	}
-	if len(w.sent) > start {
-		ctx.Broadcast(pathsMessage(w.sent[start:len(w.sent):len(w.sent)]))
-	}
+	ctx.Broadcast(w.arena[msg:])
+	w.arena = w.arena[:msg]
 }
 
 // consider examines a received path (target … sender) and adopts its
 // extension by this vertex if it is an improvement.  The candidate is
-// compared where it lies and copied only when adopted.
-func (w *wreachNode) consider(p []int) {
-	if len(p) == 0 {
-		return
-	}
-	tpos := w.pos[p[0]]
+// compared where it lies, in the sender's message, and copied only when
+// adopted.
+func (w *wreachNode) consider(p []int32) {
+	tpos := int32(w.pos[p[0]])
 	// Keep only paths from strictly smaller vertices (line 8 of Algorithm 4).
-	if tpos >= w.pos[w.id] {
+	if int(tpos) >= w.pos[w.id] {
 		return
 	}
 	if len(p) >= w.horizon+1 {
@@ -96,7 +98,7 @@ func (w *wreachNode) consider(p []int) {
 	if slices.Contains(p, w.id) {
 		return
 	}
-	i, have := slices.BinarySearchFunc(w.best, tpos, func(e wreachEntry, t int) int { return cmp.Compare(e.tpos, t) })
+	i, have := slices.BinarySearchFunc(w.best, tpos, func(e wreachEntry, t int32) int { return cmp.Compare(e.tpos, t) })
 	if have && !w.extensionBetter(p, w.arena[w.best[i].start:w.best[i].end]) {
 		return
 	}
@@ -111,17 +113,17 @@ func (w *wreachNode) consider(p []int) {
 
 // adopt appends p extended by this vertex to the arena and returns its
 // offsets there.
-func (w *wreachNode) adopt(p []int) (start, end int) {
-	start = len(w.arena)
+func (w *wreachNode) adopt(p []int32) (start, end int32) {
+	start = int32(len(w.arena))
 	w.arena = append(append(w.arena, p...), w.id)
-	return start, len(w.arena)
+	return start, int32(len(w.arena))
 }
 
 // extensionBetter reports whether p extended by this vertex is strictly
 // better than the stored path cur: shorter, or of equal length and
 // lexicographically smaller with respect to super-ids.  cur ends at this
 // vertex too, so only the first len(p) entries can differ.
-func (w *wreachNode) extensionBetter(p, cur []int) bool {
+func (w *wreachNode) extensionBetter(p, cur []int32) bool {
 	if len(p)+1 != len(cur) {
 		return len(p)+1 < len(cur)
 	}
@@ -133,11 +135,24 @@ func (w *wreachNode) extensionBetter(p, cur []int) bool {
 	return false
 }
 
+// path returns the stored path of e, target first.
+func (w *wreachNode) path(e wreachEntry) []int32 { return w.arena[e.start:e.end] }
+
+// appendToken appends the path of e reversed, this vertex first and the
+// target last: the token that routes a message along it.
+func (w *wreachNode) appendToken(toks []int32, e wreachEntry) []int32 {
+	path := w.path(e)
+	for i := len(path) - 1; i >= 0; i-- {
+		toks = append(toks, path[i])
+	}
+	return toks
+}
+
 func (w *wreachNode) Done() bool {
 	// After `horizon` exchange rounds every weakly reachable vertex within
 	// the horizon has been discovered; a couple of extra quiet rounds let the
 	// last adoptions settle before the runner detects global quiescence.
-	return w.roundsRun >= w.horizon
+	return int(w.roundsRun) >= w.horizon
 }
 
 // WReachDistResult is the output of the distributed weak-reachability
@@ -160,19 +175,20 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 		return nil, err
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
-	wits, err := p.wreach(o, horizon)
+	nodes, err := p.wreach(o, horizon)
 	if err != nil {
 		return nil, err
 	}
-	return &WReachDistResult{Witnesses: wits, Stats: p.Stats}, nil
+	return &WReachDistResult{Witnesses: witnessLists(nodes), Stats: p.Stats}, nil
 }
 
-// wreach runs the Algorithm 4 phase and returns every vertex's witnesses.
-func (p *pipeline) wreach(o *order.Order, horizon int) ([][]order.PathTo, error) {
+// wreach runs the Algorithm 4 phase and returns its nodes, whose tables
+// hold every vertex's witnesses.
+func (p *pipeline) wreach(o *order.Order, horizon int) ([]wreachNode, error) {
 	g := p.g
 	pos := o.Positions()
 	nodes := make([]wreachNode, g.N())
-	// Every node starts with windows of three flat arrays, sized for Init
+	// Every node starts with windows of two flat arrays, sized for Init
 	// and the first round: itself plus at most one new target per neighbor,
 	// each a path of at most two vertices.  Later rounds append past the
 	// windows into arrays of the node's own.
@@ -180,54 +196,47 @@ func (p *pipeline) wreach(o *order.Order, horizon int) ([][]order.PathTo, error)
 	for v := range nodes {
 		slots += g.Degree(v) + 1
 	}
-	entries, lists, ints := make([]wreachEntry, slots), make([][]int, slots), make([]int, 2*slots)
+	entries, ints := make([]wreachEntry, slots), make([]int32, 2*slots)
 	err := p.run("wreach", func(v int) dist.Node {
 		d := g.Degree(v) + 1
 		d2 := 2 * d
-		nodes[v] = wreachNode{id: v, pos: pos, horizon: horizon,
-			best: entries[:0:d], sent: lists[:0:d], arena: ints[:0:d2]}
-		entries, lists, ints = entries[d:], lists[d:], ints[d2:]
+		nodes[v] = wreachNode{id: int32(v), pos: pos, horizon: horizon,
+			best: entries[:0:d], arena: ints[:0:d2]}
+		entries, ints = entries[d:], ints[d2:]
 		return &nodes[v]
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Every witness list and path is a window of one flat array each.
+	return nodes, nil
+}
+
+// witnessLists copies the tables of Algorithm 4's nodes out as witness
+// lists: every list and path is a window of one flat array each.
+func witnessLists(nodes []wreachNode) [][]order.PathTo {
 	pairs, words := 0, 0
 	for i := range nodes {
 		pairs += len(nodes[i].best)
 		for _, e := range nodes[i].best {
-			words += e.end - e.start
+			words += int(e.end - e.start)
 		}
 	}
 	wits := make([]order.PathTo, 0, pairs)
 	flat := make([]int, words)
-	witnesses := make([][]order.PathTo, g.N())
+	witnesses := make([][]order.PathTo, len(nodes))
 	for v := range nodes {
 		first := len(wits)
 		for _, e := range nodes[v].best {
 			// Stored paths run target → … → v; PathTo wants v → … → target.
-			path := nodes[v].arena[e.start:e.end]
+			path := nodes[v].path(e)
 			rev := flat[:len(path):len(path)]
 			flat = flat[len(path):]
 			for i, x := range path {
-				rev[len(rev)-1-i] = x
+				rev[len(rev)-1-i] = int(x)
 			}
-			wits = append(wits, order.PathTo{Target: path[0], Path: rev})
+			wits = append(wits, order.PathTo{Target: int(path[0]), Path: rev})
 		}
 		witnesses[v] = wits[first:len(wits):len(wits)]
 	}
-	return witnesses, nil
-}
-
-// MinTarget returns, for a witness list and radius r, the witness with the
-// L-least target among those with path length ≤ r (the dominator elected by
-// Theorem 9), relying on the list being sorted by target super-id.
-func MinTarget(wits []order.PathTo, r int) (order.PathTo, bool) {
-	for _, pt := range wits {
-		if len(pt.Path)-1 <= r {
-			return pt, true
-		}
-	}
-	return order.PathTo{}, false
+	return witnesses
 }
