@@ -259,34 +259,18 @@ func NeighborhoodCover(g *Graph, r int) (CoverResult, error) {
 	return CoverResult{R: r, Clusters: clusters, Degree: resp.CoverDegree, MaxRadius: resp.CoverMaxRadius}, nil
 }
 
-// DistributedOptions tunes the simulator runs of the distributed API.  The
-// zero value is the paper's defaults.  Each pipeline runs in the model its
-// result is stated for, whatever the options: the Theorem 9 and 10
-// pipelines in CONGEST_BC; kubsv, Lenzen et al. and the Lemma 16 connector
-// in LOCAL.
+// DistributedOptions selects the strategy of DistributedDominatingSet.  The
+// zero value is the paper's pipeline.  The simulator takes no options: the
+// radius and the graph fix each pipeline's round schedule, and each runs in
+// the model its result is stated for, the Theorem 9 and 10 pipelines in
+// CONGEST_BC, kubsv, Lenzen et al. and the Lemma 16 connector in LOCAL.
 type DistributedOptions struct {
-	// Workers bounds the number of goroutines the simulator uses per round
-	// (0 = GOMAXPROCS).
-	Workers int
-	// MaxRounds aborts runaway algorithms (0 = generous default).
-	MaxRounds int
-	// RefinedOrder selects the refined distributed order computation (a
-	// relayed H-partition on the weak-reachability shortcut graph, closer to
-	// the full Theorem 3 pipeline) instead of the plain H-partition order for
-	// DistributedDominatingSet.  It costs more rounds — O(r·log n) instead of
-	// O(log n) — and typically yields smaller dominating sets.  Only the
-	// "paper" solver honours it.
-	RefinedOrder bool
 	// Solver names the distributed strategy for DistributedDominatingSet
 	// ("" selects the paper pipeline).  Strategies implementing the
 	// distributed interface: "paper" (Theorem 9, CONGEST_BC in
 	// O(log n) rounds) and "kubsv" (Kublenz–Siebertz–Vigny, exactly 7r
 	// LOCAL rounds).
 	Solver string
-}
-
-func (o DistributedOptions) simOptions() dist.Options {
-	return dist.Options{Workers: o.Workers, MaxRounds: o.MaxRounds}
 }
 
 // DistributedResult is the outcome of a distributed computation together
@@ -315,12 +299,11 @@ type DistributedResult struct {
 // simulator, via the default engine's worker pool.  With opts.Solver
 // "kubsv" it runs the Kublenz–Siebertz–Vigny protocol in LOCAL instead.
 func DistributedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (DistributedResult, error) {
-	opt := pickOpts(opts)
-	resp, err := defaultEngine().Do(context.Background(), engine.Request{
-		G: g, Kind: engine.KindDistributedDominatingSet, R: r,
-		SimWorkers: opt.Workers, MaxRounds: opt.MaxRounds,
-		RefinedOrder: opt.RefinedOrder, Solver: opt.Solver,
-	})
+	req := engine.Request{G: g, Kind: engine.KindDistributedDominatingSet, R: r}
+	if len(opts) > 0 {
+		req.Solver = opts[0].Solver
+	}
+	resp, err := defaultEngine().Do(context.Background(), req)
 	if err != nil {
 		return DistributedResult{}, err
 	}
@@ -337,11 +320,9 @@ func DistributedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (Dist
 
 // DistributedConnectedDominatingSet runs the paper's Theorem 10 pipeline in
 // the CONGEST_BC model.
-func DistributedConnectedDominatingSet(g *Graph, r int, opts ...DistributedOptions) (DistributedResult, error) {
-	opt := pickOpts(opts)
+func DistributedConnectedDominatingSet(g *Graph, r int) (DistributedResult, error) {
 	resp, err := defaultEngine().Do(context.Background(), engine.Request{
 		G: g, Kind: engine.KindDistributedConnected, R: r,
-		SimWorkers: opt.Workers, MaxRounds: opt.MaxRounds,
 	})
 	if err != nil {
 		return DistributedResult{}, err
@@ -380,12 +361,11 @@ func checkLocalInput(g *Graph) error {
 // LocalConnect turns a distance-r dominating set into a connected one using
 // the 3r+1-round LOCAL-model algorithm of Lemma 16 / Theorem 17.  The graph
 // must be connected and D must be a distance-r dominating set of it.
-func LocalConnect(g *Graph, D []int, r int, opts ...DistributedOptions) (DistributedResult, error) {
+func LocalConnect(g *Graph, D []int, r int) (DistributedResult, error) {
 	if err := checkLocalInput(g); err != nil {
 		return DistributedResult{}, err
 	}
-	opt := pickOpts(opts)
-	res, err := distalgo.RunLocalConnector(g, D, r, opt.simOptions())
+	res, err := distalgo.RunLocalConnector(g, D, r, dist.Options{})
 	if err != nil {
 		return DistributedResult{}, err
 	}
@@ -403,16 +383,15 @@ func LocalConnect(g *Graph, D []int, r int, opts ...DistributedOptions) (Distrib
 // the paper highlights for planar graphs: the Lenzen–Pignolet–Wattenhofer
 // dominating set approximation followed by the LOCAL connector (Theorem 17,
 // connection factor ≤ 6 on planar graphs).  The graph must be connected.
-func PlanarLocalConnectedDominatingSet(g *Graph, opts ...DistributedOptions) (DistributedResult, error) {
+func PlanarLocalConnectedDominatingSet(g *Graph) (DistributedResult, error) {
 	if err := checkLocalInput(g); err != nil {
 		return DistributedResult{}, err
 	}
-	opt := pickOpts(opts)
-	mds, err := distalgo.RunLenzen(g, opt.simOptions())
+	mds, err := distalgo.RunLenzen(g, dist.Options{})
 	if err != nil {
 		return DistributedResult{}, err
 	}
-	cds, err := distalgo.RunLocalConnector(g, mds.Set, 1, opt.simOptions())
+	cds, err := distalgo.RunLocalConnector(g, mds.Set, 1, dist.Options{})
 	if err != nil {
 		return DistributedResult{}, err
 	}
@@ -426,11 +405,4 @@ func PlanarLocalConnectedDominatingSet(g *Graph, opts ...DistributedOptions) (Di
 		Messages:        st.Messages,
 		MaxMessageWords: st.MaxMessageWords,
 	}, nil
-}
-
-func pickOpts(opts []DistributedOptions) DistributedOptions {
-	if len(opts) > 0 {
-		return opts[0]
-	}
-	return DistributedOptions{}
 }

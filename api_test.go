@@ -129,24 +129,13 @@ func TestDistributedAPI(t *testing.T) {
 	if len(cres.DomSet) > len(cres.Set) {
 		t.Fatal("connected set smaller than its dominating set")
 	}
-	// Explicit options path.
-	res2, err := DistributedDominatingSet(g, 1, DistributedOptions{Workers: 1})
+	// Explicit options path: naming the default solver changes nothing.
+	res2, err := DistributedDominatingSet(g, 1, DistributedOptions{Solver: "paper"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Set) != len(res.Set) {
-		t.Fatal("options changed the deterministic result")
-	}
-	// Refined-order pipeline: still valid, usually not larger.
-	res3, err := DistributedDominatingSet(g, 1, DistributedOptions{RefinedOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsDominatingSet(g, res3.Set, 1) {
-		t.Fatal("refined-order distributed result invalid")
-	}
-	if res3.Rounds <= res.Rounds {
-		t.Log("refined pipeline unexpectedly used fewer rounds (not an error)")
+	if !reflect.DeepEqual(res2, res) {
+		t.Fatalf("options changed the deterministic result: %+v, want %+v", res2, res)
 	}
 }
 
@@ -326,11 +315,10 @@ func TestDistModelPerPipeline(t *testing.T) {
 	}{
 		{"facade default", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade()},
 		{"facade zero options", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{})},
-		{"facade Workers 1", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{Workers: 1})},
-		{"facade refined order", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{RefinedOrder: true})},
+		{"facade paper", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, facade(DistributedOptions{Solver: "paper"})},
 		{"facade kubsv", "kubsv", "LOCAL", engine.KindDistributedDominatingSet, facade(DistributedOptions{Solver: "kubsv"})},
 		{"facade connected", "", "CONGEST_BC", engine.KindDistributedConnected, func() error {
-			_, err := DistributedConnectedDominatingSet(g, 1, DistributedOptions{Workers: 1})
+			_, err := DistributedConnectedDominatingSet(g, 1)
 			return err
 		}},
 		{"engine paper", "paper", "CONGEST_BC", engine.KindDistributedDominatingSet, do(engine.KindDistributedDominatingSet, "")},

@@ -82,7 +82,7 @@ func main() {
 		queue    = flag.Int("queue", 0, "queued-query bound (0 = 4×workers)")
 		queueW   = flag.Duration("queue-wait", 0, "how long a query may wait for a queue slot before being shed with 503 (0 = 500ms, negative = shed immediately)")
 		timeout  = flag.Duration("timeout", 0, "default per-query timeout (0 = none)")
-		subWkrs  = flag.Int("substrate-workers", 0, "goroutines per substrate build (0 = GOMAXPROCS; outputs are identical for any value)")
+		subWkrs  = flag.Int("substrate-workers", 0, "goroutines per substrate build and per simulator round (0 = GOMAXPROCS; outputs are identical for any value)")
 		dataDir  = flag.String("data-dir", "", "data directory for durable persistence (empty = in-memory only)")
 		ckptIntv = flag.Duration("checkpoint-interval", time.Minute, "background WAL-compaction cadence for -data-dir (0 = only explicit /admin/checkpoint)")
 		pprofAdr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it off the public listener)")

@@ -71,7 +71,8 @@ type server struct {
 //	                             overloaded)
 //	GET    /debug/dist/runs      recent distributed runs (round profiles),
 //	                             newest first
-//	GET    /debug/dist/runs/{id} one run's full round profile by query ID
+//	GET    /debug/dist/runs/{id} one run's full round profile by query ID,
+//	                             or {id}.{i} for entry i of a /batch
 //	                             (?format=perfetto for a Chrome trace-event
 //	                             document that opens in ui.perfetto.dev)
 //
@@ -503,10 +504,6 @@ type queryRequest struct {
 	// TimeoutMS bounds this query in milliseconds, in [0, maxTimeoutMS]
 	// (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Workers / MaxRounds / RefinedOrder tune the simulator.
-	Workers      int  `json:"workers,omitempty"`
-	MaxRounds    int  `json:"max_rounds,omitempty"`
-	RefinedOrder bool `json:"refined_order,omitempty"`
 	// Solver names the strategy for the domset and dist-domset kinds
 	// ("paper", "kubsv", "dvorak", "greedy", "order-greedy"; default
 	// "paper").  Unknown names fail with 400 listing the registry.
@@ -522,20 +519,11 @@ func (q queryRequest) toEngine() (engine.Request, error) {
 	if q.TimeoutMS < 0 || q.TimeoutMS > maxTimeoutMS {
 		return engine.Request{}, fmt.Errorf("timeout_ms must be in [0, %d], got %d", maxTimeoutMS, q.TimeoutMS)
 	}
-	if q.MaxRounds < 0 || q.MaxRounds > maxClientRounds {
-		return engine.Request{}, fmt.Errorf("max_rounds must be in [0, %d], got %d", maxClientRounds, q.MaxRounds)
-	}
-	if q.Workers < 0 || q.Workers > maxClientWorkers {
-		return engine.Request{}, fmt.Errorf("workers must be in [0, %d], got %d", maxClientWorkers, q.Workers)
-	}
 	return engine.Request{
 		Graph:           q.Graph,
 		Kind:            engine.Kind(q.Kind),
 		R:               q.R,
 		Timeout:         time.Duration(q.TimeoutMS) * time.Millisecond,
-		SimWorkers:      q.Workers,
-		MaxRounds:       q.MaxRounds,
-		RefinedOrder:    q.RefinedOrder,
 		Solver:          q.Solver,
 		IncludeClusters: q.IncludeClusters,
 	}, nil
@@ -571,18 +559,6 @@ const maxBatchSize = 4096
 // maxTimeoutMS is the largest timeout_ms whose time.Duration does not
 // overflow.
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
-
-// maxClientRounds caps the client-supplied max_rounds override.  The
-// simulator's own default (~100·n) already bounds runaway protocols; an
-// unbounded client value would let a single request pin a pool worker
-// arbitrarily long after its timeout fired (the simulator does not observe
-// contexts), starving the daemon.
-const maxClientRounds = 10_000_000
-
-// maxClientWorkers caps the client-supplied simulator worker override: the
-// simulator otherwise clamps only at n goroutines, which a single request
-// against a large graph could use to exhaust memory.
-const maxClientWorkers = 256
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var b batchRequest
@@ -764,8 +740,9 @@ func statusFor(err error) int {
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
 	case errors.Is(err, dist.ErrMaxRounds), errors.Is(err, dist.ErrMessageTooLarge):
-		// Simulator failures driven by client-supplied knobs (max_rounds)
-		// are the request's fault, not the daemon's.
+		// The request's radius sets the round schedule, so a schedule past
+		// the simulator's round guard is the request's fault, not the
+		// daemon's.
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

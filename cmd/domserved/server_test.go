@@ -227,14 +227,6 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"model"`) {
 		t.Fatalf("model field: want 400 naming it, got %d %+v", resp.StatusCode, e)
 	}
-	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 1 << 40}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("huge max_rounds: %d", resp.StatusCode)
-	}
-	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "workers": 1 << 20}, nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("huge workers: %d", resp.StatusCode)
-	}
 	// A negative timeout and one whose time.Duration overflows are
 	// rejected, not read as the server default.
 	for _, ms := range []int64{-5, 10_000_000_000_000} {
@@ -266,10 +258,18 @@ func TestQueryErrors(t *testing.T) {
 			t.Fatalf("%s on a disconnected graph: want 400 naming connectivity, got %d %+v", kind, resp.StatusCode, e)
 		}
 	}
-	// Client-induced simulator failures are 422s, not 500s.
-	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 1}, nil)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("max_rounds overrun: want 422, got %d", resp.StatusCode)
+	// A radius whose round schedule passes the simulator's round guard is
+	// the request's fault, a 422 and not a 500: Algorithm 4 at r = 1000 runs
+	// 2000 rounds, and the guard on a 5-vertex path is 100·5 + 1000.
+	resp = doJSON(t, "POST", ts.URL+"/graphs",
+		map[string]any{"name": "path5", "n": 5, "edges": [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}}, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register path5: %d", resp.StatusCode)
+	}
+	e.Error = ""
+	resp = doJSON(t, "POST", ts.URL+"/query", map[string]any{"graph": "path5", "kind": "dist-domset", "r": 1000}, &e)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "maximum round count") {
+		t.Fatalf("round schedule past the guard: want 422, got %d %+v", resp.StatusCode, e)
 	}
 }
 
@@ -312,6 +312,45 @@ func TestBatchEndpoint(t *testing.T) {
 	// Degenerate batches.
 	if resp := doJSON(t, "POST", ts.URL+"/batch", map[string]any{"queries": []any{}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: %d", resp.StatusCode)
+	}
+}
+
+// TestBatchDistRunsPerEntry: each distributed entry of a /batch is retained
+// under "<X-Query-ID>.<i>", i its index in the request, with its own kind
+// and radius; a sequential entry retains nothing.
+func TestBatchDistRunsPerEntry(t *testing.T) {
+	ts := testServer(t)
+	registerGrid(t, ts, "grid", 100)
+	resp := doJSON(t, "POST", ts.URL+"/batch", map[string]any{"queries": []map[string]any{
+		{"graph": "grid", "kind": "dist-domset", "r": 1, "omit_sets": true},
+		{"graph": "grid", "kind": "domset", "r": 1, "omit_sets": true},
+		{"graph": "grid", "kind": "dist-domset", "r": 2, "omit_sets": true},
+		{"graph": "grid", "kind": "dist-cds", "r": 1, "omit_sets": true},
+	}}, nil)
+	qid := resp.Header.Get("X-Query-ID")
+	if resp.StatusCode != http.StatusOK || qid == "" {
+		t.Fatalf("batch: status %d, X-Query-ID %q", resp.StatusCode, qid)
+	}
+	for i, want := range []struct {
+		kind engine.Kind
+		r    int
+	}{{engine.KindDistributedDominatingSet, 1}, {}, {engine.KindDistributedDominatingSet, 2}, {engine.KindDistributedConnected, 1}} {
+		id := fmt.Sprintf("%s.%d", qid, i)
+		var rec engine.DistRunRecord
+		resp := doJSON(t, "GET", ts.URL+"/debug/dist/runs/"+id, nil, &rec)
+		if want.kind == "" {
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s (a sequential entry): status %d, want 404", id, resp.StatusCode)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK || rec.ID != id || rec.Kind != want.kind || rec.R != want.r {
+			t.Errorf("%s: status %d, record %s %s r=%d, want %s r=%d",
+				id, resp.StatusCode, rec.ID, rec.Kind, rec.R, want.kind, want.r)
+		}
+	}
+	if resp := doJSON(t, "GET", ts.URL+"/debug/dist/runs/"+qid, nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the batch's own ID: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -1023,6 +1062,14 @@ func TestUnknownBodyFieldsRejected(t *testing.T) {
 			{"graph": "grid", "kind": "dist-domset", "r": 1, "model": "congest_bc"},
 		}}, "model"},
 		{"/batch", map[string]any{"queries": []map[string]any{{"graph": "grid", "kind": "domset", "r": 1}}, "omit_sets": true}, "omit_sets"},
+		// The simulator takes no options: the radius and the graph fix the
+		// round schedule, the deployment's -substrate-workers the workers.
+		{"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "workers": 1}, "workers"},
+		{"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 10}, "max_rounds"},
+		{"/query", map[string]any{"graph": "grid", "kind": "dist-domset", "r": 1, "refined_order": true}, "refined_order"},
+		{"/batch", map[string]any{"queries": []map[string]any{{"graph": "grid", "kind": "dist-cds", "r": 1, "workers": 1}}}, "workers"},
+		{"/batch", map[string]any{"queries": []map[string]any{{"graph": "grid", "kind": "dist-domset", "r": 1, "max_rounds": 10}}}, "max_rounds"},
+		{"/batch", map[string]any{"queries": []map[string]any{{"graph": "grid", "kind": "dist-domset", "r": 1, "refined_order": true}}}, "refined_order"},
 		{"/graphs/grid/edges", map[string]any{"add": [][2]int{{0, 3}}, "remov": [][2]int{{0, 1}}}, "remov"},
 	} {
 		var e struct {

@@ -21,7 +21,7 @@ func TestWReachDistAllocs(t *testing.T) {
 	}
 	g := gen.Grid(24, 24)
 	o, _ := order.FromDegeneracy(g)
-	const budget = 1360 // measured 1179
+	const budget = 1340 // measured 1165
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := RunWReachDist(g, o, 2, dist.CongestBC, dist.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func TestDomSetAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	g := gen.Grid(24, 24)
-	const budget = 1390 // measured 1202
+	const budget = 1335 // measured 1160
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: 1}); err != nil {
 			t.Fatal(err)

@@ -210,9 +210,9 @@ func writeProfiles(h hash.Hash, p *dist.Probe) {
 }
 
 // TestSimulatorPipelinesPinnedDigests pins the simulator's other pipelines
-// — the LOCAL ones and the refined order — with the set, the Stats and
-// every probe profile (per-round active and halted counts, congestion
-// table).  The digests were recorded with a runner that kept sorted
+// — the LOCAL ones and the refined order — with the set (for the refined
+// order, its permutation), the Stats and every probe profile (per-round
+// active and halted counts, congestion table).  The digests were recorded with a runner that kept sorted
 // per-sender envelope lists beside the broadcasts.
 func TestSimulatorPipelinesPinnedDigests(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -253,12 +253,13 @@ func TestSimulatorPipelinesPinnedDigests(t *testing.T) {
 		"local-connect r=2": localConnect(2),
 		"ksv-local r=1":     ksv(1),
 		"ksv-local r=2":     ksv(2),
-		"refined r=1": func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error) {
-			res, err := RunDomSetRefined(g, 1, dist.CongestBC, opts)
+		// The refined order at horizon 2, as E8 runs it for r = 1.
+		"refined-order h=2": func(g *graph.Graph, opts dist.Options) ([]int, dist.Stats, error) {
+			res, err := RunRefinedOrder(g, 2, 0, dist.CongestBC, opts)
 			if err != nil {
 				return nil, dist.Stats{}, err
 			}
-			return res.Set, res.Stats, nil
+			return res.Order.Permutation(), res.Stats, nil
 		},
 	}
 	for _, tc := range []struct{ graph, pipeline, digest string }{
@@ -267,19 +268,19 @@ func TestSimulatorPipelinesPinnedDigests(t *testing.T) {
 		{"apollonian400", "local-connect r=2", "9c4f92a96d5787ef"},
 		{"apollonian400", "ksv-local r=1", "5fda2e2ce119f1d6"},
 		{"apollonian400", "ksv-local r=2", "ffb8d29ec6cdf4bc"},
-		{"apollonian400", "refined r=1", "df29700a5115e344"},
+		{"apollonian400", "refined-order h=2", "3720ff2e03d9daf1"},
 		{"geometric600", "lenzen", "a8ea7c7b58256c7c"},
 		{"geometric600", "local-connect r=1", "cb10ef19897ccdcf"},
 		{"geometric600", "local-connect r=2", "44a28544bb2adf94"},
 		{"geometric600", "ksv-local r=1", "904fed58eded81ab"},
 		{"geometric600", "ksv-local r=2", "fde8b12cf2c16d0b"},
-		{"geometric600", "refined r=1", "4dde4e48b0aa4cf0"},
+		{"geometric600", "refined-order h=2", "24f74fcdd6c0ea69"},
 		{"grid20x20", "lenzen", "ee8a1e9bb07beb6e"},
 		{"grid20x20", "local-connect r=1", "e74d4a8f477ef42a"},
 		{"grid20x20", "local-connect r=2", "16151946a599c85f"},
 		{"grid20x20", "ksv-local r=1", "58e14ac7628a1527"},
 		{"grid20x20", "ksv-local r=2", "97ff6cf20f7049ea"},
-		{"grid20x20", "refined r=1", "6041940af0d957e7"},
+		{"grid20x20", "refined-order h=2", "bc1d0e6fed427cc0"},
 	} {
 		g := graphs[tc.graph]
 		for _, workers := range pinnedWorkers {

@@ -59,9 +59,6 @@ func driverCases() []driverCase {
 		{"RunRefinedOrder", []string{"hpartition", "wreach", "refined-order"}, true, func(g *graph.Graph, r int, opts dist.Options) (dist.Stats, error) {
 			return resultStats(RunRefinedOrder(g, 2*r, 0, dist.CongestBC, opts))
 		}},
-		{"RunDomSetRefined", []string{"hpartition", "wreach", "refined-order", "wreach", "election"}, true, func(g *graph.Graph, r int, opts dist.Options) (dist.Stats, error) {
-			return resultStats(RunDomSetRefined(g, r, dist.CongestBC, opts))
-		}},
 		{"RunKSV", []string{"kubsv"}, true, func(g *graph.Graph, r int, opts dist.Options) (dist.Stats, error) {
 			return resultStats(RunKSV(g, r, dist.Local, opts))
 		}},

@@ -24,8 +24,8 @@ import (
 // anyway).
 //
 // The refined order typically has a noticeably smaller measured wcol_2r than
-// the base H-partition order (see experiment E8), which translates into
-// smaller dominating sets in Theorems 9 and 10.
+// the base H-partition order.  It is experiment E8's ablation of the
+// Theorem 3 order; the Theorem 9 and 10 pipelines run on the base order.
 
 // helloToken announces a shortcut edge: it travels from the weakly reaching
 // vertex to the target so that both endpoints learn the edge and a routing
@@ -243,24 +243,13 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 		return nil, err
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
-	refined, base, err := p.refinedOrder(horizon, threshold)
+	hp, err := p.hpartition(g.Degeneracy(), 1)
 	if err != nil {
 		return nil, err
 	}
-	return &RefinedOrderResult{Order: refined, BaseOrder: base, Stats: p.Stats}, nil
-}
-
-// refinedOrder runs the three phases of RunRefinedOrder and returns the
-// refined order and the base order it started from.
-func (p *pipeline) refinedOrder(horizon int, threshold int) (refined, base *order.Order, err error) {
-	g := p.g
-	hp, err := p.hpartition(g.Degeneracy(), 1)
-	if err != nil {
-		return nil, nil, err
-	}
 	wr, err := p.wreach(hp.Order, horizon)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if threshold <= 0 {
 		// Default: the average shortcut degree (counting both directions).
@@ -296,26 +285,11 @@ func (p *pipeline) refinedOrder(horizon int, threshold int) (refined, base *orde
 		return nodes[v]
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	classes := make([]int, g.N())
 	for v, nd := range nodes {
 		classes[v] = nd.class
 	}
-	return OrderFromClasses(classes), hp.Order, nil
-}
-
-// RunDomSetRefined runs the Theorem 9 pipeline with the refined order: the
-// refined order is computed distributively, then Algorithm 4 and the
-// election are run on it.
-func RunDomSetRefined(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*DomSetResult, error) {
-	if err := atLeastOne("radius", r); err != nil {
-		return nil, err
-	}
-	p := &pipeline{g: g, model: model, opts: opts}
-	refined, _, err := p.refinedOrder(2*r, 0)
-	if err != nil {
-		return nil, err
-	}
-	return p.domSet(refined, r)
+	return &RefinedOrderResult{Order: OrderFromClasses(classes), BaseOrder: hp.Order, Stats: p.Stats}, nil
 }

@@ -72,28 +72,6 @@ func TestRefinedOrderQualityVsBase(t *testing.T) {
 	}
 }
 
-func TestRunDomSetRefinedPipeline(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"grid", gen.Grid(14, 14)},
-		{"apollonian", gen.Apollonian(140, 9)},
-	} {
-		probe := &dist.Probe{}
-		res, err := RunDomSetRefined(tc.g, 1, dist.CongestBC, dist.Options{Probe: probe})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !domset.Check(tc.g, res.Set, 1) {
-			t.Fatalf("%s: refined pipeline output does not dominate", tc.name)
-		}
-		if got := len(probe.Profiles()); got != 5 {
-			t.Fatalf("%s: expected 5 phases, got %d", tc.name, got)
-		}
-	}
-}
-
 func TestRunRefinedOrderRejectsBadHorizon(t *testing.T) {
 	if _, err := RunRefinedOrder(gen.Path(5), 0, 0, dist.CongestBC, dist.Options{}); err == nil {
 		t.Fatal("horizon 0 must be rejected")

@@ -28,9 +28,9 @@ func TestWarmDoAllocs(t *testing.T) {
 		kind          Kind
 		allocs, bytes float64
 	}{
-		{KindDominatingSet, 16, 875},          // measured 14 and 760
-		{KindConnectedDominatingSet, 14, 820}, // measured 12 and 712
-		{KindCover, 14, 840},                  // measured 12 and 728
+		{KindDominatingSet, 12, 785},          // measured 10 and 680
+		{KindConnectedDominatingSet, 12, 785}, // measured 10 and 680
+		{KindCover, 12, 785},                  // measured 10 and 680
 	} {
 		req := Request{Graph: "g", Kind: tc.kind, R: 1}
 		do := func() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,7 +21,8 @@ import (
 // shape, aggregate totals, and the full per-phase round profiles.
 type DistRunRecord struct {
 	// ID is the query ID the run executed under (the X-Query-ID response
-	// header in domserved; minted fresh when the caller carried none).
+	// header in domserved; minted fresh when the caller carried none),
+	// suffixed ".<i>" for entry i of a batch.
 	ID   string    `json:"id"`
 	Time time.Time `json:"time"`
 	// Graph is the registered graph name ("" for direct-graph queries).
@@ -116,8 +118,13 @@ func (l *distRunLog) get(id string) (*DistRunRecord, bool) {
 	return r, ok
 }
 
-// recordDistRun folds a finished distributed query's probe into the ring.
-// No-op when the query never reached the simulator (zero profiles).
+// batchEntryKey tags the context of a batch entry with its index.
+type batchEntryKey struct{}
+
+// recordDistRun folds a finished distributed query's probe into the ring,
+// under the query ID, or "<query ID>.<i>" for entry i of a batch, so the
+// entries of one batch never overwrite each other.  No-op when the query
+// never reached the simulator (zero profiles).
 func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName string, p *dist.Probe, runErr error) {
 	profiles := p.Profiles()
 	if len(profiles) == 0 {
@@ -128,6 +135,9 @@ func (e *Engine) recordDistRun(ctx context.Context, req Request, solverName stri
 		// Facade and benchmark callers carry no request trace; the run is
 		// still worth retaining, under a freshly minted ID.
 		id = obs.NewQueryID()
+	}
+	if i, ok := ctx.Value(batchEntryKey{}).(int); ok {
+		id += "." + strconv.Itoa(i)
 	}
 	rec := &DistRunRecord{
 		ID:       id,
@@ -152,8 +162,8 @@ func (e *Engine) DistRuns() []DistRunSummary {
 	return e.distRuns.list()
 }
 
-// DistRun returns the retained record for a query ID.  The record is shared
-// and must not be mutated.
+// DistRun returns the retained record for a query ID ("<query ID>.<i>" for
+// entry i of a batch).  The record is shared and must not be mutated.
 func (e *Engine) DistRun(id string) (*DistRunRecord, bool) {
 	return e.distRuns.get(id)
 }

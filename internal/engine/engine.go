@@ -84,9 +84,10 @@ type Config struct {
 	// (0 = no timeout).
 	DefaultTimeout time.Duration
 	// SubstrateWorkers bounds the goroutines used inside one substrate build
-	// (order augmentation scans, weak-reachability sweeps, cover inversion).
-	// 0 = GOMAXPROCS.  Substrate outputs are bit-identical for every value;
-	// the knob only trades build latency against CPU share.
+	// (order augmentation scans, weak-reachability sweeps, cover inversion)
+	// and per simulator round of a distributed query.  0 = GOMAXPROCS.
+	// Substrate outputs and simulator runs are bit-identical for every
+	// value; the knob only trades latency against CPU share.
 	SubstrateWorkers int
 	// CheckpointInterval is the cadence of the background checkpointer of a
 	// persistent engine (see Open): the WAL is folded into fresh snapshots

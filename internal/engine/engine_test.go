@@ -631,7 +631,8 @@ func equalInts(a, b []int) bool {
 
 // TestSubstrateWorkersDeterminism asserts that the engine serves
 // bit-identical query results for every substrate worker count — the same
-// determinism contract internal/dist enforces for its simulator pool.
+// determinism contract internal/dist enforces for its simulator pool, whose
+// workers the same setting bounds in the distributed kinds.
 func TestSubstrateWorkersDeterminism(t *testing.T) {
 	g := gen.Grid(24, 24) // above the substrate parallel threshold
 	type outcome struct {
@@ -645,9 +646,39 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 		cdsDomSet  []int
 		cdsWcol    int
 	}
+	// distOutcome is a distributed query's answer and simulator cost.
+	type distOutcome struct {
+		set, domSet []int
+		rounds      int
+		messages    int64
+	}
+	dists := []Request{
+		{G: g, Kind: KindDistributedDominatingSet, R: 1},
+		{G: g, Kind: KindDistributedDominatingSet, R: 1, Solver: "kubsv"},
+		{G: g, Kind: KindDistributedConnected, R: 1},
+	}
 	var base *outcome
+	var distBase []distOutcome
 	for _, workers := range []int{1, 2, 8} {
 		e := testEngine(t, Config{SubstrateWorkers: workers})
+		for i, req := range dists {
+			resp, err := e.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := distOutcome{resp.Set, resp.DomSet, resp.Rounds, resp.Messages}
+			if workers == 1 {
+				distBase = append(distBase, got)
+				continue
+			}
+			want := distBase[i]
+			if !equalInts(got.set, want.set) || !equalInts(got.domSet, want.domSet) ||
+				got.rounds != want.rounds || got.messages != want.messages {
+				t.Fatalf("%s %q differs at %d substrate workers: %d vertices, %d rounds, %d messages; want %d, %d, %d",
+					req.Kind, req.Solver, workers, len(got.set), got.rounds, got.messages,
+					len(want.set), want.rounds, want.messages)
+			}
+		}
 		dom, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 2})
 		if err != nil {
 			t.Fatal(err)

@@ -65,24 +65,9 @@ type Request struct {
 	Solver string `json:"solver,omitempty"`
 	// Timeout bounds this query (0 = the engine's DefaultTimeout).
 	Timeout time.Duration `json:"-"`
-
-	// Distributed-kind tuning (ignored by sequential kinds).  Each
-	// distributed kind runs in its pipeline's model: CONGEST_BC for dist-cds
-	// and the paper dist-domset, LOCAL for dist-domset with kubsv.
-
-	// SimWorkers bounds simulator goroutines per round (0 = GOMAXPROCS).
-	SimWorkers int `json:"-"`
-	// MaxRounds aborts runaway protocols (0 = generous default).
-	MaxRounds int `json:"-"`
-	// RefinedOrder selects the refined distributed order pipeline.
-	RefinedOrder bool `json:"-"`
 	// IncludeClusters attaches the full cluster map to cover responses
 	// (potentially large; off by default).
 	IncludeClusters bool `json:"-"`
-}
-
-func (r Request) simOptions() dist.Options {
-	return dist.Options{Workers: r.SimWorkers, MaxRounds: r.MaxRounds}
 }
 
 // solverStrategy resolves the request's solver strategy for the kinds that
@@ -91,11 +76,14 @@ func (r Request) solverStrategy() (solver.Solver, error) {
 	return solver.Get(r.Solver)
 }
 
-func (r Request) distOptions() solver.DistOptions {
-	return solver.DistOptions{
-		Sim:          r.simOptions(),
-		RefinedOrder: r.RefinedOrder,
-	}
+// simOptions are the simulator options of every distributed query.  Each
+// distributed kind runs in its pipeline's model (CONGEST_BC for dist-cds
+// and the paper dist-domset, LOCAL for dist-domset with kubsv) on the round
+// schedule that r and the graph fix; the deployment's SubstrateWorkers
+// bounds its goroutines per round, as it bounds every other build a query
+// runs.
+func (e *Engine) simOptions(probe *dist.Probe) dist.Options {
+	return dist.Options{Workers: e.cfg.SubstrateWorkers, Probe: probe}
 }
 
 // Response is the outcome of a query.
@@ -311,10 +299,8 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		if !ok {
 			return nil, fmt.Errorf("%w: solver %q has no distributed engine", ErrInvalidRequest, s.Name())
 		}
-		dopts := req.distOptions()
 		probe := &dist.Probe{}
-		dopts.Sim.Probe = probe
-		res, err := ds.SolveDist(g, req.R, dopts)
+		res, err := ds.SolveDist(g, req.R, e.simOptions(probe))
 		e.recordDistRun(ctx, req, s.Name(), probe, err)
 		if err != nil {
 			return nil, err
@@ -330,10 +316,8 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		if !g.IsConnected() {
 			return nil, ErrNotConnected
 		}
-		sopts := req.simOptions()
 		probe := &dist.Probe{}
-		sopts.Probe = probe
-		res, err := distalgo.RunConnectedDomSet(g, req.R, dist.CongestBC, sopts)
+		res, err := distalgo.RunConnectedDomSet(g, req.R, dist.CongestBC, e.simOptions(probe))
 		e.recordDistRun(ctx, req, "", probe, err)
 		if err != nil {
 			return nil, err
@@ -488,6 +472,7 @@ type BatchResult struct {
 // Identical concurrent entries share substrate builds via single-flight.
 // At most Workers entries are submitted at once, so a batch never fills the
 // admission queue by itself and sheds only under load from other callers.
+// A distributed entry i is retained as "<query ID>.<i>" (see DistRun).
 func (e *Engine) Batch(ctx context.Context, reqs []Request) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	var next atomic.Int64
@@ -501,7 +486,7 @@ func (e *Engine) Batch(ctx context.Context, reqs []Request) []BatchResult {
 				if i >= len(reqs) {
 					return
 				}
-				resp, err := e.Do(ctx, reqs[i])
+				resp, err := e.Do(context.WithValue(ctx, batchEntryKey{}, i), reqs[i])
 				out[i] = BatchResult{Response: resp, Err: err}
 			}
 		}()

@@ -62,7 +62,7 @@ func E10SolverHeadToHead(cfg Config) *Table {
 					// exempt) and, with Config.TraceDir set, as a Perfetto
 					// trace artifact per run.
 					probe := &dist.Probe{}
-					dres, derr := ds.SolveDist(g, r, solver.DistOptions{Sim: dist.Options{Probe: probe}})
+					dres, derr := ds.SolveDist(g, r, dist.Options{Probe: probe})
 					if derr == nil {
 						profiles := probe.Profiles()
 						model = profiles[0].Model

@@ -210,24 +210,25 @@ func (f *family) get(values []string) *series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label value(s), got %d", f.name, len(f.labels), len(values)))
 	}
-	key := ""
-	if len(values) > 0 {
-		for i, v := range values {
-			if i > 0 {
-				key += seriesKeySep
-			}
-			key += v
+	// The key is built on the stack and looked up as string(buf), which the
+	// compiler does not allocate; only a new series allocates its key.
+	var arr [128]byte
+	buf := arr[:0]
+	for i, v := range values {
+		if i > 0 {
+			buf = append(buf, seriesKeySep...)
 		}
+		buf = append(buf, v...)
 	}
 	f.mu.RLock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(buf)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok = f.series[key]; ok {
+	if s, ok = f.series[string(buf)]; ok {
 		return s
 	}
 	s = &series{labelValues: append([]string(nil), values...)}
@@ -239,7 +240,7 @@ func (f *family) get(values []string) *series {
 	case typeHistogram:
 		s.h = newHistogram(f.buckets)
 	}
-	f.series[key] = s
+	f.series[string(buf)] = s
 	return s
 }
 

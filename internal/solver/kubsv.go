@@ -24,8 +24,8 @@ func (ksvSolver) Solve(_ context.Context, g *graph.Graph, r int, _ Substrate) (R
 	return Result{Set: D, LowerBound: domset.ScatteredLowerBound(g, r, D)}, nil
 }
 
-func (ksvSolver) SolveDist(g *graph.Graph, r int, opts DistOptions) (DistResult, error) {
-	res, err := distalgo.RunKSV(g, r, dist.Local, opts.Sim)
+func (ksvSolver) SolveDist(g *graph.Graph, r int, sim dist.Options) (DistResult, error) {
+	res, err := distalgo.RunKSV(g, r, dist.Local, sim)
 	if err != nil {
 		return DistResult{}, err
 	}

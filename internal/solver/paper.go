@@ -35,12 +35,8 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	}, nil
 }
 
-func (paperSolver) SolveDist(g *graph.Graph, r int, opts DistOptions) (DistResult, error) {
-	run := distalgo.RunDomSet
-	if opts.RefinedOrder {
-		run = distalgo.RunDomSetRefined
-	}
-	res, err := run(g, r, dist.CongestBC, opts.Sim)
+func (paperSolver) SolveDist(g *graph.Graph, r int, sim dist.Options) (DistResult, error) {
+	res, err := distalgo.RunDomSet(g, r, dist.CongestBC, sim)
 	if err != nil {
 		return DistResult{}, err
 	}

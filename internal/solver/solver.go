@@ -63,16 +63,6 @@ type Solver interface {
 	Solve(ctx context.Context, g *graph.Graph, r int, sub Substrate) (Result, error)
 }
 
-// DistOptions tunes a DistSolver run.  Each strategy runs in its own model
-// (CONGEST_BC for the paper pipeline, LOCAL for kubsv), so none is set here.
-type DistOptions struct {
-	// Sim tunes the simulator (workers, round budget).
-	Sim dist.Options
-	// RefinedOrder selects the refined distributed order pipeline on solvers
-	// that support it (paper); others ignore it.
-	RefinedOrder bool
-}
-
 // DistResult is the outcome of a distributed solve.
 type DistResult struct {
 	// Set is the computed distance-r dominating set, sorted.
@@ -82,10 +72,12 @@ type DistResult struct {
 }
 
 // DistSolver is a Solver that also has a simulator-backed distributed
-// protocol.
+// protocol.  Each strategy runs in its own model (CONGEST_BC for the paper
+// pipeline, LOCAL for kubsv); sim sets only the simulator's workers, round
+// guard and probe.
 type DistSolver interface {
 	Solver
-	SolveDist(g *graph.Graph, r int, opts DistOptions) (DistResult, error)
+	SolveDist(g *graph.Graph, r int, sim dist.Options) (DistResult, error)
 }
 
 // --- Registry -------------------------------------------------------------

@@ -149,7 +149,7 @@ func TestDistSolversValid(t *testing.T) {
 		s, _ := Get(name)
 		ds := s.(DistSolver)
 		for _, r := range []int{1, 2} {
-			res, err := ds.SolveDist(g, r, DistOptions{})
+			res, err := ds.SolveDist(g, r, dist.Options{})
 			if err != nil {
 				t.Fatalf("%s r=%d: %v", name, r, err)
 			}
@@ -173,28 +173,26 @@ func TestDistSolversValid(t *testing.T) {
 }
 
 // TestDistModelPerStrategy checks that each distributed strategy runs in
-// its paper model: every phase profile of a paper run (plain or refined
-// order) is CONGEST_BC and every one of a kubsv run is LOCAL.  Sets and
-// Stats cannot tell the models apart (TestLocalEqualsCongestBC), so the
-// check reads the model the simulator recorded.
+// its paper model: every phase profile of a paper run is CONGEST_BC and
+// every one of a kubsv run is LOCAL.  Sets and Stats cannot tell the models
+// apart (TestLocalEqualsCongestBC), so the check reads the model the
+// simulator recorded.
 func TestDistModelPerStrategy(t *testing.T) {
 	g := gen.Grid(7, 7)
 	want := map[string]string{"paper": "CONGEST_BC", "kubsv": "LOCAL"}
 	for _, name := range DistNames() {
 		ds := mustGet(t, name).(DistSolver)
-		for _, refined := range []bool{false, true} {
-			probe := &dist.Probe{}
-			if _, err := ds.SolveDist(g, 1, DistOptions{Sim: dist.Options{Probe: probe}, RefinedOrder: refined}); err != nil {
-				t.Fatal(err)
-			}
-			profiles := probe.Profiles()
-			if len(profiles) == 0 {
-				t.Fatalf("%s: no profiles", name)
-			}
-			for _, p := range profiles {
-				if p.Model != want[name] {
-					t.Errorf("%s (refined %v): phase %s ran in %s, want %s", name, refined, p.Phase, p.Model, want[name])
-				}
+		probe := &dist.Probe{}
+		if _, err := ds.SolveDist(g, 1, dist.Options{Probe: probe}); err != nil {
+			t.Fatal(err)
+		}
+		profiles := probe.Profiles()
+		if len(profiles) == 0 {
+			t.Fatalf("%s: no profiles", name)
+		}
+		for _, p := range profiles {
+			if p.Model != want[name] {
+				t.Errorf("%s: phase %s ran in %s, want %s", name, p.Phase, p.Model, want[name])
 			}
 		}
 	}
