@@ -100,8 +100,8 @@ type Inbound struct {
 // with the broadcasts received from the previous round, at most one per
 // neighbor, in ascending sender id.  The inbox and the words of every
 // message in it are only valid for the duration of the call: the runner
-// reuses the inbox array the following round and overwrites the words the
-// round after, so a node copies whatever it keeps.
+// reuses the inbox array for the next vertex it steps and overwrites the
+// words the round after, so a node copies whatever it keeps.
 type Node interface {
 	Init(*Context)
 	Round(*Context, []Inbound)

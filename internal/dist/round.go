@@ -3,14 +3,17 @@ package dist
 import "bedom/internal/graph"
 
 // worker is the state of one goroutine stepping a block of vertices: its
-// round accumulator and its two slabs.  slab[p] holds the words of the
-// broadcasts its vertices staged in the last round of parity p.  Those
-// words are read by the neighbors' steps of the next round only, so the
-// worker empties slab[t%2] when it starts round t and reuses its array.
-// Message memory thus lives in a few pointer-free arrays per run.
+// round accumulator, its two slabs and its inbox.  slab[p] holds the words
+// of the broadcasts its vertices staged in the last round of parity p.
+// Those words are read by the neighbors' steps of the next round only, so
+// the worker empties slab[t%2] when it starts round t and reuses its array.
+// Message memory thus lives in a few pointer-free arrays per run.  inbox
+// holds the messages of the vertex being stepped; the worker refills it for
+// each vertex, since an inbox is valid only during its Round call.
 type worker struct {
-	acc  roundAccum
-	slab [2][]int32
+	acc   roundAccum
+	slab  [2][]int32
+	inbox []Inbound
 }
 
 // stage appends words to the slab of parity p and returns their window

@@ -10,7 +10,8 @@ import (
 // Runner executes protocols on one graph in one model.  Create it with
 // NewRunner and execute with Run, any number of times: a pipeline runs its
 // phases in sequence on one Runner.  Each Run is a fresh run with its own
-// Stats and RunProfile; it reuses the arrays of the runs before it.
+// Stats and RunProfile; it reuses the arrays of the runs before it, and
+// Release hands them on to the next runner.
 type Runner struct {
 	g     *graph.Graph
 	model Model
@@ -24,25 +25,17 @@ type Runner struct {
 	// of v are tgt[off[v]:off[v+1]], sorted increasingly (see graph.CSR).
 	off, tgt []int32
 
-	// The arrays below are allocated by the first Run and reused by every
-	// later one, which resets what it reads of them.
-	nodes   []Node
-	halters []Halter // halters[v] is nil when nodes[v] has no Done method
-	ctxs    []Context
-	// inbound backs every inbox: v's is the window inbound[off[v]:off[v+1]],
-	// since v hears at most one message per neighbor per round.
-	inbound []Inbound
-	// workers holds one accumulator and two slabs per stepping goroutine,
-	// and stepBlocks is stepBlock bound once (a method value handed to
-	// another goroutine escapes, so binding it every round would
-	// allocate).
-	workers    []worker
+	// arrays is taken by the first Run (see alloc) and reused by every
+	// later one, which resets what it reads of it; Release hands it on.
+	arrays
+	// stepBlocks is stepBlock bound once (a method value handed to another
+	// goroutine escapes, so binding it every round would allocate).
 	stepBlocks func(k, lo, hi int)
 
-	// Telemetry state, only allocated when opts.Probe is set (the disabled
-	// path must cost nothing — see probe.go for the contract).  rounds is
-	// the current run's and handed to its profile; the word arrays are
-	// cleared for every run.
+	// Telemetry state, only set when opts.Probe is (the disabled path must
+	// cost nothing — see probe.go for the contract).  rounds is the current
+	// run's and handed to its profile; the word arrays are windows of
+	// arrays.words, cleared for every run.
 	rounds    []RoundProfile
 	sentWords []int64
 	recvWords []int64
@@ -111,28 +104,6 @@ func (r *Runner) Run(phase string, factory func(v int) Node) (Stats, error) {
 		p.add(rp)
 	}
 	return st, err
-}
-
-// alloc makes the arrays every run of the runner reuses.
-func (r *Runner) alloc() {
-	n := r.g.N()
-	r.nodes = make([]Node, n)
-	r.halters = make([]Halter, n)
-	r.ctxs = make([]Context, n)
-	r.inbound = make([]Inbound, len(r.tgt))
-	r.workers = make([]worker, graph.ResolveWorkers(r.opts.Workers, n))
-	// Each slab starts with room for one word per vertex of its block, a
-	// round of single-word broadcasts; wider rounds grow it, and later runs
-	// keep the room.
-	size := n/len(r.workers) + 1
-	for k := range r.workers {
-		r.workers[k].slab = [2][]int32{make([]int32, 0, size), make([]int32, 0, size)}
-	}
-	r.stepBlocks = r.stepBlock
-	if r.opts.Probe != nil {
-		r.sentWords = make([]int64, n)
-		r.recvWords = make([]int64, n)
-	}
 }
 
 func (r *Runner) run(factory func(v int) Node) (Stats, error) {
@@ -226,14 +197,14 @@ func (r *Runner) step(w *worker, v int) {
 		r.nodes[v].Init(c)
 	} else {
 		wordsBefore := acc.words
-		lo := r.off[v]
-		inbox := r.inbound[lo:lo:r.off[v+1]]
+		inbox := w.inbox[:0]
 		for _, u := range r.row(v) {
 			if m := r.ctxs[u].sent[(t-1)%2]; len(m) != 0 {
 				inbox = append(inbox, Inbound{From: int(u), Words: m})
 				acc.deliver(len(m))
 			}
 		}
+		w.inbox = inbox
 		if r.recvWords != nil {
 			// Each vertex is stepped by exactly one worker per round, so
 			// its slot is race-free; diffing the accumulator keeps the

@@ -1,6 +1,7 @@
 package distalgo
 
 import (
+	"runtime"
 	"testing"
 
 	"bedom/internal/dist"
@@ -8,12 +9,13 @@ import (
 	"bedom/internal/order"
 )
 
-// The allocation budgets below sit about 15% above the measured counts of a
-// Workers: 1 run on a 24×24 grid.  Allocations are deterministic for a fixed
-// input and worker count, so a budget is a tight, noise-free gate on the
-// simulator's hot path.  The race detector's instrumentation allocates on
-// its own, so the tests skip under -race; CI runs them in a separate non-race
-// step.
+// The budgets below sit about 15% above the allocations and bytes measured
+// per steady-state run at Workers: 1 on a 24×24 grid.  Both are
+// deterministic for a fixed input and worker count, so a budget is a tight,
+// noise-free gate on the simulator's hot path: the count on its small
+// objects, the bytes on the arrays a pipeline takes from the one before it.
+// The race detector's instrumentation allocates on its own, so the tests
+// skip under -race; CI runs them in a separate non-race step.
 
 func TestWReachDistAllocs(t *testing.T) {
 	if raceEnabled {
@@ -21,15 +23,15 @@ func TestWReachDistAllocs(t *testing.T) {
 	}
 	g := gen.Grid(24, 24)
 	o, _ := order.FromDegeneracy(g)
-	const budget = 1340 // measured 1165
-	got := testing.AllocsPerRun(5, func() {
+	const budget, bytesBudget = 1340, 400_000 // measured 1,152 and 347,158
+	allocs, bytes := perRun(func() {
 		if _, err := RunWReachDist(g, o, 2, dist.CongestBC, dist.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("RunWReachDist h=2: %.0f allocations per run (budget %d)", got, budget)
-	if got > budget {
-		t.Fatalf("RunWReachDist h=2 allocated %.0f times per run, budget %d", got, budget)
+	t.Logf("RunWReachDist h=2: %.0f allocations, %.0f bytes per run (budgets %d, %d)", allocs, bytes, budget, bytesBudget)
+	if allocs > budget || bytes > bytesBudget {
+		t.Fatalf("RunWReachDist h=2: %.0f allocations, %.0f bytes per run; budgets %d, %d", allocs, bytes, budget, bytesBudget)
 	}
 }
 
@@ -38,14 +40,31 @@ func TestDomSetAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	g := gen.Grid(24, 24)
-	const budget = 1335 // measured 1160
-	got := testing.AllocsPerRun(5, func() {
+	const budget, bytesBudget = 1335, 320_000 // measured 1,145 and 276,038
+	allocs, bytes := perRun(func() {
 		if _, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("RunDomSet r=1: %.0f allocations per run (budget %d)", got, budget)
-	if got > budget {
-		t.Fatalf("RunDomSet r=1 allocated %.0f times per run, budget %d", got, budget)
+	t.Logf("RunDomSet r=1: %.0f allocations, %.0f bytes per run (budgets %d, %d)", allocs, bytes, budget, bytesBudget)
+	if allocs > budget || bytes > bytesBudget {
+		t.Fatalf("RunDomSet r=1: %.0f allocations, %.0f bytes per run; budgets %d, %d", allocs, bytes, budget, bytesBudget)
 	}
+}
+
+// perRun returns the allocations and bytes of one steady-state run of f:
+// two warm-up runs hand the next ones released memory, then the counts are
+// averaged over ten runs, at GOMAXPROCS 1 as testing.AllocsPerRun measures.
+func perRun(f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10
+	f()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

@@ -64,7 +64,9 @@ func RunConnectedDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model di
 	if err := atLeastOne("radius", r); err != nil {
 		return nil, err
 	}
-	return (&pipeline{g: g, model: model, opts: opts}).connectedDomSet(o, r)
+	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
+	return p.connectedDomSet(o, r)
 }
 
 // RunConnectedDomSet executes the full Theorem 10 pipeline including the
@@ -74,6 +76,7 @@ func RunConnectedDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Optio
 		return nil, err
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
 	hp, err := p.hpartition(g.Degeneracy(), 1)
 	if err != nil {
 		return nil, err

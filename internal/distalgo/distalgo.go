@@ -37,15 +37,34 @@ import (
 )
 
 // pipeline is one distributed computation: a chain of simulator phases on
-// one graph in one model.
+// one graph in one model.  The exported function that makes it releases
+// it when it ends, on every path, so the next pipeline reuses its memory.
 type pipeline struct {
 	g     *graph.Graph
 	model dist.Model
 	opts  dist.Options
 	// runner runs every phase; the first phase makes it.
 	runner *dist.Runner
+	// alg4 is Algorithm 4's memory, taken by the wreach phase.
+	alg4 wreachMem
 	// Stats totals the cost of the phases run so far.
 	Stats dist.Stats
+}
+
+// release ends the pipeline: the runner's arrays and Algorithm 4's memory
+// go to their free lists, for the next pipeline whose graph they fit.
+// Nothing a pipeline returns points into them.
+func (p *pipeline) release() {
+	if p.runner != nil {
+		p.runner.Release()
+		p.runner = nil
+	}
+	if m := p.alg4; m.nodes != nil {
+		p.alg4 = wreachMem{}
+		// The cleared nodes drop every table that outgrew its window.
+		clear(m.nodes)
+		wreachSets.Put(m)
+	}
 }
 
 // run executes one phase: a simulator run labelled phase whose nodes come

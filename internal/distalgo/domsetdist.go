@@ -149,7 +149,9 @@ func RunDomSetWithOrder(g *graph.Graph, o *order.Order, r int, model dist.Model,
 	if err := atLeastOne("radius", r); err != nil {
 		return nil, err
 	}
-	return (&pipeline{g: g, model: model, opts: opts}).domSet(o, r)
+	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
+	return p.domSet(o, r)
 }
 
 // RunDomSet executes the full pipeline of Theorem 9 including the
@@ -160,6 +162,7 @@ func RunDomSet(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*Dom
 		return nil, err
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
 	hp, err := p.hpartition(g.Degeneracy(), 1)
 	if err != nil {
 		return nil, err

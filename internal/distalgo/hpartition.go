@@ -79,6 +79,7 @@ func (h *hpartitionNode) Done() bool { return h.finished }
 // the phase threshold (2+eps)·a.
 func RunHPartition(g *graph.Graph, model dist.Model, a int, eps float64, opts dist.Options) (*HPartitionResult, error) {
 	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
 	res, err := p.hpartition(a, eps)
 	if err != nil {
 		return nil, err

@@ -285,6 +285,7 @@ func RunKSV(g *graph.Graph, r int, model dist.Model, opts dist.Options) (*KSVRes
 		return &KSVResult{}, nil
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
 	nodes := make([]ksvNode, g.N())
 	err := p.run("kubsv", func(v int) dist.Node {
 		nodes[v] = ksvNode{id: v, r: r}

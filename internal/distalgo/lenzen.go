@@ -253,6 +253,7 @@ type LenzenResult struct {
 // approximation factor) but produces a valid dominating set on every graph.
 func RunLenzen(g *graph.Graph, opts dist.Options) (*LenzenResult, error) {
 	p := &pipeline{g: g, model: dist.Local, opts: opts}
+	defer p.release()
 	nodes := make([]lenzenNode, g.N())
 	err := p.run("lenzen", func(v int) dist.Node {
 		nodes[v] = lenzenNode{id: v}

@@ -176,6 +176,7 @@ func RunLocalConnector(g *graph.Graph, D []int, r int, opts dist.Options) (*Loca
 		return nil, fmt.Errorf("distalgo: D is not a distance-%d dominating set", r)
 	}
 	p := &pipeline{g: g, model: dist.Local, opts: opts}
+	defer p.release()
 	nodes := make([]localConnectNode, g.N())
 	err := p.run("local-connect", func(v int) dist.Node {
 		nodes[v] = localConnectNode{router: router{id: int32(v)}, r: r, inD: inD[v]}

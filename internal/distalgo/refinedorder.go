@@ -243,6 +243,7 @@ func RunRefinedOrder(g *graph.Graph, horizon int, threshold int, model dist.Mode
 		return nil, err
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
 	hp, err := p.hpartition(g.Degeneracy(), 1)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package distalgo
 
 import (
-	"cmp"
 	"slices"
 
 	"bedom/internal/dist"
@@ -98,7 +97,8 @@ func (w *wreachNode) consider(p []int32) {
 	if slices.Contains(p, w.id) {
 		return
 	}
-	i, have := slices.BinarySearchFunc(w.best, tpos, func(e wreachEntry, t int32) int { return cmp.Compare(e.tpos, t) })
+	i := w.find(tpos)
+	have := i < len(w.best) && w.best[i].tpos == tpos
 	if have && !w.extensionBetter(p, w.arena[w.best[i].start:w.best[i].end]) {
 		return
 	}
@@ -109,6 +109,21 @@ func (w *wreachNode) consider(p []int32) {
 		return
 	}
 	w.best = slices.Insert(w.best, i, e)
+}
+
+// find returns the position of target super-id tpos in the table, or its
+// insertion point if absent.
+func (w *wreachNode) find(tpos int32) int {
+	lo, hi := 0, len(w.best)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if w.best[mid].tpos < tpos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // adopt appends p extended by this vertex to the arena and returns its
@@ -175,6 +190,7 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 		return nil, err
 	}
 	p := &pipeline{g: g, model: model, opts: opts}
+	defer p.release()
 	nodes, err := p.wreach(o, horizon)
 	if err != nil {
 		return nil, err
@@ -182,21 +198,37 @@ func RunWReachDist(g *graph.Graph, o *order.Order, horizon int, model dist.Model
 	return &WReachDistResult{Witnesses: witnessLists(nodes), Stats: p.Stats}, nil
 }
 
+// wreachMem is the memory of Algorithm 4 that the graph fixes: the node
+// array and the two flat arrays whose windows are the nodes' first tables
+// and arenas.  A released pipeline hands it on through wreachSets.
+type wreachMem struct {
+	nodes   []wreachNode
+	entries []wreachEntry
+	ints    []int32
+}
+
+// wreachSets holds the Algorithm 4 memory of released pipelines.
+var wreachSets dist.FreeList[wreachMem]
+
 // wreach runs the Algorithm 4 phase and returns its nodes, whose tables
-// hold every vertex's witnesses.
+// hold every vertex's witnesses until the pipeline is released.  A
+// pipeline runs it at most once.
 func (p *pipeline) wreach(o *order.Order, horizon int) ([]wreachNode, error) {
 	g := p.g
+	n := g.N()
 	pos := o.Positions()
-	nodes := make([]wreachNode, g.N())
 	// Every node starts with windows of two flat arrays, sized for Init
 	// and the first round: itself plus at most one new target per neighbor,
 	// each a path of at most two vertices.  Later rounds append past the
 	// windows into arrays of the node's own.
-	slots := 0
-	for v := range nodes {
-		slots += g.Degree(v) + 1
+	slots := n + 2*g.M()
+	m, ok := wreachSets.Take(func(m *wreachMem) bool { return cap(m.nodes) >= n && cap(m.entries) >= slots })
+	if !ok {
+		m = wreachMem{nodes: make([]wreachNode, n), entries: make([]wreachEntry, slots), ints: make([]int32, 2*slots)}
 	}
-	entries, ints := make([]wreachEntry, slots), make([]int32, 2*slots)
+	m.nodes = m.nodes[:n]
+	p.alg4 = m
+	nodes, entries, ints := m.nodes, m.entries, m.ints
 	err := p.run("wreach", func(v int) dist.Node {
 		d := g.Degree(v) + 1
 		d2 := 2 * d
