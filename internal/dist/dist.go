@@ -8,33 +8,33 @@
 // A protocol is a factory assigning a Node to every vertex of a graph.  The
 // runner first calls Init on every node (round 0); a node may already
 // broadcast there.  Then rounds 1, 2, ... are executed: every node receives
-// the broadcasts its neighbors staged in the previous round (as an
-// []Inbound, at most one per neighbor, in ascending sender id) and takes one
-// step via Round.  All node steps of a round are logically simultaneous;
-// the runner fans them out across worker goroutines (Options.Workers) but
-// the observable behavior is identical for every worker count.
+// the messages its neighbors sent in the previous round (as an []Inbound,
+// at most one per neighbor, in ascending sender id) and takes one step via
+// Round.  All node steps of a round are logically simultaneous; the runner
+// fans them out across worker goroutines (Options.Workers) but the
+// observable behavior is identical for every worker count.
 //
 // The run terminates at the end of the first round in which no node
-// broadcast and every node that implements Halter reports Done.  Nodes that
-// do not implement Halter are treated as always done, so a protocol of such
-// nodes simply runs until global quiescence.  A protocol that neither
-// quiesces nor halts is cut off with ErrMaxRounds after Options.MaxRounds
-// rounds.
+// broadcast and every node reports Done.  A protocol that neither quiesces
+// nor halts is cut off with ErrMaxRounds after Options.MaxRounds rounds.
 //
 // # Models and bandwidth
 //
-// Broadcast is the only primitive: in both models a vertex broadcasts at
-// most one message per round, the same message on every incident edge.
-// A message is a span of int32 words, one O(log n)-bit word per vertex id
-// or small integer, so its size is its length.  CongestBC enforces the
-// per-message size limit of Options.Bandwidth (in words) at send time;
-// exceeding it aborts the run with ErrMessageTooLarge.  Local places no
-// limit on the size, so a LOCAL vertex that wants to tell its neighbors
-// different things broadcasts their union.  The paper's protocols keep
-// message sizes bounded by a constant that depends on the graph class and
-// radius but is not known to the simulator, so Bandwidth = 0 means "track
-// but do not limit": sizes are still accounted in Stats (Words,
-// MaxMessageWords) for congestion reports.
+// Broadcast is the only primitive: in both models a vertex sends one
+// message per round, the same message on every incident edge.  A message
+// is a span of int32 words, one O(log n)-bit word per vertex id or small
+// integer, so its size is its length.  A node builds it in place: every
+// Broadcast of a step appends to the vertex's message of the round, and
+// the runner closes the message when the step returns.  CongestBC checks
+// the closed message once against Options.Bandwidth (in words); a message
+// past it is not sent, and the run aborts after the round with
+// ErrMessageTooLarge.  Local places no limit on the size, so a LOCAL
+// vertex that wants to tell its neighbors different things broadcasts
+// their union.  The paper's protocols keep message sizes bounded by a
+// constant that depends on the graph class and radius but is not known to
+// the simulator, so Bandwidth = 0 means "track but do not limit": sizes
+// are still accounted in Stats (Words, MaxMessageWords) for congestion
+// reports.
 //
 // See DESIGN.md §2 for the full semantics and the model table.
 package dist
@@ -45,11 +45,11 @@ import "errors"
 type Model int
 
 const (
-	// Local is the LOCAL model: one broadcast per vertex per round, of any
+	// Local is the LOCAL model: one message per vertex per round, of any
 	// size.
 	Local Model = iota
 	// CongestBC is the CONGEST_BC (broadcast congest) model: one
-	// bandwidth-limited broadcast per vertex per round.
+	// bandwidth-limited message per vertex per round.
 	CongestBC
 )
 
@@ -97,20 +97,17 @@ type Inbound struct {
 
 // Node is the per-vertex protocol state machine.  Init is called once before
 // the first round (it may already broadcast); Round is called once per round
-// with the broadcasts received from the previous round, at most one per
+// with the messages received from the previous round, at most one per
 // neighbor, in ascending sender id.  The inbox and the words of every
 // message in it are only valid for the duration of the call: the runner
 // reuses the inbox array for the next vertex it steps and overwrites the
-// words the round after, so a node copies whatever it keeps.
+// words the round after, so a node copies whatever it keeps.  Done is
+// consulted after every Round call: the run terminates only when every
+// node is done and no node broadcast in the round (so no message is in
+// flight).  A node that only reacts to messages returns true.
 type Node interface {
 	Init(*Context)
 	Round(*Context, []Inbound)
-}
-
-// Halter is the optional halting interface of a Node: the runner terminates
-// only when every halter is done and no node broadcast in the round (so no
-// message is in flight).  It is consulted after every Round call.
-type Halter interface {
 	Done() bool
 }
 
@@ -142,19 +139,16 @@ func (s *Stats) Add(o Stats) {
 	s.MaxMessageWords = max(s.MaxMessageWords, o.MaxMessageWords)
 }
 
-// Errors returned by Runner.Run.  Violations are detected at send time and
-// reported wrapped, with the offending vertex and round; use errors.Is to
-// test for them.
+// Errors returned by Runner.Run, wrapped with the offending vertex or the
+// round budget; use errors.Is to test for them.
 var (
 	// ErrMaxRounds reports that the protocol neither quiesced nor halted
 	// within the round budget.
 	ErrMaxRounds = errors.New("dist: maximum round count exceeded")
 	// ErrMessageTooLarge reports a message exceeding Options.Bandwidth in
-	// the CongestBC model.
+	// the CongestBC model; the error names the round's smallest such
+	// vertex and the size of its message.
 	ErrMessageTooLarge = errors.New("dist: message exceeds the model bandwidth")
-	// ErrModelViolation reports an operation the model forbids: a second
-	// broadcast by one vertex in one round.
-	ErrModelViolation = errors.New("dist: operation not allowed in this model")
 	// ErrBadModel reports an unknown Model value.
 	ErrBadModel = errors.New("dist: unknown communication model")
 )

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"bedom/internal/graph"
@@ -308,27 +309,75 @@ func TestModelString(t *testing.T) {
 	}
 }
 
-// TestDoubleBroadcastRejected: a vertex stages at most one message per
-// round in every model; LOCAL lifts the size limit, not the count.
-func TestDoubleBroadcastRejected(t *testing.T) {
-	for _, model := range []Model{Local, CongestBC} {
-		_, err := NewRunner(path3(), model, Options{}).Run("twice", func(v int) Node {
-			return &funcNode{
-				init: func(ctx *Context) { ctx.Broadcast([]int32{0}) },
-				round: func(ctx *Context, _ []Inbound) {
-					if v == 1 && ctx.Round() == 1 {
-						ctx.Broadcast([]int32{1})
-						ctx.Broadcast([]int32{2})
-					}
-				},
-			}
-		})
-		if !errors.Is(err, ErrModelViolation) {
-			t.Fatalf("%v: a second broadcast in one round was not rejected: %v", model, err)
+// TestStepBroadcastsAreOneMessage: every Broadcast of a step appends to
+// the vertex's one message of the round.  Vertex v sends [v] at Init and,
+// in round 1, the pieces [v], nothing, [v, 1], …, [v, v%4], so its
+// neighbors receive one message of 1 + 2·(v%4) words, the pieces in order.
+// Stats and the probe count it as one message of that length, and the
+// bandwidth applies to the whole message: at 6 words every piece fits, but
+// the run aborts naming vertex 3, the smallest whose message has 7, at
+// Workers 1, 2 and 8.
+func TestStepBroadcastsAreOneMessage(t *testing.T) {
+	g := testGrid(4, 5)
+	message := func(v int) []int32 {
+		msg := []int32{int32(v)}
+		for i := 1; i <= v%4; i++ {
+			msg = append(msg, int32(v), int32(i))
 		}
-		// One broadcast per round is the intended use and must pass.
-		if _, err := NewRunner(path3(), model, Options{}).Run("once", broadcastOnInit([]int32{1})); err != nil {
-			t.Fatalf("%v: single broadcast rejected: %v", model, err)
+		return msg
+	}
+	protocol := func(v int) Node {
+		rounds := 0
+		return &funcNode{
+			init: func(ctx *Context) { ctx.Broadcast([]int32{int32(v)}) },
+			round: func(ctx *Context, inbox []Inbound) {
+				rounds++
+				switch rounds {
+				case 1:
+					ctx.Broadcast([]int32{int32(v)})
+					ctx.Broadcast(nil)
+					for i := 1; i <= v%4; i++ {
+						ctx.Broadcast([]int32{int32(v), int32(i)})
+					}
+				case 2:
+					if len(inbox) != ctx.Degree() {
+						t.Errorf("vertex %d got %d messages from %d neighbors", v, len(inbox), ctx.Degree())
+					}
+					for _, in := range inbox {
+						if want := message(in.From); !slices.Equal(in.Words, want) {
+							t.Errorf("vertex %d got %v from %d, want %v", v, in.Words, in.From, want)
+						}
+					}
+				}
+			},
+			done: func() bool { return rounds >= 2 },
+		}
+	}
+	second := RoundProfile{Round: 2, HaltedNodes: g.N()}
+	for v := range g.N() {
+		second.Messages += int64(g.Degree(v))
+		second.Words += int64(g.Degree(v) * len(message(v)))
+		second.MaxMessageWords = max(second.MaxMessageWords, len(message(v)))
+	}
+	arcs := int64(2 * g.M())
+	want := Stats{Rounds: 2, Messages: 2 * arcs, Words: arcs + second.Words, MaxMessageWords: 7}
+	for _, workers := range []int{1, 2, 8} {
+		for _, bandwidth := range []int{0, 7} {
+			p := &Probe{}
+			st, err := NewRunner(g, CongestBC, Options{Workers: workers, Bandwidth: bandwidth, Probe: p}).Run("pieces", protocol)
+			if err != nil || st != want {
+				t.Fatalf("workers=%d bandwidth=%d: %+v, %v; want %+v", workers, bandwidth, st, err, want)
+			}
+			if got := stripDurations(p.Profiles()[0]).Rounds[1]; got != second {
+				t.Fatalf("workers=%d bandwidth=%d: round 2 profiled as %+v, want %+v", workers, bandwidth, got, second)
+			}
+		}
+		st, err := NewRunner(g, CongestBC, Options{Workers: workers, Bandwidth: 6}).Run("pieces", protocol)
+		if !errors.Is(err, ErrMessageTooLarge) || !strings.Contains(err.Error(), "vertex 3 sent 7 words (limit 6) in round 1") {
+			t.Fatalf("workers=%d: a 7-word message of 1- and 2-word pieces under bandwidth 6 gave %v", workers, err)
+		}
+		if want := (Stats{Rounds: 1, Messages: arcs, Words: arcs, MaxMessageWords: 1}); st != want {
+			t.Fatalf("workers=%d: the aborted run counted %+v, want %+v", workers, st, want)
 		}
 	}
 }
@@ -375,13 +424,14 @@ func TestBroadcastCopies(t *testing.T) {
 	}
 }
 
-// abortNode broadcasts a word every round and never halts, mixing what it
-// hears into its state like gossipNode.  With twiceAt > 0 it broadcasts a
-// second time in that round, which aborts the run with ErrModelViolation
-// at the round's end; otherwise MaxRounds cuts it off.  Either way the run
-// ends with broadcasts staged in both slots.
+// abortNode broadcasts two words every round and never halts, mixing what
+// it hears into its state like gossipNode.  With overAt > 0 it appends a
+// third word in that round, which makes a message past a 2-word bandwidth
+// and aborts the run with ErrMessageTooLarge at the round's end; otherwise
+// MaxRounds cuts it off.  Either way the run ends with messages in both
+// slots.
 type abortNode struct {
-	id, twiceAt   int
+	id, overAt    int
 	rounds, state int
 }
 
@@ -398,7 +448,7 @@ func (n *abortNode) Round(ctx *Context, inbox []Inbound) {
 		}
 	}
 	ctx.Broadcast([]int32{int32(n.id), int32(n.state % 4093)})
-	if n.rounds == n.twiceAt && n.id%3 == 1 {
+	if n.rounds == n.overAt && n.id%3 == 1 {
 		ctx.Broadcast([]int32{int32(n.id)})
 	}
 }
@@ -408,8 +458,8 @@ func (n *abortNode) Done() bool { return false }
 // TestRunsOnOneRunnerAreIndependent runs gossip, an aborting run and gossip
 // again on one Runner, and requires each run's Stats, error, node states
 // and probe profile (durations zeroed) to equal a fresh runner's, at
-// Workers 1, 2 and 8.  The aborting run leaves staged broadcasts, recorded
-// violations and probe word counts behind; every Run must reset them.
+// Workers 1, 2 and 8.  The aborting run leaves sent messages and probe
+// word counts behind; every Run must reset them.
 func TestRunsOnOneRunnerAreIndependent(t *testing.T) {
 	g := testGrid(7, 9)
 	type protocol struct {
@@ -421,9 +471,9 @@ func TestRunsOnOneRunnerAreIndependent(t *testing.T) {
 		n := &gossipNode{id: v, total: 12}
 		return n, func() int { return n.state }
 	}, nil}
-	aborting := func(twiceAt int, want error) protocol {
+	aborting := func(overAt int, want error) protocol {
 		return protocol{"abort", func(v int) (Node, func() int) {
-			n := &abortNode{id: v, twiceAt: twiceAt}
+			n := &abortNode{id: v, overAt: overAt}
 			return n, func() int { return n.state }
 		}, want}
 	}
@@ -448,9 +498,9 @@ func TestRunsOnOneRunnerAreIndependent(t *testing.T) {
 		out.profile, _ = json.Marshal(stripDurations(profiles[len(profiles)-1]))
 		return out
 	}
-	for _, abort := range []protocol{aborting(4, ErrModelViolation), aborting(0, ErrMaxRounds)} {
+	for _, abort := range []protocol{aborting(4, ErrMessageTooLarge), aborting(0, ErrMaxRounds)} {
 		for _, workers := range []int{1, 2, 8} {
-			opts := func(p *Probe) Options { return Options{Workers: workers, MaxRounds: 20, Probe: p} }
+			opts := func(p *Probe) Options { return Options{Workers: workers, MaxRounds: 20, Bandwidth: 2, Probe: p} }
 			shared := &Probe{TopK: g.N() + 1}
 			r := NewRunner(g, CongestBC, opts(shared))
 			for i, pr := range []protocol{gossip, abort, gossip} {

@@ -17,7 +17,7 @@ import (
 // successor comparison) measures.
 var (
 	// distRuns carries an explicit outcome label ("ok" / "error") so an
-	// aborted run (ErrMaxRounds, a model violation, ...) never blends into
+	// aborted run (ErrMaxRounds, ErrMessageTooLarge, ...) never blends into
 	// the success series: rate(bedom_dist_runs_total{outcome="error"}) is
 	// the abort rate, no cross-metric subtraction needed.  The cost series
 	// below (rounds/messages/words/seconds) intentionally keep their
@@ -73,8 +73,6 @@ func errorReason(err error) string {
 		return "max_rounds"
 	case errors.Is(err, ErrMessageTooLarge):
 		return "message_too_large"
-	case errors.Is(err, ErrModelViolation):
-		return "model_violation"
 	case errors.Is(err, ErrBadModel):
 		return "bad_model"
 	default:

@@ -42,8 +42,7 @@ type RoundProfile struct {
 	// ActiveNodes counts the nodes that broadcast during this round's step
 	// (to be delivered next round).
 	ActiveNodes int `json:"active_nodes"`
-	// HaltedNodes counts the nodes reporting Done after this round's step
-	// (nodes without a Halter always count as done).
+	// HaltedNodes counts the nodes reporting Done after this round's step.
 	HaltedNodes int `json:"halted_nodes"`
 	// DurationNS is the coordinator-measured wall-clock of the round in
 	// nanoseconds.  It is the one field outside the determinism contract.
@@ -57,7 +56,7 @@ type VertexWords struct {
 	// SentWords counts delivered words attributed at send time: a broadcast
 	// of w words by a vertex of degree d accounts d·w (an isolated vertex's
 	// broadcast crosses no edge and accounts nothing, matching Stats).  On a
-	// run aborted mid-flight the final round's staged sends are attributed
+	// run aborted mid-flight the final round's sent messages are attributed
 	// here even though they were never delivered.
 	SentWords int64 `json:"sent_words"`
 	// RecvWords counts the words delivered to the vertex.

@@ -47,12 +47,11 @@ func (l *FreeList[T]) Put(s T) {
 }
 
 // arrays is the memory of a runner that the graph and the worker count
-// fix: a node, halter and context per vertex, and a slab pair and inbox per
+// fix: a node and context per vertex, and a slab pair and inbox per
 // worker.  Release hands it to a later runner through released.
 type arrays struct {
-	nodes   []Node
-	halters []Halter // halters[v] is nil when nodes[v] has no Done method
-	ctxs    []Context
+	nodes []Node
+	ctxs  []Context
 	// workers holds the state of each stepping goroutine (see worker).
 	workers []worker
 	// words backs the probe's per-vertex sent and received word counts.  A
@@ -71,7 +70,7 @@ func (r *Runner) alloc() {
 	k := graph.ResolveWorkers(r.opts.Workers, n)
 	a, ok := released.Take(func(a *arrays) bool { return cap(a.nodes) >= n && len(a.workers) == k })
 	if !ok {
-		a = arrays{nodes: make([]Node, n), halters: make([]Halter, n), ctxs: make([]Context, n), workers: make([]worker, k)}
+		a = arrays{nodes: make([]Node, n), ctxs: make([]Context, n), workers: make([]worker, k)}
 	}
 	// Each slab starts with room for one word per vertex of its block, a
 	// round of single-word broadcasts; wider rounds grow it, and later runs
@@ -84,7 +83,7 @@ func (r *Runner) alloc() {
 			}
 		}
 	}
-	a.nodes, a.halters, a.ctxs = a.nodes[:n], a.halters[:n], a.ctxs[:n]
+	a.nodes, a.ctxs = a.nodes[:n], a.ctxs[:n]
 	if r.opts.Probe != nil {
 		if cap(a.words[0]) < n {
 			a.words = [2][]int64{make([]int64, n), make([]int64, n)}
@@ -109,7 +108,6 @@ func (r *Runner) Release() {
 	a := r.arrays
 	r.arrays, r.sentWords, r.recvWords = arrays{}, nil, nil
 	clear(a.nodes)
-	clear(a.halters)
 	clear(a.ctxs)
 	limit := maxSlabWords(len(a.nodes), len(r.tgt), len(a.workers))
 	for i := range a.workers {

@@ -21,11 +21,11 @@ func drainReleased() []arrays {
 }
 
 // TestReleasedArraysServeTheNextRunner releases a runner after a run that
-// aborted mid-round (a second broadcast, or MaxRounds) and checks that the
-// next runner on the graph takes its arrays and still runs gossip exactly
-// like a runner with new arrays: Stats, node states and probe profile, at
-// Workers 1, 2 and 8.  A larger graph does not fit the set; a smaller one
-// does.
+// aborted mid-round (a message past the bandwidth, or MaxRounds) and
+// checks that the next runner on the graph takes its arrays and still runs
+// gossip exactly like a runner with new arrays: Stats, node states and
+// probe profile, at Workers 1, 2 and 8.  A larger graph does not fit the
+// set; a smaller one does.
 func TestReleasedArraysServeTheNextRunner(t *testing.T) {
 	g := testGrid(7, 9)
 	type outcome struct {
@@ -48,35 +48,35 @@ func TestReleasedArraysServeTheNextRunner(t *testing.T) {
 		}
 		return out
 	}
-	for _, twiceAt := range []int{4, 0} {
+	for _, overAt := range []int{4, 0} {
 		for _, workers := range []int{1, 2, 8} {
-			opts := func(p *Probe) Options { return Options{Workers: workers, MaxRounds: 20, Probe: p} }
+			opts := func(p *Probe) Options { return Options{Workers: workers, MaxRounds: 20, Bandwidth: 2, Probe: p} }
 			drainReleased()
 			fresh := &Probe{TopK: g.N() + 1}
 			want := gossip(NewRunner(g, CongestBC, opts(fresh)), fresh)
 
 			aborted := NewRunner(g, CongestBC, opts(&Probe{}))
-			if _, err := aborted.Run("abort", func(v int) Node { return &abortNode{id: v, twiceAt: twiceAt} }); err == nil {
-				t.Fatalf("twiceAt=%d workers=%d: the aborting run succeeded", twiceAt, workers)
+			if _, err := aborted.Run("abort", func(v int) Node { return &abortNode{id: v, overAt: overAt} }); err == nil {
+				t.Fatalf("overAt=%d workers=%d: the aborting run succeeded", overAt, workers)
 			}
 			set := &aborted.ctxs[0]
 			aborted.Release()
 			aborted.Release() // a second Release is a no-op
 			if got := len(released.sets); got != 1 {
-				t.Fatalf("twiceAt=%d workers=%d: %d sets released, want 1", twiceAt, workers, got)
+				t.Fatalf("overAt=%d workers=%d: %d sets released, want 1", overAt, workers, got)
 			}
 
 			p := &Probe{TopK: g.N() + 1}
 			next := NewRunner(g, CongestBC, opts(p))
 			got := gossip(next, p)
 			if &next.ctxs[0] != set {
-				t.Fatalf("twiceAt=%d workers=%d: the next runner made new arrays", twiceAt, workers)
+				t.Fatalf("overAt=%d workers=%d: the next runner made new arrays", overAt, workers)
 			}
 			if got.stats != want.stats || !slices.Equal(got.states, want.states) {
-				t.Fatalf("twiceAt=%d workers=%d: recycled arrays gave %+v, new arrays %+v", twiceAt, workers, got.stats, want.stats)
+				t.Fatalf("overAt=%d workers=%d: recycled arrays gave %+v, new arrays %+v", overAt, workers, got.stats, want.stats)
 			}
 			if gp, wp := got.prof, want.prof; !slices.Equal(gp.Rounds, wp.Rounds) || !slices.Equal(gp.Congestion, wp.Congestion) {
-				t.Fatalf("twiceAt=%d workers=%d: recycled arrays gave another probe profile", twiceAt, workers)
+				t.Fatalf("overAt=%d workers=%d: recycled arrays gave another probe profile", overAt, workers)
 			}
 			next.Release()
 
@@ -89,7 +89,7 @@ func TestReleasedArraysServeTheNextRunner(t *testing.T) {
 					t.Fatal(err)
 				}
 				if took := &r.ctxs[0] == set; took != other.fits {
-					t.Fatalf("twiceAt=%d workers=%d: a runner on a %d×9 grid took the 7×9 grid's set: %v", twiceAt, workers, other.rows, took)
+					t.Fatalf("overAt=%d workers=%d: a runner on a %d×9 grid took the 7×9 grid's set: %v", overAt, workers, other.rows, took)
 				}
 			}
 		}
@@ -98,7 +98,7 @@ func TestReleasedArraysServeTheNextRunner(t *testing.T) {
 
 // TestReleasedArraysAreBounded releases more runners than the free list
 // holds and checks what it keeps: at most GOMAXPROCS sets, every node,
-// halter, context and inbox entry cleared, and no slab past maxSlabWords.
+// context and inbox entry cleared, and no slab past maxSlabWords.
 // The runners broadcast wide LOCAL messages, so their slabs outgrow it.
 func TestReleasedArraysAreBounded(t *testing.T) {
 	g := testGrid(6, 6)
@@ -127,8 +127,7 @@ func TestReleasedArraysAreBounded(t *testing.T) {
 	for _, a := range sets {
 		for v := range a.nodes {
 			c := &a.ctxs[v]
-			if a.nodes[v] != nil || a.halters[v] != nil || c.r != nil || c.w != nil ||
-				c.sent[0] != nil || c.sent[1] != nil || c.err != nil {
+			if a.nodes[v] != nil || c.r != nil || c.w != nil || c.sent[0] != nil || c.sent[1] != nil {
 				t.Fatalf("vertex %d of a released set keeps a pointer", v)
 			}
 		}

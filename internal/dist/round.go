@@ -3,44 +3,42 @@ package dist
 import "bedom/internal/graph"
 
 // worker is the state of one goroutine stepping a block of vertices: its
-// round accumulator, its two slabs and its inbox.  slab[p] holds the words
-// of the broadcasts its vertices staged in the last round of parity p.
-// Those words are read by the neighbors' steps of the next round only, so
-// the worker empties slab[t%2] when it starts round t and reuses its array.
-// Message memory thus lives in a few pointer-free arrays per run.  inbox
-// holds the messages of the vertex being stepped; the worker refills it for
-// each vertex, since an inbox is valid only during its Round call.
+// round accumulator, its two slabs and its inbox.  slab[p] holds the
+// messages its vertices built in the last round of parity p, each vertex's
+// words one after another, appended in place by Broadcast.  Those words are
+// read by the neighbors' steps of the next round only, so the worker
+// empties slab[t%2] when it starts round t and reuses its array.  Message
+// memory thus lives in a few pointer-free arrays per run.  inbox holds the
+// messages of the vertex being stepped; the worker refills it for each
+// vertex, since an inbox is valid only during its Round call.
 type worker struct {
 	acc   roundAccum
 	slab  [2][]int32
 	inbox []Inbound
 }
 
-// stage appends words to the slab of parity p and returns their window
-// there, capped so that a receiver's append cannot reach the next message.
-func (w *worker) stage(p int, words []int32) []int32 {
-	start := len(w.slab[p])
-	w.slab[p] = append(w.slab[p], words...)
-	return w.slab[p][start:len(w.slab[p]):len(w.slab[p])]
-}
-
 // roundAccum collects the per-round bookkeeping of one worker: delivery
-// statistics, the quiescence and halting flags, and whether a model
-// violation was recorded.  Workers fill private accumulators that are merged
-// after the round; every merged quantity is order-independent (sums, max,
-// AND/OR), so the result is identical for any worker count and scheduling.
+// statistics, the quiescence and halting flags, and the smallest vertex
+// whose message exceeded the bandwidth.  Workers fill private accumulators
+// that are merged after the round; every merged quantity is
+// order-independent (sums, max, min, AND/OR), so the result is identical
+// for any worker count and scheduling.
 type roundAccum struct {
 	messages int64
 	words    int64
 	maxWords int
 	// active counts vertices that broadcast this step; halted counts
-	// vertices reporting Done (nodes without a Halter always count).  Both feed the round profiles of probe.go and are plain sums,
-	// so they stay order-independent like everything else here.
+	// vertices reporting Done.  Both feed the round profiles of probe.go
+	// and are plain sums, so they stay order-independent like everything
+	// else here.
 	active  int
 	halted  int
 	anySent bool
 	allDone bool
-	errSeen bool
+	// overWords is the length of the message of vertex over, the smallest
+	// vertex whose message exceeded the bandwidth this round; it is 0 when
+	// every message fit.
+	over, overWords int
 }
 
 func (a *roundAccum) deliver(words int) {
@@ -61,7 +59,9 @@ func (a *roundAccum) merge(b *roundAccum) {
 	a.halted += b.halted
 	a.anySent = a.anySent || b.anySent
 	a.allDone = a.allDone && b.allDone
-	a.errSeen = a.errSeen || b.errSeen
+	if b.overWords > 0 && (a.overWords == 0 || b.over < a.over) {
+		a.over, a.overWords = b.over, b.overWords
+	}
 }
 
 // forEachNode steps every vertex for the current round, one contiguous

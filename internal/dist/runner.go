@@ -73,12 +73,12 @@ func (r *Runner) row(v int) []int32 { return r.tgt[r.off[v]:r.off[v+1]] }
 // Run instantiates a node per vertex via factory (called sequentially in
 // vertex order, so factories may write to shared result slices), runs Init
 // and then synchronous rounds until termination, and returns the accumulated
-// statistics.  On a model violation or round overrun it returns the
-// statistics gathered so far together with the error.  A later Run on the
-// same Runner is unaffected by how this one ended.
+// statistics.  On a message past the bandwidth or a round overrun it returns
+// the statistics gathered so far together with the error.  A later Run on
+// the same Runner is unaffected by how this one ended.
 //
 // Termination: the run ends after the first round in which no node sent a
-// message and every node implementing Halter is done.
+// message and every node is done.
 //
 // Every run (successful or failed) is summarised in one RunProfile: the
 // process-wide simulator metrics account it under its model and phase, the
@@ -126,16 +126,15 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 			return Stats{}, fmt.Errorf("dist: factory returned nil node for vertex %d", v)
 		}
 		r.nodes[v] = node
-		r.halters[v], _ = node.(Halter)
-		// A fresh context: no staged broadcast, no recorded violation.
+		// A fresh context: no message in either slot.
 		r.ctxs[v] = Context{r: r, v: v}
 	}
 	probe := r.opts.Probe
 
 	// Round 0: Init every node.
 	r.round = 0
-	if init := r.forEachNode(); init.errSeen {
-		return Stats{}, r.firstError()
+	if init := r.forEachNode(); init.overWords > 0 {
+		return Stats{}, r.tooLarge(&init)
 	}
 
 	var stats Stats
@@ -169,8 +168,8 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 				DurationNS:      time.Since(roundStart).Nanoseconds(),
 			})
 		}
-		if total.errSeen {
-			return stats, r.firstError()
+		if total.overWords > 0 {
+			return stats, r.tooLarge(&total)
 		}
 		if !total.anySent && total.allDone {
 			return stats, nil
@@ -180,9 +179,11 @@ func (r *Runner) run(factory func(v int) Node) (Stats, error) {
 
 // step executes vertex v's part of the current round t as worker w.  Round
 // 0 calls Init.  Later rounds gather the inbox from the neighbors' round t-1
-// slots, clear v's round t slot and call Round.  A step only reads other
-// vertices' t-1 slots and writes its own vertex's state and w's, so steps
-// of distinct vertices never conflict.
+// slots and call Round.  Whatever the call broadcast is v's message, the
+// words it appended to w's slab; the step checks its size once and puts it
+// in v's round t slot.  A step only reads other vertices' t-1 slots and
+// writes its own vertex's state and w's, so steps of distinct vertices
+// never conflict.
 func (r *Runner) step(w *worker, v int) {
 	c := &r.ctxs[v]
 	if c.w != w {
@@ -192,7 +193,10 @@ func (r *Runner) step(w *worker, v int) {
 	}
 	acc := &w.acc
 	t := r.round
+	slab := &w.slab[t%2]
+	start := len(*slab)
 	sent := &c.sent[t%2]
+	*sent = (*sent)[:0] // a length store: no write barrier
 	if t == 0 {
 		r.nodes[v].Init(c)
 	} else {
@@ -211,38 +215,42 @@ func (r *Runner) step(w *worker, v int) {
 			// disabled path free of per-delivery probe work.
 			r.recvWords[v] += acc.words - wordsBefore
 		}
-		*sent = (*sent)[:0] // a length store: no write barrier
 		r.nodes[v].Round(c, inbox)
-		if h := r.halters[v]; h == nil || h.Done() {
+		if r.nodes[v].Done() {
 			acc.halted++
 		} else {
 			acc.allDone = false
 		}
 	}
-	if len(*sent) != 0 {
+	end := len(*slab)
+	switch size := end - start; {
+	case size == 0:
+	case r.bandwidth > 0 && size > r.bandwidth:
+		// The message is not sent, and the run aborts after the round.  The
+		// worker steps its block in increasing order, so the first overrun
+		// it sees is its smallest.
+		*slab = (*slab)[:start]
+		if acc.overWords == 0 {
+			acc.over, acc.overWords = v, size
+		}
+	default:
+		*sent = (*slab)[start:end:end] // capped: a receiver's append cannot reach the next message
 		acc.anySent = true
 		acc.active++
 		if r.sentWords != nil {
-			// Attributed as delivered words at send time: a broadcast of w
+			// Attributed as delivered words at send time: a message of s
 			// words by a vertex of degree d will cross d edges.  A run that
 			// aborts before the next round never delivers these; a
-			// successful run's last round stages nothing, so there send and
+			// successful run's last round sends nothing, so there send and
 			// receive totals agree.
-			r.sentWords[v] += int64(len(*sent)) * int64(r.off[v+1]-r.off[v])
+			r.sentWords[v] += int64(size) * int64(r.off[v+1]-r.off[v])
 		}
-	}
-	if c.err != nil {
-		acc.errSeen = true
 	}
 }
 
-// firstError returns the violation of the smallest vertex id, keeping error
-// reporting deterministic regardless of worker scheduling.
-func (r *Runner) firstError() error {
-	for v := range r.ctxs {
-		if err := r.ctxs[v].err; err != nil {
-			return err
-		}
-	}
-	return nil
+// tooLarge reports the overrun of a round's accumulator: the message of
+// its smallest vertex, so the error is the same for any worker count.
+func (r *Runner) tooLarge(a *roundAccum) error {
+	return fmt.Errorf("%w: vertex %d sent %d words (limit %d) in round %d of %v",
+		ErrMessageTooLarge, a.over, a.overWords, r.bandwidth, r.round, r.model)
 }

@@ -23,7 +23,7 @@ func TestWReachDistAllocs(t *testing.T) {
 	}
 	g := gen.Grid(24, 24)
 	o, _ := order.FromDegeneracy(g)
-	const budget, bytesBudget = 1340, 400_000 // measured 1,152 and 347,158
+	const budget, bytesBudget = 1325, 399_000 // measured 1,152 and 347,126
 	allocs, bytes := perRun(func() {
 		if _, err := RunWReachDist(g, o, 2, dist.CongestBC, dist.Options{Workers: 1}); err != nil {
 			t.Fatal(err)
@@ -40,7 +40,7 @@ func TestDomSetAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	g := gen.Grid(24, 24)
-	const budget, bytesBudget = 1335, 320_000 // measured 1,145 and 276,038
+	const budget, bytesBudget = 1310, 294_000 // measured 1,139 and 255,976
 	allocs, bytes := perRun(func() {
 		if _, err := RunDomSet(g, 1, dist.CongestBC, dist.Options{Workers: 1}); err != nil {
 			t.Fatal(err)

@@ -16,10 +16,8 @@ type router struct {
 	// onPath reports that this vertex lies on a routed path: it originated
 	// a token or picked one up.  reached reports that a token ended here.
 	onPath, reached bool
-	// fwd and buf are the tokens to forward and the message they make,
-	// reused from round to round.
+	// fwd holds the tokens to forward, reused from round to round.
 	fwd [][]int32
-	buf []int32
 }
 
 // forward picks up the tokens of inbox whose next hop is this vertex and
@@ -53,11 +51,9 @@ func (rt *router) forward(ctx *dist.Context, inbox []dist.Inbound) {
 // send broadcasts the distinct tokens of toks in increasing order.  The
 // tokens may be windows of this round's inbox: Broadcast copies them out.
 func (rt *router) send(ctx *dist.Context, toks [][]int32) {
-	rt.buf = rt.buf[:0]
 	for _, tok := range sortedDistinct(toks) {
-		rt.buf = append(rt.buf, tok...)
+		ctx.Broadcast(tok)
 	}
-	ctx.Broadcast(rt.buf)
 }
 
 // routerNode runs one routing phase: it originates its tokens in Init,

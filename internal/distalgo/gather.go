@@ -24,11 +24,10 @@ func (vi VertexInfo) vertex() int { return vi.ID }
 // knowledge gathers VertexInfo records by flooding them (see flood) and
 // holds their wire format.  The words of a message are only valid during
 // the Round call that received them, so the adjacency of a record learned
-// from one is copied into adj, an arena of the node's own; buf is the send
-// buffer.
+// from one is copied into adj, an arena of the node's own.
 type knowledge struct {
 	flood[VertexInfo]
-	adj, buf []int32
+	adj []int32
 }
 
 // addSelf adds the record of the node ctx belongs to.  Its adjacency is the
@@ -40,15 +39,14 @@ func (k *knowledge) addSelf(id int, flag bool, ctx *dist.Context) {
 // send broadcasts the records learned since the last send, in increasing
 // vertex order (nothing when there are none).
 func (k *knowledge) send(ctx *dist.Context) {
-	k.buf = k.buf[:0]
 	for _, vi := range k.flush() {
 		fd := int32(len(vi.Adj)) << 1
 		if vi.Flag {
 			fd |= 1
 		}
-		k.buf = append(append(k.buf, int32(vi.ID), fd), vi.Adj...)
+		ctx.Broadcast([]int32{int32(vi.ID), fd})
+		ctx.Broadcast(vi.Adj)
 	}
-	ctx.Broadcast(k.buf)
 }
 
 // absorb adds the records of a message that are new to k.

@@ -129,7 +129,6 @@ type ksvNode struct {
 	id     int
 	r      int
 	rounds int
-	buf    []int32
 
 	gather  knowledge
 	c       int
@@ -230,8 +229,8 @@ func (k *ksvNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			}
 		}
 	}
-	// Forward the flood whose window is open (at most one broadcast per
-	// round, so the protocol is also legal in CONGEST_BC).
+	// Forward the flood whose window is open: a round's message carries
+	// one flood, whose phase word the receiver files it by.
 	switch {
 	case t < r:
 		k.gather.send(ctx)
@@ -253,11 +252,10 @@ func (k *ksvNode) broadcast(ctx *dist.Context, f *flood[ksvRecord], phase int32)
 	if len(recs) == 0 {
 		return
 	}
-	k.buf = append(k.buf[:0], phase)
+	ctx.Broadcast([]int32{phase})
 	for _, rec := range recs {
-		k.buf = append(k.buf, int32(rec.ID), int32(rec.Val))
+		ctx.Broadcast([]int32{int32(rec.ID), int32(rec.Val)})
 	}
-	ctx.Broadcast(k.buf)
 }
 
 func (k *ksvNode) Done() bool { return k.rounds >= 7*k.r }

@@ -90,7 +90,6 @@ func (rn *refinedNode) Init(ctx *dist.Context) {
 	rn.pendingJoins = make(map[int]bool)
 	// Originate hello tokens along every witness path (skip the self
 	// witness).
-	var out [][]int32
 	for _, e := range rn.wreach.best {
 		if e.end-e.start < 2 {
 			continue
@@ -100,19 +99,15 @@ func (rn *refinedNode) Init(ctx *dist.Context) {
 		target := int(path[len(path)-1])
 		rn.shortcut[target] = path
 		rn.activeNeighbors[target] = true
-		out = append(out, append([]int32{tokHello, 0}, path...))
+		broadcastToken(ctx, tokHello, 0, path)
 	}
-	ctx.Broadcast(encodeTokens(out))
 }
 
-// encodeTokens writes decoded tokens as one message.
-func encodeTokens(toks [][]int32) []int32 {
-	var words []int32
-	for _, tok := range toks {
-		words = append(words, tok[0]|tok[1]<<1, int32(len(tok)-2))
-		words = append(words, tok[2:]...)
-	}
-	return words
+// broadcastToken sends the token of the given kind and hop index along
+// path in its wire format.
+func broadcastToken(ctx *dist.Context, kind, hop int32, path []int32) {
+	ctx.Broadcast([]int32{kind | hop<<1, int32(len(path))})
+	ctx.Broadcast(path)
 }
 
 // handleToken processes a token whose next hop is this vertex and returns the
@@ -208,7 +203,9 @@ func (rn *refinedNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 			forward = append(forward, append([]int32{tokJoin, 0}, path...))
 		}
 	}
-	ctx.Broadcast(encodeTokens(sortedDistinct(forward)))
+	for _, tok := range sortedDistinct(forward) {
+		broadcastToken(ctx, tok[0], tok[1], tok[2:])
+	}
 }
 
 func (rn *refinedNode) Done() bool {

@@ -1,12 +1,15 @@
 package distalgo
 
 import (
+	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"bedom/internal/dist"
 	"bedom/internal/gen"
+	"bedom/internal/graph"
 )
 
 // TestPipelineDeterministicAcrossWorkers runs the full Theorem 9 and
@@ -64,9 +67,9 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestLocalEqualsCongestBC pins the fact that lets the simulator keep only
-// two models: every pipeline here broadcasts at most once per round, so at
-// Bandwidth 0 a LOCAL run and a CONGEST_BC run give the same sets and the
-// same Stats, phase by phase.
+// two models: both send one message per vertex per round and differ only
+// in its size limit, so at Bandwidth 0 a LOCAL run and a CONGEST_BC run
+// give the same sets and the same Stats, phase by phase.
 func TestLocalEqualsCongestBC(t *testing.T) {
 	for name, g := range pinnedGraphs() {
 		for _, r := range []int{1, 2} {
@@ -101,6 +104,76 @@ func TestLocalEqualsCongestBC(t *testing.T) {
 					t.Errorf("%s r=%d %s: LOCAL stats %+v differ from CONGEST_BC stats %+v",
 						name, r, pipeline, stats[0][k], stats[1][k])
 				}
+			}
+		}
+	}
+}
+
+// TestBandwidthIsTheLargestMessage: the bandwidth applies to a vertex's
+// whole message of a round, however many Broadcast calls built it, so a
+// CONGEST_BC pipeline fits in exactly its own MaxMessageWords.  At that
+// bandwidth each pipeline below gives the unlimited run's answer and
+// Stats; one word less aborts it with ErrMessageTooLarge in the first
+// phase that sent a message of that size.
+func TestBandwidthIsTheLargestMessage(t *testing.T) {
+	type pipelineRun func(g *graph.Graph, opts dist.Options) (any, dist.Stats, error)
+	domSet := func(r int) pipelineRun {
+		return func(g *graph.Graph, opts dist.Options) (any, dist.Stats, error) {
+			res, err := RunDomSet(g, r, dist.CongestBC, opts)
+			if err != nil {
+				return nil, dist.Stats{}, err
+			}
+			return res.Set, res.Stats, nil
+		}
+	}
+	wreach := func(h int) pipelineRun {
+		return func(g *graph.Graph, opts dist.Options) (any, dist.Stats, error) {
+			res, err := RunWReachDist(g, degeneracyOrder(g), h, dist.CongestBC, opts)
+			if err != nil {
+				return nil, dist.Stats{}, err
+			}
+			return res.Witnesses, res.Stats, nil
+		}
+	}
+	pipelines := []struct {
+		name string
+		run  pipelineRun
+	}{
+		{"RunDomSet r=1", domSet(1)},
+		{"RunDomSet r=2", domSet(2)},
+		{"RunConnectedDomSet r=1", func(g *graph.Graph, opts dist.Options) (any, dist.Stats, error) {
+			res, err := RunConnectedDomSet(g, 1, dist.CongestBC, opts)
+			if err != nil {
+				return nil, dist.Stats{}, err
+			}
+			return [2][]int{res.DomSet, res.Set}, res.Stats, nil
+		}},
+		{"RunWReachDist h=2", wreach(2)},
+		{"RunWReachDist h=3", wreach(3)},
+		{"RunWReachDist h=4", wreach(4)},
+	}
+	for name, g := range pinnedGraphs() {
+		for _, pc := range pipelines {
+			probe := &dist.Probe{}
+			want, wantStats, err := pc.run(g, dist.Options{Probe: probe})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pc.name, err)
+			}
+			limit := wantStats.MaxMessageWords
+			phase := ""
+			for _, rp := range probe.Profiles() {
+				if rp.Stats.MaxMessageWords == limit {
+					phase = rp.Phase
+					break
+				}
+			}
+			got, stats, err := pc.run(g, dist.Options{Bandwidth: limit})
+			if err != nil || !reflect.DeepEqual(got, want) || stats != wantStats {
+				t.Fatalf("%s %s: at bandwidth %d: %+v, %v; unlimited: %+v", name, pc.name, limit, stats, err, wantStats)
+			}
+			_, _, err = pc.run(g, dist.Options{Bandwidth: limit - 1})
+			if !errors.Is(err, dist.ErrMessageTooLarge) || !strings.Contains(err.Error(), "distalgo: "+phase+" failed") {
+				t.Fatalf("%s %s: at bandwidth %d: %v; want ErrMessageTooLarge in phase %q", name, pc.name, limit-1, err, phase)
 			}
 		}
 	}

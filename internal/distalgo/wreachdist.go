@@ -26,8 +26,7 @@ type wreachNode struct {
 	// target turns up).  It is Algorithm 4's table, which the later phases
 	// read in place.
 	best []wreachEntry
-	// arena backs every adopted path; its spare room past the end is the
-	// send buffer, which Broadcast copies out.
+	// arena backs every adopted path.
 	arena     []int32
 	roundsRun int32
 }
@@ -69,14 +68,11 @@ func (w *wreachNode) Round(ctx *dist.Context, inbox []dist.Inbound) {
 // broadcast sends the paths adopted in the current round that can still
 // grow (length < horizon), in target super-id order.
 func (w *wreachNode) broadcast(ctx *dist.Context) {
-	msg := len(w.arena)
 	for _, e := range w.best {
 		if e.adopted == w.roundsRun && int(e.end-e.start)-1 < w.horizon {
-			w.arena = append(w.arena, w.arena[e.start:e.end]...)
+			ctx.Broadcast(w.path(e))
 		}
 	}
-	ctx.Broadcast(w.arena[msg:])
-	w.arena = w.arena[:msg]
 }
 
 // consider examines a received path (target … sender) and adopts its

@@ -79,8 +79,13 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 	return order, degeneracy
 }
 
-// Degeneracy returns the degeneracy of g.
+// Degeneracy returns the degeneracy of g.  A finalized graph never
+// changes, so the first call computes it and later calls read it back.
 func (g *Graph) Degeneracy() int {
+	if k := g.degeneracy.Load(); k > 0 {
+		return int(k - 1)
+	}
 	_, k := g.DegeneracyOrder()
+	g.degeneracy.Store(int32(k + 1))
 	return k
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Graph is an undirected simple graph with one lifecycle.  New, AddEdge and
@@ -41,6 +42,8 @@ type Graph struct {
 	off       []int32
 	tgt       []int32
 	finalized bool
+	// degeneracy is Degeneracy's value plus one, 0 until its first call.
+	degeneracy atomic.Int32
 }
 
 // Common construction errors.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -421,6 +422,33 @@ func TestDegeneracyOrderProperty(t *testing.T) {
 			if later > k {
 				t.Fatalf("vertex %d has %d later neighbors, degeneracy %d", v, later, k)
 			}
+		}
+	}
+}
+
+// TestDegeneracyIsKept: concurrent first calls of Degeneracy agree with
+// DegeneracyOrder, and the graph keeps the value for later calls.
+func TestDegeneracyIsKept(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		g := randomGraph(t, 60, 0.08, seed)
+		_, want := g.DegeneracyOrder()
+		var wg sync.WaitGroup
+		got := make([]int, 4)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = g.Degeneracy()
+			}()
+		}
+		wg.Wait()
+		for _, k := range got {
+			if k != want {
+				t.Fatalf("seed %d: Degeneracy %d, DegeneracyOrder %d", seed, k, want)
+			}
+		}
+		if kept := g.degeneracy.Load(); kept != int32(want+1) {
+			t.Fatalf("seed %d: the graph keeps %d, want %d", seed, kept-1, want)
 		}
 	}
 }
