@@ -32,7 +32,7 @@ func CheckConnected(g *graph.Graph, D []int, r int) bool {
 // wcol_{2r+1}(G,L)·(2r+1)·|D| + |D|.  Callers that hold the radius-(2r+1)
 // witnesses already use ClosureOf.
 func Closure(g *graph.Graph, o *order.Order, D []int, r int) []int {
-	return ClosureOf(order.WReachWitnesses(g, o, 2*r+1, 0), D)
+	return ClosureOf(order.WReachWitnesses(g, o, 2*r+1, -1, 0), D)
 }
 
 // ClosureOf is Closure on precomputed witnesses: wits must hold the weak

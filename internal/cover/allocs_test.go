@@ -8,8 +8,8 @@ import (
 	"bedom/internal/order"
 )
 
-// The tests below gate the allocations of the two halves of the engine's
-// cover substrate on the churn benchmark's sweep graph, the largest
+// The tests below gate the allocations of the cover build and of its
+// statistics on the churn benchmark's sweep graph, the largest
 // component of a geometric graph with n = 5,000 (seed 1), at r = 1 and
 // Workers 1.  The budgets sit about 15% above the measured counts.  The
 // race detector allocates on its own, so the tests skip under -race; CI
@@ -36,14 +36,20 @@ func checkAllocs(t *testing.T, name string, budget float64, f func()) {
 	}
 }
 
-// TestBuildFromSetsAllocs gates the sweep's cover.build_allocs row.
+// TestBuildFromSetsAllocs gates the sweep's cover.build_allocs row, and
+// BuildFromHomes, the engine's cover build, at the same budget.
 func TestBuildFromSetsAllocs(t *testing.T) {
 	g, setsR, sets2R := sweepSets(t)
 	checkAllocs(t, "BuildFromSets r=1", 12, func() { BuildFromSets(g, 1, setsR, sets2R, 1) }) // measured 10
+	homes := make([]int, len(setsR))
+	for w, set := range setsR {
+		homes[w] = set[0]
+	}
+	checkAllocs(t, "BuildFromHomes r=1", 12, func() { BuildFromHomes(g, 1, homes, sets2R, 1) }) // measured 9
 }
 
-// TestComputeStatsAllocs gates the cover statistics: one walker for every
-// cluster radius of the worker block.
+// TestComputeStatsAllocs gates the cover statistics the CLI and E2 measure:
+// one walker for every cluster radius of the worker block.
 func TestComputeStatsAllocs(t *testing.T) {
 	g, setsR, sets2R := sweepSets(t)
 	c := BuildFromSets(g, 1, setsR, sets2R, 1)

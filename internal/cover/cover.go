@@ -37,29 +37,37 @@ type Cover struct {
 	memberships [][]int
 }
 
-// Build constructs the cover of Theorem 4 from the order o.
+// Build constructs the cover of Theorem 4 from the order o, with one
+// radius-2r sweep that also records the homes at radius r.
 func Build(g *graph.Graph, o *order.Order, r int) *Cover {
-	sets2r := order.WReachSets(g, o, 2*r)
-	setsR := order.WReachSets(g, o, r)
-	return BuildFromSets(g, r, setsR, sets2r, 0)
+	sw := order.WReachSweep(g, o, 2*r, r, 0)
+	return BuildFromHomes(g, r, sw.Homes, sw.Sets, 0)
 }
 
-// BuildFromSets constructs the radius-r cover from precomputed
-// weak-reachability sets: setsR at radius r (used for the Home pointers)
-// and sets2r at radius 2r (whose inversion is the cluster collection).
-// workers bounds the goroutines of the inversion (0 = GOMAXPROCS); the
-// result is identical for every worker count.  The cover keeps references
-// into sets2r — treat the sets as immutable afterwards.
+// BuildFromSets is BuildFromHomes with the homes read off setsR, the
+// weak-reachability sets at radius r: the home of w is setsR[w][0].
 func BuildFromSets(g *graph.Graph, r int, setsR, sets2r [][]int, workers int) *Cover {
+	homes := make([]int, len(setsR))
+	for w, set := range setsR {
+		homes[w] = set[0]
+	}
+	return BuildFromHomes(g, r, homes, sets2r, workers)
+}
+
+// BuildFromHomes constructs the radius-r cover from one sweep
+// (order.WReachSweep at s = 2r and rho = r): homes are the Home pointers
+// and sets2r, the weak-reachability sets at radius 2r, are inverted into
+// the cluster collection.  workers bounds the goroutines of the inversion
+// (0 = GOMAXPROCS); the result is identical for every worker count.  The
+// cover keeps homes and references into sets2r — treat both as immutable
+// afterwards.
+func BuildFromHomes(g *graph.Graph, r int, homes []int, sets2r [][]int, workers int) *Cover {
 	n := g.N()
 	c := &Cover{
 		R:           r,
-		Home:        make([]int, n),
+		Home:        homes,
 		clusters:    make([][]int, n),
 		memberships: sets2r,
-	}
-	for w := 0; w < n; w++ {
-		c.Home[w] = setsR[w][0]
 	}
 
 	// Invert sets2r: cluster[v] = { w : v ∈ sets2r[w] }, w ascending.  The

@@ -168,6 +168,34 @@ func TestCoverSingleVertexAndDisconnected(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesComputeStats: the (r, 2r) sweep a cover is built from
+// already holds the statistics the engine reports, so they need no walk of
+// the clusters: its depth is the cover's radius, its wcol the cover's
+// degree, and every vertex centers a cluster.
+func TestSweepMatchesComputeStats(t *testing.T) {
+	geo, _ := gen.LargestComponent(gen.RandomGeometric(2000, gen.GeometricRadiusForAvgDeg(2000, 6), 3))
+	for name, g := range map[string]*graph.Graph{
+		"apollonian": gen.Apollonian(3000, 7),
+		"geometric":  geo,
+		"grid":       gen.Grid(20, 30),
+		"tree":       gen.RandomTree(400, 2),
+	} {
+		for _, r := range []int{1, 2, 3} {
+			o := order.ConstructDefault(g, r)
+			for _, workers := range []int{1, 2, 8} {
+				sw := order.WReachSweep(g, o, 2*r, r, workers)
+				c := BuildFromHomes(g, r, sw.Homes, sw.Sets, workers)
+				st := c.ComputeStats(g)
+				if st.MaxRadius != sw.Depth || st.Degree != order.WColOfSets(sw.Sets) ||
+					st.NumClusters != g.N() || c.NumClusters() != st.NumClusters || c.Degree() != st.Degree {
+					t.Fatalf("%s r=%d workers=%d: sweep depth %d, wcol %d, n %d; ComputeStats radius %d, degree %d, clusters %d",
+						name, r, workers, sw.Depth, order.WColOfSets(sw.Sets), g.N(), st.MaxRadius, st.Degree, st.NumClusters)
+				}
+			}
+		}
+	}
+}
+
 // TestBuildFromSetsWorkersDeterminism asserts the sharded cover inversion
 // is byte-identical for every worker count (the same contract the dist and
 // order packages enforce for their parallel phases).

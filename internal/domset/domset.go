@@ -37,19 +37,33 @@ func Check(g *graph.Graph, D []int, r int) bool {
 //	D := { min WReach_r[G, L, w] : w ∈ V(G) }
 //
 // directly from the weak reachability sets (equation (2) in the proof of
-// Theorem 5).  It is equivalent to AlgorithmOne (a test asserts this) but
-// more convenient for reuse when WReach sets are already available.
+// Theorem 5): the distinct homes of one radius-r sweep.  It is equivalent
+// to AlgorithmOne (a test asserts this).
 func FromOrder(g *graph.Graph, o *order.Order, r int) []int {
-	mins := order.MinWReach(g, o, r)
-	seen := make(map[int]bool, len(mins))
-	var D []int
-	for _, v := range mins {
-		if !seen[v] {
-			seen[v] = true
+	return FromHomes(order.WReachSweep(g, o, r, r, 0).Homes)
+}
+
+// FromHomes returns the distinct values of homes, sorted increasingly.  For
+// the homes of a sweep at radius r (order.Sweep.Homes) that is the set
+// Algorithm 1 returns, nil on the empty graph as there.
+func FromHomes(homes []int) []int {
+	in := make([]bool, len(homes))
+	k := 0
+	for _, h := range homes {
+		if !in[h] {
+			in[h] = true
+			k++
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	D := make([]int, 0, k)
+	for v, ok := range in {
+		if ok {
 			D = append(D, v)
 		}
 	}
-	sort.Ints(D)
 	return D
 }
 

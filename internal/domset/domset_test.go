@@ -1,6 +1,7 @@
 package domset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,8 +50,10 @@ func TestCheckRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestAlgorithmOneMatchesFromOrder(t *testing.T) {
-	cases := []*graph.Graph{
+// algorithmOneCases are the graphs on which the sets built from a sweep's
+// homes are checked against Algorithm 1.
+func algorithmOneCases() []*graph.Graph {
+	return []*graph.Graph{
 		gen.Path(25),
 		gen.Cycle(30),
 		gen.Grid(7, 9),
@@ -60,7 +63,10 @@ func TestAlgorithmOneMatchesFromOrder(t *testing.T) {
 		gen.RandomTree(60, 5),
 		gen.RandomGeometric(120, 0.12, 6),
 	}
-	for gi, g := range cases {
+}
+
+func TestAlgorithmOneMatchesFromOrder(t *testing.T) {
+	for gi, g := range algorithmOneCases() {
 		for _, r := range []int{1, 2, 3} {
 			o := order.ConstructDefault(g, r)
 			a := AlgorithmOne(g, o, r)
@@ -75,6 +81,39 @@ func TestAlgorithmOneMatchesFromOrder(t *testing.T) {
 			}
 			if !Check(g, a, r) {
 				t.Fatalf("case %d r=%d: result not a dominating set", gi, r)
+			}
+		}
+	}
+}
+
+// TestSweepHomesMatchAlgorithmOne: whatever radius s ≥ ρ a sweep searches
+// and however many workers share it, its homes at radius ρ are
+// min WReach_ρ[G, L, w], their distinct values are Algorithm 1's set, and a
+// witness sweep records the same homes and depth.  The 3,000-vertex
+// Apollonian graph is large enough for the sweep to split into blocks.
+func TestSweepHomesMatchAlgorithmOne(t *testing.T) {
+	cases := append(algorithmOneCases(), gen.Apollonian(3000, 7))
+	for gi, g := range cases {
+		for _, rho := range []int{1, 2, 3} {
+			o := order.ConstructDefault(g, rho)
+			want := AlgorithmOne(g, o, rho)
+			setsRho := order.WReachSets(g, o, rho)
+			for _, s := range []int{rho, 2 * rho, 2*rho + 1} {
+				for _, workers := range []int{1, 2, 8} {
+					sw := order.WReachSweep(g, o, s, rho, workers)
+					for w, h := range sw.Homes {
+						if h != setsRho[w][0] {
+							t.Fatalf("case %d rho=%d s=%d workers=%d: home of %d is %d, want %d", gi, rho, s, workers, w, h, setsRho[w][0])
+						}
+					}
+					if got := FromHomes(sw.Homes); !slices.Equal(got, want) {
+						t.Fatalf("case %d rho=%d s=%d workers=%d: distinct homes (%d) differ from AlgorithmOne (%d)", gi, rho, s, workers, len(got), len(want))
+					}
+					wits := order.WReachWitnesses(g, o, s, rho, workers)
+					if !slices.Equal(wits.Homes, sw.Homes) || wits.Depth != sw.Depth {
+						t.Fatalf("case %d rho=%d s=%d workers=%d: witness sweep homes or depth differ from the plain sweep's", gi, rho, s, workers)
+					}
+				}
 			}
 		}
 	}

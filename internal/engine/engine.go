@@ -668,14 +668,15 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 	return v.(*order.Order), hit, nil
 }
 
-// wreachFor returns the (cached) weak s-reachability sets of the order for
-// radius orderR — the substrate behind both wcol measurements and covers.
-// Building it reuses (or builds) the cached order.  The nested fetch runs
-// under detached(ctx), without the requester's deadline: a build is shared
+// wreachFor returns the (cached) sweep at radius s of the order for radius
+// orderR, with the homes at radius min(orderR, s) — the substrate behind
+// wcol measurements, the paper and dvorak sets and covers.  Building it
+// reuses (or builds) the cached order.  The nested fetch runs under
+// detached(ctx), without the requester's deadline: a build is shared
 // work — if it adopted one requester's deadline, that requester's timeout
 // would be recorded as the build's error and handed to every coalesced
 // waiter.
-func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) ([][]int, error) {
+func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (*order.Sweep, error) {
 	_, sp := obs.Start(ctx, "substrate:wreach")
 	defer sp.End()
 	v, _, err := e.cache.getOrBuild(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
@@ -685,13 +686,13 @@ func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orde
 			return nil, err
 		}
 		return e.cache.timedBuild("wreach", func() any {
-			return order.WReachSetsWorkers(g, o, s, e.cfg.SubstrateWorkers)
+			return order.WReachSweep(g, o, s, min(orderR, s), e.cfg.SubstrateWorkers)
 		}), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([][]int), nil
+	return v.(*order.Sweep), nil
 }
 
 // withTimeout applies the request (or engine default) timeout to ctx.

@@ -408,10 +408,11 @@ func (e *Engine) answerFor(ctx context.Context, g *graph.Graph, gen uint64, req 
 
 // connectedAnswer computes the Corollary 13 answer for radius r into resp.
 // One radius-(2r+1) witness traversal of the cached order for 2r+1 serves
-// both wcol_{2r+1} and the closure's witness paths.  Only this build reads
-// the traversal's parent column, so the traversal is not a substrate of its
-// own; it keeps the wreach span, stage hook and build-time label, and the
-// rest of the build counts as solve time.
+// wcol_{2r+1}, the dominating set (the distinct homes at radius r) and the
+// closure's witness paths.  Only this build reads the traversal's parent
+// column, so the traversal is not a substrate of its own; it keeps the
+// wreach span, stage hook and build-time label, and the rest of the build
+// counts as solve time.
 func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, resp *Response) error {
 	start := time.Now()
 	if !g.IsConnected() {
@@ -425,11 +426,11 @@ func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64
 	_, sp := obs.Start(ctx, "substrate:wreach")
 	e.stage("substrate:wreach")
 	wits := e.cache.timedBuild("wreach", func() any {
-		return order.WReachWitnesses(g, o, 2*r+1, e.cfg.SubstrateWorkers)
+		return order.WReachWitnesses(g, o, 2*r+1, r, e.cfg.SubstrateWorkers)
 	}).(*order.Witnesses)
 	sp.End()
 	start = time.Now()
-	D := domset.AlgorithmOne(g, o, r)
+	D := domset.FromHomes(wits.Homes)
 	resp.DomSet = D
 	resp.Set = connect.ClosureOf(wits, D)
 	resp.Size = len(resp.Set)
@@ -439,24 +440,19 @@ func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64
 	return nil
 }
 
-// coverAnswer builds the Theorem 4 cover for radius r into resp, with its
-// statistics measured once, so that repeated cover queries skip the
-// eccentricity sweeps.  The cover inverts the cached weak-reachability sets
-// (shared with wcol measurements) instead of sweeping the graph again.
+// coverAnswer builds the Theorem 4 cover for radius r into resp from one
+// cached sweep, the (r, 2r) one the paper solver and wcol_2r also read: its
+// sets invert into the clusters, its homes are the Home pointers, and its
+// depth is the cover's radius (Sweep.Depth), so no cluster is walked again.
 func (e *Engine) coverAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, resp *Response) error {
-	sets2r, err := e.wreachFor(ctx, g, gen, r, 2*r)
-	if err != nil {
-		return err
-	}
-	setsR, err := e.wreachFor(ctx, g, gen, r, r)
+	sw, err := e.wreachFor(ctx, g, gen, r, 2*r)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	c := cover.BuildFromSets(g, r, setsR, sets2r, e.cfg.SubstrateWorkers)
-	st := c.ComputeStatsWorkers(g, e.cfg.SubstrateWorkers)
+	c := cover.BuildFromHomes(g, r, sw.Homes, sw.Sets, e.cfg.SubstrateWorkers)
 	e.cache.addBuildTime("cover", time.Since(start))
-	resp.Size, resp.CoverDegree, resp.CoverMaxRadius = st.NumClusters, st.Degree, st.MaxRadius
+	resp.Size, resp.CoverDegree, resp.CoverMaxRadius = c.NumClusters(), c.Degree(), sw.Depth
 	resp.coverRef = c
 	return nil
 }

@@ -30,11 +30,11 @@ func (s *engineSubstrate) Order(ctx context.Context, r int) (*order.Order, error
 	return o, err
 }
 
-func (s *engineSubstrate) WReach(ctx context.Context, orderR, r int) ([][]int, error) {
+func (s *engineSubstrate) WReach(ctx context.Context, orderR, r int) (*order.Sweep, error) {
 	start := time.Now()
-	sets, err := s.e.wreachFor(ctx, s.g, s.gen, orderR, r)
+	sw, err := s.e.wreachFor(ctx, s.g, s.gen, orderR, r)
 	s.nested += time.Since(start)
-	return sets, err
+	return sw, err
 }
 
 // solve runs the solver strategy for radius r into the answer's response.

@@ -327,10 +327,20 @@ func (w *roundWorker) begin(n int) (excluded, seen int32) {
 }
 
 // emit appends the walk's heads to dst sorted by vertex id, each with the
-// length the walk kept for it.
+// length the walk kept for it.  Most walks find a handful of heads, which
+// an insertion sort orders faster than a call to slices.Sort.
 func (w *roundWorker) emit(dst []Arc) []Arc {
-	slices.Sort(w.heads)
-	for _, h := range w.heads {
+	heads := w.heads
+	if len(heads) <= 24 {
+		for i := 1; i < len(heads); i++ {
+			for j := i; j > 0 && heads[j] < heads[j-1]; j-- {
+				heads[j], heads[j-1] = heads[j-1], heads[j]
+			}
+		}
+	} else {
+		slices.Sort(heads)
+	}
+	for _, h := range heads {
 		dst = append(dst, Arc{h, w.length[h]})
 	}
 	return dst
@@ -396,13 +406,13 @@ func (d *Digraph) round(maxLen int, ws []roundWorker) AugmentationResult {
 					if l > maxLen {
 						continue
 					}
-					switch z := b.To; mark[z] {
-					case excluded:
-					case seen:
-						length[z] = min(length[z], int32(l))
-					default:
+					// An excluded head's length is never read, so the
+					// minimum may overwrite it.
+					if z := b.To; mark[z] < excluded {
 						mark[z], length[z] = seen, int32(l)
 						w.heads = append(w.heads, z)
+					} else {
+						length[z] = min(length[z], int32(l))
 					}
 				}
 			}

@@ -320,3 +320,24 @@ func TestWReachSetsAllocs(t *testing.T) {
 		t.Errorf("WReachSetsWorkers s=2 allocated %.0f times per call, budget %d", got, budget)
 	}
 }
+
+// TestWReachSweepAllocs gates the sweep the engine caches for domset and
+// cover: WReachSweep at s = 2 with the homes at rho = 1, single-worker, on
+// the graph and order of TestWReachSetsAllocs.  The homes add the result's
+// table and one per block; a sweep asked for no homes keeps
+// TestWReachSetsAllocs' count.
+func TestWReachSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := mustLargest(gen.RandomGeometric(5000, gen.GeometricRadiusForAvgDeg(5000, 6), 1))
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	o := Construct(g, opts).Order
+	const budget = 17 // measured 15
+	got := testing.AllocsPerRun(3, func() { WReachSweep(g, o, 2, 1, 1) })
+	t.Logf("WReachSweep s=2 rho=1: %.0f allocations per call (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("WReachSweep s=2 rho=1 allocated %.0f times per call, budget %d", got, budget)
+	}
+}

@@ -154,20 +154,19 @@ func TestWColMeasureKnownValues(t *testing.T) {
 	}
 }
 
-func TestWColOfSetsAndMinWReach(t *testing.T) {
+func TestWColOfSetsAndHomes(t *testing.T) {
 	g := gen.Grid(8, 8)
 	o := ConstructDefault(g, 1)
 	sets := WReachSets(g, o, 2)
 	if max := WColOfSets(sets); max < 1 || max != WColMeasure(g, o, 2) {
 		t.Fatalf("wcol of sets %d, measured %d", max, WColMeasure(g, o, 2))
 	}
-	mins := MinWReach(g, o, 2)
-	for v := range mins {
-		if mins[v] != sets[v][0] {
-			t.Fatalf("MinWReach mismatch at %d", v)
+	for v, h := range WReachSweep(g, o, 2, 2, 0).Homes {
+		if h != sets[v][0] {
+			t.Fatalf("home of %d is %d, want min WReach_2 = %d", v, h, sets[v][0])
 		}
-		if o.Less(v, mins[v]) {
-			t.Fatalf("min wreach of %d is larger than %d", v, v)
+		if o.Less(v, h) {
+			t.Fatalf("home of %d is larger than %d", v, v)
 		}
 	}
 }

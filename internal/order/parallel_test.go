@@ -32,7 +32,7 @@ func TestWReachSetsWorkersDeterminism(t *testing.T) {
 		for _, r := range []int{1, 2, 4} {
 			o := ConstructDefault(g, 2)
 			base := WReachSetsWorkers(g, o, r, 1)
-			baseWits := WReachWitnesses(g, o, r, 1)
+			baseWits := WReachWitnesses(g, o, r, r/2, 1)
 			if !reflect.DeepEqual(base, baseWits.Sets) {
 				t.Fatalf("%s r=%d: witness sets differ from WReachSets", name, r)
 			}
@@ -41,8 +41,8 @@ func TestWReachSetsWorkersDeterminism(t *testing.T) {
 				if !reflect.DeepEqual(base, got) {
 					t.Fatalf("%s r=%d: WReachSets differ between 1 and %d workers", name, r, workers)
 				}
-				if wits := WReachWitnesses(g, o, r, workers); !reflect.DeepEqual(baseWits, wits) {
-					t.Fatalf("%s r=%d: witnesses (sets or parent column) differ between 1 and %d workers", name, r, workers)
+				if wits := WReachWitnesses(g, o, r, r/2, workers); !reflect.DeepEqual(baseWits, wits) {
+					t.Fatalf("%s r=%d: witnesses (sets, homes, depth or parent column) differ between 1 and %d workers", name, r, workers)
 				}
 			}
 		}

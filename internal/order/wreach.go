@@ -21,10 +21,39 @@ import (
 // depth r discovers exactly the vertices w with u ∈ WReach_r[G, L, w].
 // Total time is O(Σ_u |X_u| · wcol) which is linear for every fixed r on a
 // bounded expansion class, and the n source searches are independent, so
-// they shard across workers (see WReachSetsWorkers).  WReachWitnesses runs
-// the same search and also keeps the witness paths.
+// they shard across workers (see WReachSetsWorkers).  WReachSweep runs the
+// same searches and also records each vertex's home and the deepest level
+// reached; WReachWitnesses also keeps the witness paths.
 func WReachSets(g *graph.Graph, o *Order, r int) [][]int {
 	return WReachSetsWorkers(g, o, r, 0)
+}
+
+// Sweep is what one sweep of restricted searches at radius s yields besides
+// the sets themselves.
+type Sweep struct {
+	// Sets[w] is WReach_s[G, L, w] sorted by L-position, exactly as
+	// WReachSetsWorkers returns it (and just as read-only).
+	Sets [][]int
+	// Homes[w] is min WReach_ρ[G, L, w] for the radius ρ ≤ s the sweep was
+	// asked for (nil when it was asked for none).  The distinct homes at
+	// ρ = r are the set Algorithm 1 returns (proof of Theorem 5), and the
+	// home at ρ = r is the cluster of Theorem 4 that holds N_r[w] (Lemma 6).
+	Homes []int
+	// Depth is the deepest level any search reached: the largest
+	// eccentricity of a vertex u within the subgraph induced by the vertices
+	// its search found, X_u = { w : u ∈ WReach_s[G, L, w] }.  With s = 2r
+	// that is the radius of the Theorem 4 cover: a shortest path of G[≥_L u]
+	// from u to a vertex of X_u has every vertex in X_u.
+	Depth int
+}
+
+// WReachSweep is WReachSetsWorkers that also returns each vertex's home
+// min WReach_rho[G, L, w] and the depth of the sweep, for 0 ≤ rho ≤ s; a
+// negative rho asks for no homes.  The searches are the same, so the sets
+// are identical, and so are the homes and the depth for every worker count.
+func WReachSweep(g *graph.Graph, o *Order, s, rho, workers int) *Sweep {
+	sw, _ := wreach(g, o, s, rho, workers, false)
+	return &sw
 }
 
 // wreachShard is one worker's share of a WReachSets computation: the
@@ -33,13 +62,18 @@ func WReachSets(g *graph.Graph, o *Order, r int) [][]int {
 // segment index — no second per-pair array), and the per-vertex
 // contribution counts, later repurposed as write cursors.  par, aligned
 // with ws, holds each discovered vertex's BFS parent when witnesses were
-// asked for and is nil otherwise.
+// asked for and is nil otherwise.  home[w], when homes at a radius below s
+// were asked for, is 1 + the position of the first source of the block
+// whose search reached w within that radius (0 if none did); depth is the
+// deepest level the block's searches reached.
 type wreachShard struct {
-	lo   int // first source position of the block
-	ws   []int32
-	par  []int32
-	ends []int32
-	cnt  []int
+	lo    int // first source position of the block
+	ws    []int32
+	par   []int32
+	ends  []int32
+	cnt   []int
+	home  []int32
+	depth int32
 }
 
 // WReachSetsWorkers is WReachSets fanned out over the given number of
@@ -49,23 +83,34 @@ type wreachShard struct {
 // every worker count — no per-set sort is needed because sources are visited
 // in L-order (each set's elements arrive already sorted by position).
 func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
-	sets, _ := wreach(g, o, r, workers, false)
-	return sets
+	sw, _ := wreach(g, o, r, -1, workers, false)
+	return sw.Sets
 }
 
-// wreach is the sharded restricted BFS behind WReachSetsWorkers and
-// WReachWitnesses.  With parents set it also returns the parent column:
+// wreach is the sharded restricted BFS behind WReachSetsWorkers,
+// WReachSweep and WReachWitnesses.  The depth, and with rho ≥ 0 the homes
+// at radius rho, are read off each search as its scratch is reset: its
+// segment of ws is in BFS order, so the last entry is at the search's
+// depth and the entries within rho are a prefix.  At rho = s the home is
+// the set's first element and needs no table.  With parents set it also
+// returns the parent column:
 // next[w][j] is the vertex the search from sets[w][j] reached w from (w
 // itself when sets[w][j] = w); otherwise next is nil and the search keeps
 // no parents.
-func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]int, next [][]int32) {
+func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Sweep, next [][]int32) {
+	if rho > s {
+		panic("order: a sweep's home radius exceeds its search radius")
+	}
 	n := g.N()
-	sets = make([][]int, n)
+	sw.Sets = make([][]int, n)
+	if rho >= 0 {
+		sw.Homes = make([]int, n)
+	}
 	if parents {
 		next = make([][]int32, n)
 	}
 	if n == 0 {
-		return sets, next
+		return sw, next
 	}
 	workers = graph.ResolveWorkers(workers, n)
 	if n < graph.MinParallelVertices {
@@ -73,7 +118,11 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	}
 	pos := o.pos
 	perm := o.perm
-	r32 := int32(r)
+	s32 := int32(s)
+	// table is whether homes need a per-block table; rho32 bounds the
+	// prefix of a search it records.
+	table := rho >= 0 && rho < s
+	rho32 := int32(rho)
 
 	// Position-relabeled CSR (the paper's Algorithm 2, SortLists): the
 	// vertex at position i has neighbor positions prows[poff[i]:poff[i+1]].
@@ -109,9 +158,14 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 		if parents {
 			par = make([]int32, 0, cap(ws))
 		}
+		var home []int32
+		if table {
+			home = make([]int32, n)
+		}
+		depth := int32(0)
 		ends := make([]int32, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			// BFS from position i restricted to positions ≥ i, depth ≤ r;
+			// BFS from position i restricted to positions ≥ i, depth ≤ s;
 			// the tail of ws doubles as the FIFO queue (every position
 			// enters it once).
 			head := len(ws)
@@ -123,7 +177,7 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 			i32 := int32(i)
 			for ; head < len(ws); head++ {
 				x := ws[head]
-				if dist[x] >= r32 {
+				if dist[x] >= s32 {
 					continue
 				}
 				dx := dist[x] + 1
@@ -142,13 +196,25 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 			if len(ends) > 0 {
 				start = int(ends[len(ends)-1])
 			}
-			for _, w := range ws[start:] {
+			seg := ws[start:]
+			depth = max(depth, dist[seg[len(seg)-1]])
+			if table {
+				for _, w := range seg {
+					if dist[w] > rho32 {
+						break
+					}
+					if home[w] == 0 {
+						home[w] = i32 + 1
+					}
+				}
+			}
+			for _, w := range seg {
 				cnt[w]++
 				dist[w] = -1
 			}
 			ends = append(ends, int32(len(ws)))
 		}
-		shards[k] = wreachShard{lo: lo, ws: ws, par: par, ends: ends, cnt: cnt}
+		shards[k] = wreachShard{lo: lo, ws: ws, par: par, ends: ends, cnt: cnt, home: home, depth: depth}
 	})
 
 	// Count-and-fill merge: compute each (position, shard) write cursor,
@@ -156,18 +222,30 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	// buffers in parallel, mapping position labels back to vertices.  Shard
 	// blocks cover ascending position ranges and each shard emits sources in
 	// ascending position, so cursor order reproduces the position-sorted
-	// sets exactly.
+	// sets exactly, and the first shard with a candidate home holds the
+	// least one.
 	off := make([]int, n+1)
 	sum := 0
 	for w := 0; w < n; w++ {
 		off[w] = sum
+		h := int32(0)
 		for k := range shards {
-			c := shards[k].cnt[w]
-			shards[k].cnt[w] = sum // repurpose as this shard's write cursor
+			sh := &shards[k]
+			if table && h == 0 {
+				h = sh.home[w]
+			}
+			c := sh.cnt[w]
+			sh.cnt[w] = sum // repurpose as this shard's write cursor
 			sum += c
+		}
+		if table {
+			sw.Homes[perm[w]] = perm[h-1]
 		}
 	}
 	off[n] = sum
+	for k := range shards {
+		sw.Depth = max(sw.Depth, int(shards[k].depth))
+	}
 	flat := make([]int, sum)
 	var pflat []int32
 	if parents {
@@ -193,12 +271,15 @@ func wreach(g *graph.Graph, o *Order, r, workers int, parents bool) (sets [][]in
 	})
 	for w := 0; w < n; w++ {
 		v := perm[w]
-		sets[v] = flat[off[w]:off[w+1]:off[w+1]]
+		sw.Sets[v] = flat[off[w]:off[w+1]:off[w+1]]
 		if parents {
 			next[v] = pflat[off[w]:off[w+1]:off[w+1]]
 		}
+		if rho == s {
+			sw.Homes[v] = flat[off[w]]
+		}
 	}
-	return sets, next
+	return sw, next
 }
 
 // WColMeasure returns the measured weak r-colouring number of g under the
@@ -220,18 +301,6 @@ func WColOfSets(sets [][]int) int {
 		}
 	}
 	return max
-}
-
-// MinWReach returns, for every vertex w, the L-minimum element of
-// WReach_r[G, L, w].  This is exactly the dominator election rule of
-// Theorem 5 / Theorem 9 of the paper.
-func MinWReach(g *graph.Graph, o *Order, r int) []int {
-	sets := WReachSets(g, o, r)
-	mins := make([]int, len(sets))
-	for v, s := range sets {
-		mins[v] = s[0] // sets are sorted by L-position
-	}
-	return mins
 }
 
 // WReachBruteForce computes WReach_r[G, L, w] for a single vertex w by

@@ -16,8 +16,8 @@ type PathTo struct {
 	Path   []int
 }
 
-// Witnesses holds the weak r-reachability sets together with one witness
-// path per pair.  The witnessing path from w to u ∈ WReach_r[G, L, w] is a
+// Witnesses holds the weak s-reachability sets together with one witness
+// path per pair.  The witnessing path from w to u ∈ WReach_s[G, L, w] is a
 // shortest path from w to u inside the subgraph induced by the vertices ≥_L
 // u (the cluster X_u), exactly the paths learned by the distributed
 // Algorithm 4 (Lemma 7 of the paper).
@@ -27,28 +27,29 @@ type PathTo struct {
 // the sets.  That parent is itself in X_u and one step closer to u, so u is
 // in its set too, and AppendPath follows parents until it arrives at u.
 type Witnesses struct {
-	// Sets[w] is WReach_r[G, L, w] sorted by L-position, exactly as
-	// WReachSetsWorkers returns it (and just as read-only).
-	Sets [][]int
+	// Sweep holds the sets, as WReachSweep returns them, with the homes and
+	// the depth of the same searches.
+	Sweep
 	// next[w][j] is the vertex after w on the witness path from w to
 	// Sets[w][j] (w itself when Sets[w][j] = w).
 	next [][]int32
 	pos  []int // the order's vertex → position map
 }
 
-// WReachWitnesses computes the weak r-reachability sets of g under o with
+// WReachWitnesses computes the weak s-reachability sets of g under o with
 // their witness paths, fanned out over the given number of workers (0 =
-// GOMAXPROCS).  It runs the same sharded restricted BFS as
-// WReachSetsWorkers, keeping the BFS parent of every discovered pair; the
-// sets, and the paths, are identical for every worker count.
-func WReachWitnesses(g *graph.Graph, o *Order, r, workers int) *Witnesses {
-	sets, next := wreach(g, o, r, workers, true)
-	return &Witnesses{Sets: sets, next: next, pos: o.pos}
+// GOMAXPROCS).  It runs the same sharded restricted BFS as WReachSweep,
+// with the homes at radius rho (none for a negative rho), keeping the BFS
+// parent of every discovered pair; the sets, homes and paths are identical
+// for every worker count.
+func WReachWitnesses(g *graph.Graph, o *Order, s, rho, workers int) *Witnesses {
+	sw, next := wreach(g, o, s, rho, workers, true)
+	return &Witnesses{Sweep: sw, next: next, pos: o.pos}
 }
 
 // AppendPath appends the witness path from w to its j'th weakly reachable
 // vertex Sets[w][j] to dst and returns the extended slice: w first, the
-// target last, every vertex ≥_L the target, at most r edges.  Each step
+// target last, every vertex ≥_L the target, at most s edges.  Each step
 // finds the target in the next vertex's position-sorted set by binary
 // search.
 func (x *Witnesses) AppendPath(dst []int, w, j int) []int {

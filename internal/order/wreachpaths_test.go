@@ -25,7 +25,7 @@ func TestWReachWithPathsMatchesSets(t *testing.T) {
 		for _, r := range []int{1, 2, 3} {
 			o := ConstructDefault(g, r)
 			sets := WReachSets(g, o, r)
-			wits := WReachWitnesses(g, o, r, 0)
+			wits := WReachWitnesses(g, o, r, -1, 0)
 			if !reflect.DeepEqual(wits.Sets, sets) {
 				t.Fatalf("%s r=%d: witness targets differ from WReachSets", name, r)
 			}
@@ -39,7 +39,7 @@ func TestWReachWithPathsMatchesSets(t *testing.T) {
 func TestWReachWithPathsSelfWitness(t *testing.T) {
 	g := gen.Grid(4, 4)
 	o, _ := FromDegeneracy(g)
-	wits := WReachWitnesses(g, o, 2, 1)
+	wits := WReachWitnesses(g, o, 2, -1, 1)
 	for v, set := range wits.Sets {
 		found := false
 		for j, u := range set {
@@ -61,7 +61,7 @@ func TestWReachWithPathsShortestWithinCluster(t *testing.T) {
 	// the unique subpath, of length w-u (when ≤ r).
 	g := gen.Path(8)
 	o := Identity(8)
-	wits := WReachWitnesses(g, o, 3, 1)
+	wits := WReachWitnesses(g, o, 3, -1, 1)
 	for w := 0; w < 8; w++ {
 		for j, u := range wits.Sets[w] {
 			if got, want := len(wits.AppendPath(nil, w, j))-1, w-u; got != want {

@@ -31,7 +31,7 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	if err != nil {
 		return Result{}, err
 	}
-	sets, err := sub.WReach(ctx, r, r)
+	sw, err := sub.WReach(ctx, r, r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -47,7 +47,7 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 		// w is within distance r of v by the definition of WReach_r, so the
 		// ball marking below always covers v.  A delegate can never repeat:
 		// were w already in D, its ball would have marked v dominated.
-		w := sets[v][0]
+		w := sw.Homes[v]
 		D = append(D, w)
 		for _, u := range wk.Walk(w, r) {
 			dominated[u] = true
@@ -57,6 +57,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       order.WColOfSets(sets),
+		Wcol:       order.WColOfSets(sw.Sets),
 	}, nil
 }
