@@ -122,11 +122,6 @@ type Config struct {
 	// FS routes a persistent engine's store through an alternate filesystem
 	// (nil = the real one).  Tests pass a fault.Injector.  Ignored by New.
 	FS fault.FS
-	// RawSnapshotMinEntries is the CSR entry count (n+1+2m) at which the
-	// store writes mmap-able raw-aligned snapshots instead of varint-packed
-	// ones (0 = store default, ~1M entries; negative = always varint).
-	// Ignored by New.  See store.Options.RawSnapshotMinEntries.
-	RawSnapshotMinEntries int
 }
 
 func (c Config) normalised() Config {
@@ -244,7 +239,7 @@ type Engine struct {
 
 	// Persistence (nil/zero on engines constructed with New; see Open).
 	store       *store.Store
-	ckptMu      sync.Mutex // serializes Checkpoint with Register/Remove
+	ckptMu      sync.Mutex // serializes Register, Remove and Checkpoint (also on New engines)
 	ckptStop    chan struct{}
 	ckptDone    chan struct{}
 	ckptRan     atomic.Bool
@@ -409,43 +404,32 @@ func (e *Engine) Register(name string, g *graph.Graph) (GraphInfo, error) {
 	if err := checkGraph(g); err != nil {
 		return GraphInfo{}, err
 	}
-	dyn := graph.NewDynamic(g, 0)
-	if e.store == nil {
-		// Generation assignment and publication share one critical section,
-		// so racing same-name registrations always publish in generation
-		// order (a graph's gen never visibly decreases).
-		e.mu.Lock()
-		if old, ok := e.graphs[name]; ok {
-			defer e.cache.purge(old.gen)
-		}
-		e.nextGen++
-		gen := e.nextGen
-		ent := &graphEntry{name: name, gen: gen, dyn: dyn}
-		e.graphs[name] = ent
-		e.mu.Unlock()
-		return ent.info(gen), nil
-	}
-	// Persistent path: registrations are writes — reject while degraded.
+	// Registrations are writes — reject while degraded.
 	if err := e.checkWritable(); err != nil {
 		return GraphInfo{}, err
 	}
-	// The snapshot is written (durably, temp+rename) before
-	// the registry publishes the name, so a graph the engine acknowledged
-	// can never be missing after a crash.  ckptMu is held across generation
-	// assignment, snapshot write AND publication: racing registrations are
-	// serialized end-to-end, so the on-disk epoch order always matches the
-	// registry's publication order (the losing epoch can't remain on disk
-	// while the winner serves mutations), generations publish in order, and
-	// a concurrent checkpoint cannot interleave a rewrite.
+	// On a persistent engine the snapshot is written (durably, temp+rename)
+	// before the registry publishes the name, so a graph the engine
+	// acknowledged can never be missing after a crash.  ckptMu is held
+	// across generation assignment, snapshot write AND publication: racing
+	// registrations are serialized end-to-end, so generations publish in
+	// order (a graph's gen never visibly decreases), the on-disk epoch
+	// order always matches the registry's publication order (the losing
+	// epoch can't remain on disk while the winner serves mutations), and a
+	// concurrent checkpoint cannot interleave a rewrite.
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	e.mu.Lock()
 	e.nextGen++
 	gen := e.nextGen
 	e.mu.Unlock()
-	epoch, covered, err := e.persistRegistration(name, gen, dyn)
-	if err != nil {
-		return GraphInfo{}, err
+	dyn := graph.NewDynamic(g, 0)
+	var epoch, covered uint64
+	if e.store != nil {
+		var err error
+		if epoch, covered, err = e.persistRegistration(name, gen, dyn); err != nil {
+			return GraphInfo{}, err
+		}
 	}
 	e.mu.Lock()
 	if old, ok := e.graphs[name]; ok {
@@ -503,10 +487,8 @@ func (e *Engine) Info(name string) (GraphInfo, bool) {
 // be deleted — a restart would resurrect it — so callers must not
 // acknowledge the removal as durable.
 func (e *Engine) Remove(name string) (ok bool, err error) {
-	if e.store != nil {
-		e.ckptMu.Lock()
-		defer e.ckptMu.Unlock()
-	}
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
 	e.mu.Lock()
 	ent, ok := e.graphs[name]
 	var gen uint64

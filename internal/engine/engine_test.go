@@ -80,6 +80,55 @@ func TestRegisterRejectsUnfinalized(t *testing.T) {
 	}
 }
 
+// TestConcurrentRegisterSameName races registrations of one name, each with
+// its own graph, on an in-memory and on a durable engine.  Register runs one
+// sequence on both, so the entry left published is the call with the largest
+// generation, with its own graph, and a reopened durable engine recovers it.
+func TestConcurrentRegisterSameName(t *testing.T) {
+	const callers = 16
+	for _, durable := range []bool{false, true} {
+		dir := t.TempDir()
+		var e *Engine
+		if durable {
+			e = openPersistent(t, dir, Config{})
+		} else {
+			e = testEngine(t, Config{})
+		}
+		infos := make([]GraphInfo, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				infos[i], errs[i] = e.Register("g", gen.Path(i+2))
+			}()
+		}
+		wg.Wait()
+		var last GraphInfo
+		for i, info := range infos {
+			if errs[i] != nil {
+				t.Fatalf("durable=%v: register %d: %v", durable, i, errs[i])
+			}
+			if info.N != i+2 {
+				t.Fatalf("durable=%v: register %d returned n=%d, want %d", durable, i, info.N, i+2)
+			}
+			if info.Gen > last.Gen {
+				last = info
+			}
+		}
+		if got, ok := e.Info("g"); !ok || got != last {
+			t.Fatalf("durable=%v: published %+v, want the largest generation returned, %+v", durable, got, last)
+		}
+		if durable {
+			e.Close()
+			if got, ok := openPersistent(t, dir, Config{}).Info("g"); !ok || got != last {
+				t.Fatalf("reopened engine holds %+v, want %+v", got, last)
+			}
+		}
+	}
+}
+
 // TestSingleFlight asserts the single-flight contract: many parallel
 // identical queries build each needed substrate exactly once.
 func TestSingleFlight(t *testing.T) {

@@ -33,8 +33,7 @@ func Open(dataDir string, cfg Config) (*Engine, error) {
 		// Raw-flag snapshots are served zero-copy from the page cache
 		// whenever the platform allows; the store falls back to decoding
 		// per file, so the knob is safe to leave on everywhere.
-		Mmap:                  true,
-		RawSnapshotMinEntries: cfg.RawSnapshotMinEntries,
+		Mmap: true,
 	})
 	if err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ import (
 // path on supported platforms), and answers a radius-1 dominating-set query
 // before and after the restart.
 //
-// Every cell is deterministic: sizes, the raw/mmap booleans and the
+// Every cell is deterministic: sizes, the mmap boolean and the
 // dominating-set size, plus the "identical" bit asserting the post-restart
 // answer matches the pre-restart one vertex for vertex.  The cold start's
 // times are bench/ rows (store.mmap_open_ms, store.open_ms) and end-to-end
@@ -26,7 +26,7 @@ func L1ScaleColdStart(cfg Config) *Table {
 	t := &Table{
 		ID:     "L1",
 		Title:  fmt.Sprintf("Scale: cold start and answer identity at n≈%d (zero-copy snapshots)", cfg.LargeN),
-		Header: []string{"family", "n", "m", "snap bytes", "raw", "mmap", "domset size", "identical"},
+		Header: []string{"family", "n", "m", "snap bytes", "mmap", "domset size", "identical"},
 	}
 	restrict := map[string]bool{}
 	for _, name := range cfg.Families {
@@ -39,7 +39,7 @@ func L1ScaleColdStart(cfg Config) *Table {
 		runScaleFamily(t, f, cfg)
 	}
 	t.Notes = append(t.Notes,
-		"raw = snapshot written with the raw-aligned section variant; mmap = recovery served it zero-copy (DESIGN.md §13)")
+		"mmap = recovery served the raw-aligned snapshot zero-copy (DESIGN.md §13)")
 	return t
 }
 
@@ -53,11 +53,7 @@ func runScaleFamily(t *Table, f gen.Family, cfg Config) {
 	}
 	defer os.RemoveAll(dir)
 
-	// RawSnapshotMinEntries: 1 pins the raw format even when a quick-config
-	// run shrinks LargeN below the store's automatic threshold, so the table
-	// shape does not depend on the workload size.
-	ecfg := engine.Config{RawSnapshotMinEntries: 1}
-	e1, err := engine.Open(dir, ecfg)
+	e1, err := engine.Open(dir, engine.Config{})
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: open: %v", f.Name, err))
 		return
@@ -74,12 +70,12 @@ func runScaleFamily(t *Table, f gen.Family, cfg Config) {
 		e1.Close()
 		return
 	}
-	// Snapshot counters (bytes written, raw variant) live in the writing
-	// process's stats; capture them before the restart.
+	// Snapshot counters (bytes written) live in the writing process's
+	// stats; capture them before the restart.
 	writeStats := e1.Stats()
 	e1.Close()
 
-	e2, err := engine.Open(dir, ecfg)
+	e2, err := engine.Open(dir, engine.Config{})
 	if err != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: reopen: %v", f.Name, err))
 		return
@@ -93,6 +89,6 @@ func runScaleFamily(t *Table, f gen.Family, cfg Config) {
 
 	openStats := e2.Stats()
 	t.AddRow(f.Name, g.N(), g.M(), writeStats.Persist.SnapshotBytes,
-		writeStats.Persist.SnapshotsRaw > 0, openStats.Persist.Recovered.MmapGraphs > 0,
+		openStats.Persist.Recovered.MmapGraphs > 0,
 		cold.Size, slices.Equal(before.Set, cold.Set))
 }

@@ -122,7 +122,8 @@ type SnapshotMeta struct {
 }
 
 // EncodeSnapshot writes g (which must be finalized) and its meta as one
-// snapshot document in the varint-packed format.
+// snapshot document in the varint-packed format.  The store reads this
+// format, which older data directories hold, but writes EncodeSnapshotRaw.
 func EncodeSnapshot(w io.Writer, meta SnapshotMeta, g *graph.Graph) error {
 	if !g.Finalized() {
 		return errors.New("store: EncodeSnapshot: graph is not finalized")

@@ -204,28 +204,68 @@ func TestOpenMmapSnapshotFallsBackOnVarint(t *testing.T) {
 	}
 }
 
+// writeVarintSnapshot puts a varint-packed snapshot of g where a store rooted
+// at dir keeps it: the file older stores wrote for graphs under 2²⁰ CSR
+// entries.  It returns the file's path.
+func writeVarintSnapshot(t *testing.T, dir string, meta SnapshotMeta, g *graph.Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, meta, g); err != nil {
+		t.Fatal(err)
+	}
+	graphsDir := filepath.Join(dir, graphsSubdir)
+	if err := os.MkdirAll(graphsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(graphsDir, snapFileName(meta.Name))
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// snapshotIsRaw reports whether the snapshot file at path carries the
+// raw-sections header flag.
+func snapshotIsRaw(t *testing.T, path string) bool {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := parseSnapshot(blob)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return s.raw
+}
+
 // TestSnapshotTrailingBytesRejected appends bytes after the END section of
 // each variant: the document is corrupt, and every reader says so with
 // ErrBadSnapshot — the decoder, the mmap path, and a store recovery that
-// must not fall back from one to the other.
+// must not fall back from one to the other.  The raw file is the store's
+// own; the varint file is one an older store left behind.
 func TestSnapshotTrailingBytesRejected(t *testing.T) {
+	meta, g := SnapshotMeta{Name: "g", Epoch: 1, Gen: 1}, gen.Grid(8, 8)
 	for _, raw := range []bool{true, false} {
 		dir := t.TempDir()
-		minEntries := -1
+		path := filepath.Join(dir, graphsSubdir, snapFileName(meta.Name))
 		if raw {
-			minEntries = 1
+			s, _, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SaveSnapshot(meta, g); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			writeVarintSnapshot(t, dir, meta, g)
 		}
-		s, _, err := Open(dir, Options{RawSnapshotMinEntries: minEntries})
-		if err != nil {
-			t.Fatal(err)
+		if snapshotIsRaw(t, path) != raw {
+			t.Fatalf("raw=%v: the intact file has the wrong variant", raw)
 		}
-		if err := s.SaveSnapshot(SnapshotMeta{Name: "g", Epoch: 1, Gen: 1}, gen.Grid(8, 8)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "graphs", snapFileName("g"))
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -345,44 +385,54 @@ func TestMmapColdOpenAllocationIndependentOfM(t *testing.T) {
 	}
 }
 
-// TestStoreRecoversViaMmap drives the whole store path: a raw snapshot saved
-// through SaveSnapshot is recovered zero-copy by a Mmap-enabled Open, the
-// recovery stats say so, and the graphs answer identically to a decode-path
-// recovery of the same directory.
+// TestStoreRecoversViaMmap drives the whole store path: SaveSnapshot writes
+// the raw variant for every graph, however small, a Mmap-enabled Open
+// recovers each zero-copy, the recovery stats say so, and the graphs answer
+// identically to a decode-path recovery of the same directory.
 func TestStoreRecoversViaMmap(t *testing.T) {
 	if !MmapSupported() {
 		t.Skip("mmap unsupported on this platform")
 	}
 	dir := t.TempDir()
-	g := gen.Grid(30, 30)
+	empty := graph.New(0)
+	empty.Finalize()
+	graphs := map[string]*graph.Graph{"empty": empty, "small": gen.Grid(4, 4), "grid": gen.Grid(30, 30)}
 	open := func(mmap bool) (*Store, *Recovery) {
 		t.Helper()
-		s, rec, err := Open(dir, Options{Mmap: mmap, RawSnapshotMinEntries: 1})
+		s, rec, err := Open(dir, Options{Mmap: mmap})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s, rec
 	}
-	s, _ := open(false)
-	if err := s.SaveSnapshot(SnapshotMeta{Name: "g", Epoch: 1, Gen: 1}, g); err != nil {
-		t.Fatal(err)
+	checkRecovered := func(rec *Recovery) {
+		t.Helper()
+		if len(rec.Graphs) != len(graphs) {
+			t.Fatalf("recovered %d graphs, want %d", len(rec.Graphs), len(graphs))
+		}
+		for _, rg := range rec.Graphs {
+			assertBitIdentical(t, graphs[rg.Meta.Name], rg.Graph)
+		}
 	}
-	if got := s.Stats().SnapshotsRaw; got != 1 {
-		t.Fatalf("SnapshotsRaw = %d, want 1", got)
+	s, _ := open(false)
+	for name, g := range graphs {
+		if err := s.SaveSnapshot(SnapshotMeta{Name: name, Epoch: 1, Gen: 1}, g); err != nil {
+			t.Fatal(err)
+		}
+		if path := filepath.Join(dir, graphsSubdir, snapFileName(name)); !snapshotIsRaw(t, path) {
+			t.Fatalf("%s (n=%d, m=%d): SaveSnapshot wrote the varint variant", name, g.N(), g.M())
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	sm, recM := open(true)
-	if len(recM.Graphs) != 1 {
-		t.Fatalf("recovered %d graphs, want 1", len(recM.Graphs))
-	}
+	checkRecovered(recM)
 	st := sm.Stats()
-	if st.Recovered.MmapGraphs != 1 || st.Recovered.MmapBytes == 0 {
+	if st.Recovered.MmapGraphs != len(graphs) || st.Recovered.MmapBytes == 0 {
 		t.Fatalf("recovery not zero-copy: %+v", st.Recovered)
 	}
-	assertBitIdentical(t, g, recM.Graphs[0].Graph)
 	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +442,55 @@ func TestStoreRecoversViaMmap(t *testing.T) {
 
 	sd, recD := open(false)
 	defer sd.Close()
+	checkRecovered(recD)
 	if sd.Stats().Recovered.MmapGraphs != 0 {
 		t.Fatal("decode-path recovery reported mmap graphs")
 	}
-	assertBitIdentical(t, g, recD.Graphs[0].Graph)
+}
+
+// TestStoreUpgradesVarintSnapshot opens a directory holding a varint
+// snapshot, as older stores wrote for small graphs: Open with Mmap falls
+// back to the decoder for it, and the next SaveSnapshot of the graph
+// replaces it with a raw file that the following Open maps.
+func TestStoreUpgradesVarintSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	g := gen.Grid(12, 12)
+	meta := SnapshotMeta{Name: "old", Epoch: 3, Gen: 5}
+	path := writeVarintSnapshot(t, dir, meta, g)
+
+	s, rec, err := Open(dir, Options{Mmap: true})
+	if err != nil {
+		t.Fatalf("opening a varint snapshot: %v", err)
+	}
+	if st := s.Stats().Recovered; st.Graphs != 1 || st.MmapGraphs != 0 {
+		t.Fatalf("varint recovery stats %+v, want 1 graph and 0 mapped", st)
+	}
+	if rec.Graphs[0].Meta != meta {
+		t.Fatalf("meta: got %+v, want %+v", rec.Graphs[0].Meta, meta)
+	}
+	assertBitIdentical(t, g, rec.Graphs[0].Graph)
+	if err := s.SaveSnapshot(meta, rec.Graphs[0].Graph); err != nil {
+		t.Fatal(err)
+	}
+	if !snapshotIsRaw(t, path) {
+		t.Fatal("rewriting a varint snapshot kept the varint variant")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec2, err := Open(dir, Options{Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.ReleaseMappings()
+	defer s2.Close()
+	wantMapped := 0
+	if MmapSupported() {
+		wantMapped = 1
+	}
+	if st := s2.Stats().Recovered; st.Graphs != 1 || st.MmapGraphs != wantMapped {
+		t.Fatalf("recovery stats after the rewrite %+v, want %d mapped", st, wantMapped)
+	}
+	assertBitIdentical(t, g, rec2.Graphs[0].Graph)
 }

@@ -41,13 +41,6 @@ const (
 // ErrLocked is returned by Open when another live process holds the store.
 var ErrLocked = errors.New("store: data directory is locked by another process")
 
-// defaultRawMinEntries is the size (CSR entries, n+1 offsets + 2m targets) at
-// which SaveSnapshot switches from the varint packing to the raw-aligned
-// variant: ~4 MB of arrays, the point where decode-time allocation starts to
-// dominate cold opens and the 2.5–3.6×-smaller varint file stops paying for
-// itself against the page cache.
-const defaultRawMinEntries = 1 << 20
-
 // Options tunes a Store.
 type Options struct {
 	// NoSync disables fsync on WAL appends and snapshot writes.  Only for
@@ -56,20 +49,15 @@ type Options struct {
 	// Mmap serves raw-variant snapshots zero-copy during the Open scan: the
 	// file is memory-mapped, checksum-verified, and its CSR arrays are
 	// borrowed from the page cache instead of decoded (no allocation
-	// proportional to m).  Varint-format files, unsupported platforms
-	// (32-bit, big-endian, no mmap) and mapping failures fall back to the
-	// decoding path silently; real corruption still fails loudly from either
-	// path.  Mappings stay open until ReleaseMappings — see that method for
-	// the lifetime rules.  Ignored (never mapped) when FS is overridden:
-	// mmap needs a real file descriptor, and routing reads around a fault
-	// injector would blind the fault tests.
+	// proportional to m).  Varint-format files (written by older versions of
+	// the store), unsupported platforms (32-bit, big-endian, no mmap) and
+	// mapping failures fall back to the decoding path silently; real
+	// corruption still fails loudly from either path.  Mappings stay open
+	// until ReleaseMappings — see that method for the lifetime rules.
+	// Ignored (never mapped) when FS is overridden: mmap needs a real file
+	// descriptor, and routing reads around a fault injector would blind the
+	// fault tests.
 	Mmap bool
-	// RawSnapshotMinEntries is the CSR entry count (n+1+2m) at which
-	// SaveSnapshot writes the raw-aligned variant instead of the varint
-	// packing (0 = defaultRawMinEntries; negative = always varint).  Small
-	// graphs stay varint — 2.5–3.6 B/edge on disk matters more than decode
-	// cost there; large graphs trade bytes for zero-copy opens.
-	RawSnapshotMinEntries int
 	// FS is the filesystem every file operation routes through (nil = the
 	// real os-backed filesystem).  Tests swap in a fault.Injector; production
 	// pays one interface call per op, nothing more.  The advisory directory
@@ -118,7 +106,6 @@ type Store struct {
 	sealedRetries atomic.Uint64
 
 	snapshotsWritten atomic.Uint64
-	snapshotsRaw     atomic.Uint64
 	snapshotBytes    atomic.Uint64
 	snapshotFailures atomic.Uint64
 	checkpoints      atomic.Uint64
@@ -400,7 +387,9 @@ func (s *Store) AppendDelta(name string, epoch, gen uint64, delta graph.Delta) (
 // SaveSnapshot persists one graph snapshot atomically: encode to a temp
 // file, fsync, rename into place, fsync the directory.  A crash leaves
 // either the old snapshot or the new one, never a torn file under the final
-// name.
+// name.  The file is always the raw-aligned variant (EncodeSnapshotRaw), so
+// the next Open can map it; it replaces a varint file of the same graph
+// left by an older store.
 func (s *Store) SaveSnapshot(meta SnapshotMeta, g *graph.Graph) error {
 	final := filepath.Join(s.graphsDir, snapFileName(meta.Name))
 	// The sequence number keeps concurrent saves of the same graph on
@@ -412,12 +401,7 @@ func (s *Store) SaveSnapshot(meta SnapshotMeta, g *graph.Graph) error {
 		return err
 	}
 	cw := &countingWriter{w: f}
-	raw := s.useRawFormat(g)
-	if raw {
-		err = EncodeSnapshotRaw(cw, meta, g)
-	} else {
-		err = EncodeSnapshot(cw, meta, g)
-	}
+	err = EncodeSnapshotRaw(cw, meta, g)
 	if err == nil && !s.opts.NoSync {
 		err = f.Sync()
 	}
@@ -436,25 +420,8 @@ func (s *Store) SaveSnapshot(meta SnapshotMeta, g *graph.Graph) error {
 		return err
 	}
 	s.snapshotsWritten.Add(1)
-	if raw {
-		s.snapshotsRaw.Add(1)
-	}
 	s.snapshotBytes.Add(uint64(cw.n))
 	return s.syncDir(s.graphsDir)
-}
-
-// useRawFormat decides the snapshot encoding for g: raw-aligned once the CSR
-// arrays are big enough that zero-copy opens beat the varint packing's size
-// advantage (see Options.RawSnapshotMinEntries).
-func (s *Store) useRawFormat(g *graph.Graph) bool {
-	min := s.opts.RawSnapshotMinEntries
-	if min == 0 {
-		min = defaultRawMinEntries
-	}
-	if min < 0 {
-		return false
-	}
-	return g.N()+1+2*g.M() >= min
 }
 
 // DeleteSnapshot removes the snapshot of name (a no-op if absent).
@@ -550,9 +517,6 @@ type Stats struct {
 	// (registrations and checkpoints).
 	SnapshotsWritten uint64 `json:"snapshots_written"`
 	SnapshotBytes    uint64 `json:"snapshot_bytes"`
-	// SnapshotsRaw counts the subset written in the raw-aligned (mmap-able)
-	// variant rather than the varint packing.
-	SnapshotsRaw uint64 `json:"snapshots_raw"`
 	// SnapshotFailures counts snapshot writes that failed (the previous
 	// snapshot, if any, stayed intact under the final name).
 	SnapshotFailures uint64 `json:"snapshot_failures"`
@@ -579,7 +543,6 @@ func (s *Store) Stats() Stats {
 		LastLSN:          lastLSN,
 		SnapshotsWritten: s.snapshotsWritten.Load(),
 		SnapshotBytes:    s.snapshotBytes.Load(),
-		SnapshotsRaw:     s.snapshotsRaw.Load(),
 		SnapshotFailures: s.snapshotFailures.Load(),
 		Checkpoints:      s.checkpoints.Load(),
 		Recovered:        s.recovered,
