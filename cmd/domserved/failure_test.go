@@ -216,7 +216,7 @@ func TestOverloadSheds503(t *testing.T) {
 // recovery via /admin/checkpoint flips everything back to 200/ok.
 func TestDegradedMutations503(t *testing.T) {
 	in := fault.NewInjector(nil)
-	ts, eng := faultyServer(t, engine.Config{FS: in, PersistRetries: -1}, t.TempDir())
+	ts, eng := faultyServer(t, engine.Config{FS: in}, t.TempDir())
 	if _, err := eng.Register("g", gen.Grid(4, 4)); err != nil {
 		t.Fatal(err)
 	}

@@ -74,12 +74,7 @@ func chaosRun(t *testing.T, seed int64) string {
 	// torn-write failures.
 	in := fault.NewInjector(nil)
 	open := func() *Engine {
-		e, err := Open(dir, Config{
-			FS:                  in,
-			PersistRetries:      1,
-			PersistRetryBackoff: time.Millisecond,
-			QueueWaitBudget:     time.Second,
-		})
+		e, err := Open(dir, Config{FS: in, QueueWaitBudget: time.Second})
 		if err != nil {
 			t.Fatalf("seed %d: open: %v", seed, err)
 		}

@@ -106,12 +106,6 @@ type Config struct {
 	// (0 = 500ms; negative = shed immediately on a full queue).  Queries
 	// already queued are unaffected — the budget gates admission only.
 	QueueWaitBudget time.Duration
-	// PersistRetries bounds WAL fsync retries on a persistent engine before
-	// the failure surfaces and the engine degrades (0 = 3; negative = none).
-	// See store.Options.SyncRetries.
-	PersistRetries int
-	// PersistRetryBackoff is the base fsync retry delay (0 = store default).
-	PersistRetryBackoff time.Duration
 	// StageHook, when non-nil, is invoked at engine pipeline stage boundaries
 	// ("query:<kind>", "substrate:order", "substrate:wreach", and
 	// "substrate:<kind>" and "solve:<strategy>" for the answer of a
@@ -136,11 +130,6 @@ func (c Config) normalised() Config {
 	}
 	if c.QueueWaitBudget == 0 {
 		c.QueueWaitBudget = 500 * time.Millisecond
-	}
-	if c.PersistRetries == 0 {
-		c.PersistRetries = 3
-	} else if c.PersistRetries < 0 {
-		c.PersistRetries = 0
 	}
 	return c
 }
@@ -229,13 +218,12 @@ type Engine struct {
 	anon    map[weak.Pointer[graph.Graph]]uint64
 	nextGen uint64
 
-	// Degraded mode (read-only): entered when the store persistently fails
-	// (WAL append after retries, snapshot write, checkpoint step), exited by
-	// the next successful checkpoint.  degraded is the fast-path flag; the
-	// reason is guarded by degradedMu.
-	degraded       atomic.Bool
-	degradedMu     sync.Mutex
-	degradedReason string
+	// degraded holds the reason while the engine is in read-only degraded
+	// mode (nil = writable): entered when a store write fails (WAL append,
+	// snapshot write, checkpoint step), exited by the next successful
+	// checkpoint.  One pointer, so every reader sees the mode and its reason
+	// together.
+	degraded atomic.Pointer[string]
 
 	// Persistence (nil/zero on engines constructed with New; see Open).
 	store       *store.Store
@@ -283,7 +271,7 @@ func New(cfg Config) *Engine {
 	reg.GaugeFunc("bedom_cache_entries", "Live substrate cache entries.", func() float64 { return float64(e.cache.len()) })
 	reg.Gauge("bedom_cache_capacity", "Substrate cache capacity (LRU bound).").Set(float64(cfg.CacheEntries))
 	reg.GaugeFunc("bedom_degraded", "1 while the engine is in read-only degraded mode.", func() float64 {
-		if e.degraded.Load() {
+		if e.degraded.Load() != nil {
 			return 1
 		}
 		return 0
@@ -305,13 +293,9 @@ func (e *Engine) stage(name string) {
 // enterDegraded flips the engine into read-only degraded mode (idempotent:
 // only the first call per outage records the reason and counts a transition).
 func (e *Engine) enterDegraded(reason string) {
-	e.degradedMu.Lock()
-	defer e.degradedMu.Unlock()
-	if e.degraded.Load() {
+	if !e.degraded.CompareAndSwap(nil, &reason) {
 		return
 	}
-	e.degradedReason = reason
-	e.degraded.Store(true)
 	e.stats.degradedTransitions.Inc()
 	slog.Warn("engine entering degraded (read-only) mode", "reason", reason)
 }
@@ -319,25 +303,17 @@ func (e *Engine) enterDegraded(reason string) {
 // clearDegraded exits degraded mode (called after a successful checkpoint
 // proved the store writable again).
 func (e *Engine) clearDegraded() {
-	e.degradedMu.Lock()
-	defer e.degradedMu.Unlock()
-	if !e.degraded.Load() {
-		return
+	if e.degraded.Swap(nil) != nil {
+		slog.Info("engine recovered from degraded mode")
 	}
-	e.degraded.Store(false)
-	e.degradedReason = ""
-	slog.Info("engine recovered from degraded mode")
 }
 
 // checkWritable rejects mutating operations while degraded.
 func (e *Engine) checkWritable() error {
-	if !e.degraded.Load() {
-		return nil
+	if reason := e.degraded.Load(); reason != nil {
+		return fmt.Errorf("%w (%s)", ErrDegraded, *reason)
 	}
-	e.degradedMu.Lock()
-	reason := e.degradedReason
-	e.degradedMu.Unlock()
-	return fmt.Errorf("%w (%s)", ErrDegraded, reason)
+	return nil
 }
 
 // Health states reported by Health.
@@ -352,11 +328,8 @@ const (
 // about to be shed), or "ok".  Degraded wins over overloaded: it is the
 // stickier condition and the one an operator must act on.
 func (e *Engine) Health() (state, reason string) {
-	if e.degraded.Load() {
-		e.degradedMu.Lock()
-		reason = e.degradedReason
-		e.degradedMu.Unlock()
-		return HealthDegraded, reason
+	if reason := e.degraded.Load(); reason != nil {
+		return HealthDegraded, *reason
 	}
 	if e.exec.queueLen() >= e.cfg.QueueDepth {
 		return HealthOverloaded, "admission queue full"

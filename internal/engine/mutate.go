@@ -115,10 +115,11 @@ func (e *Engine) Mutate(name string, delta Delta) (MutationInfo, error) {
 		e.stats.walAppendSeconds.ObserveSince(walStart)
 		if err != nil {
 			e.stats.persistErrors.Inc()
-			// The append already survived the store's bounded fsync retries,
-			// so this is a persistent failure: flip read-only.  Queries keep
-			// serving; the background checkpointer (or an explicit
-			// Checkpoint) exits the mode once the store recovers.
+			// The store failed the WAL segment at its first failed write or
+			// fsync, so every later append fails too: flip read-only.
+			// Queries keep serving; the background checkpointer (or an
+			// explicit Checkpoint) cuts the segment back, rewrites every
+			// snapshot and exits the mode once the store recovers.
 			e.enterDegraded(fmt.Sprintf("WAL append failed: %v", err))
 			teeErr = fmt.Errorf("engine: delta applied but not persisted: %w", err)
 		} else {

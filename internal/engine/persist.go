@@ -25,11 +25,8 @@ var ErrNoStore = errors.New("engine: no data directory configured")
 // the WAL into fresh snapshots (see Checkpoint).  Close seals the WAL and
 // releases the data directory.
 func Open(dataDir string, cfg Config) (*Engine, error) {
-	norm := cfg.normalised()
 	st, rec, err := store.Open(dataDir, store.Options{
-		FS:               cfg.FS,
-		SyncRetries:      norm.PersistRetries,
-		SyncRetryBackoff: norm.PersistRetryBackoff,
+		FS: cfg.FS,
 		// Raw-flag snapshots are served zero-copy from the page cache
 		// whenever the platform allows; the store falls back to decoding
 		// per file, so the knob is safe to leave on everywhere.
@@ -245,7 +242,7 @@ func (e *Engine) startCheckpointer(interval time.Duration) {
 				// While degraded, force a cycle even though the WAL cannot
 				// have advanced (mutations are rejected): a successful
 				// checkpoint is the automatic recovery path.
-				if !e.degraded.Load() && e.ckptRan.Load() && e.store.LastLSN() == e.lastCkptLSN.Load() {
+				if e.degraded.Load() == nil && e.ckptRan.Load() && e.store.LastLSN() == e.lastCkptLSN.Load() {
 					continue // nothing new to fold
 				}
 				if _, err := e.Checkpoint(); err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,15 +15,13 @@ import (
 )
 
 // TestDegradedModeEntryAndExit pins the degraded-mode state machine: a dead
-// disk (sticky WAL fsync failure past the retry budget) fails the mutation
+// disk (sticky WAL fsync failure) fails the mutation
 // and flips the engine read-only — further mutations and registrations get
 // ErrDegraded, queries keep serving — and a successful checkpoint after the
 // disk heals exits the mode.
 func TestDegradedModeEntryAndExit(t *testing.T) {
 	in := fault.NewInjector(nil)
-	e := openPersistent(t, t.TempDir(), Config{
-		FS: in, PersistRetries: 1, PersistRetryBackoff: time.Millisecond,
-	})
+	e := openPersistent(t, t.TempDir(), Config{FS: in})
 	if _, err := e.Register("g", gen.Grid(8, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestDegradedModeEntryAndExit(t *testing.T) {
 	if errors.Is(err, ErrDegraded) {
 		t.Fatalf("first failing mutation should surface the persist error, not the gate: %v", err)
 	}
-	if !e.degraded.Load() {
+	if e.degraded.Load() == nil {
 		t.Fatal("engine not degraded after persistent WAL failure")
 	}
 	if state, reason := e.Health(); state != HealthDegraded || reason == "" {
@@ -64,7 +63,7 @@ func TestDegradedModeEntryAndExit(t *testing.T) {
 	if _, err := e.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint succeeded on a dead disk")
 	}
-	if !e.degraded.Load() {
+	if e.degraded.Load() == nil {
 		t.Fatal("engine left degraded mode without a successful checkpoint")
 	}
 
@@ -74,7 +73,7 @@ func TestDegradedModeEntryAndExit(t *testing.T) {
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint after heal: %v", err)
 	}
-	if e.degraded.Load() {
+	if e.degraded.Load() != nil {
 		t.Fatal("engine still degraded after successful checkpoint")
 	}
 	if state, _ := e.Health(); state != HealthOK {
@@ -88,6 +87,55 @@ func TestDegradedModeEntryAndExit(t *testing.T) {
 	}
 }
 
+// TestDegradedReadingsCarryTheirReason: the mode and its reason are one
+// value, so Health, Stats and checkWritable never report degraded mode
+// without its reason while other goroutines enter and clear it.
+func TestDegradedReadingsCarryTheirReason(t *testing.T) {
+	e := testEngine(t, Config{})
+	const reason = "disk on fire"
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e.enterDegraded(reason)
+				e.clearDegraded()
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for j := 0; j < 2000; j++ {
+				if state, got := e.Health(); state == HealthDegraded && got != reason {
+					t.Errorf("Health = (%q, %q), want reason %q", state, got, reason)
+					return
+				}
+				if st := e.Stats(); st.Degraded && st.DegradedReason != reason {
+					t.Errorf("Stats: degraded with reason %q, want %q", st.DegradedReason, reason)
+					return
+				}
+				if err := e.checkWritable(); err != nil && !strings.Contains(err.Error(), reason) {
+					t.Errorf("checkWritable = %v, want reason %q", err, reason)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+}
+
 // TestCheckpointerAutoRecovers: the background checkpointer must force a
 // cycle while degraded (the WAL cannot advance — mutations are rejected — so
 // the advanced-since-last-cycle skip would otherwise wedge the engine in
@@ -95,7 +143,7 @@ func TestDegradedModeEntryAndExit(t *testing.T) {
 func TestCheckpointerAutoRecovers(t *testing.T) {
 	in := fault.NewInjector(nil)
 	e := openPersistent(t, t.TempDir(), Config{
-		FS: in, PersistRetries: -1, CheckpointInterval: 5 * time.Millisecond,
+		FS: in, CheckpointInterval: 5 * time.Millisecond,
 	})
 	if _, err := e.Register("g", gen.Grid(4, 4)); err != nil {
 		t.Fatal(err)
@@ -104,12 +152,12 @@ func TestCheckpointerAutoRecovers(t *testing.T) {
 	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 5}}}); err == nil {
 		t.Fatal("Mutate succeeded on a dead disk")
 	}
-	if !e.degraded.Load() {
+	if e.degraded.Load() == nil {
 		t.Fatal("not degraded")
 	}
 	in.Heal()
 	deadline := time.Now().Add(5 * time.Second)
-	for e.degraded.Load() {
+	for e.degraded.Load() != nil {
 		if time.Now().After(deadline) {
 			t.Fatal("checkpointer did not auto-recover the engine within 5s")
 		}
@@ -120,25 +168,80 @@ func TestCheckpointerAutoRecovers(t *testing.T) {
 	}
 }
 
-// TestTransientFsyncRetriesDoNotDegrade: a one-shot fsync hiccup inside the
-// retry budget is invisible to the caller and does not flip degraded mode.
-func TestTransientFsyncRetriesDoNotDegrade(t *testing.T) {
-	in := fault.NewInjector(nil, fault.Fault{Op: fault.OpSync, Path: "wal-", Err: fault.ErrIO})
-	e := openPersistent(t, t.TempDir(), Config{
-		FS: in, PersistRetries: 3, PersistRetryBackoff: time.Millisecond,
-	})
-	if _, err := e.Register("g", gen.Grid(4, 4)); err != nil {
+// TestTransientFsyncFailureDegrades: one failed WAL fsync fails its
+// mutation and degrades the engine; no retry and no later batch leader's
+// fsync acknowledges a record the failed one may have lost.  One checkpoint
+// heals the engine, and a restart recovers every acknowledged edge.
+func TestTransientFsyncFailureDegrades(t *testing.T) {
+	transientWALFailure(t, fault.Fault{Op: fault.OpSync, Path: "wal-", Err: fault.ErrIO})
+}
+
+// TestTransientWALWriteFailureHeals: a torn WAL write fails its mutation and
+// degrades the engine, and the next checkpoint heals it: the rotation cuts
+// the torn bytes off the failed segment instead of flushing them again.
+func TestTransientWALWriteFailureHeals(t *testing.T) {
+	transientWALFailure(t, fault.Fault{Op: fault.OpWrite, Path: "wal-", Err: fault.ErrNoSpace, Torn: true})
+}
+
+// transientWALFailure arms the one-shot fault f between two acknowledged
+// mutations and checks the one failure rule end to end: the mutation that
+// meets it fails, the engine degrades, one checkpoint heals it, and a
+// restart recovers the topology the engine served, every acknowledged edge
+// included.
+func transientWALFailure(t *testing.T, f fault.Fault) {
+	dir := t.TempDir()
+	in := fault.NewInjector(nil)
+	e, err := Open(dir, Config{FS: in})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 5}}}); err != nil {
-		t.Fatalf("Mutate with transient fsync fault: %v", err)
+	defer func() { e.Close() }()
+	if _, err := e.Register("g", gen.Path(16)); err != nil {
+		t.Fatal(err)
 	}
-	if e.degraded.Load() {
-		t.Fatal("transient fault degraded the engine")
+	acked := [][2]int{{0, 5}}
+	if _, err := e.Mutate("g", Delta{Add: acked}); err != nil {
+		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.Persist == nil || st.Persist.WALSyncRetries == 0 {
-		t.Fatalf("fsync retry not surfaced in stats: %+v", st.Persist)
+	in.Add(f)
+	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); err == nil || errors.Is(err, ErrDegraded) {
+		t.Fatalf("Mutate through a failed WAL %v: %v, want the persist error", f.Op, err)
+	}
+	if got := in.Fired(); got != 1 {
+		t.Fatalf("injector fired %d times, want 1", got)
+	}
+	if e.degraded.Load() == nil {
+		t.Fatal("engine not degraded after a failed WAL append")
+	}
+	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 7}}}); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Mutate while degraded: %v, want ErrDegraded", err)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after a transient fault: %v", err)
+	}
+	if state, reason := e.Health(); state != HealthOK {
+		t.Fatalf("Health after one checkpoint = (%q, %q), want ok", state, reason)
+	}
+	acked = append(acked, [2]int{0, 10})
+	if _, err := e.Mutate("g", Delta{Add: acked[1:]}); err != nil {
+		t.Fatalf("Mutate after the checkpoint: %v", err)
+	}
+	served, _ := e.Lookup("g")
+	want := served.Edges()
+	crash(e)
+
+	e, err = Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := e.Lookup("g")
+	for _, uv := range acked {
+		if !g.HasEdge(uv[0], uv[1]) {
+			t.Fatalf("acknowledged edge %v lost after restart", uv)
+		}
+	}
+	if got := g.Edges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart recovered edges %v, want the served %v", got, want)
 	}
 }
 

@@ -241,11 +241,8 @@ func (e *Engine) Stats() Stats {
 		Mutations:           e.stats.mutations.Value(),
 		Compactions:         e.stats.compactions.Value(),
 	}
-	if e.degraded.Load() {
-		st.Degraded = true
-		e.degradedMu.Lock()
-		st.DegradedReason = e.degradedReason
-		e.degradedMu.Unlock()
+	if reason := e.degraded.Load(); reason != nil {
+		st.Degraded, st.DegradedReason = true, *reason
 	}
 	// Derive the query totals and the per-kind / per-solver breakdowns from
 	// one snapshot of the (kind, solver) counter family.

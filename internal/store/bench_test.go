@@ -118,7 +118,7 @@ func BenchmarkWALAppendNoSync(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if _, err := w.seal(); err != nil {
+	if err := w.seal(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -138,7 +138,7 @@ func BenchmarkWALReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if _, err := w.seal(); err != nil {
+	if err := w.seal(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -2,12 +2,15 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
 	"syscall"
 	"testing"
 
 	"bedom/internal/fault"
 	"bedom/internal/gen"
-	"bedom/internal/graph"
 )
 
 // openFaulty opens a store routed through an injector with the given fault
@@ -96,48 +99,109 @@ func TestSnapshotTornWriteLeavesPreviousIntact(t *testing.T) {
 	assertBitIdentical(t, g1, rec.Graphs[0].Graph)
 }
 
-// TestWALFsyncRetryRecovers: a transient fsync failure inside the retry
-// budget must not surface to the appender, and the retry is counted.
-func TestWALFsyncRetryRecovers(t *testing.T) {
+// TestWALFsyncFailureFailsTheSegment: the first failed fsync fails the
+// segment.  Neither the failing append nor any later one is acknowledged (a
+// later fsync could report success for pages the kernel dropped), the next
+// rotation cuts the segment back to its durable prefix, and recovery returns
+// exactly the acknowledged records.
+func TestWALFsyncFailureFailsTheSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _ := openFaulty(t, dir,
-		Options{SyncRetries: 3, SyncRetryBackoff: 1},
-		fault.Fault{Op: fault.OpSync, Path: walPrefix, Err: fault.ErrIO}, // one-shot: first fsync fails
-	)
-	lsn, err := s.AppendDelta("g", 1, 1, graph.Delta{Add: [][2]int{{0, 1}}})
-	if err != nil {
-		t.Fatalf("append with transient fsync fault: %v", err)
+	s, _, in := openFaulty(t, dir, Options{})
+	var acked []uint64
+	appendOK := func(i int) {
+		t.Helper()
+		lsn, err := s.AppendDelta("g", 1, uint64(i), testDelta(i))
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		acked = append(acked, lsn)
 	}
-	st := s.Stats()
-	if st.WALSyncRetries == 0 {
-		t.Fatal("WALSyncRetries = 0, want > 0")
+	for i := 0; i < 3; i++ {
+		appendOK(i)
 	}
+	in.Add(fault.Fault{Op: fault.OpSync, Path: walPrefix, Err: fault.ErrIO}) // one-shot: the next fsync fails
+	for i := 3; i < 5; i++ {
+		if _, err := s.AppendDelta("g", 1, uint64(i), testDelta(i)); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("append %d on a failed segment: %v, want EIO", i, err)
+		}
+	}
+	if got := in.Fired(); got != 1 {
+		t.Fatalf("injector fired %d times, want 1", got)
+	}
+	if _, err := s.RotateWAL(); err != nil {
+		t.Fatalf("rotating the failed segment: %v", err)
+	}
+	appendOK(5)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, rec := openStore(t, dir)
-	if len(rec.Records) != 1 || rec.Records[0].LSN != lsn {
-		t.Fatalf("recovered records %+v, want the retried append at LSN %d", rec.Records, lsn)
+	if rec.TruncatedBytes != 0 {
+		t.Fatalf("recovery found %d torn bytes, want 0", rec.TruncatedBytes)
+	}
+	if got := recordLSNs(rec.Records); !reflect.DeepEqual(got, acked) {
+		t.Fatalf("recovered LSNs %v, want the acknowledged %v", got, acked)
 	}
 }
 
-// TestWALFsyncExhaustedSurfaces: a sticky fsync failure must surface after
-// the retry budget is spent — and must NOT re-append the record.
-func TestWALFsyncExhaustedSurfaces(t *testing.T) {
-	dir := t.TempDir()
-	s, _, in := openFaulty(t, dir,
-		Options{SyncRetries: 2, SyncRetryBackoff: 1},
-		fault.Fault{Op: fault.OpSync, Path: walPrefix, Err: fault.ErrNoSpace, Sticky: true},
-	)
-	_, err := s.AppendDelta("g", 1, 1, graph.Delta{Add: [][2]int{{0, 1}}})
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("append with dead disk: %v, want ENOSPC", err)
+// TestWALConcurrentAppendsAcrossFsyncFailure: under group commit, a failed
+// fsync must fail every waiting appender whose record it did not make
+// durable; the next batch leader must not fsync again and acknowledge them.
+// For each of the first eight fsyncs failing once, recovery after rotation
+// returns exactly the acknowledged records.
+func TestWALConcurrentAppendsAcrossFsyncFailure(t *testing.T) {
+	const writers, perWriter = 4, 8
+	// Each writer waits for its own append, so one fsync covers at most one
+	// record per writer and the first eight fsyncs always run.
+	for k := uint64(1); k <= 8; k++ {
+		t.Run(fmt.Sprintf("sync=%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, in := openFaulty(t, dir, Options{},
+				fault.Fault{Op: fault.OpSync, Path: walPrefix, AfterN: k, Err: fault.ErrIO})
+			var mu sync.Mutex
+			var acked []uint64
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						lsn, err := s.AppendDelta("g", 1, uint64(w*perWriter+i), testDelta(i))
+						if err != nil {
+							if !errors.Is(err, syscall.EIO) {
+								t.Errorf("writer %d: %v, want EIO", w, err)
+							}
+							continue
+						}
+						mu.Lock()
+						acked = append(acked, lsn)
+						mu.Unlock()
+					}
+				}(w)
+			}
+			wg.Wait()
+			if got := in.Fired(); got != 1 {
+				t.Fatalf("injector fired %d times, want 1", got)
+			}
+			if _, err := s.RotateWAL(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, rec := openStore(t, dir)
+			slices.Sort(acked)
+			if got := recordLSNs(rec.Records); !reflect.DeepEqual(got, acked) {
+				t.Fatalf("recovered %d records %v, want the %d acknowledged %v", len(got), got, len(acked), acked)
+			}
+		})
 	}
-	// 1 initial attempt + 2 retries, all failed.
-	if got := in.Fired(); got != 3 {
-		t.Fatalf("injector fired %d times, want 3 (initial + 2 retries)", got)
+}
+
+func recordLSNs(records []Record) []uint64 {
+	var lsns []uint64
+	for _, r := range records {
+		lsns = append(lsns, r.LSN)
 	}
-	if got := s.Stats().WALRecords; got != 1 {
-		t.Fatalf("WALRecords = %d after failed sync, want 1 (no re-append)", got)
-	}
+	return lsns
 }

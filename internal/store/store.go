@@ -9,10 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bedom/internal/fault"
 	"bedom/internal/graph"
@@ -26,9 +26,12 @@ import (
 //
 // Snapshot file names are derived from the graph name (hex for short names,
 // a hash for long ones) but recovery never trusts them: the authoritative
-// name lives in the snapshot's META section.  WAL segments are never
-// appended to across process lifetimes — every Open starts a fresh segment,
-// so a torn tail stays confined to the segment that was live at the crash.
+// name lives in the snapshot's META section.  Open makes the segment named
+// after the next LSN live: it reuses the final segment only when that one
+// holds no record (its torn tail, if any, repaired first), and a segment
+// name is a floor for the LSNs that follow, so the live segment always sorts
+// last and a torn tail stays confined to the segment that was live at the
+// crash.
 const (
 	graphsSubdir  = "graphs"
 	snapExt       = ".snap"
@@ -63,13 +66,6 @@ type Options struct {
 	// pays one interface call per op, nothing more.  The advisory directory
 	// lock stays on the real filesystem regardless — flock needs a real fd.
 	FS fault.FS
-	// SyncRetries bounds how many times a failed WAL fsync is retried before
-	// the error surfaces to the appender (0 = no retries).  Retries use
-	// exponential backoff with jitter starting at SyncRetryBackoff.
-	SyncRetries int
-	// SyncRetryBackoff is the base delay before the first fsync retry
-	// (0 = 5ms).  Each further retry doubles it, plus up to 50% jitter.
-	SyncRetryBackoff time.Duration
 }
 
 func (o Options) fs() fault.FS {
@@ -103,7 +99,6 @@ type Store struct {
 	sealedRecords atomic.Uint64
 	sealedBytes   atomic.Uint64
 	sealedSyncs   atomic.Uint64
-	sealedRetries atomic.Uint64
 
 	snapshotsWritten atomic.Uint64
 	snapshotBytes    atomic.Uint64
@@ -228,6 +223,17 @@ func (s *Store) scan() (*Recovery, uint64, uint64, error) {
 		return nil, 0, 0, err
 	}
 	for i, seg := range segs {
+		// A segment's name holds its first LSN, so every LSN below it was
+		// assigned, even when no surviving record or snapshot shows one (a
+		// checkpoint removed its segment, or a failed segment was cut back).
+		// The floor keeps LSNs unique and the live segment last in name order.
+		first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(seg), walPrefix), walExt), 10, 64)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("store: segment %s: name holds no first LSN: %w", seg, err)
+		}
+		if first > lastLSN+1 {
+			lastLSN = first - 1
+		}
 		records, truncated, err := readSegment(s.fs, seg)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("store: segment %s: %w", seg, err)
@@ -235,7 +241,8 @@ func (s *Store) scan() (*Recovery, uint64, uint64, error) {
 		if truncated > 0 {
 			// A torn tail is legitimate ONLY in the final segment — the one
 			// live at the crash.  Every earlier segment was sealed with an
-			// fsync (or already repaired by a previous Open before a newer
+			// fsync, a failed one after it was cut back to its durable
+			// prefix (or already repaired by a previous Open before a newer
 			// segment was created), so unreadable bytes there mean real,
 			// acknowledged records were damaged: fail loudly like snapshot
 			// corruption, never silently truncate acked history.
@@ -454,13 +461,12 @@ func (s *Store) RotateWAL() ([]string, error) {
 		}
 		return removeString(segs, s.walPath), nil
 	}
-	if _, err := s.wal.seal(); err != nil {
+	if err := s.wal.seal(); err != nil {
 		return nil, err
 	}
 	s.sealedRecords.Add(s.wal.records.Load())
 	s.sealedBytes.Add(s.wal.bytes.Load())
 	s.sealedSyncs.Add(s.wal.syncs.Load())
-	s.sealedRetries.Add(s.wal.retries.Load())
 	if err := s.openLiveSegment(lastLSN); err != nil {
 		return nil, err
 	}
@@ -490,7 +496,7 @@ func (s *Store) RemoveSegments(paths []string) error {
 func (s *Store) Close() error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	_, err := s.wal.seal()
+	err := s.wal.seal()
 	if err != nil {
 		// A failed seal leaves the segment open (so rotation can be retried);
 		// Close is terminal, so release the descriptor regardless.
@@ -511,8 +517,6 @@ type Stats struct {
 	WALSyncs   uint64 `json:"wal_syncs"`
 	// LastLSN is the most recently appended record's LSN.
 	LastLSN uint64 `json:"last_lsn"`
-	// WALSyncRetries counts fsync attempts that failed and were retried.
-	WALSyncRetries uint64 `json:"wal_sync_retries"`
 	// SnapshotsWritten / SnapshotBytes count snapshot files written
 	// (registrations and checkpoints).
 	SnapshotsWritten uint64 `json:"snapshots_written"`
@@ -539,7 +543,6 @@ func (s *Store) Stats() Stats {
 		WALRecords:       s.sealedRecords.Load() + live.records.Load(),
 		WALBytes:         s.sealedBytes.Load() + live.bytes.Load(),
 		WALSyncs:         s.sealedSyncs.Load() + live.syncs.Load(),
-		WALSyncRetries:   s.sealedRetries.Load() + live.retries.Load(),
 		LastLSN:          lastLSN,
 		SnapshotsWritten: s.snapshotsWritten.Load(),
 		SnapshotBytes:    s.snapshotBytes.Load(),

@@ -313,3 +313,74 @@ func TestStoreSealedSegmentCorruptionIsFatal(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+// TestStoreLiveSegmentSortsLastAfterCheckpoint: a checkpoint can remove the
+// segment holding the newest LSN while no snapshot covers it (the record
+// belonged to a removed graph), leaving only an empty live segment named
+// after the next LSN.  Reopening must continue after that name: a live
+// segment named below it would sort before an older one, so recovery would
+// call the tear of a crash mid-append corruption of a sealed segment, and
+// the LSN would be reused.
+func TestStoreLiveSegmentSortsLastAfterCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStore(t, dir)
+	eg, eh := s.NextEpoch(), s.NextEpoch()
+	for _, meta := range []SnapshotMeta{{Name: "g", Epoch: eg, Gen: 1}, {Name: "h", Epoch: eh, Gen: 2}} {
+		if err := s.SaveSnapshot(meta, gen.Grid(4, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AppendDelta("h", eh, 3, graph.Delta{Add: [][2]int{{0, 5}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteSnapshot("h"); err != nil {
+		t.Fatal(err)
+	}
+	obsolete, err := s.RotateWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSnapshot(SnapshotMeta{Name: "g", Epoch: eg, Gen: 1}, gen.Grid(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveSegments(obsolete); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _ := openStore(t, dir)
+	lsn, err := s2.AppendDelta("g", eg, 4, graph.Delta{Add: [][2]int{{0, 5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 2 {
+		t.Errorf("append after reopen got LSN %d, want 2 (LSN 1 was assigned before the checkpoint)", lsn)
+	}
+	live := s2.walPath
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A crash mid-append leaves three torn bytes on the live segment.
+	f, err := os.OpenFile(live, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x33, 0x01, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s3, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after a torn live segment: %v", err)
+	}
+	defer s3.Close()
+	if rec.TruncatedBytes != 3 {
+		t.Fatalf("truncated %d bytes, want 3", rec.TruncatedBytes)
+	}
+	if len(rec.Records) != 1 || rec.Records[0].LSN != lsn || rec.Records[0].Graph != "g" {
+		t.Fatalf("recovered records %+v, want g's acknowledged LSN %d", rec.Records, lsn)
+	}
+}

@@ -8,11 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bedom/internal/fault"
 	"bedom/internal/graph"
@@ -55,27 +53,37 @@ type Record struct {
 // everything written so far, and the followers observe their LSN already
 // durable and return without a second fsync.  Under k concurrent writers one
 // fsync acknowledges up to k records.
+//
+// The first failed write, flush or fsync fails the segment.  No later fsync
+// can vouch for the records past its durable prefix: the kernel reports a
+// failed writeback once per open file and may drop the pages it could not
+// write, and bufio.Writer keeps its first error.  So every later append, and
+// every sync of a record that is not already durable, returns that first
+// error, and seal cuts the file back to the durable prefix.
 type wal struct {
-	nosync       bool
-	syncRetries  int
-	retryBackoff time.Duration
+	nosync bool
+	fs     fault.FS
+	path   string
 
-	mu  sync.Mutex // serializes buffered writes and LSN assignment
-	f   fault.File
-	bw  *bufio.Writer
-	lsn uint64 // last assigned LSN
+	mu     sync.Mutex // serializes buffered writes, LSN assignment and failed
+	f      fault.File
+	bw     *bufio.Writer
+	lsn    uint64 // last assigned LSN
+	end    int64  // file offset past the last appended record
+	failed error  // the first failed write, flush or fsync
 
-	syncMu sync.Mutex // serializes fsync batches
-	synced uint64     // last LSN known durable (under syncMu)
+	syncMu  sync.Mutex // serializes fsync batches
+	synced  uint64     // last LSN known durable (under syncMu)
+	durable int64      // file offset where the durable records end (under syncMu)
 
 	records atomic.Uint64
 	bytes   atomic.Uint64
 	syncs   atomic.Uint64
-	retries atomic.Uint64
 }
 
 // openWAL opens (creating if absent) a segment for appending, continuing the
-// LSN sequence after lastLSN.  A nil fs means the real filesystem.
+// LSN sequence after lastLSN.  A nil fs means the real filesystem.  A reused
+// segment file is durable up to its current size.
 func openWAL(fs fault.FS, path string, lastLSN uint64, opts Options) (*wal, error) {
 	if fs == nil {
 		fs = fault.OS()
@@ -84,25 +92,33 @@ func openWAL(fs fault.FS, path string, lastLSN uint64, opts Options) (*wal, erro
 	if err != nil {
 		return nil, err
 	}
-	backoff := opts.SyncRetryBackoff
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &wal{
-		nosync:       opts.NoSync,
-		syncRetries:  opts.SyncRetries,
-		retryBackoff: backoff,
-		f:            f,
-		bw:           bufio.NewWriter(f),
-		lsn:          lastLSN,
-		synced:       lastLSN,
+		nosync:  opts.NoSync,
+		fs:      fs,
+		path:    path,
+		f:       f,
+		bw:      bufio.NewWriter(f),
+		lsn:     lastLSN,
+		end:     size,
+		synced:  lastLSN,
+		durable: size,
 	}, nil
 }
 
 // append encodes one record, assigns it the next LSN and returns once the
-// record is durable (fsynced, possibly by a concurrent appender's batch).
+// record is durable (fsynced, possibly by a concurrent appender's batch).  On
+// a failed segment it returns the first failure and assigns no LSN.
 func (w *wal) append(epoch, gen uint64, name string, delta graph.Delta) (uint64, error) {
 	w.mu.Lock()
+	if err := w.failed; err != nil {
+		w.mu.Unlock()
+		return 0, err
+	}
 	w.lsn++
 	lsn := w.lsn
 	payload := encodeRecordPayload(nil, Record{LSN: lsn, Epoch: epoch, Gen: gen, Graph: name, Delta: delta})
@@ -116,17 +132,21 @@ func (w *wal) append(epoch, gen uint64, name string, delta graph.Delta) (uint64,
 	if err == nil {
 		_, err = w.bw.Write(crc[:])
 	}
+	framed := len(head) + len(payload) + 4
+	w.end += int64(framed)
+	w.failed = err
 	w.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	w.records.Add(1)
-	w.bytes.Add(uint64(len(head) + len(payload) + 4))
+	w.bytes.Add(uint64(framed))
 	return lsn, w.sync(lsn)
 }
 
 // sync makes every record up to lsn durable, batching with concurrent
-// appenders (see the type comment).
+// appenders (see the type comment).  A record the segment's durable prefix
+// does not hold gets the segment's first failure.
 func (w *wal) sync(lsn uint64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
@@ -134,64 +154,59 @@ func (w *wal) sync(lsn uint64) error {
 		return nil // a previous batch leader's fsync covered this record
 	}
 	w.mu.Lock()
-	err := w.bw.Flush()
-	target := w.lsn
+	if w.failed == nil {
+		w.failed = w.bw.Flush()
+	}
+	err, target, end := w.failed, w.lsn, w.end
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	if !w.nosync {
-		if err := w.fsyncWithRetry(); err != nil {
+		if err := w.f.Sync(); err != nil {
+			w.mu.Lock()
+			if w.failed == nil {
+				w.failed = err
+			}
+			w.mu.Unlock()
 			return err
 		}
 		w.syncs.Add(1)
 	}
-	w.synced = target
+	w.synced, w.durable = target, end
 	return nil
 }
 
-// fsyncWithRetry fsyncs the segment, retrying a transient failure up to
-// syncRetries times with exponential backoff plus jitter.  Retrying the fsync
-// (never the append) is what keeps the retry safe: the record bytes are
-// already in the file, and a later successful fsync makes the whole prefix
-// durable at its original LSN.  Re-appending instead would assign a fresh LSN
-// and replay the delta twice.
-func (w *wal) fsyncWithRetry() error {
-	err := w.f.Sync()
-	backoff := w.retryBackoff
-	for attempt := 0; err != nil && attempt < w.syncRetries; attempt++ {
-		w.retries.Add(1)
-		time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff)/2+1)))
-		backoff *= 2
-		err = w.f.Sync()
-	}
-	return err
-}
-
-// seal flushes, fsyncs and closes the segment, returning the last LSN it
-// holds.  On success the wal must not be appended to afterwards; on error the
-// segment is left open and live, so sealing can be retried.
-func (w *wal) seal() (uint64, error) {
+// seal ends the segment and closes it.  A healthy segment is flushed and
+// fsynced; a failed one (or one whose final flush or fsync fails) drops its
+// buffer and is cut back to its durable prefix, then fsynced, so the bytes of
+// records no fsync vouched for never reach a sealed segment.  On error the
+// segment is left open and live, so sealing can be retried: checkpointing
+// again is the degraded engine's recovery path.
+func (w *wal) seal() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		return w.lsn, err
-	}
-	if !w.nosync {
-		if err := w.fsyncWithRetry(); err != nil {
-			// Keep the segment OPEN: a failed seal must leave the WAL live so
-			// the caller can retry the rotation once the disk recovers —
-			// checkpointing again is exactly the degraded engine's recovery
-			// path.  Closing here would wedge every later append and rotate
-			// on a dead file descriptor.
-			return w.lsn, err
+	if w.failed == nil {
+		w.failed = w.bw.Flush()
+		if w.failed == nil && !w.nosync {
+			w.failed = w.f.Sync()
+		}
+		if w.failed == nil {
+			w.synced = w.lsn
+			return w.f.Close()
 		}
 	}
-	err := w.f.Close()
-	w.synced = w.lsn
-	return w.lsn, err
+	if err := w.fs.Truncate(w.path, w.durable); err != nil {
+		return err
+	}
+	if !w.nosync {
+		if err := w.f.Sync(); err != nil {
+			return err
+		}
+	}
+	return w.f.Close()
 }
 
 // forceClose releases the segment descriptor unconditionally.  Terminal

@@ -36,7 +36,7 @@ func TestWALAppendReplay(t *testing.T) {
 		}
 		want = append(want, Record{LSN: lsn, Epoch: 7, Gen: uint64(100 + i), Graph: "g", Delta: d})
 	}
-	if _, err := w.seal(); err != nil {
+	if err := w.seal(); err != nil {
 		t.Fatal(err)
 	}
 	got, truncated, err := readSegment(nil, path)
@@ -69,7 +69,7 @@ func TestWALTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := w.seal(); err != nil {
+		if err := w.seal(); err != nil {
 			t.Fatal(err)
 		}
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -107,7 +107,7 @@ func TestWALCorruptMidRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.seal(); err != nil {
+	if err := w.seal(); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -160,7 +160,7 @@ func TestWALConcurrentAppend(t *testing.T) {
 	}
 	wg.Wait()
 	syncs := w.syncs.Load()
-	if _, err := w.seal(); err != nil {
+	if err := w.seal(); err != nil {
 		t.Fatal(err)
 	}
 	records, truncated, err := readSegment(nil, path)
