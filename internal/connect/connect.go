@@ -39,11 +39,11 @@ func Closure(g *graph.Graph, o *order.Order, D []int, r int) []int {
 // (2r+1)-reachability witnesses of the order D was computed with.  The
 // result is sorted.
 func ClosureOf(wits *order.Witnesses, D []int) []int {
-	in := make([]bool, len(wits.Sets))
+	in := make([]bool, wits.Sets.Len())
 	var path []int
 	for _, v := range D {
 		in[v] = true
-		for j := range wits.Sets[v] {
+		for j := range wits.Sets.Of(v) {
 			path = wits.AppendPath(path[:0], v, j)
 			for _, x := range path {
 				in[x] = true

@@ -15,7 +15,7 @@ import (
 // race detector allocates on its own, so the tests skip under -race; CI
 // runs them in a separate non-race step.
 
-func sweepSets(t *testing.T) (g *graph.Graph, setsR, sets2R [][]int) {
+func sweepSets(t *testing.T) (g *graph.Graph, setsR, sets2R order.Sets) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -41,11 +41,11 @@ func checkAllocs(t *testing.T, name string, budget float64, f func()) {
 func TestBuildFromSetsAllocs(t *testing.T) {
 	g, setsR, sets2R := sweepSets(t)
 	checkAllocs(t, "BuildFromSets r=1", 12, func() { BuildFromSets(g, 1, setsR, sets2R, 1) }) // measured 10
-	homes := make([]int, len(setsR))
-	for w, set := range setsR {
-		homes[w] = set[0]
+	homes := make([]int, g.N())
+	for w := range homes {
+		homes[w] = int(setsR.Of(w)[0])
 	}
-	checkAllocs(t, "BuildFromHomes r=1", 12, func() { BuildFromHomes(g, 1, homes, sets2R, 1) }) // measured 9
+	checkAllocs(t, "BuildFromHomes r=1", 12, func() { BuildFromHomes(1, homes, sets2R, 1) }) // measured 9
 }
 
 // TestComputeStatsAllocs gates the cover statistics the CLI and E2 measure:

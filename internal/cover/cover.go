@@ -32,26 +32,26 @@ type Cover struct {
 	clusters [][]int
 	// centers lists the cluster centers increasingly.
 	centers []int
-	// memberships[w] lists the centers of clusters containing w (it aliases
-	// the WReach_2r set of w, which is exactly that list).
-	memberships [][]int
+	// memberships.Of(w) lists the centers of clusters containing w: the
+	// WReach_2r set of w is exactly that list.
+	memberships order.Sets
 }
 
 // Build constructs the cover of Theorem 4 from the order o, with one
 // radius-2r sweep that also records the homes at radius r.
 func Build(g *graph.Graph, o *order.Order, r int) *Cover {
 	sw := order.WReachSweep(g, o, 2*r, r, 0)
-	return BuildFromHomes(g, r, sw.Homes, sw.Sets, 0)
+	return BuildFromHomes(r, sw.Homes, sw.Sets, 0)
 }
 
 // BuildFromSets is BuildFromHomes with the homes read off setsR, the
-// weak-reachability sets at radius r: the home of w is setsR[w][0].
-func BuildFromSets(g *graph.Graph, r int, setsR, sets2r [][]int, workers int) *Cover {
-	homes := make([]int, len(setsR))
-	for w, set := range setsR {
-		homes[w] = set[0]
+// weak-reachability sets of g at radius r: the home of w is setsR.Of(w)[0].
+func BuildFromSets(g *graph.Graph, r int, setsR, sets2r order.Sets, workers int) *Cover {
+	homes := make([]int, g.N())
+	for w := range homes {
+		homes[w] = int(setsR.Of(w)[0])
 	}
-	return BuildFromHomes(g, r, homes, sets2r, workers)
+	return BuildFromHomes(r, homes, sets2r, workers)
 }
 
 // BuildFromHomes constructs the radius-r cover from one sweep
@@ -59,10 +59,9 @@ func BuildFromSets(g *graph.Graph, r int, setsR, sets2r [][]int, workers int) *C
 // and sets2r, the weak-reachability sets at radius 2r, are inverted into
 // the cluster collection.  workers bounds the goroutines of the inversion
 // (0 = GOMAXPROCS); the result is identical for every worker count.  The
-// cover keeps homes and references into sets2r — treat both as immutable
-// afterwards.
-func BuildFromHomes(g *graph.Graph, r int, homes []int, sets2r [][]int, workers int) *Cover {
-	n := g.N()
+// cover keeps homes and sets2r — treat both as immutable afterwards.
+func BuildFromHomes(r int, homes []int, sets2r order.Sets, workers int) *Cover {
+	n := len(homes)
 	c := &Cover{
 		R:           r,
 		Home:        homes,
@@ -82,7 +81,7 @@ func BuildFromHomes(g *graph.Graph, r int, homes []int, sets2r [][]int, workers 
 	graph.ParallelBlocks(n, workers, func(k, lo, hi int) {
 		cnt := make([]int, n)
 		for w := lo; w < hi; w++ {
-			for _, v := range sets2r[w] {
+			for _, v := range sets2r.Of(w) {
 				cnt[v]++
 			}
 		}
@@ -103,7 +102,7 @@ func BuildFromHomes(g *graph.Graph, r int, homes []int, sets2r [][]int, workers 
 	graph.ParallelBlocks(n, workers, func(k, lo, hi int) {
 		cnt := cnts[k]
 		for w := lo; w < hi; w++ {
-			for _, v := range sets2r[w] {
+			for _, v := range sets2r.Of(w) {
 				flat[cnt[v]] = w
 				cnt[v]++
 			}
@@ -122,31 +121,24 @@ func BuildFromHomes(g *graph.Graph, r int, homes []int, sets2r [][]int, workers 
 
 // Degree returns the degree of the cover: the maximum number of clusters any
 // single vertex belongs to.  Theorem 4 bounds it by wcol_2r(G, L).
-func (c *Cover) Degree() int {
-	max := 0
-	for _, m := range c.memberships {
-		if len(m) > max {
-			max = len(m)
-		}
-	}
-	return max
-}
+func (c *Cover) Degree() int { return c.memberships.Max() }
 
 // AvgDegree returns the average number of clusters a vertex belongs to.
 func (c *Cover) AvgDegree() float64 {
-	if len(c.memberships) == 0 {
+	n := c.memberships.Len()
+	if n == 0 {
 		return 0
 	}
 	total := 0
-	for _, m := range c.memberships {
-		total += len(m)
+	for w := range n {
+		total += len(c.memberships.Of(w))
 	}
-	return float64(total) / float64(len(c.memberships))
+	return float64(total) / float64(n)
 }
 
 // Memberships returns the centers of the clusters containing w, sorted by
-// L-position of the center.
-func (c *Cover) Memberships(w int) []int { return c.memberships[w] }
+// L-position of the center.  The slice is owned by the cover.
+func (c *Cover) Memberships(w int) []int32 { return c.memberships.Of(w) }
 
 // Cluster returns the cluster centered at v (sorted increasingly), or nil
 // when v centers no cluster.  The slice is owned by the cover.
@@ -259,8 +251,8 @@ func (c *Cover) Verify(g *graph.Graph) error {
 		ball := wk.Walk(w, c.R)
 		if !c.clusterContains(c.Home[w], ball) {
 			ok := false
-			for _, center := range c.memberships[w] {
-				if c.clusterContains(center, ball) {
+			for _, center := range c.memberships.Of(w) {
+				if c.clusterContains(int(center), ball) {
 					ok = true
 					break
 				}

@@ -89,7 +89,7 @@ func TestCoverMemberships(t *testing.T) {
 	for w := 0; w < g.N(); w++ {
 		for _, center := range c.Memberships(w) {
 			found := false
-			for _, x := range c.Cluster(center) {
+			for _, x := range c.Cluster(int(center)) {
 				if x == w {
 					found = true
 					break
@@ -138,14 +138,14 @@ func TestVerifyRejectsUnreachedMember(t *testing.T) {
 		Home:        []int{2, 2, 2, 2, 2},
 		clusters:    [][]int{{0, 2, 3, 4}, nil, all, nil, nil},
 		centers:     []int{0, 2},
-		memberships: [][]int{{0, 2}, {2}, {0, 2}, {0, 2}, {0, 2}},
+		memberships: order.SetsOf([][]int{{0, 2}, {2}, {0, 2}, {0, 2}, {0, 2}}),
 	}
 	err := c.Verify(g)
 	if err == nil || !strings.Contains(err.Error(), "reaches only 1 of its 4 members") {
 		t.Fatalf("Verify = %v, want the unreached members named", err)
 	}
 	c.clusters[0] = []int{0, 1, 2}
-	c.memberships = [][]int{{0, 2}, {0, 2}, {0, 2}, {2}, {2}}
+	c.memberships = order.SetsOf([][]int{{0, 2}, {0, 2}, {0, 2}, {2}, {2}})
 	if err := c.Verify(g); err != nil {
 		t.Fatalf("valid cover rejected: %v", err)
 	}
@@ -184,12 +184,12 @@ func TestSweepMatchesComputeStats(t *testing.T) {
 			o := order.ConstructDefault(g, r)
 			for _, workers := range []int{1, 2, 8} {
 				sw := order.WReachSweep(g, o, 2*r, r, workers)
-				c := BuildFromHomes(g, r, sw.Homes, sw.Sets, workers)
+				c := BuildFromHomes(r, sw.Homes, sw.Sets, workers)
 				st := c.ComputeStats(g)
-				if st.MaxRadius != sw.Depth || st.Degree != order.WColOfSets(sw.Sets) ||
+				if st.MaxRadius != sw.Depth || st.Degree != sw.Sets.Max() ||
 					st.NumClusters != g.N() || c.NumClusters() != st.NumClusters || c.Degree() != st.Degree {
 					t.Fatalf("%s r=%d workers=%d: sweep depth %d, wcol %d, n %d; ComputeStats radius %d, degree %d, clusters %d",
-						name, r, workers, sw.Depth, order.WColOfSets(sw.Sets), g.N(), st.MaxRadius, st.Degree, st.NumClusters)
+						name, r, workers, sw.Depth, sw.Sets.Max(), g.N(), st.MaxRadius, st.Degree, st.NumClusters)
 				}
 			}
 		}

@@ -88,16 +88,16 @@ func TestWReachDistMatchesSequentialSets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s r=%d: %v", tc.name, r, err)
 			}
-			want := order.WReachSets(tc.g, o, horizon)
+			sets := order.WReachSets(tc.g, o, horizon)
 			for v := 0; v < tc.g.N(); v++ {
-				got := res.Witnesses[v]
-				if len(got) != len(want[v]) {
-					t.Fatalf("%s r=%d v=%d: %d targets, want %d", tc.name, r, v, len(got), len(want[v]))
+				got, want := res.Witnesses[v], sets.Of(v)
+				if len(got) != len(want) {
+					t.Fatalf("%s r=%d v=%d: %d targets, want %d", tc.name, r, v, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].Target != want[v][i] {
+					if got[i].Target != int(want[i]) {
 						t.Fatalf("%s r=%d v=%d: target mismatch at %d: %d vs %d",
-							tc.name, r, v, i, got[i].Target, want[v][i])
+							tc.name, r, v, i, got[i].Target, want[i])
 					}
 				}
 			}

@@ -102,8 +102,8 @@ func TestSweepHomesMatchAlgorithmOne(t *testing.T) {
 				for _, workers := range []int{1, 2, 8} {
 					sw := order.WReachSweep(g, o, s, rho, workers)
 					for w, h := range sw.Homes {
-						if h != setsRho[w][0] {
-							t.Fatalf("case %d rho=%d s=%d workers=%d: home of %d is %d, want %d", gi, rho, s, workers, w, h, setsRho[w][0])
+						if min := int(setsRho.Of(w)[0]); h != min {
+							t.Fatalf("case %d rho=%d s=%d workers=%d: home of %d is %d, want %d", gi, rho, s, workers, w, h, min)
 						}
 					}
 					if got := FromHomes(sw.Homes); !slices.Equal(got, want) {

@@ -166,6 +166,11 @@ type graphEntry struct {
 	// (guarded by mutMu); checkpoints persist it as the snapshot's covered
 	// position.
 	lastLSN uint64
+	// snapGen and snapLSN are the generation and lastLSN of the graph's
+	// snapshot on disk (guarded by ckptMu): a checkpoint rewrites the graph
+	// only when either differs from the live pair.  Zero marks a snapshot
+	// due for a rewrite whatever the pair (no generation is 0).
+	snapGen, snapLSN uint64
 }
 
 // info builds the entry's GraphInfo from the live overlay counters — one
@@ -408,7 +413,7 @@ func (e *Engine) Register(name string, g *graph.Graph) (GraphInfo, error) {
 	if old, ok := e.graphs[name]; ok {
 		defer e.cache.purge(old.gen)
 	}
-	ent := &graphEntry{name: name, gen: gen, dyn: dyn, epoch: epoch, lastLSN: covered}
+	ent := &graphEntry{name: name, gen: gen, dyn: dyn, epoch: epoch, lastLSN: covered, snapGen: gen, snapLSN: covered}
 	e.graphs[name] = ent
 	e.mu.Unlock()
 	return ent.info(gen), nil

@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"bedom/internal/connect"
+	"bedom/internal/cover"
 	"bedom/internal/domset"
 	"bedom/internal/gen"
 	"bedom/internal/graph"
@@ -272,6 +274,140 @@ func TestCoverQuery(t *testing.T) {
 	warm, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: 2})
 	if err != nil || !warm.CacheHit || warm.CoverData() != c {
 		t.Fatalf("warm cover query should share the cached substrate: %+v %v", warm, err)
+	}
+}
+
+// TestCoverAnswerMatchesInversion: a cold cover answer reads its size,
+// degree and radius off the (r, 2r) sweep, and they equal those of the
+// cover inverted from that sweep, on generated graphs, a single vertex and
+// a graph with isolated vertices, at every substrate worker count.
+func TestCoverAnswerMatchesInversion(t *testing.T) {
+	single := graph.New(1)
+	single.Finalize()
+	graphs := map[string]*graph.Graph{
+		"grid":       gen.Grid(9, 9),
+		"apollonian": gen.Apollonian(300, 3),
+		"geometric":  gen.RandomGeometric(2000, gen.GeometricRadiusForAvgDeg(2000, 6), 5),
+		"isolated":   graph.MustFromEdges(7, [][2]int{{0, 1}, {1, 2}, {4, 5}}),
+		"single":     single,
+	}
+	for name, g := range graphs {
+		for _, workers := range []int{1, 2, 8} {
+			e := testEngine(t, Config{SubstrateWorkers: workers})
+			for _, r := range []int{1, 2} {
+				resp, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: r})
+				if err != nil || resp.CacheHit {
+					t.Fatalf("%s r=%d workers=%d: cold cover %+v, %v", name, r, workers, resp, err)
+				}
+				o, _, err := e.OrderFor(g, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw := order.WReachSweep(g, o, 2*r, r, workers)
+				c := cover.BuildFromHomes(r, sw.Homes, sw.Sets, workers)
+				st := c.ComputeStats(g)
+				if resp.Size != c.NumClusters() || resp.CoverDegree != c.Degree() || resp.CoverMaxRadius != st.MaxRadius {
+					t.Fatalf("%s r=%d workers=%d: answer size %d, degree %d, radius %d; inversion %d, %d, %d",
+						name, r, workers, resp.Size, resp.CoverDegree, resp.CoverMaxRadius, c.NumClusters(), c.Degree(), st.MaxRadius)
+				}
+			}
+		}
+	}
+}
+
+// TestCoverQueryBuildsNoClusters: a cover answer read without
+// IncludeClusters, cold or warm, has not inverted its clusters: the cover
+// build label times the answer's build once and no inversion.
+func TestCoverQueryBuildsNoClusters(t *testing.T) {
+	e := testEngine(t, Config{})
+	if _, err := e.Register("g", gen.Grid(12, 12)); err != nil {
+		t.Fatal(err)
+	}
+	builds := e.stats.buildSeconds.With("cover")
+	for pass := 0; pass < 2; pass++ {
+		resp, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindCover, R: 1})
+		if err != nil || resp.CacheHit != (pass == 1) {
+			t.Fatalf("pass %d: %+v, %v", pass, resp, err)
+		}
+		if n := builds.Count(); resp.Clusters != nil || n != 1 {
+			t.Fatalf("pass %d: %d cover builds timed, want the answer's alone", pass, n)
+		}
+	}
+	if _, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindCover, R: 1, IncludeClusters: true}); err != nil || builds.Count() != 2 {
+		t.Fatalf("include_clusters timed %d cover builds (%v), want the answer's and one inversion", builds.Count(), err)
+	}
+}
+
+// TestCoverClustersInvertedOnce: the first CoverData or include_clusters
+// read of a cached cover answer inverts its clusters, once, under the
+// cover build label, even when several queries read them at once; every
+// later read, warm hits included, returns the same cover, whose cluster map
+// is cover.Build's.
+func TestCoverClustersInvertedOnce(t *testing.T) {
+	g := gen.Apollonian(300, 3)
+	for _, viaClusters := range []bool{false, true} {
+		e := testEngine(t, Config{})
+		if _, err := e.Register("g", g); err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Graph: "g", Kind: KindCover, R: 2}
+		cold, err := e.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, _, err := e.OrderFor(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cover.Build(g, o, 2).ClusterMap()
+		inversions := e.stats.buildSeconds.With("cover")
+		before := inversions.Count()
+		req.IncludeClusters = viaClusters
+		read := func() (*cover.Cover, error) {
+			resp, err := e.Do(context.Background(), req)
+			if err != nil {
+				return nil, err
+			}
+			if !resp.CacheHit {
+				return nil, errors.New("warm cover query missed the cache")
+			}
+			if viaClusters && !reflect.DeepEqual(resp.Clusters, want) {
+				return nil, errors.New("include_clusters map differs from cover.Build's")
+			}
+			return resp.CoverData(), nil
+		}
+		got := make([]*cover.Cover, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := read()
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = c
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		first := got[0]
+		for i, c := range append(got, cold.CoverData()) {
+			if c == nil || c != first {
+				t.Fatalf("include_clusters=%v: read %d returned cover %p, want %p", viaClusters, i, c, first)
+			}
+		}
+		if c, err := read(); err != nil || c != first {
+			t.Fatalf("include_clusters=%v: a later warm read returned %p (%v), want %p", viaClusters, c, err, first)
+		}
+		if n := inversions.Count() - before; n != 1 {
+			t.Fatalf("include_clusters=%v: clusters inverted %d times, want 1", viaClusters, n)
+		}
+		if !reflect.DeepEqual(first.ClusterMap(), want) {
+			t.Fatalf("include_clusters=%v: cluster map differs from cover.Build's", viaClusters)
+		}
 	}
 }
 

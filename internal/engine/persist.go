@@ -65,6 +65,11 @@ func (e *Engine) adoptStore(st *store.Store, rec *store.Recovery) error {
 			epoch:   rg.Meta.Epoch,
 			lastLSN: rg.Meta.CoveredLSN,
 		}
+		if rg.Raw {
+			// A varint file keeps the zero pair, so the next checkpoint
+			// rewrites it raw; replayed records move the live pair.
+			ent.snapGen, ent.snapLSN = rg.Meta.Gen, rg.Meta.CoveredLSN
+		}
 		byName[ent.name] = ent
 		if rg.Meta.Gen > maxGen {
 			maxGen = rg.Meta.Gen
@@ -144,13 +149,17 @@ type CheckpointInfo struct {
 }
 
 // Checkpoint folds the WAL into fresh snapshots: the live WAL segment is
-// rotated, every registered graph is re-snapshotted at its current topology
-// (recording the covered WAL position), and the sealed segments are deleted.
-// Deltas arriving mid-checkpoint land in the new live segment with LSNs
-// beyond what their graph's snapshot covers, so a crash at ANY point of the
-// cycle recovers correctly: until the old segments are removed they are
-// still replayed, and afterwards every surviving record is either covered by
-// a snapshot (skipped via CoveredLSN) or genuinely newer (applied).
+// rotated, every registered graph whose snapshot is not current is
+// re-snapshotted at its current topology (recording the covered WAL
+// position), and the sealed segments are deleted.  A snapshot is current
+// while the graph's generation and lastLSN are those it was written at, so
+// it covers every record of the graph in the sealed segments; a cycle that
+// begins degraded rewrites every graph.  Deltas arriving mid-checkpoint
+// land in the new live segment with LSNs beyond what their graph's
+// snapshot covers, so a crash at ANY point of the cycle recovers correctly:
+// until the old segments are removed they are still replayed, and
+// afterwards every surviving record is either covered by a snapshot
+// (skipped via CoveredLSN) or genuinely newer (applied).
 //
 // Checkpoint serializes with Register and Remove (registrations write
 // snapshot files too); mutations and queries of a graph are blocked only
@@ -162,6 +171,7 @@ func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	start := time.Now()
+	degraded := e.degraded.Load() != nil
 
 	obsolete, err := e.store.RotateWAL()
 	if err != nil {
@@ -189,7 +199,8 @@ func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 		gen := ent.gen
 		registered := e.graphs[ent.name] == ent
 		e.mu.Unlock()
-		if !registered {
+		current := gen == ent.snapGen && ent.lastLSN == ent.snapLSN
+		if !registered || (current && !degraded) {
 			ent.mutMu.Unlock()
 			continue
 		}
@@ -205,6 +216,7 @@ func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 			return info, fmt.Errorf("engine: checkpoint snapshot %q: %w", ent.name, err)
 		}
 		e.stats.snapshotWrites.Inc()
+		ent.snapGen, ent.snapLSN = gen, meta.CoveredLSN
 		info.Graphs++
 	}
 	if err := e.store.RemoveSegments(obsolete); err != nil {
@@ -218,10 +230,13 @@ func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 	e.ckptRan.Store(true)
 	e.stats.checkpoints.Inc()
 	e.stats.checkpointSeconds.ObserveSince(start)
-	// A full cycle just rotated the WAL, rewrote every snapshot and fsynced
-	// the directory — the strongest writable-again proof the engine has.
-	// Exit degraded mode (a no-op when not degraded).
-	e.clearDegraded()
+	// A cycle that began degraded just rotated the WAL, rewrote every
+	// snapshot and fsynced the directory — the strongest writable-again
+	// proof the engine has — so it exits degraded mode.  A cycle that
+	// began writable proves nothing about a failure that struck during it.
+	if degraded {
+		e.clearDegraded()
+	}
 	return info, nil
 }
 

@@ -3,9 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	iofs "io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"bedom/internal/fault"
 	"bedom/internal/gen"
 	"bedom/internal/graph"
 	"bedom/internal/solver"
@@ -27,6 +31,40 @@ func openPersistent(t *testing.T, dir string, cfg Config) *Engine {
 // registration snapshot plus the WAL alone — exactly what a kill -9 after
 // the last acknowledged mutation leaves behind.
 func crash(e *Engine) { e.Close() }
+
+// killImage returns the data directory a kill -9 of e would leave: a copy
+// of dir taken while e is live, without the LOCK file.  Unlike crash, the
+// WAL is not sealed, so a failed segment keeps whatever reached the file
+// past its durable prefix.  It then closes e, which touches only dir.
+func killImage(t *testing.T, e *Engine, dir string) string {
+	t.Helper()
+	img := t.TempDir()
+	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.IsDir():
+			return os.MkdirAll(filepath.Join(img, rel), 0o755)
+		case rel == "LOCK":
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(img, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("kill image of %s: %v", dir, err)
+	}
+	e.Close()
+	return img
+}
 
 // TestCrashRecoveryDeterminism is the acceptance contract: for substrate
 // worker counts 1, 2 and 8, an engine recovered from snapshot+WAL after a
@@ -131,6 +169,144 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	g, _ := revived.Lookup("g")
 	if !g.HasEdge(0, 11) || !g.HasEdge(0, 22) || g.HasEdge(0, 1) {
 		t.Fatal("recovered topology wrong")
+	}
+}
+
+// TestKillAfterFailedAppendRecovers: a WAL fsync fault (or a torn write)
+// fails its mutation, and the data directory a kill -9 leaves before any
+// checkpoint, with the failed segment uncut, opens with every acknowledged
+// mutation.  The failed one may surface too: its record can reach the file
+// even though it was never acknowledged.
+func TestKillAfterFailedAppendRecovers(t *testing.T) {
+	for _, f := range []fault.Fault{
+		{Op: fault.OpSync, Path: "wal-", Err: fault.ErrIO},
+		{Op: fault.OpWrite, Path: "wal-", Err: fault.ErrNoSpace, Torn: true},
+	} {
+		dir := t.TempDir()
+		in := fault.NewInjector(nil)
+		e, err := Open(dir, Config{FS: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Register("g", gen.Path(16)); err != nil {
+			t.Fatal(err)
+		}
+		acked := [][2]int{{0, 5}, {1, 7}}
+		for _, uv := range acked {
+			if _, err := e.Mutate("g", Delta{Add: [][2]int{uv}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in.Add(f)
+		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); err == nil || errors.Is(err, ErrDegraded) {
+			t.Fatalf("%v fault: Mutate returned %v, want the persist error", f.Op, err)
+		}
+		img := killImage(t, e, dir)
+		revived, err := Open(img, Config{})
+		if err != nil {
+			t.Fatalf("%v fault: Open of the kill -9 image: %v", f.Op, err)
+		}
+		g, _ := revived.Lookup("g")
+		for _, uv := range acked {
+			if !g.HasEdge(uv[0], uv[1]) {
+				t.Fatalf("%v fault: acknowledged edge %v lost", f.Op, uv)
+			}
+		}
+		if extra := g.M() - gen.Path(16).M() - len(acked); extra != 0 && !(extra == 1 && g.HasEdge(0, 6)) {
+			t.Fatalf("%v fault: recovered %d edges beyond the path and the acknowledged ones", f.Op, extra)
+		}
+		revived.Close()
+	}
+}
+
+// TestCheckpointWritesOnlyChangedGraphs: a checkpoint writes the graphs
+// whose generation or lastLSN moved since their snapshot, and leaves the
+// others' snapshots, which still recover them.
+func TestCheckpointWritesOnlyChangedGraphs(t *testing.T) {
+	dir := t.TempDir()
+	e := openPersistent(t, dir, Config{})
+	for _, name := range []string{"g", "h"} {
+		if _, err := e.Register(name, gen.Grid(6, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := func(what string, want int) {
+		t.Helper()
+		written := e.Stats().Persist.SnapshotsWritten
+		ck, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := e.Stats().Persist.SnapshotsWritten - written; ck.Graphs != want || n != uint64(want) {
+			t.Fatalf("%s: checkpoint wrote %d snapshots (reported %d), want %d", what, n, ck.Graphs, want)
+		}
+	}
+	checkpoint("after registration", 0)
+	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 7}}}); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint("one graph mutated", 1)
+	checkpoint("no mutation since the last checkpoint", 0)
+	crash(e)
+
+	revived := openPersistent(t, dir, Config{})
+	for name, edge := range map[string]bool{"g": true, "h": false} {
+		g, ok := revived.Lookup(name)
+		if !ok || g.HasEdge(0, 7) != edge || g.N() != 36 {
+			t.Fatalf("graph %q after restart: ok=%v, has (0,7) %v, want %v", name, ok, ok && g.HasEdge(0, 7), edge)
+		}
+	}
+	if st := revived.Stats().Persist; st.ReplayedRecords != 0 {
+		t.Fatalf("replayed %d records, want every one covered by a snapshot", st.ReplayedRecords)
+	}
+}
+
+// TestCheckpointRewritesAfterFailedAppend: a failed WAL append moves its
+// graph's generation but not its lastLSN, so the next checkpoint rewrites
+// that graph, and one that begins degraded rewrites every graph; the
+// checkpoint after either writes nothing.  The first case clears degraded
+// mode by hand, so only the generation rule can write the graph.
+func TestCheckpointRewritesAfterFailedAppend(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		dir := t.TempDir()
+		in := fault.NewInjector(nil)
+		e, err := Open(dir, Config{FS: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"g", "h"} {
+			if _, err := e.Register(name, gen.Path(16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in.Add(fault.Fault{Op: fault.OpSync, Path: "wal-", Err: fault.ErrIO})
+		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); err == nil {
+			t.Fatal("Mutate through a failed fsync succeeded")
+		}
+		want := 2
+		if !degraded {
+			e.clearDegraded()
+			want = 1
+		}
+		ck, err := e.Checkpoint()
+		if err != nil || ck.Graphs != want {
+			t.Fatalf("degraded=%v: checkpoint %+v, %v; want %d snapshots", degraded, ck, err, want)
+		}
+		if state, _ := e.Health(); state != HealthOK {
+			t.Fatalf("degraded=%v: health %q after the checkpoint", degraded, state)
+		}
+		if ck, err := e.Checkpoint(); err != nil || ck.Graphs != 0 {
+			t.Fatalf("degraded=%v: the next checkpoint %+v, %v; want no snapshot", degraded, ck, err)
+		}
+		crash(e)
+		revived, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, _ := revived.Lookup("g"); !g.HasEdge(0, 6) {
+			t.Fatalf("degraded=%v: the served edge (0,6) is missing after restart", degraded)
+		}
+		revived.Close()
 	}
 }
 

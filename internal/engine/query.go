@@ -119,9 +119,10 @@ type Response struct {
 	CoverDegree    int `json:"cover_degree,omitempty"`
 	CoverMaxRadius int `json:"cover_max_radius,omitempty"`
 	// Clusters maps cluster centers to cluster vertex sets; only populated
-	// for cover queries with IncludeClusters.  The map is fresh per response
-	// but its value slices are shared with the substrate cache and must not
-	// be mutated (the facade copies them).
+	// for cover queries with IncludeClusters, whose first request for the
+	// cached answer inverts them.  The map is fresh per response but its
+	// value slices are shared with the substrate cache and must not be
+	// mutated (the facade copies them).
 	Clusters map[int][]int `json:"clusters,omitempty"`
 
 	// Simulator cost (distributed kinds only).
@@ -139,16 +140,22 @@ type Response struct {
 	// (excluding time spent queued for a worker).
 	ElapsedMS float64 `json:"elapsed_ms"`
 
-	coverRef *cover.Cover
 	// answer is the cache entry a sequential response came from; AppendJSON
 	// copies in its encoded arrays while Set and DomSet are still its
 	// slices.
 	answer *answer
 }
 
-// CoverData returns the underlying cover structure of a cover query.  The
-// structure is shared with the substrate cache and must not be mutated.
-func (r *Response) CoverData() *cover.Cover { return r.coverRef }
+// CoverData returns the underlying cover structure of a cover query (nil
+// for the other kinds).  The first call for a cached answer inverts its
+// clusters; the structure is shared with the substrate cache and must not
+// be mutated.
+func (r *Response) CoverData() *cover.Cover {
+	if r.answer == nil || r.answer.cover == nil {
+		return nil
+	}
+	return r.answer.cover()
+}
 
 // Do executes one query on the worker pool and blocks until it completes,
 // the (request or engine default) timeout expires, or ctx is cancelled.
@@ -286,8 +293,8 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 		resp.Graph = req.Graph
 		resp.CacheHit = hit
 		resp.answer = a
-		if req.IncludeClusters && a.resp.coverRef != nil {
-			resp.Clusters = a.resp.coverRef.ClusterMap()
+		if req.IncludeClusters && a.cover != nil {
+			resp.Clusters = a.cover().ClusterMap()
 		}
 
 	case KindDistributedDominatingSet:
@@ -335,11 +342,14 @@ func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint6
 // answer is the kindAnswer substrate: the response of a sequential query
 // for one (graph generation, kind, radius, solver), with its set and
 // dom_set as JSON arrays, each encoded at most once, by the first response
-// that needs it (facade and engine-only callers never pay for it).  The
-// bytes live and die with the cache entry.
+// that needs it (facade and engine-only callers never pay for it), and a
+// cover answer's clusters, likewise inverted at most once.  The bytes and
+// clusters live and die with the cache entry.
 type answer struct {
 	resp        Response
 	set, domSet jsonArray
+	// cover returns a cover answer's cover (nil for the other kinds).
+	cover func() *cover.Cover
 }
 
 // jsonArray is the JSON array of an int slice, encoded on first use.
@@ -393,7 +403,7 @@ func (e *Engine) answerFor(ctx context.Context, g *graph.Graph, gen uint64, req 
 		case KindConnectedDominatingSet:
 			err = e.connectedAnswer(actx, g, gen, req.R, &a.resp)
 		case KindCover:
-			err = e.coverAnswer(actx, g, gen, req.R, &a.resp)
+			err = e.coverAnswer(actx, g, gen, req.R, a)
 		}
 		if err != nil {
 			return nil, err
@@ -435,25 +445,31 @@ func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64
 	resp.Set = connect.ClosureOf(wits, D)
 	resp.Size = len(resp.Set)
 	resp.LowerBound = domset.ScatteredLowerBound(g, r, D)
-	resp.Wcol = order.WColOfSets(wits.Sets)
+	resp.Wcol = wits.Sets.Max()
 	e.cache.addBuildTime("solve", solveTime+time.Since(start))
 	return nil
 }
 
-// coverAnswer builds the Theorem 4 cover for radius r into resp from one
-// cached sweep, the (r, 2r) one the paper solver and wcol_2r also read: its
-// sets invert into the clusters, its homes are the Home pointers, and its
-// depth is the cover's radius (Sweep.Depth), so no cluster is walked again.
-func (e *Engine) coverAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, resp *Response) error {
+// coverAnswer answers the Theorem 4 cover for radius r into a from one
+// cached sweep, the (r, 2r) one the paper solver and wcol_2r also read.
+// Every vertex is in its own set, so it centers a cluster: the cover's
+// size is n, its degree the largest set (wcol_2r) and its radius the
+// sweep's depth.  The clusters (the sets inverted, the homes as Home) are
+// built only when a request reads them, once per cached answer.
+func (e *Engine) coverAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, a *answer) error {
 	sw, err := e.wreachFor(ctx, g, gen, r, 2*r)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	c := cover.BuildFromHomes(g, r, sw.Homes, sw.Sets, e.cfg.SubstrateWorkers)
+	a.resp.Size, a.resp.CoverDegree, a.resp.CoverMaxRadius = g.N(), sw.Sets.Max(), sw.Depth
+	a.cover = sync.OnceValue(func() *cover.Cover {
+		start := time.Now()
+		c := cover.BuildFromHomes(r, sw.Homes, sw.Sets, e.cfg.SubstrateWorkers)
+		e.cache.addBuildTime("cover", time.Since(start))
+		return c
+	})
 	e.cache.addBuildTime("cover", time.Since(start))
-	resp.Size, resp.CoverDegree, resp.CoverMaxRadius = c.NumClusters(), c.Degree(), sw.Depth
-	resp.coverRef = c
 	return nil
 }
 

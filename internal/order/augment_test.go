@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -313,7 +314,7 @@ func TestWReachSetsAllocs(t *testing.T) {
 	opts := DefaultOptions(1)
 	opts.Workers = 1
 	o := Construct(g, opts).Order
-	const budget = 15 // measured 13
+	const budget = 14 // measured 12
 	got := testing.AllocsPerRun(3, func() { WReachSetsWorkers(g, o, 2, 1) })
 	t.Logf("WReachSetsWorkers s=2: %.0f allocations per call (budget %d)", got, budget)
 	if got > budget {
@@ -334,10 +335,44 @@ func TestWReachSweepAllocs(t *testing.T) {
 	opts := DefaultOptions(1)
 	opts.Workers = 1
 	o := Construct(g, opts).Order
-	const budget = 17 // measured 15
+	const budget = 16 // measured 14
 	got := testing.AllocsPerRun(3, func() { WReachSweep(g, o, 2, 1, 1) })
 	t.Logf("WReachSweep s=2 rho=1: %.0f allocations per call (budget %d)", got, budget)
 	if got > budget {
 		t.Errorf("WReachSweep s=2 rho=1 allocated %.0f times per call, budget %d", got, budget)
 	}
+}
+
+// TestWReachSweepFootprint gates what a cached sweep keeps alive: the sweep
+// of TestWReachSweepAllocs, once its scratch is collected, may retain at
+// most 4 bytes per set entry (one int32 id) and 16 bytes per vertex (one
+// offset and one home), plus the page rounding of those three arrays and
+// the Sweep itself.
+func TestWReachSweepFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	g := mustLargest(gen.RandomGeometric(5000, gen.GeometricRadiusForAvgDeg(5000, 6), 1))
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	o := Construct(g, opts).Order
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sw := WReachSweep(g, o, 2, 1, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	entries := 0
+	for w := range sw.Sets.Len() {
+		entries += len(sw.Sets.Of(w))
+	}
+	const rounding = 4 * 8192
+	bound := int64(4*entries + 16*g.N() + rounding)
+	t.Logf("WReachSweep s=2 rho=1: %d bytes retained for %d vertices and %d entries (bound %d)", retained, g.N(), entries, bound)
+	if retained > bound {
+		t.Errorf("WReachSweep s=2 rho=1 retained %d bytes, bound %d", retained, bound)
+	}
+	runtime.KeepAlive(o) // an order collected mid-measurement would hide 16 bytes per vertex
+	runtime.KeepAlive(sw)
 }

@@ -93,12 +93,12 @@ func TestWReachAgainstBruteForce(t *testing.T) {
 			sets := WReachSets(g, o, r)
 			for v := 0; v < g.N(); v++ {
 				want := WReachBruteForce(g, o, r, v)
-				got := sets[v]
+				got := sets.Of(v)
 				if len(got) != len(want) {
 					t.Fatalf("%s r=%d v=%d: got %v want %v", name, r, v, got, want)
 				}
 				for i := range got {
-					if got[i] != want[i] {
+					if int(got[i]) != want[i] {
 						t.Fatalf("%s r=%d v=%d: got %v want %v", name, r, v, got, want)
 					}
 				}
@@ -114,18 +114,18 @@ func TestWReachContainsSelfAndMonotone(t *testing.T) {
 	s2 := WReachSets(g, o, 2)
 	for v := 0; v < g.N(); v++ {
 		found := false
-		for _, u := range s1[v] {
-			if u == v {
+		for _, u := range s1.Of(v) {
+			if int(u) == v {
 				found = true
 			}
-			if o.Less(v, u) {
+			if o.Less(v, int(u)) {
 				t.Fatalf("WReach contains a larger vertex: %d in set of %d", u, v)
 			}
 		}
 		if !found {
 			t.Fatalf("WReach_1[%d] misses the vertex itself", v)
 		}
-		if len(s2[v]) < len(s1[v]) {
+		if len(s2.Of(v)) < len(s1.Of(v)) {
 			t.Fatalf("WReach_2 smaller than WReach_1 at %d", v)
 		}
 	}
@@ -154,16 +154,23 @@ func TestWColMeasureKnownValues(t *testing.T) {
 	}
 }
 
-func TestWColOfSetsAndHomes(t *testing.T) {
+func TestSetsMaxAndHomes(t *testing.T) {
 	g := gen.Grid(8, 8)
 	o := ConstructDefault(g, 1)
 	sets := WReachSets(g, o, 2)
-	if max := WColOfSets(sets); max < 1 || max != WColMeasure(g, o, 2) {
+	if max := sets.Max(); max < 1 || max != WColMeasure(g, o, 2) {
 		t.Fatalf("wcol of sets %d, measured %d", max, WColMeasure(g, o, 2))
 	}
+	wcol := 0
+	for v := 0; v < sets.Len(); v++ {
+		wcol = max(wcol, len(sets.Of(v)))
+	}
+	if wcol != sets.Max() {
+		t.Fatalf("Sets.Max() = %d, largest set %d", sets.Max(), wcol)
+	}
 	for v, h := range WReachSweep(g, o, 2, 2, 0).Homes {
-		if h != sets[v][0] {
-			t.Fatalf("home of %d is %d, want min WReach_2 = %d", v, h, sets[v][0])
+		if min := int(sets.Of(v)[0]); h != min {
+			t.Fatalf("home of %d is %d, want min WReach_2 = %d", v, h, min)
 		}
 		if o.Less(v, h) {
 			t.Fatalf("home of %d is larger than %d", v, v)

@@ -101,15 +101,15 @@ func TestWReachSetsMatchesSequentialReference(t *testing.T) {
 	g := gen.Grid(20, 20)
 	o := ConstructDefault(g, 2)
 	r := 4
-	want := wreachSequentialReference(g, o, r)
+	want := SetsOf(wreachSequentialReference(g, o, r))
 	for _, workers := range determinismWorkerCounts {
 		got := WReachSetsWorkers(g, o, r, workers)
-		if len(got) != len(want) {
+		if got.Len() != want.Len() {
 			t.Fatal("length mismatch")
 		}
-		for v := range want {
-			if !reflect.DeepEqual(want[v], got[v]) {
-				t.Fatalf("workers=%d: set of %d = %v, want %v", workers, v, got[v], want[v])
+		for v := range want.Len() {
+			if !reflect.DeepEqual(want.Of(v), got.Of(v)) {
+				t.Fatalf("workers=%d: set of %d = %v, want %v", workers, v, got.Of(v), want.Of(v))
 			}
 		}
 	}

@@ -10,11 +10,9 @@ import (
 // WReach_r[G, L, w] = { u ≤_L w : there is a path of length ≤ r from w to u
 // whose minimum vertex (w.r.t. L) is u }.
 //
-// The returned slice is indexed by vertex; each set is sorted by L-position
-// (so element 0 is min WReach_r[G, L, w]) and always contains w itself.  The
-// per-vertex sets are full-capacity subslices of one shared flat buffer;
-// treat them as read-only (appending reallocates, mutating in place corrupts
-// the substrate for every other consumer).
+// The returned Sets holds one set per vertex; each set is sorted by
+// L-position (so element 0 is min WReach_r[G, L, w]) and always contains w
+// itself.
 //
 // The computation mirrors Algorithm 3 of the paper run from every vertex:
 // for each vertex u, a breadth-first search restricted to vertices ≥_L u and
@@ -24,16 +22,54 @@ import (
 // they shard across workers (see WReachSetsWorkers).  WReachSweep runs the
 // same searches and also records each vertex's home and the deepest level
 // reached; WReachWitnesses also keeps the witness paths.
-func WReachSets(g *graph.Graph, o *Order, r int) [][]int {
+func WReachSets(g *graph.Graph, o *Order, r int) Sets {
 	return WReachSetsWorkers(g, o, r, 0)
+}
+
+// Sets holds one weak-reachability set per vertex in CSR layout: the set
+// of w is ids[off[w]:off[w+1]], its vertices sorted by L-position.  One
+// int32 per entry and one offset per vertex is all a sweep keeps; the
+// slices Of returns share that array, so treat them as read-only.
+type Sets struct {
+	off []int
+	ids []int32
+}
+
+// SetsOf packs per-vertex sets, each already sorted by L-position, into
+// the CSR layout.
+func SetsOf(sets [][]int) Sets {
+	s := Sets{off: make([]int, len(sets)+1)}
+	for w, set := range sets {
+		for _, u := range set {
+			s.ids = append(s.ids, int32(u))
+		}
+		s.off[w+1] = len(s.ids)
+	}
+	return s
+}
+
+// Len returns the number of vertices, one set each.
+func (s Sets) Len() int { return len(s.off) - 1 }
+
+// Of returns the set of w, sorted by L-position.
+func (s Sets) Of(w int) []int32 { return s.ids[s.off[w]:s.off[w+1]:s.off[w+1]] }
+
+// Max returns the size of the largest set: the weak colouring number the
+// sets measure, max_w |WReach[G, L, w]|.
+func (s Sets) Max() int {
+	m := 0
+	for w := 1; w < len(s.off); w++ {
+		m = max(m, s.off[w]-s.off[w-1])
+	}
+	return m
 }
 
 // Sweep is what one sweep of restricted searches at radius s yields besides
 // the sets themselves.
 type Sweep struct {
-	// Sets[w] is WReach_s[G, L, w] sorted by L-position, exactly as
-	// WReachSetsWorkers returns it (and just as read-only).
-	Sets [][]int
+	// Sets.Of(w) is WReach_s[G, L, w] sorted by L-position, exactly as
+	// WReachSetsWorkers returns it.
+	Sets Sets
 	// Homes[w] is min WReach_ρ[G, L, w] for the radius ρ ≤ s the sweep was
 	// asked for (nil when it was asked for none).  The distinct homes at
 	// ρ = r are the set Algorithm 1 returns (proof of Theorem 5), and the
@@ -82,7 +118,7 @@ type wreachShard struct {
 // by a deterministic count-and-fill pass, so the output is identical for
 // every worker count — no per-set sort is needed because sources are visited
 // in L-order (each set's elements arrive already sorted by position).
-func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
+func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) Sets {
 	sw, _ := wreach(g, o, r, -1, workers, false)
 	return sw.Sets
 }
@@ -93,24 +129,22 @@ func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) [][]int {
 // segment of ws is in BFS order, so the last entry is at the search's
 // depth and the entries within rho are a prefix.  At rho = s the home is
 // the set's first element and needs no table.  With parents set it also
-// returns the parent column:
-// next[w][j] is the vertex the search from sets[w][j] reached w from (w
-// itself when sets[w][j] = w); otherwise next is nil and the search keeps
-// no parents.
-func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Sweep, next [][]int32) {
+// returns the parent column, aligned with the sets' id array: the entry
+// beside the j'th vertex u of w's set is the vertex the search from u
+// reached w from (w itself when u = w); otherwise next is nil and the
+// search keeps no parents.
+func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Sweep, next []int32) {
 	if rho > s {
 		panic("order: a sweep's home radius exceeds its search radius")
 	}
 	n := g.N()
-	sw.Sets = make([][]int, n)
+	off := make([]int, n+1)
+	sw.Sets.off = off
 	if rho >= 0 {
 		sw.Homes = make([]int, n)
 	}
-	if parents {
-		next = make([][]int32, n)
-	}
 	if n == 0 {
-		return sw, next
+		return sw, nil
 	}
 	workers = graph.ResolveWorkers(workers, n)
 	if n < graph.MinParallelVertices {
@@ -217,17 +251,17 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 		shards[k] = wreachShard{lo: lo, ws: ws, par: par, ends: ends, cnt: cnt, home: home, depth: depth}
 	})
 
-	// Count-and-fill merge: compute each (position, shard) write cursor,
-	// then let every shard copy its pairs (and parents) into the shared flat
-	// buffers in parallel, mapping position labels back to vertices.  Shard
-	// blocks cover ascending position ranges and each shard emits sources in
+	// Count-and-fill merge: compute each (vertex, shard) write cursor, then
+	// let every shard copy its pairs (and parents) into the shared id array
+	// in parallel, mapping position labels back to vertices.  Shard blocks
+	// cover ascending position ranges and each shard emits sources in
 	// ascending position, so cursor order reproduces the position-sorted
 	// sets exactly, and the first shard with a candidate home holds the
 	// least one.
-	off := make([]int, n+1)
 	sum := 0
-	for w := 0; w < n; w++ {
-		off[w] = sum
+	for v := 0; v < n; v++ {
+		w := pos[v]
+		off[v] = sum
 		h := int32(0)
 		for k := range shards {
 			sh := &shards[k]
@@ -239,17 +273,17 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 			sum += c
 		}
 		if table {
-			sw.Homes[perm[w]] = perm[h-1]
+			sw.Homes[v] = perm[h-1]
 		}
 	}
 	off[n] = sum
 	for k := range shards {
 		sw.Depth = max(sw.Depth, int(shards[k].depth))
 	}
-	flat := make([]int, sum)
-	var pflat []int32
+	ids := make([]int32, sum)
+	var pcol []int32
 	if parents {
-		pflat = make([]int32, sum)
+		pcol = make([]int32, sum)
 	}
 	graph.ParallelBlocks(workers, workers, func(_, klo, khi int) {
 		for k := klo; k < khi; k++ {
@@ -257,11 +291,11 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 			cnt := sh.cnt
 			start := 0
 			for j, e := range sh.ends {
-				u := perm[sh.lo+j]
+				u := int32(perm[sh.lo+j])
 				for q, w := range sh.ws[start:e] {
-					flat[cnt[w]] = u
+					ids[cnt[w]] = u
 					if parents {
-						pflat[cnt[w]] = int32(perm[sh.par[start+q]])
+						pcol[cnt[w]] = int32(perm[sh.par[start+q]])
 					}
 					cnt[w]++
 				}
@@ -269,38 +303,22 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 			}
 		}
 	})
-	for w := 0; w < n; w++ {
-		v := perm[w]
-		sw.Sets[v] = flat[off[w]:off[w+1]:off[w+1]]
-		if parents {
-			next[v] = pflat[off[w]:off[w+1]:off[w+1]]
-		}
-		if rho == s {
-			sw.Homes[v] = flat[off[w]]
+	sw.Sets.ids = ids
+	if rho == s {
+		for v := range sw.Homes {
+			sw.Homes[v] = int(ids[off[v]])
 		}
 	}
-	return sw, next
+	return sw, pcol
 }
 
 // WColMeasure returns the measured weak r-colouring number of g under the
 // order o, i.e. max_v |WReach_r[G, L, v]|.  By Theorem 1 (Zhu) this is
 // bounded by a constant on every bounded expansion class when o is a good
 // order.  Callers that already hold the reachability sets should use
-// WColOfSets instead of paying for a second WReachSets sweep.
+// Sets.Max instead of paying for a second WReachSets sweep.
 func WColMeasure(g *graph.Graph, o *Order, r int) int {
-	return WColOfSets(WReachSets(g, o, r))
-}
-
-// WColOfSets returns the weak colouring number measured on precomputed
-// weak-reachability sets: max_v |sets[v]|.
-func WColOfSets(sets [][]int) int {
-	max := 0
-	for _, s := range sets {
-		if len(s) > max {
-			max = len(s)
-		}
-	}
-	return max
+	return WReachSets(g, o, r).Max()
 }
 
 // WReachBruteForce computes WReach_r[G, L, w] for a single vertex w by

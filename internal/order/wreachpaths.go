@@ -23,16 +23,16 @@ type PathTo struct {
 // Algorithm 4 (Lemma 7 of the paper).
 //
 // Paths are not stored: the restricted BFS from u records, for every vertex
-// w it discovers, the vertex it reached w from — one int32 per pair beside
-// the sets.  That parent is itself in X_u and one step closer to u, so u is
+// w it discovers, the vertex it reached w from — one int32 per pair, in a
+// column aligned with the sets' id array.  That parent is itself in X_u and one step closer to u, so u is
 // in its set too, and AppendPath follows parents until it arrives at u.
 type Witnesses struct {
 	// Sweep holds the sets, as WReachSweep returns them, with the homes and
 	// the depth of the same searches.
 	Sweep
-	// next[w][j] is the vertex after w on the witness path from w to
-	// Sets[w][j] (w itself when Sets[w][j] = w).
-	next [][]int32
+	// next[Sets.off[w]+j] is the vertex after w on the witness path from w
+	// to Sets.Of(w)[j] (w itself when that vertex is w).
+	next []int32
 	pos  []int // the order's vertex → position map
 }
 
@@ -48,18 +48,18 @@ func WReachWitnesses(g *graph.Graph, o *Order, s, rho, workers int) *Witnesses {
 }
 
 // AppendPath appends the witness path from w to its j'th weakly reachable
-// vertex Sets[w][j] to dst and returns the extended slice: w first, the
+// vertex Sets.Of(w)[j] to dst and returns the extended slice: w first, the
 // target last, every vertex ≥_L the target, at most s edges.  Each step
 // finds the target in the next vertex's position-sorted set by binary
 // search.
 func (x *Witnesses) AppendPath(dst []int, w, j int) []int {
-	u := x.Sets[w][j]
+	u := int(x.Sets.Of(w)[j])
 	pu := x.pos[u]
 	dst = append(dst, w)
 	for w != u {
-		w = int(x.next[w][j])
+		w = int(x.next[x.Sets.off[w]+j])
 		dst = append(dst, w)
-		set := x.Sets[w]
+		set := x.Sets.Of(w)
 		j = sort.Search(len(set), func(i int) bool { return x.pos[set[i]] >= pu })
 	}
 	return dst

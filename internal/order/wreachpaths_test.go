@@ -8,12 +8,12 @@ import (
 	"bedom/internal/graph"
 )
 
-// witnessPaths expands every witness path of x, indexed like x.Sets.
+// witnessPaths expands every witness path of x, indexed by vertex.
 func witnessPaths(x *Witnesses) [][]PathTo {
-	out := make([][]PathTo, len(x.Sets))
-	for w, set := range x.Sets {
-		for j, u := range set {
-			out[w] = append(out[w], PathTo{Target: u, Path: x.AppendPath(nil, w, j)})
+	out := make([][]PathTo, x.Sets.Len())
+	for w := range out {
+		for j, u := range x.Sets.Of(w) {
+			out[w] = append(out[w], PathTo{Target: int(u), Path: x.AppendPath(nil, w, j)})
 		}
 	}
 	return out
@@ -40,10 +40,10 @@ func TestWReachWithPathsSelfWitness(t *testing.T) {
 	g := gen.Grid(4, 4)
 	o, _ := FromDegeneracy(g)
 	wits := WReachWitnesses(g, o, 2, -1, 1)
-	for v, set := range wits.Sets {
+	for v := range wits.Sets.Len() {
 		found := false
-		for j, u := range set {
-			if u == v {
+		for j, u := range wits.Sets.Of(v) {
+			if int(u) == v {
 				found = true
 				if p := wits.AppendPath(nil, v, j); len(p) != 1 || p[0] != v {
 					t.Fatalf("self witness of %d is %v", v, p)
@@ -63,8 +63,8 @@ func TestWReachWithPathsShortestWithinCluster(t *testing.T) {
 	o := Identity(8)
 	wits := WReachWitnesses(g, o, 3, -1, 1)
 	for w := 0; w < 8; w++ {
-		for j, u := range wits.Sets[w] {
-			if got, want := len(wits.AppendPath(nil, w, j))-1, w-u; got != want {
+		for j, u := range wits.Sets.Of(w) {
+			if got, want := len(wits.AppendPath(nil, w, j))-1, w-int(u); got != want {
 				t.Fatalf("witness %d→%d has length %d want %d", w, u, got, want)
 			}
 		}

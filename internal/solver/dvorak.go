@@ -6,7 +6,6 @@ import (
 
 	"bedom/internal/domset"
 	"bedom/internal/graph"
-	"bedom/internal/order"
 )
 
 // dvorakSolver is an order-driven linear-time approximation in the spirit of
@@ -57,6 +56,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       order.WColOfSets(sw.Sets),
+		Wcol:       sw.Sets.Max(),
 	}, nil
 }

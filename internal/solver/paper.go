@@ -7,7 +7,6 @@ import (
 	"bedom/internal/distalgo"
 	"bedom/internal/domset"
 	"bedom/internal/graph"
-	"bedom/internal/order"
 )
 
 // paperSolver is the SPAA 2018 pipeline: Algorithm 1 on the
@@ -31,7 +30,7 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       order.WColOfSets(sw.Sets),
+		Wcol:       sw.Sets.Max(),
 	}, nil
 }
 

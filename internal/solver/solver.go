@@ -40,9 +40,9 @@ type Substrate interface {
 	// Order returns the weak-reachability order for radius r.
 	Order(ctx context.Context, r int) (*order.Order, error)
 	// WReach returns the sweep at radius s of the radius-orderR order: its
-	// weak s-reachability sets, whose order.WColOfSets is the order's
-	// measured wcol_s, each vertex's home at radius min(orderR, s), and the
-	// sweep's depth.
+	// weak s-reachability sets, whose Sets.Max is the order's measured
+	// wcol_s, each vertex's home at radius min(orderR, s), and the sweep's
+	// depth.
 	WReach(ctx context.Context, orderR, s int) (*order.Sweep, error)
 }
 

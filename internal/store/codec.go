@@ -302,25 +302,32 @@ func writeSection(w io.Writer, tag byte, payload []byte) error {
 // structural validation, so a corrupted snapshot fails loudly instead of
 // producing a broken graph.
 func DecodeSnapshot(r io.Reader) (SnapshotMeta, *graph.Graph, error) {
+	meta, g, _, err := decodeSnapshot(r)
+	return meta, g, err
+}
+
+// decodeSnapshot is DecodeSnapshot that also reports whether the document
+// is the raw-aligned variant.
+func decodeSnapshot(r io.Reader) (SnapshotMeta, *graph.Graph, bool, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return SnapshotMeta{}, nil, err
+		return SnapshotMeta{}, nil, false, err
 	}
 	s, err := parseSnapshot(data)
 	if err != nil {
-		return s.meta, nil, err
+		return s.meta, nil, false, err
 	}
 	var off, tgt []int32
 	if s.raw {
 		off, tgt = decodeInt32LE(s.off), decodeInt32LE(s.tgt)
 	} else if off, tgt, err = decodeVarintCSR(s); err != nil {
-		return s.meta, nil, err
+		return s.meta, nil, false, err
 	}
 	g, err := graph.FromCSR(off, tgt)
 	if err != nil {
-		return s.meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return s.meta, nil, false, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return s.meta, g, nil
+	return s.meta, g, s.raw, nil
 }
 
 // decodeVarintCSR rebuilds the CSR arrays from the varint OFFSETS (degrees)

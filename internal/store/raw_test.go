@@ -465,8 +465,8 @@ func TestStoreUpgradesVarintSnapshot(t *testing.T) {
 	if st := s.Stats().Recovered; st.Graphs != 1 || st.MmapGraphs != 0 {
 		t.Fatalf("varint recovery stats %+v, want 1 graph and 0 mapped", st)
 	}
-	if rec.Graphs[0].Meta != meta {
-		t.Fatalf("meta: got %+v, want %+v", rec.Graphs[0].Meta, meta)
+	if rec.Graphs[0].Meta != meta || rec.Graphs[0].Raw {
+		t.Fatalf("meta: got %+v (raw %v), want %+v from a varint file", rec.Graphs[0].Meta, rec.Graphs[0].Raw, meta)
 	}
 	assertBitIdentical(t, g, rec.Graphs[0].Graph)
 	if err := s.SaveSnapshot(meta, rec.Graphs[0].Graph); err != nil {
@@ -476,6 +476,17 @@ func TestStoreUpgradesVarintSnapshot(t *testing.T) {
 		t.Fatal("rewriting a varint snapshot kept the varint variant")
 	}
 	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The decoding path reports the raw file as raw too.
+	s1, rec1, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec1.Graphs[0].Raw {
+		t.Fatal("a decoded raw snapshot was reported as varint")
+	}
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -489,8 +500,8 @@ func TestStoreUpgradesVarintSnapshot(t *testing.T) {
 	if MmapSupported() {
 		wantMapped = 1
 	}
-	if st := s2.Stats().Recovered; st.Graphs != 1 || st.MmapGraphs != wantMapped {
-		t.Fatalf("recovery stats after the rewrite %+v, want %d mapped", st, wantMapped)
+	if st := s2.Stats().Recovered; st.Graphs != 1 || st.MmapGraphs != wantMapped || !rec2.Graphs[0].Raw {
+		t.Fatalf("recovery stats after the rewrite %+v (raw %v), want %d mapped", st, rec2.Graphs[0].Raw, wantMapped)
 	}
 	assertBitIdentical(t, g, rec2.Graphs[0].Graph)
 }

@@ -117,6 +117,9 @@ type Store struct {
 type RecoveredGraph struct {
 	Meta  SnapshotMeta
 	Graph *graph.Graph
+	// Raw reports whether the file is the raw-aligned variant SaveSnapshot
+	// writes; a varint file, left by an older store, is due for a rewrite.
+	Raw bool
 }
 
 // Recovery is what Open found on disk: the snapshots and the full ordered
@@ -201,14 +204,14 @@ func (s *Store) scan() (*Recovery, uint64, uint64, error) {
 			continue
 		}
 		path := filepath.Join(s.graphsDir, name)
-		meta, g, err := s.loadSnapshot(path)
+		meta, g, raw, err := s.loadSnapshot(path)
 		if err != nil {
 			// A snapshot either renamed into place completely or not at all,
 			// so corruption here is real data damage — fail loudly instead of
 			// silently dropping a graph.
 			return nil, 0, 0, fmt.Errorf("store: snapshot %s: %w", path, err)
 		}
-		rec.Graphs = append(rec.Graphs, RecoveredGraph{Meta: meta, Graph: g})
+		rec.Graphs = append(rec.Graphs, RecoveredGraph{Meta: meta, Graph: g, Raw: raw})
 		if meta.CoveredLSN > lastLSN {
 			lastLSN = meta.CoveredLSN
 		}
@@ -287,11 +290,12 @@ func (s *Store) scan() (*Recovery, uint64, uint64, error) {
 }
 
 // loadSnapshot opens one snapshot file, zero-copy when the store is
-// configured for it and the file cooperates, decoding otherwise.  Only
+// configured for it and the file cooperates, decoding otherwise, and
+// reports whether the file is the raw-aligned variant.  Only
 // ErrNotMmapable (a varint file, a misaligned payload, a failed mapping)
 // falls back to the decoder; ErrBadSnapshot from the mmap path fails
 // recovery, exactly as the decoder would have.
-func (s *Store) loadSnapshot(path string) (SnapshotMeta, *graph.Graph, error) {
+func (s *Store) loadSnapshot(path string) (SnapshotMeta, *graph.Graph, bool, error) {
 	if s.opts.Mmap && s.opts.FS == nil && MmapSupported() {
 		meta, g, m, err := OpenMmapSnapshot(path)
 		if err == nil {
@@ -300,13 +304,18 @@ func (s *Store) loadSnapshot(path string) (SnapshotMeta, *graph.Graph, error) {
 			s.mapMu.Unlock()
 			s.recovered.MmapGraphs++
 			s.recovered.MmapBytes += m.Size()
-			return meta, g, nil
+			return meta, g, true, nil
 		}
 		if !errors.Is(err, ErrNotMmapable) {
-			return meta, nil, err
+			return meta, nil, false, err
 		}
 	}
-	return decodeSnapshotFile(s.fs, path)
+	f, err := s.fs.Open(path)
+	if err != nil {
+		return SnapshotMeta{}, nil, false, err
+	}
+	defer f.Close()
+	return decodeSnapshot(f)
 }
 
 // ReleaseMappings unmaps every snapshot mapping the Open scan created.  Any
@@ -577,15 +586,6 @@ func snapFileName(name string) string {
 	}
 	sum := sha256.Sum256([]byte(name))
 	return "h-" + hex.EncodeToString(sum[:]) + snapExt
-}
-
-func decodeSnapshotFile(fs fault.FS, path string) (SnapshotMeta, *graph.Graph, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return SnapshotMeta{}, nil, err
-	}
-	defer f.Close()
-	return DecodeSnapshot(f)
 }
 
 type countingWriter struct {
