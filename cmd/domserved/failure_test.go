@@ -211,9 +211,10 @@ func TestOverloadSheds503(t *testing.T) {
 }
 
 // TestDegradedMutations503 drives the engine read-only via an injected dead
-// disk and asserts the HTTP mapping: mutations 503 + Retry-After once
-// degraded, queries still 200, /healthz 503 "degraded" with a reason, and
-// recovery via /admin/checkpoint flips everything back to 200/ok.
+// disk and asserts the HTTP mapping: the mutation that meets the dead disk
+// and every mutation and removal after it 503 + Retry-After, queries still
+// 200, /healthz 503 "degraded" with a reason, and recovery via
+// /admin/checkpoint flips everything back to 200/ok.
 func TestDegradedMutations503(t *testing.T) {
 	in := fault.NewInjector(nil)
 	ts, eng := faultyServer(t, engine.Config{FS: in}, t.TempDir())
@@ -230,19 +231,30 @@ func TestDegradedMutations503(t *testing.T) {
 		}
 		return resp
 	}
-	// The first mutation hits the dead disk (a persist failure, not a gate
-	// rejection) and flips degraded mode.
-	resp := mutate()
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("mutation acked on a dead disk")
+	unavailable := func(what string, resp *http.Response) {
+		t.Helper()
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: status %d Retry-After %q, want 503 with Retry-After",
+				what, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
 	}
-	// Subsequent mutations are rejected at the gate: 503 + Retry-After.
-	resp = mutate()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("degraded mutation: status %d Retry-After %q, want 503 with Retry-After",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
+	// The first mutation's WAL append hits the dead disk: it changes
+	// nothing and flips degraded mode, so it is as retryable as the
+	// mutations the gate rejects after it.
+	unavailable("mutation on a dead disk", mutate())
+	unavailable("degraded mutation", mutate())
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/g", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unavailable("degraded removal", resp)
+	if _, ok := eng.Info("g"); !ok {
+		t.Fatal("graph removed while degraded")
 	}
 
 	// Queries still serve.

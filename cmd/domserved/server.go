@@ -482,18 +482,16 @@ func (s *server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	ok, err := s.eng.Remove(name)
-	if !ok {
+	switch ok, err := s.eng.Remove(name); {
+	case err != nil:
+		// Degraded, or the snapshot could not be deleted: the graph is still
+		// registered, and the removal may be retried after recovery.
+		engineError(w, statusFor(err), err)
+	case !ok:
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown graph %q", name))
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{"removed": name})
 	}
-	if err != nil {
-		// The graph is gone from the live engine but not from disk: do not
-		// ack a removal a restart would undo.
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": name})
 }
 
 // queryRequest is the JSON body of POST /query and each entry of /batch.

@@ -28,9 +28,9 @@ func TestWarmDoAllocs(t *testing.T) {
 		kind          Kind
 		allocs, bytes float64
 	}{
-		{KindDominatingSet, 12, 785},          // measured 10 and 680
-		{KindConnectedDominatingSet, 12, 785}, // measured 10 and 680
-		{KindCover, 12, 785},                  // measured 10 and 680
+		{KindDominatingSet, 7, 655},          // measured 6 and 568
+		{KindConnectedDominatingSet, 7, 655}, // measured 6 and 568
+		{KindCover, 7, 655},                  // measured 6 and 568
 	} {
 		req := Request{Graph: "g", Kind: tc.kind, R: 1}
 		do := func() {

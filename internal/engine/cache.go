@@ -69,23 +69,6 @@ type substrateCache struct {
 	stats *statsCollector
 }
 
-// timedBuild runs f and records its duration in the per-stage build
-// histogram.  Builders report their own leaf work this way, so that a build
-// nested inside another (the order build underneath a wreach build or an
-// answer) is counted once.
-func (c *substrateCache) timedBuild(stage string, f func() any) any {
-	start := time.Now()
-	v := f()
-	c.addBuildTime(stage, time.Since(start))
-	return v
-}
-
-// addBuildTime accounts d as exclusive build time of the given stage (used
-// directly by builds that must subtract nested fetch time; see answerFor).
-func (c *substrateCache) addBuildTime(stage string, d time.Duration) {
-	c.stats.buildSeconds.With(stage).ObserveDuration(d)
-}
-
 type cacheEntry struct {
 	key substrateKey
 	val any
@@ -213,4 +196,51 @@ func (c *substrateCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// nestedKey carries a running build's timer on the context its nested
+// stages run under: a *time.Duration summing their spans.
+type nestedKey struct{}
+
+// fetch is one cached stage of a query: the span name around the cache
+// lookup and, on a miss, the build (see build).  Hit or miss, the span's
+// duration counts as nested time of the build that fetches, if any.
+func (e *Engine) fetch(ctx context.Context, key substrateKey, name, label string, f func(context.Context) (any, error)) (any, bool, error) {
+	sp := obs.Start(ctx, name)
+	defer nest(ctx, sp)
+	return e.cache.getOrBuild(ctx, key, func() (any, error) { return e.build(ctx, name, label, f) })
+}
+
+// step is fetch without the cache, for a stage whose result no other
+// query reads (the cds witness traversal).
+func (e *Engine) step(ctx context.Context, name, label string, f func(context.Context) (any, error)) (any, error) {
+	sp := obs.Start(ctx, name)
+	defer nest(ctx, sp)
+	return e.build(ctx, name, label, f)
+}
+
+// build runs f under the stage hook name.  f's context keeps ctx's values,
+// so nested stages land in the query's trace, but not its deadline: a build
+// is shared work, and one requester's timeout must not become the error of
+// every query that coalesced onto it.  It also carries the build's timer, so
+// a successful build records its exclusive time under label: its duration
+// minus the spans of the stages nested in it.
+func (e *Engine) build(ctx context.Context, name, label string, f func(context.Context) (any, error)) (any, error) {
+	e.stage(name)
+	var nested time.Duration
+	start := time.Now()
+	v, err := f(context.WithValue(context.WithoutCancel(ctx), nestedKey{}, &nested))
+	if err == nil {
+		e.stats.buildSeconds.With(label).ObserveDuration(time.Since(start) - nested)
+	}
+	return v, err
+}
+
+// nest ends sp and adds its duration to the timer of the build ctx belongs
+// to, if any.
+func nest(ctx context.Context, sp obs.Span) {
+	d := sp.End()
+	if nested, ok := ctx.Value(nestedKey{}).(*time.Duration); ok {
+		*nested += d
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,10 +23,11 @@ import (
 //   - every ACKED mutation (Mutate returned nil) is present after a
 //     restart from the data directory a kill -9 leaves (killImage: the WAL
 //     is not sealed, so a failed segment is not cut back);
-//   - every recovered mutation was at least ATTEMPTED (applied in memory past
-//     the degraded gate) — the store never invents writes.  An attempted but
-//     un-acked write may legitimately surface after recovery when a later
-//     checkpoint persisted it;
+//   - every recovered mutation was at least ATTEMPTED (logged past the
+//     degraded gate) — the store never invents writes.  A failed append
+//     changes nothing in memory, but its record may legitimately surface
+//     after a kill -9, which leaves it past the failed segment's durable
+//     prefix;
 //   - no interleaving deadlocks or panics;
 //   - the whole run — fault firings, degraded entries and exits, per-op
 //     outcomes — is deterministic in the seed.
@@ -95,7 +97,7 @@ func chaosRun(t *testing.T, seed int64) string {
 	// Mutation i adds the chord (2i, 2i+3) — absent from the path graph and
 	// unique per i, so recovery is checked edge by edge via HasEdge.
 	acked := make([]bool, chaosOps)     // Mutate acknowledged (returned nil)
-	attempted := make([]bool, chaosOps) // applied in memory (past the degraded gate)
+	attempted := make([]bool, chaosOps) // logged (past the degraded gate)
 	edge := func(i int) (int, int) { return 2 * i, 2*i + 3 }
 
 	// verify asserts acked ⊆ recovered ⊆ attempted against the engine's
@@ -137,13 +139,17 @@ func chaosRun(t *testing.T, seed int64) string {
 			case err == nil:
 				acked[i], attempted[i] = true, true
 				logf("mut %d ok", i)
-			case errors.Is(err, ErrDegraded):
-				// Rejected at the gate: nothing was applied.
-				logf("mut %d rejected", i)
-			default:
-				// Applied in memory but not durably acknowledged.
+			case errors.Is(err, syscall.EIO), errors.Is(err, syscall.ENOSPC):
+				// The append met an injected fault: nothing was applied, but
+				// the record can sit past the durable prefix a kill -9
+				// leaves, and replay would apply it.
 				attempted[i] = true
 				logf("mut %d unacked", i)
+			case errors.Is(err, ErrDegraded):
+				// Rejected at the gate: nothing was logged.
+				logf("mut %d rejected", i)
+			default:
+				t.Fatalf("seed %d: mutation %d: %v", seed, i, err)
 			}
 		case p < 0.65: // checkpoint
 			if _, err := e.Checkpoint(); err != nil {

@@ -107,11 +107,11 @@ type Config struct {
 	// already queued are unaffected — the budget gates admission only.
 	QueueWaitBudget time.Duration
 	// StageHook, when non-nil, is invoked at engine pipeline stage boundaries
-	// ("query:<kind>", "substrate:order", "substrate:wreach", and
-	// "substrate:<kind>" and "solve:<strategy>" for the answer of a
-	// sequential kind).  It exists for fault injection (latency, panics —
-	// see internal/fault.Stages); production configs leave it nil and pay a
-	// single nil check per stage.
+	// ("query:<kind>" on every query; on builds only, "substrate:order",
+	// "substrate:wreach", and "substrate:<kind>" and "solve:<strategy>" for
+	// the answer of a sequential kind).  It exists for fault injection
+	// (latency, panics — see internal/fault.Stages); production configs
+	// leave it nil and pay a single nil check per stage.
 	StageHook func(stage string)
 	// FS routes a persistent engine's store through an alternate filesystem
 	// (nil = the real one).  Tests pass a fault.Injector.  Ignored by New.
@@ -242,14 +242,6 @@ type Engine struct {
 	// (immutable once the engine is returned).
 	replayed      int
 	replaySkipped int
-}
-
-// detached returns the context a build's nested substrate fetches run
-// under.  It keeps ctx's values, so the nested builds land in the query's
-// trace, but not its deadline: a shared build must not inherit one
-// requester's timeout.
-func detached(ctx context.Context) context.Context {
-	return context.WithoutCancel(ctx)
 }
 
 // New returns a ready engine.
@@ -458,36 +450,41 @@ func (e *Engine) Info(name string) (GraphInfo, bool) {
 }
 
 // Remove unregisters name and purges its cached substrates; ok reports
-// whether the name was registered.  On a persistent engine the graph's
-// snapshot is deleted too, so the removal survives a restart (orphaned WAL
-// records of the removed graph are skipped at replay).  A non-nil error
-// means the graph is gone from the live engine but its snapshot could not
-// be deleted — a restart would resurrect it — so callers must not
-// acknowledge the removal as durable.
+// whether the name was registered.  Removals are writes: while degraded
+// they fail with ErrDegraded.  On a persistent engine the graph's snapshot
+// is deleted first, so the removal survives a restart (orphaned WAL records
+// of the removed graph are skipped at replay).  A failed deletion changes
+// nothing: the graph stays registered, the engine degrades, and the error
+// wraps ErrDegraded, so the removal can be retried once a checkpoint has
+// healed the store.
 func (e *Engine) Remove(name string) (ok bool, err error) {
+	if err := e.checkWritable(); err != nil {
+		return false, err
+	}
+	// ckptMu excludes registrations and the whole checkpoint cycle, so the
+	// entry stays registered until the deletion below, and no in-flight
+	// checkpoint write of it can land after the deletion and resurrect it.
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	e.mu.Lock()
 	ent, ok := e.graphs[name]
-	var gen uint64
-	if ok {
-		delete(e.graphs, name)
-		gen = ent.gen // read under the lock; Mutate may write concurrently
-	}
 	e.mu.Unlock()
-	if ok {
-		if e.store != nil {
-			// ckptMu (held since entry) excludes the whole checkpoint
-			// cycle, so no in-flight checkpoint write of this entry can
-			// land after this deletion and resurrect the graph.
-			if derr := e.store.DeleteSnapshot(name); derr != nil {
-				e.stats.persistErrors.Add(1)
-				err = fmt.Errorf("engine: graph %q removed but its snapshot was not deleted (a restart would restore it): %w", name, derr)
-			}
-		}
-		e.cache.purge(gen)
+	if !ok {
+		return false, nil
 	}
-	return ok, err
+	if e.store != nil {
+		if err := e.store.DeleteSnapshot(name); err != nil {
+			e.stats.persistErrors.Inc()
+			e.enterDegraded(fmt.Sprintf("snapshot delete for %q failed: %v", name, err))
+			return true, fmt.Errorf("%w: deleting the snapshot of %q: %w", ErrDegraded, name, err)
+		}
+	}
+	e.mu.Lock()
+	delete(e.graphs, name)
+	gen := ent.gen // read under the lock; Mutate may write concurrently
+	e.mu.Unlock()
+	e.cache.purge(gen)
+	return true, nil
 }
 
 // GraphCount returns the number of registered graphs (cheaper than Graphs
@@ -612,47 +609,29 @@ func (e *Engine) OrderFor(g *graph.Graph, r int) (*order.Order, bool, error) {
 }
 
 func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int) (*order.Order, bool, error) {
-	_, sp := obs.Start(ctx, "substrate:order")
-	defer sp.End()
-	v, hit, err := e.cache.getOrBuild(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, func() (any, error) {
-		e.stage("substrate:order")
-		return e.cache.timedBuild("order", func() any {
-			opts := order.DefaultOptions(r)
-			opts.Workers = e.cfg.SubstrateWorkers
-			return order.Construct(g, opts).Order
-		}), nil
+	v, hit, err := e.fetch(ctx, substrateKey{gen: gen, kind: kindOrder, a: r}, "substrate:order", "order", func(context.Context) (any, error) {
+		opts := order.DefaultOptions(r)
+		opts.Workers = e.cfg.SubstrateWorkers
+		return order.Construct(g, opts).Order, nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*order.Order), hit, nil
+	o, _ := v.(*order.Order)
+	return o, hit, err
 }
 
 // wreachFor returns the (cached) sweep at radius s of the order for radius
 // orderR, with the homes at radius min(orderR, s) — the substrate behind
 // wcol measurements, the paper and dvorak sets and covers.  Building it
-// reuses (or builds) the cached order.  The nested fetch runs under
-// detached(ctx), without the requester's deadline: a build is shared
-// work — if it adopted one requester's deadline, that requester's timeout
-// would be recorded as the build's error and handed to every coalesced
-// waiter.
+// reuses (or builds) the cached order.
 func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (*order.Sweep, error) {
-	_, sp := obs.Start(ctx, "substrate:wreach")
-	defer sp.End()
-	v, _, err := e.cache.getOrBuild(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, func() (any, error) {
-		e.stage("substrate:wreach")
-		o, _, err := e.orderFor(detached(ctx), g, gen, orderR)
+	v, _, err := e.fetch(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, "substrate:wreach", "wreach", func(ctx context.Context) (any, error) {
+		o, _, err := e.orderFor(ctx, g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}
-		return e.cache.timedBuild("wreach", func() any {
-			return order.WReachSweep(g, o, s, min(orderR, s), e.cfg.SubstrateWorkers)
-		}), nil
+		return order.WReachSweep(g, o, s, min(orderR, s), e.cfg.SubstrateWorkers), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*order.Sweep), nil
+	sw, _ := v.(*order.Sweep)
+	return sw, err
 }
 
 // withTimeout applies the request (or engine default) timeout to ctx.

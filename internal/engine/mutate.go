@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -37,12 +36,15 @@ type MutationInfo struct {
 // the graph's Dynamic), so a burst of deltas with no interleaved queries
 // pays one merge, not one per delta.
 //
-// Validation is atomic (a rejected delta changes nothing) and mutations of
-// one graph are serialized.  The whole apply → generation bump → purge
-// sequence runs under the entry's mutation mutex, which resolve also takes
-// to pair a snapshot with its generation — so queries in flight finish
-// against the immutable snapshot they resolved, and no query can hit a
-// stale substrate of the old generation against the new topology.
+// A rejected delta changes nothing, and neither does a failed WAL append:
+// a persistent engine logs the delta before it applies it, and a failed
+// append degrades the engine and fails the mutation with ErrDegraded, so a
+// client may retry it once a checkpoint has healed the store.  Mutations of
+// one graph are serialized.  The whole check → log → apply → generation
+// bump → purge sequence runs under the entry's mutation mutex, which
+// resolve also takes to pair a snapshot with its generation — so queries in
+// flight finish against the immutable snapshot they resolved, and no query
+// can hit a stale substrate of the old generation against the new topology.
 func (e *Engine) Mutate(name string, delta Delta) (MutationInfo, error) {
 	// Degraded gate before any state changes: while the store is failing, the
 	// in-memory topology must not drift ahead of what can ever be persisted.
@@ -60,55 +62,36 @@ func (e *Engine) Mutate(name string, delta Delta) (MutationInfo, error) {
 	ent.mutMu.Lock()
 	defer ent.mutMu.Unlock()
 
-	res, err := ent.dyn.Apply(delta)
-	if err != nil {
-		// Every Apply failure is input-derived (range, self-loop, negative
+	if err := ent.dyn.Check(delta); err != nil {
+		// Every rejection is input-derived (range, self-loop, negative
 		// vertex count): surface it in the engine's invalid-request space
 		// while keeping the graph-package sentinel in the chain.
-		if !errors.Is(err, ErrInvalidRequest) {
-			err = fmt.Errorf("%w: %w", ErrInvalidRequest, err)
-		}
-		return MutationInfo{}, err
+		return MutationInfo{}, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
-	info := MutationInfo{DeltaResult: res}
-	if !res.Changed() {
-		e.mu.Lock()
-		gen := ent.gen
-		e.mu.Unlock()
-		info.Graph = ent.info(gen)
-		return info, nil
-	}
-
 	e.mu.Lock()
 	if cur := e.graphs[name]; cur != ent {
-		// The entry the delta was applied to is no longer registered: its
-		// substrates are already purged and the applied topology is
-		// unreachable.  Distinguish a removed name (404-shaped) from one
-		// that was concurrently re-registered (a retryable conflict — the
-		// name still exists, just backed by a different graph).  Nothing is
-		// logged: an orphaned record would only be skipped at replay.
+		// The entry is no longer registered: its substrates are already
+		// purged.  Distinguish a removed name (404-shaped) from one that was
+		// concurrently re-registered (a retryable conflict — the name still
+		// exists, just backed by a different graph).
 		e.mu.Unlock()
 		if cur != nil {
 			return MutationInfo{}, fmt.Errorf("%w: graph %q was re-registered during the mutation; retry against the new graph", ErrConflict, name)
 		}
 		return MutationInfo{}, fmt.Errorf("%w: %q (removed during mutation)", ErrUnknownGraph, name)
 	}
-	oldGen := ent.gen
+	// Reserve the generation the delta gets if it changes anything.  A delta
+	// that changes nothing, or whose append fails, leaves it unused.
 	e.nextGen++
-	ent.gen = e.nextGen
-	gen := ent.gen
+	gen := e.nextGen
 	e.mu.Unlock()
 
-	// Tee the effective delta into the WAL before acknowledging: Mutate
-	// returns only once the record is durable (group-commit fsync), so every
-	// acknowledged mutation survives a crash.  Running under mutMu keeps the
-	// per-graph log order identical to the apply order, and the record
-	// carries the generation just assigned, so replay restores /stats
-	// generations verbatim.  If the append fails, the in-memory state is
-	// already mutated and cannot be rolled back — the purge below still runs
-	// (queries must see the new topology) and the durability failure is
-	// surfaced afterwards.
-	var teeErr error
+	// Log first: Mutate returns only once the record is durable (group-commit
+	// fsync), so every acknowledged mutation survives a crash.  Running under
+	// mutMu keeps the per-graph log order identical to the apply order, and
+	// the record carries the reserved generation, so replay restores /stats
+	// generations verbatim; a record that changes nothing replays as the
+	// same no-op and keeps the generation.
 	if e.store != nil {
 		walStart := time.Now()
 		lsn, err := e.store.AppendDelta(name, ent.epoch, gen, delta)
@@ -118,23 +101,33 @@ func (e *Engine) Mutate(name string, delta Delta) (MutationInfo, error) {
 			// The store failed the WAL segment at its first failed write or
 			// fsync, so every later append fails too: flip read-only.
 			// Queries keep serving; the background checkpointer (or an
-			// explicit Checkpoint) cuts the segment back, rewrites every
-			// snapshot and exits the mode once the store recovers.
+			// explicit Checkpoint) cuts the segment back and exits the mode
+			// once the store recovers.
 			e.enterDegraded(fmt.Sprintf("WAL append failed: %v", err))
-			teeErr = fmt.Errorf("engine: delta applied but not persisted: %w", err)
-		} else {
-			e.stats.walAppends.Inc()
-			ent.lastLSN = lsn
+			return MutationInfo{}, fmt.Errorf("%w: WAL append failed: %w", ErrDegraded, err)
 		}
+		e.stats.walAppends.Inc()
+		ent.lastLSN = lsn
 	}
-	info.Graph = ent.info(gen)
+	// Check accepted the delta, and the graph changes only under mutMu.
+	res, _ := ent.dyn.Apply(delta)
 
-	ent.mutations.Add(1)
-	e.stats.mutations.Inc()
-	if res.Compacted {
-		e.stats.compactions.Inc()
+	e.mu.Lock()
+	oldGen := ent.gen
+	if res.Changed() {
+		ent.gen = gen
 	}
-	info.InvalidatedSubstrates = e.cache.purge(oldGen)
+	gen = ent.gen
+	e.mu.Unlock()
+	info := MutationInfo{Graph: ent.info(gen), DeltaResult: res}
+	if gen != oldGen {
+		ent.mutations.Add(1)
+		e.stats.mutations.Inc()
+		if res.Compacted {
+			e.stats.compactions.Inc()
+		}
+		info.InvalidatedSubstrates = e.cache.purge(oldGen)
+	}
 	e.stats.mutateSeconds.ObserveSince(start)
-	return info, teeErr
+	return info, nil
 }

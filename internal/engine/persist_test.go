@@ -198,8 +198,8 @@ func TestKillAfterFailedAppendRecovers(t *testing.T) {
 			}
 		}
 		in.Add(f)
-		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); err == nil || errors.Is(err, ErrDegraded) {
-			t.Fatalf("%v fault: Mutate returned %v, want the persist error", f.Op, err)
+		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); !errors.Is(err, f.Err) {
+			t.Fatalf("%v fault: Mutate returned %v, want the injected store error", f.Op, err)
 		}
 		img := killImage(t, e, dir)
 		revived, err := Open(img, Config{})
@@ -261,11 +261,11 @@ func TestCheckpointWritesOnlyChangedGraphs(t *testing.T) {
 	}
 }
 
-// TestCheckpointRewritesAfterFailedAppend: a failed WAL append moves its
-// graph's generation but not its lastLSN, so the next checkpoint rewrites
-// that graph, and one that begins degraded rewrites every graph; the
-// checkpoint after either writes nothing.  The first case clears degraded
-// mode by hand, so only the generation rule can write the graph.
+// TestCheckpointRewritesAfterFailedAppend: a failed WAL append moves
+// neither its graph's generation nor its lastLSN, so a checkpoint whose
+// degraded mode was cleared by hand writes nothing, while one that begins
+// degraded rewrites every graph; the checkpoint after either writes
+// nothing, and a restart does not hold the failed edge.
 func TestCheckpointRewritesAfterFailedAppend(t *testing.T) {
 	for _, degraded := range []bool{false, true} {
 		dir := t.TempDir()
@@ -283,10 +283,13 @@ func TestCheckpointRewritesAfterFailedAppend(t *testing.T) {
 		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); err == nil {
 			t.Fatal("Mutate through a failed fsync succeeded")
 		}
+		if g, _ := e.Lookup("g"); g.HasEdge(0, 6) {
+			t.Fatalf("degraded=%v: the failed edge (0,6) is applied in memory", degraded)
+		}
 		want := 2
 		if !degraded {
 			e.clearDegraded()
-			want = 1
+			want = 0
 		}
 		ck, err := e.Checkpoint()
 		if err != nil || ck.Graphs != want {
@@ -303,8 +306,57 @@ func TestCheckpointRewritesAfterFailedAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g, _ := revived.Lookup("g"); !g.HasEdge(0, 6) {
-			t.Fatalf("degraded=%v: the served edge (0,6) is missing after restart", degraded)
+		if g, _ := revived.Lookup("g"); g.HasEdge(0, 6) {
+			t.Fatalf("degraded=%v: the failed edge (0,6) is present after restart", degraded)
+		}
+		revived.Close()
+	}
+}
+
+// TestFailedAppendChangesNothing: a mutation whose WAL append fails, by a
+// failed fsync or a torn write, fails with ErrDegraded and the store's
+// error and leaves the graph as it was: Lookup and Info show the old
+// topology and generation.  After the disk heals, a checkpoint and a
+// restart, the failed edge is absent.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	for _, f := range []fault.Fault{
+		{Op: fault.OpSync, Path: "wal-", Err: fault.ErrIO},
+		{Op: fault.OpWrite, Path: "wal-", Err: fault.ErrNoSpace, Torn: true},
+	} {
+		dir := t.TempDir()
+		in := fault.NewInjector(nil)
+		e, err := Open(dir, Config{FS: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Register("g", gen.Path(16)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 5}}}); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := e.Info("g")
+		in.Add(f)
+		if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); !errors.Is(err, ErrDegraded) || !errors.Is(err, f.Err) {
+			t.Fatalf("%v fault: Mutate returned %v, want ErrDegraded and the injected store error", f.Op, err)
+		}
+		if after, _ := e.Info("g"); after != before {
+			t.Fatalf("%v fault: Info after the failed append %+v, want %+v", f.Op, after, before)
+		}
+		if g, _ := e.Lookup("g"); g.HasEdge(0, 6) || g.M() != before.M {
+			t.Fatalf("%v fault: the failed edge (0,6) is applied in memory", f.Op)
+		}
+		in.Heal()
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		crash(e)
+		revived, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, _ := revived.Lookup("g"); g.HasEdge(0, 6) || !g.HasEdge(0, 5) {
+			t.Fatalf("%v fault: after restart, (0,6) present %v and (0,5) present %v; want false and true", f.Op, g.HasEdge(0, 6), g.HasEdge(0, 5))
 		}
 		revived.Close()
 	}
@@ -338,6 +390,50 @@ func TestRecoverySkipsStaleEpochs(t *testing.T) {
 	}
 	if st := revived.Stats(); st.Persist.SkippedRecords != 1 {
 		t.Fatalf("want 1 skipped record, got %+v", st.Persist)
+	}
+}
+
+// TestFailedRemoveChangesNothing: a removal whose snapshot deletion fails
+// leaves the graph registered, listed and queryable and degrades the
+// engine, which then rejects removals at the gate; after the disk heals and
+// a checkpoint, the removal succeeds and survives a restart.
+func TestFailedRemoveChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	in := fault.NewInjector(nil)
+	e, err := Open(dir, Config{FS: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Register("g", gen.Grid(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	in.Add(fault.Fault{Op: fault.OpRemove, Path: "graphs"})
+	if ok, err := e.Remove("g"); !ok || !errors.Is(err, ErrDegraded) || !errors.Is(err, fault.ErrIO) {
+		t.Fatalf("Remove through a failed delete: %v %v, want true and ErrDegraded with the injected store error", ok, err)
+	}
+	if gs := e.Graphs(); len(gs) != 1 || gs[0].Name != "g" {
+		t.Fatalf("graphs after the failed removal: %+v", gs)
+	}
+	if _, err := e.Do(context.Background(), Request{Graph: "g", Kind: KindDominatingSet, R: 1}); err != nil {
+		t.Fatalf("query after the failed removal: %v", err)
+	}
+	if state, _ := e.Health(); state != HealthDegraded {
+		t.Fatalf("health after the failed removal %q, want degraded", state)
+	}
+	if _, err := e.Remove("g"); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Remove while degraded: %v, want ErrDegraded", err)
+	}
+	in.Heal()
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := e.Remove("g"); !ok || err != nil {
+		t.Fatalf("Remove after the checkpoint: %v %v", ok, err)
+	}
+	crash(e)
+	revived := openPersistent(t, dir, Config{})
+	if _, ok := revived.Info("g"); ok {
+		t.Fatal("removed graph served after restart")
 	}
 }
 

@@ -70,22 +70,6 @@ type Request struct {
 	IncludeClusters bool `json:"-"`
 }
 
-// solverStrategy resolves the request's solver strategy for the kinds that
-// dispatch through the registry (domset, dist-domset).
-func (r Request) solverStrategy() (solver.Solver, error) {
-	return solver.Get(r.Solver)
-}
-
-// simOptions are the simulator options of every distributed query.  Each
-// distributed kind runs in its pipeline's model (CONGEST_BC for dist-cds
-// and the paper dist-domset, LOCAL for dist-domset with kubsv) on the round
-// schedule that r and the graph fix; the deployment's SubstrateWorkers
-// bounds its goroutines per round, as it bounds every other build a query
-// runs.
-func (e *Engine) simOptions(probe *dist.Probe) dist.Options {
-	return dist.Options{Workers: e.cfg.SubstrateWorkers, Probe: probe}
-}
-
 // Response is the outcome of a query.
 type Response struct {
 	// Graph echoes the registered name ("" for direct-graph queries).
@@ -160,7 +144,8 @@ func (r *Response) CoverData() *cover.Cover {
 // Do executes one query on the worker pool and blocks until it completes,
 // the (request or engine default) timeout expires, or ctx is cancelled.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
-	if err := e.validate(req); err != nil {
+	s, err := e.validate(req)
+	if err != nil {
 		e.stats.errors.Add(1)
 		return nil, err
 	}
@@ -172,21 +157,16 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	ctx, cancel := e.withTimeout(ctx, req)
 	defer cancel()
 
-	// Resolve the (kind, solver) metric labels and count the query BEFORE it
-	// runs: cache hits are recorded mid-run, so counting first keeps the
-	// "hits ≤ queries" invariant observable in every Stats snapshot (which
-	// loads hits before the query counters).
-	kindLabel := string(req.Kind)
+	// Count the query under its (kind, solver) labels BEFORE it runs: cache
+	// hits are recorded mid-run, so counting first keeps the "hits ≤
+	// queries" invariant observable in every Stats snapshot (which loads
+	// hits before the query counters).
 	solverLabel := ""
-	switch req.Kind {
-	case KindDominatingSet, KindDistributedDominatingSet:
-		// Validation resolved the strategy, so this cannot fail here.
-		if s, serr := req.solverStrategy(); serr == nil {
-			solverLabel = s.Name()
-		}
+	if s != nil {
+		solverLabel = s.Name()
 	}
-	e.stats.queries.With(kindLabel, solverLabel).Inc()
-	latency := e.stats.querySeconds.With(kindLabel, solverLabel)
+	e.stats.queries.With(string(req.Kind), solverLabel).Inc()
+	latency := e.stats.querySeconds.With(string(req.Kind), solverLabel)
 
 	var resp *Response
 	var qerr error
@@ -211,7 +191,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 				resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 			}
 		}()
-		resp, qerr = e.run(ctx, req, g, gen)
+		resp, qerr = e.run(ctx, req, s, g, gen)
 		if qerr == nil && ctx.Err() != nil {
 			// The pipeline finished, but only after the caller's deadline
 			// expired mid-run (substrate builds are not interruptible — the
@@ -239,103 +219,107 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-func (e *Engine) validate(req Request) error {
+// validate checks req and resolves its strategy: the registry's for the
+// kinds that dispatch through it (domset, dist-domset), nil for the kinds
+// pinned to the paper pipeline.
+func (e *Engine) validate(req Request) (solver.Solver, error) {
 	if req.R < 1 || req.R > MaxRadius {
-		return fmt.Errorf("%w: radius must be in [1, %d], got %d", ErrInvalidRequest, MaxRadius, req.R)
+		return nil, fmt.Errorf("%w: radius must be in [1, %d], got %d", ErrInvalidRequest, MaxRadius, req.R)
 	}
 	if req.G == nil && req.Graph == "" {
-		return fmt.Errorf("%w: no graph given", ErrInvalidRequest)
-	}
-	switch req.Kind {
-	case KindDominatingSet, KindConnectedDominatingSet, KindCover,
-		KindDistributedDominatingSet, KindDistributedConnected:
-	default:
-		return fmt.Errorf("%w: unknown kind %q", ErrInvalidRequest, req.Kind)
+		return nil, fmt.Errorf("%w: no graph given", ErrInvalidRequest)
 	}
 	switch req.Kind {
 	case KindDominatingSet, KindDistributedDominatingSet:
-		s, err := req.solverStrategy()
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-		}
-		if req.Kind == KindDistributedDominatingSet {
-			if _, ok := s.(solver.DistSolver); !ok {
-				return fmt.Errorf("%w: solver %q has no distributed engine (distributed solvers: %s)",
-					ErrInvalidRequest, s.Name(), strings.Join(solver.DistNames(), ", "))
-			}
-		}
-	default:
-		// The connected and cover pipelines are paper-specific.
-		if req.Solver != "" && req.Solver != solver.DefaultName {
-			return fmt.Errorf("%w: kind %q supports only the default %q pipeline, got solver %q",
-				ErrInvalidRequest, req.Kind, solver.DefaultName, req.Solver)
-		}
-	}
-	return nil
-}
-
-// run executes the query pipeline on the calling (worker) goroutine.  The
-// individual stages are not interruptible, but a cancelled or timed-out
-// context is observed at every stage boundary so an abandoned query releases
-// its worker as early as possible.
-func (e *Engine) run(ctx context.Context, req Request, g *graph.Graph, gen uint64) (*Response, error) {
-	_, sp := obs.Start(ctx, "query:"+string(req.Kind))
-	defer sp.End()
-	e.stage("query:" + string(req.Kind))
-	resp := &Response{Graph: req.Graph, Kind: req.Kind, R: req.R}
-	switch req.Kind {
-	case KindDominatingSet, KindConnectedDominatingSet, KindCover:
-		a, hit, err := e.answerFor(ctx, g, gen, req)
-		if err != nil {
-			return nil, err
-		}
-		*resp = a.resp
-		resp.Graph = req.Graph
-		resp.CacheHit = hit
-		resp.answer = a
-		if req.IncludeClusters && a.cover != nil {
-			resp.Clusters = a.cover().ClusterMap()
-		}
-
-	case KindDistributedDominatingSet:
-		s, err := req.solverStrategy()
+		s, err := solver.Get(req.Solver)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 		}
-		ds, ok := s.(solver.DistSolver)
-		if !ok {
-			return nil, fmt.Errorf("%w: solver %q has no distributed engine", ErrInvalidRequest, s.Name())
+		if _, ok := s.(solver.DistSolver); !ok && req.Kind == KindDistributedDominatingSet {
+			return nil, fmt.Errorf("%w: solver %q has no distributed engine (distributed solvers: %s)",
+				ErrInvalidRequest, s.Name(), strings.Join(solver.DistNames(), ", "))
 		}
-		probe := &dist.Probe{}
-		res, err := ds.SolveDist(g, req.R, e.simOptions(probe))
-		e.recordDistRun(ctx, req, s.Name(), probe, err)
-		if err != nil {
-			return nil, err
+		return s, nil
+	case KindConnectedDominatingSet, KindCover, KindDistributedConnected:
+		// The connected and cover pipelines are paper-specific.
+		if req.Solver != "" && req.Solver != solver.DefaultName {
+			return nil, fmt.Errorf("%w: kind %q supports only the default %q pipeline, got solver %q",
+				ErrInvalidRequest, req.Kind, solver.DefaultName, req.Solver)
 		}
-		resp.Solver = s.Name()
-		resp.Set = res.Set
-		resp.Size = len(res.Set)
-		resp.Rounds = res.Stats.Rounds
-		resp.Messages = res.Stats.Messages
-		resp.MaxMessageWords = res.Stats.MaxMessageWords
-
-	case KindDistributedConnected:
-		if !g.IsConnected() {
-			return nil, ErrNotConnected
-		}
-		probe := &dist.Probe{}
-		res, err := distalgo.RunConnectedDomSet(g, req.R, dist.CongestBC, e.simOptions(probe))
-		e.recordDistRun(ctx, req, "", probe, err)
-		if err != nil {
-			return nil, err
-		}
-		resp.Set = res.Set
-		resp.DomSet = res.DomSet
-		resp.Size = len(res.Set)
-		resp.Rounds = res.Stats.Rounds
-		resp.Messages = res.Stats.Messages
-		resp.MaxMessageWords = res.Stats.MaxMessageWords
+		return nil, nil
 	}
+	return nil, fmt.Errorf("%w: unknown kind %q", ErrInvalidRequest, req.Kind)
+}
+
+// kindStages names each kind's query span and stage hook and, for a
+// sequential kind, its answer's span and hook and the label its build time
+// is recorded under.
+var kindStages = map[Kind]struct{ query, answer, label string }{
+	KindDominatingSet:            {"query:domset", "substrate:domset", "solve"},
+	KindConnectedDominatingSet:   {"query:cds", "substrate:cds", "solve"},
+	KindCover:                    {"query:cover", "substrate:cover", "cover"},
+	KindDistributedDominatingSet: {query: "query:dist-domset"},
+	KindDistributedConnected:     {query: "query:dist-cds"},
+}
+
+// run executes the query pipeline on the calling (worker) goroutine with
+// the strategy validate resolved.  The individual stages are not
+// interruptible, but a cancelled or timed-out context is observed at every
+// stage boundary so an abandoned query releases its worker as early as
+// possible.
+func (e *Engine) run(ctx context.Context, req Request, s solver.Solver, g *graph.Graph, gen uint64) (*Response, error) {
+	names := kindStages[req.Kind]
+	sp := obs.Start(ctx, names.query)
+	defer sp.End()
+	e.stage(names.query)
+	if names.answer == "" {
+		return e.distributed(ctx, req, s, g)
+	}
+	a, hit, err := e.answerFor(ctx, g, gen, req, s, names.answer, names.label)
+	if err != nil {
+		return nil, err
+	}
+	resp := a.resp
+	resp.Graph = req.Graph
+	resp.CacheHit = hit
+	resp.answer = a
+	if req.IncludeClusters && a.cover != nil {
+		resp.Clusters = a.cover().ClusterMap()
+	}
+	return &resp, nil
+}
+
+// distributed runs a distributed kind on the simulator: dist-domset through
+// its strategy's protocol, dist-cds through the Theorem 10 pipeline.  Each
+// runs in its pipeline's model (CONGEST_BC for dist-cds and the paper
+// dist-domset, LOCAL for kubsv) on the round schedule that r and the graph
+// fix; the deployment's SubstrateWorkers bounds its goroutines per round, as
+// it bounds every other build a query runs.  The probe's round profiles are
+// retained under the query ID (see recordDistRun).
+func (e *Engine) distributed(ctx context.Context, req Request, s solver.Solver, g *graph.Graph) (*Response, error) {
+	resp := &Response{Graph: req.Graph, Kind: req.Kind, R: req.R}
+	probe := &dist.Probe{}
+	sim := dist.Options{Workers: e.cfg.SubstrateWorkers, Probe: probe}
+	var res solver.DistResult
+	var err error
+	switch {
+	case req.Kind == KindDistributedDominatingSet:
+		resp.Solver = s.Name()
+		res, err = s.(solver.DistSolver).SolveDist(g, req.R, sim)
+	case !g.IsConnected():
+		return nil, ErrNotConnected
+	default:
+		var cr *distalgo.ConnectedResult
+		if cr, err = distalgo.RunConnectedDomSet(g, req.R, dist.CongestBC, sim); err == nil {
+			res, resp.DomSet = solver.DistResult{Set: cr.Set, Stats: cr.Stats}, cr.DomSet
+		}
+	}
+	e.recordDistRun(ctx, req, resp.Solver, probe, err)
+	if err != nil {
+		return nil, err
+	}
+	resp.Set, resp.Size = res.Set, len(res.Set)
+	resp.Rounds, resp.Messages, resp.MaxMessageWords = res.Stats.Rounds, res.Stats.Messages, res.Stats.MaxMessageWords
 	return resp, nil
 }
 
@@ -363,90 +347,66 @@ func (a *jsonArray) bytes(s []int) []byte {
 	return a.b
 }
 
-// answerSpans names the span and stage hook of each sequential kind's
-// answer build, without building the string on every query.
-var answerSpans = map[Kind]string{
-	KindDominatingSet:          "substrate:domset",
-	KindConnectedDominatingSet: "substrate:cds",
-	KindCover:                  "substrate:cover",
-}
-
-// answerFor returns the (cached) answer to a sequential query.  Answers are
-// substrates like orders: keyed by (generation, kind, radius, solver), they
-// invalidate on mutation and re-registration exactly like the substrates
-// they were computed from, including across WAL replay, where recovered
-// graphs start a fresh generation.  hit reports whether the answer came
-// from the cache, by a hit or a coalesced wait.
-func (e *Engine) answerFor(ctx context.Context, g *graph.Graph, gen uint64, req Request) (*answer, bool, error) {
+// answerFor returns the (cached) answer to a sequential query, built as
+// the stage name and timed under label.  Answers are substrates like
+// orders: keyed by (generation, kind, radius, solver), they invalidate on
+// mutation and re-registration exactly like the substrates they were
+// computed from, including across WAL replay, where recovered graphs start
+// a fresh generation.  hit reports whether the answer came from the cache,
+// by a hit or a coalesced wait.
+func (e *Engine) answerFor(ctx context.Context, g *graph.Graph, gen uint64, req Request, s solver.Solver, name, label string) (*answer, bool, error) {
 	key := substrateKey{gen: gen, kind: kindAnswer, a: req.R, query: req.Kind}
-	var s solver.Solver
-	if req.Kind == KindDominatingSet {
-		var err error
-		if s, err = req.solverStrategy(); err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-		}
+	if s != nil {
 		key.solver = s.Name()
 	}
-	span := answerSpans[req.Kind]
-	_, sp := obs.Start(ctx, span)
-	defer sp.End()
-	v, hit, err := e.cache.getOrBuild(ctx, key, func() (any, error) {
-		e.stage(span)
-		// detached: see wreachFor — a shared build must not inherit one
-		// requester's deadline.
-		actx := detached(ctx)
+	v, hit, err := e.fetch(ctx, key, name, label, func(ctx context.Context) (any, error) {
 		a := &answer{resp: Response{Kind: req.Kind, R: req.R}}
 		var err error
 		switch req.Kind {
 		case KindDominatingSet:
-			err = e.solve(actx, g, gen, req.R, s, &a.resp)
+			err = e.solve(ctx, g, gen, req.R, s, &a.resp)
 		case KindConnectedDominatingSet:
-			err = e.connectedAnswer(actx, g, gen, req.R, &a.resp)
+			err = e.connectedAnswer(ctx, g, gen, req.R, &a.resp)
 		case KindCover:
-			err = e.coverAnswer(actx, g, gen, req.R, a)
+			err = e.coverAnswer(ctx, g, gen, req.R, a)
 		}
 		if err != nil {
 			return nil, err
 		}
 		return a, nil
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*answer), hit, nil
+	a, _ := v.(*answer)
+	return a, hit, err
 }
 
 // connectedAnswer computes the Corollary 13 answer for radius r into resp.
 // One radius-(2r+1) witness traversal of the cached order for 2r+1 serves
 // wcol_{2r+1}, the dominating set (the distinct homes at radius r) and the
 // closure's witness paths.  Only this build reads the traversal's parent
-// column, so the traversal is not a substrate of its own; it keeps the
-// wreach span, stage hook and build-time label, and the rest of the build
-// counts as solve time.
+// column, so the traversal is an uncached step that keeps the wreach span,
+// stage hook and build-time label; the rest of the build counts as solve
+// time.
 func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, resp *Response) error {
-	start := time.Now()
 	if !g.IsConnected() {
 		return ErrNotConnected
 	}
-	solveTime := time.Since(start)
 	o, _, err := e.orderFor(ctx, g, gen, 2*r+1)
 	if err != nil {
 		return err
 	}
-	_, sp := obs.Start(ctx, "substrate:wreach")
-	e.stage("substrate:wreach")
-	wits := e.cache.timedBuild("wreach", func() any {
-		return order.WReachWitnesses(g, o, 2*r+1, r, e.cfg.SubstrateWorkers)
-	}).(*order.Witnesses)
-	sp.End()
-	start = time.Now()
+	v, err := e.step(ctx, "substrate:wreach", "wreach", func(context.Context) (any, error) {
+		return order.WReachWitnesses(g, o, 2*r+1, r, e.cfg.SubstrateWorkers), nil
+	})
+	if err != nil {
+		return err
+	}
+	wits := v.(*order.Witnesses)
 	D := domset.FromHomes(wits.Homes)
 	resp.DomSet = D
 	resp.Set = connect.ClosureOf(wits, D)
 	resp.Size = len(resp.Set)
 	resp.LowerBound = domset.ScatteredLowerBound(g, r, D)
 	resp.Wcol = wits.Sets.Max()
-	e.cache.addBuildTime("solve", solveTime+time.Since(start))
 	return nil
 }
 
@@ -455,21 +415,20 @@ func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64
 // Every vertex is in its own set, so it centers a cluster: the cover's
 // size is n, its degree the largest set (wcol_2r) and its radius the
 // sweep's depth.  The clusters (the sets inverted, the homes as Home) are
-// built only when a request reads them, once per cached answer.
+// built only when a request reads them, once per cached answer, and timed
+// under the cover label.
 func (e *Engine) coverAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, a *answer) error {
 	sw, err := e.wreachFor(ctx, g, gen, r, 2*r)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	a.resp.Size, a.resp.CoverDegree, a.resp.CoverMaxRadius = g.N(), sw.Sets.Max(), sw.Depth
 	a.cover = sync.OnceValue(func() *cover.Cover {
 		start := time.Now()
 		c := cover.BuildFromHomes(r, sw.Homes, sw.Sets, e.cfg.SubstrateWorkers)
-		e.cache.addBuildTime("cover", time.Since(start))
+		e.stats.buildSeconds.With("cover").ObserveSince(start)
 		return c
 	})
-	e.cache.addBuildTime("cover", time.Since(start))
 	return nil
 }
 

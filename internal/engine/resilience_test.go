@@ -15,7 +15,7 @@ import (
 )
 
 // TestDegradedModeEntryAndExit pins the degraded-mode state machine: a dead
-// disk (sticky WAL fsync failure) fails the mutation
+// disk (sticky WAL fsync failure) fails the mutation with the disk's error
 // and flips the engine read-only — further mutations and registrations get
 // ErrDegraded, queries keep serving — and a successful checkpoint after the
 // disk heals exits the mode.
@@ -32,8 +32,8 @@ func TestDegradedModeEntryAndExit(t *testing.T) {
 	if err == nil {
 		t.Fatal("Mutate succeeded on a dead disk")
 	}
-	if errors.Is(err, ErrDegraded) {
-		t.Fatalf("first failing mutation should surface the persist error, not the gate: %v", err)
+	if !errors.Is(err, fault.ErrNoSpace) {
+		t.Fatalf("first failing mutation should surface the injected store error: %v", err)
 	}
 	if e.degraded.Load() == nil {
 		t.Fatal("engine not degraded after persistent WAL failure")
@@ -185,9 +185,9 @@ func TestTransientWALWriteFailureHeals(t *testing.T) {
 
 // transientWALFailure arms the one-shot fault f between two acknowledged
 // mutations and checks the one failure rule end to end: the mutation that
-// meets it fails, the engine degrades, one checkpoint heals it, and a
-// restart recovers the topology the engine served, every acknowledged edge
-// included.
+// meets it fails with f's error and changes nothing, the engine degrades,
+// one checkpoint heals it, and a restart recovers the topology the engine
+// served, every acknowledged edge included.
 func transientWALFailure(t *testing.T, f fault.Fault) {
 	dir := t.TempDir()
 	in := fault.NewInjector(nil)
@@ -204,8 +204,8 @@ func transientWALFailure(t *testing.T, f fault.Fault) {
 		t.Fatal(err)
 	}
 	in.Add(f)
-	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); err == nil || errors.Is(err, ErrDegraded) {
-		t.Fatalf("Mutate through a failed WAL %v: %v, want the persist error", f.Op, err)
+	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 6}}}); !errors.Is(err, f.Err) {
+		t.Fatalf("Mutate through a failed WAL %v: %v, want the injected store error", f.Op, err)
 	}
 	if got := in.Fired(); got != 1 {
 		t.Fatalf("injector fired %d times, want 1", got)

@@ -37,8 +37,9 @@ type statsCollector struct {
 	cacheCoalesced *obs.Counter
 	cacheEvictions *obs.Counter
 	// buildSeconds breaks substrate construction down by stage (order,
-	// wreach, cover, solve); each build site reports its exclusive leaf work
-	// (see substrateCache.timedBuild), and BuildMSTotal is the stages' sum.
+	// wreach, cover, solve); each build reports its exclusive time, without
+	// the stages nested in it (see Engine.build), and BuildMSTotal is the
+	// stages' sum.
 	buildSeconds *obs.HistogramVec
 
 	mutations     *obs.Counter

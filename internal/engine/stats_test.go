@@ -54,6 +54,51 @@ func TestStatsNoTornReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestBuildAccounting pins the build accounting of one engine that answers
+// every sequential kind and solver, and a distributed query, at r = 1 and 2:
+// how many builds each stage label times, how many fetches hit or miss the
+// cache, and that exclusive build times never add up to more than the
+// queries that ran them (a nested build counted in its parent too would).
+// Per radius, the misses are six answers, two orders (r and cds's 2r+1) and
+// two sweeps; the cds witness traversal is an uncached wreach build, and the
+// include_clusters read of the cached cover answer times one inversion.
+func TestBuildAccounting(t *testing.T) {
+	g, _ := gen.LargestComponent(gen.RandomGeometric(3000, gen.GeometricRadiusForAvgDeg(3000, 6), 7))
+	e := testEngine(t, Config{})
+	if _, err := e.Register("g", g); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{1, 2} {
+		for _, req := range []Request{
+			{Kind: KindDominatingSet, Solver: "paper"},
+			{Kind: KindDominatingSet, Solver: "dvorak"},
+			{Kind: KindDominatingSet, Solver: "order-greedy"},
+			{Kind: KindDominatingSet, Solver: "greedy"},
+			{Kind: KindCover},
+			{Kind: KindCover, IncludeClusters: true},
+			{Kind: KindConnectedDominatingSet},
+			{Kind: KindDistributedDominatingSet},
+		} {
+			req.Graph, req.R = "g", r
+			if _, err := e.Do(context.Background(), req); err != nil {
+				t.Fatalf("r=%d %s %s: %v", r, req.Kind, req.Solver, err)
+			}
+		}
+	}
+	for stage, want := range map[string]uint64{"order": 4, "wreach": 6, "cover": 4, "solve": 10} {
+		if got := e.stats.buildSeconds.With(stage).Count(); got != want {
+			t.Errorf("stage %s timed %d builds, want %d", stage, got, want)
+		}
+	}
+	st := e.Stats()
+	if st.CacheMisses != 20 || st.CacheHits != 10 || st.Coalesced != 0 {
+		t.Errorf("cache misses %d, hits %d, coalesced %d; want 20, 10, 0", st.CacheMisses, st.CacheHits, st.Coalesced)
+	}
+	if st.BuildMSTotal > st.QueryMSTotal {
+		t.Errorf("exclusive build time %.3f ms exceeds the queries' %.3f ms", st.BuildMSTotal, st.QueryMSTotal)
+	}
+}
+
 // TestStatsMatchesRegistry runs a mixed workload against an engine wired to
 // an explicit registry and checks the JSON Stats and the Prometheus
 // exposition agree (they read the same counters by construction).

@@ -8,8 +8,10 @@ import (
 
 // StageFault schedules one engine-stage fault: the Nth firing of a stage
 // whose name contains Stage sleeps for Delay and/or panics with Panic.
-// Stage names follow the engine's span vocabulary: "order", "wreach",
-// "domset", "cds", "cover", "solve:<strategy>", "query:<kind>".
+// Stage names are the engine's span names: "query:<kind>" for every query,
+// "substrate:order", "substrate:wreach", "substrate:domset",
+// "substrate:cds" and "substrate:cover" for builds only, and
+// "solve:<strategy>" inside a domset answer's build.
 type StageFault struct {
 	Stage string // substring the stage name must contain ("" = every stage)
 	// AfterN fires on the Nth matching stage execution, 1-based (0 = 1).

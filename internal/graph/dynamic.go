@@ -205,44 +205,59 @@ func (d *Dynamic) Degree(v int) int {
 	return deg
 }
 
-// Apply validates and applies one mutation batch.  Validation is atomic: on
-// error nothing is applied.  Removals run before additions (see Delta).
-// When the overlay reaches the compaction threshold it is folded into a
-// fresh CSR base before Apply returns.
-func (d *Dynamic) Apply(delta Delta) (DeltaResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// Check reports whether Apply would accept delta, without changing
+// anything, in O(|delta|): the vertex count is not negative, the graph stays
+// within the int32 CSR limits, and every edge joins two distinct vertices of
+// the grown graph.
+func (d *Dynamic) Check(delta Delta) error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.checkLocked(delta)
+}
 
+func (d *Dynamic) checkLocked(delta Delta) error {
 	if delta.AddVertices < 0 {
-		return DeltaResult{}, fmt.Errorf("%w: %d", ErrNegativeVertices, delta.AddVertices)
+		return fmt.Errorf("%w: %d", ErrNegativeVertices, delta.AddVertices)
 	}
 	// Compare against the headroom, not the sum: n + AddVertices could wrap
 	// negative on 64-bit overflow and sneak past a sum-side check.
 	if delta.AddVertices > math.MaxInt32-d.n {
-		return DeltaResult{}, fmt.Errorf("graph: delta grows the graph past the int32 CSR limit (n=%d, add %d)", d.n, delta.AddVertices)
+		return fmt.Errorf("graph: delta grows the graph past the int32 CSR limit (n=%d, add %d)", d.n, delta.AddVertices)
 	}
 	// Same guard for edges (worst case: every add is new): the CSR layout
 	// indexes 2m adjacency entries with int32 offsets, and rejecting here
 	// keeps the later materialization from panicking on a graph Apply's
 	// atomic-validation contract should never have admitted.
 	if len(delta.Add) > math.MaxInt32/2-d.m {
-		return DeltaResult{}, fmt.Errorf("graph: delta grows the graph past the int32 CSR limit (m=%d, add %d edges)", d.m, len(delta.Add))
+		return fmt.Errorf("graph: delta grows the graph past the int32 CSR limit (m=%d, add %d edges)", d.m, len(delta.Add))
 	}
 	newN := d.n + delta.AddVertices
 	for _, list := range [2][][2]int{delta.Remove, delta.Add} {
 		for _, e := range list {
 			u, v := e[0], e[1]
 			if u < 0 || u >= newN || v < 0 || v >= newN {
-				return DeltaResult{}, fmt.Errorf("%w: {%d,%d} with n=%d", ErrVertexRange, u, v, newN)
+				return fmt.Errorf("%w: {%d,%d} with n=%d", ErrVertexRange, u, v, newN)
 			}
 			if u == v {
-				return DeltaResult{}, fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
+				return fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
 			}
 		}
 	}
+	return nil
+}
 
+// Apply validates and applies one mutation batch.  Validation is atomic: a
+// delta Check rejects changes nothing.  Removals run before additions (see
+// Delta).  When the overlay reaches the compaction threshold it is folded
+// into a fresh CSR base before Apply returns.
+func (d *Dynamic) Apply(delta Delta) (DeltaResult, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.checkLocked(delta); err != nil {
+		return DeltaResult{}, err
+	}
 	res := DeltaResult{VerticesAdded: delta.AddVertices}
-	d.n = newN
+	d.n += delta.AddVertices
 	for _, e := range delta.Remove {
 		if d.removeEdgeLocked(int32(e[0]), int32(e[1])) {
 			res.EdgesRemoved++

@@ -237,12 +237,12 @@ func TestTraceSpans(t *testing.T) {
 	if QueryID(ctx) != "q-test" {
 		t.Fatalf("QueryID = %q", QueryID(ctx))
 	}
-	_, sp := Start(ctx, "order")
+	sp := Start(ctx, "order")
 	time.Sleep(time.Millisecond)
 	if d := sp.End(); d <= 0 {
 		t.Fatalf("span duration %v", d)
 	}
-	_, sp2 := Start(ctx, "wreach")
+	sp2 := Start(ctx, "wreach")
 	sp2.End()
 	spans := tr.Spans()
 	if len(spans) != 2 || spans[0].Name != "order" || spans[1].Name != "wreach" {
@@ -255,10 +255,24 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatalf("trace string %q", tr.String())
 	}
 	// Spans without a trace are safe no-ops.
-	_, sp3 := Start(context.Background(), "stray")
+	sp3 := Start(context.Background(), "stray")
 	sp3.End()
 	// Query IDs are unique.
 	if NewQueryID() == NewQueryID() {
 		t.Fatal("query IDs collided")
+	}
+}
+
+// TestStartAllocs: a span on a context without a trace allocates nothing,
+// so the engine's stage spans cost a warm query no allocation when nobody
+// traces it.  The race detector allocates on its own, so the test skips
+// under -race.
+func TestStartAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() { Start(ctx, "stray").End() }); n != 0 {
+		t.Fatalf("traceless Start(...).End() allocates %.1f times, want 0", n)
 	}
 }

@@ -92,7 +92,8 @@ func QueryID(ctx context.Context) string {
 	return ""
 }
 
-// Span is one timed stage.  Obtain it with Start; finish it with End.
+// Span is one timed stage, a value: obtain it with Start, finish it with
+// End.
 type Span struct {
 	trace *Trace
 	name  string
@@ -102,15 +103,15 @@ type Span struct {
 // Start begins a span named after the stage.  The span records into the
 // context's trace (if any) when ended, and emits a debug-level slog line
 // carrying the query ID — structured per-stage timing without a collector.
-// The returned context is the input context (spans do not nest contexts);
-// callers typically `_, sp := obs.Start(ctx, "order"); defer sp.End()`.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	return ctx, &Span{trace: TraceFrom(ctx), name: name, start: time.Now()}
+// Spans do not nest contexts, and a span is a value, so a context without a
+// trace allocates nothing: `sp := obs.Start(ctx, "order"); defer sp.End()`.
+func Start(ctx context.Context, name string) Span {
+	return Span{trace: TraceFrom(ctx), name: name, start: time.Now()}
 }
 
 // End finishes the span and returns its duration (handy for feeding a
 // histogram).  Safe on a zero span.
-func (s *Span) End() time.Duration {
+func (s Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.trace != nil {
 		s.trace.add(s.name, s.start, d)
