@@ -251,7 +251,10 @@ func NeighborhoodCover(g *Graph, r int) (CoverResult, error) {
 	if err != nil {
 		return CoverResult{}, err
 	}
-	c := resp.CoverData()
+	c, err := resp.CoverData()
+	if err != nil {
+		return CoverResult{}, err
+	}
 	clusters := make(map[int][]int, c.NumClusters())
 	for _, center := range c.Centers() {
 		clusters[center] = append([]int(nil), c.Cluster(center)...)

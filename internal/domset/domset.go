@@ -37,14 +37,14 @@ func Check(g *graph.Graph, D []int, r int) bool {
 //	D := { min WReach_r[G, L, w] : w ∈ V(G) }
 //
 // directly from the weak reachability sets (equation (2) in the proof of
-// Theorem 5): the distinct homes of one radius-r sweep.  It is equivalent
-// to AlgorithmOne (a test asserts this).
+// Theorem 5): the distinct homes of one radius-r sweep summary.  It is
+// equivalent to AlgorithmOne (a test asserts this).
 func FromOrder(g *graph.Graph, o *order.Order, r int) []int {
-	return FromHomes(order.WReachSweep(g, o, r, r, 0).Homes)
+	return FromHomes(order.WReachSummary(g, o, r, r, 0).Homes)
 }
 
 // FromHomes returns the distinct values of homes, sorted increasingly.  For
-// the homes of a sweep at radius r (order.Sweep.Homes) that is the set
+// the homes of a sweep at radius r (order.Summary.Homes) that is the set
 // Algorithm 1 returns, nil on the empty graph as there.
 func FromHomes(homes []int) []int {
 	in := make([]bool, len(homes))

@@ -119,6 +119,41 @@ func TestSweepHomesMatchAlgorithmOne(t *testing.T) {
 	}
 }
 
+// TestSummaryMatchesSweep: a summary is its sweep's homes, largest set and
+// depth at every worker count, for every (rho, s) the engine and
+// WColMeasure ask for: (r, 2r), (r, r), rho = s and no homes, on the graphs
+// of TestSweepHomesMatchAlgorithmOne.  The homes are also checked against
+// the radius-rho sets, which no home table builds.
+func TestSummaryMatchesSweep(t *testing.T) {
+	cases := append(algorithmOneCases(), gen.Apollonian(3000, 7))
+	for gi, g := range cases {
+		for _, r := range []int{1, 2, 3} {
+			o := order.ConstructDefault(g, r)
+			for _, s := range []int{r, 2 * r} {
+				for _, rho := range []int{-1, r, s} {
+					var setsRho order.Sets
+					if rho >= 0 {
+						setsRho = order.WReachSets(g, o, rho)
+					}
+					for _, workers := range []int{1, 2, 8} {
+						sw := order.WReachSweep(g, o, s, rho, workers)
+						sum := order.WReachSummary(g, o, s, rho, workers)
+						if !slices.Equal(sum.Homes, sw.Homes) || sum.Max != sw.Sets.Max() || sum.Depth != sw.Depth {
+							t.Fatalf("case %d r=%d s=%d rho=%d workers=%d: summary (max %d, depth %d) differs from the sweep (max %d, depth %d) or its homes",
+								gi, r, s, rho, workers, sum.Max, sum.Depth, sw.Sets.Max(), sw.Depth)
+						}
+						for w, h := range sum.Homes {
+							if min := int(setsRho.Of(w)[0]); h != min {
+								t.Fatalf("case %d r=%d s=%d rho=%d workers=%d: home of %d is %d, want %d", gi, r, s, rho, workers, w, h, min)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAlgorithmOneDominatesWithAnyOrder(t *testing.T) {
 	// Correctness (being a dominating set) must hold for any order, even a
 	// deliberately bad one; only the approximation factor depends on quality.

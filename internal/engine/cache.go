@@ -17,7 +17,7 @@ type substrateKind uint8
 
 const (
 	kindOrder  substrateKind = iota // a *order.Order for radius A
-	kindWReach                      // WReach_B sets on the order for radius A
+	kindWReach                      // the summary of the radius-B sweep of the order for radius A
 	kindAnswer                      // an *answer to a sequential query of radius A
 )
 

@@ -456,7 +456,11 @@ func (e *Engine) Info(name string) (GraphInfo, bool) {
 // of the removed graph are skipped at replay).  A failed deletion changes
 // nothing: the graph stays registered, the engine degrades, and the error
 // wraps ErrDegraded, so the removal can be retried once a checkpoint has
-// healed the store.
+// healed the store.  The file may be gone already (the unlink succeeded
+// and the directory fsync failed), so the snapshot is written again, as a
+// checkpoint writes it, and a crash before the next checkpoint still
+// recovers the graph; if that write fails too, the next checkpoint, which
+// begins degraded and rewrites every graph, puts it back.
 func (e *Engine) Remove(name string) (ok bool, err error) {
 	if err := e.checkWritable(); err != nil {
 		return false, err
@@ -476,6 +480,7 @@ func (e *Engine) Remove(name string) (ok bool, err error) {
 		if err := e.store.DeleteSnapshot(name); err != nil {
 			e.stats.persistErrors.Inc()
 			e.enterDegraded(fmt.Sprintf("snapshot delete for %q failed: %v", name, err))
+			_, _ = e.writeSnapshot(ent, true)
 			return true, fmt.Errorf("%w: deleting the snapshot of %q: %w", ErrDegraded, name, err)
 		}
 	}
@@ -618,20 +623,20 @@ func (e *Engine) orderFor(ctx context.Context, g *graph.Graph, gen uint64, r int
 	return o, hit, err
 }
 
-// wreachFor returns the (cached) sweep at radius s of the order for radius
-// orderR, with the homes at radius min(orderR, s) — the substrate behind
-// wcol measurements, the paper and dvorak sets and covers.  Building it
-// reuses (or builds) the cached order.
-func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (*order.Sweep, error) {
+// wreachFor returns the (cached) summary of the sweep at radius s of the
+// order for radius orderR, with the homes at radius min(orderR, s) — the
+// substrate behind the paper and dvorak sets, their wcol and covers.
+// Building it reuses (or builds) the cached order.
+func (e *Engine) wreachFor(ctx context.Context, g *graph.Graph, gen uint64, orderR, s int) (*order.Summary, error) {
 	v, _, err := e.fetch(ctx, substrateKey{gen: gen, kind: kindWReach, a: orderR, b: s}, "substrate:wreach", "wreach", func(ctx context.Context) (any, error) {
 		o, _, err := e.orderFor(ctx, g, gen, orderR)
 		if err != nil {
 			return nil, err
 		}
-		return order.WReachSweep(g, o, s, min(orderR, s), e.cfg.SubstrateWorkers), nil
+		return order.WReachSummary(g, o, s, min(orderR, s), e.cfg.SubstrateWorkers), nil
 	})
-	sw, _ := v.(*order.Sweep)
-	return sw, err
+	sum, _ := v.(*order.Summary)
+	return sum, err
 }
 
 // withTimeout applies the request (or engine default) timeout to ctx.

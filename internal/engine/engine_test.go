@@ -257,6 +257,17 @@ func TestEngineMatchesDirectPipeline(t *testing.T) {
 	}
 }
 
+// coverOf returns the cover of a cover query's response, failing the test
+// if its inversion fails.
+func coverOf(t *testing.T, resp *Response) *cover.Cover {
+	t.Helper()
+	c, err := resp.CoverData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCoverQuery(t *testing.T) {
 	e := testEngine(t, Config{})
 	g := gen.Grid(10, 10)
@@ -264,7 +275,7 @@ func TestCoverQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := resp.CoverData()
+	c := coverOf(t, resp)
 	if c == nil || resp.Size != c.NumClusters() || resp.CoverMaxRadius > 4 {
 		t.Fatalf("cover response %+v", resp)
 	}
@@ -272,7 +283,7 @@ func TestCoverQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm, err := e.Do(context.Background(), Request{G: g, Kind: KindCover, R: 2})
-	if err != nil || !warm.CacheHit || warm.CoverData() != c {
+	if err != nil || !warm.CacheHit || coverOf(t, warm) != c {
 		t.Fatalf("warm cover query should share the cached substrate: %+v %v", warm, err)
 	}
 }
@@ -374,7 +385,7 @@ func TestCoverClustersInvertedOnce(t *testing.T) {
 			if viaClusters && !reflect.DeepEqual(resp.Clusters, want) {
 				return nil, errors.New("include_clusters map differs from cover.Build's")
 			}
-			return resp.CoverData(), nil
+			return resp.CoverData()
 		}
 		got := make([]*cover.Cover, 4)
 		var wg sync.WaitGroup
@@ -394,7 +405,7 @@ func TestCoverClustersInvertedOnce(t *testing.T) {
 			t.FailNow()
 		}
 		first := got[0]
-		for i, c := range append(got, cold.CoverData()) {
+		for i, c := range append(got, coverOf(t, cold)) {
 			if c == nil || c != first {
 				t.Fatalf("include_clusters=%v: read %d returned cover %p, want %p", viaClusters, i, c, first)
 			}
@@ -580,25 +591,33 @@ func TestAnonymousGraphMutationInvalidates(t *testing.T) {
 
 // TestAnonymousSubstratesReleasedOnGC asserts that substrates cached for a
 // facade-path graph are purged once the graph itself is collected, instead
-// of occupying LRU slots until capacity churn.
+// of occupying LRU slots until capacity churn.  A cached cover answer whose
+// clusters were read must not keep the graph alive either.
 func TestAnonymousSubstratesReleasedOnGC(t *testing.T) {
-	e := testEngine(t, Config{})
-	func() {
-		g := gen.Grid(10, 10)
-		if _, err := e.Do(context.Background(), Request{G: g, Kind: KindDominatingSet, R: 1}); err != nil {
-			t.Fatal(err)
+	for _, req := range []Request{
+		{Kind: KindDominatingSet, R: 1},
+		{Kind: KindCover, R: 1},
+		{Kind: KindCover, R: 1, IncludeClusters: true},
+	} {
+		e := testEngine(t, Config{})
+		func() {
+			req.G = gen.Grid(10, 10)
+			if _, err := e.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			req.G = nil
+		}()
+		if e.cache.len() == 0 {
+			t.Fatalf("%s clusters=%v: expected cached substrates before collection", req.Kind, req.IncludeClusters)
 		}
-	}()
-	if e.cache.len() == 0 {
-		t.Fatal("expected cached substrates before collection")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.cache.len() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("substrates of a collected graph were not purged (%d left)", e.cache.len())
+		deadline := time.Now().Add(10 * time.Second)
+		for e.cache.len() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s clusters=%v: substrates of a collected graph were not purged (%d left)", req.Kind, req.IncludeClusters, e.cache.len())
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
 		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -879,7 +898,7 @@ func TestSubstrateWorkersDeterminism(t *testing.T) {
 		got := &outcome{
 			set: dom.Set, lb: dom.LowerBound, wcol: dom.Wcol,
 			covSize: cov.Size, covDegree: cov.CoverDegree, covRadius: cov.CoverMaxRadius,
-			covCenters: cov.CoverData().Centers(),
+			covCenters: coverOf(t, cov).Centers(),
 			cdsSet:     cds.Set,
 			cdsDomSet:  cds.DomSet,
 			cdsWcol:    cds.Wcol,

@@ -93,7 +93,7 @@ func TestMutateDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d kind=%s: mutated engine diverges from fresh build", workers, kind)
 			}
 			if kind == KindCover {
-				ca, cb := a.CoverData(), b.CoverData()
+				ca, cb := coverOf(t, a), coverOf(t, b)
 				if !equalInts(ca.Centers(), cb.Centers()) {
 					t.Fatalf("workers=%d: cover centers diverge", workers)
 				}

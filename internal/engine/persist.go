@@ -187,37 +187,14 @@ func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 	e.mu.Unlock()
 	info := CheckpointInfo{}
 	for _, ent := range ents {
-		// Capture a consistent (topology, gen, coveredLSN) triple under
-		// mutMu, then encode and write OUTSIDE the lock: queries (resolve)
-		// and mutations of this graph stall only for the capture, not for
-		// the disk write.  A delta landing mid-write gets an LSN beyond the
-		// captured CoveredLSN and replays correctly, and Remove cannot
-		// interleave a deletion because it holds ckptMu for its whole
-		// critical section, as does this loop.
-		ent.mutMu.Lock()
-		e.mu.Lock()
-		gen := ent.gen
-		registered := e.graphs[ent.name] == ent
-		e.mu.Unlock()
-		current := gen == ent.snapGen && ent.lastLSN == ent.snapLSN
-		if !registered || (current && !degraded) {
-			ent.mutMu.Unlock()
-			continue
-		}
-		meta := store.SnapshotMeta{Name: ent.name, Epoch: ent.epoch, CoveredLSN: ent.lastLSN, Gen: gen}
-		snap := ent.dyn.Snapshot()
-		ent.mutMu.Unlock()
-		snapStart := time.Now()
-		err := e.store.SaveSnapshot(meta, snap)
-		e.stats.snapshotWriteSeconds.ObserveSince(snapStart)
+		wrote, err := e.writeSnapshot(ent, degraded)
 		if err != nil {
-			e.stats.persistErrors.Inc()
 			e.enterDegraded(fmt.Sprintf("checkpoint snapshot %q failed: %v", ent.name, err))
 			return info, fmt.Errorf("engine: checkpoint snapshot %q: %w", ent.name, err)
 		}
-		e.stats.snapshotWrites.Inc()
-		ent.snapGen, ent.snapLSN = gen, meta.CoveredLSN
-		info.Graphs++
+		if wrote {
+			info.Graphs++
+		}
 	}
 	if err := e.store.RemoveSegments(obsolete); err != nil {
 		e.stats.persistErrors.Inc()
@@ -238,6 +215,41 @@ func (e *Engine) Checkpoint() (CheckpointInfo, error) {
 		e.clearDegraded()
 	}
 	return info, nil
+}
+
+// writeSnapshot rewrites the snapshot of a registered graph at its live
+// topology, generation and covered WAL position, unless the snapshot is
+// current and force is unset; wrote reports whether it wrote one.  The
+// caller holds ckptMu.  The triple is captured under mutMu and encoded and
+// written OUTSIDE the lock: queries (resolve) and mutations of the graph
+// stall only for the capture, not for the disk write.  A delta landing
+// mid-write gets an LSN beyond the captured CoveredLSN and replays
+// correctly, and no deletion can interleave, because Remove holds ckptMu
+// for its whole critical section.
+func (e *Engine) writeSnapshot(ent *graphEntry, force bool) (wrote bool, err error) {
+	ent.mutMu.Lock()
+	e.mu.Lock()
+	gen := ent.gen
+	registered := e.graphs[ent.name] == ent
+	e.mu.Unlock()
+	current := gen == ent.snapGen && ent.lastLSN == ent.snapLSN
+	if !registered || (current && !force) {
+		ent.mutMu.Unlock()
+		return false, nil
+	}
+	meta := store.SnapshotMeta{Name: ent.name, Epoch: ent.epoch, CoveredLSN: ent.lastLSN, Gen: gen}
+	snap := ent.dyn.Snapshot()
+	ent.mutMu.Unlock()
+	start := time.Now()
+	err = e.store.SaveSnapshot(meta, snap)
+	e.stats.snapshotWriteSeconds.ObserveSince(start)
+	if err != nil {
+		e.stats.persistErrors.Inc()
+		return false, err
+	}
+	e.stats.snapshotWrites.Inc()
+	ent.snapGen, ent.snapLSN = gen, meta.CoveredLSN
+	return true, nil
 }
 
 // startCheckpointer launches the background checkpoint loop: every interval

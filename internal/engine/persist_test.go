@@ -437,6 +437,48 @@ func TestFailedRemoveChangesNothing(t *testing.T) {
 	}
 }
 
+// TestFailedRemoveSurvivesKill: a removal whose directory fsync fails after
+// the unlink answers ErrDegraded and keeps serving the graph, and so does a
+// restart from the kill -9 image taken right after it, with the same
+// answers: the failed removal wrote the snapshot back, covering the graph's
+// logged mutation.
+func TestFailedRemoveSurvivesKill(t *testing.T) {
+	dir := t.TempDir()
+	in := fault.NewInjector(nil)
+	e, err := Open(dir, Config{FS: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Register("g", gen.Grid(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Mutate("g", Delta{Add: [][2]int{{0, 5}}}); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Graph: "g", Kind: KindDominatingSet, R: 1}
+	want, err := e.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := e.Info("g")
+	in.Add(fault.Fault{Op: fault.OpSync, Path: "graphs"})
+	if ok, err := e.Remove("g"); !ok || !errors.Is(err, ErrDegraded) || !errors.Is(err, fault.ErrIO) {
+		t.Fatalf("Remove through a failed directory fsync: %v %v, want true and ErrDegraded with the injected store error", ok, err)
+	}
+	revived := openPersistent(t, killImage(t, e, dir), Config{})
+	got, ok := revived.Info("g")
+	if !ok || got != info {
+		t.Fatalf("graph after restarting from the kill image: %+v (registered %v), want %+v", got, ok, info)
+	}
+	resp, err := revived.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalInts(resp.Set, want.Set) || resp.LowerBound != want.LowerBound || resp.Wcol != want.Wcol {
+		t.Fatal("the recovered graph answers differently")
+	}
+}
+
 func TestRemoveIsDurable(t *testing.T) {
 	dir := t.TempDir()
 	e := openPersistent(t, dir, Config{})

@@ -126,19 +126,22 @@ type Response struct {
 
 	// answer is the cache entry a sequential response came from; AppendJSON
 	// copies in its encoded arrays while Set and DomSet are still its
-	// slices.
+	// slices.  g is the graph the query read, which a cover answer's
+	// inversion sweeps: the cached answer keeps no graph, so that it never
+	// keeps a facade graph alive.
 	answer *answer
+	g      *graph.Graph
 }
 
 // CoverData returns the underlying cover structure of a cover query (nil
 // for the other kinds).  The first call for a cached answer inverts its
-// clusters; the structure is shared with the substrate cache and must not
-// be mutated.
-func (r *Response) CoverData() *cover.Cover {
+// clusters, which fails only if the order it sweeps fails to build; the
+// structure is shared with the substrate cache and must not be mutated.
+func (r *Response) CoverData() (*cover.Cover, error) {
 	if r.answer == nil || r.answer.cover == nil {
-		return nil
+		return nil, nil
 	}
-	return r.answer.cover()
+	return r.answer.cover(context.Background(), r.g)
 }
 
 // Do executes one query on the worker pool and blocks until it completes,
@@ -282,9 +285,13 @@ func (e *Engine) run(ctx context.Context, req Request, s solver.Solver, g *graph
 	resp := a.resp
 	resp.Graph = req.Graph
 	resp.CacheHit = hit
-	resp.answer = a
+	resp.answer, resp.g = a, g
 	if req.IncludeClusters && a.cover != nil {
-		resp.Clusters = a.cover().ClusterMap()
+		c, err := a.cover(ctx, g)
+		if err != nil {
+			return nil, err
+		}
+		resp.Clusters = c.ClusterMap()
 	}
 	return &resp, nil
 }
@@ -332,8 +339,10 @@ func (e *Engine) distributed(ctx context.Context, req Request, s solver.Solver, 
 type answer struct {
 	resp        Response
 	set, domSet jsonArray
-	// cover returns a cover answer's cover (nil for the other kinds).
-	cover func() *cover.Cover
+	// cover returns a cover answer's cover of g, the graph the answer was
+	// built for, inverting it on the first successful call (nil for the
+	// other kinds).
+	cover func(ctx context.Context, g *graph.Graph) (*cover.Cover, error)
 }
 
 // jsonArray is the JSON array of an int slice, encoded on first use.
@@ -406,29 +415,44 @@ func (e *Engine) connectedAnswer(ctx context.Context, g *graph.Graph, gen uint64
 	resp.Set = connect.ClosureOf(wits, D)
 	resp.Size = len(resp.Set)
 	resp.LowerBound = domset.ScatteredLowerBound(g, r, D)
-	resp.Wcol = wits.Sets.Max()
+	resp.Wcol = wits.Max
 	return nil
 }
 
 // coverAnswer answers the Theorem 4 cover for radius r into a from one
-// cached sweep, the (r, 2r) one the paper solver and wcol_2r also read.
-// Every vertex is in its own set, so it centers a cluster: the cover's
-// size is n, its degree the largest set (wcol_2r) and its radius the
-// sweep's depth.  The clusters (the sets inverted, the homes as Home) are
-// built only when a request reads them, once per cached answer, and timed
-// under the cover label.
+// cached summary, the (r, 2r) one the paper solver also reads.  Every
+// vertex is in its own set, so it centers a cluster: the cover's size is
+// n, its degree the largest set (wcol_2r) and its radius the sweep's
+// depth.  The clusters are built only when a request reads them, once per
+// cached answer: one full (r, 2r) sweep of the cached order, its sets
+// inverted and its homes the cover's Home, timed under the cover label.
+// The inversion takes the graph from its reader, because a cached answer
+// that kept g would keep a facade graph alive past the cleanup that purges
+// its substrates (see handleFor).
 func (e *Engine) coverAnswer(ctx context.Context, g *graph.Graph, gen uint64, r int, a *answer) error {
-	sw, err := e.wreachFor(ctx, g, gen, r, 2*r)
+	sum, err := e.wreachFor(ctx, g, gen, r, 2*r)
 	if err != nil {
 		return err
 	}
-	a.resp.Size, a.resp.CoverDegree, a.resp.CoverMaxRadius = g.N(), sw.Sets.Max(), sw.Depth
-	a.cover = sync.OnceValue(func() *cover.Cover {
+	a.resp.Size, a.resp.CoverDegree, a.resp.CoverMaxRadius = g.N(), sum.Max, sum.Depth
+	var mu sync.Mutex
+	var c *cover.Cover
+	a.cover = func(ctx context.Context, g *graph.Graph) (*cover.Cover, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if c != nil {
+			return c, nil
+		}
+		o, _, err := e.orderFor(ctx, g, gen, r)
+		if err != nil {
+			return nil, err
+		}
 		start := time.Now()
-		c := cover.BuildFromHomes(r, sw.Homes, sw.Sets, e.cfg.SubstrateWorkers)
+		sw := order.WReachSweep(g, o, 2*r, r, e.cfg.SubstrateWorkers)
+		c = cover.BuildFromHomes(r, sw.Homes, sw.Sets, e.cfg.SubstrateWorkers)
 		e.stats.buildSeconds.With("cover").ObserveSince(start)
-		return c
-	})
+		return c, nil
+	}
 	return nil
 }
 

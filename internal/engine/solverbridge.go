@@ -24,7 +24,7 @@ func (s *engineSubstrate) Order(ctx context.Context, r int) (*order.Order, error
 	return o, err
 }
 
-func (s *engineSubstrate) WReach(ctx context.Context, orderR, r int) (*order.Sweep, error) {
+func (s *engineSubstrate) WReach(ctx context.Context, orderR, r int) (*order.Summary, error) {
 	return s.e.wreachFor(ctx, s.g, s.gen, orderR, r)
 }
 

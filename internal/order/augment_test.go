@@ -376,3 +376,52 @@ func TestWReachSweepFootprint(t *testing.T) {
 	runtime.KeepAlive(o) // an order collected mid-measurement would hide 16 bytes per vertex
 	runtime.KeepAlive(sw)
 }
+
+// TestWReachSummaryAllocs gates the sweep the engine caches for the paper,
+// dvorak and cover answers: WReachSummary at s = 2 with the homes at
+// rho = 1, single-worker, on the graph and order of TestWReachSetsAllocs.
+// A summary stores no pairs, so its count does not grow with them.
+func TestWReachSummaryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := mustLargest(gen.RandomGeometric(5000, gen.GeometricRadiusForAvgDeg(5000, 6), 1))
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	o := Construct(g, opts).Order
+	const budget = 12 // measured 10
+	got := testing.AllocsPerRun(3, func() { WReachSummary(g, o, 2, 1, 1) })
+	t.Logf("WReachSummary s=2 rho=1: %.0f allocations per call (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("WReachSummary s=2 rho=1 allocated %.0f times per call, budget %d", got, budget)
+	}
+}
+
+// TestWReachSummaryFootprint gates what a cached summary keeps alive: the
+// summary of TestWReachSummaryAllocs, once its scratch is collected, may
+// retain at most 8 bytes per vertex (one home) plus the page rounding of
+// that array and the Summary itself, and nothing per set entry.
+func TestWReachSummaryFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	g := mustLargest(gen.RandomGeometric(5000, gen.GeometricRadiusForAvgDeg(5000, 6), 1))
+	opts := DefaultOptions(1)
+	opts.Workers = 1
+	o := Construct(g, opts).Order
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sum := WReachSummary(g, o, 2, 1, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	const rounding = 2 * 8192
+	bound := int64(8*g.N() + rounding)
+	t.Logf("WReachSummary s=2 rho=1: %d bytes retained for %d vertices (bound %d)", retained, g.N(), bound)
+	if retained > bound {
+		t.Errorf("WReachSummary s=2 rho=1 retained %d bytes, bound %d", retained, bound)
+	}
+	runtime.KeepAlive(o)
+	runtime.KeepAlive(sum)
+}

@@ -20,8 +20,9 @@ import (
 // Total time is O(Σ_u |X_u| · wcol) which is linear for every fixed r on a
 // bounded expansion class, and the n source searches are independent, so
 // they shard across workers (see WReachSetsWorkers).  WReachSweep runs the
-// same searches and also records each vertex's home and the deepest level
-// reached; WReachWitnesses also keeps the witness paths.
+// same searches and also records each vertex's home, the largest set and
+// the deepest level reached; WReachSummary keeps only those, and
+// WReachWitnesses also keeps the witness paths.
 func WReachSets(g *graph.Graph, o *Order, r int) Sets {
 	return WReachSetsWorkers(g, o, r, 0)
 }
@@ -64,17 +65,18 @@ func (s Sets) Max() int {
 	return m
 }
 
-// Sweep is what one sweep of restricted searches at radius s yields besides
-// the sets themselves.
-type Sweep struct {
-	// Sets.Of(w) is WReach_s[G, L, w] sorted by L-position, exactly as
-	// WReachSetsWorkers returns it.
-	Sets Sets
+// Summary is what a sweep's answers read: each vertex's home, the size of
+// the largest set and the depth.  It keeps one int per vertex, where the
+// sets keep 4 bytes per pair.
+type Summary struct {
 	// Homes[w] is min WReach_ρ[G, L, w] for the radius ρ ≤ s the sweep was
 	// asked for (nil when it was asked for none).  The distinct homes at
 	// ρ = r are the set Algorithm 1 returns (proof of Theorem 5), and the
 	// home at ρ = r is the cluster of Theorem 4 that holds N_r[w] (Lemma 6).
 	Homes []int
+	// Max is the size of the largest set, max_w |WReach_s[G, L, w]|: the
+	// weak s-colouring number of the order, as Sets.Max measures it.
+	Max int
 	// Depth is the deepest level any search reached: the largest
 	// eccentricity of a vertex u within the subgraph induced by the vertices
 	// its search found, X_u = { w : u ∈ WReach_s[G, L, w] }.  With s = 2r
@@ -83,31 +85,60 @@ type Sweep struct {
 	Depth int
 }
 
-// WReachSweep is WReachSetsWorkers that also returns each vertex's home
-// min WReach_rho[G, L, w] and the depth of the sweep, for 0 ≤ rho ≤ s; a
-// negative rho asks for no homes.  The searches are the same, so the sets
-// are identical, and so are the homes and the depth for every worker count.
+// Sweep is a summary together with the sets it summarises.
+type Sweep struct {
+	Summary
+	// Sets.Of(w) is WReach_s[G, L, w] sorted by L-position, exactly as
+	// WReachSetsWorkers returns it.
+	Sets Sets
+}
+
+// WReachSweep is WReachSetsWorkers that also returns the summary of its
+// searches, with each vertex's home min WReach_rho[G, L, w] for
+// 0 ≤ rho ≤ s; a negative rho asks for no homes.  The searches are the
+// same, so the sets are identical, and so is the summary for every worker
+// count.
 func WReachSweep(g *graph.Graph, o *Order, s, rho, workers int) *Sweep {
-	sw, _ := wreach(g, o, s, rho, workers, false)
+	sw, _ := wreach(g, o, s, rho, workers, keepSets)
 	return &sw
 }
 
-// wreachShard is one worker's share of a WReachSets computation: the
-// discovered vertices ws, segmented per source (ends[j] is the end offset
-// of the block's j'th source, so the source itself is recoverable from the
-// segment index — no second per-pair array), and the per-vertex
-// contribution counts, later repurposed as write cursors.  par, aligned
-// with ws, holds each discovered vertex's BFS parent when witnesses were
-// asked for and is nil otherwise.  home[w], when homes at a radius below s
-// were asked for, is 1 + the position of the first source of the block
-// whose search reached w within that radius (0 if none did); depth is the
-// deepest level the block's searches reached.
+// WReachSummary runs WReachSweep's searches and keeps only their summary:
+// each block counts how many of its searches reach every vertex instead of
+// storing the pairs, so the sweep allocates O(n) per worker however many
+// pairs there are, and retains only the homes.  The summary is
+// WReachSweep's, for every worker count.
+func WReachSummary(g *graph.Graph, o *Order, s, rho, workers int) *Summary {
+	sw, _ := wreach(g, o, s, rho, workers, keepSummary)
+	return &sw.Summary
+}
+
+// keep is what a sweep keeps of its searches besides the summary.
+type keep uint8
+
+const (
+	keepSummary keep = iota // nothing: each block counts its pairs
+	keepSets                // the sets
+	keepParents             // the sets and each pair's BFS parent
+)
+
+// wreachShard is one worker's share of a sweep.  cnt[w] counts the block's
+// searches that reached w, and the merge turns it into the write cursor of
+// the block's part of w's set, relative to the set's start.  home[w], when
+// homes were asked for, is 1 + the position of the first source of the
+// block whose search reached w within the home radius (0 if none did);
+// depth is the deepest level the block's searches reached.  A sweep that
+// keeps its sets also keeps ws, the discovered vertices segmented per
+// source (ends[j] is the end offset of the block's j'th source, so the
+// source itself is recoverable from the segment index — no second per-pair
+// array), and with parents par, aligned with ws, each discovered vertex's
+// BFS parent.
 type wreachShard struct {
 	lo    int // first source position of the block
 	ws    []int32
 	par   []int32
 	ends  []int32
-	cnt   []int
+	cnt   []int32
 	home  []int32
 	depth int32
 }
@@ -119,27 +150,30 @@ type wreachShard struct {
 // every worker count — no per-set sort is needed because sources are visited
 // in L-order (each set's elements arrive already sorted by position).
 func WReachSetsWorkers(g *graph.Graph, o *Order, r, workers int) Sets {
-	sw, _ := wreach(g, o, r, -1, workers, false)
+	sw, _ := wreach(g, o, r, -1, workers, keepSets)
 	return sw.Sets
 }
 
 // wreach is the sharded restricted BFS behind WReachSetsWorkers,
-// WReachSweep and WReachWitnesses.  The depth, and with rho ≥ 0 the homes
-// at radius rho, are read off each search as its scratch is reset: its
-// segment of ws is in BFS order, so the last entry is at the search's
-// depth and the entries within rho are a prefix.  At rho = s the home is
-// the set's first element and needs no table.  With parents set it also
-// returns the parent column, aligned with the sets' id array: the entry
-// beside the j'th vertex u of w's set is the vertex the search from u
-// reached w from (w itself when u = w); otherwise next is nil and the
-// search keeps no parents.
-func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Sweep, next []int32) {
+// WReachSweep, WReachSummary and WReachWitnesses.  The depth, the counts
+// and with rho ≥ 0 the homes at radius rho are read off each search as its
+// scratch is reset: its segment of ws is in BFS order, so the last entry
+// is at the search's depth and the entries within rho are a prefix.  With
+// keepParents it also returns the parent column, aligned with the sets' id
+// array: the entry beside the j'th vertex u of w's set is the vertex the
+// search from u reached w from (w itself when u = w); otherwise next is nil
+// and the search keeps no parents.
+func wreach(g *graph.Graph, o *Order, s, rho, workers int, want keep) (sw Sweep, next []int32) {
 	if rho > s {
 		panic("order: a sweep's home radius exceeds its search radius")
 	}
 	n := g.N()
-	off := make([]int, n+1)
-	sw.Sets.off = off
+	sets, parents := want >= keepSets, want == keepParents
+	var off []int
+	if sets {
+		off = make([]int, n+1)
+		sw.Sets.off = off
+	}
 	if rho >= 0 {
 		sw.Homes = make([]int, n)
 	}
@@ -153,13 +187,13 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 	pos := o.pos
 	perm := o.perm
 	s32 := int32(s)
-	// table is whether homes need a per-block table; rho32 bounds the
-	// prefix of a search it records.
-	table := rho >= 0 && rho < s
+	// table is whether the blocks record homes; rho32 bounds the prefix of
+	// a search they read them off.
+	table := rho >= 0
 	rho32 := int32(rho)
 
 	// Position-relabeled CSR (the paper's Algorithm 2, SortLists): the
-	// vertex at position i has neighbor positions prows[poff[i]:poff[i+1]].
+	// vertex at position i has neighbor positions ptgt[poff[i]:poff[i+1]].
 	// The restriction "only vertices ≥_L u" becomes a plain integer
 	// comparison with no indirection, and the restricted BFS touches a
 	// contiguous position range.
@@ -178,17 +212,25 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 		}
 	})
 
-	// All vertices below are position labels until the final fill maps them
+	// All vertices below are position labels until the merge maps them
 	// back through perm.
 	shards := make([]wreachShard, workers)
 	graph.ParallelBlocks(n, workers, func(k, lo, hi int) {
-		cnt := make([]int, n)
+		cnt := make([]int32, n)
 		dist := make([]int32, n)
 		for i := range dist {
 			dist[i] = -1
 		}
-		ws := make([]int32, 0, 8*(hi-lo))
-		var par []int32
+		// A sweep that keeps its sets keeps every search's segment of ws; a
+		// summary reuses ws as the queue of one search at a time, grown by
+		// append when a search finds more.
+		var ws, par, ends []int32
+		if sets {
+			ws = make([]int32, 0, 8*(hi-lo))
+			ends = make([]int32, 0, hi-lo)
+		} else {
+			ws = make([]int32, 0, 1024)
+		}
 		if parents {
 			par = make([]int32, 0, cap(ws))
 		}
@@ -197,19 +239,21 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 			home = make([]int32, n)
 		}
 		depth := int32(0)
-		ends := make([]int32, 0, hi-lo)
 		for i := lo; i < hi; i++ {
+			if !sets {
+				ws = ws[:0]
+			}
 			// BFS from position i restricted to positions ≥ i, depth ≤ s;
 			// the tail of ws doubles as the FIFO queue (every position
 			// enters it once).
-			head := len(ws)
+			start := len(ws)
 			ws = append(ws, int32(i))
 			if parents {
 				par = append(par, int32(i))
 			}
 			dist[i] = 0
 			i32 := int32(i)
-			for ; head < len(ws); head++ {
+			for head := start; head < len(ws); head++ {
 				x := ws[head]
 				if dist[x] >= s32 {
 					continue
@@ -225,10 +269,6 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 						par = append(par, x)
 					}
 				}
-			}
-			start := 0
-			if len(ends) > 0 {
-				start = int(ends[len(ends)-1])
 			}
 			seg := ws[start:]
 			depth = max(depth, dist[seg[len(seg)-1]])
@@ -246,40 +286,49 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 				cnt[w]++
 				dist[w] = -1
 			}
-			ends = append(ends, int32(len(ws)))
+			if sets {
+				ends = append(ends, int32(len(ws)))
+			}
 		}
 		shards[k] = wreachShard{lo: lo, ws: ws, par: par, ends: ends, cnt: cnt, home: home, depth: depth}
 	})
 
-	// Count-and-fill merge: compute each (vertex, shard) write cursor, then
-	// let every shard copy its pairs (and parents) into the shared id array
-	// in parallel, mapping position labels back to vertices.  Shard blocks
-	// cover ascending position ranges and each shard emits sources in
-	// ascending position, so cursor order reproduces the position-sorted
-	// sets exactly, and the first shard with a candidate home holds the
-	// least one.
+	// Count-and-fill merge.  Shard blocks cover ascending position ranges
+	// and each shard emits sources in ascending position, so the first
+	// shard with a candidate home holds the least one, and the set of a
+	// vertex is its shards' parts in shard order: each count becomes its
+	// part's cursor, and the largest sum is the largest set.  A sweep that
+	// keeps its sets then lets every shard copy its pairs (and parents)
+	// into the shared id array in parallel, mapping position labels back
+	// to vertices, so cursor order reproduces the position-sorted sets
+	// exactly.
 	sum := 0
 	for v := 0; v < n; v++ {
 		w := pos[v]
-		off[v] = sum
-		h := int32(0)
+		h, c := int32(0), int32(0)
 		for k := range shards {
 			sh := &shards[k]
 			if table && h == 0 {
 				h = sh.home[w]
 			}
-			c := sh.cnt[w]
-			sh.cnt[w] = sum // repurpose as this shard's write cursor
-			sum += c
+			sh.cnt[w], c = c, c+sh.cnt[w]
 		}
+		sw.Max = max(sw.Max, int(c))
 		if table {
 			sw.Homes[v] = perm[h-1]
 		}
+		if sets {
+			off[v] = sum
+			sum += int(c)
+		}
 	}
-	off[n] = sum
 	for k := range shards {
 		sw.Depth = max(sw.Depth, int(shards[k].depth))
 	}
+	if !sets {
+		return sw, nil
+	}
+	off[n] = sum
 	ids := make([]int32, sum)
 	var pcol []int32
 	if parents {
@@ -293,9 +342,10 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 			for j, e := range sh.ends {
 				u := int32(perm[sh.lo+j])
 				for q, w := range sh.ws[start:e] {
-					ids[cnt[w]] = u
+					c := off[perm[w]] + int(cnt[w])
+					ids[c] = u
 					if parents {
-						pcol[cnt[w]] = int32(perm[sh.par[start+q]])
+						pcol[c] = int32(perm[sh.par[start+q]])
 					}
 					cnt[w]++
 				}
@@ -304,21 +354,16 @@ func wreach(g *graph.Graph, o *Order, s, rho, workers int, parents bool) (sw Swe
 		}
 	})
 	sw.Sets.ids = ids
-	if rho == s {
-		for v := range sw.Homes {
-			sw.Homes[v] = int(ids[off[v]])
-		}
-	}
 	return sw, pcol
 }
 
 // WColMeasure returns the measured weak r-colouring number of g under the
 // order o, i.e. max_v |WReach_r[G, L, v]|.  By Theorem 1 (Zhu) this is
 // bounded by a constant on every bounded expansion class when o is a good
-// order.  Callers that already hold the reachability sets should use
-// Sets.Max instead of paying for a second WReachSets sweep.
+// order.  It reads the largest set off a summary, which stores no pairs;
+// callers that already hold a sweep should read its Max instead.
 func WColMeasure(g *graph.Graph, o *Order, r int) int {
-	return WReachSets(g, o, r).Max()
+	return WReachSummary(g, o, r, -1, 0).Max
 }
 
 // WReachBruteForce computes WReach_r[G, L, w] for a single vertex w by

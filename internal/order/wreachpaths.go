@@ -27,8 +27,8 @@ type PathTo struct {
 // column aligned with the sets' id array.  That parent is itself in X_u and one step closer to u, so u is
 // in its set too, and AppendPath follows parents until it arrives at u.
 type Witnesses struct {
-	// Sweep holds the sets, as WReachSweep returns them, with the homes and
-	// the depth of the same searches.
+	// Sweep holds the sets, as WReachSweep returns them, with the summary
+	// of the same searches.
 	Sweep
 	// next[Sets.off[w]+j] is the vertex after w on the witness path from w
 	// to Sets.Of(w)[j] (w itself when that vertex is w).
@@ -43,7 +43,7 @@ type Witnesses struct {
 // parent of every discovered pair; the sets, homes and paths are identical
 // for every worker count.
 func WReachWitnesses(g *graph.Graph, o *Order, s, rho, workers int) *Witnesses {
-	sw, next := wreach(g, o, s, rho, workers, true)
+	sw, next := wreach(g, o, s, rho, workers, keepParents)
 	return &Witnesses{Sweep: sw, next: next, pos: o.pos}
 }
 

@@ -56,6 +56,6 @@ func (dvorakSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substr
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       sw.Sets.Max(),
+		Wcol:       sw.Max,
 	}, nil
 }

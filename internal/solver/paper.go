@@ -16,7 +16,7 @@ import (
 //
 // Algorithm 1 returns D = { min WReach_r[G, L, w] : w ∈ V(G) } (proof of
 // Theorem 5), so the sequential set is the distinct homes of the (r, 2r)
-// sweep whose sets certify wcol_2r: one sweep serves both.
+// sweep whose largest set certifies wcol_2r: one summary serves both.
 type paperSolver struct{}
 
 func (paperSolver) Name() string { return "paper" }
@@ -30,7 +30,7 @@ func (paperSolver) Solve(ctx context.Context, g *graph.Graph, r int, sub Substra
 	return Result{
 		Set:        D,
 		LowerBound: domset.ScatteredLowerBound(g, r, D),
-		Wcol:       sw.Sets.Max(),
+		Wcol:       sw.Max,
 	}, nil
 }
 

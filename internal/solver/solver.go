@@ -1,10 +1,11 @@
 // Package solver defines the pluggable domination strategies behind the
 // engine and the facade.  A Solver computes a distance-r dominating set
 // sequentially, drawing the expensive shared substrates (weak-reachability
-// orders and sweeps) from a Substrate so that strategies on the same graph
-// reuse one cached order and one sweep per radius: the paper strategy reads
-// both wcol_2r and Algorithm 1's set off the (r, 2r) sweep, whose homes
-// are the set, and the engine's cover reads the same sweep.  A DistSolver
+// orders and sweep summaries) from a Substrate so that strategies on the
+// same graph reuse one cached order and one summary per radius: the paper
+// strategy reads both wcol_2r and Algorithm 1's set off the (r, 2r)
+// summary, whose homes are the set, and the engine's cover reads the same
+// summary.  A DistSolver
 // additionally runs a simulator-backed distributed protocol, in the model
 // its result is stated for.  The registry is a fixed table keyed by a
 // stable name — the engine keys its per-graph result cache by that name,
@@ -39,11 +40,10 @@ const DefaultName = "paper"
 type Substrate interface {
 	// Order returns the weak-reachability order for radius r.
 	Order(ctx context.Context, r int) (*order.Order, error)
-	// WReach returns the sweep at radius s of the radius-orderR order: its
-	// weak s-reachability sets, whose Sets.Max is the order's measured
-	// wcol_s, each vertex's home at radius min(orderR, s), and the sweep's
-	// depth.
-	WReach(ctx context.Context, orderR, s int) (*order.Sweep, error)
+	// WReach returns the summary of the sweep at radius s of the
+	// radius-orderR order: each vertex's home at radius min(orderR, s), the
+	// largest set (the order's measured wcol_s) and the sweep's depth.
+	WReach(ctx context.Context, orderR, s int) (*order.Summary, error)
 }
 
 // Result is the outcome of a sequential solve.
@@ -128,14 +128,14 @@ func DistNames() []string {
 // --- Local substrate ------------------------------------------------------
 
 // Local is a self-contained Substrate: it computes orders and
-// weak-reachability sweeps on demand and memoizes them for its own lifetime.
+// weak-reachability summaries on demand and memoizes them for its own lifetime.
 // It backs the experiment harness and tests; the engine substitutes its
 // LRU-cached implementation.  Not safe for concurrent use.
 type Local struct {
 	g       *graph.Graph
 	workers int
 	orders  map[int]*order.Order
-	wreach  map[[2]int]*order.Sweep
+	wreach  map[[2]int]*order.Summary
 }
 
 // NewLocal returns a Local substrate over g.  workers bounds the goroutines
@@ -145,7 +145,7 @@ func NewLocal(g *graph.Graph, workers int) *Local {
 		g:       g,
 		workers: workers,
 		orders:  make(map[int]*order.Order),
-		wreach:  make(map[[2]int]*order.Sweep),
+		wreach:  make(map[[2]int]*order.Summary),
 	}
 }
 
@@ -162,7 +162,7 @@ func (l *Local) Order(_ context.Context, r int) (*order.Order, error) {
 }
 
 // WReach implements Substrate.
-func (l *Local) WReach(ctx context.Context, orderR, s int) (*order.Sweep, error) {
+func (l *Local) WReach(ctx context.Context, orderR, s int) (*order.Summary, error) {
 	key := [2]int{orderR, s}
 	if sw, ok := l.wreach[key]; ok {
 		return sw, nil
@@ -171,7 +171,7 @@ func (l *Local) WReach(ctx context.Context, orderR, s int) (*order.Sweep, error)
 	if err != nil {
 		return nil, err
 	}
-	sw := order.WReachSweep(l.g, o, s, min(orderR, s), l.workers)
+	sw := order.WReachSummary(l.g, o, s, min(orderR, s), l.workers)
 	l.wreach[key] = sw
 	return sw, nil
 }
